@@ -6,6 +6,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -22,6 +23,7 @@ import (
 // protocol is strictly request/reply per connection.
 type Conn struct {
 	c       net.Conn
+	br      *bufio.Reader // every byte read off c, for the connection's whole life
 	schema  *wire.HelloOK
 	timeout time.Duration
 	wbuf    []byte
@@ -39,7 +41,7 @@ func Dial(addr string, opTimeout time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	c := &Conn{c: nc, timeout: opTimeout}
+	c := newConn(nc, opTimeout)
 	reply, err := c.roundTrip(&wire.Hello{})
 	if err != nil {
 		_ = nc.Close()
@@ -52,6 +54,15 @@ func Dial(addr string, opTimeout time.Duration) (*Conn, error) {
 	}
 	c.schema = ok
 	return c, nil
+}
+
+// newConn wraps a freshly dialed socket. The buffered reader exists before
+// the first byte is read, so whatever the server writes back-to-back with a
+// reply (a whole burst's replies arrive in one segment) costs one read on
+// the socket, and a pipelined connection that takes the reader over after
+// the handshake finds every byte the handshake's read pulled in.
+func newConn(nc net.Conn, opTimeout time.Duration) *Conn {
+	return &Conn{c: nc, br: bufio.NewReader(nc), timeout: opTimeout}
 }
 
 // Schema returns the transaction-set schema from the handshake.
@@ -81,7 +92,7 @@ func (c *Conn) roundTrip(req wire.Message) (wire.Message, error) {
 		c.broken = true
 		return nil, fmt.Errorf("client: write %s: %w", req.Kind(), err)
 	}
-	reply, rbuf, err := wire.ReadFrame(c.c, c.rbuf)
+	reply, rbuf, err := wire.ReadFrame(c.br, c.rbuf)
 	if err != nil {
 		c.broken = true
 		return nil, fmt.Errorf("client: read reply to %s: %w", req.Kind(), err)

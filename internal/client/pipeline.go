@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -25,6 +26,7 @@ import (
 // overlap.
 type PipeConn struct {
 	c       net.Conn      //pcpda:guardedby immutable
+	br      *bufio.Reader //pcpda:guardedby none — the handshake's reader, owned by demux afterwards
 	schema  *wire.HelloOK //pcpda:guardedby immutable
 	timeout time.Duration //pcpda:guardedby immutable
 	ver     uint8         //pcpda:guardedby immutable — negotiated tagged framing version: min(wire.Version, server Proto)
@@ -85,7 +87,7 @@ func DialPipelined(addr string, opTimeout time.Duration, window int) (*PipeConn,
 	}
 	// The handshake is strict request/reply at v2 on every connection: the
 	// schema reply carries the Proto that says whether tags are welcome.
-	sc := &Conn{c: nc, timeout: opTimeout}
+	sc := newConn(nc, opTimeout)
 	reply, err := sc.roundTrip(&wire.Hello{})
 	if err != nil {
 		_ = nc.Close()
@@ -97,7 +99,7 @@ func DialPipelined(addr string, opTimeout time.Duration, window int) (*PipeConn,
 		return nil, fmt.Errorf("client: handshake reply %s", reply.Kind())
 	}
 	sc.schema = ok
-	p := &PipeConn{c: nc, schema: ok, timeout: opTimeout, ver: min(wire.Version, ok.Proto)}
+	p := &PipeConn{c: nc, br: sc.br, schema: ok, timeout: opTimeout, ver: min(wire.Version, ok.Proto)}
 	if ok.Proto < wire.V3 {
 		p.strict = sc
 		return p, nil
@@ -191,7 +193,7 @@ func (p *PipeConn) errNow() error {
 func (p *PipeConn) demux() {
 	var scratch []byte
 	for {
-		m, ver, tag, sc, err := wire.ReadAny(p.c, scratch)
+		m, ver, tag, sc, err := wire.ReadAny(p.br, scratch)
 		if err != nil {
 			if p.idleTimeout(err) {
 				continue

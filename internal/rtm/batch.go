@@ -9,9 +9,10 @@
 package rtm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pcpda/internal/cc"
 	"pcpda/internal/fault"
@@ -45,28 +46,34 @@ func (m *Manager) BeginBatch(ctx context.Context, names []string) ([]*Txn, error
 		return nil, nil
 	}
 	tmpls := make([]*txn.Template, len(names))
-	seen := make(map[txn.ID]int, len(names))
 	for i, name := range names {
 		tmpl := m.set.ByName(name)
 		if tmpl == nil {
 			return nil, fmt.Errorf("rtm: unknown transaction type %q", name)
 		}
-		if j, dup := seen[tmpl.ID]; dup {
-			return nil, fmt.Errorf("rtm: batch names %q at positions %d and %d; instances of one template cannot be live together", name, j, i)
-		}
-		seen[tmpl.ID] = i
 		tmpls[i] = tmpl
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, &cancelledError{cause: err}
-	}
 	// Admission order: ascending template ID (see the doc comment). order
-	// holds positions into names/tmpls.
+	// holds positions into names/tmpls; a batch of one has nothing to order
+	// and nothing to collide with. Sorted, a duplicate template sits next
+	// to its twin.
 	order := make([]int, len(tmpls))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool { return tmpls[order[a]].ID < tmpls[order[b]].ID })
+	if len(order) > 1 {
+		slices.SortFunc(order, func(a, b int) int {
+			return cmp.Or(cmp.Compare(tmpls[a].ID, tmpls[b].ID), cmp.Compare(a, b))
+		})
+		for k := 1; k < len(order); k++ {
+			if i, j := order[k-1], order[k]; tmpls[i].ID == tmpls[j].ID {
+				return nil, fmt.Errorf("rtm: batch names %q at positions %d and %d; instances of one template cannot be live together", names[i], i, j)
+			}
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, &cancelledError{cause: err}
+	}
 
 	out := make([]*Txn, len(names))
 	m.mu.Lock()

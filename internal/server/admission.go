@@ -166,11 +166,37 @@ func (q *admitQueue) pop(max int) []*admitReq {
 	q.items = q.items[:rest]
 	now := time.Now()
 	for _, r := range out {
-		wait := now.Sub(r.enqueued).Nanoseconds()
-		old := q.ewmaWaitNs.Load()
-		q.ewmaWaitNs.Store(old - old/8 + wait/8)
+		q.noteWait(now.Sub(r.enqueued).Nanoseconds())
 	}
 	return out
+}
+
+// noteWait feeds one dispatched request's queue delay to the wait
+// estimator. Caller holds q.mu.
+func (q *admitQueue) noteWait(ns int64) {
+	old := q.ewmaWaitNs.Load()
+	q.ewmaWaitNs.Store(old - old/8 + ns/8)
+}
+
+// tryBypass claims an admission slot for an arrival that has nothing to be
+// rationed against: the queue is empty and sem has a free slot at this
+// instant. Both are decided under q.mu, so no request can be queued
+// between the check and the claim — the arrival is exactly the request a
+// dispatcher would have popped alone, with zero queue wait (which the
+// estimator is told). On true the caller owns one sem slot.
+func (q *admitQueue) tryBypass(sem chan struct{}) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.items) != 0 {
+		return false
+	}
+	select {
+	case sem <- struct{}{}:
+	default:
+		return false
+	}
+	q.noteWait(0)
+	return true
 }
 
 // drainAll empties the queue (server shutdown); the caller fails the
@@ -207,9 +233,11 @@ func (q *admitQueue) estimateWait() time.Duration {
 }
 
 // handleBegin runs in the session's exec goroutine: validate state, apply
-// deadline-aware admission control against the session's shard, enqueue
-// onto its bounded priority queue (applying the shedding policy), then
-// wait for a dispatcher's verdict or session death.
+// deadline-aware admission control against the session's shard, then
+// admit — inline when there is nothing to ration (see beginInline),
+// otherwise by enqueueing onto the shard's bounded priority queue
+// (applying the shedding policy) and waiting for a dispatcher's verdict or
+// session death.
 func (s *session) handleBegin(req request, m *wire.Begin) error {
 	if s.lt != nil {
 		return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeState, Text: "BEGIN with a transaction already live"})
@@ -235,6 +263,9 @@ func (s *session) handleBegin(req request, m *wire.Begin) error {
 				Text: "queue wait estimate " + est.Round(time.Millisecond).String() + " exceeds deadline budget"})
 		}
 	}
+	if q.tryBypass(s.srv.admitSem) {
+		return s.beginInline(req, m.Name, deadline)
+	}
 	ar := &admitReq{name: m.Name, pri: tmpl.Priority, reply: make(chan admitResult, 1)}
 	s.srv.pending.Add(1)
 	victim, depth, err := q.enqueue(ar)
@@ -259,12 +290,7 @@ func (s *session) handleBegin(req request, m *wire.Begin) error {
 	select {
 	case res := <-ar.reply:
 		defer s.srv.pending.Add(-1)
-		if res.err != nil {
-			return s.replyTo(req, &wire.ErrMsg{Code: codeOf(res.err), Text: "BEGIN: " + res.err.Error()})
-		}
-		s.armTx(res.tx, deadline)
-		s.srv.ctr.Accepted.Add(1)
-		return s.replyTo(req, &wire.BeginOK{ID: uint64(res.tx.ID())})
+		return s.admitted(req, res, deadline)
 	case <-s.ctx.Done():
 		if !ar.claim.CompareAndSwap(claimFree, claimAbandoned) {
 			// Dispatcher won the race: the result is in flight on the
@@ -276,6 +302,37 @@ func (s *session) handleBegin(req request, m *wire.Begin) error {
 		s.srv.pending.Add(-1)
 		return s.ctx.Err()
 	}
+}
+
+// beginInline admits a BEGIN on the exec goroutine itself, under the
+// admission slot tryBypass claimed. With the shard queue empty there is no
+// priority order to keep, nothing to shed or displace and nothing to
+// batch, so the queue → dispatcher → BeginBatch → reply-channel relay would
+// deliver exactly this outcome two goroutine handoffs later: the slot
+// keeps MaxAdmitting exact, pending covers the call so Drain sees the
+// work, and a busy template slot parks in the manager under the session
+// context — a disconnect unwinds it with ErrCancelled like any other
+// parked manager call.
+func (s *session) beginInline(req request, name string, deadline time.Time) error {
+	s.srv.pending.Add(1)
+	defer s.srv.pending.Add(-1)
+	tx, err := s.srv.mgr.Begin(s.ctx, name)
+	<-s.srv.admitSem
+	if err != nil && s.ctx.Err() != nil {
+		return s.ctx.Err()
+	}
+	return s.admitted(req, admitResult{tx: tx, err: err}, deadline)
+}
+
+// admitted answers a BEGIN with its admission verdict and, on success,
+// installs the transaction as the session's live one.
+func (s *session) admitted(req request, res admitResult, deadline time.Time) error {
+	if res.err != nil {
+		return s.replyTo(req, &wire.ErrMsg{Code: codeOf(res.err), Text: "BEGIN: " + res.err.Error()})
+	}
+	s.armTx(res.tx, deadline)
+	s.srv.ctr.Accepted.Add(1)
+	return s.replyTo(req, &wire.BeginOK{ID: uint64(res.tx.ID())})
 }
 
 // shed fails a displaced request with errShed through the claim protocol.

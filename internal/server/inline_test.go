@@ -1,0 +1,168 @@
+package server
+
+import (
+	"testing"
+	"time"
+
+	"pcpda/internal/rtm"
+	"pcpda/internal/wire"
+)
+
+// Inline admission (session.beginInline) may only happen when it is
+// indistinguishable from the queued path: nothing queued on the shard and
+// an admission slot free at that instant.
+
+func TestTryBypassNeedsEmptyQueueAndFreeSlot(t *testing.T) {
+	q := newAdmitQueue(4, 3)
+	sem := make(chan struct{}, 1)
+	if !q.tryBypass(sem) || len(sem) != 1 {
+		t.Fatalf("empty queue, free slot: bypass refused (slots taken %d)", len(sem))
+	}
+	if q.tryBypass(sem) {
+		t.Fatal("bypass with every admission slot taken")
+	}
+	<-sem
+	if _, _, err := q.enqueue(mkReq("hi", 9)); err != nil {
+		t.Fatal(err)
+	}
+	if q.tryBypass(sem) || len(sem) != 0 {
+		t.Fatalf("bypass past queued work (slots taken %d)", len(sem))
+	}
+	q.pop(1)
+	if !q.tryBypass(sem) {
+		t.Fatal("bypass refused after the queue emptied")
+	}
+
+	// Each bypass is a zero-wait sample: the estimate decays as if a
+	// dispatcher had popped the request the moment it arrived.
+	q.ewmaWaitNs.Store(int64(8 * time.Millisecond))
+	<-sem
+	q.tryBypass(sem)
+	if got := time.Duration(q.ewmaWaitNs.Load()); got != 7*time.Millisecond {
+		t.Fatalf("wait estimate after a bypass = %v, want 7ms", got)
+	}
+}
+
+// With the admission slot taken, later BEGINs queue — also ones whose
+// template slot is free — and leave the queue in priority order: a
+// low-priority arrival behind a queued high-priority one is admitted after
+// it, and nothing is admitted while the slot is held.
+func TestInlineBeginYieldsToQueuedWork(t *testing.T) {
+	mgr, _ := rtm.New(testSet(t))
+	addr, srv := startServer(t, mgr, Config{MaxAdmitting: 1, BatchMax: 1, AdmitShards: 1})
+	holder, parked, popped := blockDispatcher(t, addr, srv, mgr)
+	defer func() { _ = holder.Close(); _ = parked.Close(); _ = popped.Close() }()
+
+	type begun struct {
+		id  uint64
+		err error
+	}
+	queue := func(name string, depth int) chan begun {
+		t.Helper()
+		c := mustDial(t, addr)
+		t.Cleanup(func() { _ = c.Close() })
+		out := make(chan begun, 1)
+		go func() { id, err := c.Begin(name); out <- begun{id, err} }()
+		waitFor(t, name+" queued", func() bool { return srv.queueDepth() == depth })
+		return out
+	}
+	high := queue("reader", 1) // priority 3, template slot free
+	low := queue("updater", 2) // priority 2, template slot free, arrives later
+
+	// The bound holds: one admission in flight (parked on zonly's slot),
+	// nothing else admitted although reader and updater could start.
+	if got := len(srv.admitSem); got != 1 {
+		t.Fatalf("admission slots taken = %d, want 1", got)
+	}
+	if st := mgr.Stats(); st.Live != 1 || mgr.ParkedWaiters() != 1 {
+		t.Fatalf("live = %d, parked = %d; want the holder live and one parked admission", st.Live, mgr.ParkedWaiters())
+	}
+	if got := srv.Counters().Accepted.Load(); got != 1 {
+		t.Fatalf("accepted = %d while the admission slot is held, want 1", got)
+	}
+
+	// Unwind: each zonly inherits the template slot in turn.
+	if err := holder.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	_ = parked.Close()
+	_ = popped.Close()
+	h, l := <-high, <-low
+	if h.err != nil || l.err != nil {
+		t.Fatalf("queued BEGINs: reader %v, updater %v", h.err, l.err)
+	}
+	if h.id >= l.id {
+		t.Fatalf("reader admitted as job %d, updater as job %d: queued priority order lost", h.id, l.id)
+	}
+	waitFor(t, "admission pipeline to empty", func() bool { return srv.pending.Load() == 0 })
+}
+
+// A BEGIN admitted inline onto a busy template slot parks in the manager
+// under the session context. A disconnect unwinds it there: no orphan is
+// ever admitted, the admission slot comes back, and nothing stays parked.
+func TestDisconnectWhileParkedInline(t *testing.T) {
+	mgr, _ := rtm.New(testSet(t))
+	addr, srv := startServer(t, mgr, Config{})
+	holder := mustDial(t, addr)
+	defer func() { _ = holder.Close() }()
+	if _, err := holder.Begin("zonly"); err != nil {
+		t.Fatal(err)
+	}
+	waiter := mustDial(t, addr)
+	beginErr := make(chan error, 1)
+	go func() { _, err := waiter.Begin("zonly"); beginErr <- err }()
+	waitFor(t, "BEGIN to park", func() bool { return mgr.ParkedWaiters() == 1 })
+	if d, p, a := srv.queueDepth(), srv.pending.Load(), len(srv.admitSem); d != 0 || p != 1 || a != 1 {
+		t.Fatalf("queue depth %d, pending %d, admission slots %d; want an inline admission (0, 1, 1)", d, p, a)
+	}
+
+	_ = waiter.Close()
+	<-beginErr
+	waitFor(t, "inline admission to unwind", func() bool {
+		return srv.pending.Load() == 0 && mgr.ParkedWaiters() == 0 && len(srv.admitSem) == 0
+	})
+	if st := mgr.Stats(); st.Begins != 1 || st.Live != 1 {
+		t.Fatalf("begins = %d, live = %d; the abandoned BEGIN must never have been admitted", st.Begins, st.Live)
+	}
+	if err := holder.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The watchdog force-aborts a stuck holder while another session's BEGIN
+// is parked inline on its template slot: the parked BEGIN inherits the
+// slot and completes, the holder's session learns of the trip, and the
+// admission accounting ends at zero.
+func TestWatchdogTripFreesParkedInline(t *testing.T) {
+	mgr, _ := rtm.New(testSet(t))
+	addr, srv := startServer(t, mgr, Config{
+		WatchdogInterval: 5 * time.Millisecond, WatchdogGrace: 10 * time.Millisecond,
+	})
+	holder := mustDial(t, addr)
+	defer func() { _ = holder.Close() }()
+	if _, err := holder.BeginBudget("zonly", 50*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	waiter := mustDial(t, addr)
+	defer func() { _ = waiter.Close() }()
+	// Parks inline until the watchdog trips the holder.
+	if _, err := waiter.Begin("zonly"); err != nil {
+		t.Fatalf("BEGIN parked behind a stuck holder: %v", err)
+	}
+	waitFor(t, "the trip to be counted", func() bool { return srv.Counters().WatchdogTrips.Load() == 1 })
+	if err := holder.Commit(); !wire.IsCode(err, wire.CodeDeadline) {
+		t.Fatalf("holder after the trip: %v, want CodeDeadline", err)
+	}
+	if err := waiter.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if p, w, a := srv.pending.Load(), mgr.ParkedWaiters(), len(srv.admitSem); p != 0 || w != 0 || a != 0 {
+		t.Fatalf("pending %d, parked waiters %d, admission slots %d; want all zero", p, w, a)
+	}
+	if n := srv.Counters().WatchdogAuditFails.Load(); n != 0 {
+		t.Fatalf("watchdog audit failures: %d", n)
+	}
+}

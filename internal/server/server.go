@@ -7,7 +7,9 @@
 // immediately with CodeOverload (backpressure instead of unbounded memory),
 // and a dispatcher goroutine folds queued arrivals into rtm.BeginBatch
 // calls so a burst pays the manager-lock herd cost once, not once per
-// transaction.
+// transaction. A BEGIN that finds its queue empty and an admission slot
+// free has nothing to be rationed against and is admitted by its own
+// session goroutine, under that slot.
 //
 // The two liveness hazards of putting a blocking lock manager behind a
 // socket are handled structurally:
@@ -71,9 +73,9 @@ type Config struct {
 	// BatchMax caps how many queued BEGINs one dispatcher round gathers
 	// into BeginBatch groups. Default 16.
 	BatchMax int
-	// MaxAdmitting bounds concurrently running admission groups; queued
-	// arrivals beyond it wait in the queue (and overflow to CodeOverload).
-	// Default 4.
+	// MaxAdmitting bounds concurrently running admissions — dispatcher
+	// groups and inline BEGINs alike; arrivals beyond it wait in the queue
+	// (and overflow to CodeOverload). Default 4.
 	MaxAdmitting int
 	// SessionInflight bounds one session's pipelined requests in flight:
 	// both the request channel between reader and exec and the outbound
@@ -91,8 +93,9 @@ type Config struct {
 	// each. CodeOverload is retryable: clients back off and redial.
 	// Default 0 (unlimited).
 	MaxConns int
-	// IdleTimeout is the per-frame read deadline: a session whose client
-	// sends nothing for this long is torn down. Default 30s.
+	// IdleTimeout is the read deadline, re-armed before every read on the
+	// socket: a session whose client sends nothing for this long is torn
+	// down. Default 30s.
 	IdleTimeout time.Duration
 	// WriteTimeout is the per-flush write deadline: one writer flush — all
 	// replies ready at the wakeup, coalesced into a single write — must
@@ -182,7 +185,7 @@ type Server struct {
 	shards    []*admitShard
 	stealWake chan struct{} // buffered(1); shared work-stealing nudge
 	nextShard atomic.Uint64 // round-robin session→shard assignment
-	admitSem  chan struct{} // bounds concurrent BeginBatch groups, all shards
+	admitSem  chan struct{} // bounds concurrent admissions (BeginBatch groups and inline BEGINs), all shards
 	pending   atomic.Int64  // BEGINs enqueued but not yet resolved
 	draining  atomic.Bool
 

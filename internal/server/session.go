@@ -1,10 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -79,7 +79,8 @@ type request struct {
 //   - run (exec) owns the transaction handle and all manager calls; it
 //     consumes requests in arrival order (FIFO execution, even when
 //     pipelined) and queues replies;
-//   - readLoop owns conn reads: it decodes frames, feeds run through a
+//   - readLoop owns conn reads: it decodes frames out of one buffered
+//     reader (a burst is one read on the socket), feeds run through a
 //     bounded channel (the inflight table — a full table blocks the
 //     reader, which is TCP backpressure to a pipelining client), and
 //     cancels the session context the moment the connection dies;
@@ -114,15 +115,25 @@ type session struct {
 	pipelined atomic.Bool  // session has sent at least one tagged frame
 }
 
-// countReader adds every byte read from the connection to the shared
-// BytesIn counter.
-type countReader struct {
-	r io.Reader
-	n *atomic.Int64
+// connReader is the bottom of a session's read path: every Read is one
+// read on the socket, preceded by the idle deadline and added to the shared
+// BytesIn counter. The session decodes frames through one bufio.Reader
+// over it, so a burst the peer wrote with one write costs one Read here —
+// and the deadline is re-armed exactly when the reader has run out of
+// buffered bytes and is about to wait, never per frame. The idle contract
+// is unchanged: no bytes for IdleTimeout ends the session, because the
+// deadline still precedes every read that can block.
+type connReader struct {
+	conn net.Conn
+	idle time.Duration
+	n    *atomic.Int64
 }
 
-func (c countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
+func (c connReader) Read(p []byte) (int, error) {
+	if err := c.conn.SetReadDeadline(timeNow().Add(c.idle)); err != nil {
+		return 0, err
+	}
+	n, err := c.conn.Read(p)
 	c.n.Add(int64(n))
 	return n, err
 }
@@ -168,16 +179,13 @@ func (s *session) run() {
 func (s *session) readLoop(reqs chan<- request, done chan<- struct{}) {
 	defer close(done)
 	defer s.cancel()
-	cr := countReader{r: s.conn, n: &s.srv.ctr.BytesIn}
+	br := bufio.NewReader(connReader{conn: s.conn, idle: s.srv.cfg.IdleTimeout, n: &s.srv.ctr.BytesIn})
 	var scratch []byte
 	var hwm int64
 	defer func() { metrics.MaxInt64(&s.srv.ctr.InflightHWM, hwm) }()
 	maxVer := s.srv.cfg.MaxWireVersion
 	for {
-		if err := s.conn.SetReadDeadline(timeNow().Add(s.srv.cfg.IdleTimeout)); err != nil {
-			return
-		}
-		m, ver, tag, sc, err := wire.ReadAny(cr, scratch)
+		m, ver, tag, sc, err := wire.ReadAny(br, scratch)
 		if err != nil {
 			return
 		}

@@ -42,6 +42,31 @@ func TestDefaultHorizon(t *testing.T) {
 	}
 }
 
+// Ten random periods have a common multiple far beyond int64; the horizon
+// must come out as the 50-period cap, not as whatever the product wrapped
+// to. These are the benchmark's sim-sweep sets (generator seeds 1..40).
+func TestDefaultHorizonLargeHyperperiod(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		set, err := workload.Generate(workload.Config{
+			N: 10, Items: 16, Utilization: 0.65,
+			PeriodMin: 40, PeriodMax: 400,
+			OpsMin: 2, OpsMax: 4, WriteProb: 0.5,
+			HotItems: 4, HotProb: 0.5, Seed: seed,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		var maxOff, maxPeriod rt.Ticks
+		for _, tm := range set.Templates {
+			maxOff = max(maxOff, tm.Offset)
+			maxPeriod = max(maxPeriod, tm.Period)
+		}
+		if h := DefaultHorizon(set); h <= 0 || h > maxOff+50*maxPeriod {
+			t.Errorf("seed %d: horizon %d outside (0, %d]", seed, h, maxOff+50*maxPeriod)
+		}
+	}
+}
+
 func TestRunAndCompare(t *testing.T) {
 	comps, err := Compare(papercases.Example4(), []string{"pcpda", "rwpcp", "ccp", "pcp"}, Options{
 		Horizon: papercases.Example4Horizon, Trace: true, StopOnDeadlock: true,

@@ -11,6 +11,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"pcpda/internal/rt"
@@ -351,6 +352,8 @@ func (s *Set) Utilization() float64 {
 // Hyperperiod returns the least common multiple of the periodic templates'
 // periods, or 0 when the set has no periodic member. Offsets are not
 // included; simulate for Hyperperiod + max offset to cover a full pattern.
+// Random periods have astronomically large common multiples: a hyperperiod
+// beyond the tick range is returned as math.MaxInt64, never wrapped.
 func (s *Set) Hyperperiod() rt.Ticks {
 	var l rt.Ticks
 	for _, t := range s.Templates {
@@ -373,4 +376,11 @@ func gcd(a, b rt.Ticks) rt.Ticks {
 	return a
 }
 
-func lcm(a, b rt.Ticks) rt.Ticks { return a / gcd(a, b) * b }
+// lcm saturates at math.MaxInt64 instead of wrapping.
+func lcm(a, b rt.Ticks) rt.Ticks {
+	q := a / gcd(a, b)
+	if q > math.MaxInt64/b {
+		return math.MaxInt64
+	}
+	return q * b
+}

@@ -700,16 +700,25 @@ func decodeBody(kind Kind, ver uint8, payload []byte) (Message, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: unknown kind 0x%02x", ErrMalformed, uint8(kind))
 	}
-	d := &dec{b: payload, ver: ver}
+	// The cursor reaches decodePayload through the Message interface, so
+	// it cannot live on the stack; pooled, a frame costs its message and
+	// nothing else.
+	d := decPool.Get().(*dec)
+	*d = dec{b: payload, ver: ver}
 	m.decodePayload(d)
-	if d.err != nil {
-		return nil, d.err
+	err, trailing := d.err, len(d.b)-d.off
+	*d = dec{} // drop the reference into the caller's read buffer
+	decPool.Put(d)
+	if err != nil {
+		return nil, err
 	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes after %s", ErrMalformed, len(d.b)-d.off, kind)
+	if trailing != 0 {
+		return nil, fmt.Errorf("%w: %d trailing payload bytes after %s", ErrMalformed, trailing, kind)
 	}
 	return m, nil
 }
+
+var decPool = sync.Pool{New: func() any { return new(dec) }}
 
 // ReadFrame reads exactly one untagged frame from r, using (and growing)
 // scratch as the read buffer; it returns the message and the buffer for
