@@ -417,10 +417,11 @@ func loadWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, tiers
 // of whole-transaction bursts in flight on one connection — the server
 // executes bursts in arrival order, so back-to-back transactions overlap
 // on the wire without changing their serialization. The common case costs
-// one write and zero waits per transaction; failures fall back to the
-// shared retry policy, synchronously, so overload behaves exactly like
-// the strict worker (budgeted retries, counted sheds, orderly stop on
-// drain).
+// zero waits and a share of one write per transaction (the bursts
+// submitted since the worker last had to wait leave together); failures
+// fall back to the shared retry policy, synchronously, so overload behaves
+// exactly like the strict worker (budgeted retries, counted sheds, orderly
+// stop on drain).
 func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, tiers *tierStats,
 	id int64, remaining *atomic.Int64, cnt *loadCounters, lats *[]time.Duration) error {
 	rng := rand.New(rand.NewSource(cfg.Seed + id))
@@ -463,7 +464,9 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 		}
 		*lats = append(*lats, time.Since(t.begin))
 	}
-	settle := func(t inflight) error {
+	settle := func() error {
+		t := queue[0]
+		queue = queue[1:]
 		err := t.fut.Wait()
 		cnt.attempts.Add(1)
 		if err == nil {
@@ -516,13 +519,18 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 	}
 	drain := func() error {
 		for len(queue) > 0 {
-			t := queue[0]
-			queue = queue[1:]
-			if err := settle(t); err != nil {
+			if err := settle(); err != nil {
 				return err
 			}
 		}
 		return nil
+	}
+	// stopped maps the orderly stop to a clean worker exit.
+	stopped := func(err error) error {
+		if errors.Is(err, errStop) {
+			return nil
+		}
+		return err
 	}
 
 	for remaining.Add(-1) >= 0 {
@@ -542,37 +550,7 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 		if err != nil {
 			return fmt.Errorf("client: worker %d: %w", id, err)
 		}
-		if ro && c.Pipelined() {
-			// Declared read-only snapshot burst: BEGIN(read-only) + reads +
-			// COMMIT, one tagged write, no admission wait server-side.
-			its := roPick(rng, roItems)
-			fut, err := c.SubmitReadTxn(its)
-			if err != nil {
-				if dErr := drain(); dErr != nil {
-					if errors.Is(dErr, errStop) {
-						return nil
-					}
-					return dErr
-				}
-				if ctx.Err() != nil {
-					return nil
-				}
-				return fmt.Errorf("client: worker %d: %w", id, err)
-			}
-			queue = append(queue, inflight{ro: true, items: its, begin: time.Now(), fut: fut})
-			if len(queue) >= depth {
-				t := queue[0]
-				queue = queue[1:]
-				if err := settle(t); err != nil {
-					if errors.Is(err, errStop) {
-						return nil
-					}
-					return err
-				}
-			}
-			continue
-		}
-		if ro {
+		if ro && !c.Pipelined() {
 			// v2-pinned server cannot run snapshot transactions; the read mix
 			// is part of the run's contract, so fail loudly rather than
 			// silently substituting updates.
@@ -607,38 +585,37 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 			*lats = append(*lats, time.Since(begin))
 			continue
 		}
-		fut, err := c.SubmitTxn(tmpl.Name, 0, pipelineSteps(tmpl, rng))
+		// One whole-transaction burst: BEGIN + steps + COMMIT — for a declared
+		// read-only snapshot BEGIN(read-only) + reads + COMMIT, which waits
+		// for no admission server-side.
+		t := inflight{tmpl: tmpl, tier: tier, ro: ro}
+		if ro {
+			t.tier, t.items = nil, roPick(rng, roItems)
+			t.fut, err = c.SubmitReadTxn(t.items)
+		} else {
+			t.fut, err = c.SubmitTxn(tmpl.Name, 0, pipelineSteps(tmpl, rng))
+		}
 		if err != nil {
 			// The connection died with bursts in flight: resolve what we can,
 			// then report (drain's verdict wins — it sees the same error with
 			// per-transaction context).
 			if dErr := drain(); dErr != nil {
-				if errors.Is(dErr, errStop) {
-					return nil
-				}
-				return dErr
+				return stopped(dErr)
 			}
 			if ctx.Err() != nil {
 				return nil
 			}
 			return fmt.Errorf("client: worker %d: %w", id, err)
 		}
-		queue = append(queue, inflight{tmpl: tmpl, tier: tier, begin: time.Now(), fut: fut})
+		t.begin = time.Now()
+		queue = append(queue, t)
 		if len(queue) >= depth {
-			t := queue[0]
-			queue = queue[1:]
-			if err := settle(t); err != nil {
-				if errors.Is(err, errStop) {
-					return nil
-				}
-				return err
+			if err := settle(); err != nil {
+				return stopped(err)
 			}
 		}
 	}
-	if err := drain(); err != nil && !errors.Is(err, errStop) {
-		return err
-	}
-	return nil
+	return stopped(drain())
 }
 
 // openJob is one open-loop arrival awaiting a worker.

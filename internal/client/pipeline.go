@@ -12,12 +12,15 @@ import (
 	"pcpda/internal/wire"
 )
 
-// PipeConn is one pipelined (wire v3) connection: many requests in flight
-// at once, each carrying a client-chosen tag, with a demux goroutine
-// matching out-of-order replies back to their callers. Submit/Flush/RunTxn
-// are single-owner — one goroutine drives the connection — while the demux
-// goroutine runs internally; the two share only the pending table and the
-// sticky error, both lock-protected.
+// PipeConn is one pipelined connection (tagged framing, wire v3 and up):
+// many requests in flight at once, each carrying a client-chosen tag, with
+// a demux goroutine matching out-of-order replies back to their callers.
+// Every method, and Wait on the handles they return, is single-owner — one
+// goroutine drives the connection — while the demux goroutine runs
+// internally; the two share only the pending table and the sticky error,
+// both lock-protected. Submitted frames leave in one write when the owner
+// is about to block inside PipeConn (a Wait whose outcome is not there
+// yet, a submit into a full window); before sleeping elsewhere, Flush.
 //
 // When the server pins wire v2 (HelloOK.Proto < 3), the PipeConn degrades
 // transparently to strict request/reply over the same socket: RunTxn
@@ -33,10 +36,10 @@ type PipeConn struct {
 	strict  *Conn         //pcpda:guardedby immutable — non-nil: v2 fallback, all fields below unused
 
 	// Owned by the submitting goroutine (never touched by demux).
-	wbuf      []byte        //pcpda:guardedby none — encoded-but-unflushed frames
-	unflushed int           //pcpda:guardedby none — frames in wbuf
-	nextTag   uint32        //pcpda:guardedby none
-	winCh     chan struct{} // window semaphore: one slot per unreplied submit
+	wbuf    []byte        //pcpda:guardedby none — encoded-but-unflushed frames, tags sent..nextTag-1
+	nextTag uint32        //pcpda:guardedby none
+	sent    uint32        //pcpda:guardedby none — nextTag at the last flush: tags before it are on the wire
+	winCh   chan struct{} // window semaphore: one slot per unreplied submit
 
 	// Shared with the demux goroutine.
 	mu          sync.Mutex
@@ -78,12 +81,18 @@ func DialPipelined(addr string, opTimeout time.Duration, window int) (*PipeConn,
 	if opTimeout <= 0 {
 		opTimeout = 10 * time.Second
 	}
-	if window <= 0 {
-		window = 32
-	}
 	nc, err := net.DialTimeout("tcp", addr, opTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
+	}
+	return handshakePipelined(nc, opTimeout, window)
+}
+
+// handshakePipelined is DialPipelined over an established connection,
+// which it closes on failure.
+func handshakePipelined(nc net.Conn, opTimeout time.Duration, window int) (*PipeConn, error) {
+	if window <= 0 {
+		window = 32
 	}
 	// The handshake is strict request/reply at v2 on every connection: the
 	// schema reply carries the Proto that says whether tags are welcome.
@@ -243,19 +252,16 @@ func (p *PipeConn) demux() {
 			}
 			g.remaining--
 			deliver := g.sealed && g.remaining == 0 && !g.delivered
-			if deliver {
-				g.delivered = true
-			}
+			g.delivered = g.delivered || deliver
 			p.mu.Unlock()
 			if deliver {
 				g.done <- g.txErr
 			}
-			<-p.winCh
-			continue
+		} else {
+			p.mu.Unlock()
+			s.single.ch <- m
+			close(s.single.ch)
 		}
-		p.mu.Unlock()
-		s.single.ch <- m
-		close(s.single.ch)
 		<-p.winCh // release the window slot
 	}
 }
@@ -280,8 +286,8 @@ func (p *PipeConn) idleTimeout(err error) bool {
 
 // submitSlot encodes m into the unflushed batch and registers slot for
 // its tag. When the inflight window is exhausted it flushes and waits for
-// a reply to free a slot; nothing reaches the server until Flush (or that
-// auto-flush) pushes the batch.
+// a reply to free a slot; nothing reaches the server until a flush — that
+// one, a Wait about to block, or the owner's own Flush — pushes the batch.
 func (p *PipeConn) submitSlot(m wire.Message, slot pendSlot) error {
 	select {
 	case <-p.done:
@@ -303,14 +309,13 @@ func (p *PipeConn) submitSlot(m wire.Message, slot pendSlot) error {
 		}
 	}
 	tag := p.nextTag
-	p.nextTag++
 	buf, err := wire.AppendTagged(p.wbuf, p.ver, tag, m)
 	if err != nil {
 		<-p.winCh
 		return err
 	}
 	p.wbuf = buf
-	p.unflushed++
+	p.nextTag++
 	p.mu.Lock()
 	if p.err != nil {
 		p.mu.Unlock()
@@ -338,14 +343,16 @@ func (p *PipeConn) Submit(m wire.Message) (*Pending, error) {
 	return f, nil
 }
 
-// Flush writes every submitted-but-unflushed frame in one write. The read
-// deadline is armed before the write so a reply racing the flush can only
-// extend it, never leave outstanding work undeadlined.
+// Flush writes every submitted-but-unflushed frame in one write; an owner
+// needs it only before going to sleep outside PipeConn with requests
+// submitted. The read deadline is armed before the write so a reply racing
+// the flush can only extend it, never leave outstanding work undeadlined.
 func (p *PipeConn) Flush() error {
 	if p.strict != nil {
 		return nil
 	}
-	if p.unflushed == 0 {
+	n := int(p.nextTag - p.sent)
+	if n == 0 {
 		return nil
 	}
 	p.mu.Lock()
@@ -353,31 +360,46 @@ func (p *PipeConn) Flush() error {
 		p.mu.Unlock()
 		return p.errNow()
 	}
-	p.outstanding += p.unflushed
+	p.outstanding += n
 	if now := time.Now(); now.Sub(p.armedAt) > p.timeout/8 {
 		p.armedAt = now
 		_ = p.c.SetReadDeadline(now.Add(p.timeout))
 	}
 	p.mu.Unlock()
-	p.unflushed = 0
+	p.sent = p.nextTag
 	buf := p.wbuf
 	p.wbuf = p.wbuf[:0]
-	if err := p.c.SetWriteDeadline(time.Now().Add(p.timeout)); err != nil {
-		p.fail(err)
-		return p.errNow()
+	err := p.c.SetWriteDeadline(time.Now().Add(p.timeout))
+	if err == nil {
+		_, err = p.c.Write(buf)
 	}
-	if _, err := p.c.Write(buf); err != nil {
+	if err != nil {
 		p.fail(fmt.Errorf("client: pipeline write: %w", err))
 		return p.errNow()
 	}
 	return nil
 }
 
-// Wait blocks for the reply. ERR replies come back as *wire.RemoteError;
-// a reply of an unexpected kind is a stream desync and kills the
-// connection.
+// await receives an outcome from ch, flushing the unflushed batch first if
+// nothing is there yet: nothing stays unflushed while its owner blocks. A
+// failed flush fails the connection, which closes ch.
+func await[T any](p *PipeConn, ch <-chan T) (T, bool) {
+	select {
+	case v, ok := <-ch:
+		return v, ok
+	default:
+	}
+	_ = p.Flush()
+	v, ok := <-ch
+	return v, ok
+}
+
+// Wait blocks for the reply, flushing the unflushed batch first if it has
+// to block; like Submit it belongs to the connection's owner goroutine.
+// ERR replies come back as *wire.RemoteError; a reply of an unexpected
+// kind is a stream desync and kills the connection.
 func (f *Pending) Wait() (wire.Message, error) {
-	m, ok := <-f.ch
+	m, ok := await(f.p, f.ch)
 	if !ok {
 		return nil, f.p.errNow()
 	}
@@ -391,39 +413,17 @@ func (f *Pending) Wait() (wire.Message, error) {
 	return m, nil
 }
 
-// wantKind maps a request to its success reply kind.
-func wantKind(m wire.Message) wire.Kind {
-	switch m.(type) {
-	case *wire.Hello:
-		return wire.KindHelloOK
-	case *wire.Begin:
-		return wire.KindBeginOK
-	case *wire.Read:
-		return wire.KindReadOK
-	case *wire.Write:
-		return wire.KindWriteOK
-	case *wire.Commit:
-		return wire.KindCommitOK
-	case *wire.Abort:
-		return wire.KindAbortOK
-	case *wire.Ping:
-		return wire.KindPong
-	default:
-		return wire.KindErr
-	}
-}
+// wantKind maps a request to its success reply kind: the request's kind
+// with the high bit set (see wire.Kind).
+func wantKind(m wire.Message) wire.Kind { return m.Kind() | 0x80 }
 
-// Ping round-trips a nonce through the pipeline (one submit, one flush,
-// one wait).
+// Ping round-trips a nonce through the pipeline (one submit, one wait).
 func (p *PipeConn) Ping(nonce uint64) error {
 	if p.strict != nil {
 		return p.strict.Ping(nonce)
 	}
 	f, err := p.Submit(&wire.Ping{Nonce: nonce})
 	if err != nil {
-		return err
-	}
-	if err := p.Flush(); err != nil {
 		return err
 	}
 	reply, err := f.Wait()
@@ -437,8 +437,8 @@ func (p *PipeConn) Ping(nonce uint64) error {
 	return nil
 }
 
-// TxnFuture is one whole transaction in flight as a pipelined burst:
-// submitted and flushed, replies pending. The demux goroutine folds every
+// TxnFuture is one whole transaction submitted as a pipelined burst,
+// replies pending. The demux goroutine folds every
 // frame's reply into it and delivers the outcome once, when the last
 // frame lands — one channel send per transaction, not one per frame.
 // All fields except done/p are guarded by the connection's mu.
@@ -452,13 +452,14 @@ type TxnFuture struct {
 }
 
 // SubmitTxn submits one whole transaction as a single pipelined burst —
-// BEGIN, every step, COMMIT — flushes it, and returns without waiting.
-// The server executes in arrival order, so a caller may submit the next
-// transaction's burst before this one resolves: exec-side FIFO guarantees
-// the bursts serialize exactly as flushed, and a failed burst's frames
-// draw CodeState fallout without disturbing its successors. This
-// back-to-back overlap, on top of the one-write-per-transaction collapse,
-// is where the pipelined throughput multiple comes from.
+// BEGIN, every step, COMMIT — into the unflushed batch and returns without
+// waiting; the batch leaves when the owner next blocks. The server
+// executes in arrival order, so a caller may submit the next transaction's
+// burst before this one resolves: exec-side FIFO guarantees the bursts
+// serialize exactly as submitted, and a failed burst's frames draw
+// CodeState fallout without disturbing its successors. Bursts submitted
+// back to back share one write. A burst that cannot be submitted whole
+// leaves nothing behind (see abandon).
 func (p *PipeConn) SubmitTxn(name string, budget time.Duration, steps []wire.Message) (*TxnFuture, error) {
 	if p.strict != nil {
 		return nil, errors.New("client: SubmitTxn on a non-pipelined connection")
@@ -468,7 +469,7 @@ func (p *PipeConn) SubmitTxn(name string, budget time.Duration, steps []wire.Mes
 
 // SubmitReadTxn submits one declared read-only snapshot transaction as a
 // single pipelined burst — BEGIN with the read-only flag, one READ per
-// item, COMMIT — flushes it, and returns without waiting. The server
+// item, COMMIT — and returns without waiting, as SubmitTxn does. The server
 // routes the transaction around admission entirely; requires a server
 // speaking wire v4.
 func (p *PipeConn) SubmitReadTxn(items []uint32) (*TxnFuture, error) {
@@ -485,22 +486,20 @@ func (p *PipeConn) SubmitReadTxn(items []uint32) (*TxnFuture, error) {
 	return p.submitBurst(&wire.Begin{ReadOnly: true}, steps)
 }
 
-// submitBurst registers begin + steps + COMMIT under one TxnFuture,
-// flushes, and seals the future.
+// submitBurst registers begin + steps + COMMIT under one TxnFuture and
+// seals the future; nothing is flushed unless the window fills.
 func (p *PipeConn) submitBurst(begin wire.Message, steps []wire.Message) (*TxnFuture, error) {
 	fut := &TxnFuture{p: p, done: make(chan error, 1)}
-	if err := p.submitSlot(begin, pendSlot{want: wire.KindBeginOK, group: fut}); err != nil {
-		return nil, err
+	mark, t0 := len(p.wbuf), p.nextTag
+	err := p.submitSlot(begin, pendSlot{want: wire.KindBeginOK, group: fut})
+	for i := 0; err == nil && i < len(steps); i++ {
+		err = p.submitSlot(steps[i], pendSlot{want: wantKind(steps[i]), group: fut})
 	}
-	for _, m := range steps {
-		if err := p.submitSlot(m, pendSlot{want: wantKind(m), group: fut}); err != nil {
-			return nil, err
-		}
+	if err == nil {
+		err = p.submitSlot(&wire.Commit{}, pendSlot{want: wire.KindCommitOK, group: fut})
 	}
-	if err := p.submitSlot(&wire.Commit{}, pendSlot{want: wire.KindCommitOK, group: fut}); err != nil {
-		return nil, err
-	}
-	if err := p.Flush(); err != nil {
+	if err != nil {
+		p.abandon(mark, t0, err)
 		return nil, err
 	}
 	// Seal: only now may the demux deliver on remaining==0. A mid-burst
@@ -508,7 +507,9 @@ func (p *PipeConn) submitBurst(begin wire.Message, steps []wire.Message) (*TxnFu
 	// late ones were registered; without the seal that would deliver a
 	// partial outcome.
 	p.mu.Lock()
-	deliver := !p.sealFuture(fut)
+	fut.sealed = true
+	deliver := fut.remaining == 0 && !fut.delivered
+	fut.delivered = fut.delivered || deliver
 	p.mu.Unlock()
 	if deliver {
 		fut.done <- fut.txErr
@@ -516,24 +517,42 @@ func (p *PipeConn) submitBurst(begin wire.Message, steps []wire.Message) (*TxnFu
 	return fut, nil
 }
 
-// sealFuture marks the burst fully registered; returns false when every
-// reply already arrived, in which case the caller owns delivery.
-func (p *PipeConn) sealFuture(fut *TxnFuture) bool {
-	fut.sealed = true
-	if fut.remaining == 0 && !fut.delivered {
-		fut.delivered = true
-		return false
+// abandon takes back the frames a burst submitted before one of them
+// failed to encode: they leave the unflushed batch (mark bytes long when
+// the burst started), their tags — t0 onwards — the table and their slots
+// the window, as if the burst had never been submitted. If a full window
+// has pushed the burst's head onto the wire, the server holds a BEGIN that
+// will never see its COMMIT, so the connection fails instead.
+func (p *PipeConn) abandon(mark int, t0 uint32, cause error) {
+	if p.Broken() {
+		return // nothing left to keep consistent
 	}
-	return true
+	switch d := int32(p.sent - t0); {
+	case d > 0:
+		p.fail(fmt.Errorf("client: burst abandoned half sent: %w", cause))
+		return
+	case d == 0:
+		mark = 0 // the last flush emptied the batch right at the burst's first tag
+	}
+	p.mu.Lock()
+	for tag := t0; tag != p.nextTag; tag++ {
+		delete(p.pending, tag)
+	}
+	p.mu.Unlock()
+	for tag := t0; tag != p.nextTag; tag++ {
+		<-p.winCh
+	}
+	p.wbuf, p.nextTag = p.wbuf[:mark], t0
 }
 
-// Wait blocks for the transaction's outcome. If BEGIN (or any step)
-// failed, the server answered every subsequent frame of the burst with
-// CodeState — expected fallout the demux drained and discarded; the first
-// typed failure is the outcome. A closed future means the connection
-// failed underneath the burst.
+// Wait blocks for the transaction's outcome, flushing the unflushed batch
+// first if it has to block; like SubmitTxn it belongs to the connection's
+// owner goroutine. If BEGIN (or any step) failed, the server answered
+// every subsequent frame of the burst with CodeState — expected fallout
+// the demux drained and discarded; the first typed failure is the outcome.
+// A closed future means the connection failed underneath the burst.
 func (f *TxnFuture) Wait() error {
-	err, ok := <-f.done
+	err, ok := await(f.p, f.done)
 	if !ok {
 		return f.p.errNow()
 	}
@@ -613,15 +632,19 @@ func NewPipeClient(addr string, opTimeout time.Duration, window int, seed int64)
 // policy: retryable typed failures — overload, shed, infeasible, abort,
 // deadline — back off and rerun the whole burst.
 func (pc *PipeClient) DoTxn(name string, budget time.Duration, steps []wire.Message) error {
-	return pc.run(name, func() error { return pc.attempt(name, budget, steps) })
+	return pc.run(name, func() error {
+		return pc.attempt(func(c *PipeConn) error { return c.RunTxn(name, budget, steps) })
+	})
 }
 
-func (pc *PipeClient) attempt(name string, budget time.Duration, steps []wire.Message) error {
+// attempt runs txn on the current connection, dialing first if there is
+// none, and drops a connection the attempt broke.
+func (pc *PipeClient) attempt(txn func(*PipeConn) error) error {
 	c, err := pc.get()
 	if err != nil {
 		return err
 	}
-	err = c.RunTxn(name, budget, steps)
+	err = txn(c)
 	if c.Broken() {
 		_ = c.Close()
 		pc.conn = nil
@@ -635,20 +658,9 @@ func (pc *PipeClient) attempt(name string, budget time.Duration, steps []wire.Me
 // fresh snapshot, so the retry re-reads committed state — idempotent by
 // construction.
 func (pc *PipeClient) DoReadTxn(items []uint32) error {
-	return pc.run("read-only", func() error { return pc.attemptRead(items) })
-}
-
-func (pc *PipeClient) attemptRead(items []uint32) error {
-	c, err := pc.get()
-	if err != nil {
-		return err
-	}
-	err = c.RunReadTxn(items)
-	if c.Broken() {
-		_ = c.Close()
-		pc.conn = nil
-	}
-	return err
+	return pc.run("read-only", func() error {
+		return pc.attempt(func(c *PipeConn) error { return c.RunReadTxn(items) })
+	})
 }
 
 func (pc *PipeClient) get() (*PipeConn, error) {

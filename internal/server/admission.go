@@ -141,10 +141,7 @@ func (q *admitQueue) enqueue(r *admitReq) (victim *admitReq, depth int, err erro
 	q.items = append(q.items, nil)
 	copy(q.items[i+1:], q.items[i:])
 	q.items[i] = r
-	select {
-	case q.wake <- struct{}{}:
-	default:
-	}
+	nudge(q.wake)
 	return victim, len(q.items), nil
 }
 
@@ -355,10 +352,7 @@ func (s *Server) nudgeSteal() {
 	if len(s.shards) == 1 {
 		return
 	}
-	select {
-	case s.stealWake <- struct{}{}:
-	default:
-	}
+	nudge(s.stealWake)
 }
 
 // stealFrom pops a batch from the deepest sibling queue on behalf of

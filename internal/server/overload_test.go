@@ -441,8 +441,8 @@ func TestSlowClientKill(t *testing.T) {
 	defer cancel()
 	sess := &session{
 		srv: srv, conn: theirs, ctx: ctx, cancel: cancel,
-		outSem:     make(chan struct{}, srv.cfg.SessionInflight),
 		outWake:    make(chan struct{}, 1),
+		outSpace:   make(chan struct{}, 1),
 		writerDone: make(chan struct{}),
 	}
 	go sess.writeLoop()

@@ -78,9 +78,9 @@ type Config struct {
 	// (and overflow to CodeOverload). Default 4.
 	MaxAdmitting int
 	// SessionInflight bounds one session's pipelined requests in flight:
-	// both the request channel between reader and exec and the outbound
-	// reply queue between exec and writer. A pipelining client past the
-	// bound sees TCP backpressure (the reader stops reading). Default 32.
+	// both the requests decoded and not yet executed and the replies queued
+	// and not yet written. A pipelining client past the bound sees TCP
+	// backpressure (the reader stops reading). Default 32.
 	SessionInflight int
 	// MaxWireVersion pins the highest wire protocol version the server
 	// advertises and accepts (wire.V2 disables pipelining; tagged frames
@@ -289,8 +289,10 @@ func (s *Server) startSession(conn net.Conn) {
 	sess := &session{
 		srv: s, conn: conn, ctx: ctx, cancel: cancel,
 		shard:      s.shards[int(s.nextShard.Add(1)-1)%len(s.shards)],
-		outSem:     make(chan struct{}, s.cfg.SessionInflight),
+		inWake:     make(chan struct{}, 1),
+		inSpace:    make(chan struct{}, 1),
 		outWake:    make(chan struct{}, 1),
+		outSpace:   make(chan struct{}, 1),
 		writerDone: make(chan struct{}),
 	}
 	s.mu.Lock()

@@ -77,20 +77,21 @@ type request struct {
 // session:
 //
 //   - run (exec) owns the transaction handle and all manager calls; it
-//     consumes requests in arrival order (FIFO execution, even when
-//     pipelined) and queues replies;
+//     takes the queued requests a batch at a time and executes them in
+//     arrival order (FIFO execution, even when pipelined), encoding each
+//     reply onto the outbound buffer;
 //   - readLoop owns conn reads: it decodes frames out of one buffered
-//     reader (a burst is one read on the socket), feeds run through a
-//     bounded channel (the inflight table — a full table blocks the
-//     reader, which is TCP backpressure to a pipelining client), and
-//     cancels the session context the moment the connection dies;
-//   - writeLoop owns conn writes: it coalesces every queued reply into
-//     one writev-style net.Buffers flush per wakeup, under the write
-//     deadline (the slow-client defense — see flushOut).
+//     reader (a burst is one read on the socket), appends each to the
+//     inbound queue (a full queue blocks the reader, which is TCP
+//     backpressure to a pipelining client), and cancels the session
+//     context the moment the connection dies;
+//   - writeLoop owns conn writes: every wakeup sends whatever the
+//     outbound buffer holds with one write, under the write deadline (the
+//     slow-client defense — see flushOut).
 //
-// They share nothing mutable except the context, the request channel and
-// the outbound reply queue; disconnects propagate as a context
-// cancellation, never as shared state.
+// They share nothing mutable except the context, that queue and that
+// buffer; disconnects propagate as a context cancellation, never as
+// shared state.
 type session struct {
 	srv    *Server            //pcpda:guardedby immutable
 	conn   net.Conn           //pcpda:guardedby immutable
@@ -98,18 +99,29 @@ type session struct {
 	cancel context.CancelFunc //pcpda:guardedby immutable
 	shard  *admitShard        //pcpda:guardedby immutable — admission shard this session's BEGINs enqueue to
 
-	lt  *liveTx                //pcpda:guardedby none — live transaction; owned by run
-	cur atomic.Pointer[liveTx] // mirror of lt, read by Drain and the watchdog
+	greeted bool                   //pcpda:guardedby none — HELLO has been answered; owned by run
+	lt      *liveTx                //pcpda:guardedby none — live transaction; owned by run
+	cur     atomic.Pointer[liveTx] // mirror of lt, read by Drain and the watchdog
 
-	// Outbound reply path (writeLoop). outSem bounds queued-but-unflushed
-	// replies: replyTo acquires a slot, flushOut releases. outQ holds
-	// pooled encoded frames in queue order.
+	// Inbound (readLoop → run): the reader appends, exec takes the slice
+	// whole. inOpen — queued plus the unexecuted rest of the batch exec
+	// holds — never exceeds SessionInflight: only the reader adds to it.
+	inMu    sync.Mutex
+	inQ     []request     //pcpda:guardedby inMu — decoded requests in arrival order
+	inOpen  atomic.Int64  // decoded and not yet executed
+	inWake  chan struct{} // buffered(1); reader → exec when inQ turns non-empty
+	inSpace chan struct{} // buffered(1); exec → reader when a full table gains room
+
+	// Outbound (replyTo → writeLoop): replies are encoded back to back onto
+	// outBuf, which the writer swaps for its spare and sends with one write.
+	// outN never exceeds SessionInflight.
 	outMu      sync.Mutex
-	outQ       []*[]byte     //pcpda:guardedby outMu — pooled encoded frames in queue order
-	outSem     chan struct{} // capacity SessionInflight
-	outWake    chan struct{} // buffered(1); signals the writer
+	outBuf     []byte        //pcpda:guardedby outMu — encoded replies awaiting the writer
+	outN       int           //pcpda:guardedby outMu — replies in outBuf or in the write in progress
+	outSpare   []byte        //pcpda:guardedby none — the previous flush's buffer, owned by writeLoop
+	outWake    chan struct{} // buffered(1); replier → writer when outBuf turns non-empty
+	outSpace   chan struct{} // buffered(1); writer → a replier waiting below the bound, who passes it on
 	writerDone chan struct{}
-	wbufs      net.Buffers //pcpda:guardedby none — flush scratch, owned by writeLoop
 
 	inflight  atomic.Int64 // requests read minus replies flushed
 	pipelined atomic.Bool  // session has sent at least one tagged frame
@@ -138,29 +150,46 @@ func (c connReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// nudge leaves a wakeup token on a buffered(1) signal channel without
+// blocking; a token already there will do, receivers recheck their condition.
+func nudge(ch chan<- struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
+}
+
 // errSessionEnd tells run to exit after a reply that terminates the
 // conversation (protocol violation or encode failure).
 var errSessionEnd = errors.New("session end")
 
 func (s *session) run() {
-	reqs := make(chan request, s.srv.cfg.SessionInflight)
 	readerDone := make(chan struct{})
 	go s.writeLoop()
-	go s.readLoop(reqs, readerDone)
+	go s.readLoop(readerDone)
 	// LIFO: cleanup closes the connection first, which unblocks a reader
 	// stuck mid-ReadAny; only then wait for it to exit.
 	defer func() { <-readerDone }()
 	defer s.cleanup()
 
-	if err := s.handshake(reqs); err != nil {
-		return
-	}
+	bound := int64(s.srv.cfg.SessionInflight)
+	var batch []request
 	for {
-		select {
-		case <-s.ctx.Done():
+		if batch = s.nextBatch(batch); batch == nil {
 			return
-		case req := <-reqs:
-			if err := s.handle(req); err != nil {
+		}
+		for _, req := range batch {
+			// A dead session executes nothing more; cleanup aborts what is live.
+			select {
+			case <-s.ctx.Done():
+				return
+			default:
+			}
+			err := s.handle(req)
+			if s.inOpen.Add(-1) == bound-1 {
+				nudge(s.inSpace)
+			}
+			if err != nil {
 				if !errors.Is(err, errSessionEnd) && !errors.Is(err, context.Canceled) {
 					s.srv.logf("session %s: %v", s.conn.RemoteAddr(), err)
 				}
@@ -170,13 +199,56 @@ func (s *session) run() {
 	}
 }
 
+// nextBatch blocks until the reader has queued requests and takes them
+// all, leaving spare (the previous batch) as the queue's backing array. It
+// returns nil once the session is over.
+func (s *session) nextBatch(spare []request) []request {
+	for {
+		s.inMu.Lock()
+		batch := s.inQ
+		s.inQ = spare[:0]
+		s.inMu.Unlock()
+		if len(batch) > 0 {
+			return batch
+		}
+		spare = batch
+		select {
+		case <-s.inWake:
+		case <-s.ctx.Done():
+			return nil
+		}
+	}
+}
+
+// enqueue hands a request to exec the moment it is decoded, waiting while
+// SessionInflight are decoded and not yet executed; false means the
+// session ended first.
+func (s *session) enqueue(req request) bool {
+	for s.inOpen.Load() >= int64(s.srv.cfg.SessionInflight) {
+		select {
+		case <-s.inSpace:
+		case <-s.ctx.Done():
+			return false
+		}
+	}
+	s.inOpen.Add(1)
+	s.inMu.Lock()
+	s.inQ = append(s.inQ, req)
+	first := len(s.inQ) == 1
+	s.inMu.Unlock()
+	if first {
+		nudge(s.inWake)
+	}
+	return true
+}
+
 // readLoop decodes frames off the connection and feeds run. Any read
 // failure — disconnect, idle timeout, malformed frame — cancels the
 // session context, which unparks run from whatever manager call it is
 // blocked in. Tagged PINGs are answered here directly, out of order: a
 // pipelined client's liveness probe must not wait behind a BEGIN parked
 // in admission.
-func (s *session) readLoop(reqs chan<- request, done chan<- struct{}) {
+func (s *session) readLoop(done chan<- struct{}) {
 	defer close(done)
 	defer s.cancel()
 	br := bufio.NewReader(connReader{conn: s.conn, idle: s.srv.cfg.IdleTimeout, n: &s.srv.ctr.BytesIn})
@@ -220,180 +292,134 @@ func (s *session) readLoop(reqs chan<- request, done chan<- struct{}) {
 			}
 			continue
 		}
-		select {
-		case reqs <- req:
-		case <-s.ctx.Done():
+		if !s.enqueue(req) {
 			return
 		}
 	}
 }
 
-// writeLoop owns conn writes: every wakeup drains the whole outbound
-// reply queue into one flush. On session cancellation it performs one
-// final flush — still bounded by the write deadline — so terminal ERR
-// replies and drain notices reach clients that are still reading.
+// writeLoop owns conn writes: every wakeup sends the whole outbound
+// buffer in one flush. On session cancellation it performs one final
+// flush — still bounded by the write deadline — so terminal ERR replies
+// and drain notices reach clients that are still reading. A failed flush
+// (deadline expiry = slow client) cancels the session; replies queued
+// behind it die with it, repliers waiting for room leave by the context.
 func (s *session) writeLoop() {
 	defer close(s.writerDone)
-	for {
+	for last := false; !last; {
 		select {
 		case <-s.outWake:
-			if err := s.flushOut(); err != nil {
-				s.noteWriteError(err)
-				return
-			}
 		case <-s.ctx.Done():
-			if err := s.flushOut(); err != nil {
-				s.noteWriteError(err)
+			last = true
+		}
+		if err := s.flushOut(); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				s.srv.ctr.SlowClientKills.Add(1)
+				s.srv.logf("session %s: write deadline exceeded, killing slow client", s.conn.RemoteAddr())
 			}
+			s.cancel()
 			return
 		}
 	}
 }
 
-// flushOut swaps out the queued replies and writes them with a single
-// writev-style net.Buffers write under the write deadline. Batching does
-// not weaken the slow-client defense: the deadline covers the whole
-// coalesced write, and the bytes a batch carries are exactly the replies
-// the old one-write-per-reply path would have written under N deadlines —
-// a client that cannot drain one batched write within WriteTimeout could
-// not have drained the same bytes unbatched either, and is killed the
-// same way.
+// flushOut swaps the outbound buffer for the spare and sends it with a
+// single write under the write deadline. Batching does not weaken the
+// slow-client defense: a client that cannot drain one batched write within
+// WriteTimeout could not have drained the same bytes under one deadline
+// per reply either, and is killed the same way. The replies count against
+// SessionInflight until the write returns, so what a non-reading peer can
+// strand stays bounded.
 func (s *session) flushOut() error {
 	s.outMu.Lock()
-	q := s.outQ
-	s.outQ = nil
+	buf, n := s.outBuf, s.outN // no write is in progress, so all outN replies are in buf
+	s.outBuf = s.outSpare[:0]
 	s.outMu.Unlock()
-	if len(q) == 0 {
+	s.outSpare = buf
+	if n == 0 {
 		return nil
 	}
-	release := func() {
-		for _, b := range q {
-			wire.PutBuf(b)
-		}
-		s.inflight.Add(-int64(len(q)))
-		for range q {
-			<-s.outSem
-		}
+	err := s.conn.SetWriteDeadline(timeNow().Add(s.srv.cfg.WriteTimeout))
+	if err == nil {
+		_, err = s.conn.Write(buf)
 	}
-	if err := s.conn.SetWriteDeadline(timeNow().Add(s.srv.cfg.WriteTimeout)); err != nil {
-		release()
-		return err
+	if cap(buf) > maxScratch {
+		s.outSpare = nil
 	}
-	var total int64
-	var err error
-	if len(q) == 1 {
-		total = int64(len(*q[0]))
-		_, err = s.conn.Write(*q[0])
-	} else {
-		bufs := s.wbufs[:0]
-		for _, b := range q {
-			total += int64(len(*b))
-			bufs = append(bufs, *b)
-		}
-		s.wbufs = bufs
-		_, err = bufs.WriteTo(s.conn)
-		clear(s.wbufs) // drop references into pooled buffers
-		s.wbufs = s.wbufs[:0]
-	}
-	release()
+	s.outMu.Lock()
+	s.outN -= n
+	s.outMu.Unlock()
+	s.inflight.Add(-int64(n))
+	nudge(s.outSpace)
 	if err != nil {
 		return err
 	}
-	s.srv.ctr.BytesOut.Add(total)
+	s.srv.ctr.BytesOut.Add(int64(len(buf)))
 	s.srv.ctr.ResponseFlushes.Add(1)
-	s.srv.ctr.ResponsesFlushed.Add(int64(len(q)))
+	s.srv.ctr.ResponsesFlushed.Add(int64(n))
 	return nil
-}
-
-// noteWriteError classifies a flush failure (deadline expiry = slow
-// client), cancels the session and discards any replies queued after the
-// failed flush.
-func (s *session) noteWriteError(err error) {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		s.srv.ctr.SlowClientKills.Add(1)
-		s.srv.logf("session %s: write deadline exceeded, killing slow client", s.conn.RemoteAddr())
-	}
-	s.cancel()
-	s.outMu.Lock()
-	q := s.outQ
-	s.outQ = nil
-	s.outMu.Unlock()
-	for _, b := range q {
-		wire.PutBuf(b)
-	}
-	s.inflight.Add(-int64(len(q)))
-	for range q {
-		<-s.outSem
-	}
 }
 
 // replyTo frames m as the reply to req — tagged at the request's tag for
 // v3 requests, untagged at the request's version otherwise, with error
-// codes degraded to the version's code space — and queues it for the
-// writer. It blocks when SessionInflight replies are already queued
-// (bounded outbound buffering; the writer drains under its deadline).
+// codes degraded to the version's code space — straight onto the outbound
+// buffer, and wakes the writer if the buffer was empty. It blocks while
+// SessionInflight replies are queued or being written.
 func (s *session) replyTo(req request, m wire.Message) error {
 	// A dead session must refuse new replies deterministically — once the
-	// writer has killed it the semaphore may have free slots again, and
-	// the select below would enqueue onto a queue nobody flushes.
+	// writer has killed it there may be room under the bound again, and the
+	// reply would land in a buffer nobody flushes.
 	if err := s.ctx.Err(); err != nil {
 		return err
 	}
-	select {
-	case s.outSem <- struct{}{}:
-	case <-s.ctx.Done():
-		return s.ctx.Err()
+	if em, ok := m.(*wire.ErrMsg); ok && req.ver < wire.V3 {
+		if mapped := wire.CodeForVersion(em.Code, req.ver); mapped != em.Code {
+			m = &wire.ErrMsg{Code: mapped, Text: em.Text}
+		}
 	}
-	buf := wire.GetBuf()
+	waited := false
+	s.outMu.Lock()
+	for s.outN >= s.srv.cfg.SessionInflight {
+		s.outMu.Unlock()
+		waited = true
+		select {
+		case <-s.outSpace:
+		case <-s.ctx.Done():
+			return s.ctx.Err()
+		}
+		s.outMu.Lock()
+	}
 	var out []byte
 	var err error
 	if req.ver >= wire.V3 {
-		out, err = wire.AppendTagged((*buf)[:0], req.ver, req.tag, m)
+		out, err = wire.AppendTagged(s.outBuf, req.ver, req.tag, m)
 	} else {
-		if em, ok := m.(*wire.ErrMsg); ok {
-			if mapped := wire.CodeForVersion(em.Code, req.ver); mapped != em.Code {
-				m = &wire.ErrMsg{Code: mapped, Text: em.Text}
-			}
-		}
-		out, err = wire.AppendCompat((*buf)[:0], req.ver, m)
+		out, err = wire.AppendCompat(s.outBuf, req.ver, m)
 	}
 	if err != nil {
 		// Encoding failures are server bugs (oversized schema); drop the
 		// session rather than desync the stream.
-		wire.PutBuf(buf)
-		<-s.outSem
+		s.outMu.Unlock()
 		s.srv.logf("session %s: encode %s: %v", s.conn.RemoteAddr(), m.Kind(), err)
 		return errSessionEnd
 	}
-	*buf = out
-	s.outMu.Lock()
-	s.outQ = append(s.outQ, buf)
+	wake := len(s.outBuf) == 0
+	s.outBuf = out
+	s.outN++
 	s.outMu.Unlock()
-	select {
-	case s.outWake <- struct{}{}:
-	default:
+	if wake {
+		nudge(s.outWake)
+	}
+	if waited {
+		nudge(s.outSpace) // the reader (PONGs) and exec can both be waiting on the one signal
 	}
 	return nil
 }
 
-// handshake requires the first frame to be HELLO and answers with the
-// manager's transaction-set schema.
-func (s *session) handshake(reqs <-chan request) error {
-	select {
-	case <-s.ctx.Done():
-		return s.ctx.Err()
-	case req := <-reqs:
-		if _, ok := req.m.(*wire.Hello); !ok {
-			_ = s.replyTo(req, &wire.ErrMsg{Code: wire.CodeProtocol,
-				Text: fmt.Sprintf("expected HELLO, got %s", req.m.Kind())})
-			return errSessionEnd
-		}
-		return s.replyTo(req, schemaOf(s.srv.mgr.Set(), s.srv.cfg.MaxWireVersion))
-	}
-}
-
-// handle processes one request. The session-state contract kept here:
+// handle processes one request; the session's first must be HELLO and is
+// answered with the manager's transaction-set schema. The session-state
+// contract kept here:
 // every reply to BEGIN is BEGIN_OK or ERR; every ERR reply to
 // READ/WRITE/COMMIT also ends the live transaction, so after any ERR the
 // client knows it holds nothing. Pipelined requests are executed strictly
@@ -401,6 +427,21 @@ func (s *session) handshake(reqs <-chan request) error {
 // one flush): if BEGIN fails, the trailing steps each draw the
 // "outside a transaction" CodeState reply — expected fallout, not drift.
 func (s *session) handle(req request) error {
+	if !s.greeted {
+		s.greeted = true
+		if _, ok := req.m.(*wire.Hello); !ok {
+			_ = s.replyTo(req, &wire.ErrMsg{Code: wire.CodeProtocol,
+				Text: fmt.Sprintf("expected HELLO, got %s", req.m.Kind())})
+			return errSessionEnd
+		}
+		return s.replyTo(req, schemaOf(s.srv.mgr.Set(), s.srv.cfg.MaxWireVersion))
+	}
+	switch req.m.(type) {
+	case *wire.Read, *wire.Write, *wire.Commit, *wire.Abort:
+		if s.lt == nil {
+			return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeState, Text: req.m.Kind().String() + " outside a transaction"})
+		}
+	}
 	switch m := req.m.(type) {
 	case *wire.Ping:
 		return s.replyTo(req, &wire.Pong{Nonce: m.Nonce})
@@ -410,35 +451,23 @@ func (s *session) handle(req request) error {
 		}
 		return s.handleBegin(req, m)
 	case *wire.Read:
-		if s.lt == nil {
-			return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeState, Text: "READ outside a transaction"})
-		}
 		v, err := s.lt.tx.Read(s.lt.ctx, rt.Item(int32(m.Item)))
 		if err != nil {
 			return s.txFailed(req, "READ", err)
 		}
 		return s.replyTo(req, &wire.ReadOK{Value: int64(v)})
 	case *wire.Write:
-		if s.lt == nil {
-			return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeState, Text: "WRITE outside a transaction"})
-		}
 		if err := s.lt.tx.Write(s.lt.ctx, rt.Item(int32(m.Item)), db.Value(m.Value)); err != nil {
 			return s.txFailed(req, "WRITE", err)
 		}
 		return s.replyTo(req, &wire.WriteOK{})
 	case *wire.Commit:
-		if s.lt == nil {
-			return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeState, Text: "COMMIT outside a transaction"})
-		}
 		if err := s.lt.tx.Commit(s.lt.ctx); err != nil {
 			return s.txFailed(req, "COMMIT", err)
 		}
 		s.clearTx()
 		return s.replyTo(req, &wire.CommitOK{})
 	case *wire.Abort:
-		if s.lt == nil {
-			return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeState, Text: "ABORT outside a transaction"})
-		}
 		s.lt.tx.Abort()
 		s.clearTx()
 		return s.replyTo(req, &wire.AbortOK{})

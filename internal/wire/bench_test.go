@@ -59,21 +59,6 @@ func BenchmarkAppendTagged(b *testing.B) {
 	}
 }
 
-func BenchmarkAppendTaggedPooled(b *testing.B) {
-	msg := &Write{Item: 4, Value: 9}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf := GetBuf()
-		out, err := AppendTagged((*buf)[:0], Version, uint32(i), msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		*buf = out
-		PutBuf(buf)
-	}
-}
-
 func BenchmarkDecodeAny(b *testing.B) {
 	frame, err := AppendTagged(nil, Version, 42, &Write{Item: 4, Value: 9})
 	if err != nil {

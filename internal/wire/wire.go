@@ -807,36 +807,6 @@ func WriteFrame(w io.Writer, scratch []byte, m Message) ([]byte, error) {
 	return buf, nil
 }
 
-// --- buffer pool --------------------------------------------------------------
-
-// maxPooledBuf caps the capacity of buffers returned to the pool, so one
-// giant frame (schema replies can reach MaxPayload) doesn't pin memory for
-// the steady state, whose frames are tens of bytes.
-const maxPooledBuf = 64 << 10
-
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 512)
-	return &b
-}}
-
-// GetBuf returns a pooled frame buffer (length 0, capacity ≥ 512). Encode
-// into (*buf)[:0] with the Append* framing functions, store the result
-// back through the pointer, and release it with PutBuf when the frame has
-// been written.
-func GetBuf() *[]byte {
-	return bufPool.Get().(*[]byte)
-}
-
-// PutBuf returns a buffer obtained from GetBuf to the pool. Oversized
-// buffers are dropped instead of pooled.
-func PutBuf(b *[]byte) {
-	if b == nil || cap(*b) > maxPooledBuf {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
-}
-
 // --- primitive encoding -------------------------------------------------------
 
 func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }

@@ -356,28 +356,6 @@ func TestReadFrameEOF(t *testing.T) {
 	}
 }
 
-func TestBufPool(t *testing.T) {
-	b := GetBuf()
-	if b == nil || len(*b) != 0 {
-		t.Fatalf("GetBuf returned %v", b)
-	}
-	var err error
-	*b, err = AppendTagged((*b)[:0], V3, 7, &Ping{Nonce: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	PutBuf(b)
-	// Oversized buffers must be dropped, not pooled; nil is a no-op.
-	huge := make([]byte, 0, maxPooledBuf*2)
-	PutBuf(&huge)
-	PutBuf(nil)
-	b2 := GetBuf()
-	if cap(*b2) > maxPooledBuf {
-		t.Fatalf("pool returned oversized buffer (cap %d)", cap(*b2))
-	}
-	PutBuf(b2)
-}
-
 func TestRetryableCodes(t *testing.T) {
 	want := map[ErrorCode]bool{
 		CodeOverload: true, CodeAborted: true, CodeDeadline: true,
