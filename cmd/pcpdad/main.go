@@ -37,7 +37,6 @@ import (
 	"pcpda/internal/metrics"
 	"pcpda/internal/rtm"
 	"pcpda/internal/server"
-	"pcpda/internal/wire"
 	"pcpda/internal/workload"
 )
 
@@ -54,9 +53,8 @@ func run() int {
 		batchMax     = flag.Int("batch", 16, "max BEGINs folded into one admission batch")
 		admitting    = flag.Int("admitting", 4, "max concurrently running admission batches")
 		shards       = flag.Int("shards", 0, "admission shards with work stealing (0 = scale with GOMAXPROCS)")
-		inflight     = flag.Int("inflight", 0, "max unflushed responses per pipelined session (0 = default)")
+		inflight     = flag.Int("inflight", 0, "max requests in flight per session, a whole-transaction frame counting one (0 = default)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrent sessions; excess connections are refused at accept with a retryable busy error (0 = unlimited)")
-		wireV2       = flag.Bool("wire-v2", false, "pin the wire protocol to v2: refuse tagged frames, force strict clients")
 		idleTimeout  = flag.Duration("idle-timeout", 30*time.Second, "per-session read deadline")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline (slow-client kill threshold)")
 		wdInterval   = flag.Duration("watchdog-interval", 100*time.Millisecond, "stuck-transaction watchdog sweep interval (negative = disabled)")
@@ -101,19 +99,14 @@ func run() int {
 		log.Printf("pcpdad: manager: %v", err)
 		return 2
 	}
-	maxWire := wire.Version
-	if *wireV2 {
-		maxWire = wire.V2
-	}
 	ctr := &metrics.ServerCounters{}
 	srv, err := server.New(server.Config{
 		Manager: mgr, Counters: ctr,
 		QueueDepth: *queueDepth, HighWater: *highWater,
 		BatchMax: *batchMax, MaxAdmitting: *admitting,
 		AdmitShards: *shards, SessionInflight: *inflight,
-		MaxConns:       *maxConns,
-		MaxWireVersion: maxWire,
-		IdleTimeout:    *idleTimeout, WriteTimeout: *writeTimeout,
+		MaxConns:    *maxConns,
+		IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
 		WatchdogInterval: *wdInterval, WatchdogGrace: *wdGrace,
 		StuckTxnAge: *stuckAge, HealthWindow: *healthWindow,
 		Logf: log.Printf,

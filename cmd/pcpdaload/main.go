@@ -17,11 +17,9 @@
 //     Sweep mode calibrates both client modes so the document always
 //     records the pipelining speedup.
 //
-// -pipeline switches the driver to the wire-v3 pipelined client: each
-// transaction is flushed as one tagged burst (BEGIN+steps+COMMIT) and
-// responses demultiplex by tag, with up to -window requests in flight
-// per connection. Against a v2-pinned server the client degrades to
-// strict request/response transparently.
+// -pipeline switches the driver to the pipelined client: each
+// transaction is one TXN frame and one reply, demultiplexed by tag, with
+// up to -window requests in flight per connection.
 //
 // -read-frac f (requires -pipeline) runs that fraction of transactions as
 // declared read-only snapshot transactions: BEGIN(read-only) bypasses
@@ -84,8 +82,8 @@ func run() int {
 		attempts = flag.Int("attempts", 16, "max attempts per transaction")
 		label    = flag.String("label", "current", "label recorded in the sweep document")
 
-		pipeline  = flag.Bool("pipeline", false, "use the wire-v3 pipelined client (whole transactions flushed as one tagged burst)")
-		readFrac  = flag.Float64("read-frac", 0, "fraction of transactions issued as declared read-only snapshot transactions (requires -pipeline and a wire-v4 server)")
+		pipeline  = flag.Bool("pipeline", false, "use the pipelined client (a whole transaction per frame, several in flight)")
+		readFrac  = flag.Float64("read-frac", 0, "fraction of transactions issued as declared read-only snapshot transactions (requires -pipeline)")
 		statsURL  = flag.String("stats", "", "pcpdad stats HTTP base URL (e.g. http://127.0.0.1:9724); with -read-frac > 0, brackets a 100%-read proof phase asserting zero lock/mutex traffic")
 		window    = flag.Int("window", 0, "pipelined: max tagged requests in flight per connection (0 = default)")
 		spinUnder = flag.Duration("spin-under", 0, "open loop: spin instead of sleeping for the last stretch of each inter-arrival gap (0 = default; on coarse-timer hosts the default 10ms keeps offered rate honest)")
@@ -249,7 +247,7 @@ type sweepStep struct {
 	ArrivalRate  float64 `json:"arrival_rate"`
 	AchievedRate float64 `json:"achieved_rate"` // what the pacer actually delivered
 	Nemesis      bool    `json:"nemesis"`       // step ran through the fault proxy
-	Pipelined    bool    `json:"pipelined"`     // step used the wire-v3 pipelined client
+	Pipelined    bool    `json:"pipelined"`     // step used the pipelined client
 	ReadFrac     float64 `json:"read_frac,omitempty"` // fraction of arrivals run as read-only snapshots
 
 	Offered     int64 `json:"offered"`
@@ -294,7 +292,7 @@ type sweepDoc struct {
 	DeadlineMs   float64        `json:"deadline_budget_ms"`
 	// SaturationTPS is the strict (one request/response in flight) closed-
 	// loop rate; PipelinedSaturationTPS is the same burst with whole
-	// transactions flushed as tagged wire-v3 bursts. Speedup is their
+	// transactions sent one frame each, several in flight. Speedup is their
 	// ratio — the headline number for the pipelined protocol.
 	SaturationTPS          float64 `json:"saturation_txn_s"`
 	PipelinedSaturationTPS float64 `json:"pipelined_saturation_txn_s"`

@@ -48,14 +48,14 @@ func TestClientStopsAtExhaustedBudget(t *testing.T) {
 	begins := 0
 	var sawShed int64
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		expect(t, conn, wire.KindHello)
-		send(t, conn, fakeSchema)
+		greet(t, conn)
 		for {
-			if _, _, err := wire.ReadFrame(conn, nil); err != nil {
+			_, tag, err := recv(conn)
+			if err != nil {
 				return
 			}
 			begins++
-			send(t, conn, &wire.ErrMsg{Code: wire.CodeShed, Text: "shed"})
+			send(t, conn, tag, &wire.ErrMsg{Code: wire.CodeShed, Text: "shed"})
 		}
 	})
 	pool := NewPool(addr, 2*time.Second, 1)

@@ -1,8 +1,10 @@
 // Package client speaks the internal/wire protocol to a pcpdad server:
-// a single-connection Conn with strict request/reply pairing, a
-// fixed-capacity connection Pool, and a retrying Client that turns the
-// server's typed backpressure (CodeOverload) and optimistic failures
-// (CodeAborted, CodeDeadline) into seeded-jitter retry loops.
+// a single-connection Conn with strict request/reply pairing that drives a
+// transaction a step at a time, a PipeConn that keeps many requests in
+// flight and sends a transaction whole, a fixed-capacity connection Pool,
+// and retrying Client / PipeClient wrappers that turn the server's typed
+// backpressure (CodeOverload) and optimistic failures (CodeAborted,
+// CodeDeadline) into seeded-jitter retry loops.
 package client
 
 import (
@@ -19,20 +21,23 @@ import (
 	"pcpda/internal/wire"
 )
 
-// Conn is one protocol connection. Not safe for concurrent use; the
-// protocol is strictly request/reply per connection.
+// Conn is one protocol connection with one request in flight: every call
+// is a round trip. Not safe for concurrent use.
 type Conn struct {
 	c       net.Conn
 	br      *bufio.Reader // every byte read off c, for the connection's whole life
 	schema  *wire.HelloOK
 	timeout time.Duration
+	tag     uint32 // the next request's; HELLO goes out at 0
 	wbuf    []byte
 	rbuf    []byte
 	broken  bool // a transport or framing error desynced the stream
 }
 
 // Dial connects, performs the HELLO handshake and returns a ready Conn.
-// opTimeout bounds every subsequent request/reply round trip.
+// opTimeout bounds every subsequent request/reply round trip. A server
+// that turns the connection down (at its connection limit, say) does so
+// with a typed ERR, which comes back as a *wire.RemoteError.
 func Dial(addr string, opTimeout time.Duration) (*Conn, error) {
 	if opTimeout <= 0 {
 		opTimeout = 10 * time.Second
@@ -41,28 +46,24 @@ func Dial(addr string, opTimeout time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	c := newConn(nc, opTimeout)
-	reply, err := c.roundTrip(&wire.Hello{})
+	return handshake(nc, opTimeout)
+}
+
+// handshake wraps a freshly dialed socket, which it closes on failure, and
+// exchanges HELLO for the schema. The buffered reader exists before the
+// first byte is read, so whatever the server writes back-to-back with a
+// reply costs one read on the socket, and a pipelined connection that takes
+// the reader over after the handshake finds every byte the handshake's read
+// pulled in.
+func handshake(nc net.Conn, opTimeout time.Duration) (*Conn, error) {
+	c := &Conn{c: nc, br: bufio.NewReader(nc), timeout: opTimeout}
+	reply, err := c.op(&wire.Hello{}, wire.KindHelloOK)
 	if err != nil {
 		_ = nc.Close()
 		return nil, err
 	}
-	ok, isOK := reply.(*wire.HelloOK)
-	if !isOK {
-		_ = nc.Close()
-		return nil, fmt.Errorf("client: handshake reply %s", reply.Kind())
-	}
-	c.schema = ok
+	c.schema = reply.(*wire.HelloOK)
 	return c, nil
-}
-
-// newConn wraps a freshly dialed socket. The buffered reader exists before
-// the first byte is read, so whatever the server writes back-to-back with a
-// reply (a whole burst's replies arrive in one segment) costs one read on
-// the socket, and a pipelined connection that takes the reader over after
-// the handshake finds every byte the handshake's read pulled in.
-func newConn(nc net.Conn, opTimeout time.Duration) *Conn {
-	return &Conn{c: nc, br: bufio.NewReader(nc), timeout: opTimeout}
 }
 
 // Schema returns the transaction-set schema from the handshake.
@@ -83,22 +84,42 @@ func (c *Conn) roundTrip(req wire.Message) (wire.Message, error) {
 		c.broken = true
 		return nil, err
 	}
-	buf, err := wire.AppendFrame(c.wbuf[:0], req)
+	tag := c.tag
+	buf, err := wire.AppendTagged(c.wbuf[:0], wire.Version, tag, req)
 	if err != nil {
 		return nil, err
 	}
 	c.wbuf = buf
+	c.tag++
 	if _, err := c.c.Write(buf); err != nil {
 		c.broken = true
 		return nil, fmt.Errorf("client: write %s: %w", req.Kind(), err)
 	}
-	reply, rbuf, err := wire.ReadFrame(c.br, c.rbuf)
+	reply, _, got, rbuf, err := wire.ReadAny(c.br, c.rbuf)
 	if err != nil {
 		c.broken = true
 		return nil, fmt.Errorf("client: read reply to %s: %w", req.Kind(), err)
 	}
 	c.rbuf = rbuf
+	if got != tag {
+		// Not this request's reply: the stream is useless from here. An ERR
+		// is the server ending the conversation and saying why.
+		c.broken = true
+		if err := remoteError(reply); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("client: reply %s tagged %d to %s tagged %d", reply.Kind(), got, req.Kind(), tag)
+	}
 	return reply, nil
+}
+
+// remoteError is the *wire.RemoteError an ERR reply stands for, nil for any
+// other message.
+func remoteError(m wire.Message) error {
+	if e, isErr := m.(*wire.ErrMsg); isErr {
+		return &wire.RemoteError{Code: e.Code, Text: e.Text}
+	}
+	return nil
 }
 
 // op performs one round trip and maps an ERR reply to *wire.RemoteError.
@@ -108,8 +129,8 @@ func (c *Conn) op(req wire.Message, want wire.Kind) (wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e, isErr := reply.(*wire.ErrMsg); isErr {
-		return nil, &wire.RemoteError{Code: e.Code, Text: e.Text}
+	if err := remoteError(reply); err != nil {
+		return nil, err
 	}
 	if reply.Kind() != want {
 		c.broken = true
@@ -123,19 +144,14 @@ func (c *Conn) Begin(name string) (uint64, error) {
 	return c.BeginBudget(name, 0)
 }
 
-// beginMsg builds a BEGIN frame carrying budget as a firm deadline in
+// budgetMs is budget as BEGIN and TXN carry a firm deadline: whole
 // milliseconds. budget <= 0 means no deadline; sub-millisecond budgets
 // round up to 1ms rather than silently dropping the deadline.
-func beginMsg(name string, budget time.Duration) *wire.Begin {
-	m := &wire.Begin{Name: name}
-	if budget > 0 {
-		ms := (budget + time.Millisecond - 1) / time.Millisecond
-		if ms > math.MaxUint32 {
-			ms = math.MaxUint32
-		}
-		m.Deadline = uint32(ms)
+func budgetMs(budget time.Duration) uint32 {
+	if budget <= 0 {
+		return 0
 	}
-	return m
+	return uint32(min((budget+time.Millisecond-1)/time.Millisecond, math.MaxUint32))
 }
 
 // BeginBudget starts a transaction with a firm deadline budget: the server
@@ -143,7 +159,7 @@ func beginMsg(name string, budget time.Duration) *wire.Begin {
 // the budget, and its watchdog force-aborts the transaction if it is still
 // live past budget+grace. budget <= 0 means no deadline.
 func (c *Conn) BeginBudget(name string, budget time.Duration) (uint64, error) {
-	reply, err := c.op(beginMsg(name, budget), wire.KindBeginOK)
+	reply, err := c.op(&wire.Begin{Name: name, Deadline: budgetMs(budget)}, wire.KindBeginOK)
 	if err != nil {
 		return 0, err
 	}

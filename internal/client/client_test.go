@@ -10,8 +10,9 @@ import (
 	"pcpda/internal/wire"
 )
 
-// fakeServer runs script against the first accepted connection and
-// returns the listen address. The script talks raw wire frames.
+// fakeServer runs script against every accepted connection and returns
+// the listen address. The script talks raw frames of the one framing and
+// answers each request at the tag it arrived under.
 func fakeServer(t *testing.T, script func(t *testing.T, conn net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -34,33 +35,52 @@ func fakeServer(t *testing.T, script func(t *testing.T, conn net.Conn)) string {
 	return ln.Addr().String()
 }
 
-func expect(t *testing.T, conn net.Conn, want wire.Kind) wire.Message {
+// recv reads the next frame the client sent and the tag to answer it at.
+// The fakes read the socket unbuffered, a frame at a time, so a script may
+// hand the connection from one helper to the next.
+func recv(conn net.Conn) (wire.Message, uint32, error) {
+	m, _, tag, _, err := wire.ReadAny(conn, nil)
+	return m, tag, err
+}
+
+// expect reads the next frame, requires its kind and returns its tag.
+func expect(t *testing.T, conn net.Conn, want wire.Kind) uint32 {
 	t.Helper()
-	m, _, err := wire.ReadFrame(conn, nil)
+	m, tag, err := recv(conn)
 	if err != nil {
 		t.Errorf("fake server read: %v", err)
-		return nil
+		return 0
 	}
 	if m.Kind() != want {
 		t.Errorf("fake server got %s, want %s", m.Kind(), want)
 	}
-	return m
+	return tag
 }
 
-func send(t *testing.T, conn net.Conn, m wire.Message) {
+// send answers the request that arrived under tag.
+func send(t *testing.T, conn net.Conn, tag uint32, m wire.Message) {
 	t.Helper()
-	if _, err := wire.WriteFrame(conn, nil, m); err != nil {
+	frame, err := wire.AppendTagged(nil, wire.Version, tag, m)
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	if err != nil {
 		t.Errorf("fake server write: %v", err)
 	}
 }
 
-var fakeSchema = &wire.HelloOK{Proto: wire.Version, Set: "fake",
+var fakeSchema = &wire.HelloOK{Set: "fake",
 	Templates: []wire.TemplateInfo{{Name: "T1", Priority: 1}}}
+
+// greet answers the client's HELLO with fakeSchema.
+func greet(t *testing.T, conn net.Conn) {
+	t.Helper()
+	send(t, conn, expect(t, conn, wire.KindHello), fakeSchema)
+}
 
 func TestDialHandshake(t *testing.T) {
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		expect(t, conn, wire.KindHello)
-		send(t, conn, fakeSchema)
+		greet(t, conn)
 	})
 	c, err := Dial(addr, 2*time.Second)
 	if err != nil {
@@ -77,10 +97,9 @@ func TestDialHandshake(t *testing.T) {
 func TestDoRetriesOverload(t *testing.T) {
 	begins := 0
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		expect(t, conn, wire.KindHello)
-		send(t, conn, fakeSchema)
+		greet(t, conn)
 		for {
-			m, _, err := wire.ReadFrame(conn, nil)
+			m, tag, err := recv(conn)
 			if err != nil {
 				return
 			}
@@ -88,12 +107,12 @@ func TestDoRetriesOverload(t *testing.T) {
 			case *wire.Begin:
 				begins++
 				if begins == 1 {
-					send(t, conn, &wire.ErrMsg{Code: wire.CodeOverload, Text: "full"})
+					send(t, conn, tag, &wire.ErrMsg{Code: wire.CodeOverload, Text: "full"})
 				} else {
-					send(t, conn, &wire.BeginOK{ID: 9})
+					send(t, conn, tag, &wire.BeginOK{ID: 9})
 				}
 			case *wire.Commit:
-				send(t, conn, &wire.CommitOK{})
+				send(t, conn, tag, &wire.CommitOK{})
 			default:
 				t.Errorf("fake server: unexpected %s", m.Kind())
 				return
@@ -118,14 +137,14 @@ func TestDoRetriesOverload(t *testing.T) {
 func TestDoFatalErrorNotRetried(t *testing.T) {
 	begins := 0
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		expect(t, conn, wire.KindHello)
-		send(t, conn, fakeSchema)
+		greet(t, conn)
 		for {
-			if _, _, err := wire.ReadFrame(conn, nil); err != nil {
+			_, tag, err := recv(conn)
+			if err != nil {
 				return
 			}
 			begins++
-			send(t, conn, &wire.ErrMsg{Code: wire.CodeProtocol, Text: "no"})
+			send(t, conn, tag, &wire.ErrMsg{Code: wire.CodeProtocol, Text: "no"})
 		}
 	})
 	pool := NewPool(addr, 2*time.Second, 2)
@@ -144,15 +163,14 @@ func TestPoolReusesConnections(t *testing.T) {
 	dials := 0
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
 		dials++
-		expect(t, conn, wire.KindHello)
-		send(t, conn, fakeSchema)
+		greet(t, conn)
 		for {
-			m, _, err := wire.ReadFrame(conn, nil)
+			m, tag, err := recv(conn)
 			if err != nil {
 				return
 			}
 			if p, ok := m.(*wire.Ping); ok {
-				send(t, conn, &wire.Pong{Nonce: p.Nonce})
+				send(t, conn, tag, &wire.Pong{Nonce: p.Nonce})
 			}
 		}
 	})
@@ -181,10 +199,9 @@ func TestPoolReusesConnections(t *testing.T) {
 
 func TestBrokenConnNotPooled(t *testing.T) {
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		expect(t, conn, wire.KindHello)
-		send(t, conn, fakeSchema)
+		greet(t, conn)
 		// Answer the first request with garbage, breaking the stream.
-		if _, _, err := wire.ReadFrame(conn, nil); err == nil {
+		if _, _, err := recv(conn); err == nil {
 			_, _ = conn.Write([]byte{0xBA, 0xD0})
 		}
 	})

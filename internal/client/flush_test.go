@@ -11,7 +11,15 @@ import (
 )
 
 // A pipelined connection writes when its owner is about to block inside
-// it, not per burst. These tests count the writes and read what they carry.
+// it, not per transaction. These tests count the writes and read what they
+// carry.
+//
+// A transaction is one TXN frame, so one either is in the unflushed batch
+// whole or is not there at all. The tests that pinned what happened to a
+// multi-frame burst cut short — TestHalfSentBurstFailsConnection, and the
+// half-registered cases of TestFailedBurstLeavesNothingBehind that
+// PipeConn.abandon existed for — went with that hazard; what stays of the
+// latter is that a transaction which cannot be encoded costs nothing.
 
 // countingConn records every Write the client issues.
 type countingConn struct {
@@ -54,20 +62,18 @@ func dialCounting(t *testing.T, addr string, window int) (*PipeConn, *countingCo
 	return p, cc
 }
 
-// replyServer completes the handshake and then answers every tagged
-// request in arrival order with reply's choice (nil: the request's success
-// reply), one write per reply. seen, if non-nil, receives every request.
+// replyServer completes the handshake and then answers every request in
+// arrival order, at its tag, with reply's choice (nil: the request's
+// success reply), one write per reply. seen, if non-nil, receives every
+// request.
 func replyServer(t *testing.T, seen func(wire.Message), reply func(wire.Message) wire.Message) string {
 	return fakeServer(t, func(t *testing.T, conn net.Conn) {
-		expect(t, conn, wire.KindHello)
-		send(t, conn, fakeSchema)
-		var scratch, out []byte
+		greet(t, conn)
 		for {
-			m, ver, tag, sc, err := wire.ReadAny(conn, scratch)
+			m, tag, err := recv(conn)
 			if err != nil {
 				return
 			}
-			scratch = sc
 			if seen != nil {
 				seen(m)
 			}
@@ -77,14 +83,14 @@ func replyServer(t *testing.T, seen func(wire.Message), reply func(wire.Message)
 			}
 			if r == nil {
 				switch m := m.(type) {
-				case *wire.Begin:
-					r = &wire.BeginOK{ID: 1}
-				case *wire.Read:
-					r = &wire.ReadOK{}
-				case *wire.Write:
-					r = &wire.WriteOK{}
-				case *wire.Commit:
-					r = &wire.CommitOK{}
+				case *wire.Txn:
+					ok := &wire.TxnOK{ID: 1}
+					for _, op := range m.Ops {
+						if op.Op == wire.OpRead {
+							ok.Reads = append(ok.Reads, int64(op.Item)*10)
+						}
+					}
+					r = ok
 				case *wire.Ping:
 					r = &wire.Pong{Nonce: m.Nonce}
 				default:
@@ -92,21 +98,15 @@ func replyServer(t *testing.T, seen func(wire.Message), reply func(wire.Message)
 					return
 				}
 			}
-			if out, err = wire.AppendTagged(out[:0], ver, tag, r); err != nil {
-				t.Errorf("fake server encode: %v", err)
-				return
-			}
-			if _, err := conn.Write(out); err != nil {
-				return
-			}
+			send(t, conn, tag, r)
 		}
 	})
 }
 
 var twoWrites = []wire.Message{&wire.Write{Item: 1, Value: 2}, &wire.Write{Item: 2, Value: 3}}
 
-// kinds decodes the tagged frames in b and checks the tags run on from
-// *next.
+// kinds decodes the frames in b and checks the tags run on from *next
+// (the handshake took tag 0).
 func kinds(t *testing.T, b []byte, next *uint32) []wire.Kind {
 	t.Helper()
 	var out []wire.Kind
@@ -125,7 +125,7 @@ func kinds(t *testing.T, b []byte, next *uint32) []wire.Kind {
 	return out
 }
 
-func resolved(f *TxnFuture) bool { return len(f.done) == 1 }
+func resolved(f *TxnFuture) bool { return len(f.req.ch) == 1 }
 
 func waitResolved(t *testing.T, f *TxnFuture) {
 	t.Helper()
@@ -137,8 +137,9 @@ func waitResolved(t *testing.T, f *TxnFuture) {
 }
 
 // TestFlushOnBlock: submitting writes nothing; the first Wait that has to
-// block sends every burst submitted so far, in order, with one write; a
-// Wait that finds its outcome writes nothing even with a batch unflushed.
+// block sends every transaction submitted so far, in order, one frame
+// each, with one write; a Wait that finds its outcome writes nothing even
+// with a batch unflushed.
 func TestFlushOnBlock(t *testing.T) {
 	p, cc := dialCounting(t, replyServer(t, nil, nil), 0)
 	const k = 3
@@ -160,15 +161,14 @@ func TestFlushOnBlock(t *testing.T) {
 	if len(w) != 1 {
 		t.Fatalf("the first blocking Wait issued %d writes, want 1", len(w))
 	}
-	var tag uint32
+	tag := uint32(1)
 	got := kinds(t, w[0], &tag)
-	burst := []wire.Kind{wire.KindBegin, wire.KindWrite, wire.KindWrite, wire.KindCommit}
-	if len(got) != k*len(burst) {
-		t.Fatalf("the write carries %d frames, want %d", len(got), k*len(burst))
+	if len(got) != k {
+		t.Fatalf("the write carries %d frames, want %d: one per transaction", len(got), k)
 	}
 	for i, kind := range got {
-		if kind != burst[i%len(burst)] {
-			t.Fatalf("frame %d is %s, want %s", i, kind, burst[i%len(burst)])
+		if kind != wire.KindTxn {
+			t.Fatalf("frame %d is %s, want TXN", i, kind)
 		}
 	}
 
@@ -189,8 +189,8 @@ func TestFlushOnBlock(t *testing.T) {
 	if err := last.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if w := cc.taken(); len(w) != 1 || len(kinds(t, w[0], &tag)) != len(burst) {
-		t.Fatalf("the unflushed burst left in %d writes, want 1 carrying it alone", len(w))
+	if w := cc.taken(); len(w) != 1 || len(kinds(t, w[0], &tag)) != 1 {
+		t.Fatalf("the unflushed transaction left in %d writes, want 1 carrying it alone", len(w))
 	}
 }
 
@@ -218,49 +218,59 @@ func TestSubmitWaitWithoutFlush(t *testing.T) {
 }
 
 // TestClosedLoopPastTheWindow runs the benchmark's closed loop — depth
-// bursts in flight, settle the oldest, resubmit — where depth × frames per
-// burst exceeds the window, and where the window is smaller than a single
-// burst. Every second transaction's COMMIT is refused: an outcome
-// delivered before its burst's last reply (the seal rule broken by a
-// mid-burst flush) would read as a commit.
+// transactions in flight, settle the oldest, resubmit — with more in flight
+// than the window holds, and with a window that does not hold even the
+// burst of submissions the loop opens with, so that submits block on the
+// window and flush from there. Every second transaction is refused, and
+// every one carries its own read set: an outcome or a value delivered to
+// the wrong future would show.
 func TestClosedLoopPastTheWindow(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		window, depth int
 	}{
-		{"depth-exceeds-window", 32, 8}, // 8 bursts × 5 frames
-		{"window-below-one-burst", 2, 3},
+		{"depth-exceeds-window", 4, 8},
+		{"window-below-one-burst", 1, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			commits := 0
+			txns := 0
 			addr := replyServer(t, nil, func(m wire.Message) wire.Message {
-				if _, ok := m.(*wire.Commit); ok {
-					commits++
-					if commits%2 == 0 {
+				if _, ok := m.(*wire.Txn); ok {
+					txns++
+					if txns%2 == 0 {
 						return &wire.ErrMsg{Code: wire.CodeAborted, Text: "sacrificed"}
 					}
 				}
 				return nil
 			})
 			p, _ := dialCounting(t, addr, tc.window)
-			steps := []wire.Message{&wire.Read{Item: 1}, &wire.Write{Item: 1, Value: 2}, &wire.Write{Item: 2, Value: 3}}
+			type flight struct {
+				fut  *TxnFuture
+				item uint32
+			}
 			const n = 400
-			var queue []*TxnFuture
+			var queue []flight
 			settled := 0
 			for submitted := 0; submitted < n || len(queue) > 0; {
 				for submitted < n && len(queue) < tc.depth {
-					f, err := p.SubmitTxn("T1", 0, steps)
+					item := uint32(submitted)
+					f, err := p.SubmitTxn("T1", 0, []wire.Message{
+						&wire.Read{Item: item}, &wire.Write{Item: 1, Value: 2}, &wire.Read{Item: item + 1}})
 					if err != nil {
 						t.Fatal(err)
 					}
-					queue = append(queue, f)
+					queue = append(queue, flight{f, item})
 					submitted++
 				}
-				err := queue[0].Wait()
+				f := queue[0]
 				queue = queue[1:]
+				err := f.fut.Wait()
 				settled++
 				if refused := settled%2 == 0; refused != wire.IsCode(err, wire.CodeAborted) || (!refused && err != nil) {
 					t.Fatalf("transaction %d: outcome %v (refused by the server: %v)", settled, err, refused)
+				}
+				if got := f.fut.Reads(); err == nil && (len(got) != 2 || got[0] != int64(f.item)*10 || got[1] != int64(f.item+1)*10) {
+					t.Fatalf("transaction %d read %v, want the fake's values for items %d and %d", settled, got, f.item, f.item+1)
 				}
 			}
 		})
@@ -290,49 +300,46 @@ func TestCloseFailsUnflushedBursts(t *testing.T) {
 	}
 }
 
-// beginCounter counts the BEGINs a fake server sees.
-type beginCounter struct {
+// txnCounter counts the TXNs a fake server sees.
+type txnCounter struct {
 	mu sync.Mutex
 	n  int
 }
 
-func (b *beginCounter) see(m wire.Message) {
-	if _, ok := m.(*wire.Begin); ok {
-		b.mu.Lock()
-		b.n++
-		b.mu.Unlock()
+func (c *txnCounter) see(m wire.Message) {
+	if _, ok := m.(*wire.Txn); ok {
+		c.mu.Lock()
+		c.n++
+		c.mu.Unlock()
 	}
 }
 
-func (b *beginCounter) count() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
+func (c *txnCounter) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
 }
 
-// unencodable is a request no frame can carry: its name is past the
-// string limit.
-var unencodable = &wire.Begin{Name: strings.Repeat("n", wire.MaxString+1)}
-
-// TestFailedBurstLeavesNothingBehind: a burst whose middle step cannot be
-// encoded is taken back whole — no orphan BEGIN reaches the server ahead
-// of the next burst, no tag or window slot stays taken — whether the
-// batch was empty, held an earlier burst, or was flushed by a full window
-// just before the burst's first frame.
+// TestFailedBurstLeavesNothingBehind: a transaction that cannot be
+// submitted — its template name is past what a frame can carry, which the
+// encoder finds out with the window slot already taken; or a step is not a
+// READ or a WRITE — leaves no byte in the batch and no tag or window slot
+// taken, whether the batch was empty, held an earlier transaction, or was
+// flushed by a full window just before.
 func TestFailedBurstLeavesNothingBehind(t *testing.T) {
-	bad := []wire.Message{&wire.Write{Item: 1, Value: 2}, unencodable, &wire.Write{Item: 2, Value: 3}}
+	unencodable := strings.Repeat("n", wire.MaxString+1)
 	for _, tc := range []struct {
 		name    string
 		window  int
-		earlier bool // a good burst sits unflushed when the bad one is submitted
+		earlier bool // a good transaction sits unflushed when the bad ones are submitted
 	}{
 		{"empty-batch", 0, false},
 		{"behind-an-unflushed-burst", 0, true},
-		{"window-full-at-its-first-frame", 4, true}, // the earlier burst's 4 frames fill the window
+		{"window-full-at-its-first-frame", 1, true}, // the earlier transaction fills the window
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var begins beginCounter
-			p, _ := dialCounting(t, replyServer(t, begins.see, nil), tc.window)
+			var txns txnCounter
+			p, _ := dialCounting(t, replyServer(t, txns.see, nil), tc.window)
 			var futs []*TxnFuture
 			if tc.earlier {
 				f, err := p.SubmitTxn("T1", 0, twoWrites)
@@ -341,11 +348,14 @@ func TestFailedBurstLeavesNothingBehind(t *testing.T) {
 				}
 				futs = append(futs, f)
 			}
-			if _, err := p.SubmitTxn("T1", 0, bad); err == nil {
-				t.Fatal("a burst with an unencodable step was accepted")
+			if _, err := p.SubmitTxn(unencodable, 0, twoWrites); err == nil {
+				t.Fatal("a transaction with an unencodable name was accepted")
+			}
+			if _, err := p.SubmitTxn("T1", 0, []wire.Message{twoWrites[0], &wire.Commit{}}); err == nil {
+				t.Fatal("a transaction with a COMMIT for a step was accepted")
 			}
 			if p.Broken() {
-				t.Fatal("taking a burst back must not break the connection")
+				t.Fatal("refusing a transaction must not break the connection")
 			}
 			f, err := p.SubmitTxn("T1", 0, twoWrites)
 			if err != nil {
@@ -353,15 +363,15 @@ func TestFailedBurstLeavesNothingBehind(t *testing.T) {
 			}
 			for _, f := range append(futs, f) {
 				if err := f.Wait(); err != nil {
-					t.Fatalf("a good burst beside the failed one: %v", err)
+					t.Fatalf("a good transaction beside the failed ones: %v", err)
 				}
 			}
-			if got, want := begins.count(), len(futs)+1; got != want {
-				t.Fatalf("the server saw %d BEGINs, want %d", got, want)
+			if got, want := txns.count(), len(futs)+1; got != want {
+				t.Fatalf("the server saw %d TXNs, want %d", got, want)
 			}
-			// Every reply is in: nothing of the failed burst may still hold a
-			// tag or a window slot. The demux frees a slot just after it
-			// delivers, so give it a moment.
+			// Every reply is in: nothing of the failed transactions may still
+			// hold a tag or a window slot. The demux frees a slot just after
+			// it delivers, so give it a moment.
 			for deadline := time.Now().Add(5 * time.Second); len(p.winCh) != 0; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatalf("%d window slots still taken", len(p.winCh))
@@ -374,23 +384,5 @@ func TestFailedBurstLeavesNothingBehind(t *testing.T) {
 				t.Fatalf("left behind: %d tags, %d unflushed frames, %d bytes", left, p.nextTag-p.sent, len(p.wbuf))
 			}
 		})
-	}
-}
-
-// TestHalfSentBurstFailsConnection: with a window smaller than the burst
-// the head of a burst is on the wire before its unencodable step is
-// reached; it cannot be recalled, so the connection fails rather than
-// leave the server holding a BEGIN the next burst would run inside.
-func TestHalfSentBurstFailsConnection(t *testing.T) {
-	p, _ := dialCounting(t, replyServer(t, nil, nil), 2)
-	bad := []wire.Message{&wire.Write{Item: 1, Value: 2}, &wire.Write{Item: 2, Value: 3}, unencodable}
-	if _, err := p.SubmitTxn("T1", 0, bad); err == nil {
-		t.Fatal("a burst with an unencodable step was accepted")
-	}
-	if !p.Broken() {
-		t.Fatal("a half-sent burst must fail the connection")
-	}
-	if _, err := p.SubmitTxn("T1", 0, twoWrites); err == nil {
-		t.Fatal("a burst was accepted on the failed connection")
 	}
 }

@@ -15,59 +15,50 @@ import (
 // handshake on; a pipelined connection's demux takes that same reader
 // over. These tests make the server's bytes arrive in awkward pieces.
 
-// burstReplies consumes one tagged transaction burst (BEGIN .. COMMIT) and
-// returns the reply frames for it, encoded back to back; nil once the
-// client has hung up.
-func burstReplies(t *testing.T, conn net.Conn) []byte {
+// roundReplies consumes the three TXN frames of one round and returns the
+// replies to them encoded back to back — a TXN_OK carrying two values, a
+// TXN_OK carrying none, an ERR — or nil once the client has hung up.
+func roundReplies(t *testing.T, conn net.Conn) []byte {
 	t.Helper()
-	var out, scratch []byte
-	for {
-		m, ver, tag, sc, err := wire.ReadAny(conn, scratch)
+	var out []byte
+	for i, reply := range []wire.Message{
+		&wire.TxnOK{ID: 1, Reads: []int64{-7, 1 << 40}},
+		&wire.TxnOK{ID: 2},
+		&wire.ErrMsg{Code: wire.CodeAborted, Text: "WRITE: sacrificed"},
+	} {
+		m, tag, err := recv(conn)
 		if err != nil {
-			if err != io.EOF {
+			if err != io.EOF || i != 0 {
 				t.Errorf("fake server read: %v", err)
 			}
 			return nil
 		}
-		scratch = sc
-		var reply wire.Message
-		switch m.(type) {
-		case *wire.Begin:
-			reply = &wire.BeginOK{ID: 1}
-		case *wire.Write:
-			reply = &wire.WriteOK{}
-		case *wire.Commit:
-			reply = &wire.CommitOK{}
-		default:
-			t.Errorf("fake server got %s inside a burst", m.Kind())
+		if m.Kind() != wire.KindTxn {
+			t.Errorf("fake server got %s, want TXN", m.Kind())
 			return nil
 		}
-		if out, err = wire.AppendTagged(out, ver, tag, reply); err != nil {
+		if out, err = wire.AppendTagged(out, wire.Version, tag, reply); err != nil {
 			t.Errorf("fake server encode: %v", err)
 			return nil
 		}
-		if _, done := m.(*wire.Commit); done {
-			return out
-		}
 	}
+	return out
 }
 
-// TestPipelinedRepliesSplitEverywhere: the replies to burst after burst
-// reach the client a byte at a time, then cut in two at every offset;
-// every burst resolves.
+// TestPipelinedRepliesSplitEverywhere: the replies to round after round of
+// three transactions reach the client a byte at a time, then cut in two at
+// every offset; every transaction gets its own outcome and values.
 func TestPipelinedRepliesSplitEverywhere(t *testing.T) {
-	steps := []wire.Message{&wire.Write{Item: 1, Value: 2}, &wire.Write{Item: 2, Value: 3}}
-	const replyLen = 18 + 10 + 10 + 10 // BEGIN_OK carries an id, the rest are bare tagged headers
+	const replyLen = (10 + 8 + 2 + 16) + (10 + 8 + 2) + (10 + 1 + 2 + 17)
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		expect(t, conn, wire.KindHello)
-		send(t, conn, fakeSchema)
+		greet(t, conn)
 		for round := 0; ; round++ {
-			replies := burstReplies(t, conn)
+			replies := roundReplies(t, conn)
 			if replies == nil {
 				return
 			}
 			if len(replies) != replyLen {
-				t.Errorf("reply burst is %d bytes, test assumes %d", len(replies), replyLen)
+				t.Errorf("a round's replies are %d bytes, test assumes %d", len(replies), replyLen)
 				return
 			}
 			var pieces [][]byte
@@ -95,32 +86,43 @@ func TestPipelinedRepliesSplitEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = p.Close() }()
+	steps := []wire.Message{&wire.Read{Item: 1}, &wire.Write{Item: 2, Value: 3}, &wire.Read{Item: 2}}
 	for round := 0; round <= replyLen+1; round++ {
-		if err := p.RunTxn("T1", 0, steps); err != nil {
-			t.Fatalf("round %d (0: bytewise, then split at round-1): %v", round, err)
+		var futs [3]*TxnFuture
+		for i := range futs {
+			if futs[i], err = p.SubmitTxn("T1", 0, steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		errs := [3]error{futs[0].Wait(), futs[1].Wait(), futs[2].Wait()}
+		if errs[0] != nil || errs[1] != nil || !wire.IsCode(errs[2], wire.CodeAborted) {
+			t.Fatalf("round %d (0: bytewise, then split at round-1): outcomes %v", round, errs)
+		}
+		if got := futs[0].Reads(); !reflect.DeepEqual(got, []int64{-7, 1 << 40}) || len(futs[1].Reads()) != 0 {
+			t.Fatalf("round %d: values %v and %v, want [-7 1<<40] and none", round, got, futs[1].Reads())
 		}
 	}
 }
 
 // TestHandshakeSegmentCarriesMore: the server's HELLO_OK arrives in one
-// write together with the next frame (a terminal ERR, the one frame a
-// server sends unasked) — once as a small schema, so both frames land in
+// write together with the next frame (a terminal ERR at tag 0, the one
+// frame a server sends unasked) — once as a small schema, so both frames land in
 // the reader's buffer during the handshake, and once as a schema near
 // MaxPayload, far larger than that buffer. The schema round-trips, and the
 // trailing frame is the pipelined connection's first read rather than
 // being stranded in the handshake's reader until a timeout.
 func TestHandshakeSegmentCarriesMore(t *testing.T) {
-	big := &wire.HelloOK{Proto: wire.Version, Set: "big"}
+	big := &wire.HelloOK{Set: "big"}
 	name := strings.Repeat("n", wire.MaxString)
 	for i := 0; i < 250; i++ {
 		big.Templates = append(big.Templates, wire.TemplateInfo{Name: name, Priority: int32(i)})
 	}
 	for _, schema := range []*wire.HelloOK{fakeSchema, big} {
 		addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-			expect(t, conn, wire.KindHello)
-			seg, err := wire.AppendFrame(nil, schema)
+			tag := expect(t, conn, wire.KindHello)
+			seg, err := wire.AppendTagged(nil, wire.Version, tag, schema)
 			if err == nil {
-				seg, err = wire.AppendFrame(seg, &wire.ErrMsg{Code: wire.CodeDraining, Text: "server draining"})
+				seg, err = wire.AppendTagged(seg, wire.Version, 0, &wire.ErrMsg{Code: wire.CodeDraining, Text: "server draining"})
 			}
 			if err != nil {
 				t.Errorf("fake server encode: %v", err)

@@ -46,10 +46,9 @@ type LoadConfig struct {
 	// generation under deliberate overload needs more patience than the
 	// Client default.
 	MaxAttempts int
-	// Pipelined switches every worker from strict request/reply to the
-	// wire-v3 pipelined client: each transaction is one flushed burst
-	// (BEGIN+steps+COMMIT) instead of one round trip per frame. Falls back
-	// to strict automatically against a server that pins wire v2.
+	// Pipelined switches every worker from the strict client (a round trip
+	// per step) to the pipelined one: each transaction is one TXN frame,
+	// several in flight per connection.
 	Pipelined bool
 	// Window bounds requests in flight per pipelined connection.
 	// Default 32.
@@ -64,7 +63,7 @@ type LoadConfig struct {
 	// ReadFrac is the fraction of transactions issued as declared
 	// read-only snapshot transactions (lock-free server-side, admission
 	// bypassed). Each reads 1–4 random items from the schema's item
-	// space. Requires Pipelined and a server speaking wire v4. 0 = all
+	// space. Requires Pipelined. 0 = all
 	// updates.
 	ReadFrac float64
 
@@ -282,7 +281,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	}
 	if cfg.ReadFrac > 0 || cfg.ReadFracAt != nil {
 		if !cfg.Pipelined {
-			return nil, errors.New("client: ReadFrac requires Pipelined (read-only bursts are wire v4 tagged frames)")
+			return nil, errors.New("client: ReadFrac requires Pipelined (the strict worker runs update transactions only)")
 		}
 		if len(schemaItems(schema)) == 0 {
 			return nil, errors.New("client: ReadFrac set but the schema declares no items")
@@ -330,7 +329,7 @@ func runClosedLoop(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK) (*
 // policy wired to the run's counters.
 type loadRunner struct {
 	do    func(tmpl wire.TemplateInfo, budget time.Duration) error
-	doRO  func(items []uint32) error // nil in strict mode (read-only bursts need wire v4)
+	doRO  func(items []uint32) error // nil in strict mode
 	close func()
 }
 
@@ -444,8 +443,9 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 		fut   *TxnFuture
 	}
 	// Transactions in flight per connection: a quarter of the request
-	// window (a burst is BEGIN+steps+COMMIT, typically ~4 frames), at
-	// least one.
+	// window, at least one — the depth this worker has always run at (a
+	// transaction used to take about four window slots; it takes one now,
+	// and the rest of the window is headroom).
 	depth := max(1, cfg.Window/4)
 	queue := make([]inflight, 0, depth)
 	errStop := errors.New("load: orderly stop")
@@ -550,44 +550,8 @@ func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, 
 		if err != nil {
 			return fmt.Errorf("client: worker %d: %w", id, err)
 		}
-		if ro && !c.Pipelined() {
-			// v2-pinned server cannot run snapshot transactions; the read mix
-			// is part of the run's contract, so fail loudly rather than
-			// silently substituting updates.
-			return fmt.Errorf("client: worker %d: read mix requires a wire v%d server (strict fallback active)",
-				id, wire.V4)
-		}
-		if !c.Pipelined() {
-			// v2-pinned server: strict fallback, one transaction at a time.
-			curTier = tier
-			begin := time.Now()
-			err := pc.DoTxn(tmpl.Name, 0, pipelineSteps(tmpl, rng))
-			cnt.attempts.Add(1)
-			if err != nil {
-				cnt.failed.Add(1)
-				var remote *wire.RemoteError
-				if ctx.Err() != nil {
-					return nil
-				}
-				if errors.As(err, &remote) &&
-					(remote.Code == wire.CodeDraining || remote.Code == wire.CodeCancelled) {
-					return nil
-				}
-				if errors.As(err, &remote) && remote.Code.Retryable() {
-					remaining.Add(1)
-					continue
-				}
-				return fmt.Errorf("client: worker %d: %w", id, err)
-			}
-			cnt.committed.Add(1)
-			tier.committed.Add(1)
-			tier.onTime.Add(1)
-			*lats = append(*lats, time.Since(begin))
-			continue
-		}
-		// One whole-transaction burst: BEGIN + steps + COMMIT — for a declared
-		// read-only snapshot BEGIN(read-only) + reads + COMMIT, which waits
-		// for no admission server-side.
+		// One whole transaction, one TXN frame — a declared read-only
+		// snapshot waits for no admission server-side.
 		t := inflight{tmpl: tmpl, tier: tier, ro: ro}
 		if ro {
 			t.tier, t.items = nil, roPick(rng, roItems)

@@ -12,57 +12,43 @@ import (
 	"pcpda/internal/wire"
 )
 
-// PipeConn is one pipelined connection (tagged framing, wire v3 and up):
-// many requests in flight at once, each carrying a client-chosen tag, with
-// a demux goroutine matching out-of-order replies back to their callers.
-// Every method, and Wait on the handles they return, is single-owner — one
-// goroutine drives the connection — while the demux goroutine runs
-// internally; the two share only the pending table and the sticky error,
-// both lock-protected. Submitted frames leave in one write when the owner
-// is about to block inside PipeConn (a Wait whose outcome is not there
-// yet, a submit into a full window); before sleeping elsewhere, Flush.
-//
-// When the server pins wire v2 (HelloOK.Proto < 3), the PipeConn degrades
-// transparently to strict request/reply over the same socket: RunTxn
-// executes its steps sequentially and no demux goroutine exists. Callers
-// get the protocol semantics they asked for either way, just without the
-// overlap.
+// PipeConn is one pipelined connection: many requests in flight at once,
+// each carrying a client-chosen tag, with a demux goroutine matching
+// out-of-order replies back to their callers. A transaction travels whole —
+// one TXN frame out, one TXN_OK or ERR back (SubmitTxn, RunTxn and their
+// read-only forms); Submit sends any single request, which is how a
+// transaction is driven a step at a time when its writes depend on its
+// reads. Every method, and Wait on the handles they return, is
+// single-owner — one goroutine drives the connection — while the demux
+// goroutine runs internally; the two share only the pending table and the
+// sticky error, both lock-protected. Submitted frames leave in one write
+// when the owner is about to block inside PipeConn (a Wait whose outcome is
+// not there yet, a submit into a full window); before sleeping elsewhere,
+// Flush.
 type PipeConn struct {
 	c       net.Conn      //pcpda:guardedby immutable
 	br      *bufio.Reader //pcpda:guardedby none — the handshake's reader, owned by demux afterwards
 	schema  *wire.HelloOK //pcpda:guardedby immutable
 	timeout time.Duration //pcpda:guardedby immutable
-	ver     uint8         //pcpda:guardedby immutable — negotiated tagged framing version: min(wire.Version, server Proto)
-	strict  *Conn         //pcpda:guardedby immutable — non-nil: v2 fallback, all fields below unused
 
 	// Owned by the submitting goroutine (never touched by demux).
 	wbuf    []byte        //pcpda:guardedby none — encoded-but-unflushed frames, tags sent..nextTag-1
 	nextTag uint32        //pcpda:guardedby none
 	sent    uint32        //pcpda:guardedby none — nextTag at the last flush: tags before it are on the wire
+	txn     wire.Txn      //pcpda:guardedby none — the TXN being encoded; Ops is reused from one to the next
 	winCh   chan struct{} // window semaphore: one slot per unreplied submit
 
 	// Shared with the demux goroutine.
 	mu          sync.Mutex
-	pending     map[uint32]pendSlot
-	outstanding int       // flushed requests awaiting replies
-	armedAt     time.Time // when the read deadline was last pushed out
-	err         error     // sticky; set once, before done closes
+	pending     map[uint32]chan wire.Message // in-flight tag → where its reply goes (cap 1)
+	outstanding int                          // flushed requests awaiting replies
+	armedAt     time.Time                    // when the read deadline was last pushed out
+	err         error                        // sticky; set once, before done closes
 	done        chan struct{}
 	closeOnce   sync.Once
 }
 
-// pendSlot is the demux table entry for one in-flight tag: either a
-// standalone request with its own reply channel, or one frame of a
-// whole-transaction burst sharing its TxnFuture. A value type on purpose —
-// the burst path allocates one TxnFuture per transaction, not one channel
-// per frame.
-type pendSlot struct {
-	want   wire.Kind
-	single *Pending   // standalone request (nil on the burst path)
-	group  *TxnFuture // burst membership (nil on the standalone path)
-}
-
-// Pending is one standalone submitted request awaiting its reply.
+// Pending is one submitted request awaiting its reply.
 type Pending struct {
 	p    *PipeConn
 	want wire.Kind
@@ -72,11 +58,13 @@ type Pending struct {
 // errPipeClosed is the sticky error of an explicitly closed PipeConn.
 var errPipeClosed = errors.New("client: pipelined connection closed")
 
-// DialPipelined connects, performs the HELLO handshake (strict, untagged)
-// and switches to pipelined framing when the server advertises wire v3.
-// window bounds requests in flight per connection (default 32); opTimeout
-// bounds the handshake and, afterwards, the gap between consecutive
-// replies while requests are outstanding.
+// DialPipelined connects, performs the HELLO handshake and starts the
+// demux. window bounds requests in flight on the connection (default 32) —
+// a whole transaction is one request, so for SubmitTxn it is the number of
+// transactions in flight; opTimeout bounds the handshake and, afterwards,
+// the gap between consecutive replies while requests are outstanding. A
+// server that turns the connection down does so with a typed ERR, which
+// comes back as a *wire.RemoteError.
 func DialPipelined(addr string, opTimeout time.Duration, window int) (*PipeConn, error) {
 	if opTimeout <= 0 {
 		opTimeout = 10 * time.Second
@@ -94,28 +82,18 @@ func handshakePipelined(nc net.Conn, opTimeout time.Duration, window int) (*Pipe
 	if window <= 0 {
 		window = 32
 	}
-	// The handshake is strict request/reply at v2 on every connection: the
-	// schema reply carries the Proto that says whether tags are welcome.
-	sc := newConn(nc, opTimeout)
-	reply, err := sc.roundTrip(&wire.Hello{})
+	// The handshake is one strict round trip; its connection's reader and
+	// tag sequence carry on underneath the pipeline.
+	sc, err := handshake(nc, opTimeout)
 	if err != nil {
-		_ = nc.Close()
 		return nil, err
 	}
-	ok, isOK := reply.(*wire.HelloOK)
-	if !isOK {
-		_ = nc.Close()
-		return nil, fmt.Errorf("client: handshake reply %s", reply.Kind())
+	p := &PipeConn{c: nc, br: sc.br, schema: sc.schema, timeout: opTimeout,
+		nextTag: sc.tag, sent: sc.tag,
+		winCh:   make(chan struct{}, window),
+		pending: make(map[uint32]chan wire.Message),
+		done:    make(chan struct{}),
 	}
-	sc.schema = ok
-	p := &PipeConn{c: nc, br: sc.br, schema: ok, timeout: opTimeout, ver: min(wire.Version, ok.Proto)}
-	if ok.Proto < wire.V3 {
-		p.strict = sc
-		return p, nil
-	}
-	p.winCh = make(chan struct{}, window)
-	p.pending = make(map[uint32]pendSlot)
-	p.done = make(chan struct{})
 	go p.demux()
 	return p, nil
 }
@@ -123,16 +101,9 @@ func handshakePipelined(nc net.Conn, opTimeout time.Duration, window int) (*Pipe
 // Schema returns the transaction-set schema from the handshake.
 func (p *PipeConn) Schema() *wire.HelloOK { return p.schema }
 
-// Pipelined reports whether the connection actually pipelines (false when
-// the server pinned wire v2 and the strict fallback is in effect).
-func (p *PipeConn) Pipelined() bool { return p.strict == nil }
-
 // Broken reports whether the connection suffered a failure and must not
 // be reused.
 func (p *PipeConn) Broken() bool {
-	if p.strict != nil {
-		return p.strict.Broken()
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.err != nil
@@ -140,12 +111,9 @@ func (p *PipeConn) Broken() bool {
 
 // Close tears the connection down; every unreplied request fails. A
 // transaction left live server-side unwinds via the server's disconnect
-// auto-abort, and tagged BEGINs still parked in admission are abandoned
-// (the server's claim protocol discards their grants).
+// auto-abort, and one still parked in admission is abandoned (the server's
+// claim protocol discards its grant).
 func (p *PipeConn) Close() error {
-	if p.strict != nil {
-		return p.strict.Close()
-	}
 	p.fail(errPipeClosed)
 	return nil
 }
@@ -158,23 +126,11 @@ func (p *PipeConn) fail(err error) {
 		p.err = err
 		pend := p.pending
 		p.pending = nil
-		var groups []*TxnFuture
-		for _, s := range pend {
-			if s.group != nil && !s.group.delivered {
-				s.group.delivered = true // several tags share one future
-				groups = append(groups, s.group)
-			}
-		}
 		close(p.done)
 		p.mu.Unlock()
 		_ = p.c.Close()
-		for _, s := range pend {
-			if s.single != nil {
-				close(s.single.ch)
-			}
-		}
-		for _, g := range groups {
-			close(g.done)
+		for _, ch := range pend {
+			close(ch)
 		}
 	})
 }
@@ -189,7 +145,7 @@ func (p *PipeConn) errNow() error {
 	return errors.New("client: pipelined connection failed")
 }
 
-// demux is the read side: it matches tagged replies to pending requests,
+// demux is the read side: it matches replies to pending requests by tag,
 // in whatever order the server flushed them. The read deadline is managed
 // against outstanding work — armed by Flush, pushed forward as replies
 // arrive — so a server that goes silent mid-conversation fails the
@@ -202,7 +158,7 @@ func (p *PipeConn) errNow() error {
 func (p *PipeConn) demux() {
 	var scratch []byte
 	for {
-		m, ver, tag, sc, err := wire.ReadAny(p.br, scratch)
+		m, _, tag, sc, err := wire.ReadAny(p.br, scratch)
 		if err != nil {
 			if p.idleTimeout(err) {
 				continue
@@ -211,21 +167,17 @@ func (p *PipeConn) demux() {
 			return
 		}
 		scratch = sc
-		if ver < wire.V3 {
-			// The only untagged frame a pipelined conversation can see is a
-			// terminal protocol error from the server.
-			if e, isErr := m.(*wire.ErrMsg); isErr {
-				p.fail(&wire.RemoteError{Code: e.Code, Text: e.Text})
-			} else {
-				p.fail(fmt.Errorf("client: untagged %s in a pipelined stream", m.Kind()))
-			}
-			return
-		}
 		p.mu.Lock()
-		s, ok := p.pending[tag]
+		ch, ok := p.pending[tag]
 		if !ok {
 			p.mu.Unlock()
-			p.fail(fmt.Errorf("client: reply %s with unknown tag %d", m.Kind(), tag))
+			// Nothing is waiting on this tag. An ERR is the server ending the
+			// conversation and saying why; anything else is a desync.
+			err := remoteError(m)
+			if err == nil {
+				err = fmt.Errorf("client: reply %s with unknown tag %d", m.Kind(), tag)
+			}
+			p.fail(err)
 			return
 		}
 		delete(p.pending, tag)
@@ -236,32 +188,9 @@ func (p *PipeConn) demux() {
 				_ = p.c.SetReadDeadline(now.Add(p.timeout))
 			}
 		}
-		if g := s.group; g != nil {
-			// One frame of a burst: fold the reply into the shared future and
-			// deliver once when the last frame lands.
-			if e, isErr := m.(*wire.ErrMsg); isErr {
-				if g.txErr == nil {
-					g.txErr = &wire.RemoteError{Code: e.Code, Text: e.Text}
-				}
-				// Later typed failures are the CodeState fallout of the server
-				// speculating past the first one; dropping them is the contract.
-			} else if m.Kind() != s.want {
-				p.mu.Unlock()
-				p.fail(fmt.Errorf("client: reply %s, want %s", m.Kind(), s.want))
-				return
-			}
-			g.remaining--
-			deliver := g.sealed && g.remaining == 0 && !g.delivered
-			g.delivered = g.delivered || deliver
-			p.mu.Unlock()
-			if deliver {
-				g.done <- g.txErr
-			}
-		} else {
-			p.mu.Unlock()
-			s.single.ch <- m
-			close(s.single.ch)
-		}
+		p.mu.Unlock()
+		ch <- m
+		close(ch)
 		<-p.winCh // release the window slot
 	}
 }
@@ -284,14 +213,16 @@ func (p *PipeConn) idleTimeout(err error) bool {
 	return true
 }
 
-// submitSlot encodes m into the unflushed batch and registers slot for
-// its tag. When the inflight window is exhausted it flushes and waits for
-// a reply to free a slot; nothing reaches the server until a flush — that
-// one, a Wait about to block, or the owner's own Flush — pushes the batch.
-func (p *PipeConn) submitSlot(m wire.Message, slot pendSlot) error {
+// submit encodes m into the unflushed batch under the next tag and
+// registers a Pending for its reply. When the inflight window is exhausted
+// it flushes and waits for a reply to free a slot; nothing reaches the
+// server until a flush — that one, a Wait about to block, or the owner's
+// own Flush — pushes the batch. A request that cannot be encoded leaves
+// nothing behind: no bytes, no tag, no window slot.
+func (p *PipeConn) submit(m wire.Message) (Pending, error) {
 	select {
 	case <-p.done:
-		return p.errNow()
+		return Pending{}, p.errNow()
 	default:
 	}
 	// Window slot: try without blocking; if the window is full, flush the
@@ -300,47 +231,42 @@ func (p *PipeConn) submitSlot(m wire.Message, slot pendSlot) error {
 	case p.winCh <- struct{}{}:
 	default:
 		if err := p.Flush(); err != nil {
-			return err
+			return Pending{}, err
 		}
 		select {
 		case p.winCh <- struct{}{}:
 		case <-p.done:
-			return p.errNow()
+			return Pending{}, p.errNow()
 		}
 	}
 	tag := p.nextTag
-	buf, err := wire.AppendTagged(p.wbuf, p.ver, tag, m)
+	buf, err := wire.AppendTagged(p.wbuf, wire.Version, tag, m)
 	if err != nil {
 		<-p.winCh
-		return err
+		return Pending{}, err
 	}
-	p.wbuf = buf
-	p.nextTag++
+	f := Pending{p: p, want: m.Kind() | 0x80, ch: make(chan wire.Message, 1)} // a success reply is the request's kind with the high bit set
 	p.mu.Lock()
 	if p.err != nil {
 		p.mu.Unlock()
 		<-p.winCh
-		return p.errNow()
+		return Pending{}, p.errNow()
 	}
-	p.pending[tag] = slot
-	if slot.group != nil {
-		slot.group.remaining++
-	}
+	p.pending[tag] = f.ch
 	p.mu.Unlock()
-	return nil
+	p.wbuf = buf
+	p.nextTag++
+	return f, nil
 }
 
 // Submit encodes m into the unflushed batch and returns its Pending
 // handle.
 func (p *PipeConn) Submit(m wire.Message) (*Pending, error) {
-	if p.strict != nil {
-		return nil, errors.New("client: Submit on a non-pipelined connection")
-	}
-	f := &Pending{p: p, want: wantKind(m), ch: make(chan wire.Message, 1)}
-	if err := p.submitSlot(m, pendSlot{want: f.want, single: f}); err != nil {
+	f, err := p.submit(m)
+	if err != nil {
 		return nil, err
 	}
-	return f, nil
+	return &f, nil
 }
 
 // Flush writes every submitted-but-unflushed frame in one write; an owner
@@ -348,9 +274,6 @@ func (p *PipeConn) Submit(m wire.Message) (*Pending, error) {
 // submitted. The read deadline is armed before the write so a reply racing
 // the flush can only extend it, never leave outstanding work undeadlined.
 func (p *PipeConn) Flush() error {
-	if p.strict != nil {
-		return nil
-	}
 	n := int(p.nextTag - p.sent)
 	if n == 0 {
 		return nil
@@ -380,31 +303,25 @@ func (p *PipeConn) Flush() error {
 	return nil
 }
 
-// await receives an outcome from ch, flushing the unflushed batch first if
-// nothing is there yet: nothing stays unflushed while its owner blocks. A
-// failed flush fails the connection, which closes ch.
-func await[T any](p *PipeConn, ch <-chan T) (T, bool) {
-	select {
-	case v, ok := <-ch:
-		return v, ok
-	default:
-	}
-	_ = p.Flush()
-	v, ok := <-ch
-	return v, ok
-}
-
 // Wait blocks for the reply, flushing the unflushed batch first if it has
-// to block; like Submit it belongs to the connection's owner goroutine.
-// ERR replies come back as *wire.RemoteError; a reply of an unexpected
-// kind is a stream desync and kills the connection.
+// to block — nothing stays unflushed while its owner blocks; like Submit it
+// belongs to the connection's owner goroutine. ERR replies come back as
+// *wire.RemoteError; a reply of an unexpected kind is a stream desync and
+// kills the connection.
 func (f *Pending) Wait() (wire.Message, error) {
-	m, ok := await(f.p, f.ch)
+	var m wire.Message
+	var ok bool
+	select {
+	case m, ok = <-f.ch:
+	default:
+		_ = f.p.Flush() // a failed flush fails the connection, which closes ch
+		m, ok = <-f.ch
+	}
 	if !ok {
 		return nil, f.p.errNow()
 	}
-	if e, isErr := m.(*wire.ErrMsg); isErr {
-		return nil, &wire.RemoteError{Code: e.Code, Text: e.Text}
+	if err := remoteError(m); err != nil {
+		return nil, err
 	}
 	if m.Kind() != f.want {
 		f.p.fail(fmt.Errorf("client: reply %s, want %s", m.Kind(), f.want))
@@ -413,16 +330,9 @@ func (f *Pending) Wait() (wire.Message, error) {
 	return m, nil
 }
 
-// wantKind maps a request to its success reply kind: the request's kind
-// with the high bit set (see wire.Kind).
-func wantKind(m wire.Message) wire.Kind { return m.Kind() | 0x80 }
-
 // Ping round-trips a nonce through the pipeline (one submit, one wait).
 func (p *PipeConn) Ping(nonce uint64) error {
-	if p.strict != nil {
-		return p.strict.Ping(nonce)
-	}
-	f, err := p.Submit(&wire.Ping{Nonce: nonce})
+	f, err := p.submit(&wire.Ping{Nonce: nonce})
 	if err != nil {
 		return err
 	}
@@ -437,135 +347,81 @@ func (p *PipeConn) Ping(nonce uint64) error {
 	return nil
 }
 
-// TxnFuture is one whole transaction submitted as a pipelined burst,
-// replies pending. The demux goroutine folds every
-// frame's reply into it and delivers the outcome once, when the last
-// frame lands — one channel send per transaction, not one per frame.
-// All fields except done/p are guarded by the connection's mu.
+// TxnFuture is one whole transaction submitted as a TXN frame, its one
+// reply pending.
 type TxnFuture struct {
-	p         *PipeConn
-	remaining int        // frames submitted and not yet replied
-	sealed    bool       // every frame of the burst is registered
-	delivered bool       // outcome sent (or the future failed with the conn)
-	txErr     error      // first typed failure: the transaction's outcome
-	done      chan error // cap 1
+	req   Pending
+	reads []int64
 }
 
-// SubmitTxn submits one whole transaction as a single pipelined burst —
-// BEGIN, every step, COMMIT — into the unflushed batch and returns without
-// waiting; the batch leaves when the owner next blocks. The server
-// executes in arrival order, so a caller may submit the next transaction's
-// burst before this one resolves: exec-side FIFO guarantees the bursts
-// serialize exactly as submitted, and a failed burst's frames draw
-// CodeState fallout without disturbing its successors. Bursts submitted
-// back to back share one write. A burst that cannot be submitted whole
-// leaves nothing behind (see abandon).
+// SubmitTxn submits one whole transaction — the named template with a
+// firm deadline budget (0: none) and its reads and writes (*wire.Read,
+// *wire.Write) in order — as a single TXN frame into the unflushed batch
+// and returns without waiting; the batch leaves when the owner next
+// blocks. The frame is encoded before SubmitTxn returns, so the caller may
+// reuse steps. The server executes in arrival order, so a caller may submit
+// the next transaction before this one resolves: they serialize exactly as
+// submitted, and one that fails does not disturb its successors.
+// Transactions submitted back to back share one write.
 func (p *PipeConn) SubmitTxn(name string, budget time.Duration, steps []wire.Message) (*TxnFuture, error) {
-	if p.strict != nil {
-		return nil, errors.New("client: SubmitTxn on a non-pipelined connection")
+	ops := p.txn.Ops[:0]
+	for _, m := range steps {
+		switch m := m.(type) {
+		case *wire.Read:
+			ops = append(ops, wire.TxnOp{Op: wire.OpRead, Item: m.Item})
+		case *wire.Write:
+			ops = append(ops, wire.TxnOp{Op: wire.OpWrite, Item: m.Item, Value: m.Value})
+		default:
+			return nil, fmt.Errorf("client: a transaction step is a READ or a WRITE, not %s", m.Kind())
+		}
 	}
-	return p.submitBurst(beginMsg(name, budget), steps)
+	p.txn = wire.Txn{Name: name, Deadline: budgetMs(budget), Ops: ops}
+	return p.submitBurst()
 }
 
-// SubmitReadTxn submits one declared read-only snapshot transaction as a
-// single pipelined burst — BEGIN with the read-only flag, one READ per
-// item, COMMIT — and returns without waiting, as SubmitTxn does. The server
-// routes the transaction around admission entirely; requires a server
-// speaking wire v4.
+// SubmitReadTxn submits one declared read-only snapshot transaction
+// reading items, as SubmitTxn does. The server routes it around admission
+// entirely.
 func (p *PipeConn) SubmitReadTxn(items []uint32) (*TxnFuture, error) {
-	if p.strict != nil {
-		return nil, errors.New("client: SubmitReadTxn on a non-pipelined connection")
+	ops := p.txn.Ops[:0]
+	for _, it := range items {
+		ops = append(ops, wire.TxnOp{Op: wire.OpRead, Item: it})
 	}
-	if p.ver < wire.V4 {
-		return nil, fmt.Errorf("client: read-only transactions require wire v4 (server speaks v%d)", p.schema.Proto)
-	}
-	steps := make([]wire.Message, len(items))
-	for i, it := range items {
-		steps[i] = &wire.Read{Item: it}
-	}
-	return p.submitBurst(&wire.Begin{ReadOnly: true}, steps)
+	p.txn = wire.Txn{ReadOnly: true, Ops: ops}
+	return p.submitBurst()
 }
 
-// submitBurst registers begin + steps + COMMIT under one TxnFuture and
-// seals the future; nothing is flushed unless the window fills.
-func (p *PipeConn) submitBurst(begin wire.Message, steps []wire.Message) (*TxnFuture, error) {
-	fut := &TxnFuture{p: p, done: make(chan error, 1)}
-	mark, t0 := len(p.wbuf), p.nextTag
-	err := p.submitSlot(begin, pendSlot{want: wire.KindBeginOK, group: fut})
-	for i := 0; err == nil && i < len(steps); i++ {
-		err = p.submitSlot(steps[i], pendSlot{want: wantKind(steps[i]), group: fut})
-	}
-	if err == nil {
-		err = p.submitSlot(&wire.Commit{}, pendSlot{want: wire.KindCommitOK, group: fut})
-	}
+// submitBurst encodes p.txn, which the caller has just filled.
+func (p *PipeConn) submitBurst() (*TxnFuture, error) {
+	f, err := p.submit(&p.txn)
 	if err != nil {
-		p.abandon(mark, t0, err)
 		return nil, err
 	}
-	// Seal: only now may the demux deliver on remaining==0. A mid-burst
-	// auto-flush can have drawn replies for the early frames before the
-	// late ones were registered; without the seal that would deliver a
-	// partial outcome.
-	p.mu.Lock()
-	fut.sealed = true
-	deliver := fut.remaining == 0 && !fut.delivered
-	fut.delivered = fut.delivered || deliver
-	p.mu.Unlock()
-	if deliver {
-		fut.done <- fut.txErr
-	}
-	return fut, nil
-}
-
-// abandon takes back the frames a burst submitted before one of them
-// failed to encode: they leave the unflushed batch (mark bytes long when
-// the burst started), their tags — t0 onwards — the table and their slots
-// the window, as if the burst had never been submitted. If a full window
-// has pushed the burst's head onto the wire, the server holds a BEGIN that
-// will never see its COMMIT, so the connection fails instead.
-func (p *PipeConn) abandon(mark int, t0 uint32, cause error) {
-	if p.Broken() {
-		return // nothing left to keep consistent
-	}
-	switch d := int32(p.sent - t0); {
-	case d > 0:
-		p.fail(fmt.Errorf("client: burst abandoned half sent: %w", cause))
-		return
-	case d == 0:
-		mark = 0 // the last flush emptied the batch right at the burst's first tag
-	}
-	p.mu.Lock()
-	for tag := t0; tag != p.nextTag; tag++ {
-		delete(p.pending, tag)
-	}
-	p.mu.Unlock()
-	for tag := t0; tag != p.nextTag; tag++ {
-		<-p.winCh
-	}
-	p.wbuf, p.nextTag = p.wbuf[:mark], t0
+	return &TxnFuture{req: f}, nil
 }
 
 // Wait blocks for the transaction's outcome, flushing the unflushed batch
 // first if it has to block; like SubmitTxn it belongs to the connection's
-// owner goroutine. If BEGIN (or any step) failed, the server answered
-// every subsequent frame of the burst with CodeState — expected fallout
-// the demux drained and discarded; the first typed failure is the outcome.
-// A closed future means the connection failed underneath the burst.
+// owner goroutine. A refusal or a failed operation comes back as the
+// *wire.RemoteError that is the transaction's one reply; any other error
+// means the connection failed underneath it.
 func (f *TxnFuture) Wait() error {
-	err, ok := await(f.p, f.done)
-	if !ok {
-		return f.p.errNow()
+	m, err := f.req.Wait()
+	if err != nil {
+		return err
 	}
-	return err
+	f.reads = m.(*wire.TxnOK).Reads
+	return nil
 }
 
-// RunTxn runs one whole transaction as a single pipelined burst and waits
-// for its outcome: one write, one batch of replies, no overlap with the
-// caller's next transaction.
+// Reads returns the value of every read of a committed transaction, in
+// step order; it is valid once Wait has returned nil.
+func (f *TxnFuture) Reads() []int64 { return f.reads }
+
+// RunTxn runs one whole transaction and waits for its outcome: one frame
+// and one write out, one frame back, no overlap with the caller's next
+// transaction.
 func (p *PipeConn) RunTxn(name string, budget time.Duration, steps []wire.Message) error {
-	if p.strict != nil {
-		return p.runStrict(name, budget, steps)
-	}
 	fut, err := p.SubmitTxn(name, budget, steps)
 	if err != nil {
 		return err
@@ -573,37 +429,14 @@ func (p *PipeConn) RunTxn(name string, budget time.Duration, steps []wire.Messag
 	return fut.Wait()
 }
 
-// RunReadTxn runs one read-only snapshot transaction as a single
-// pipelined burst and waits for its outcome.
+// RunReadTxn runs one read-only snapshot transaction and waits for its
+// outcome.
 func (p *PipeConn) RunReadTxn(items []uint32) error {
 	fut, err := p.SubmitReadTxn(items)
 	if err != nil {
 		return err
 	}
 	return fut.Wait()
-}
-
-// runStrict is RunTxn over the v2 fallback: the same transaction, one
-// round trip per frame.
-func (p *PipeConn) runStrict(name string, budget time.Duration, steps []wire.Message) error {
-	if _, err := p.strict.BeginBudget(name, budget); err != nil {
-		return err
-	}
-	for _, m := range steps {
-		switch m := m.(type) {
-		case *wire.Read:
-			if _, err := p.strict.Read(m.Item); err != nil {
-				return err
-			}
-		case *wire.Write:
-			if err := p.strict.Write(m.Item, m.Value); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("client: RunTxn step %s unsupported", m.Kind())
-		}
-	}
-	return p.strict.Commit()
 }
 
 // PipeClient is the retrying wrapper over one PipeConn: the pipelined
@@ -630,7 +463,8 @@ func NewPipeClient(addr string, opTimeout time.Duration, window int, seed int64)
 
 // DoTxn runs one transaction (see PipeConn.RunTxn) under the retry
 // policy: retryable typed failures — overload, shed, infeasible, abort,
-// deadline — back off and rerun the whole burst.
+// deadline, and a server at its connection limit refusing the dial — back
+// off and rerun the whole transaction.
 func (pc *PipeClient) DoTxn(name string, budget time.Duration, steps []wire.Message) error {
 	return pc.run(name, func() error {
 		return pc.attempt(func(c *PipeConn) error { return c.RunTxn(name, budget, steps) })

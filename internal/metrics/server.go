@@ -23,7 +23,7 @@ type ServerCounters struct {
 	SlowClientKills    atomic.Int64 // sessions torn down because a reply flush hit the write deadline
 	SessionsOpened     atomic.Int64 // connections that completed the hello handshake
 	SessionsClosed     atomic.Int64 // sessions torn down (any reason)
-	PipelinedSessions  atomic.Int64 // sessions that sent at least one tagged (wire v3) frame
+	PipelinedSessions  atomic.Int64 // sessions that sent a request before the previous one was answered (two frames in one read)
 	ResponseFlushes    atomic.Int64 // writer wakeups that wrote at least one response
 	ResponsesFlushed   atomic.Int64 // responses written (ResponsesFlushed/ResponseFlushes = mean flush batch)
 	StolenAdmissions   atomic.Int64 // admission requests popped from a sibling shard's queue by an idle dispatcher

@@ -11,7 +11,8 @@ import (
 	"pcpda/internal/wire"
 )
 
-// admitReq is one BEGIN travelling through the admission queue.
+// admitReq is one BEGIN (or TXN's admission) travelling through the
+// admission queue.
 //
 // The claim word arbitrates the race between a dispatcher delivering a
 // result and the requesting session abandoning the wait (disconnect,
@@ -229,41 +230,46 @@ func (q *admitQueue) estimateWait() time.Duration {
 	return time.Duration(est)
 }
 
-// handleBegin runs in the session's exec goroutine: validate state, apply
-// deadline-aware admission control against the session's shard, then
-// admit — inline when there is nothing to ration (see beginInline),
-// otherwise by enqueueing onto the shard's bounded priority queue
-// (applying the shedding policy) and waiting for a dispatcher's verdict or
-// session death.
-func (s *session) handleBegin(req request, m *wire.Begin) error {
+// begin is the admission a BEGIN and a TXN share, run in the session's
+// exec goroutine: validate state, apply deadline-aware admission control
+// against the session's shard, then admit — inline when there is nothing to
+// ration (see beginInline), otherwise by enqueueing onto the shard's bounded
+// priority queue (applying the shedding policy) and waiting for a
+// dispatcher's verdict or session death. It returns with the transaction
+// armed as s.lt (both results nil), with the ERR that refuses the request
+// for the caller to send, or with the error that ends the session.
+func (s *session) begin(name string, budgetMs uint32, readOnly bool) (*wire.ErrMsg, error) {
 	if s.lt != nil {
-		return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeState, Text: "BEGIN with a transaction already live"})
+		return refuse(wire.CodeState, "BEGIN or TXN with a transaction already live"), nil
 	}
 	if s.srv.draining.Load() {
-		return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeDraining, Text: "server draining"})
+		return refuse(wire.CodeDraining, "server draining"), nil
 	}
-	tmpl := s.srv.mgr.Set().ByName(m.Name)
+	if readOnly {
+		return s.beginRO(), nil
+	}
+	tmpl := s.srv.mgr.Set().ByName(name)
 	if tmpl == nil {
-		return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeProtocol, Text: "unknown transaction type " + m.Name})
+		return refuse(wire.CodeProtocol, "unknown transaction type "+name), nil
 	}
 	q := s.shard.queue
 	var deadline time.Time
-	if m.Deadline > 0 {
-		deadline = timeNow().Add(time.Duration(m.Deadline) * time.Millisecond)
+	if budgetMs > 0 {
+		deadline = timeNow().Add(time.Duration(budgetMs) * time.Millisecond)
 		// Deadline-aware admission: a firm-deadline transaction the queue
 		// wait already makes late is worthless — refuse it now instead of
 		// queueing work guaranteed to miss.
 		if est := q.estimateWait(); est > 0 && timeNow().Add(est).After(deadline) {
 			s.srv.ctr.RejectedInfeasible.Add(1)
 			s.srv.noteOverload()
-			return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeInfeasible,
-				Text: "queue wait estimate " + est.Round(time.Millisecond).String() + " exceeds deadline budget"})
+			return refuse(wire.CodeInfeasible,
+				"queue wait estimate "+est.Round(time.Millisecond).String()+" exceeds deadline budget"), nil
 		}
 	}
 	if q.tryBypass(s.srv.admitSem) {
-		return s.beginInline(req, m.Name, deadline)
+		return s.beginInline(name, deadline)
 	}
-	ar := &admitReq{name: m.Name, pri: tmpl.Priority, reply: make(chan admitResult, 1)}
+	ar := &admitReq{name: name, pri: tmpl.Priority, reply: make(chan admitResult, 1)}
 	s.srv.pending.Add(1)
 	victim, depth, err := q.enqueue(ar)
 	if victim != nil {
@@ -271,14 +277,13 @@ func (s *session) handleBegin(req request, m *wire.Begin) error {
 	}
 	if err != nil {
 		s.srv.pending.Add(-1)
+		s.srv.noteOverload()
 		if errors.Is(err, errShed) {
 			s.srv.ctr.Shed.Add(1)
-			s.srv.noteOverload()
-			return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeShed, Text: "BEGIN: " + err.Error()})
+			return refuse(wire.CodeShed, "BEGIN: "+err.Error()), nil
 		}
 		s.srv.ctr.RejectedOverload.Add(1)
-		s.srv.noteOverload()
-		return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeOverload, Text: "admission queue full"})
+		return refuse(wire.CodeOverload, "admission queue full"), nil
 	}
 	if depth > 1 {
 		// Backlog behind this request: offer it to idle sibling dispatchers.
@@ -287,7 +292,7 @@ func (s *session) handleBegin(req request, m *wire.Begin) error {
 	select {
 	case res := <-ar.reply:
 		defer s.srv.pending.Add(-1)
-		return s.admitted(req, res, deadline)
+		return s.admitted(res, deadline), nil
 	case <-s.ctx.Done():
 		if !ar.claim.CompareAndSwap(claimFree, claimAbandoned) {
 			// Dispatcher won the race: the result is in flight on the
@@ -297,11 +302,11 @@ func (s *session) handleBegin(req request, m *wire.Begin) error {
 			}
 		}
 		s.srv.pending.Add(-1)
-		return s.ctx.Err()
+		return nil, s.ctx.Err()
 	}
 }
 
-// beginInline admits a BEGIN on the exec goroutine itself, under the
+// beginInline admits on the exec goroutine itself, under the
 // admission slot tryBypass claimed. With the shard queue empty there is no
 // priority order to keep, nothing to shed or displace and nothing to
 // batch, so the queue → dispatcher → BeginBatch → reply-channel relay would
@@ -310,26 +315,26 @@ func (s *session) handleBegin(req request, m *wire.Begin) error {
 // work, and a busy template slot parks in the manager under the session
 // context — a disconnect unwinds it with ErrCancelled like any other
 // parked manager call.
-func (s *session) beginInline(req request, name string, deadline time.Time) error {
+func (s *session) beginInline(name string, deadline time.Time) (*wire.ErrMsg, error) {
 	s.srv.pending.Add(1)
 	defer s.srv.pending.Add(-1)
 	tx, err := s.srv.mgr.Begin(s.ctx, name)
 	<-s.srv.admitSem
 	if err != nil && s.ctx.Err() != nil {
-		return s.ctx.Err()
+		return nil, s.ctx.Err()
 	}
-	return s.admitted(req, admitResult{tx: tx, err: err}, deadline)
+	return s.admitted(admitResult{tx: tx, err: err}, deadline), nil
 }
 
-// admitted answers a BEGIN with its admission verdict and, on success,
-// installs the transaction as the session's live one.
-func (s *session) admitted(req request, res admitResult, deadline time.Time) error {
+// admitted turns an admission verdict into the refusal to send or, on
+// success, installs the transaction as the session's live one.
+func (s *session) admitted(res admitResult, deadline time.Time) *wire.ErrMsg {
 	if res.err != nil {
-		return s.replyTo(req, &wire.ErrMsg{Code: codeOf(res.err), Text: "BEGIN: " + res.err.Error()})
+		return refuse(codeOf(res.err), "BEGIN: "+res.err.Error())
 	}
-	s.armTx(res.tx, deadline)
+	s.armTx(res.tx, uint64(res.tx.ID()), deadline)
 	s.srv.ctr.Accepted.Add(1)
-	return s.replyTo(req, &wire.BeginOK{ID: uint64(res.tx.ID())})
+	return nil
 }
 
 // shed fails a displaced request with errShed through the claim protocol.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,10 +17,10 @@ import (
 )
 
 // A session reads its connection through one buffered reader from the
-// first byte on. These tests hand it a handshake plus a whole pipelined
-// transaction in every possible pair of pieces (over net.Pipe, where each
-// write is exactly one read on the other side) and require the same
-// replies and an exact BytesIn.
+// first byte on. These tests hand it a handshake plus three pipelined
+// transactions — two whole ones, one a step at a time — in every possible
+// pair of pieces (over net.Pipe, where each write is exactly one read on
+// the other side) and require the same replies and an exact BytesIn.
 
 // pipeSession attaches the server to one end of an in-memory connection
 // and returns the other.
@@ -31,31 +32,36 @@ func pipeSession(t *testing.T, srv *Server) net.Conn {
 	return cli
 }
 
-// updaterBurst is HELLO followed by one tagged "updater" transaction, and
-// the reply kinds it must draw.
-func updaterBurst(t *testing.T, mgr *rtm.Manager) ([]byte, []wire.Kind) {
+// updaterBurst is HELLO followed by an "updater" TXN writing x and y, a
+// "reader" TXN reading them back, and a "zonly" transaction driven a step
+// at a time; and the replies it must draw.
+func updaterBurst(t *testing.T, mgr *rtm.Manager) ([]byte, []wire.Message) {
 	t.Helper()
 	set := mgr.Set()
-	burst, err := wire.AppendFrame(nil, &wire.Hello{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x, y, z := item(t, set, "x"), item(t, set, "y"), item(t, set, "z")
+	var burst []byte
+	var err error
 	for i, m := range []wire.Message{
-		&wire.Begin{Name: "updater"},
-		&wire.Write{Item: item(t, set, "x"), Value: 1},
-		&wire.Write{Item: item(t, set, "y"), Value: 2},
+		&wire.Hello{},
+		&wire.Txn{Name: "updater", Ops: []wire.TxnOp{{Op: wire.OpWrite, Item: x, Value: 1}, {Op: wire.OpWrite, Item: y, Value: 2}}},
+		&wire.Txn{Name: "reader", Ops: []wire.TxnOp{{Op: wire.OpRead, Item: y}, {Op: wire.OpRead, Item: x}}},
+		&wire.Begin{Name: "zonly"},
+		&wire.Write{Item: z, Value: 3},
 		&wire.Commit{},
 	} {
 		if burst, err = wire.AppendTagged(burst, wire.Version, uint32(i), m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return burst, []wire.Kind{wire.KindHelloOK, wire.KindBeginOK, wire.KindWriteOK, wire.KindWriteOK, wire.KindCommitOK}
+	return burst, []wire.Message{schemaOf(set), &wire.TxnOK{}, &wire.TxnOK{Reads: []int64{2, 1}},
+		&wire.BeginOK{}, &wire.WriteOK{}, &wire.CommitOK{}}
 }
 
 // exchange writes chunks to the session one write each and reads the
-// replies; it returns once every expected reply has arrived.
-func exchange(t *testing.T, cli net.Conn, chunks [][]byte, want []wire.Kind) {
+// replies, which must come tagged 0, 1, 2, … and equal want but for the
+// ids the manager assigns; it returns once every expected reply has
+// arrived.
+func exchange(t *testing.T, cli net.Conn, chunks [][]byte, want []wire.Message) {
 	t.Helper()
 	wrote := make(chan error, 1)
 	go func() {
@@ -70,19 +76,37 @@ func exchange(t *testing.T, cli net.Conn, chunks [][]byte, want []wire.Kind) {
 		}
 		wrote <- nil
 	}()
-	br := bufio.NewReader(cli)
-	for i, k := range want {
-		m, _, _, _, err := wire.ReadAny(br, nil)
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		if m.Kind() != k {
-			t.Fatalf("reply %d: %s, want %s (%+v)", i, m.Kind(), k, m)
-		}
+	if err := readReplies(bufio.NewReader(cli), want); err != nil {
+		t.Fatal(err)
 	}
 	if err := <-wrote; err != nil {
 		t.Fatalf("write: %v", err)
 	}
+}
+
+// readReplies reads len(want) replies off br and compares them as exchange
+// describes. A nil entry in want accepts any ERR.
+func readReplies(br *bufio.Reader, want []wire.Message) error {
+	for i, w := range want {
+		m, _, tag, _, err := wire.ReadAny(br, nil)
+		if err != nil {
+			return fmt.Errorf("reply %d: %w", i, err)
+		}
+		switch m := m.(type) {
+		case *wire.TxnOK:
+			m.ID = 0
+		case *wire.BeginOK:
+			m.ID = 0
+		case *wire.ErrMsg:
+			if w == nil {
+				w = m
+			}
+		}
+		if tag != uint32(i) || !reflect.DeepEqual(m, w) {
+			return fmt.Errorf("reply %d: %s tagged %d (%+v), want %+v", i, m.Kind(), tag, m, w)
+		}
+	}
+	return nil
 }
 
 func TestSessionReadsSplitBursts(t *testing.T) {
@@ -108,13 +132,13 @@ func TestSessionReadsSplitBursts(t *testing.T) {
 	for k := 0; k <= len(burst); k++ {
 		run("split", [][]byte{burst[:k], burst[k:]})
 	}
-	if got := mgr.Stats().Commits; got != len(burst)+2 {
-		t.Fatalf("commits = %d, want %d", got, len(burst)+2)
+	if got, want := mgr.Stats().Commits, 3*(len(burst)+2); got != want {
+		t.Fatalf("commits = %d, want %d: three a run", got, want)
 	}
 }
 
 // A segment larger than the reader's buffer, with a near-buffer-sized frame
-// (a BEGIN naming a 4000-byte template) straddling the buffer's end: every
+// (a TXN naming a 4000-byte template) straddling the buffer's end: every
 // frame is answered in order and none is lost or misread. (No frame a
 // client may send after HELLO is larger than the buffer on its own; the
 // wire and client tests cover that with a schema reply.)
@@ -123,30 +147,41 @@ func TestSessionSegmentLargerThanBuffer(t *testing.T) {
 	ctr := &metrics.ServerCounters{}
 	_, srv := startServer(t, mgr, Config{Counters: ctr})
 	burst, want := updaterBurst(t, mgr)
-	hello, err := wire.AppendFrame(nil, &wire.Hello{})
+	// The burst's own frames are tagged 0–5; the frames pushed in between
+	// HELLO and the rest take over 1–11 and move the rest up.
+	_, _, _, afterHello, err := wire.DecodeAny(burst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := append([]byte(nil), hello...)
-	kinds := []wire.Kind{wire.KindHelloOK}
-	for i := 0; i < 10; i++ {
-		if seg, err = wire.AppendTagged(seg, wire.Version, uint32(100+i), &wire.Read{}); err != nil {
+	seg := append([]byte(nil), burst[:len(burst)-len(afterHello)]...)
+	replies := []wire.Message{want[0]}
+	for i := 1; i <= 10; i++ {
+		if seg, err = wire.AppendTagged(seg, wire.Version, uint32(i), &wire.Read{}); err != nil {
 			t.Fatal(err)
 		}
-		kinds = append(kinds, wire.KindErr) // READ outside a transaction
+		replies = append(replies, nil) // READ outside a transaction
 	}
-	seg, err = wire.AppendTagged(seg, wire.Version, 77, &wire.Begin{Name: strings.Repeat("n", 4000)})
+	seg, err = wire.AppendTagged(seg, wire.Version, 11, &wire.Txn{Name: strings.Repeat("n", 4000)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seg) <= 4096 {
-		t.Fatalf("oversized BEGIN ends at %d, inside the buffer", len(seg))
+		t.Fatalf("oversized TXN ends at %d, inside the buffer", len(seg))
 	}
-	seg = append(seg, burst[len(hello):]...)
-	kinds = append(append(kinds, wire.KindErr), want[1:]...)
+	replies = append(replies, nil) // unknown transaction type
+	for rest := afterHello; len(rest) > 0; {
+		m, _, _, r, err := wire.DecodeAny(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg, err = wire.AppendTagged(seg, wire.Version, uint32(len(replies)), m); err != nil {
+			t.Fatal(err)
+		}
+		replies, rest = append(replies, want[len(replies)-11]), r
+	}
 
 	cli := pipeSession(t, srv)
-	exchange(t, cli, [][]byte{seg}, kinds)
+	exchange(t, cli, [][]byte{seg}, replies)
 	if got := ctr.BytesIn.Load(); got != int64(len(seg)) {
 		t.Fatalf("BytesIn = %d, peer wrote %d", got, len(seg))
 	}
@@ -175,15 +210,9 @@ func TestIdleTimeoutPerRead(t *testing.T) {
 	replies := make(chan error, 1)
 	go func() {
 		br := bufio.NewReader(cli)
-		for i, k := range want {
-			m, _, _, _, err := wire.ReadAny(br, nil)
-			if err == nil && m.Kind() != k {
-				err = fmt.Errorf("got %s, want %s", m.Kind(), k)
-			}
-			if err != nil {
-				replies <- fmt.Errorf("reply %d: %w", i, err)
-				return
-			}
+		if err := readReplies(br, want); err != nil {
+			replies <- err
+			return
 		}
 		// Silence: the next thing the socket delivers is the server hanging up.
 		_ = cli.SetReadDeadline(time.Now().Add(10 * idle))

@@ -10,7 +10,8 @@ import (
 
 // Inline admission (session.beginInline) may only happen when it is
 // indistinguishable from the queued path: nothing queued on the shard and
-// an admission slot free at that instant.
+// an admission slot free at that instant. A BEGIN and a TXN are admitted by
+// the same code, and the end-to-end cases run with each.
 
 func TestTryBypassNeedsEmptyQueueAndFreeSlot(t *testing.T) {
 	q := newAdmitQueue(4, 3)
@@ -43,126 +44,170 @@ func TestTryBypassNeedsEmptyQueueAndFreeSlot(t *testing.T) {
 	}
 }
 
-// With the admission slot taken, later BEGINs queue — also ones whose
+// eachAdmission runs test once with the transaction under test opened by a
+// BEGIN and once with it sent whole as a TXN: the two share session.begin,
+// and every admission case here must come out the same for both.
+func eachAdmission(t *testing.T, test func(t *testing.T, whole bool)) {
+	t.Run("begin", func(t *testing.T) { test(t, false) })
+	t.Run("txn", func(t *testing.T) { test(t, true) })
+}
+
+// admit sends the request under test on a fresh raw connection — BEGIN, or
+// an empty TXN of the template — and returns the connection and a channel
+// that delivers the id the server reports once it has admitted (and, for a
+// TXN, committed) it. The channel is closed without a value if the
+// connection dies first.
+func admit(t *testing.T, addr, name string, whole bool) (*rawPipe, <-chan uint64) {
+	t.Helper()
+	r := dialRaw(t, addr)
+	if whole {
+		r.send(1, &wire.Txn{Name: name})
+	} else {
+		r.send(1, &wire.Begin{Name: name})
+	}
+	id := make(chan uint64, 1)
+	go func() {
+		defer close(id)
+		_ = r.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		m, _, _, _, err := wire.ReadAny(r.br, nil)
+		if err != nil {
+			return
+		}
+		switch m := m.(type) {
+		case *wire.TxnOK:
+			id <- m.ID
+		case *wire.BeginOK:
+			id <- m.ID
+		default:
+			t.Errorf("admission of %s answered with %s (%+v)", name, m.Kind(), m)
+		}
+	}()
+	return r, id
+}
+
+// With the admission slot taken, later arrivals queue — also ones whose
 // template slot is free — and leave the queue in priority order: a
 // low-priority arrival behind a queued high-priority one is admitted after
 // it, and nothing is admitted while the slot is held.
 func TestInlineBeginYieldsToQueuedWork(t *testing.T) {
-	mgr, _ := rtm.New(testSet(t))
-	addr, srv := startServer(t, mgr, Config{MaxAdmitting: 1, BatchMax: 1, AdmitShards: 1})
-	holder, parked, popped := blockDispatcher(t, addr, srv, mgr)
-	defer func() { _ = holder.Close(); _ = parked.Close(); _ = popped.Close() }()
+	eachAdmission(t, func(t *testing.T, whole bool) {
+		mgr, _ := rtm.New(testSet(t))
+		addr, srv := startServer(t, mgr, Config{MaxAdmitting: 1, BatchMax: 1, AdmitShards: 1})
+		holder, parked, popped := blockDispatcher(t, addr, srv, mgr)
+		defer func() { _ = holder.Close(); _ = parked.Close(); _ = popped.Close() }()
 
-	type begun struct {
-		id  uint64
-		err error
-	}
-	queue := func(name string, depth int) chan begun {
-		t.Helper()
-		c := mustDial(t, addr)
-		t.Cleanup(func() { _ = c.Close() })
-		out := make(chan begun, 1)
-		go func() { id, err := c.Begin(name); out <- begun{id, err} }()
-		waitFor(t, name+" queued", func() bool { return srv.queueDepth() == depth })
-		return out
-	}
-	high := queue("reader", 1) // priority 3, template slot free
-	low := queue("updater", 2) // priority 2, template slot free, arrives later
+		queue := func(name string, depth int) <-chan uint64 {
+			t.Helper()
+			_, id := admit(t, addr, name, whole)
+			waitFor(t, name+" queued", func() bool { return srv.queueDepth() == depth })
+			return id
+		}
+		high := queue("reader", 1) // priority 3, template slot free
+		low := queue("updater", 2) // priority 2, template slot free, arrives later
 
-	// The bound holds: one admission in flight (parked on zonly's slot),
-	// nothing else admitted although reader and updater could start.
-	if got := len(srv.admitSem); got != 1 {
-		t.Fatalf("admission slots taken = %d, want 1", got)
-	}
-	if st := mgr.Stats(); st.Live != 1 || mgr.ParkedWaiters() != 1 {
-		t.Fatalf("live = %d, parked = %d; want the holder live and one parked admission", st.Live, mgr.ParkedWaiters())
-	}
-	if got := srv.Counters().Accepted.Load(); got != 1 {
-		t.Fatalf("accepted = %d while the admission slot is held, want 1", got)
-	}
+		// The bound holds: one admission in flight (parked on zonly's slot),
+		// nothing else admitted although reader and updater could start.
+		if got := len(srv.admitSem); got != 1 {
+			t.Fatalf("admission slots taken = %d, want 1", got)
+		}
+		if st := mgr.Stats(); st.Live != 1 || mgr.ParkedWaiters() != 1 {
+			t.Fatalf("live = %d, parked = %d; want the holder live and one parked admission", st.Live, mgr.ParkedWaiters())
+		}
+		if got := srv.Counters().Accepted.Load(); got != 1 {
+			t.Fatalf("accepted = %d while the admission slot is held, want 1", got)
+		}
 
-	// Unwind: each zonly inherits the template slot in turn.
-	if err := holder.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	_ = parked.Close()
-	_ = popped.Close()
-	h, l := <-high, <-low
-	if h.err != nil || l.err != nil {
-		t.Fatalf("queued BEGINs: reader %v, updater %v", h.err, l.err)
-	}
-	if h.id >= l.id {
-		t.Fatalf("reader admitted as job %d, updater as job %d: queued priority order lost", h.id, l.id)
-	}
-	waitFor(t, "admission pipeline to empty", func() bool { return srv.pending.Load() == 0 })
+		// Unwind: each zonly inherits the template slot in turn.
+		if err := holder.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		_ = parked.Close()
+		_ = popped.Close()
+		h, hok := <-high
+		l, lok := <-low
+		if !hok || !lok {
+			t.Fatalf("queued admissions answered: reader %v, updater %v", hok, lok)
+		}
+		if h >= l {
+			t.Fatalf("reader admitted as job %d, updater as job %d: queued priority order lost", h, l)
+		}
+		waitFor(t, "admission pipeline to empty", func() bool { return srv.pending.Load() == 0 })
+	})
 }
 
-// A BEGIN admitted inline onto a busy template slot parks in the manager
+// An arrival admitted inline onto a busy template slot parks in the manager
 // under the session context. A disconnect unwinds it there: no orphan is
 // ever admitted, the admission slot comes back, and nothing stays parked.
 func TestDisconnectWhileParkedInline(t *testing.T) {
-	mgr, _ := rtm.New(testSet(t))
-	addr, srv := startServer(t, mgr, Config{})
-	holder := mustDial(t, addr)
-	defer func() { _ = holder.Close() }()
-	if _, err := holder.Begin("zonly"); err != nil {
-		t.Fatal(err)
-	}
-	waiter := mustDial(t, addr)
-	beginErr := make(chan error, 1)
-	go func() { _, err := waiter.Begin("zonly"); beginErr <- err }()
-	waitFor(t, "BEGIN to park", func() bool { return mgr.ParkedWaiters() == 1 })
-	if d, p, a := srv.queueDepth(), srv.pending.Load(), len(srv.admitSem); d != 0 || p != 1 || a != 1 {
-		t.Fatalf("queue depth %d, pending %d, admission slots %d; want an inline admission (0, 1, 1)", d, p, a)
-	}
+	eachAdmission(t, func(t *testing.T, whole bool) {
+		mgr, _ := rtm.New(testSet(t))
+		addr, srv := startServer(t, mgr, Config{})
+		holder := mustDial(t, addr)
+		defer func() { _ = holder.Close() }()
+		if _, err := holder.Begin("zonly"); err != nil {
+			t.Fatal(err)
+		}
+		waiter, answered := admit(t, addr, "zonly", whole)
+		waitFor(t, "the admission to park", func() bool { return mgr.ParkedWaiters() == 1 })
+		if d, p, a := srv.queueDepth(), srv.pending.Load(), len(srv.admitSem); d != 0 || p != 1 || a != 1 {
+			t.Fatalf("queue depth %d, pending %d, admission slots %d; want an inline admission (0, 1, 1)", d, p, a)
+		}
 
-	_ = waiter.Close()
-	<-beginErr
-	waitFor(t, "inline admission to unwind", func() bool {
-		return srv.pending.Load() == 0 && mgr.ParkedWaiters() == 0 && len(srv.admitSem) == 0
+		_ = waiter.conn.Close()
+		if _, ok := <-answered; ok {
+			t.Fatal("the abandoned admission was answered")
+		}
+		waitFor(t, "inline admission to unwind", func() bool {
+			return srv.pending.Load() == 0 && mgr.ParkedWaiters() == 0 && len(srv.admitSem) == 0
+		})
+		if st := mgr.Stats(); st.Begins != 1 || st.Live != 1 {
+			t.Fatalf("begins = %d, live = %d; the abandoned arrival must never have been admitted", st.Begins, st.Live)
+		}
+		if err := holder.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if st := mgr.Stats(); st.Begins != 1 || st.Live != 1 {
-		t.Fatalf("begins = %d, live = %d; the abandoned BEGIN must never have been admitted", st.Begins, st.Live)
-	}
-	if err := holder.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// The watchdog force-aborts a stuck holder while another session's BEGIN
-// is parked inline on its template slot: the parked BEGIN inherits the
-// slot and completes, the holder's session learns of the trip, and the
-// admission accounting ends at zero.
+// The watchdog force-aborts a stuck holder while another session's arrival
+// is parked inline on its template slot: the parked one inherits the slot
+// and completes, the holder's session learns of the trip, and the admission
+// accounting ends at zero.
 func TestWatchdogTripFreesParkedInline(t *testing.T) {
-	mgr, _ := rtm.New(testSet(t))
-	addr, srv := startServer(t, mgr, Config{
-		WatchdogInterval: 5 * time.Millisecond, WatchdogGrace: 10 * time.Millisecond,
+	eachAdmission(t, func(t *testing.T, whole bool) {
+		mgr, _ := rtm.New(testSet(t))
+		addr, srv := startServer(t, mgr, Config{
+			WatchdogInterval: 5 * time.Millisecond, WatchdogGrace: 10 * time.Millisecond,
+		})
+		holder := mustDial(t, addr)
+		defer func() { _ = holder.Close() }()
+		if _, err := holder.BeginBudget("zonly", 50*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		// Parks inline until the watchdog trips the holder.
+		waiter, admitted := admit(t, addr, "zonly", whole)
+		if _, ok := <-admitted; !ok {
+			t.Fatal("the arrival parked behind a stuck holder was never admitted")
+		}
+		waitFor(t, "the trip to be counted", func() bool { return srv.Counters().WatchdogTrips.Load() == 1 })
+		if err := holder.Commit(); !wire.IsCode(err, wire.CodeDeadline) {
+			t.Fatalf("holder after the trip: %v, want CodeDeadline", err)
+		}
+		if !whole { // a TXN has committed already
+			waiter.send(2, &wire.Commit{})
+			waiter.expect(2, wire.KindCommitOK)
+		}
+		if p, w, a := srv.pending.Load(), mgr.ParkedWaiters(), len(srv.admitSem); p != 0 || w != 0 || a != 0 {
+			t.Fatalf("pending %d, parked waiters %d, admission slots %d; want all zero", p, w, a)
+		}
+		if st := mgr.Stats(); st.Commits != 1 || st.Live != 0 {
+			t.Fatalf("commits = %d, live = %d; want the waiter's commit and nothing live", st.Commits, st.Live)
+		}
+		if n := srv.Counters().WatchdogAuditFails.Load(); n != 0 {
+			t.Fatalf("watchdog audit failures: %d", n)
+		}
 	})
-	holder := mustDial(t, addr)
-	defer func() { _ = holder.Close() }()
-	if _, err := holder.BeginBudget("zonly", 50*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	waiter := mustDial(t, addr)
-	defer func() { _ = waiter.Close() }()
-	// Parks inline until the watchdog trips the holder.
-	if _, err := waiter.Begin("zonly"); err != nil {
-		t.Fatalf("BEGIN parked behind a stuck holder: %v", err)
-	}
-	waitFor(t, "the trip to be counted", func() bool { return srv.Counters().WatchdogTrips.Load() == 1 })
-	if err := holder.Commit(); !wire.IsCode(err, wire.CodeDeadline) {
-		t.Fatalf("holder after the trip: %v, want CodeDeadline", err)
-	}
-	if err := waiter.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if p, w, a := srv.pending.Load(), mgr.ParkedWaiters(), len(srv.admitSem); p != 0 || w != 0 || a != 0 {
-		t.Fatalf("pending %d, parked waiters %d, admission slots %d; want all zero", p, w, a)
-	}
-	if n := srv.Counters().WatchdogAuditFails.Load(); n != 0 {
-		t.Fatalf("watchdog audit failures: %d", n)
-	}
 }

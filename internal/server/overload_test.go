@@ -448,7 +448,7 @@ func TestSlowClientKill(t *testing.T) {
 	go sess.writeLoop()
 
 	start := time.Now()
-	if err := sess.replyTo(request{ver: wire.V2}, &wire.Pong{Nonce: 1}); err != nil {
+	if err := sess.replyTo(request{}, &wire.Pong{Nonce: 1}); err != nil {
 		t.Fatalf("replyTo must queue without error: %v", err)
 	}
 	// The flush into the stalled pipe hits the write deadline; the writer
@@ -465,7 +465,7 @@ func TestSlowClientKill(t *testing.T) {
 	}
 	// Replies attempted after the kill fail on the dead context instead of
 	// piling onto a queue nobody will flush.
-	if err := sess.replyTo(request{ver: wire.V2}, &wire.Pong{Nonce: 2}); err == nil {
+	if err := sess.replyTo(request{}, &wire.Pong{Nonce: 2}); err == nil {
 		t.Fatal("replyTo after a slow-client kill must fail")
 	}
 }

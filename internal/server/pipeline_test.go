@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -21,22 +20,18 @@ func mustDialPipe(t *testing.T, addr string) *client.PipeConn {
 	return p
 }
 
-// TestPipelinedTxnBurst: whole transactions as single flushed bursts —
-// the steady state of the pipelined protocol — including the speculation
-// contract: a failure early in the burst turns the rest into CodeState
-// fallout and the session survives to run the next burst.
+// TestPipelinedTxnBurst: whole transactions, one frame each — the steady
+// state of the pipelined protocol — including the outcome contract: a
+// refusal or a failed operation is the transaction's one reply, nothing is
+// committed, and the session survives to run the next one.
 func TestPipelinedTxnBurst(t *testing.T) {
 	set := testSet(t)
 	mgr, _ := rtm.New(set)
 	addr, srv := startServer(t, mgr, Config{})
 	p := mustDialPipe(t, addr)
 	defer func() { _ = p.Close() }()
-	if !p.Pipelined() {
-		t.Fatal("server did not advertise wire v3")
-	}
 	x, y := item(t, set, "x"), item(t, set, "y")
 
-	// Committed burst: BEGIN+WRITE+WRITE+COMMIT in one flush.
 	err := p.RunTxn("updater", 0, []wire.Message{
 		&wire.Write{Item: x, Value: 41}, &wire.Write{Item: y, Value: 43},
 	})
@@ -46,36 +41,54 @@ func TestPipelinedTxnBurst(t *testing.T) {
 	if v := mgr.ReadCommitted(0); v != 41 {
 		t.Fatalf("committed x = %v, want 41", v)
 	}
-
-	// BEGIN fails: the steps and COMMIT behind it draw CodeState fallout,
-	// which RunTxn discards; the burst's outcome is the BEGIN failure.
-	err = p.RunTxn("nope", 0, []wire.Message{&wire.Write{Item: x, Value: 1}})
-	if !wire.IsCode(err, wire.CodeProtocol) {
-		t.Fatalf("burst with unknown template: %v, want CodeProtocol", err)
+	// One request at a time is not pipelining, whatever the client is.
+	if got := srv.Counters().PipelinedSessions.Load(); got != 0 {
+		t.Fatalf("PipelinedSessions = %d before any request overlapped another", got)
 	}
 
-	// A step fails mid-burst (undeclared write under "reader"): that step
-	// decides the outcome, the trailing COMMIT is fallout.
+	// Admission refuses it: that is the outcome.
+	err = p.RunTxn("nope", 0, []wire.Message{&wire.Write{Item: x, Value: 1}})
+	if !wire.IsCode(err, wire.CodeProtocol) {
+		t.Fatalf("transaction of an unknown template: %v, want CodeProtocol", err)
+	}
+
+	// An operation fails (undeclared write under "reader"): that operation
+	// decides the outcome and the transaction is gone.
 	err = p.RunTxn("reader", 0, []wire.Message{
 		&wire.Read{Item: x}, &wire.Write{Item: x, Value: 9},
 	})
 	if !wire.IsCode(err, wire.CodeProtocol) {
-		t.Fatalf("burst with undeclared write: %v, want CodeProtocol", err)
+		t.Fatalf("transaction with an undeclared write: %v, want CodeProtocol", err)
 	}
 
-	// The session survived both failed bursts.
-	if err := p.RunTxn("reader", 0, []wire.Message{&wire.Read{Item: x}}); err != nil {
-		t.Fatalf("burst after failed bursts: %v", err)
+	// The session survived both, and runs two more back to back: they share
+	// a write, which is what the server counts as pipelining.
+	f1, err := p.SubmitTxn("reader", 0, []wire.Message{&wire.Read{Item: x}, &wire.Read{Item: y}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := p.SubmitTxn("updater", 0, []wire.Message{&wire.Write{Item: y, Value: 44}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err1, err2 := f1.Wait(), f2.Wait(); err1 != nil || err2 != nil {
+		t.Fatalf("transactions after failed ones: %v, %v", err1, err2)
+	}
+	if got := f1.Reads(); len(got) != 2 || got[0] != 41 || got[1] != 43 {
+		t.Fatalf("reader read %v, want [41 43]: it ran ahead of the updater behind it", got)
 	}
 	if got := srv.Counters().PipelinedSessions.Load(); got != 1 {
 		t.Fatalf("PipelinedSessions = %d, want 1", got)
 	}
-	if mgr.ReadCommitted(0) != 41 {
-		t.Fatal("failed bursts must not have committed anything")
+	if mgr.ReadCommitted(0) != 41 || mgr.ReadCommitted(1) != 44 {
+		t.Fatal("failed transactions must not have committed anything")
+	}
+	if st := mgr.Stats(); st.Live != 0 || srv.Counters().Accepted.Load() != 4 {
+		t.Fatalf("live = %d, accepted = %d; want 0 and 4 (the unknown template was never admitted)", st.Live, srv.Counters().Accepted.Load())
 	}
 }
 
-// TestPipelinedPingOutOfOrder: a tagged PING is answered by the read loop
+// TestPipelinedPingOutOfOrder: a PING is answered by the read loop
 // while the exec goroutine is stuck — a pipelined BEGIN parked in
 // admission must not make the session unresponsive.
 func TestPipelinedPingOutOfOrder(t *testing.T) {
@@ -122,96 +135,11 @@ func TestPipelinedPingOutOfOrder(t *testing.T) {
 	waitFor(t, "inflight HWM", func() bool { return srv.Counters().InflightHWM.Load() >= 2 })
 }
 
-// TestPipelinedAgainstV2PinnedServer: compat in both directions against a
-// server pinned to wire v2. The pipelined client degrades to strict
-// transparently; a raw tagged frame is refused with a typed protocol
-// error before the connection closes.
-func TestPipelinedAgainstV2PinnedServer(t *testing.T) {
-	set := testSet(t)
-	mgr, _ := rtm.New(set)
-	addr, srv := startServer(t, mgr, Config{MaxWireVersion: wire.V2})
-	x := item(t, set, "x")
-
-	// Fallback path: DialPipelined sees Proto=2 and runs strict.
-	p := mustDialPipe(t, addr)
-	defer func() { _ = p.Close() }()
-	if p.Pipelined() {
-		t.Fatal("client claims pipelining against a v2-pinned server")
-	}
-	if err := p.RunTxn("updater", 0, []wire.Message{
-		&wire.Write{Item: x, Value: 5}, &wire.Write{Item: item(t, set, "y"), Value: 6},
-	}); err != nil {
-		t.Fatalf("strict-fallback txn: %v", err)
-	}
-	if got := srv.Counters().PipelinedSessions.Load(); got != 0 {
-		t.Fatalf("PipelinedSessions = %d on a v2-pinned server", got)
-	}
-
-	// Raw tagged frame: protocol error, untagged, then the session ends.
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = nc.Close() }()
-	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-	hello, err := wire.AppendFrame(nil, &wire.Hello{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Write(hello); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := wire.ReadFrame(nc, nil); err != nil {
-		t.Fatal(err)
-	}
-	tagged, err := wire.AppendTagged(nil, wire.V3, 1, &wire.Ping{Nonce: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Write(tagged); err != nil {
-		t.Fatal(err)
-	}
-	m, ver, _, _, err := wire.ReadAny(nc, nil)
-	if err != nil {
-		t.Fatalf("read protocol-error reply: %v", err)
-	}
-	e, isErr := m.(*wire.ErrMsg)
-	if !isErr || e.Code != wire.CodeProtocol || ver >= wire.V3 {
-		t.Fatalf("tagged frame to pinned server: %v (ver %d), want untagged CodeProtocol", m, ver)
-	}
-	waitFor(t, "session torn down", func() bool { return srv.Counters().SessionsClosed.Load() >= 1 })
-}
-
-// TestV2ClientAgainstPipelinedServer: an unmodified strict client against
-// a server with pipelining enabled — the untagged path must be untouched.
-func TestV2ClientAgainstPipelinedServer(t *testing.T) {
-	set := testSet(t)
-	mgr, _ := rtm.New(set)
-	addr, srv := startServer(t, mgr, Config{})
-	c := mustDial(t, addr)
-	defer func() { _ = c.Close() }()
-	if got := c.Schema().Proto; got != wire.Version {
-		t.Fatalf("advertised proto = %d, want %d", got, wire.Version)
-	}
-	if _, err := c.Begin("updater"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Write(item(t, set, "x"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Counters().PipelinedSessions.Load(); got != 0 {
-		t.Fatalf("strict session counted as pipelined: %d", got)
-	}
-}
-
 // TestPipelinedDisconnectEveryPhase tears a pipelined session down at each
-// phase of a burst's life — BEGIN parked in admission (the tagged request
-// unwinds through the claim protocol), transaction live, burst flushed but
-// replies unread, burst fully done — and requires a quiescent, clean
-// manager after every one.
+// phase of a transaction's life — BEGIN parked in admission (the request
+// unwinds through the claim protocol), transaction live, a per-step burst
+// and a TXN flushed but their replies unread, transaction fully done — and
+// requires a quiescent, clean manager after every one.
 func TestPipelinedDisconnectEveryPhase(t *testing.T) {
 	set := testSet(t)
 	mgr, _ := rtm.New(set)
@@ -268,6 +196,10 @@ func TestPipelinedDisconnectEveryPhase(t *testing.T) {
 				}
 			}
 			if _, err := p.Submit(&wire.Commit{}); err != nil {
+				t.Fatal(err)
+			}
+			// And a whole one behind it, on the same terms.
+			if _, err := p.SubmitTxn("updater", 0, burst); err != nil {
 				t.Fatal(err)
 			}
 			if err := p.Flush(); err != nil {
@@ -415,8 +347,12 @@ func TestNemesisPipelined(t *testing.T) {
 	if st.Resets+st.Partitions == 0 {
 		t.Fatalf("proxy injected no faults across %d conns — the soak tested nothing", st.Conns)
 	}
-	if srv.Counters().PipelinedSessions.Load() == 0 {
-		t.Fatal("no session went pipelined under the proxy")
+	// The pipelined client sends a transaction whole: about one reply per
+	// admitted transaction and one HELLO_OK per session, where the strict
+	// client's per-step frames would draw three or more.
+	if snap := srv.Counters().Snapshot(); snap.ResponsesFlushed >= 2*snap.Accepted+snap.SessionsOpened {
+		t.Fatalf("%d replies for %d admitted transactions on %d sessions: the load did not run whole-transaction frames",
+			snap.ResponsesFlushed, snap.Accepted, snap.SessionsOpened)
 	}
 	waitFor(t, "sessions idle", func() bool { return !srv.liveWork() })
 	if err := mgr.CheckInvariants(); err != nil {

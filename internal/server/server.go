@@ -1,8 +1,9 @@
 // Package server exposes an rtm.Manager as a network transaction service.
 //
 // Each TCP connection is one session speaking the internal/wire protocol:
-// HELLO handshake, then at most one live transaction at a time driven by
-// BEGIN/READ/WRITE/COMMIT/ABORT, with PING usable throughout. Admission is
+// HELLO handshake, then at most one live transaction at a time — a whole
+// one per TXN frame, or one driven by BEGIN/READ/WRITE/COMMIT/ABORT — with
+// PING usable throughout. Admission (a TXN's is a BEGIN's) is
 // mediated by a bounded queue: BEGINs that find the queue full are refused
 // immediately with CodeOverload (backpressure instead of unbounded memory),
 // and a dispatcher goroutine folds queued arrivals into rtm.BeginBatch
@@ -77,18 +78,17 @@ type Config struct {
 	// groups and inline BEGINs alike; arrivals beyond it wait in the queue
 	// (and overflow to CodeOverload). Default 4.
 	MaxAdmitting int
-	// SessionInflight bounds one session's pipelined requests in flight:
-	// both the requests decoded and not yet executed and the replies queued
-	// and not yet written. A pipelining client past the bound sees TCP
-	// backpressure (the reader stops reading). Default 32.
+	// SessionInflight bounds one session's requests in flight: both the
+	// requests decoded and not yet executed and the replies queued and not
+	// yet written. A request is a frame, and a whole transaction is one TXN
+	// frame, so for a client that submits transactions whole this is the
+	// number of its transactions the server holds at once; for one driving
+	// transactions a step at a time it counts steps. A client past the
+	// bound sees TCP backpressure (the reader stops reading). Default 32.
 	SessionInflight int
-	// MaxWireVersion pins the highest wire protocol version the server
-	// advertises and accepts (wire.V2 disables pipelining; tagged frames
-	// are then a protocol error). Default wire.Version.
-	MaxWireVersion uint8
 	// MaxConns, when positive, bounds concurrently attached sessions.
-	// Accepts past the limit are refused at the socket — one untagged
-	// CodeOverload ERR, then close — before any session state exists, so
+	// Accepts past the limit are refused at the socket — one CodeOverload
+	// ERR at tag 0, then close — before any session state exists, so
 	// a connection storm costs a write and a close, not three goroutines
 	// each. CodeOverload is retryable: clients back off and redial.
 	// Default 0 (unlimited).
@@ -146,13 +146,6 @@ func (c *Config) fill() error {
 	}
 	if c.SessionInflight <= 0 {
 		c.SessionInflight = 32
-	}
-	if c.MaxWireVersion == 0 {
-		c.MaxWireVersion = wire.Version
-	}
-	if c.MaxWireVersion < wire.V2 || c.MaxWireVersion > wire.Version {
-		return fmt.Errorf("server: Config.MaxWireVersion %d outside %d..%d",
-			c.MaxWireVersion, wire.V2, wire.Version)
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 30 * time.Second
@@ -313,15 +306,16 @@ func (s *Server) sessionCount() int {
 	return len(s.sessions)
 }
 
-// refuseConn rejects an accept that crossed MaxConns: one untagged
-// retryable ERR under a short write deadline, then close. Run off the
+// refuseConn rejects an accept that crossed MaxConns: one retryable ERR at
+// tag 0 — the tag of the HELLO the client is about to send or has sent —
+// under a short write deadline, then close. Run off the
 // accept loop so a peer that never reads cannot stall further accepts.
 func (s *Server) refuseConn(conn net.Conn) {
 	s.ctr.RejectedConnLimit.Add(1)
 	s.noteOverload()
 	go func() {
 		defer func() { _ = conn.Close() }()
-		frame, err := wire.AppendCompat(nil, wire.V2, &wire.ErrMsg{
+		frame, err := wire.AppendTagged(nil, wire.Version, 0, &wire.ErrMsg{
 			Code: wire.CodeOverload,
 			Text: fmt.Sprintf("connection limit %d reached; retry later", s.cfg.MaxConns),
 		})

@@ -146,6 +146,11 @@ func TestSessionLifecycle(t *testing.T) {
 	if got := srv.Counters().Accepted.Load(); got != 2 {
 		t.Fatalf("accepted = %d, want 2", got)
 	}
+	// One request in flight at a time, however many there were: a strict
+	// client never counts as pipelining.
+	if got := srv.Counters().PipelinedSessions.Load(); got != 0 {
+		t.Fatalf("strict session counted as pipelined: %d", got)
+	}
 }
 
 func TestBeginWhileLiveIsStateError(t *testing.T) {

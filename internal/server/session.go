@@ -44,10 +44,11 @@ type txnHandle interface {
 // locks — without tearing down the whole session.
 type liveTx struct {
 	tx       txnHandle
+	id       uint64 // what BEGIN_OK / TXN_OK report: the job id, or roIDFlag | the RO sequence number
 	ctx      context.Context
 	cancel   context.CancelFunc
 	start    time.Time
-	deadline time.Time   // firm deadline from BEGIN; zero = none
+	deadline time.Time   // firm deadline from BEGIN or TXN; zero = none
 	tripped  atomic.Bool // set once by the watchdog before force-aborting
 }
 
@@ -63,13 +64,10 @@ func txDesc(h txnHandle) (id int64, name string) {
 	return 0, "?"
 }
 
-// request is one decoded frame plus the framing needed to address its
-// reply: the version the request arrived at (replies echo it, so a v1
-// client never sees a v2-only error code) and, for tagged v3 frames, the
-// client-chosen tag the reply must carry.
+// request is one decoded frame and the client-chosen tag its reply must
+// carry.
 type request struct {
 	m   wire.Message
-	ver uint8
 	tag uint32
 }
 
@@ -102,6 +100,7 @@ type session struct {
 	greeted bool                   //pcpda:guardedby none — HELLO has been answered; owned by run
 	lt      *liveTx                //pcpda:guardedby none — live transaction; owned by run
 	cur     atomic.Pointer[liveTx] // mirror of lt, read by Drain and the watchdog
+	txnOK   wire.TxnOK             //pcpda:guardedby none — handleTxn's reply, Reads reused; owned by run
 
 	// Inbound (readLoop → run): the reader appends, exec takes the slice
 	// whole. inOpen — queued plus the unexecuted rest of the batch exec
@@ -123,8 +122,7 @@ type session struct {
 	outSpace   chan struct{} // buffered(1); writer → a replier waiting below the bound, who passes it on
 	writerDone chan struct{}
 
-	inflight  atomic.Int64 // requests read minus replies flushed
-	pipelined atomic.Bool  // session has sent at least one tagged frame
+	inflight atomic.Int64 // requests read minus replies flushed
 }
 
 // connReader is the bottom of a session's read path: every Read is one
@@ -245,9 +243,12 @@ func (s *session) enqueue(req request) bool {
 // readLoop decodes frames off the connection and feeds run. Any read
 // failure — disconnect, idle timeout, malformed frame — cancels the
 // session context, which unparks run from whatever manager call it is
-// blocked in. Tagged PINGs are answered here directly, out of order: a
-// pipelined client's liveness probe must not wait behind a BEGIN parked
-// in admission.
+// blocked in; a frame that is not this protocol's (another framing's
+// version byte, an unknown kind, a payload that does not parse) first draws
+// one CodeProtocol ERR, at the frame's tag when its header got that far,
+// which the writer's final flush delivers. PINGs are answered here
+// directly, out of order: a liveness probe must not wait behind a
+// transaction parked in admission or on a lock.
 func (s *session) readLoop(done chan<- struct{}) {
 	defer close(done)
 	defer s.cancel()
@@ -255,38 +256,30 @@ func (s *session) readLoop(done chan<- struct{}) {
 	var scratch []byte
 	var hwm int64
 	defer func() { metrics.MaxInt64(&s.srv.ctr.InflightHWM, hwm) }()
-	maxVer := s.srv.cfg.MaxWireVersion
+	pipelined := false
 	for {
-		m, ver, tag, sc, err := wire.ReadAny(br, scratch)
+		m, _, tag, sc, err := wire.ReadAny(br, scratch)
 		if err != nil {
+			if errors.Is(err, wire.ErrMalformed) || errors.Is(err, wire.ErrTooLarge) {
+				_ = s.replyTo(request{tag: tag}, &wire.ErrMsg{Code: wire.CodeProtocol, Text: err.Error()})
+			}
 			return
 		}
 		scratch = sc
 		if cap(scratch) > maxScratch {
 			scratch = nil
 		}
-		req := request{m: m, ver: ver, tag: tag}
-		if ver > maxVer {
-			// A frame newer than this server is configured to speak is a
-			// protocol violation. The reply is framed at the newest version
-			// the server allows — untagged v2 on a pinned server, tagged at
-			// maxVer otherwise — queued, and delivered by the final writer
-			// flush before cleanup closes the connection.
-			rv := request{ver: maxVer, tag: tag}
-			if maxVer < wire.V3 {
-				rv = request{ver: wire.V2}
-			}
-			_ = s.replyTo(rv, &wire.ErrMsg{Code: wire.CodeProtocol,
-				Text: fmt.Sprintf("wire v%d not enabled on this server (max v%d)", ver, maxVer)})
-			return
-		}
-		if ver >= wire.V3 && !s.pipelined.Swap(true) {
+		// More behind a frame in the same read: the peer did not wait for
+		// this one's reply before sending the next.
+		if !pipelined && br.Buffered() > 0 {
+			pipelined = true
 			s.srv.ctr.PipelinedSessions.Add(1)
 		}
+		req := request{m: m, tag: tag}
 		if v := s.inflight.Add(1); v > hwm {
 			hwm = v
 		}
-		if p, ok := m.(*wire.Ping); ok && ver >= wire.V3 {
+		if p, ok := m.(*wire.Ping); ok {
 			if s.replyTo(req, &wire.Pong{Nonce: p.Nonce}) != nil {
 				return
 			}
@@ -361,22 +354,16 @@ func (s *session) flushOut() error {
 	return nil
 }
 
-// replyTo frames m as the reply to req — tagged at the request's tag for
-// v3 requests, untagged at the request's version otherwise, with error
-// codes degraded to the version's code space — straight onto the outbound
-// buffer, and wakes the writer if the buffer was empty. It blocks while
-// SessionInflight replies are queued or being written.
+// replyTo frames m as the reply to req — the request's tag on it —
+// straight onto the outbound buffer, and wakes the writer if the buffer was
+// empty. It blocks while SessionInflight replies are queued or being
+// written.
 func (s *session) replyTo(req request, m wire.Message) error {
 	// A dead session must refuse new replies deterministically — once the
 	// writer has killed it there may be room under the bound again, and the
 	// reply would land in a buffer nobody flushes.
 	if err := s.ctx.Err(); err != nil {
 		return err
-	}
-	if em, ok := m.(*wire.ErrMsg); ok && req.ver < wire.V3 {
-		if mapped := wire.CodeForVersion(em.Code, req.ver); mapped != em.Code {
-			m = &wire.ErrMsg{Code: mapped, Text: em.Text}
-		}
 	}
 	waited := false
 	s.outMu.Lock()
@@ -390,13 +377,7 @@ func (s *session) replyTo(req request, m wire.Message) error {
 		}
 		s.outMu.Lock()
 	}
-	var out []byte
-	var err error
-	if req.ver >= wire.V3 {
-		out, err = wire.AppendTagged(s.outBuf, req.ver, req.tag, m)
-	} else {
-		out, err = wire.AppendCompat(s.outBuf, req.ver, m)
-	}
+	out, err := wire.AppendTagged(s.outBuf, wire.Version, req.tag, m)
 	if err != nil {
 		// Encoding failures are server bugs (oversized schema); drop the
 		// session rather than desync the stream.
@@ -419,12 +400,14 @@ func (s *session) replyTo(req request, m wire.Message) error {
 
 // handle processes one request; the session's first must be HELLO and is
 // answered with the manager's transaction-set schema. The session-state
-// contract kept here:
+// contract kept here: a TXN is answered exactly once, with TXN_OK or the
+// ERR that is its outcome, and leaves no transaction behind either way;
 // every reply to BEGIN is BEGIN_OK or ERR; every ERR reply to
 // READ/WRITE/COMMIT also ends the live transaction, so after any ERR the
-// client knows it holds nothing. Pipelined requests are executed strictly
-// in arrival order, so a client may speculate (send BEGIN+steps+COMMIT in
-// one flush): if BEGIN fails, the trailing steps each draw the
+// client knows it holds nothing. Requests are executed strictly in arrival
+// order, so a client may have several TXNs in flight and they serialize as
+// sent; one that speculates with the per-step frames (BEGIN+steps+COMMIT
+// in one flush) sees, if BEGIN fails, the trailing steps each draw the
 // "outside a transaction" CodeState reply — expected fallout, not drift.
 func (s *session) handle(req request) error {
 	if !s.greeted {
@@ -434,7 +417,7 @@ func (s *session) handle(req request) error {
 				Text: fmt.Sprintf("expected HELLO, got %s", req.m.Kind())})
 			return errSessionEnd
 		}
-		return s.replyTo(req, schemaOf(s.srv.mgr.Set(), s.srv.cfg.MaxWireVersion))
+		return s.replyTo(req, schemaOf(s.srv.mgr.Set()))
 	}
 	switch req.m.(type) {
 	case *wire.Read, *wire.Write, *wire.Commit, *wire.Abort:
@@ -443,13 +426,17 @@ func (s *session) handle(req request) error {
 		}
 	}
 	switch m := req.m.(type) {
-	case *wire.Ping:
-		return s.replyTo(req, &wire.Pong{Nonce: m.Nonce})
+	case *wire.Txn:
+		return s.handleTxn(req, m)
 	case *wire.Begin:
-		if m.ReadOnly {
-			return s.handleBeginRO(req)
+		refusal, err := s.begin(m.Name, m.Deadline, m.ReadOnly)
+		if err != nil {
+			return err
 		}
-		return s.handleBegin(req, m)
+		if refusal != nil {
+			return s.replyTo(req, refusal)
+		}
+		return s.replyTo(req, &wire.BeginOK{ID: s.lt.id})
 	case *wire.Read:
 		v, err := s.lt.tx.Read(s.lt.ctx, rt.Item(int32(m.Item)))
 		if err != nil {
@@ -481,39 +468,74 @@ func (s *session) handle(req request) error {
 	}
 }
 
-// roIDFlag tags a BEGIN_OK id as coming from the read-only sequence
-// namespace, which is disjoint from update-transaction job ids.
+// handleTxn runs a whole transaction from its one frame: the admission a
+// BEGIN gets (so the watchdog and Drain see it live from the same moment),
+// then every operation in order under the transaction's context, then
+// commit, then the one reply. A failure anywhere is the transaction's
+// outcome and goes through txFailed like a failed step's; a TXN that finds
+// an interactive transaction live is refused by begin and leaves it alone.
+func (s *session) handleTxn(req request, m *wire.Txn) error {
+	refusal, err := s.begin(m.Name, m.Deadline, m.ReadOnly)
+	if err != nil {
+		return err
+	}
+	if refusal != nil {
+		return s.replyTo(req, refusal)
+	}
+	lt := s.lt
+	reads := s.txnOK.Reads[:0]
+	for _, op := range m.Ops {
+		item := rt.Item(int32(op.Item))
+		if op.Op == wire.OpRead {
+			v, err := lt.tx.Read(lt.ctx, item)
+			if err != nil {
+				return s.txFailed(req, "READ", err)
+			}
+			reads = append(reads, int64(v))
+		} else if err := lt.tx.Write(lt.ctx, item, db.Value(op.Value)); err != nil { // the decoder admits reads and writes only
+			return s.txFailed(req, "WRITE", err)
+		}
+	}
+	if err := lt.tx.Commit(lt.ctx); err != nil {
+		return s.txFailed(req, "COMMIT", err)
+	}
+	s.clearTx()
+	s.txnOK = wire.TxnOK{ID: lt.id, Reads: reads} // replyTo encodes before it returns
+	return s.replyTo(req, &s.txnOK)
+}
+
+// roIDFlag tags a BEGIN_OK / TXN_OK id as coming from the read-only
+// sequence namespace, which is disjoint from update-transaction job ids.
 const roIDFlag = uint64(1) << 63
 
-// handleBeginRO admits a declared read-only snapshot transaction. It
+// refuse builds the ERR that turns a BEGIN or a TXN down.
+func refuse(code wire.ErrorCode, text string) *wire.ErrMsg {
+	return &wire.ErrMsg{Code: code, Text: text}
+}
+
+// beginRO admits a declared read-only snapshot transaction. It
 // bypasses the admission shards entirely — no queue wait, no shed or
 // infeasibility eligibility, no pending accounting — because BeginReadOnly
 // never blocks and takes no locks: admission control exists to ration the
 // lock manager, and this path never touches it. The template name and any
-// deadline budget on the BEGIN are ignored; a snapshot transaction has no
+// deadline budget on the request are ignored; a snapshot transaction has no
 // template slot and cannot be late in admission.
-func (s *session) handleBeginRO(req request) error {
-	if s.lt != nil {
-		return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeState, Text: "BEGIN with a transaction already live"})
-	}
-	if s.srv.draining.Load() {
-		return s.replyTo(req, &wire.ErrMsg{Code: wire.CodeDraining, Text: "server draining"})
-	}
+func (s *session) beginRO() *wire.ErrMsg {
 	tx, err := s.srv.mgr.BeginReadOnly(s.ctx)
 	if err != nil {
-		return s.replyTo(req, &wire.ErrMsg{Code: codeOf(err), Text: "BEGIN: " + err.Error()})
+		return refuse(codeOf(err), "BEGIN: "+err.Error())
 	}
-	s.armTx(tx, time.Time{})
+	s.armTx(tx, roIDFlag|uint64(tx.ID()), time.Time{})
 	s.srv.ctr.ROAccepted.Add(1)
-	return s.replyTo(req, &wire.BeginOK{ID: roIDFlag | uint64(tx.ID())})
+	return nil
 }
 
 // armTx installs a freshly admitted transaction: a per-transaction context
 // carries the watchdog's force-abort authority, and publishing through cur
 // makes the transaction visible to the watchdog and Drain.
-func (s *session) armTx(tx txnHandle, deadline time.Time) {
+func (s *session) armTx(tx txnHandle, id uint64, deadline time.Time) {
 	ctx, cancel := context.WithCancel(s.ctx)
-	lt := &liveTx{tx: tx, ctx: ctx, cancel: cancel, start: timeNow(), deadline: deadline}
+	lt := &liveTx{tx: tx, id: id, ctx: ctx, cancel: cancel, start: timeNow(), deadline: deadline}
 	s.lt = lt
 	s.cur.Store(lt)
 }
@@ -591,10 +613,8 @@ func codeOf(err error) wire.ErrorCode {
 }
 
 // schemaOf renders the manager's transaction set as the HELLO_OK schema.
-// proto advertises the highest wire version the server will speak on this
-// connection; a client pipelines only when proto ≥ 3.
-func schemaOf(set *txn.Set, proto uint8) *wire.HelloOK {
-	h := &wire.HelloOK{Proto: proto, Set: set.Name}
+func schemaOf(set *txn.Set) *wire.HelloOK {
+	h := &wire.HelloOK{Set: set.Name}
 	for _, tmpl := range set.Templates {
 		ti := wire.TemplateInfo{Name: tmpl.Name, Priority: int32(tmpl.Priority)}
 		for _, st := range tmpl.Steps {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,15 +94,6 @@ func TestReadOnlyEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReadOnlyRefusedBelowV4 asserts the wire gate: a v3 Begin cannot
-// carry the read-only flag, so older clients are structurally unaffected,
-// and the encoder refuses rather than silently dropping the flag.
-func TestReadOnlyRefusedBelowV4(t *testing.T) {
-	if _, err := wire.AppendTagged(nil, wire.V3, 1, &wire.Begin{ReadOnly: true}); err == nil {
-		t.Fatal("v3 encode of a read-only BEGIN should refuse")
-	}
-}
-
 // TestMaxConnsRefusal: past -max-conns the server refuses at accept time
 // with one retryable busy error, and a freed slot admits again.
 func TestMaxConnsRefusal(t *testing.T) {
@@ -119,13 +111,13 @@ func TestMaxConnsRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-	m, _, err := wire.ReadFrame(nc, nil)
+	m, _, tag, _, err := wire.ReadAny(nc, nil)
 	if err != nil {
 		t.Fatalf("read refusal: %v", err)
 	}
 	e, isErr := m.(*wire.ErrMsg)
-	if !isErr || e.Code != wire.CodeOverload {
-		t.Fatalf("refusal = %v, want CodeOverload ErrMsg", m)
+	if !isErr || e.Code != wire.CodeOverload || tag != 0 {
+		t.Fatalf("refusal = %v at tag %d, want a CodeOverload ErrMsg at tag 0", m, tag)
 	}
 	if !e.Code.Retryable() {
 		t.Fatal("conn-limit refusal must be retryable")
@@ -133,6 +125,15 @@ func TestMaxConnsRefusal(t *testing.T) {
 	_ = nc.Close()
 	if got := srv.Counters().RejectedConnLimit.Load(); got != 1 {
 		t.Fatalf("RejectedConnLimit = %d, want 1", got)
+	}
+
+	// Both dial paths hand the refusal to their caller typed, so that a
+	// retry policy can see it is retryable.
+	if _, err := client.Dial(addr, 2*time.Second); !wire.IsCode(err, wire.CodeOverload) {
+		t.Fatalf("Dial past the limit: %v, want CodeOverload", err)
+	}
+	if _, err := client.DialPipelined(addr, 2*time.Second, 0); !wire.IsCode(err, wire.CodeOverload) {
+		t.Fatalf("DialPipelined past the limit: %v, want CodeOverload", err)
 	}
 
 	// Freeing the slot readmits.
@@ -145,4 +146,62 @@ func TestMaxConnsRefusal(t *testing.T) {
 		_ = c2.Close()
 		return true
 	})
+}
+
+// TestMaxConnsRefusalIsRetried: a retrying client that finds the server at
+// its connection limit backs off and redials — the refusal is the
+// retryable CodeOverload, not a dead end — and commits once a slot frees.
+func TestMaxConnsRefusalIsRetried(t *testing.T) {
+	set := testSet(t)
+	mgr, _ := rtm.New(set)
+	addr, srv := startServer(t, mgr, Config{MaxConns: 1})
+	hog := mustDial(t, addr)
+	z := item(t, set, "z")
+
+	var retries atomic.Int64
+	pc := client.NewPipeClient(addr, 2*time.Second, 0, 1)
+	defer pc.Close()
+	pc.MaxAttempts, pc.BackoffBase, pc.Retries = 50, 2*time.Millisecond, &retries
+	done := make(chan error, 1)
+	go func() { done <- pc.DoTxn("zonly", 0, []wire.Message{&wire.Write{Item: z, Value: 5}}) }()
+	waitFor(t, "a refused dial to be retried", func() bool {
+		return srv.Counters().RejectedConnLimit.Load() >= 1 && retries.Load() >= 1
+	})
+	_ = hog.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("PipeClient against a server at its connection limit: %v", err)
+	}
+	if v := mgr.ReadCommitted(2); v != 5 {
+		t.Fatalf("committed z = %v, want 5", v)
+	}
+
+	// The strict client's pool dials through the same refusal.
+	pc.Close()
+	hog = takeSlot(t, addr)
+	pool := client.NewPool(addr, 2*time.Second, 1)
+	defer pool.Close()
+	cl := client.NewClient(pool, 1)
+	cl.MaxAttempts, cl.BackoffBase = 50, 2*time.Millisecond
+	before := srv.Counters().RejectedConnLimit.Load()
+	go func() { done <- cl.Do("zonly", func(c *client.Conn) error { return c.Write(z, 6) }) }()
+	waitFor(t, "a refused dial", func() bool { return srv.Counters().RejectedConnLimit.Load() > before })
+	_ = hog.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("Client against a server at its connection limit: %v", err)
+	}
+	if v := mgr.ReadCommitted(2); v != 6 {
+		t.Fatalf("committed z = %v, want 6", v)
+	}
+}
+
+// takeSlot dials until a connection slot that is being freed is free.
+func takeSlot(t *testing.T, addr string) *client.Conn {
+	t.Helper()
+	var c *client.Conn
+	waitFor(t, "the freed slot", func() bool {
+		var err error
+		c, err = client.Dial(addr, 2*time.Second)
+		return err == nil
+	})
+	return c
 }

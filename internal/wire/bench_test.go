@@ -6,14 +6,16 @@ import (
 	"testing"
 )
 
-// The steady-state frames of a pipelined session: small fixed-size
-// request/reply pairs. The benchmarks pin their allocs/op — encode into a
+// The steady-state frames of a session: a whole transaction each way, and
+// the small fixed-size request/reply pairs of one driven a step at a time. The benchmarks pin their allocs/op — encode into a
 // reused buffer is 0 allocs/op, decode allocates only the message value.
 
 func benchFrames(b *testing.B) []byte {
 	var stream []byte
 	var err error
 	for i, m := range []Message{
+		&Txn{Name: "T1", Deadline: 150, Ops: []TxnOp{{Op: OpRead, Item: 3}, {Op: OpWrite, Item: 4, Value: 9}}},
+		&TxnOK{ID: 7, Reads: []int64{-1}},
 		&Begin{Name: "T1", Deadline: 150},
 		&BeginOK{ID: 7},
 		&Read{Item: 3},
@@ -29,20 +31,6 @@ func benchFrames(b *testing.B) []byte {
 		}
 	}
 	return stream
-}
-
-func BenchmarkAppendFrame(b *testing.B) {
-	msg := &Write{Item: 4, Value: 9}
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = AppendFrame(buf[:0], msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkAppendTagged(b *testing.B) {

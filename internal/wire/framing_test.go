@@ -22,27 +22,32 @@ type decoded struct {
 	tag uint32
 }
 
-// burstFrames is one pipelined transaction preceded by the untagged
-// handshake frame, as a server's reader sees a fresh connection.
+// burstFrames is what a server's reader sees from a fresh connection —
+// the handshake, a whole transaction in one frame, a transaction a step at
+// a time, a probe — followed by the replies a client's reader sees, TXN_OK
+// with and without values among them.
 func burstFrames(t *testing.T) ([]byte, []decoded) {
 	t.Helper()
 	want := []decoded{
-		{&Hello{}, V2, 0},
-		{&Begin{Name: "T1", Deadline: 2}, V4, 7},
-		{&Read{Item: 3}, V4, 8},
-		{&Write{Item: 4, Value: -9}, V4, 9},
-		{&Commit{}, V4, 10},
-		{&Ping{Nonce: 99}, V3, 11},
+		{&Hello{}, Version, 0},
+		{&Txn{Name: "T1", Deadline: 2, Ops: []TxnOp{
+			{Op: OpRead, Item: 3}, {Op: OpWrite, Item: 4, Value: -9}, {Op: OpRead, Item: 5},
+		}}, Version, 1},
+		{&Txn{ReadOnly: true, Ops: []TxnOp{{Op: OpRead, Item: 3}}}, Version, 2},
+		{&Begin{Name: "T1", Deadline: 2}, Version, 7},
+		{&Read{Item: 3}, Version, 8},
+		{&Write{Item: 4, Value: -9}, Version, 9},
+		{&Commit{}, Version, 10},
+		{&Ping{Nonce: 99}, Version, 11},
+		{&TxnOK{ID: 5, Reads: []int64{7, -8}}, Version, 1},
+		{&TxnOK{ID: 1<<63 | 6, Reads: []int64{7}}, Version, 2},
+		{&TxnOK{ID: 7}, Version, 3},
+		{&ErrMsg{Code: CodeAborted, Text: "WRITE: sacrificed"}, Version, 4},
 	}
 	var stream []byte
 	var err error
 	for _, d := range want {
-		if d.ver >= V3 {
-			stream, err = AppendTagged(stream, d.ver, d.tag, d.m)
-		} else {
-			stream, err = AppendCompat(stream, d.ver, d.m)
-		}
-		if err != nil {
+		if stream, err = AppendTagged(stream, d.ver, d.tag, d.m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -123,7 +128,7 @@ func TestBufferedReadTruncatedEverywhere(t *testing.T) {
 // drops it; a declared payload beyond MaxPayload is still refused from the
 // header alone.
 func TestBufferedReadLargeFrame(t *testing.T) {
-	big := &HelloOK{Proto: Version, Set: "big"}
+	big := &HelloOK{Set: "big"}
 	name := strings.Repeat("n", MaxString)
 	for i := 0; i < 250; i++ {
 		big.Templates = append(big.Templates, TemplateInfo{Name: name, Priority: int32(i)})
@@ -131,7 +136,7 @@ func TestBufferedReadLargeFrame(t *testing.T) {
 	var stream []byte
 	var err error
 	for _, m := range []Message{&Pong{Nonce: 1}, big, &Pong{Nonce: 2}} {
-		if stream, err = AppendTagged(stream, V4, 5, m); err != nil {
+		if stream, err = AppendTagged(stream, Version, 5, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +164,7 @@ func TestBufferedReadLargeFrame(t *testing.T) {
 		}
 	}
 
-	over := []byte{V4, byte(KindHelloOK), 0, 0, 0, 5, 0, 0x10, 0, 1} // plen = MaxPayload+1
+	over := []byte{Version, byte(KindHelloOK), 0, 0, 0, 5, 0, 0x10, 0, 1} // plen = MaxPayload+1
 	if _, _, _, _, err := ReadAny(bufio.NewReader(bytes.NewReader(over)), nil); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized declared payload: err = %v, want ErrTooLarge", err)
 	}

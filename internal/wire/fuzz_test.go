@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -11,55 +12,40 @@ import (
 //
 //   - decoding never panics, whatever the input;
 //   - a malformed frame errors with ErrMalformed/ErrTooLarge;
-//   - a frame that decodes re-encodes at its own version and tag to
-//     exactly the bytes consumed (per-version canonical encoding), and
-//     decoding the re-encoding yields an equal message (round trip);
+//   - a frame that decodes re-encodes at its own tag to exactly the bytes
+//     consumed (canonical encoding), and decoding the re-encoding yields an
+//     equal message (round trip);
 //   - the decoder never allocates beyond the declared, bounded payload
 //     (enforced structurally: element counts are checked against the
 //     remaining payload before any allocation).
 func FuzzWireRoundTrip(f *testing.F) {
-	for _, m := range []Message{
-		&Hello{},
-		&HelloOK{Proto: Version, Set: "s", Templates: []TemplateInfo{
-			{Name: "T1", Priority: 2, Steps: []StepInfo{{Op: OpRead, Item: 1, Dur: 1}}},
-		}},
-		&Begin{Name: "T1"},
-		&BeginOK{ID: 7},
-		&Read{Item: 3},
-		&ReadOK{Value: -1},
-		&Write{Item: 4, Value: 9},
-		&WriteOK{},
-		&Commit{},
-		&CommitOK{},
-		&Abort{},
-		&AbortOK{},
-		&Ping{Nonce: 1},
-		&Pong{Nonce: 1},
-		&ErrMsg{Code: CodeDraining, Text: "bye"},
-	} {
-		frame, err := AppendFrame(nil, m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(frame)
-		// The same message as tagged v3/v4 frames and an untagged v1 frame.
-		if tagged, err := AppendTagged(nil, V3, 0xABCD1234, m); err == nil {
-			f.Add(tagged)
-		}
-		if tagged, err := AppendTagged(nil, V4, 0xABCD1234, m); err == nil {
-			f.Add(tagged)
-		}
-		if v1, err := AppendCompat(nil, V1, m); err == nil {
-			f.Add(v1)
+	// Every sample message — TXN and TXN_OK in several shapes among them —
+	// under the tag of an unasked ERR, an ordinary one and the last one.
+	for _, m := range sampleMessages() {
+		for _, tag := range []uint32{0, 0xABCD1234, 0xFFFFFFFF} {
+			frame, err := AppendTagged(nil, Version, tag, m)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(frame)
 		}
 	}
-	f.Add([]byte{V2, uint8(KindHelloOK), 0, 0, 0, 4, 1, 0, 0, 0})
-	f.Add([]byte{V2, uint8(KindErr), 0xFF, 0, 0, 0})
-	f.Add([]byte{V3, uint8(KindPing), 0, 0, 0, 9, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1})
-	f.Add([]byte{V1, uint8(KindBegin), 0, 0, 0, 4, 0, 2, 'T', '1'})
-	if ro, err := AppendTagged(nil, V4, 5, &Begin{Name: "T1", ReadOnly: true}); err == nil {
-		f.Add(ro)
+	// frame wraps a hand-written payload: the malformed shapes the decoder
+	// must refuse, as starting points for the mutator.
+	frame := func(k Kind, payload ...byte) []byte {
+		return withLen(append([]byte{Version, uint8(k), 0, 0, 0, 9, 0, 0, 0, 0}, payload...), len(payload))
 	}
+	f.Add(frame(KindHelloOK, 0, 0, 0xFF, 0xFF))                                         // forged template count
+	f.Add(frame(KindErr, 0xFF, 0, 0))                                                   // unknown code
+	f.Add(frame(KindPing, 0, 0, 0, 0, 0, 0, 0, 1))                                      // valid, by hand
+	f.Add([]byte{2, uint8(KindHello), 0, 0, 0, 0})                                      // an untagged v2 HELLO
+	f.Add([]byte{4, uint8(KindBegin), 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 1})     // a tagged v4 BEGIN
+	f.Add(frame(KindTxn, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, OpRead, 0, 0, 0, 1))          // forged op count
+	f.Add(frame(KindTxn, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 0, 0, 1))                     // unknown op byte
+	f.Add(frame(KindTxn, 0, 0, 0, 0, 0, 0, 2, 0, 0))                                    // bad read-only flag
+	f.Add(frame(KindTxn, 0, 0, 0, 0, 0, 0, 1, 0, 1, OpRead, 0, 0, 0, 1, 0))             // trailing byte
+	f.Add(frame(KindTxnOK, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 5)) // forged read count
+	f.Add(frame(KindTxnOK, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0))                            // trailing byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, ver, tag, rest, err := DecodeAny(data)
@@ -70,25 +56,25 @@ func FuzzWireRoundTrip(f *testing.F) {
 			return
 		}
 		consumed := data[:len(data)-len(rest)]
-		re, err := appendFrameAt(nil, ver, tag, m)
+		re, err := AppendTagged(nil, ver, tag, m)
 		if err != nil {
-			t.Fatalf("re-encode of decoded %s (v%d) failed: %v", m.Kind(), ver, err)
+			t.Fatalf("re-encode of decoded %s failed: %v", m.Kind(), err)
 		}
 		if !bytes.Equal(re, consumed) {
-			t.Fatalf("%s (v%d) not canonical:\n consumed %x\n re-encoded %x", m.Kind(), ver, consumed, re)
+			t.Fatalf("%s not canonical:\n consumed %x\n re-encoded %x", m.Kind(), consumed, re)
 		}
 		m2, ver2, tag2, rest2, err := DecodeAny(re)
 		if err != nil || len(rest2) != 0 || ver2 != ver || tag2 != tag {
 			t.Fatalf("decode of re-encoding failed: %v (%d rest, v%d tag %d)", err, len(rest2), ver2, tag2)
 		}
-		f2, err := appendFrameAt(nil, ver2, tag2, m2)
+		f2, err := AppendTagged(nil, ver2, tag2, m2)
 		if err != nil || !bytes.Equal(f2, re) {
 			t.Fatalf("second round trip diverged: %v", err)
 		}
-		// The strict untagged path must agree with DecodeAny on v1/v2
-		// frames and reject tagged ones.
-		if _, _, err := DecodeFrame(data); (err == nil) != (ver < V3) {
-			t.Fatalf("DecodeFrame(v%d frame): err = %v", ver, err)
+		// The stream reader agrees with the slice decoder.
+		m3, _, tag3, _, err := ReadAny(bytes.NewReader(consumed), nil)
+		if err != nil || tag3 != tag || !reflect.DeepEqual(m3, m) {
+			t.Fatalf("ReadAny disagrees with DecodeAny on %s: %v", m.Kind(), err)
 		}
 	})
 }

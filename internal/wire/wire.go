@@ -1,69 +1,71 @@
-// Package wire is the versioned, length-prefixed binary protocol spoken
-// between pcpdad (the network transaction daemon, internal/server) and its
-// clients (internal/client). It is a pure codec: no networking, no manager
-// types — just frames in and out of byte slices, so both endpoints and the
-// fuzzer share one implementation that cannot drift.
+// Package wire is the length-prefixed binary protocol spoken between pcpdad
+// (the network transaction daemon, internal/server) and its clients
+// (internal/client). It is a pure codec: no networking, no manager types —
+// just frames in and out of byte slices, so both endpoints and the fuzzer
+// share one implementation that cannot drift.
 //
 // # Framing
 //
-// An untagged frame (versions 1 and 2) is:
-//
-//	+---------+---------+---------------+-----------------+
-//	| version |  kind   |  payload len  |     payload     |
-//	| u8=1|2  |   u8    |   u32 (BE)    |  len(payload)   |
-//	+---------+---------+---------------+-----------------+
-//
-// A tagged frame (versions 3 and 4, pipelining) inserts a request tag
-// between the kind and the payload length:
+// There is one frame shape, for every message in both directions:
 //
 //	+---------+---------+-----------+---------------+-----------------+
 //	| version |  kind   |    tag    |  payload len  |     payload     |
-//	| u8=3|4  |   u8    |  u32 (BE) |   u32 (BE)    |  len(payload)   |
+//	|  u8=5   |   u8    |  u32 (BE) |   u32 (BE)    |  len(payload)   |
 //	+---------+---------+-----------+---------------+-----------------+
 //
-// The tag is an opaque client-chosen request identifier; the server echoes
-// it on the reply frame, which lets a connection keep many requests in
-// flight and receive responses out of order (in practice the server
-// executes a session's requests in arrival order, but replies — PONG in
-// particular — may overtake). Untagged and tagged frames may be mixed on
-// one connection; an untagged request always gets an untagged reply at the
-// request's version, preserving strict request/response for v1/v2 clients.
+// The version byte is Version and nothing else: a peer speaking anything
+// older or newer fails at its first frame. The tag is an opaque
+// client-chosen request identifier; the server echoes it on the reply, which
+// lets a connection keep many requests in flight and receive responses out
+// of order (the server executes a session's requests in arrival order, but
+// replies — PONG in particular — may overtake). A client that wants strict
+// request/reply simply keeps one request in flight. An ERR the server sends
+// unasked (connection refused at the limit, malformed frame) carries the
+// offending frame's tag when there is one and tag 0 otherwise, and ends the
+// connection.
 //
 // Integers are big-endian. Strings are a u16 length followed by raw bytes.
 // The payload length is bounded by MaxPayload; a decoder rejects larger
-// frames before allocating anything, so a hostile peer cannot force memory
-// growth with a forged header. Decoding is exact: a payload with trailing
-// bytes is malformed, which makes encoding canonical per version
-// (decode∘encode at the decoded version is the identity on valid frames —
-// the property FuzzWireRoundTrip checks).
-//
-// # Versions
-//
-//	V1: base protocol (BEGIN has no deadline; codes through CodeInternal)
-//	V2: BEGIN carries a firm-deadline budget; CodeShed / CodeInfeasible
-//	V3: tagged frames (pipelining); payload encodings identical to V2
-//	V4: BEGIN carries a read-only flag (snapshot transactions); framing
-//	    identical to V3
+// frames before allocating anything, and every element count inside a
+// payload is checked against the bytes that remain before anything is
+// allocated for it, so a hostile peer cannot force memory growth with a
+// forged header or count. Decoding is exact: a payload with trailing bytes
+// is malformed, which makes encoding canonical (decode∘encode is the
+// identity on valid frames — the property FuzzWireRoundTrip checks).
 //
 // # Conversation
 //
-// The client side of one session is request/reply (strictly sequential
-// when untagged, pipelined FIFO when tagged):
+//	HELLO  → HELLO_OK (set name + template schema)    — first, once
+//	TXN    → TXN_OK(id, values read) | ERR            — a whole transaction
+//	PING   → PONG(nonce)                              — liveness, any time
 //
-//	HELLO  → HELLO_OK (set name + template schema)    — optional, any time
+// A TXN names a template, carries an optional firm deadline budget and the
+// transaction's reads and writes in order (PCP-DA templates have static
+// read and write sets, and HELLO_OK has told the client what they are); the
+// server admits it, runs every operation, commits, and answers once: TXN_OK
+// with the values read, in operation order, or the one ERR that is the
+// transaction's outcome. It is the way to run a transaction whose writes do
+// not depend on its reads: one frame each way, and a write lock is held for
+// the manager's time rather than for round trips.
+//
+// A client whose writes depend on what it read drives the transaction a
+// step at a time instead (one transaction live per session, either way):
+//
 //	BEGIN  → BEGIN_OK | ERR                           — opens the session txn
-//	         (carries an optional firm deadline budget in milliseconds;
-//	         the server refuses admission with CodeInfeasible when the
-//	         measured queue wait already exceeds it)
 //	READ   → READ_OK(value) | ERR
 //	WRITE  → WRITE_OK | ERR
 //	COMMIT → COMMIT_OK | ERR                          — closes the session txn
 //	ABORT  → ABORT_OK                                 — closes the session txn
-//	PING   → PONG(nonce)                              — liveness, any time
+//
+// BEGIN and TXN pass the same admission: with a deadline budget
+// (milliseconds) the server refuses with CodeInfeasible when the measured
+// queue wait already exceeds it; read-only marks a snapshot transaction,
+// which bypasses admission and takes no locks.
 //
 // Every failure is a typed ERR reply (ErrMsg): an ErrorCode the client can
 // branch on (overload → back off and retry, aborted → retry the
-// transaction, draining → stop) plus a human-readable detail string.
+// transaction, draining → stop) plus a human-readable detail string. After
+// any ERR the session holds no transaction.
 package wire
 
 import (
@@ -73,19 +75,10 @@ import (
 	"sync"
 )
 
-// Protocol versions. The version byte of a frame header selects the header
-// shape (V3 frames carry a request tag) and the payload encoding (V1 BEGIN
-// has no deadline field, V1 error codes stop at CodeInternal).
-const (
-	V1 uint8 = 1
-	V2 uint8 = 2
-	V3 uint8 = 3
-	V4 uint8 = 4
-
-	// Version is the highest protocol version this build speaks; servers
-	// advertise it (possibly pinned lower) in HelloOK.Proto.
-	Version = V4
-)
+// Version is the one value a frame's version byte may hold. It counts on
+// from the four framings this one replaced, so a peer still speaking any of
+// them is refused at its first frame instead of being misread.
+const Version uint8 = 5
 
 // MaxPayload bounds a frame's payload. Decoders reject larger declared
 // lengths before allocating; encoders refuse to produce them.
@@ -94,11 +87,8 @@ const MaxPayload = 1 << 20
 // MaxString bounds any encoded string (template/set names, error text).
 const MaxString = 4096
 
-// Header sizes: untagged (v1/v2) and tagged (v3/v4) frames.
-const (
-	headerLen       = 6  // version, kind, payload length
-	taggedHeaderLen = 10 // version, kind, tag, payload length
-)
+// headerLen is the frame header: version, kind, tag, payload length.
+const headerLen = 10
 
 // Kind identifies a message type. Requests are low values, replies have the
 // high bit set, errors are 0xFF.
@@ -112,6 +102,7 @@ const (
 	KindCommit Kind = 0x05
 	KindAbort  Kind = 0x06
 	KindPing   Kind = 0x07
+	KindTxn    Kind = 0x08
 
 	KindHelloOK  Kind = 0x81
 	KindBeginOK  Kind = 0x82
@@ -120,16 +111,17 @@ const (
 	KindCommitOK Kind = 0x85
 	KindAbortOK  Kind = 0x86
 	KindPong     Kind = 0x87
+	KindTxnOK    Kind = 0x88
 
 	KindErr Kind = 0xFF
 )
 
 var kindNames = map[Kind]string{
 	KindHello: "HELLO", KindBegin: "BEGIN", KindRead: "READ", KindWrite: "WRITE",
-	KindCommit: "COMMIT", KindAbort: "ABORT", KindPing: "PING",
+	KindCommit: "COMMIT", KindAbort: "ABORT", KindPing: "PING", KindTxn: "TXN",
 	KindHelloOK: "HELLO_OK", KindBeginOK: "BEGIN_OK", KindReadOK: "READ_OK",
 	KindWriteOK: "WRITE_OK", KindCommitOK: "COMMIT_OK", KindAbortOK: "ABORT_OK",
-	KindPong: "PONG", KindErr: "ERR",
+	KindPong: "PONG", KindTxnOK: "TXN_OK", KindErr: "ERR",
 }
 
 func (k Kind) String() string {
@@ -148,7 +140,8 @@ const (
 	// (malformed frame, undeclared item, unknown template). Not retryable.
 	CodeProtocol ErrorCode = iota
 	// CodeState: the request is invalid in the session's current state
-	// (BEGIN with a transaction open, READ without one, finished handle).
+	// (BEGIN or TXN with a transaction open, READ without one, finished
+	// handle).
 	CodeState
 	// CodeOverload: the admission queue is full. Back off and retry.
 	CodeOverload
@@ -179,10 +172,6 @@ const (
 	numCodes
 )
 
-// numCodesV1 is the error-code space of protocol version 1: CodeShed and
-// CodeInfeasible arrived with v2, so frames at v1 cannot carry them.
-const numCodesV1 = CodeShed
-
 var codeNames = [numCodes]string{
 	CodeProtocol: "protocol", CodeState: "state", CodeOverload: "overload",
 	CodeAborted: "aborted", CodeCancelled: "cancelled", CodeDeadline: "deadline",
@@ -203,17 +192,6 @@ func (c ErrorCode) String() string {
 func (c ErrorCode) Retryable() bool {
 	return c == CodeOverload || c == CodeAborted || c == CodeDeadline ||
 		c == CodeShed || c == CodeInfeasible
-}
-
-// CodeForVersion maps c to the nearest code expressible at wire version
-// ver: a v1 peer has no CodeShed/CodeInfeasible, so both degrade to
-// CodeOverload (the correct client reaction — back off and retry — is the
-// same). Codes within the version's space pass through unchanged.
-func CodeForVersion(c ErrorCode, ver uint8) ErrorCode {
-	if ver <= V1 && c >= numCodesV1 {
-		return CodeOverload
-	}
-	return c
 }
 
 // RemoteError is the client-side error for an ERR reply: the typed code
@@ -277,12 +255,10 @@ type TemplateInfo struct {
 
 // --- messages -----------------------------------------------------------------
 
-// Message is one protocol message, encodable as a frame payload. Payload
-// encodings may depend on the frame version (BEGIN's deadline and the
-// overload error codes arrived with v2), so both directions thread it.
+// Message is one protocol message, encodable as a frame payload.
 type Message interface {
 	Kind() Kind
-	encodePayload(dst []byte, ver uint8) ([]byte, error)
+	encodePayload(dst []byte) ([]byte, error)
 	decodePayload(d *dec)
 }
 
@@ -291,7 +267,6 @@ type Hello struct{}
 
 // HelloOK is the schema reply.
 type HelloOK struct {
-	Proto     uint8 // highest wire version the server speaks (≤ Version)
 	Set       string
 	Templates []TemplateInfo
 }
@@ -301,19 +276,17 @@ type HelloOK struct {
 // milliseconds: the transaction is worthless unless it commits within it,
 // so the server may refuse admission outright (CodeInfeasible) and its
 // stuck-transaction watchdog force-aborts the instance once the budget
-// plus a grace period has elapsed. The field exists from v2 on; a v1
-// frame cannot carry it.
+// plus a grace period has elapsed.
 //
 // ReadOnly, when set, declares the transaction a read-only snapshot
 // transaction: the server routes it around admission entirely (no queue
 // wait, no shed eligibility, no locks) and answers its reads from the
 // multiversion snapshot path. Writes on such a transaction fail with
-// CodeProtocol. The flag exists from v4 on; earlier frames cannot carry
-// it.
+// CodeProtocol.
 type Begin struct {
 	Name     string
 	Deadline uint32 // firm budget in milliseconds; 0 = none
-	ReadOnly bool   // snapshot transaction; requires wire v4
+	ReadOnly bool   // snapshot transaction
 }
 
 // BeginOK confirms admission; ID is the manager's job id (observability).
@@ -353,6 +326,30 @@ type Ping struct{ Nonce uint64 }
 // Pong answers a Ping.
 type Pong struct{ Nonce uint64 }
 
+// TxnOp is one read or write of a whole-transaction request.
+type TxnOp struct {
+	Op    uint8 // OpRead or OpWrite
+	Item  uint32
+	Value int64 // OpWrite only; not encoded for a read
+}
+
+// Txn is a whole transaction in one frame: BEGIN's fields (same meaning,
+// same admission) and then the transaction's reads and writes in the order
+// they are to run. The server commits after the last one.
+type Txn struct {
+	Name     string
+	Deadline uint32 // firm budget in milliseconds; 0 = none
+	ReadOnly bool   // snapshot transaction: Name is ignored, writes fail
+	Ops      []TxnOp
+}
+
+// TxnOK reports a committed Txn: the manager's job id and the value of
+// every read, in the order the reads appear in Ops.
+type TxnOK struct {
+	ID    uint64
+	Reads []int64
+}
+
 // ErrMsg is the typed error reply.
 type ErrMsg struct {
 	Code ErrorCode
@@ -373,6 +370,8 @@ func (*Abort) Kind() Kind    { return KindAbort }
 func (*AbortOK) Kind() Kind  { return KindAbortOK }
 func (*Ping) Kind() Kind     { return KindPing }
 func (*Pong) Kind() Kind     { return KindPong }
+func (*Txn) Kind() Kind      { return KindTxn }
+func (*TxnOK) Kind() Kind    { return KindTxnOK }
 func (*ErrMsg) Kind() Kind   { return KindErr }
 
 // newMessage returns a zero message for kind, or nil for unknown kinds.
@@ -406,6 +405,10 @@ func newMessage(k Kind) Message {
 		return &Ping{}
 	case KindPong:
 		return &Pong{}
+	case KindTxn:
+		return &Txn{}
+	case KindTxnOK:
+		return &TxnOK{}
 	case KindErr:
 		return &ErrMsg{}
 	}
@@ -414,13 +417,12 @@ func newMessage(k Kind) Message {
 
 // --- payload encodings --------------------------------------------------------
 
-func (*Hello) encodePayload(dst []byte, _ uint8) ([]byte, error) { return dst, nil }
-func (*Hello) decodePayload(*dec)                                {}
+func (*Hello) encodePayload(dst []byte) ([]byte, error) { return dst, nil }
+func (*Hello) decodePayload(*dec)                       {}
 
-func (m *HelloOK) encodePayload(dst []byte, _ uint8) ([]byte, error) {
-	dst = append(dst, m.Proto)
-	var err error
-	if dst, err = appendStr(dst, m.Set); err != nil {
+func (m *HelloOK) encodePayload(dst []byte) ([]byte, error) {
+	dst, err := appendStr(dst, m.Set)
+	if err != nil {
 		return nil, err
 	}
 	if len(m.Templates) > 0xFFFF {
@@ -446,7 +448,6 @@ func (m *HelloOK) encodePayload(dst []byte, _ uint8) ([]byte, error) {
 }
 
 func (m *HelloOK) decodePayload(d *dec) {
-	m.Proto = d.u8()
 	m.Set = d.str()
 	n := int(d.u16())
 	// A template encodes to ≥ 8 bytes (empty name, no steps); bounding the
@@ -482,65 +483,57 @@ func (m *HelloOK) decodePayload(d *dec) {
 	}
 }
 
-func (m *Begin) encodePayload(dst []byte, ver uint8) ([]byte, error) {
-	dst, err := appendStr(dst, m.Name)
+func (m *Begin) encodePayload(dst []byte) ([]byte, error) {
+	return appendBeginFields(dst, m.Name, m.Deadline, m.ReadOnly)
+}
+
+func (m *Begin) decodePayload(d *dec) {
+	m.Name, m.Deadline, m.ReadOnly = d.beginFields()
+}
+
+// appendBeginFields encodes what BEGIN and TXN share: template name,
+// deadline budget, read-only flag.
+func appendBeginFields(dst []byte, name string, deadline uint32, readOnly bool) ([]byte, error) {
+	dst, err := appendStr(dst, name)
 	if err != nil {
 		return nil, err
 	}
-	if ver <= V1 {
-		if m.Deadline != 0 {
-			return nil, fmt.Errorf("%w: BEGIN deadline requires wire v2", ErrMalformed)
-		}
-		if m.ReadOnly {
-			return nil, fmt.Errorf("%w: BEGIN read-only requires wire v4", ErrMalformed)
-		}
-		return dst, nil
-	}
-	dst = appendU32(dst, m.Deadline)
-	if ver < V4 {
-		if m.ReadOnly {
-			return nil, fmt.Errorf("%w: BEGIN read-only requires wire v4", ErrMalformed)
-		}
-		return dst, nil
-	}
+	dst = appendU32(dst, deadline)
 	ro := uint8(0)
-	if m.ReadOnly {
+	if readOnly {
 		ro = 1
 	}
 	return append(dst, ro), nil
 }
 
-func (m *Begin) decodePayload(d *dec) {
-	m.Name = d.str()
-	if d.ver >= V2 {
-		m.Deadline = d.u32()
+func (d *dec) beginFields() (name string, deadline uint32, readOnly bool) {
+	name = d.str()
+	deadline = d.u32()
+	switch d.u8() {
+	case 0:
+	case 1:
+		readOnly = true
+	default:
+		// Reject junk so encoding stays canonical.
+		d.failf("bad read-only flag")
 	}
-	if d.ver >= V4 {
-		switch d.u8() {
-		case 0:
-		case 1:
-			m.ReadOnly = true
-		default:
-			// Reject junk so encoding stays canonical per version.
-			d.failf("bad BEGIN read-only flag")
-		}
-	}
+	return name, deadline, readOnly
 }
 
-func (m *BeginOK) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *BeginOK) encodePayload(dst []byte) ([]byte, error) {
 	return appendU64(dst, m.ID), nil
 }
 func (m *BeginOK) decodePayload(d *dec) { m.ID = d.u64() }
 
-func (m *Read) encodePayload(dst []byte, _ uint8) ([]byte, error) { return appendU32(dst, m.Item), nil }
-func (m *Read) decodePayload(d *dec)                              { m.Item = d.u32() }
+func (m *Read) encodePayload(dst []byte) ([]byte, error) { return appendU32(dst, m.Item), nil }
+func (m *Read) decodePayload(d *dec)                     { m.Item = d.u32() }
 
-func (m *ReadOK) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *ReadOK) encodePayload(dst []byte) ([]byte, error) {
 	return appendU64(dst, uint64(m.Value)), nil
 }
 func (m *ReadOK) decodePayload(d *dec) { m.Value = int64(d.u64()) }
 
-func (m *Write) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *Write) encodePayload(dst []byte) ([]byte, error) {
 	dst = appendU32(dst, m.Item)
 	return appendU64(dst, uint64(m.Value)), nil
 }
@@ -549,29 +542,103 @@ func (m *Write) decodePayload(d *dec) {
 	m.Value = int64(d.u64())
 }
 
-func (*WriteOK) encodePayload(dst []byte, _ uint8) ([]byte, error)  { return dst, nil }
-func (*WriteOK) decodePayload(*dec)                                 {}
-func (*Commit) encodePayload(dst []byte, _ uint8) ([]byte, error)   { return dst, nil }
-func (*Commit) decodePayload(*dec)                                  {}
-func (*CommitOK) encodePayload(dst []byte, _ uint8) ([]byte, error) { return dst, nil }
-func (*CommitOK) decodePayload(*dec)                                {}
-func (*Abort) encodePayload(dst []byte, _ uint8) ([]byte, error)    { return dst, nil }
-func (*Abort) decodePayload(*dec)                                   {}
-func (*AbortOK) encodePayload(dst []byte, _ uint8) ([]byte, error)  { return dst, nil }
-func (*AbortOK) decodePayload(*dec)                                 {}
+func (*WriteOK) encodePayload(dst []byte) ([]byte, error)  { return dst, nil }
+func (*WriteOK) decodePayload(*dec)                        {}
+func (*Commit) encodePayload(dst []byte) ([]byte, error)   { return dst, nil }
+func (*Commit) decodePayload(*dec)                         {}
+func (*CommitOK) encodePayload(dst []byte) ([]byte, error) { return dst, nil }
+func (*CommitOK) decodePayload(*dec)                       {}
+func (*Abort) encodePayload(dst []byte) ([]byte, error)    { return dst, nil }
+func (*Abort) decodePayload(*dec)                          {}
+func (*AbortOK) encodePayload(dst []byte) ([]byte, error)  { return dst, nil }
+func (*AbortOK) decodePayload(*dec)                        {}
 
-func (m *Ping) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *Ping) encodePayload(dst []byte) ([]byte, error) {
 	return appendU64(dst, m.Nonce), nil
 }
 func (m *Ping) decodePayload(d *dec) { m.Nonce = d.u64() }
-func (m *Pong) encodePayload(dst []byte, _ uint8) ([]byte, error) {
+func (m *Pong) encodePayload(dst []byte) ([]byte, error) {
 	return appendU64(dst, m.Nonce), nil
 }
 func (m *Pong) decodePayload(d *dec) { m.Nonce = d.u64() }
 
-func (m *ErrMsg) encodePayload(dst []byte, ver uint8) ([]byte, error) {
-	if m.Code >= numCodes || (ver <= V1 && m.Code >= numCodesV1) {
-		return nil, fmt.Errorf("%w: error code %d not encodable at v%d", ErrMalformed, m.Code, ver)
+func (m *Txn) encodePayload(dst []byte) ([]byte, error) {
+	dst, err := appendBeginFields(dst, m.Name, m.Deadline, m.ReadOnly)
+	if err != nil {
+		return nil, err
+	}
+	if len(m.Ops) > 0xFFFF {
+		return nil, fmt.Errorf("%w: %d operations", ErrTooLarge, len(m.Ops))
+	}
+	dst = appendU16(dst, uint16(len(m.Ops)))
+	for _, op := range m.Ops {
+		dst = append(dst, op.Op)
+		dst = appendU32(dst, op.Item)
+		switch op.Op {
+		case OpRead:
+		case OpWrite:
+			dst = appendU64(dst, uint64(op.Value))
+		default:
+			return nil, fmt.Errorf("%w: TXN op %d", ErrMalformed, op.Op)
+		}
+	}
+	return dst, nil
+}
+
+func (m *Txn) decodePayload(d *dec) {
+	m.Name, m.Deadline, m.ReadOnly = d.beginFields()
+	n := int(d.u16())
+	if max := d.remaining() / 5; n > max { // an op is at least 5 bytes (a read)
+		d.failf("op count %d exceeds payload", n)
+		return
+	}
+	if n > 0 { // zero-count decodes as nil, keeping encoding canonical
+		m.Ops = make([]TxnOp, 0, n)
+	}
+	for i := 0; i < n && d.ok(); i++ {
+		op := TxnOp{Op: d.u8(), Item: d.u32()}
+		switch op.Op {
+		case OpRead:
+		case OpWrite:
+			op.Value = int64(d.u64())
+		default:
+			d.failf("unknown TXN op %d", op.Op)
+			return
+		}
+		m.Ops = append(m.Ops, op)
+	}
+}
+
+func (m *TxnOK) encodePayload(dst []byte) ([]byte, error) {
+	dst = appendU64(dst, m.ID)
+	if len(m.Reads) > 0xFFFF {
+		return nil, fmt.Errorf("%w: %d values read", ErrTooLarge, len(m.Reads))
+	}
+	dst = appendU16(dst, uint16(len(m.Reads)))
+	for _, v := range m.Reads {
+		dst = appendU64(dst, uint64(v))
+	}
+	return dst, nil
+}
+
+func (m *TxnOK) decodePayload(d *dec) {
+	m.ID = d.u64()
+	n := int(d.u16())
+	if max := d.remaining() / 8; n > max {
+		d.failf("read count %d exceeds payload", n)
+		return
+	}
+	if n > 0 {
+		m.Reads = make([]int64, 0, n)
+	}
+	for i := 0; i < n && d.ok(); i++ {
+		m.Reads = append(m.Reads, int64(d.u64()))
+	}
+}
+
+func (m *ErrMsg) encodePayload(dst []byte) ([]byte, error) {
+	if m.Code >= numCodes {
+		return nil, fmt.Errorf("%w: error code %d", ErrMalformed, m.Code)
 	}
 	dst = append(dst, uint8(m.Code))
 	return appendStr(dst, m.Text)
@@ -579,7 +646,7 @@ func (m *ErrMsg) encodePayload(dst []byte, ver uint8) ([]byte, error) {
 
 func (m *ErrMsg) decodePayload(d *dec) {
 	c := ErrorCode(d.u8())
-	if c >= numCodes || (d.ver <= V1 && c >= numCodesV1) {
+	if c >= numCodes {
 		d.failf("unknown error code %d", c)
 		return
 	}
@@ -589,113 +656,62 @@ func (m *ErrMsg) decodePayload(d *dec) {
 
 // --- framing ------------------------------------------------------------------
 
-// AppendFrame encodes m as one untagged v2 frame appended to dst — the
-// framing every pre-pipelining peer speaks.
-func AppendFrame(dst []byte, m Message) ([]byte, error) {
-	return appendFrameAt(dst, V2, 0, m)
-}
-
-// AppendCompat encodes m as one untagged frame at wire version ver (V1 or
-// V2). Servers use it to answer an untagged request at the version the
-// request arrived in.
-func AppendCompat(dst []byte, ver uint8, m Message) ([]byte, error) {
-	if ver != V1 && ver != V2 {
-		return nil, fmt.Errorf("%w: no untagged framing at version %d", ErrMalformed, ver)
-	}
-	return appendFrameAt(dst, ver, 0, m)
-}
-
-// AppendTagged encodes m as one tagged frame at wire version ver (V3 or
-// V4) carrying tag appended to dst. The receiver echoes the tag on the
-// matching reply, which it encodes at the request's version.
+// AppendTagged encodes m as one frame carrying tag, appended to dst; the
+// receiver echoes the tag on the matching reply. ver must be Version: the
+// parameter exists so that a caller states which framing it believes it is
+// speaking and is refused when that is not this one.
 func AppendTagged(dst []byte, ver uint8, tag uint32, m Message) ([]byte, error) {
-	if ver < V3 || ver > Version {
-		return nil, fmt.Errorf("%w: no tagged framing at version %d", ErrMalformed, ver)
+	if ver != Version {
+		return nil, fmt.Errorf("%w: cannot encode at version %d, want %d", ErrMalformed, ver, Version)
 	}
-	return appendFrameAt(dst, ver, tag, m)
-}
-
-func appendFrameAt(dst []byte, ver uint8, tag uint32, m Message) ([]byte, error) {
 	start := len(dst)
-	var hlen int
-	switch ver {
-	case V1, V2:
-		hlen = headerLen
-		dst = append(dst, ver, uint8(m.Kind()), 0, 0, 0, 0)
-	case V3, V4:
-		hlen = taggedHeaderLen
-		dst = append(dst, ver, uint8(m.Kind()),
-			byte(tag>>24), byte(tag>>16), byte(tag>>8), byte(tag), 0, 0, 0, 0)
-	default:
-		return nil, fmt.Errorf("%w: cannot encode at version %d", ErrMalformed, ver)
-	}
-	body, err := m.encodePayload(dst, ver)
+	dst = append(dst, ver, uint8(m.Kind()),
+		byte(tag>>24), byte(tag>>16), byte(tag>>8), byte(tag), 0, 0, 0, 0)
+	dst, err := m.encodePayload(dst)
 	if err != nil {
 		return nil, err
 	}
-	dst = body
-	plen := len(dst) - start - hlen
+	plen := len(dst) - start - headerLen
 	if plen > MaxPayload {
 		return nil, fmt.Errorf("%w: payload %d > %d", ErrTooLarge, plen, MaxPayload)
 	}
-	putU32(dst[start+hlen-4:], uint32(plen))
+	putU32(dst[start+headerLen-4:], uint32(plen))
 	return dst, nil
 }
 
-// DecodeFrame decodes the first frame in b, requiring untagged (v1/v2)
-// framing — the strict request/response path. A tagged frame is an error
-// here; pipelined endpoints use DecodeAny. Returns the message and the
-// unconsumed remainder. All failures wrap ErrMalformed or ErrTooLarge; the
-// decoder never panics and never allocates more than the declared (bounded)
-// payload.
-func DecodeFrame(b []byte) (Message, []byte, error) {
-	m, ver, _, rest, err := DecodeAny(b)
-	if err != nil {
-		return nil, b, err
-	}
-	if ver >= V3 {
-		return nil, b, fmt.Errorf("%w: tagged frame on untagged decode path", ErrMalformed)
-	}
-	return m, rest, nil
+// errVersion is the failure for a frame whose first byte is not Version.
+func errVersion(ver uint8) error {
+	return fmt.Errorf("%w: version %d, want %d", ErrMalformed, ver, Version)
 }
 
-// DecodeAny decodes the first frame in b at any protocol version,
-// returning the message, the frame's version, its tag (0 when untagged:
-// ver < V3), and the unconsumed remainder.
+// DecodeAny decodes the first frame in b, returning the message, the
+// frame's version (always Version), its tag, and the unconsumed remainder.
+// All failures wrap ErrMalformed or ErrTooLarge; the decoder never panics
+// and never allocates more than the declared (bounded) payload.
 func DecodeAny(b []byte) (m Message, ver uint8, tag uint32, rest []byte, err error) {
+	if len(b) > 0 && b[0] != Version {
+		return nil, 0, 0, b, errVersion(b[0])
+	}
 	if len(b) < headerLen {
 		return nil, 0, 0, b, fmt.Errorf("%w: short header (%d bytes)", ErrMalformed, len(b))
 	}
-	ver = b[0]
-	hlen := headerLen
-	switch ver {
-	case V1, V2:
-	case V3, V4:
-		hlen = taggedHeaderLen
-		if len(b) < hlen {
-			return nil, 0, 0, b, fmt.Errorf("%w: short tagged header (%d bytes)", ErrMalformed, len(b))
-		}
-		tag = u32(b[2:])
-	default:
-		return nil, 0, 0, b, fmt.Errorf("%w: version %d, want 1..%d", ErrMalformed, ver, Version)
-	}
-	kind := Kind(b[1])
-	plen := int(u32(b[hlen-4:]))
+	kind, tag := Kind(b[1]), u32(b[2:])
+	plen := int(u32(b[headerLen-4:]))
 	if plen > MaxPayload {
 		return nil, 0, 0, b, fmt.Errorf("%w: declared payload %d > %d", ErrTooLarge, plen, MaxPayload)
 	}
-	if len(b) < hlen+plen {
-		return nil, 0, 0, b, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrMalformed, len(b)-hlen, plen)
+	if len(b) < headerLen+plen {
+		return nil, 0, 0, b, fmt.Errorf("%w: payload truncated (%d of %d bytes)", ErrMalformed, len(b)-headerLen, plen)
 	}
-	m, err = decodeBody(kind, ver, b[hlen:hlen+plen])
+	m, err = decodeBody(kind, b[headerLen:headerLen+plen])
 	if err != nil {
 		return nil, 0, 0, b, err
 	}
-	return m, ver, tag, b[hlen+plen:], nil
+	return m, Version, tag, b[headerLen+plen:], nil
 }
 
-// decodeBody decodes one payload at the given frame version.
-func decodeBody(kind Kind, ver uint8, payload []byte) (Message, error) {
+// decodeBody decodes one payload.
+func decodeBody(kind Kind, payload []byte) (Message, error) {
 	m := newMessage(kind)
 	if m == nil {
 		return nil, fmt.Errorf("%w: unknown kind 0x%02x", ErrMalformed, uint8(kind))
@@ -704,7 +720,7 @@ func decodeBody(kind Kind, ver uint8, payload []byte) (Message, error) {
 	// it cannot live on the stack; pooled, a frame costs its message and
 	// nothing else.
 	d := decPool.Get().(*dec)
-	*d = dec{b: payload, ver: ver}
+	*d = dec{b: payload}
 	m.decodePayload(d)
 	err, trailing := d.err, len(d.b)-d.off
 	*d = dec{} // drop the reference into the caller's read buffer
@@ -720,91 +736,53 @@ func decodeBody(kind Kind, ver uint8, payload []byte) (Message, error) {
 
 var decPool = sync.Pool{New: func() any { return new(dec) }}
 
-// ReadFrame reads exactly one untagged frame from r, using (and growing)
-// scratch as the read buffer; it returns the message and the buffer for
-// reuse. A clean EOF before any header byte is returned as io.EOF; every
-// other failure is either a transport error from r or wraps
-// ErrMalformed/ErrTooLarge. A tagged (v3) frame is an error on this path.
-func ReadFrame(r io.Reader, scratch []byte) (Message, []byte, error) {
-	m, ver, _, scratch, err := ReadAny(r, scratch)
-	if err != nil {
-		return nil, scratch, err
-	}
-	if ver >= V3 {
-		return nil, scratch, fmt.Errorf("%w: tagged frame on untagged read path", ErrMalformed)
-	}
-	return m, scratch, nil
-}
-
-// ReadAny reads exactly one frame at any protocol version from r, using
-// (and growing) scratch as the read buffer; it returns the message, the
-// frame's version and tag (0 when untagged), and the buffer for reuse. A
-// clean EOF before any header byte is returned as io.EOF.
+// ReadAny reads exactly one frame from r, using (and growing) scratch as
+// the read buffer; it returns the message, the frame's version and tag, and
+// the buffer for reuse. A clean EOF before any header byte is returned as
+// io.EOF; every other failure is either a transport error from r or wraps
+// ErrMalformed/ErrTooLarge. The version byte is checked before anything
+// else is read, so a peer on another framing is refused at its first byte
+// rather than waited on for a header of this one's length; once the header
+// is in, a failure still reports the frame's tag, so the refusal can be
+// addressed to it.
 func ReadAny(r io.Reader, scratch []byte) (Message, uint8, uint32, []byte, error) {
-	if cap(scratch) < taggedHeaderLen {
+	if cap(scratch) < headerLen {
 		scratch = make([]byte, 0, 512)
 	}
 	hdr := scratch[:headerLen]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.ErrUnexpectedEOF {
+	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+		return nil, 0, 0, scratch, err // io.EOF: the stream ended between frames
+	}
+	if hdr[0] != Version {
+		return nil, 0, 0, scratch, errVersion(hdr[0])
+	}
+	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("%w: header truncated", ErrMalformed)
 		}
 		return nil, 0, 0, scratch, err
 	}
-	ver := hdr[0]
-	hlen := headerLen
-	var tag uint32
-	switch ver {
-	case V1, V2:
-	case V3, V4:
-		hlen = taggedHeaderLen
-		ext := scratch[headerLen:taggedHeaderLen]
-		if _, err := io.ReadFull(r, ext); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				err = fmt.Errorf("%w: tagged header truncated", ErrMalformed)
-			}
-			return nil, 0, 0, scratch, err
-		}
-		tag = u32(hdr[2:])
-	default:
-		return nil, 0, 0, scratch, fmt.Errorf("%w: version %d, want 1..%d", ErrMalformed, ver, Version)
-	}
-	plen := int(u32(scratch[hlen-4 : hlen]))
+	kind, tag := Kind(hdr[1]), u32(hdr[2:])
+	plen := int(u32(hdr[headerLen-4:]))
 	if plen > MaxPayload {
-		return nil, 0, 0, scratch, fmt.Errorf("%w: declared payload %d > %d", ErrTooLarge, plen, MaxPayload)
+		return nil, Version, tag, scratch, fmt.Errorf("%w: declared payload %d > %d", ErrTooLarge, plen, MaxPayload)
 	}
-	need := hlen + plen
+	need := headerLen + plen
 	if cap(scratch) < need {
-		grown := make([]byte, need)
-		copy(grown, scratch[:hlen])
-		scratch = grown[:0]
+		scratch = make([]byte, 0, need) // the header has been read out; nothing to carry over
 	}
-	buf := scratch[:need]
-	if _, err := io.ReadFull(r, buf[hlen:]); err != nil {
+	payload := scratch[headerLen:need]
+	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("%w: payload truncated", ErrMalformed)
 		}
-		return nil, 0, 0, scratch, err
+		return nil, Version, tag, scratch, err
 	}
-	kind := Kind(buf[1])
-	m, err := decodeBody(kind, ver, buf[hlen:need])
+	m, err := decodeBody(kind, payload)
 	if err != nil {
-		return nil, 0, 0, scratch, err
+		return nil, Version, tag, scratch, err
 	}
-	return m, ver, tag, scratch, nil
-}
-
-// WriteFrame encodes m into scratch and writes the frame to w, returning
-// the (possibly grown) buffer for reuse. Untagged v2 framing.
-func WriteFrame(w io.Writer, scratch []byte, m Message) ([]byte, error) {
-	buf, err := AppendFrame(scratch[:0], m)
-	if err != nil {
-		return scratch, err
-	}
-	if _, err := w.Write(buf); err != nil {
-		return buf, err
-	}
-	return buf, nil
+	return m, Version, tag, scratch, nil
 }
 
 // --- primitive encoding -------------------------------------------------------
@@ -843,7 +821,6 @@ func u32(b []byte) uint32 {
 type dec struct {
 	b   []byte
 	off int
-	ver uint8
 	err error
 }
 

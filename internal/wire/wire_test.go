@@ -13,7 +13,7 @@ import (
 func sampleMessages() []Message {
 	return []Message{
 		&Hello{},
-		&HelloOK{Proto: Version, Set: "paper-example-3", Templates: []TemplateInfo{
+		&HelloOK{Set: "paper-example-3", Templates: []TemplateInfo{
 			{Name: "T1", Priority: 3, Steps: []StepInfo{
 				{Op: OpRead, Item: 0, Dur: 1},
 				{Op: OpCompute, Item: NoItem, Dur: 4},
@@ -24,6 +24,7 @@ func sampleMessages() []Message {
 		}},
 		&Begin{Name: "T1"},
 		&Begin{Name: "T2", Deadline: 250},
+		&Begin{ReadOnly: true},
 		&BeginOK{ID: 0xDEADBEEFCAFE},
 		&Read{Item: 42},
 		&ReadOK{Value: -77},
@@ -35,6 +36,13 @@ func sampleMessages() []Message {
 		&AbortOK{},
 		&Ping{Nonce: 99},
 		&Pong{Nonce: 99},
+		&Txn{Name: "T1", Deadline: 2, Ops: []TxnOp{
+			{Op: OpRead, Item: 3}, {Op: OpWrite, Item: 4, Value: -9}, {Op: OpRead, Item: 4},
+		}},
+		&Txn{ReadOnly: true, Ops: []TxnOp{{Op: OpRead, Item: 1}, {Op: OpRead, Item: 2}}},
+		&Txn{Name: "T2"},
+		&TxnOK{ID: 12, Reads: []int64{-77, 1 << 40}},
+		&TxnOK{ID: 1 << 63},
 		&ErrMsg{Code: CodeOverload, Text: "queue full"},
 		&ErrMsg{Code: CodeAborted, Text: ""},
 		&ErrMsg{Code: CodeShed, Text: "priority shed"},
@@ -42,13 +50,28 @@ func sampleMessages() []Message {
 	}
 }
 
+// appendAll encodes msgs back to back, tags counting up from 0.
+func appendAll(t *testing.T, msgs []Message) []byte {
+	t.Helper()
+	var stream []byte
+	var err error
+	for i, m := range msgs {
+		if stream, err = AppendTagged(stream, Version, uint32(i), m); err != nil {
+			t.Fatalf("%s: encode: %v", m.Kind(), err)
+		}
+	}
+	return stream
+}
+
 func TestRoundTripAllKinds(t *testing.T) {
+	seen := map[Kind]bool{}
 	for _, m := range sampleMessages() {
-		frame, err := AppendFrame(nil, m)
+		seen[m.Kind()] = true
+		frame, err := AppendTagged(nil, Version, 0, m)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", m.Kind(), err)
 		}
-		got, rest, err := DecodeFrame(frame)
+		got, _, _, rest, err := DecodeAny(frame)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Kind(), err)
 		}
@@ -59,153 +82,115 @@ func TestRoundTripAllKinds(t *testing.T) {
 			t.Fatalf("%s: round trip mismatch:\n have %#v\n want %#v", m.Kind(), got, m)
 		}
 	}
+	for k := range kindNames {
+		if !seen[k] {
+			t.Errorf("no sample message of kind %s", k)
+		}
+	}
 }
 
 func TestTaggedRoundTrip(t *testing.T) {
-	for _, tagVer := range []uint8{V3, V4} {
-		for i, m := range sampleMessages() {
-			tag := uint32(i * 1000003)
-			frame, err := AppendTagged(nil, tagVer, tag, m)
-			if err != nil {
-				t.Fatalf("%s: encode: %v", m.Kind(), err)
-			}
-			got, ver, gotTag, rest, err := DecodeAny(frame)
-			if err != nil {
-				t.Fatalf("%s: decode: %v", m.Kind(), err)
-			}
-			if ver != tagVer || gotTag != tag || len(rest) != 0 {
-				t.Fatalf("%s: ver=%d tag=%d rest=%d, want v%d tag=%d rest=0",
-					m.Kind(), ver, gotTag, len(rest), tagVer, tag)
-			}
-			if !reflect.DeepEqual(m, got) {
-				t.Fatalf("%s: round trip mismatch:\n have %#v\n want %#v", m.Kind(), got, m)
-			}
-			// Tagged frames are rejected by the strict untagged decode paths.
-			if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrMalformed) {
-				t.Fatalf("%s: DecodeFrame on tagged frame: err = %v, want ErrMalformed", m.Kind(), err)
-			}
-			if _, _, err := ReadFrame(bytes.NewReader(frame), nil); !errors.Is(err, ErrMalformed) {
-				t.Fatalf("%s: ReadFrame on tagged frame: err = %v, want ErrMalformed", m.Kind(), err)
-			}
+	for i, m := range sampleMessages() {
+		tag := uint32(i * 1000003)
+		frame, err := AppendTagged(nil, Version, tag, m)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", m.Kind(), err)
 		}
-	}
-	if _, err := AppendTagged(nil, V2, 1, &Ping{}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("AppendTagged at v2: err = %v, want ErrMalformed", err)
+		got, ver, gotTag, rest, err := DecodeAny(frame)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", m.Kind(), err)
+		}
+		if ver != Version || gotTag != tag || len(rest) != 0 {
+			t.Fatalf("%s: ver=%d tag=%d rest=%d, want v%d tag=%d rest=0",
+				m.Kind(), ver, gotTag, len(rest), Version, tag)
+		}
+		if !reflect.DeepEqual(m, got) {
+			t.Fatalf("%s: round trip mismatch:\n have %#v\n want %#v", m.Kind(), got, m)
+		}
 	}
 }
 
-// TestReadOnlyVersions pins the v4 rule: BEGIN's read-only flag encodes
-// only at v4 and is refused (not silently dropped) at every earlier
-// version.
+// TestReadOnlyVersions pins how the one version carries the read-only
+// flag: BEGIN and TXN both do, as one byte that is there whatever its
+// value, and a read is five bytes of a TXN where a write is thirteen.
 func TestReadOnlyVersions(t *testing.T) {
-	ro := &Begin{Name: "T1", ReadOnly: true}
-	frame, err := AppendTagged(nil, V4, 9, ro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ver, tag, _, err := DecodeAny(frame)
-	if err != nil || ver != V4 || tag != 9 {
-		t.Fatalf("v4 RO BEGIN decode: %v (ver %d tag %d)", err, ver, tag)
-	}
-	if b := got.(*Begin); !b.ReadOnly || b.Name != "T1" {
-		t.Fatalf("v4 RO BEGIN decoded as %+v", b)
-	}
-	rw, err := AppendTagged(nil, V4, 9, &Begin{Name: "T1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frame) != len(rw) {
-		t.Fatalf("v4 BEGIN sizes differ by flag value: %d vs %d", len(frame), len(rw))
-	}
-	for _, ver := range []uint8{V1, V2, V3} {
-		var err error
-		if ver == V3 {
-			_, err = AppendTagged(nil, ver, 1, ro)
-		} else {
-			_, err = AppendCompat(nil, ver, ro)
+	for _, pair := range [][2]Message{
+		{&Begin{Name: "T1", ReadOnly: true}, &Begin{Name: "T1"}},
+		{&Txn{Name: "T1", ReadOnly: true}, &Txn{Name: "T1"}},
+	} {
+		ro, err := AppendTagged(nil, Version, 9, pair[0])
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(err, ErrMalformed) {
-			t.Errorf("v%d RO BEGIN: err = %v, want ErrMalformed", ver, err)
+		rw, err := AppendTagged(nil, Version, 9, pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ro) != len(rw) {
+			t.Fatalf("%s sizes differ by flag value: %d vs %d", pair[0].Kind(), len(ro), len(rw))
+		}
+		got, _, _, _, err := DecodeAny(ro)
+		if err != nil || !reflect.DeepEqual(got, pair[0]) {
+			t.Fatalf("read-only %s decoded as %+v (%v)", pair[0].Kind(), got, err)
 		}
 	}
-	// A v3 BEGIN carries no flag byte: one byte shorter than v4.
-	v3, err := AppendTagged(nil, V3, 9, &Begin{Name: "T1"})
-	if err != nil {
-		t.Fatal(err)
+	size := func(ops ...TxnOp) int {
+		f, err := AppendTagged(nil, Version, 0, &Txn{Ops: ops})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(f)
 	}
-	if len(v3) != len(rw)-1 {
-		t.Fatalf("v3 BEGIN is %d bytes, v4 is %d; want exactly 1 fewer (no flag)", len(v3), len(rw))
+	if r, w := size(TxnOp{Op: OpRead, Item: 1})-size(), size(TxnOp{Op: OpWrite, Item: 1, Value: 2})-size(); r != 5 || w != 13 {
+		t.Fatalf("a TXN read costs %d bytes and a write %d, want 5 and 13", r, w)
 	}
 }
 
-// TestCompatVersions pins the cross-version encoding rules: v1 BEGIN has
-// no deadline field, v1 cannot carry the v2 overload codes, and
-// CodeForVersion degrades them to plain overload.
+// TestCompatVersions pins the compatibility rule, which is that there is
+// none: every version byte but Version is refused, by both decoders and by
+// the encoder, and the refusal needs nothing of the frame but that byte.
 func TestCompatVersions(t *testing.T) {
-	v1begin, err := AppendCompat(nil, V1, &Begin{Name: "T1"})
+	frame, err := AppendTagged(nil, Version, 1, &Ping{Nonce: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2begin, err := AppendCompat(nil, V2, &Begin{Name: "T1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v1begin) != len(v2begin)-4 {
-		t.Fatalf("v1 BEGIN is %d bytes, v2 is %d; want exactly 4 fewer (no deadline)",
-			len(v1begin), len(v2begin))
-	}
-	m, ver, _, _, err := DecodeAny(v1begin)
-	if err != nil || ver != V1 {
-		t.Fatalf("v1 BEGIN decode: %v (ver %d)", err, ver)
-	}
-	if b := m.(*Begin); b.Name != "T1" || b.Deadline != 0 {
-		t.Fatalf("v1 BEGIN decoded as %+v", b)
-	}
-	if _, err := AppendCompat(nil, V1, &Begin{Name: "T1", Deadline: 9}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("v1 BEGIN with deadline: err = %v, want ErrMalformed", err)
-	}
-	if _, err := AppendCompat(nil, V1, &ErrMsg{Code: CodeShed, Text: "x"}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("v1 ERR with CodeShed: err = %v, want ErrMalformed", err)
-	}
-	if _, err := AppendCompat(nil, V3, &Ping{}); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("AppendCompat at v3: err = %v, want ErrMalformed", err)
-	}
-	for c, want := range map[ErrorCode]ErrorCode{
-		CodeShed:       CodeOverload,
-		CodeInfeasible: CodeOverload,
-		CodeOverload:   CodeOverload,
-		CodeAborted:    CodeAborted,
-	} {
-		if got := CodeForVersion(c, V1); got != want {
-			t.Errorf("CodeForVersion(%s, v1) = %s, want %s", c, got, want)
+	for v := 0; v < 256; v++ {
+		ver := uint8(v)
+		b := append([]byte{ver}, frame[1:]...)
+		_, _, _, _, dErr := DecodeAny(b)
+		_, _, _, _, rErr := ReadAny(bytes.NewReader(b), nil)
+		_, _, _, _, firstByte := ReadAny(bytes.NewReader(b[:1]), nil)
+		_, aErr := AppendTagged(nil, ver, 1, &Ping{Nonce: 1})
+		if ver == Version {
+			if dErr != nil || rErr != nil || aErr != nil {
+				t.Fatalf("version %d: decode %v, read %v, encode %v", ver, dErr, rErr, aErr)
+			}
+			continue
 		}
-		if got := CodeForVersion(c, V2); got != c {
-			t.Errorf("CodeForVersion(%s, v2) = %s, want %s", c, got, c)
+		for what, err := range map[string]error{"DecodeAny": dErr, "ReadAny": rErr, "ReadAny of the first byte alone": firstByte, "AppendTagged": aErr} {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("version %d: %s: err = %v, want ErrMalformed", ver, what, err)
+			}
 		}
 	}
 }
 
 func TestStreamRoundTrip(t *testing.T) {
-	var stream []byte
-	var err error
-	for _, m := range sampleMessages() {
-		stream, err = AppendFrame(stream, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	want := sampleMessages()
+	stream := appendAll(t, want)
 	// Byte-slice decoding consumes the stream frame by frame.
 	rest := stream
 	var got []Message
 	for len(rest) > 0 {
-		var m Message
-		m, rest, err = DecodeFrame(rest)
+		m, _, tag, r, err := DecodeAny(rest)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, m)
+		if tag != uint32(len(got)) {
+			t.Fatalf("frame %d carries tag %d", len(got), tag)
+		}
+		got, rest = append(got, m), r
 	}
-	want := sampleMessages()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("stream decode mismatch: %d messages, want %d", len(got), len(want))
 	}
@@ -213,8 +198,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	r := bytes.NewReader(stream)
 	var scratch []byte
 	for i := 0; ; i++ {
-		var m Message
-		m, scratch, err = ReadFrame(r, scratch)
+		m, _, tag, sc, err := ReadAny(r, scratch)
 		if err == io.EOF {
 			if i != len(want) {
 				t.Fatalf("reader stopped after %d of %d messages", i, len(want))
@@ -224,91 +208,81 @@ func TestStreamRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(m, want[i]) {
-			t.Fatalf("message %d mismatch: %#v", i, m)
+		scratch = sc
+		if tag != uint32(i) || !reflect.DeepEqual(m, want[i]) {
+			t.Fatalf("message %d (tag %d) mismatch: %#v", i, tag, m)
 		}
 	}
 }
 
-// TestMixedVersionStream interleaves untagged v1/v2 frames with tagged v3
-// frames on one stream — what a server's reader sees from a client that
-// upgrades to pipelining mid-connection.
+// TestMixedVersionStream puts a frame of each framing this one replaced —
+// an untagged v2 HELLO, a tagged v4 BEGIN, as their peers wrote them — in
+// the middle of a stream: the frames before it decode, the stream fails at
+// the old frame's first byte, and nothing behind it is looked at.
 func TestMixedVersionStream(t *testing.T) {
-	type frameSpec struct {
-		ver uint8
-		tag uint32
-		m   Message
-	}
-	specs := []frameSpec{
-		{V2, 0, &Hello{}},
-		{V3, 1, &Begin{Name: "T1", Deadline: 50}},
-		{V1, 0, &Ping{Nonce: 4}},
-		{V4, 2, &Begin{Name: "T2", ReadOnly: true}},
-		{V3, 3, &Write{Item: 1, Value: -9}},
-		{V4, 0xFFFFFFFF, &Commit{}},
-		{V2, 0, &Abort{}},
-	}
-	var stream []byte
-	var err error
-	for _, s := range specs {
-		if s.ver >= V3 {
-			stream, err = AppendTagged(stream, s.ver, s.tag, s.m)
-		} else {
-			stream, err = AppendCompat(stream, s.ver, s.m)
+	good := appendAll(t, []Message{&Hello{}, &Ping{Nonce: 4}})
+	for name, old := range map[string][]byte{
+		"v2 HELLO": {2, uint8(KindHello), 0, 0, 0, 0},
+		"v4 BEGIN": {4, uint8(KindBegin), 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		stream := append(append(bytes.Clone(good), old...), good...)
+		r := bytes.NewReader(stream)
+		var scratch []byte
+		for i := 0; i < 2; i++ {
+			_, _, tag, sc, err := ReadAny(r, scratch)
+			if err != nil || tag != uint32(i) {
+				t.Fatalf("%s: frame %d ahead of it: tag %d, %v", name, i, tag, err)
+			}
+			scratch = sc
 		}
-		if err != nil {
-			t.Fatal(err)
+		if _, _, _, _, err := ReadAny(r, scratch); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: err = %v, want ErrMalformed", name, err)
 		}
-	}
-	r := bytes.NewReader(stream)
-	var scratch []byte
-	for i, s := range specs {
-		var m Message
-		var ver uint8
-		var tag uint32
-		m, ver, tag, scratch, err = ReadAny(r, scratch)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+		if left := r.Len(); left != len(old)-1+len(good) {
+			t.Fatalf("%s: the reader went %d bytes into the old frame", name, len(old)+len(good)-left)
 		}
-		if ver != s.ver || tag != s.tag || !reflect.DeepEqual(m, s.m) {
-			t.Fatalf("frame %d: got (v%d, tag %d, %#v), want (v%d, tag %d, %#v)",
-				i, ver, tag, m, s.ver, s.tag, s.m)
+		if _, _, _, _, err := DecodeAny(stream[len(good):]); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: DecodeAny: err = %v, want ErrMalformed", name, err)
 		}
-	}
-	if _, _, _, _, err = ReadAny(r, scratch); err != io.EOF {
-		t.Fatalf("stream end: err = %v, want io.EOF", err)
 	}
 }
 
 func TestDecodeMalformed(t *testing.T) {
-	valid, err := AppendFrame(nil, &Begin{Name: "T1"})
+	valid, err := AppendTagged(nil, Version, 1, &Begin{Name: "T1"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// frame builds a frame around a hand-written payload.
+	frame := func(k Kind, payload ...byte) []byte {
+		return withLen(append([]byte{Version, uint8(k), 0, 0, 0, 1, 0, 0, 0, 0}, payload...), len(payload))
+	}
 	cases := map[string][]byte{
 		"empty":             {},
-		"short header":      valid[:4],
+		"short header":      valid[:7],
 		"bad version":       append([]byte{9}, valid[1:]...),
-		"unknown kind":      {V2, 0x70, 0, 0, 0, 0},
+		"unknown kind":      frame(0x70),
 		"truncated payload": valid[:len(valid)-1],
 		"trailing payload":  withLen(append(bytes.Clone(valid), 0), len(valid)-headerLen+1),
-		"oversized decl":    {V2, uint8(KindPing), 0xFF, 0xFF, 0xFF, 0xFF},
-		"string overrun":    withLen([]byte{V2, uint8(KindBegin), 0, 0, 0, 2, 0, 9}, 2),
-		"bad error code":    withLen([]byte{V2, uint8(KindErr), 0, 0, 0, 3, 200, 0, 0}, 3),
-		"v1 shed code":      withLen([]byte{V1, uint8(KindErr), 0, 0, 0, 3, uint8(CodeShed), 0, 0}, 3),
-		"bad step op": withLen([]byte{V2, uint8(KindHelloOK), 0, 0, 0, 0,
-			V2, 0, 0, 0, 1, // proto, set "", one template
+		"oversized decl":    {Version, uint8(KindPing), 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF},
+		"string overrun":    frame(KindBegin, 0, 9),
+		"bad error code":    frame(KindErr, 200, 0, 0),
+		"bad step op": frame(KindHelloOK,
+			0, 0, 0, 1, // set "", one template
 			0, 0, 0, 0, 0, 3, 0, 1, // name "", pri 3, one step
 			9, 0, 0, 0, 0, 0, 0, 0, 1, // op 9 (invalid)
-		}, 22),
-		"short tagged header":    {V3, uint8(KindPing), 0, 0, 0, 1, 0},
-		"tagged oversized decl":  {V3, uint8(KindPing), 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF},
-		"tagged truncated":       {V3, uint8(KindPing), 0, 0, 0, 1, 0, 0, 0, 8, 1, 2},
-		"v1 begin with deadline": withLen([]byte{V1, uint8(KindBegin), 0, 0, 0, 8, 0, 2, 'T', '1', 0, 0, 0, 5}, 8),
-		"v4 begin bad ro flag": {V4, uint8(KindBegin), 0, 0, 0, 0, 0, 0, 0, 7,
-			0, 0, 0, 0, 0, 0, 2}, // name "", deadline 0, flag 2 (only 0/1 valid)
-		"v3 begin with ro byte": {V3, uint8(KindBegin), 0, 0, 0, 0, 0, 0, 0, 7,
-			0, 0, 0, 0, 0, 0, 1}, // the flag byte is trailing junk below v4
+		),
+		"begin without ro flag": frame(KindBegin, 0, 0, 0, 0, 0, 0),
+		"begin bad ro flag":     frame(KindBegin, 0, 0, 0, 0, 0, 0, 2), // name "", deadline 0, flag 2 (only 0/1 valid)
+		"txn bad ro flag":       frame(KindTxn, 0, 0, 0, 0, 0, 0, 2, 0, 0),
+		"txn forged op count":   frame(KindTxn, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 1, 0, 0, 0, 1),
+		"txn unknown op":        frame(KindTxn, 0, 0, 0, 0, 0, 0, 0, 0, 1, 3, 0, 0, 0, 1),
+		"txn compute op":        frame(KindTxn, 0, 0, 0, 0, 0, 0, 0, 0, 1, OpCompute, 0, 0, 0, 1),
+		"txn read with a value": frame(KindTxn, 0, 0, 0, 0, 0, 0, 0, 0, 1, OpRead, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5),
+		"txn write cut short":   frame(KindTxn, 0, 0, 0, 0, 0, 0, 0, 0, 1, OpWrite, 0, 0, 0, 1, 0, 0, 0, 5),
+		"txn trailing byte":     frame(KindTxn, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+		"txn_ok forged count":   frame(KindTxnOK, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 5),
+		"txn_ok count short":    frame(KindTxnOK, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 5),
+		"txn_ok trailing byte":  frame(KindTxnOK, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0),
 	}
 	for name, b := range cases {
 		if _, _, _, _, err := DecodeAny(b); err == nil {
@@ -319,40 +293,61 @@ func TestDecodeMalformed(t *testing.T) {
 	}
 }
 
-// withLen rewrites an untagged header's payload-length field.
+// withLen rewrites a header's payload-length field.
 func withLen(b []byte, n int) []byte {
-	putU32(b[2:], uint32(n))
+	putU32(b[headerLen-4:], uint32(n))
 	return b
 }
 
 func TestEncodeLimits(t *testing.T) {
-	if _, err := AppendFrame(nil, &Begin{Name: strings.Repeat("x", MaxString+1)}); !errors.Is(err, ErrTooLarge) {
+	encode := func(m Message) error {
+		_, err := AppendTagged(nil, Version, 0, m)
+		return err
+	}
+	long := strings.Repeat("x", MaxString+1)
+	if err := encode(&Begin{Name: long}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized name: err = %v, want ErrTooLarge", err)
 	}
-	if _, err := AppendFrame(nil, &ErrMsg{Code: numCodes, Text: "?"}); !errors.Is(err, ErrMalformed) {
+	if err := encode(&Txn{Name: long}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("oversized TXN name: err = %v, want ErrTooLarge", err)
+	}
+	if err := encode(&Txn{Ops: make([]TxnOp, 0x10000)}); !errors.Is(err, ErrTooLarge) && !errors.Is(err, ErrMalformed) {
+		t.Errorf("TXN with 65536 ops: err = %v, want a refusal", err)
+	}
+	if err := encode(&Txn{Ops: []TxnOp{{Op: OpCompute}}}); !errors.Is(err, ErrMalformed) {
+		t.Errorf("TXN with a compute op: err = %v, want ErrMalformed", err)
+	}
+	if err := encode(&TxnOK{Reads: make([]int64, 0x10000)}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("TXN_OK with 65536 reads: err = %v, want ErrTooLarge", err)
+	}
+	if err := encode(&ErrMsg{Code: numCodes, Text: "?"}); !errors.Is(err, ErrMalformed) {
 		t.Errorf("unknown code: err = %v, want ErrMalformed", err)
 	}
 	// A schema big enough to overflow MaxPayload must be refused, not sent.
-	big := &HelloOK{Proto: Version, Set: "big"}
+	big := &HelloOK{Set: "big"}
 	tmpl := TemplateInfo{Name: strings.Repeat("n", MaxString), Steps: make([]StepInfo, 1000)}
 	for len(big.Templates) < 200 {
 		big.Templates = append(big.Templates, tmpl)
 	}
-	if _, err := AppendFrame(nil, big); !errors.Is(err, ErrTooLarge) {
+	if err := encode(big); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("oversized schema: err = %v, want ErrTooLarge", err)
 	}
 }
 
-func TestReadFrameEOF(t *testing.T) {
-	if _, _, err := ReadFrame(bytes.NewReader(nil), nil); err != io.EOF {
+func TestReadAnyEOF(t *testing.T) {
+	if _, _, _, _, err := ReadAny(bytes.NewReader(nil), nil); err != io.EOF {
 		t.Fatalf("empty stream: err = %v, want io.EOF", err)
 	}
-	if _, _, err := ReadFrame(bytes.NewReader([]byte{V2, 1}), nil); !errors.Is(err, ErrMalformed) {
+	if _, _, _, _, err := ReadAny(bytes.NewReader([]byte{Version, 1}), nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("cut header: err = %v, want ErrMalformed", err)
 	}
-	// A tagged header cut between the common prefix and the length field.
-	if _, _, _, _, err := ReadAny(bytes.NewReader([]byte{V3, 1, 0, 0, 0, 0, 0}), nil); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("cut tagged header: err = %v, want ErrMalformed", err)
+	if _, _, _, _, err := ReadAny(bytes.NewReader([]byte{Version}), nil); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("header cut after the version byte: err = %v, want ErrMalformed", err)
+	}
+	// Once the header is in, a failure names the frame it belongs to.
+	bad := []byte{Version, 0x70, 0, 0, 0, 42, 0, 0, 0, 0}
+	if _, _, tag, _, err := ReadAny(bytes.NewReader(bad), nil); !errors.Is(err, ErrMalformed) || tag != 42 {
+		t.Fatalf("unknown kind: tag %d, err = %v; want tag 42 and ErrMalformed", tag, err)
 	}
 }
 

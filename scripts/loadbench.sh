@@ -56,7 +56,7 @@
 #   LOAD_DEADLINE firm deadline per txn in the sweep (default 150ms)
 #   LOAD_DURATION open-loop window per sweep step (default 4s)
 #   LOAD_NEMESIS  1 = route the sweep through the nemesis fault proxy
-#   LOAD_PIPELINE 1 = use the pipelined wire-v3 client (sweep: paired
+#   LOAD_PIPELINE 1 = use the pipelined client (sweep: paired
 #                 strict + pipelined rows per multiplier)
 #   LOAD_WINDOW   pipelined in-flight window per connection (default 48)
 #   LOAD_READMIX  fraction of transactions declared read-only (default 0;
