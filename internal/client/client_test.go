@@ -1,7 +1,9 @@
 package client
 
 import (
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -39,7 +41,15 @@ func fakeServer(t *testing.T, script func(t *testing.T, conn net.Conn)) string {
 // The fakes read the socket unbuffered, a frame at a time, so a script may
 // hand the connection from one helper to the next.
 func recv(conn net.Conn) (wire.Message, uint32, error) {
-	m, _, tag, _, err := wire.ReadAny(conn, nil)
+	frame := make([]byte, 10) // the header; its last four bytes are the payload length
+	if _, err := io.ReadFull(conn, frame); err != nil {
+		return nil, 0, err
+	}
+	frame = append(frame, make([]byte, binary.BigEndian.Uint32(frame[6:]))...)
+	if _, err := io.ReadFull(conn, frame[10:]); err != nil {
+		return nil, 0, err
+	}
+	m, _, tag, _, err := wire.DecodeAny(frame)
 	return m, tag, err
 }
 

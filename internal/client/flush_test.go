@@ -125,7 +125,7 @@ func kinds(t *testing.T, b []byte, next *uint32) []wire.Kind {
 	return out
 }
 
-func resolved(f *TxnFuture) bool { return len(f.req.ch) == 1 }
+func resolved(f *TxnFuture) bool { return f.req.done.Load() }
 
 func waitResolved(t *testing.T, f *TxnFuture) {
 	t.Helper()
@@ -322,8 +322,8 @@ func (c *txnCounter) count() int {
 
 // TestFailedBurstLeavesNothingBehind: a transaction that cannot be
 // submitted — its template name is past what a frame can carry, which the
-// encoder finds out with the window slot already taken; or a step is not a
-// READ or a WRITE — leaves no byte in the batch and no tag or window slot
+// encoder finds out with the window slot already chosen; or a step is not a
+// READ or a WRITE — leaves no byte in the batch and no window slot
 // taken, whether the batch was empty, held an earlier transaction, or was
 // flushed by a full window just before.
 func TestFailedBurstLeavesNothingBehind(t *testing.T) {
@@ -370,18 +370,13 @@ func TestFailedBurstLeavesNothingBehind(t *testing.T) {
 				t.Fatalf("the server saw %d TXNs, want %d", got, want)
 			}
 			// Every reply is in: nothing of the failed transactions may still
-			// hold a tag or a window slot. The demux frees a slot just after
-			// it delivers, so give it a moment.
-			for deadline := time.Now().Add(5 * time.Second); len(p.winCh) != 0; time.Sleep(time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d window slots still taken", len(p.winCh))
-				}
+			// hold a slot. The demux frees a slot just before it publishes the
+			// outcome, so none is taken by now.
+			if n := liveSlots(p); n != 0 {
+				t.Fatalf("%d window slots still taken", n)
 			}
-			p.mu.Lock()
-			left := len(p.pending)
-			p.mu.Unlock()
-			if left != 0 || p.nextTag != p.sent || len(p.wbuf) != 0 {
-				t.Fatalf("left behind: %d tags, %d unflushed frames, %d bytes", left, p.nextTag-p.sent, len(p.wbuf))
+			if p.unsent != 0 || len(p.wbuf) != 0 {
+				t.Fatalf("left behind: %d unflushed frames, %d bytes", p.unsent, len(p.wbuf))
 			}
 		})
 	}

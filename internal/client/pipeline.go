@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pcpda/internal/wire"
@@ -20,11 +21,11 @@ import (
 // transaction is driven a step at a time when its writes depend on its
 // reads. Every method, and Wait on the handles they return, is
 // single-owner — one goroutine drives the connection — while the demux
-// goroutine runs internally; the two share only the pending table and the
-// sticky error, both lock-protected. Submitted frames leave in one write
-// when the owner is about to block inside PipeConn (a Wait whose outcome is
-// not there yet, a submit into a full window); before sleeping elsewhere,
-// Flush.
+// goroutine runs internally; the two meet in the slot table, on atomics,
+// and share the deadline books and the sticky error under mu. Submitted
+// frames leave in one write when the owner is about to block inside
+// PipeConn (a Wait whose outcome is not there yet, a submit into a full
+// window); before sleeping elsewhere, Flush.
 type PipeConn struct {
 	c       net.Conn      //pcpda:guardedby immutable
 	br      *bufio.Reader //pcpda:guardedby none — the handshake's reader, owned by demux afterwards
@@ -32,39 +33,58 @@ type PipeConn struct {
 	timeout time.Duration //pcpda:guardedby immutable
 
 	// Owned by the submitting goroutine (never touched by demux).
-	wbuf    []byte        //pcpda:guardedby none — encoded-but-unflushed frames, tags sent..nextTag-1
-	nextTag uint32        //pcpda:guardedby none
-	sent    uint32        //pcpda:guardedby none — nextTag at the last flush: tags before it are on the wire
-	txn     wire.Txn      //pcpda:guardedby none — the TXN being encoded; Ops is reused from one to the next
-	winCh   chan struct{} // window semaphore: one slot per unreplied submit
+	wbuf   []byte   //pcpda:guardedby none — encoded-but-unflushed frames
+	unsent int      //pcpda:guardedby none — frames in wbuf
+	cursor int      //pcpda:guardedby none — the slot the next submit tries first
+	gens   []uint16 //pcpda:guardedby none — per slot, the generation its next claim carries
+	txn    wire.Txn //pcpda:guardedby none — the TXN being encoded; Ops is reused from one to the next
 
-	// Shared with the demux goroutine.
+	// The slot table: a slot is free (nil) or holds the future of the one
+	// unanswered request whose tag names it. The owner claims, the demux
+	// frees; a request costs no channel, map entry or lock.
+	slots   []atomic.Pointer[Pending] //pcpda:guardedby immutable — the slice; its elements are atomics
+	waiting atomic.Pointer[Pending]   // what the owner is blocked on: a future, anyReply, or nil
+	wake    chan struct{}             // buffered(1); demux → the owner that announced in waiting
+
 	mu          sync.Mutex
-	pending     map[uint32]chan wire.Message // in-flight tag → where its reply goes (cap 1)
-	outstanding int                          // flushed requests awaiting replies
-	armedAt     time.Time                    // when the read deadline was last pushed out
-	err         error                        // sticky; set once, before done closes
+	outstanding int       // flushed requests whose replies the demux has not yet booked
+	armedAt     time.Time // when the read deadline was last pushed out
+	err         error     // sticky; set once, before done closes
 	done        chan struct{}
 	closeOnce   sync.Once
 }
 
-// Pending is one submitted request awaiting its reply.
+// Pending is one submitted request and, once the demux has filled it in,
+// its reply.
 type Pending struct {
-	p    *PipeConn
-	want wire.Kind
-	ch   chan wire.Message // cap 1; closed after delivery or on failure
+	p     *PipeConn    //pcpda:guardedby none — p, want and tag are set by submit before the slot store that publishes the future
+	want  wire.Kind    //pcpda:guardedby none
+	tag   uint32       //pcpda:guardedby none
+	reply wire.Message //pcpda:guardedby none — written by the demux before done, read by Wait after it
+	done  atomic.Bool
 }
+
+// anyReply is what a submit into a full window announces in waiting.
+var anyReply = new(Pending)
+
+// maxWindow is the most slots a tag can name: its low 16 bits are the slot
+// index plus one — tag 0, the handshake's and an unasked ERR's, never names
+// a request — and its high 16 the slot's generation, which makes a second
+// reply to one request a desync instead of the next occupant's answer.
+const maxWindow = 1<<16 - 1
 
 // errPipeClosed is the sticky error of an explicitly closed PipeConn.
 var errPipeClosed = errors.New("client: pipelined connection closed")
 
 // DialPipelined connects, performs the HELLO handshake and starts the
-// demux. window bounds requests in flight on the connection (default 32) —
-// a whole transaction is one request, so for SubmitTxn it is the number of
-// transactions in flight; opTimeout bounds the handshake and, afterwards,
-// the gap between consecutive replies while requests are outstanding. A
-// server that turns the connection down does so with a typed ERR, which
-// comes back as a *wire.RemoteError.
+// demux. window bounds the requests submitted and not yet answered (default
+// 32, at most 65535) — a whole transaction is one request, so for SubmitTxn
+// it is the number of transactions in flight; a submit into a full window
+// flushes and waits for any reply, and an answered request counts for
+// nothing whether or not its future is ever waited on. opTimeout bounds the
+// handshake and, afterwards, the gap between consecutive replies while
+// requests are outstanding. A server that turns the connection down does so
+// with a typed ERR, which comes back as a *wire.RemoteError.
 func DialPipelined(addr string, opTimeout time.Duration, window int) (*PipeConn, error) {
 	if opTimeout <= 0 {
 		opTimeout = 10 * time.Second
@@ -82,18 +102,16 @@ func handshakePipelined(nc net.Conn, opTimeout time.Duration, window int) (*Pipe
 	if window <= 0 {
 		window = 32
 	}
-	// The handshake is one strict round trip; its connection's reader and
-	// tag sequence carry on underneath the pipeline.
+	window = min(window, maxWindow)
+	// The handshake is one strict round trip; its connection's reader
+	// carries on underneath the pipeline.
 	sc, err := handshake(nc, opTimeout)
 	if err != nil {
 		return nil, err
 	}
 	p := &PipeConn{c: nc, br: sc.br, schema: sc.schema, timeout: opTimeout,
-		nextTag: sc.tag, sent: sc.tag,
-		winCh:   make(chan struct{}, window),
-		pending: make(map[uint32]chan wire.Message),
-		done:    make(chan struct{}),
-	}
+		gens: make([]uint16, window), slots: make([]atomic.Pointer[Pending], window),
+		wake: make(chan struct{}, 1), done: make(chan struct{})}
 	go p.demux()
 	return p, nil
 }
@@ -103,11 +121,7 @@ func (p *PipeConn) Schema() *wire.HelloOK { return p.schema }
 
 // Broken reports whether the connection suffered a failure and must not
 // be reused.
-func (p *PipeConn) Broken() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.err != nil
-}
+func (p *PipeConn) Broken() bool { return p.errNow() != nil }
 
 // Close tears the connection down; every unreplied request fails. A
 // transaction left live server-side unwinds via the server's disconnect
@@ -118,60 +132,68 @@ func (p *PipeConn) Close() error {
 	return nil
 }
 
-// fail records the first error, closes the socket (unblocking the demux
-// read) and fails every pending request. Idempotent.
+// fail records the first error and closes done — which fails every
+// unanswered future and wakes an owner blocked on one — and the socket,
+// unblocking the demux read. Idempotent.
 func (p *PipeConn) fail(err error) {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()
 		p.err = err
-		pend := p.pending
-		p.pending = nil
 		close(p.done)
 		p.mu.Unlock()
 		_ = p.c.Close()
-		for _, ch := range pend {
-			close(ch)
-		}
 	})
 }
 
-// errNow returns the sticky error (never nil once done is closed).
+// errNow returns the sticky error: non-nil once done is closed.
 func (p *PipeConn) errNow() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.err != nil {
-		return p.err
-	}
-	return errors.New("client: pipelined connection failed")
+	return p.err
 }
 
-// demux is the read side: it matches replies to pending requests by tag,
-// in whatever order the server flushed them. The read deadline is managed
-// against outstanding work — armed by Flush, pushed forward as replies
-// arrive — so a server that goes silent mid-conversation fails the
-// connection. The rearm is throttled (an eighth of the timeout has to
-// pass before the deadline moves) because deadline updates cost a runtime
-// timer modification per call, which at pipelined reply rates is pure
-// overhead; a stall is still detected at most timeout+timeout/8 late. A
-// deadline that fires with nothing outstanding is not a failure — the
-// connection is just idle — so it rearms far out and keeps reading.
+// demux is the read side: it hands each reply to the future in the slot
+// its tag names, in whatever order the server flushed them. The read
+// deadline is managed against outstanding work — armed by Flush, pushed
+// forward as replies arrive — so a server that goes silent
+// mid-conversation fails the connection. The replies of one read are booked
+// together, when the reader has run dry and the next read may block, and the
+// rearm is throttled besides (an eighth of the timeout has to pass before
+// the deadline moves) because deadline updates cost a runtime timer
+// modification per call, which at pipelined reply rates is pure overhead; a
+// stall is still detected at most timeout+timeout/8 late. A deadline that
+// fires with nothing outstanding is not a failure — the connection is just
+// idle — so it rearms far out and keeps reading.
 func (p *PipeConn) demux() {
 	var scratch []byte
+	replied := 0 // replies delivered and not yet booked
 	for {
+		if replied > 0 && p.br.Buffered() == 0 {
+			p.mu.Lock()
+			if p.outstanding -= replied; p.outstanding > 0 {
+				p.rearm()
+			}
+			p.mu.Unlock()
+			replied = 0
+		}
 		m, _, tag, sc, err := wire.ReadAny(p.br, scratch)
 		if err != nil {
-			if p.idleTimeout(err) {
+			if p.idleTimeout(err, replied) {
+				replied = 0
 				continue
 			}
 			p.fail(fmt.Errorf("client: pipeline read: %w", err))
 			return
 		}
 		scratch = sc
-		p.mu.Lock()
-		ch, ok := p.pending[tag]
-		if !ok {
-			p.mu.Unlock()
-			// Nothing is waiting on this tag. An ERR is the server ending the
+		slot := int(tag&maxWindow) - 1
+		var f *Pending
+		if slot >= 0 && slot < len(p.slots) {
+			f = p.slots[slot].Load()
+		}
+		if f == nil || f.tag != tag {
+			// No request in flight has this tag: the slot is free, beyond the
+			// table, or on another generation. An ERR is the server ending the
 			// conversation and saying why; anything else is a desync.
 			err := remoteError(m)
 			if err == nil {
@@ -180,32 +202,43 @@ func (p *PipeConn) demux() {
 			p.fail(err)
 			return
 		}
-		delete(p.pending, tag)
-		p.outstanding--
-		if p.outstanding > 0 {
-			if now := time.Now(); now.Sub(p.armedAt) > p.timeout/8 {
-				p.armedAt = now
-				_ = p.c.SetReadDeadline(now.Add(p.timeout))
+		// Free the slot and publish done before looking at waiting: the owner
+		// announces there before it looks again at either, so one of the two
+		// sees the other (DESIGN.md §13).
+		f.reply = m
+		p.slots[slot].Store(nil)
+		f.done.Store(true)
+		if w := p.waiting.Load(); w == f || w == anyReply {
+			select {
+			case p.wake <- struct{}{}:
+			default: // a token is there already; the owner rechecks
 			}
 		}
-		p.mu.Unlock()
-		ch <- m
-		close(ch)
-		<-p.winCh // release the window slot
+		replied++
+	}
+}
+
+// rearm pushes the read deadline a timeout out from now, unless it was
+// moved within the last eighth of one. Caller holds p.mu.
+func (p *PipeConn) rearm() {
+	if now := time.Now(); now.Sub(p.armedAt) > p.timeout/8 {
+		p.armedAt = now
+		_ = p.c.SetReadDeadline(now.Add(p.timeout))
 	}
 }
 
 // idleTimeout reports whether a read error is a deadline firing on an
-// idle connection (nothing outstanding); if so it pushes the deadline far
-// out so the blocked read can continue.
-func (p *PipeConn) idleTimeout(err error) bool {
+// idle connection (nothing outstanding once the replied replies are
+// booked); if so it pushes the deadline far out so the blocked read can
+// continue.
+func (p *PipeConn) idleTimeout(err error, replied int) bool {
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		return false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.outstanding > 0 || p.err != nil {
+	if p.outstanding -= replied; p.outstanding > 0 || p.err != nil {
 		return false
 	}
 	p.armedAt = time.Time{}
@@ -213,60 +246,73 @@ func (p *PipeConn) idleTimeout(err error) bool {
 	return true
 }
 
-// submit encodes m into the unflushed batch under the next tag and
-// registers a Pending for its reply. When the inflight window is exhausted
-// it flushes and waits for a reply to free a slot; nothing reaches the
-// server until a flush — that one, a Wait about to block, or the owner's
-// own Flush — pushes the batch. A request that cannot be encoded leaves
-// nothing behind: no bytes, no tag, no window slot.
-func (p *PipeConn) submit(m wire.Message) (Pending, error) {
+// await blocks the owner until ready reports true or the connection fails
+// (false). It flushes first — nothing stays unflushed while its owner
+// blocks — and announces what it waits for before it looks again, so a
+// reply delivered in between is either seen here or wakes it.
+func (p *PipeConn) await(on *Pending, ready func() bool) bool {
+	_ = p.Flush() // a failed flush fails the connection, which closes done
+	p.waiting.Store(on)
+	defer p.waiting.Store(nil)
+	for !ready() {
+		select {
+		case <-p.wake:
+		case <-p.done:
+			return ready()
+		}
+	}
+	return true
+}
+
+// claim returns a free slot, or -1 with the window full. It starts where
+// the last claim left off: with replies in submission order that one is free.
+func (p *PipeConn) claim() int {
+	for i := range p.slots {
+		if s := (p.cursor + i) % len(p.slots); p.slots[s].Load() == nil {
+			return s
+		}
+	}
+	return -1
+}
+
+// submit encodes m into the unflushed batch under a free slot's tag and
+// leaves f, the future its caller is about to hand out, in that slot for
+// the reply. When the window is exhausted it flushes and waits for a reply
+// to free a slot; nothing reaches the server until a flush — that one, a
+// Wait about to block, or the owner's own Flush — pushes the batch. A
+// request that cannot be encoded leaves nothing behind: no bytes, no slot.
+func (p *PipeConn) submit(f *Pending, m wire.Message) error {
 	select {
 	case <-p.done:
-		return Pending{}, p.errNow()
+		return p.errNow()
 	default:
 	}
-	// Window slot: try without blocking; if the window is full, flush the
-	// batch so the outstanding replies that free slots can actually arrive.
-	select {
-	case p.winCh <- struct{}{}:
-	default:
-		if err := p.Flush(); err != nil {
-			return Pending{}, err
-		}
-		select {
-		case p.winCh <- struct{}{}:
-		case <-p.done:
-			return Pending{}, p.errNow()
-		}
+	slot := p.claim()
+	if slot < 0 && !p.await(anyReply, func() bool { slot = p.claim(); return slot >= 0 }) {
+		return p.errNow()
 	}
-	tag := p.nextTag
+	tag := uint32(slot+1) | uint32(p.gens[slot])<<16
 	buf, err := wire.AppendTagged(p.wbuf, wire.Version, tag, m)
 	if err != nil {
-		<-p.winCh
-		return Pending{}, err
+		return err
 	}
-	f := Pending{p: p, want: m.Kind() | 0x80, ch: make(chan wire.Message, 1)} // a success reply is the request's kind with the high bit set
-	p.mu.Lock()
-	if p.err != nil {
-		p.mu.Unlock()
-		<-p.winCh
-		return Pending{}, p.errNow()
-	}
-	p.pending[tag] = f.ch
-	p.mu.Unlock()
 	p.wbuf = buf
-	p.nextTag++
-	return f, nil
+	p.unsent++
+	p.gens[slot]++
+	p.cursor = slot + 1
+	f.p, f.want, f.tag = p, m.Kind()|0x80, tag // a success reply is the request's kind with the high bit set
+	p.slots[slot].Store(f)
+	return nil
 }
 
 // Submit encodes m into the unflushed batch and returns its Pending
 // handle.
 func (p *PipeConn) Submit(m wire.Message) (*Pending, error) {
-	f, err := p.submit(m)
-	if err != nil {
+	f := new(Pending)
+	if err := p.submit(f, m); err != nil {
 		return nil, err
 	}
-	return &f, nil
+	return f, nil
 }
 
 // Flush writes every submitted-but-unflushed frame in one write; an owner
@@ -274,22 +320,18 @@ func (p *PipeConn) Submit(m wire.Message) (*Pending, error) {
 // submitted. The read deadline is armed before the write so a reply racing
 // the flush can only extend it, never leave outstanding work undeadlined.
 func (p *PipeConn) Flush() error {
-	n := int(p.nextTag - p.sent)
-	if n == 0 {
+	if p.unsent == 0 {
 		return nil
 	}
 	p.mu.Lock()
-	if p.err != nil {
+	if err := p.err; err != nil {
 		p.mu.Unlock()
-		return p.errNow()
+		return err
 	}
-	p.outstanding += n
-	if now := time.Now(); now.Sub(p.armedAt) > p.timeout/8 {
-		p.armedAt = now
-		_ = p.c.SetReadDeadline(now.Add(p.timeout))
-	}
+	p.outstanding += p.unsent
+	p.rearm()
 	p.mu.Unlock()
-	p.sent = p.nextTag
+	p.unsent = 0
 	buf := p.wbuf
 	p.wbuf = p.wbuf[:0]
 	err := p.c.SetWriteDeadline(time.Now().Add(p.timeout))
@@ -307,19 +349,13 @@ func (p *PipeConn) Flush() error {
 // to block — nothing stays unflushed while its owner blocks; like Submit it
 // belongs to the connection's owner goroutine. ERR replies come back as
 // *wire.RemoteError; a reply of an unexpected kind is a stream desync and
-// kills the connection.
+// kills the connection. The outcome stays in the future: a second Wait
+// returns it again.
 func (f *Pending) Wait() (wire.Message, error) {
-	var m wire.Message
-	var ok bool
-	select {
-	case m, ok = <-f.ch:
-	default:
-		_ = f.p.Flush() // a failed flush fails the connection, which closes ch
-		m, ok = <-f.ch
-	}
-	if !ok {
+	if !f.done.Load() && !f.p.await(f, f.done.Load) {
 		return nil, f.p.errNow()
 	}
+	m := f.reply
 	if err := remoteError(m); err != nil {
 		return nil, err
 	}
@@ -332,7 +368,7 @@ func (f *Pending) Wait() (wire.Message, error) {
 
 // Ping round-trips a nonce through the pipeline (one submit, one wait).
 func (p *PipeConn) Ping(nonce uint64) error {
-	f, err := p.submit(&wire.Ping{Nonce: nonce})
+	f, err := p.Submit(&wire.Ping{Nonce: nonce})
 	if err != nil {
 		return err
 	}
@@ -349,10 +385,7 @@ func (p *PipeConn) Ping(nonce uint64) error {
 
 // TxnFuture is one whole transaction submitted as a TXN frame, its one
 // reply pending.
-type TxnFuture struct {
-	req   Pending
-	reads []int64
-}
+type TxnFuture struct{ req Pending }
 
 // SubmitTxn submits one whole transaction — the named template with a
 // firm deadline budget (0: none) and its reads and writes (*wire.Read,
@@ -393,11 +426,11 @@ func (p *PipeConn) SubmitReadTxn(items []uint32) (*TxnFuture, error) {
 
 // submitBurst encodes p.txn, which the caller has just filled.
 func (p *PipeConn) submitBurst() (*TxnFuture, error) {
-	f, err := p.submit(&p.txn)
-	if err != nil {
+	f := new(TxnFuture)
+	if err := p.submit(&f.req, &p.txn); err != nil {
 		return nil, err
 	}
-	return &TxnFuture{req: f}, nil
+	return f, nil
 }
 
 // Wait blocks for the transaction's outcome, flushing the unflushed batch
@@ -406,17 +439,20 @@ func (p *PipeConn) submitBurst() (*TxnFuture, error) {
 // *wire.RemoteError that is the transaction's one reply; any other error
 // means the connection failed underneath it.
 func (f *TxnFuture) Wait() error {
-	m, err := f.req.Wait()
-	if err != nil {
-		return err
-	}
-	f.reads = m.(*wire.TxnOK).Reads
-	return nil
+	_, err := f.req.Wait()
+	return err
 }
 
 // Reads returns the value of every read of a committed transaction, in
 // step order; it is valid once Wait has returned nil.
-func (f *TxnFuture) Reads() []int64 { return f.reads }
+func (f *TxnFuture) Reads() []int64 {
+	if f.req.done.Load() {
+		if ok, committed := f.req.reply.(*wire.TxnOK); committed {
+			return ok.Reads
+		}
+	}
+	return nil
+}
 
 // RunTxn runs one whole transaction and waits for its outcome: one frame
 // and one write out, one frame back, no overlap with the caller's next

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,7 +251,9 @@ func (s *session) begin(name string, budgetMs uint32, readOnly bool) (*wire.ErrM
 	}
 	tmpl := s.srv.mgr.Set().ByName(name)
 	if tmpl == nil {
-		return refuse(wire.CodeProtocol, "unknown transaction type "+name), nil
+		// The name is the client's and may be MaxString long: quote a prefix,
+		// or the refusal itself would not fit an ERR frame.
+		return refuse(wire.CodeProtocol, "unknown transaction type "+strconv.Quote(name[:min(len(name), 64)])), nil
 	}
 	q := s.shard.queue
 	var deadline time.Time

@@ -318,6 +318,9 @@ func TestWatchdogTripsIdleTxn(t *testing.T) {
 	if err := c.Write(item(t, set, "x"), 1); !wire.IsCode(err, wire.CodeDeadline) {
 		t.Fatalf("write after watchdog trip: %v, want CodeDeadline", err)
 	}
+	if n := srv.txCtxMade.Load(); n != 0 {
+		t.Fatalf("%d contexts built for a transaction that never parked: the trip must not need one", n)
+	}
 	if _, err := c.Begin("updater"); err != nil {
 		t.Fatalf("session must survive a watchdog trip: %v", err)
 	}

@@ -187,6 +187,8 @@ type Server struct {
 	// HealthWindow after it.
 	lastOverload atomic.Int64
 
+	txCtxMade atomic.Int64 // contexts built because a manager call parked (liveTx.Done); tests read it
+
 	mu       sync.Mutex
 	ln       net.Listener
 	sessions map[*session]struct{}

@@ -36,20 +36,59 @@ type txnHandle interface {
 	Abort()
 }
 
-// liveTx is the state of one live transaction on a session. The exec
-// goroutine owns it; the watchdog and Drain observe it through the
-// session's cur pointer. Manager calls for the transaction run under
-// lt.ctx (derived from the session context), so the watchdog can force a
-// stuck transaction to unwind — cancel unparks it, Abort releases its
-// locks — without tearing down the whole session.
+// liveTx is the state of one live transaction on a session, and the
+// context.Context its manager calls run under: the session's, plus a
+// cancellation the watchdog can aim at this transaction alone — cancel
+// unparks it, Abort releases its locks — without tearing down the session.
+// The exec goroutine owns it; the watchdog and Drain observe it through the
+// session's cur pointer. A manager call looks at Err on the way in and asks
+// for Done only when it is about to park (rtm.park, rtm.parkBegin), so the
+// cancellable child of the session context is built then; a transaction
+// that never parks never has one.
 type liveTx struct {
-	tx       txnHandle
-	id       uint64 // what BEGIN_OK / TXN_OK report: the job id, or roIDFlag | the RO sequence number
-	ctx      context.Context
-	cancel   context.CancelFunc
-	start    time.Time
-	deadline time.Time   // firm deadline from BEGIN or TXN; zero = none
-	tripped  atomic.Bool // set once by the watchdog before force-aborting
+	context.Context                    // the session's
+	tx              txnHandle          //pcpda:guardedby immutable
+	id              uint64             //pcpda:guardedby immutable — what BEGIN_OK / TXN_OK report: the job id, or roIDFlag | the RO sequence number
+	start           time.Time          //pcpda:guardedby immutable
+	deadline        time.Time          //pcpda:guardedby immutable — firm deadline from BEGIN or TXN; zero = none
+	made            *atomic.Int64      //pcpda:guardedby immutable — Server.txCtxMade
+	tripped         atomic.Bool        // set once, by the watchdog, before it cancels: Err reports it
+	mu              sync.Mutex         // orders Done's first call against cancel
+	child           context.Context    //pcpda:guardedby mu — the session context's cancellable child, once a call has parked
+	stop            context.CancelFunc //pcpda:guardedby mu
+}
+
+// Done builds the child on first use. A trip that came first is not lost:
+// the child is born cancelled.
+func (lt *liveTx) Done() <-chan struct{} {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	if lt.child == nil {
+		lt.child, lt.stop = context.WithCancel(lt.Context)
+		lt.made.Add(1)
+		if lt.tripped.Load() {
+			lt.stop()
+		}
+	}
+	return lt.child.Done()
+}
+
+func (lt *liveTx) Err() error {
+	if lt.tripped.Load() {
+		return context.Canceled
+	}
+	return lt.Context.Err()
+}
+
+// cancel cancels the child, if a call ever parked under one: the watchdog's
+// force-abort (which has set tripped, so a later Done sees it) and clearTx's
+// release of what the session context would otherwise keep.
+func (lt *liveTx) cancel() {
+	lt.mu.Lock()
+	if lt.stop != nil {
+		lt.stop()
+	}
+	lt.mu.Unlock()
 }
 
 // txDesc names a transaction for logs: job id and template for an update
@@ -438,18 +477,18 @@ func (s *session) handle(req request) error {
 		}
 		return s.replyTo(req, &wire.BeginOK{ID: s.lt.id})
 	case *wire.Read:
-		v, err := s.lt.tx.Read(s.lt.ctx, rt.Item(int32(m.Item)))
+		v, err := s.lt.tx.Read(s.lt, rt.Item(int32(m.Item)))
 		if err != nil {
 			return s.txFailed(req, "READ", err)
 		}
 		return s.replyTo(req, &wire.ReadOK{Value: int64(v)})
 	case *wire.Write:
-		if err := s.lt.tx.Write(s.lt.ctx, rt.Item(int32(m.Item)), db.Value(m.Value)); err != nil {
+		if err := s.lt.tx.Write(s.lt, rt.Item(int32(m.Item)), db.Value(m.Value)); err != nil {
 			return s.txFailed(req, "WRITE", err)
 		}
 		return s.replyTo(req, &wire.WriteOK{})
 	case *wire.Commit:
-		if err := s.lt.tx.Commit(s.lt.ctx); err != nil {
+		if err := s.lt.tx.Commit(s.lt); err != nil {
 			return s.txFailed(req, "COMMIT", err)
 		}
 		s.clearTx()
@@ -487,16 +526,16 @@ func (s *session) handleTxn(req request, m *wire.Txn) error {
 	for _, op := range m.Ops {
 		item := rt.Item(int32(op.Item))
 		if op.Op == wire.OpRead {
-			v, err := lt.tx.Read(lt.ctx, item)
+			v, err := lt.tx.Read(lt, item)
 			if err != nil {
 				return s.txFailed(req, "READ", err)
 			}
 			reads = append(reads, int64(v))
-		} else if err := lt.tx.Write(lt.ctx, item, db.Value(op.Value)); err != nil { // the decoder admits reads and writes only
+		} else if err := lt.tx.Write(lt, item, db.Value(op.Value)); err != nil { // the decoder admits reads and writes only
 			return s.txFailed(req, "WRITE", err)
 		}
 	}
-	if err := lt.tx.Commit(lt.ctx); err != nil {
+	if err := lt.tx.Commit(lt); err != nil {
 		return s.txFailed(req, "COMMIT", err)
 	}
 	s.clearTx()
@@ -530,12 +569,11 @@ func (s *session) beginRO() *wire.ErrMsg {
 	return nil
 }
 
-// armTx installs a freshly admitted transaction: a per-transaction context
-// carries the watchdog's force-abort authority, and publishing through cur
-// makes the transaction visible to the watchdog and Drain.
+// armTx installs a freshly admitted transaction: the liveTx is the context
+// its manager calls run under, and publishing it through cur makes the
+// transaction visible to the watchdog and Drain.
 func (s *session) armTx(tx txnHandle, id uint64, deadline time.Time) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	lt := &liveTx{tx: tx, id: id, ctx: ctx, cancel: cancel, start: timeNow(), deadline: deadline}
+	lt := &liveTx{Context: s.ctx, tx: tx, id: id, start: timeNow(), deadline: deadline, made: &s.srv.txCtxMade}
 	s.lt = lt
 	s.cur.Store(lt)
 }
@@ -544,7 +582,7 @@ func (s *session) armTx(tx txnHandle, id uint64, deadline time.Time) {
 // transaction (Abort is idempotent, so this is safe whether the manager
 // already tore it down or the failure was a validation rejection that left
 // it live). A watchdog force-abort surfaces as ErrCancelled from the
-// per-transaction context; the tripped flag distinguishes it from a dying
+// transaction's context; the tripped flag distinguishes it from a dying
 // session so the client sees a retryable CodeDeadline and the session
 // itself survives. If the session context is dead, the transaction is kept
 // for cleanup to account as an auto-abort instead.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -111,7 +112,7 @@ func TestMaxConnsRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-	m, _, tag, _, err := wire.ReadAny(nc, nil)
+	m, _, tag, _, err := wire.ReadAny(bufio.NewReader(nc), nil)
 	if err != nil {
 		t.Fatalf("read refusal: %v", err)
 	}

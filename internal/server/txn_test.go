@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"net"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -65,6 +67,10 @@ func TestTxnOutcomes(t *testing.T) {
 			}},
 		{name: "unknown-template", want: wire.CodeProtocol,
 			arrange: func(w world) (wire.Txn, func()) { return wire.Txn{Name: "nope"}, func() {} }},
+		{name: "unknown-template-longest-name", want: wire.CodeProtocol, // the refusal quotes the name and must still fit a frame
+			arrange: func(w world) (wire.Txn, func()) {
+				return wire.Txn{Name: strings.Repeat("n", wire.MaxString)}, func() {}
+			}},
 		{name: "shed", cfg: jammed, want: wire.CodeShed,
 			arrange: func(w world) (wire.Txn, func()) {
 				holder, parked, popped := blockDispatcher(w.t, w.addr, w.srv, w.mgr)
@@ -268,7 +274,7 @@ func TestOtherFramingRefusedAtFirstFrame(t *testing.T) {
 		if _, err := nc.Write(tc.first); err != nil {
 			t.Fatal(err)
 		}
-		m, _, tag, _, err := wire.ReadAny(nc, nil)
+		m, _, tag, _, err := wire.ReadAny(bufio.NewReader(nc), nil)
 		if err != nil {
 			t.Fatalf("%s: no refusal: %v", name, err)
 		}

@@ -11,7 +11,7 @@ import "time"
 // definition — PCP-DA's premise — and worse than worthless: it holds locks
 // that block feasible work. The watchdog sweeps live transactions every
 // WatchdogInterval and force-aborts offenders: cancelling the
-// per-transaction context unparks a blocked manager call, and the
+// transaction's context unparks a blocked manager call, and the
 // idempotent Abort releases the locks of an idle one. The owning session
 // survives — its next operation on the transaction reports a retryable
 // CodeDeadline (see txFailed) — so one stuck transaction costs one
@@ -66,10 +66,10 @@ func (s *Server) sweepStuck() {
 		if !lt.tripped.CompareAndSwap(false, true) {
 			continue
 		}
+		s.ctr.WatchdogTrips.Add(1) // before the cancel: whoever sees its CodeDeadline sees the trip counted
 		lt.cancel()
 		lt.tx.Abort()
 		tripped++
-		s.ctr.WatchdogTrips.Add(1)
 		id, name := txDesc(lt.tx)
 		s.logf("watchdog: force-aborted txn %d (%s) live %v, deadline %v ago",
 			id, name, now.Sub(lt.start).Round(time.Millisecond),

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -63,7 +64,8 @@ func BenchmarkDecodeAny(b *testing.B) {
 
 func BenchmarkReadAnyStream(b *testing.B) {
 	stream := benchFrames(b)
-	r := bytes.NewReader(stream)
+	src := bytes.NewReader(stream)
+	r := bufio.NewReader(src)
 	var scratch []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -71,7 +73,7 @@ func BenchmarkReadAnyStream(b *testing.B) {
 		var err error
 		_, _, _, scratch, err = ReadAny(r, scratch)
 		if err == io.EOF {
-			r.Reset(stream)
+			src.Reset(stream)
 			continue
 		}
 		if err != nil {

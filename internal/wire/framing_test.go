@@ -169,3 +169,51 @@ func TestBufferedReadLargeFrame(t *testing.T) {
 		t.Fatalf("oversized declared payload: err = %v, want ErrTooLarge", err)
 	}
 }
+
+// ReadAny decodes out of the reader's buffer, which the next fill slides and
+// overwrites: a message it returned must own every byte it shows. Each
+// message here is held while the next three frames pass through the same
+// 4 KiB buffer — a byte at a time, so that every fill moves the buffer's
+// contents — and must then still encode to the bytes it came from.
+func TestReadAnyMessagesDoNotAliasTheBuffer(t *testing.T) {
+	msgs := []Message{
+		&Txn{Name: "transfer", Deadline: 9, Ops: []TxnOp{{Op: OpRead, Item: 1}, {Op: OpWrite, Item: 2, Value: -3}}},
+		&TxnOK{ID: 11, Reads: []int64{1, -2, 3}},
+		&ErrMsg{Code: CodeAborted, Text: "COMMIT: sacrificed to a cycle"},
+		&HelloOK{Set: "bank", Templates: []TemplateInfo{{Name: "audit", Priority: 2, Steps: []StepInfo{{Op: OpRead, Item: 4, Dur: 1}}}}},
+		&Begin{Name: "audit", ReadOnly: true},
+	}
+	const rounds = 40 // ~2.5 KiB a round: the stream laps the buffer many times
+	var stream []byte
+	var frames [][]byte
+	for i := 0; i < rounds*len(msgs); i++ {
+		start := len(stream)
+		var err error
+		if stream, err = AppendTagged(stream, Version, uint32(i), msgs[i%len(msgs)]); err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, stream[start:])
+	}
+	for name, r := range map[string]io.Reader{
+		"whole":  bytes.NewReader(stream),
+		"1-byte": iotest.OneByteReader(bytes.NewReader(stream)),
+	} {
+		br := bufio.NewReaderSize(r, 4096)
+		var held []Message
+		for i := range frames {
+			m, _, tag, _, err := ReadAny(br, nil)
+			if err != nil || tag != uint32(i) {
+				t.Fatalf("%s: frame %d: tag %d, %v", name, i, tag, err)
+			}
+			held = append(held, m)
+			if i < 3 {
+				continue
+			}
+			old := i - 3
+			again, err := AppendTagged(nil, Version, uint32(old), held[old])
+			if err != nil || !bytes.Equal(again, frames[old]) {
+				t.Fatalf("%s: the %s read as frame %d changed while frames %d-%d were read: %v", name, held[old].Kind(), old, old+1, i, err)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"reflect"
@@ -72,7 +73,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("second round trip diverged: %v", err)
 		}
 		// The stream reader agrees with the slice decoder.
-		m3, _, tag3, _, err := ReadAny(bytes.NewReader(consumed), nil)
+		m3, _, tag3, _, err := ReadAny(bufio.NewReader(bytes.NewReader(consumed)), nil)
 		if err != nil || tag3 != tag || !reflect.DeepEqual(m3, m) {
 			t.Fatalf("ReadAny disagrees with DecodeAny on %s: %v", m.Kind(), err)
 		}

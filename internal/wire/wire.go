@@ -66,9 +66,18 @@
 // branch on (overload → back off and retry, aborted → retry the
 // transaction, draining → stop) plus a human-readable detail string. After
 // any ERR the session holds no transaction.
+//
+// # Reading
+//
+// Both endpoints read a connection through one bufio.Reader, and ReadAny is
+// the one frame reader over it: it decodes a frame where the reader buffered
+// it, so a burst costs one read on the socket and no copy per frame. What it
+// returns owns its memory: no Message refers to the reader's buffer or to
+// the caller's scratch. DecodeAny is the same decoder over a byte slice.
 package wire
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -736,53 +745,60 @@ func decodeBody(kind Kind, payload []byte) (Message, error) {
 
 var decPool = sync.Pool{New: func() any { return new(dec) }}
 
-// ReadAny reads exactly one frame from r, using (and growing) scratch as
-// the read buffer; it returns the message, the frame's version and tag, and
-// the buffer for reuse. A clean EOF before any header byte is returned as
-// io.EOF; every other failure is either a transport error from r or wraps
-// ErrMalformed/ErrTooLarge. The version byte is checked before anything
-// else is read, so a peer on another framing is refused at its first byte
-// rather than waited on for a header of this one's length; once the header
-// is in, a failure still reports the frame's tag, so the refusal can be
-// addressed to it.
-func ReadAny(r io.Reader, scratch []byte) (Message, uint8, uint32, []byte, error) {
-	if cap(scratch) < headerLen {
-		scratch = make([]byte, 0, 512)
-	}
-	hdr := scratch[:headerLen]
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+// ReadAny reads exactly one frame from br and decodes it out of the reader's
+// own buffer: a frame that fits br.Size() is peeked, decoded and discarded,
+// never copied; a larger one (a schema reply) is read into scratch, which is
+// grown as needed and returned for reuse. It returns the message, the
+// frame's version and its tag. A clean EOF before any header byte is
+// returned as io.EOF; every other failure is either a transport error from
+// the reader or wraps ErrMalformed/ErrTooLarge. The version byte is checked
+// before anything else is waited for, so a peer on another framing is
+// refused at its first byte rather than waited on for a header of this
+// one's length; once the header is in, a failure still reports the frame's
+// tag, so the refusal can be addressed to it. Nothing of a frame that fits
+// the buffer is consumed until all of it is in: after a transport error the
+// caller can clear (a read deadline), the next call starts the frame over.
+func ReadAny(br *bufio.Reader, scratch []byte) (Message, uint8, uint32, []byte, error) {
+	b, err := br.Peek(1)
+	if err != nil {
 		return nil, 0, 0, scratch, err // io.EOF: the stream ended between frames
 	}
-	if hdr[0] != Version {
-		return nil, 0, 0, scratch, errVersion(hdr[0])
+	if b[0] != Version {
+		return nil, 0, 0, scratch, errVersion(b[0])
 	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("%w: header truncated", ErrMalformed)
-		}
-		return nil, 0, 0, scratch, err
+	if b, err = br.Peek(headerLen); err != nil {
+		return nil, 0, 0, scratch, truncated(err, "header")
 	}
-	kind, tag := Kind(hdr[1]), u32(hdr[2:])
-	plen := int(u32(hdr[headerLen-4:]))
+	kind, tag := Kind(b[1]), u32(b[2:])
+	plen := int(u32(b[headerLen-4:]))
 	if plen > MaxPayload {
 		return nil, Version, tag, scratch, fmt.Errorf("%w: declared payload %d > %d", ErrTooLarge, plen, MaxPayload)
 	}
-	need := headerLen + plen
-	if cap(scratch) < need {
-		scratch = make([]byte, 0, need) // the header has been read out; nothing to carry over
-	}
-	payload := scratch[headerLen:need]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("%w: payload truncated", ErrMalformed)
+	var m Message
+	if need := headerLen + plen; need <= br.Size() {
+		if b, err = br.Peek(need); err == nil {
+			m, err = decodeBody(kind, b[headerLen:])
+			_, _ = br.Discard(need) // buffered: cannot fail
 		}
-		return nil, Version, tag, scratch, err
+	} else {
+		if cap(scratch) < plen {
+			scratch = make([]byte, 0, plen)
+		}
+		_, _ = br.Discard(headerLen) // buffered: cannot fail
+		if _, err = io.ReadFull(br, scratch[:plen]); err == nil {
+			m, err = decodeBody(kind, scratch[:plen])
+		}
 	}
-	m, err := decodeBody(kind, payload)
-	if err != nil {
-		return nil, Version, tag, scratch, err
+	return m, Version, tag, scratch, truncated(err, "payload")
+}
+
+// truncated turns a stream that ended inside a frame into the malformed
+// frame it is; any other error, and nil, pass through.
+func truncated(err error, part string) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: %s truncated", ErrMalformed, part)
 	}
-	return m, Version, tag, scratch, nil
+	return err
 }
 
 // --- primitive encoding -------------------------------------------------------
