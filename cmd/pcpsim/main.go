@@ -23,26 +23,14 @@
 // table, live maps and history serializability after every schedule:
 //
 //	pcpsim -workload set.json -chaos 500 -seed 1
-//
-// The -livebench D flag drives the live manager at full speed for duration
-// D (one worker goroutine per template, committed transactions counted) and
-// prints throughput — a quick smoke test of the manager hot path without
-// the go-test benchmark harness:
-//
-//	pcpsim -workload set.json -livebench 3s
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"pcpda/internal/metrics"
 	"pcpda/internal/papercases"
@@ -69,7 +57,6 @@ func main() {
 		jitter       = flag.Float64("jitter", 0, "sporadic arrival jitter J (inter-arrival in [Pd, Pd*(1+J)])")
 		seed         = flag.Int64("seed", 0, "sporadic-arrival RNG seed (also seeds -chaos)")
 		chaos        = flag.Int("chaos", 0, "run N seeded fault schedules against the live manager instead of simulating")
-		livebench    = flag.Duration("livebench", 0, "drive the live manager for this long and print throughput instead of simulating")
 		jobs         = flag.Int("j", 1, "worker goroutines for multi-protocol compare mode (-protocol a,b,c)")
 	)
 	flag.Parse()
@@ -88,10 +75,6 @@ func main() {
 
 	if *chaos > 0 {
 		runChaos(set, *chaos, *seed, *firm)
-		return
-	}
-	if *livebench > 0 {
-		runLiveBench(set, *livebench)
 		return
 	}
 	if strings.Contains(*protocol, ",") {
@@ -240,72 +223,6 @@ func runChaos(set *txn.Set, schedules int, seed int64, firm bool) {
 		fail(err)
 	}
 	fmt.Println("all schedules clean: no leaked locks/slots, histories serializable")
-}
-
-// runLiveBench drives the live manager for duration d with one worker per
-// template, each committing instances of its own template flat out, then
-// prints committed-transaction throughput and the cycle-abort count. The op
-// log is trimmed between audit windows via ResetHistory so an arbitrarily
-// long run stays in bounded memory.
-func runLiveBench(set *txn.Set, d time.Duration) {
-	m, err := rtm.New(set)
-	if err != nil {
-		fail(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	var commits atomic.Int64
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, tmpl := range set.Templates {
-		wg.Add(1)
-		go func(tmpl *txn.Template) {
-			defer wg.Done()
-			n := int64(0)
-			for ctx.Err() == nil {
-				err := m.Exec(ctx, tmpl.Name, func(tx *rtm.Txn) error {
-					for _, st := range tmpl.Steps {
-						var err error
-						switch st.Kind {
-						case txn.ReadStep:
-							_, err = tx.Read(ctx, st.Item)
-						case txn.WriteStep:
-							err = tx.Write(ctx, st.Item, 1)
-						default: // compute steps burn no manager time here
-						}
-						if err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				switch {
-				case err == nil:
-					n++
-					if n%8192 == 0 {
-						m.ResetHistory()
-					}
-				case errors.Is(err, rtm.ErrAborted):
-					// Cycle victim: retry.
-				case ctx.Err() != nil:
-					// Budget expired mid-operation.
-				default:
-					fail(err)
-				}
-			}
-			commits.Add(n)
-		}(tmpl)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err := m.CheckInvariants(); err != nil {
-		fail(err)
-	}
-	total := commits.Load()
-	fmt.Printf("livebench: %d workers over %q for %v\n", len(set.Templates), set.Name, elapsed.Round(time.Millisecond))
-	fmt.Printf("  committed %d transactions (%.0f txn/s), %d cycle aborts\n",
-		total, float64(total)/elapsed.Seconds(), m.Aborts())
-	fmt.Println("  invariants clean (locks, live maps, ceilings, priorities, history window)")
 }
 
 func loadSet(path, paper string) (*txn.Set, error) {

@@ -357,41 +357,50 @@ type retryPolicy struct {
 // run drives attempt under the policy: retryable typed failures back off
 // and try again (budget permitting); anything else ends the call.
 func (rp *retryPolicy) run(name string, attempt func() error) error {
+	rp.earn()
+	return rp.resume(name, attempt(), attempt)
+}
+
+// earn credits the budget with one transaction's first attempt.
+func (rp *retryPolicy) earn() {
+	if rp.Budget != nil {
+		rp.Budget.credit()
+	}
+}
+
+// resume carries a transaction on from err, the outcome of its first
+// attempt — which a caller that overlaps first attempts (the load
+// generator's pipelined worker) made itself, after earn — through the rest
+// of the chain.
+func (rp *retryPolicy) resume(name string, err error, attempt func() error) error {
 	attempts := rp.MaxAttempts
 	if attempts <= 0 {
 		attempts = 1
 	}
-	if rp.Budget != nil {
-		rp.Budget.credit()
-	}
-	var last error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			if rp.Budget != nil && !rp.Budget.take() {
-				return fmt.Errorf("client: %s: retry budget exhausted: %w", name, last)
-			}
-			if rp.Retries != nil {
-				rp.Retries.Add(1)
-			}
-			rp.sleepBackoff(a)
-		}
-		err := attempt()
-		if err == nil {
-			return nil
-		}
-		last = err
+	for a := 1; err != nil; a++ {
 		var remote *wire.RemoteError
-		if errors.As(err, &remote) {
-			if rp.CodeHook != nil {
-				rp.CodeHook(remote.Code)
-			}
-			if remote.Code.Retryable() {
-				continue
-			}
+		if !errors.As(err, &remote) {
+			return err
 		}
-		return err
+		if rp.CodeHook != nil {
+			rp.CodeHook(remote.Code)
+		}
+		if !remote.Code.Retryable() {
+			return err
+		}
+		if a >= attempts {
+			return fmt.Errorf("client: %s: attempts exhausted: %w", name, err)
+		}
+		if rp.Budget != nil && !rp.Budget.take() {
+			return fmt.Errorf("client: %s: retry budget exhausted: %w", name, err)
+		}
+		if rp.Retries != nil {
+			rp.Retries.Add(1)
+		}
+		rp.sleepBackoff(a)
+		err = attempt()
 	}
-	return fmt.Errorf("client: %s: attempts exhausted: %w", name, last)
+	return nil
 }
 
 func (rp *retryPolicy) sleepBackoff(attempt int) {

@@ -14,31 +14,41 @@ import (
 	"pcpda/internal/wire"
 )
 
-// LoadConfig parameterizes the load generator. Two modes:
+// LoadConfig parameterizes the load generator. RunLoad is one worker loop
+// per connection (DESIGN.md §12, "One load worker"), fed by one of two job
+// sources and run over one of two clients.
 //
-//   - Closed loop (ArrivalRate == 0): Conns workers, each with its own
-//     connection, each running one transaction at a time (begin → declared
-//     steps → commit) until Txns transactions have committed in total.
-//     Measures the system's capacity — offered load adapts to completion.
+// The sources:
+//
+//   - Closed loop (ArrivalRate == 0): a shared count of Txns transactions
+//     that Conns workers claim from until that many have committed. Measures
+//     the system's capacity — offered load adapts to completion.
 //
 //   - Open loop (ArrivalRate > 0): transactions arrive by a Poisson
 //     process at ArrivalRate per second for Duration, regardless of how
-//     fast earlier ones complete. This is what real overload looks like —
-//     arrivals do not slow down because the server is slow — and it is the
-//     only mode that can push the server past saturation, which is the
-//     point: it measures goodput and deadline misses under offered loads
-//     the server cannot absorb.
+//     fast earlier ones complete, and wait for a worker in a priority
+//     queue. This is what real overload looks like — arrivals do not slow
+//     down because the server is slow — and it is the only mode that can
+//     push the server past saturation, which is the point: it measures
+//     goodput and deadline misses under offered loads the server cannot
+//     absorb.
+//
+// The clients: the strict one (a round trip per step, one transaction at a
+// time) or, with Pipelined, the pipelined one (a transaction is one TXN
+// frame). A closed-loop pipelined worker keeps Window transactions in
+// flight on its connection; every other worker keeps one.
 type LoadConfig struct {
 	// Addr is the server to drive.
 	Addr string
-	// Conns is the number of concurrent workers (each owns a connection
-	// pool of one). Default 8.
+	// Conns is the number of concurrent workers (each owns one connection).
+	// Default 8.
 	Conns int
 	// Txns is the closed-loop committed-transaction target. Default 1000.
 	// Ignored in open-loop mode.
 	Txns int
 	// Seed makes the workload reproducible: the arrival process draws from
-	// Seed, worker w draws written values and backoff jitter from Seed+w.
+	// Seed, worker w draws templates, written values and backoff jitter
+	// from Seed+w.
 	Seed int64
 	// OpTimeout bounds each request/reply round trip. Default 10s.
 	OpTimeout time.Duration
@@ -47,24 +57,16 @@ type LoadConfig struct {
 	// Client default.
 	MaxAttempts int
 	// Pipelined switches every worker from the strict client (a round trip
-	// per step) to the pipelined one: each transaction is one TXN frame,
-	// several in flight per connection.
+	// per step) to the pipelined one: each transaction is one TXN frame.
 	Pipelined bool
-	// Window bounds requests in flight per pipelined connection.
+	// Window bounds requests in flight per pipelined connection, and is how
+	// many transactions a closed-loop pipelined worker keeps in flight.
 	// Default 32.
 	Window int
-	// SpinUnder is the open-loop pacing threshold: inter-arrival gaps
-	// shorter than this are paced by a yield-spin instead of the sleeper
-	// (whose granularity on a coarse-timer host is ~10ms, far wider than
-	// the sub-millisecond gaps of a multi-thousand/s arrival process).
-	// Longer gaps sleep until SpinUnder remains, then spin the residue.
-	// Default 10ms.
-	SpinUnder time.Duration
 	// ReadFrac is the fraction of transactions issued as declared
 	// read-only snapshot transactions (lock-free server-side, admission
 	// bypassed). Each reads 1–4 random items from the schema's item
-	// space. Requires Pipelined. 0 = all
-	// updates.
+	// space. Requires Pipelined. 0 = all updates.
 	ReadFrac float64
 
 	// ArrivalRate switches to open loop: mean arrivals per second of the
@@ -72,10 +74,11 @@ type LoadConfig struct {
 	ArrivalRate float64
 	// Duration bounds the open-loop arrival window. Default 5s.
 	Duration time.Duration
-	// DeadlineBudget is the firm deadline attached to every open-loop
-	// BEGIN, measured from arrival: the server sheds infeasible work, and
-	// a commit later than this counts as a deadline miss, not goodput.
-	// 0 sends no deadline (every commit is on time).
+	// DeadlineBudget is the firm deadline attached to every transaction,
+	// measured from its arrival (in the closed loop, from the moment a
+	// worker claims it): the server sheds infeasible work, and a commit
+	// later than this counts as a deadline miss, not goodput. 0 sends no
+	// deadline (every commit is on time).
 	DeadlineBudget time.Duration
 	// MaxInFlight bounds open-loop arrivals waiting for a worker; past it
 	// the lowest-priority waiting arrival is dropped client-side and
@@ -111,13 +114,18 @@ type LoadConfig struct {
 	// this many equal time buckets and reports per-bucket commit counts
 	// (LoadReport.Series) — the throughput-over-time series.
 	SeriesBuckets int
-	// PaceSlices splits the open-loop arrival window into this many
-	// slices, each reporting offered-vs-achieved arrival rates and the
-	// worst pacing lag (LoadReport.Pacing) — so an overload run shows
-	// WHERE the generator collapsed, not just that it did over the whole
-	// run. Default 5 in open-loop mode; negative disables.
-	PaceSlices int
 }
+
+const (
+	// spinUnder is the open-loop pacing threshold: the last stretch of every
+	// inter-arrival gap is paced by a yield-spin instead of the sleeper,
+	// whose granularity on a coarse-timer host is ~10ms, far wider than the
+	// sub-millisecond gaps of a multi-thousand/s arrival process.
+	spinUnder = 10 * time.Millisecond
+	// paceSlices is how many slices of the arrival window LoadReport.Pacing
+	// reports.
+	paceSlices = 5
+)
 
 // TierReport aggregates one priority tier (all templates sharing one base
 // priority) of a load run.
@@ -161,9 +169,12 @@ type LoadReport struct {
 	Failed    int64         `json:"failed"`   // transactions abandoned (attempts exhausted or fatal)
 	Elapsed   time.Duration `json:"elapsed_ns"`
 
-	// Latency percentiles over committed transactions: begin→commit in the
-	// closed loop, arrival→commit in the open loop (queueing included —
-	// that is the latency a deadline is spent against).
+	// Latency percentiles over committed transactions, in every mode from
+	// the moment the transaction exists to its commit: claim→commit in the
+	// closed loop (the dial, a full window and the wait behind the
+	// connection's earlier transactions included), arrival→commit in the
+	// open loop (queueing included — that is the latency a deadline is spent
+	// against).
 	P50  time.Duration `json:"p50_ns"`
 	P90  time.Duration `json:"p90_ns"`
 	P99  time.Duration `json:"p99_ns"`
@@ -187,8 +198,7 @@ type LoadReport struct {
 	Tiers             []TierReport `json:"tiers,omitempty"`         // per-priority breakdown, highest first
 
 	// Series is the throughput-over-time view (Config.SeriesBuckets);
-	// Pacing the per-slice offered-vs-achieved view (Config.PaceSlices).
-	// Both open loop only.
+	// Pacing the per-slice offered-vs-achieved view. Both open loop only.
 	Series []SeriesBucket `json:"series,omitempty"`
 	Pacing []PaceSlice    `json:"pacing,omitempty"`
 }
@@ -203,7 +213,7 @@ type loadCounters struct {
 	retries     atomic.Int64
 	failed      atomic.Int64
 	roCommitted atomic.Int64
-	onTime      atomic.Int64 // read-only commits only; tier commits tally in tierCounters
+	onTime      atomic.Int64
 	shed        atomic.Int64
 	infeasible  atomic.Int64
 }
@@ -247,9 +257,6 @@ func (cfg *LoadConfig) fill() {
 	if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
-	if cfg.SpinUnder <= 0 {
-		cfg.SpinUnder = 10 * time.Millisecond
-	}
 	if cfg.RetryBudget == nil {
 		cfg.RetryBudget = NewRetryBudget(0.2, float64(10*cfg.Conns))
 	}
@@ -259,9 +266,23 @@ func (cfg *LoadConfig) fill() {
 	if cfg.ReadFrac > 1 {
 		cfg.ReadFrac = 1
 	}
-	if cfg.ArrivalRate > 0 && cfg.PaceSlices == 0 {
-		cfg.PaceSlices = 5
-	}
+}
+
+// loadRun is the state one RunLoad shares among its workers: the
+// configuration, the schema, the job source and the tallies.
+type loadRun struct {
+	cfg    LoadConfig
+	schema *wire.HelloOK
+	items  []uint32 // the schema's item space: what read-only transactions read
+	roPri  int32    // the rank read-only arrivals queue at
+	tiers  *tierStats
+	cnt    loadCounters
+	series *seriesTracker // open loop with SeriesBuckets, else nil
+
+	// The job source. Open loop: jobs, filled by the arrival process. Closed
+	// loop (jobs == nil): remaining, the transactions still to be claimed.
+	jobs      *openQueue
+	remaining atomic.Int64
 }
 
 // RunLoad drives the server at cfg.Addr with a seeded workload — closed
@@ -279,43 +300,48 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if len(schema.Templates) == 0 {
 		return nil, errors.New("client: server exports no transaction types")
 	}
+	r := &loadRun{cfg: cfg, schema: schema, items: schemaItems(schema), tiers: newTierStats(schema)}
 	if cfg.ReadFrac > 0 || cfg.ReadFracAt != nil {
 		if !cfg.Pipelined {
-			return nil, errors.New("client: ReadFrac requires Pipelined (the strict worker runs update transactions only)")
+			return nil, errors.New("client: ReadFrac requires Pipelined (a read-only snapshot is a TXN frame)")
 		}
-		if len(schemaItems(schema)) == 0 {
+		if len(r.items) == 0 {
 			return nil, errors.New("client: ReadFrac set but the schema declares no items")
 		}
 	}
-	if cfg.ArrivalRate > 0 {
-		return runOpenLoop(ctx, cfg, schema)
+	// Read-only arrivals queue at the top priority: they bypass server-side
+	// admission entirely, so holding them behind updates in the client
+	// queue would manufacture a wait the server never imposes.
+	for _, tmpl := range schema.Templates {
+		r.roPri = max(r.roPri, tmpl.Priority)
 	}
-	return runClosedLoop(ctx, cfg, schema)
-}
 
-func runClosedLoop(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK) (*LoadReport, error) {
 	rep := &LoadReport{}
-	cnt := &loadCounters{}
-	tiers := newTierStats(schema)
-	var remaining atomic.Int64
-	remaining.Store(int64(cfg.Txns))
 	lats := make([][]time.Duration, cfg.Conns)
 	errs := make([]error, cfg.Conns)
-	var wg sync.WaitGroup
 	start := time.Now()
+	if cfg.ArrivalRate > 0 {
+		r.jobs = newOpenQueue(cfg.MaxInFlight)
+		if cfg.SeriesBuckets > 0 {
+			r.series = newSeriesTracker(start, cfg.Duration, cfg.SeriesBuckets)
+		}
+	} else {
+		r.remaining.Store(int64(cfg.Txns))
+	}
+	var wg sync.WaitGroup
 	for w := 0; w < cfg.Conns; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if cfg.Pipelined {
-				errs[w] = pipelinedWorker(ctx, cfg, schema, tiers, int64(w), &remaining, cnt, &lats[w])
-			} else {
-				errs[w] = loadWorker(ctx, cfg, schema, tiers, int64(w), &remaining, cnt, &lats[w])
-			}
+			errs[w] = r.worker(ctx, int64(w), &lats[w])
 		}(w)
 	}
+	if r.jobs != nil {
+		r.arrivals(ctx, rep, start)
+		r.jobs.close()
+	}
 	wg.Wait()
-	finishReport(rep, cfg, tiers, cnt, lats, start)
+	r.finishReport(rep, lats, start)
 	for _, err := range errs {
 		if err != nil {
 			return rep, err
@@ -324,271 +350,271 @@ func runClosedLoop(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK) (*
 	return rep, ctx.Err()
 }
 
-// loadRunner is one worker's transaction driver — strict request/reply or
-// pipelined bursts, behind the same do() shape — with the shared retry
-// policy wired to the run's counters.
-type loadRunner struct {
-	do    func(tmpl wire.TemplateInfo, budget time.Duration) error
-	doRO  func(items []uint32) error // nil in strict mode
-	close func()
+// loadJob is one transaction on its way through a worker.
+type loadJob struct {
+	tmpl    wire.TemplateInfo // read-only: only its Priority, the rank it queues at
+	tier    *tierCounters     // nil for read-only: no template, no tier
+	ro      bool              // declared read-only snapshot transaction
+	items   []uint32          // read-only: the snapshot read set
+	arrival time.Time         // where the latency clock and the deadline start
+	seq     uint64            // open loop: arrival order, set by the queue
+	budget  time.Duration     // what was left of DeadlineBudget when a worker started it
+	fut     *TxnFuture        // pipelined: attempt one, in flight
+	err     error             // pipelined: why attempt one never left
 }
 
-func newLoadRunner(cfg LoadConfig, cnt *loadCounters, id int64, rng *rand.Rand,
-	hook func(wire.ErrorCode)) loadRunner {
+// draw makes the next transaction of the workload: a read-only snapshot
+// with probability readFrac, otherwise an update of a template picked by
+// the PickTemplate hook or uniformly. frac is the arrival's position in the
+// open-loop window (0 in the closed loop).
+func (r *loadRun) draw(rng *rand.Rand, readFrac, frac float64) loadJob {
+	if readFrac > 0 && rng.Float64() < readFrac {
+		return loadJob{tmpl: wire.TemplateInfo{Name: "read-only", Priority: r.roPri},
+			ro: true, items: roPick(rng, r.items), arrival: time.Now()}
+	}
+	var tmpl wire.TemplateInfo
+	if r.cfg.PickTemplate != nil {
+		tmpl = r.schema.Templates[r.cfg.PickTemplate(rng, frac)]
+	} else {
+		tmpl = r.schema.Templates[rng.Intn(len(r.schema.Templates))]
+	}
+	tier := r.tiers.byPri[tmpl.Priority]
+	tier.offered.Add(1)
+	return loadJob{tmpl: tmpl, tier: tier, arrival: time.Now()}
+}
+
+// next is the job source. The open loop hands out the most important
+// waiting arrival, blocking for one, until the arrival process has closed
+// the queue and it is empty. The closed loop claims one of the remaining
+// transactions — never taking the count below zero, so a claim handed back
+// after the count ran out is claimed again — and draws it from the worker's
+// own rng.
+func (r *loadRun) next(rng *rand.Rand) (loadJob, bool) {
+	if r.jobs != nil {
+		return r.jobs.pop()
+	}
+	for n := r.remaining.Load(); n > 0; n = r.remaining.Load() {
+		if r.remaining.CompareAndSwap(n, n-1) {
+			return r.draw(rng, r.cfg.ReadFrac, 0), true
+		}
+	}
+	return loadJob{}, false
+}
+
+// runner is one worker's connection and the way a transaction runs on it.
+// start does whatever of attempt one can be done without waiting, finish
+// waits for its outcome and, if that is a retryable refusal, runs the rest
+// of the retry chain synchronously under the shared policy — overlap is
+// for the common case; a failed transaction is worth a stall.
+type runner interface {
+	start(j *loadJob)
+	finish(j *loadJob) error
+	close()
+}
+
+// newRunner builds a worker's runner and says how many transactions it can
+// hold in flight: the strict client or the pipelined one, the only place
+// the two part ways.
+func newRunner(cfg *LoadConfig, cnt *loadCounters, id int64, rng *rand.Rand,
+	hook func(wire.ErrorCode)) (runner, int) {
+	policy := func(rp *retryPolicy) {
+		rp.MaxAttempts = cfg.MaxAttempts
+		rp.Retries = &cnt.retries
+		rp.Budget = cfg.RetryBudget
+		rp.CodeHook = hook
+	}
 	if cfg.Pipelined {
 		pc := NewPipeClient(cfg.Addr, cfg.OpTimeout, cfg.Window, cfg.Seed^id)
-		pc.MaxAttempts = cfg.MaxAttempts
-		pc.Retries = &cnt.retries
-		pc.Budget = cfg.RetryBudget
-		pc.CodeHook = hook
-		return loadRunner{
-			do: func(tmpl wire.TemplateInfo, budget time.Duration) error {
-				return pc.DoTxn(tmpl.Name, budget, pipelineSteps(tmpl, rng))
-			},
-			doRO:  pc.DoReadTxn,
-			close: pc.Close,
-		}
+		policy(&pc.retryPolicy)
+		return &pipeRunner{pc, rng}, cfg.Window
 	}
-	pool := NewPool(cfg.Addr, cfg.OpTimeout, 1)
-	cl := NewClient(pool, cfg.Seed^id)
-	cl.MaxAttempts = cfg.MaxAttempts
-	cl.Retries = &cnt.retries
-	cl.Budget = cfg.RetryBudget
-	cl.CodeHook = hook
-	return loadRunner{
-		do: func(tmpl wire.TemplateInfo, budget time.Duration) error {
-			return cl.DoDeadline(tmpl.Name, budget, runSteps(tmpl, rng))
-		},
-		close: pool.Close,
-	}
+	cl := NewClient(NewPool(cfg.Addr, cfg.OpTimeout, 1), cfg.Seed^id)
+	policy(&cl.retryPolicy)
+	return &strictRunner{cl, rng}, 1
 }
 
-// loadWorker is one closed-loop connection: claim a transaction from the
-// shared budget, run it to commit (retrying retryable failures), record
-// the latency, repeat.
-func loadWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, tiers *tierStats,
-	id int64, remaining *atomic.Int64, cnt *loadCounters, lats *[]time.Duration) error {
-	rng := rand.New(rand.NewSource(cfg.Seed + id))
-	var curTier *tierCounters
-	r := newLoadRunner(cfg, cnt, id, rng, func(code wire.ErrorCode) { countCode(cnt, curTier, code) })
-	defer r.close()
+// strictRunner runs a transaction as a conversation, a round trip per
+// step: there is nothing to start ahead of waiting for it.
+type strictRunner struct {
+	cl  *Client
+	rng *rand.Rand
+}
 
-	for remaining.Add(-1) >= 0 {
-		if ctx.Err() != nil {
-			return nil
+func (s *strictRunner) start(*loadJob) {}
+
+func (s *strictRunner) finish(j *loadJob) error {
+	return s.cl.DoDeadline(j.tmpl.Name, j.budget, func(c *Conn) error {
+		for _, st := range j.tmpl.Steps {
+			switch st.Op {
+			case wire.OpRead:
+				if _, err := c.Read(st.Item); err != nil {
+					return err
+				}
+			case wire.OpWrite:
+				if err := c.Write(st.Item, s.rng.Int63n(1<<30)); err != nil {
+					return err
+				}
+			}
 		}
-		tmpl := pickTemplate(&cfg, schema, rng, 0)
-		curTier = tiers.of(tmpl.Priority)
-		curTier.offered.Add(1)
-		begin := time.Now()
-		err := r.do(tmpl, 0)
-		cnt.attempts.Add(1)
-		if err != nil {
-			cnt.failed.Add(1)
-			var remote *wire.RemoteError
-			if ctx.Err() != nil {
-				return nil
+		return nil
+	})
+}
+
+func (s *strictRunner) close() { s.cl.pool.Close() }
+
+// pipeRunner sends a transaction whole: start encodes attempt one into the
+// connection's unflushed batch, so transactions started back to back leave
+// in one write when the worker next blocks, and the server executes them in
+// arrival order.
+type pipeRunner struct {
+	pc  *PipeClient
+	rng *rand.Rand
+}
+
+func (p *pipeRunner) start(j *loadJob) {
+	p.pc.earn()
+	c, err := p.pc.get()
+	if err == nil {
+		j.fut, err = p.submit(c, j)
+	}
+	j.err = err
+}
+
+func (p *pipeRunner) submit(c *PipeConn, j *loadJob) (*TxnFuture, error) {
+	if j.ro {
+		return c.SubmitReadTxn(j.items)
+	}
+	steps := make([]wire.Message, 0, len(j.tmpl.Steps))
+	for _, st := range j.tmpl.Steps { // compute steps have no wire op
+		switch st.Op {
+		case wire.OpRead:
+			steps = append(steps, &wire.Read{Item: st.Item})
+		case wire.OpWrite:
+			steps = append(steps, &wire.Write{Item: st.Item, Value: p.rng.Int63n(1 << 30)})
+		}
+	}
+	return c.SubmitTxn(j.tmpl.Name, j.budget, steps)
+}
+
+func (p *pipeRunner) finish(j *loadJob) error {
+	err := j.err
+	if j.fut != nil {
+		err = j.fut.Wait()
+	}
+	return p.pc.resume(j.tmpl.Name, err, func() error {
+		return p.pc.attempt(func(c *PipeConn) error {
+			fut, err := p.submit(c, j)
+			if err != nil {
+				return err
 			}
-			// Draining and cancellation are orderly shutdown, not failures
-			// worth killing the run over; anything else is.
-			if errors.As(err, &remote) &&
-				(remote.Code == wire.CodeDraining || remote.Code == wire.CodeCancelled) {
-				return nil
+			return fut.Wait()
+		})
+	})
+}
+
+func (p *pipeRunner) close() { p.pc.Close() }
+
+// worker is the load loop, one per connection, the same in every mode: take
+// a job from the source, start it, and once depth of them are in flight —
+// or the source has run out — settle the oldest. Depth is what the runner
+// can hold (one transaction for the strict client, the connection's window
+// for the pipelined one) in the closed loop, where jobs are free and the
+// point is to keep the server busy; it is one in the open loop, where a job
+// taken early is an arrival that left the priority queue before it had to,
+// ahead of a more important one about to arrive.
+//
+// An open-loop worker never returns an error: under nemesis faults broken
+// connections and exhausted attempts are outcomes to count, not reasons to
+// stop offering load. A closed-loop worker hands the claim of a transaction
+// it abandoned back to the source, stops quietly when the server drains,
+// and fails the run on anything else.
+func (r *loadRun) worker(ctx context.Context, id int64, lats *[]time.Duration) error {
+	rng := rand.New(rand.NewSource(r.cfg.Seed + id))
+	var settling *tierCounters // whose refusals the retry policy is reporting
+	run, depth := newRunner(&r.cfg, &r.cnt, id, rng, func(code wire.ErrorCode) {
+		switch code {
+		case wire.CodeShed:
+			r.cnt.shed.Add(1)
+			if settling != nil {
+				settling.shed.Add(1)
 			}
-			if errors.As(err, &remote) && remote.Code.Retryable() {
-				// Return the budget entry so the run still reaches its
-				// committed-transaction target despite the abandonment.
-				remaining.Add(1)
+		case wire.CodeInfeasible:
+			r.cnt.infeasible.Add(1)
+		}
+	})
+	defer run.close()
+	if r.jobs != nil {
+		depth = 1
+	}
+	queue := make([]loadJob, 0, depth)
+	for ctx.Err() == nil {
+		if j, ok := r.next(rng); ok {
+			if r.cfg.DeadlineBudget > 0 {
+				// The deadline is anchored at arrival; hand the server only
+				// what remains. A job whose budget evaporated waiting for a
+				// worker is dropped without a round trip.
+				if j.budget = r.cfg.DeadlineBudget - time.Since(j.arrival); j.budget <= 0 {
+					r.cnt.failed.Add(1)
+					continue
+				}
+			}
+			queue = append(queue, j)
+			run.start(&queue[len(queue)-1])
+			if len(queue) < depth {
 				continue
 			}
+		} else if len(queue) == 0 {
+			return nil
+		}
+		j := &queue[0]
+		queue = queue[1:]
+		settling = j.tier
+		err := run.finish(j)
+		r.cnt.attempts.Add(1)
+		if err == nil {
+			r.commit(j, lats)
+			continue
+		}
+		r.cnt.failed.Add(1)
+		var remote *wire.RemoteError
+		switch {
+		case ctx.Err() != nil:
+			return nil
+		case r.jobs != nil:
+			// Open loop: counted; the arrival is gone either way.
+		case !errors.As(err, &remote):
+			return fmt.Errorf("client: worker %d: %w", id, err) // transport or desync
+		case remote.Code == wire.CodeDraining || remote.Code == wire.CodeCancelled:
+			return nil // orderly shutdown, not a failure worth killing the run over
+		case remote.Code.Retryable():
+			// Abandoned (attempts or retry budget exhausted): return the claim
+			// so the run still reaches its committed-transaction target.
+			r.remaining.Add(1)
+		default:
 			return fmt.Errorf("client: worker %d: %w", id, err)
 		}
-		cnt.committed.Add(1)
-		curTier.committed.Add(1)
-		curTier.onTime.Add(1) // no deadline budget in the closed loop
-		*lats = append(*lats, time.Since(begin))
 	}
 	return nil
 }
 
-// pipelinedWorker is the closed-loop worker in pipelined mode. Where
-// loadWorker runs one transaction at a time, this keeps a bounded queue
-// of whole-transaction bursts in flight on one connection — the server
-// executes bursts in arrival order, so back-to-back transactions overlap
-// on the wire without changing their serialization. The common case costs
-// zero waits and a share of one write per transaction (the bursts
-// submitted since the worker last had to wait leave together); failures
-// fall back to the shared retry policy, synchronously, so overload behaves
-// exactly like the strict worker (budgeted retries, counted sheds, orderly
-// stop on drain).
-func pipelinedWorker(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK, tiers *tierStats,
-	id int64, remaining *atomic.Int64, cnt *loadCounters, lats *[]time.Duration) error {
-	rng := rand.New(rand.NewSource(cfg.Seed + id))
-	var curTier *tierCounters
-	pc := NewPipeClient(cfg.Addr, cfg.OpTimeout, cfg.Window, cfg.Seed^id)
-	pc.MaxAttempts = cfg.MaxAttempts
-	pc.Retries = &cnt.retries
-	pc.Budget = cfg.RetryBudget
-	pc.CodeHook = func(code wire.ErrorCode) { countCode(cnt, curTier, code) }
-	defer pc.Close()
-
-	roItems := schemaItems(schema)
-
-	type inflight struct {
-		tmpl  wire.TemplateInfo
-		tier  *tierCounters // nil for read-only bursts
-		ro    bool
-		items []uint32 // read-only: the snapshot read set, for the retry path
-		begin time.Time
-		fut   *TxnFuture
+// commit accounts one committed transaction.
+func (r *loadRun) commit(j *loadJob, lats *[]time.Duration) {
+	lat := time.Since(j.arrival)
+	onTime := r.cfg.DeadlineBudget <= 0 || lat <= r.cfg.DeadlineBudget
+	r.cnt.committed.Add(1)
+	if onTime {
+		r.cnt.onTime.Add(1)
 	}
-	// Transactions in flight per connection: a quarter of the request
-	// window, at least one — the depth this worker has always run at (a
-	// transaction used to take about four window slots; it takes one now,
-	// and the rest of the window is headroom).
-	depth := max(1, cfg.Window/4)
-	queue := make([]inflight, 0, depth)
-	errStop := errors.New("load: orderly stop")
-
-	// settle resolves the oldest in-flight burst: account the commit, or
-	// run the whole retry chain synchronously (the overlap is for the
-	// common case; a failed transaction is worth a stall).
-	account := func(t inflight) {
-		cnt.committed.Add(1)
-		if t.ro {
-			cnt.roCommitted.Add(1)
-			cnt.onTime.Add(1) // read-only has no tier; tally directly
-		} else {
-			t.tier.committed.Add(1)
-			t.tier.onTime.Add(1) // no deadline budget in the closed loop
-		}
-		*lats = append(*lats, time.Since(t.begin))
-	}
-	settle := func() error {
-		t := queue[0]
-		queue = queue[1:]
-		err := t.fut.Wait()
-		cnt.attempts.Add(1)
-		if err == nil {
-			account(t)
-			return nil
-		}
-		var remote *wire.RemoteError
-		if ctx.Err() != nil || !errors.As(err, &remote) {
-			if ctx.Err() != nil {
-				return errStop
-			}
-			return err // transport or desync: fatal, as in loadWorker
-		}
-		countCode(cnt, t.tier, remote.Code)
-		switch {
-		case remote.Code == wire.CodeDraining || remote.Code == wire.CodeCancelled:
-			return errStop
-		case !remote.Code.Retryable():
-			return err
-		}
-		// The burst was attempt one; hand the rest of the chain to DoTxn
-		// under the shared budget.
-		if cfg.RetryBudget != nil && !cfg.RetryBudget.take() {
-			cnt.failed.Add(1)
-			remaining.Add(1)
-			return nil
-		}
-		cnt.retries.Add(1)
-		curTier = t.tier // nil for read-only: countCode skips tier tallies
-		if t.ro {
-			err = pc.DoReadTxn(t.items)
-		} else {
-			err = pc.DoTxn(t.tmpl.Name, 0, pipelineSteps(t.tmpl, rng))
-		}
-		if err == nil {
-			account(t)
-			return nil
-		}
-		cnt.failed.Add(1)
-		if errors.As(err, &remote) {
-			if remote.Code == wire.CodeDraining || remote.Code == wire.CodeCancelled {
-				return errStop
-			}
-			if remote.Code.Retryable() {
-				remaining.Add(1) // abandoned: return the budget entry
-				return nil
-			}
-		}
-		return fmt.Errorf("client: worker %d: %w", id, err)
-	}
-	drain := func() error {
-		for len(queue) > 0 {
-			if err := settle(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// stopped maps the orderly stop to a clean worker exit.
-	stopped := func(err error) error {
-		if errors.Is(err, errStop) {
-			return nil
-		}
-		return err
-	}
-
-	for remaining.Add(-1) >= 0 {
-		if ctx.Err() != nil {
-			break
-		}
-		ro := cfg.ReadFrac > 0 && rng.Float64() < cfg.ReadFrac
-		tmpl := pickTemplate(&cfg, schema, rng, 0)
-		tier := tiers.of(tmpl.Priority)
-		if !ro {
-			tier.offered.Add(1)
-		}
-		if cfg.RetryBudget != nil {
-			cfg.RetryBudget.credit() // each transaction earns, as a Do call would
-		}
-		c, err := pc.get()
-		if err != nil {
-			return fmt.Errorf("client: worker %d: %w", id, err)
-		}
-		// One whole transaction, one TXN frame — a declared read-only
-		// snapshot waits for no admission server-side.
-		t := inflight{tmpl: tmpl, tier: tier, ro: ro}
-		if ro {
-			t.tier, t.items = nil, roPick(rng, roItems)
-			t.fut, err = c.SubmitReadTxn(t.items)
-		} else {
-			t.fut, err = c.SubmitTxn(tmpl.Name, 0, pipelineSteps(tmpl, rng))
-		}
-		if err != nil {
-			// The connection died with bursts in flight: resolve what we can,
-			// then report (drain's verdict wins — it sees the same error with
-			// per-transaction context).
-			if dErr := drain(); dErr != nil {
-				return stopped(dErr)
-			}
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("client: worker %d: %w", id, err)
-		}
-		t.begin = time.Now()
-		queue = append(queue, t)
-		if len(queue) >= depth {
-			if err := settle(); err != nil {
-				return stopped(err)
-			}
+	r.series.record(onTime)
+	if j.ro {
+		r.cnt.roCommitted.Add(1)
+	} else {
+		j.tier.committed.Add(1)
+		if onTime {
+			j.tier.onTime.Add(1)
 		}
 	}
-	return stopped(drain())
-}
-
-// openJob is one open-loop arrival awaiting a worker.
-type openJob struct {
-	tmpl    wire.TemplateInfo
-	ro      bool     // declared read-only snapshot transaction
-	items   []uint32 // read-only: the snapshot read set
-	arrival time.Time
-	seq     uint64
+	*lats = append(*lats, lat)
 }
 
 // openQueue is the generator-side waiting room, and it applies the same
@@ -601,7 +627,7 @@ type openJob struct {
 type openQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []openJob // sorted: priority desc, seq asc
+	items  []loadJob // sorted: priority desc, seq asc
 	max    int
 	seq    uint64
 	closed bool
@@ -617,7 +643,7 @@ func newOpenQueue(max int) *openQueue {
 // It returns false when the job itself (or, transitively, the displaced
 // occupant) was dropped — exactly one arrival is lost per push to a full
 // queue, always the least important one present.
-func (q *openQueue) push(j openJob) bool {
+func (q *openQueue) push(j loadJob) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j.seq = q.seq
@@ -637,27 +663,27 @@ func (q *openQueue) push(j openJob) bool {
 	return true
 }
 
-func (q *openQueue) insert(j openJob) {
+func (q *openQueue) insert(j loadJob) {
 	i := sort.Search(len(q.items), func(i int) bool {
 		it := q.items[i]
 		return it.tmpl.Priority < j.tmpl.Priority ||
 			(it.tmpl.Priority == j.tmpl.Priority && it.seq > j.seq)
 	})
-	q.items = append(q.items, openJob{})
+	q.items = append(q.items, loadJob{})
 	copy(q.items[i+1:], q.items[i:])
 	q.items[i] = j
 }
 
 // pop blocks for the highest-priority waiting job; ok is false once the
 // queue is closed and empty.
-func (q *openQueue) pop() (openJob, bool) {
+func (q *openQueue) pop() (loadJob, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.items) == 0 && !q.closed {
 		q.cond.Wait()
 	}
 	if len(q.items) == 0 {
-		return openJob{}, false
+		return loadJob{}, false
 	}
 	j := q.items[0]
 	copy(q.items, q.items[1:])
@@ -670,16 +696,6 @@ func (q *openQueue) close() {
 	q.closed = true
 	q.mu.Unlock()
 	q.cond.Broadcast()
-}
-
-// pickTemplate draws the next update transaction's template: the
-// PickTemplate hook when set, the uniform draw otherwise. frac is the
-// arrival's position in the open-loop window (0 in the closed loop).
-func pickTemplate(cfg *LoadConfig, schema *wire.HelloOK, rng *rand.Rand, frac float64) wire.TemplateInfo {
-	if cfg.PickTemplate != nil {
-		return schema.Templates[cfg.PickTemplate(rng, frac)]
-	}
-	return schema.Templates[rng.Intn(len(schema.Templates))]
 }
 
 // seriesTracker buckets commits over the arrival window. Workers record
@@ -784,60 +800,30 @@ func (p *paceTracker) report() []PaceSlice {
 	return out
 }
 
-func runOpenLoop(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK) (*LoadReport, error) {
-	rep := &LoadReport{}
-	cnt := &loadCounters{}
-	tiers := newTierStats(schema)
-	jobs := newOpenQueue(cfg.MaxInFlight)
-	lats := make([][]time.Duration, cfg.Conns)
-	var wg sync.WaitGroup
-	start := time.Now()
-	var series *seriesTracker
-	if cfg.SeriesBuckets > 0 {
-		series = newSeriesTracker(start, cfg.Duration, cfg.SeriesBuckets)
-	}
-	var pace *paceTracker
-	if cfg.PaceSlices > 0 {
-		pace = newPaceTracker(cfg.Duration, cfg.PaceSlices)
-	}
-	for w := 0; w < cfg.Conns; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			openWorker(ctx, cfg, tiers, int64(w), jobs, cnt, &lats[w], series)
-		}(w)
-	}
-
-	// The arrival process: exponential inter-arrival times at ArrivalRate,
-	// template drawn per arrival — all from one rng, so the offered
-	// workload is a deterministic function of the seed regardless of how
-	// the server behaves. Arrival times are absolute (each scheduled from
-	// the previous scheduled time, not from "now"): when the scheduler
-	// falls behind it emits the overdue arrivals immediately instead of
-	// silently stretching every gap by its own overhead, so the offered
-	// rate actually is ArrivalRate. An arrival finding MaxInFlight jobs
-	// outstanding is dropped here: open-loop latency must be measured
-	// against the server's queueing, not a client-side backlog of stale
-	// arrivals.
-	// Pacing is hybrid sleep-then-spin: the sleeper handles the bulk of a
-	// long gap, but the last SpinUnder of every gap is paced by a yield
-	// loop. On a host whose timer granularity is ~10ms a pure sleeper
-	// cannot hit the sub-millisecond gaps of a multi-thousand/s Poisson
-	// process — it oversleeps, then dumps the overdue arrivals in bursts.
-	// The spin costs one core's worth of yields but makes the achieved
-	// rate track the offered rate (both are reported, so the sweep shows
-	// when it does not).
+// arrivals is the open loop's arrival process: exponential inter-arrival
+// times at ArrivalRate (or the explicit ArrivalTimes schedule), each
+// arrival drawn from one rng, so the offered workload is a deterministic
+// function of the seed regardless of how the server behaves. Arrival times
+// are absolute (each scheduled from the previous scheduled time, not from
+// "now"): when the scheduler falls behind it emits the overdue arrivals
+// immediately instead of silently stretching every gap by its own overhead,
+// so the offered rate actually is ArrivalRate. An arrival finding
+// MaxInFlight jobs waiting displaces the least important of them or is
+// dropped: open-loop latency must be measured against the server's
+// queueing, not a client-side backlog of stale arrivals.
+//
+// Pacing is hybrid sleep-then-spin: the sleeper handles the bulk of a long
+// gap, but the last spinUnder of every gap is paced by a yield loop. On a
+// host whose timer granularity is ~10ms a pure sleeper cannot hit the
+// sub-millisecond gaps of a multi-thousand/s Poisson process — it
+// oversleeps, then dumps the overdue arrivals in bursts. The spin costs one
+// core's worth of yields but makes the achieved rate track the offered rate
+// (both are reported, whole-run and per slice, so a run shows when and
+// where it does not).
+func (r *loadRun) arrivals(ctx context.Context, rep *LoadReport, start time.Time) {
+	cfg := &r.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	items := schemaItems(schema)
-	// Read-only arrivals queue at the top priority: they bypass server-side
-	// admission entirely, so holding them behind updates in the client
-	// queue would manufacture a wait the server never imposes.
-	roPri := int32(0)
-	for _, tmpl := range schema.Templates {
-		if tmpl.Priority > roPri {
-			roPri = tmpl.Priority
-		}
-	}
+	pace := newPaceTracker(cfg.Duration, paceSlices)
 	deadline := start.Add(cfg.Duration)
 	next := start
 	timer := time.NewTimer(0)
@@ -846,9 +832,6 @@ func runOpenLoop(ctx context.Context, cfg LoadConfig, schema *wire.HelloOK) (*Lo
 arrivals:
 	for {
 		if cfg.ArrivalTimes != nil {
-			// Explicit schedule: offsets computed up front by the caller
-			// (internal/scenario's arrival processes). Same absolute-time
-			// pacing below; overdue arrivals still fire immediately.
 			if schedIdx >= len(cfg.ArrivalTimes) {
 				break
 			}
@@ -861,8 +844,8 @@ arrivals:
 			break
 		}
 		if wait := time.Until(next); wait > 0 {
-			if wait > cfg.SpinUnder {
-				timer.Reset(wait - cfg.SpinUnder)
+			if wait > spinUnder {
+				timer.Reset(wait - spinUnder)
 				select {
 				case <-ctx.Done():
 					break arrivals
@@ -879,30 +862,13 @@ arrivals:
 			break
 		}
 		frac := float64(next.Sub(start)) / float64(cfg.Duration)
-		if pace != nil {
-			pace.arrival(next.Sub(start), time.Since(start))
-		}
-		rf := cfg.ReadFrac
+		pace.arrival(next.Sub(start), time.Since(start))
+		readFrac := cfg.ReadFrac
 		if cfg.ReadFracAt != nil {
-			rf = cfg.ReadFracAt(frac)
+			readFrac = cfg.ReadFracAt(frac)
 		}
-		if rf > 0 && rng.Float64() < rf {
-			rep.Offered++
-			j := openJob{
-				tmpl:    wire.TemplateInfo{Name: "read-only", Priority: roPri},
-				ro:      true,
-				items:   roPick(rng, items),
-				arrival: time.Now(),
-			}
-			if !jobs.push(j) {
-				rep.Overrun++
-			}
-			continue
-		}
-		tmpl := pickTemplate(&cfg, schema, rng, frac)
 		rep.Offered++
-		tiers.of(tmpl.Priority).offered.Add(1)
-		if !jobs.push(openJob{tmpl: tmpl, arrival: time.Now()}) {
+		if !r.jobs.push(r.draw(rng, readFrac, frac)) {
 			rep.Overrun++
 		}
 	}
@@ -914,115 +880,7 @@ arrivals:
 	if w := time.Since(start); w > 0 {
 		rep.AchievedRate = float64(rep.Offered) / w.Seconds()
 	}
-	if pace != nil {
-		rep.Pacing = pace.report()
-	}
-	jobs.close()
-	wg.Wait()
-	finishReport(rep, cfg, tiers, cnt, lats, start)
-	if series != nil {
-		rep.Series = series.report()
-	}
-	return rep, ctx.Err()
-}
-
-// openWorker drains arrivals. Unlike the closed-loop worker it never
-// returns an error: under nemesis faults broken connections and exhausted
-// attempts are expected outcomes to count, not reasons to stop offering
-// load.
-func openWorker(ctx context.Context, cfg LoadConfig, tiers *tierStats,
-	id int64, jobs *openQueue, cnt *loadCounters, lats *[]time.Duration, series *seriesTracker) {
-	rng := rand.New(rand.NewSource(cfg.Seed + id))
-	var curTier *tierCounters
-	r := newLoadRunner(cfg, cnt, id, rng, func(code wire.ErrorCode) { countCode(cnt, curTier, code) })
-	defer r.close()
-
-	for {
-		j, ok := jobs.pop()
-		if !ok {
-			return
-		}
-		if ctx.Err() != nil {
-			continue // drain the queue so nothing is left behind
-		}
-		if j.ro {
-			curTier = nil // read-only has no tier; countCode skips tier tallies
-		} else {
-			curTier = tiers.of(j.tmpl.Priority)
-		}
-		budget := cfg.DeadlineBudget
-		if budget > 0 {
-			// The deadline is anchored at arrival; hand the server only
-			// what remains. A job whose budget evaporated waiting for a
-			// worker is dropped without a round trip.
-			budget -= time.Since(j.arrival)
-			if budget <= 0 {
-				cnt.failed.Add(1)
-				continue
-			}
-		}
-		var err error
-		if j.ro {
-			err = r.doRO(j.items)
-		} else {
-			err = r.do(j.tmpl, budget)
-		}
-		cnt.attempts.Add(1)
-		if err != nil {
-			cnt.failed.Add(1)
-			continue
-		}
-		lat := time.Since(j.arrival)
-		cnt.committed.Add(1)
-		onTime := cfg.DeadlineBudget <= 0 || lat <= cfg.DeadlineBudget
-		series.record(onTime)
-		if j.ro {
-			cnt.roCommitted.Add(1)
-			if onTime {
-				cnt.onTime.Add(1) // no tier: tally directly
-			}
-		} else {
-			curTier.committed.Add(1)
-			if onTime {
-				curTier.onTime.Add(1)
-			}
-		}
-		*lats = append(*lats, lat)
-	}
-}
-
-// runSteps replays a template's declared steps on the live transaction.
-func runSteps(tmpl wire.TemplateInfo, rng *rand.Rand) func(c *Conn) error {
-	return func(c *Conn) error {
-		for _, st := range tmpl.Steps {
-			switch st.Op {
-			case wire.OpRead:
-				if _, err := c.Read(st.Item); err != nil {
-					return err
-				}
-			case wire.OpWrite:
-				if err := c.Write(st.Item, rng.Int63n(1<<30)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-}
-
-// pipelineSteps renders a template's declared steps as wire messages for
-// one pipelined burst (compute steps have no wire op, as in runSteps).
-func pipelineSteps(tmpl wire.TemplateInfo, rng *rand.Rand) []wire.Message {
-	steps := make([]wire.Message, 0, len(tmpl.Steps))
-	for _, st := range tmpl.Steps {
-		switch st.Op {
-		case wire.OpRead:
-			steps = append(steps, &wire.Read{Item: st.Item})
-		case wire.OpWrite:
-			steps = append(steps, &wire.Write{Item: st.Item, Value: rng.Int63n(1 << 30)})
-		}
-	}
-	return steps
+	rep.Pacing = pace.report()
 }
 
 // schemaItems collects the distinct items named by the schema's template
@@ -1057,20 +915,6 @@ func roPick(rng *rand.Rand, items []uint32) []uint32 {
 	return out
 }
 
-// countCode tallies typed overload rejections the Client observes
-// (including retried ones). Called from worker goroutines via CodeHook.
-func countCode(cnt *loadCounters, tier *tierCounters, code wire.ErrorCode) {
-	switch code {
-	case wire.CodeShed:
-		cnt.shed.Add(1)
-		if tier != nil {
-			tier.shed.Add(1)
-		}
-	case wire.CodeInfeasible:
-		cnt.infeasible.Add(1)
-	}
-}
-
 // tierCounters is the hot-path (atomic) form of TierReport.
 type tierCounters struct {
 	priority                         int32
@@ -1094,22 +938,19 @@ func newTierStats(schema *wire.HelloOK) *tierStats {
 	return t
 }
 
-func (t *tierStats) of(pri int32) *tierCounters { return t.byPri[pri] }
-
 // finishReport computes elapsed time, latency percentiles, tier summaries
-// and aggregate on-time/suppressed counts. Shared by both loop modes.
-func finishReport(rep *LoadReport, cfg LoadConfig, tiers *tierStats,
-	cnt *loadCounters, lats [][]time.Duration, start time.Time) {
+// and the aggregate counts once the workers have joined.
+func (r *loadRun) finishReport(rep *LoadReport, lats [][]time.Duration, start time.Time) {
 	rep.Elapsed = time.Since(start)
-	rep.Committed = cnt.committed.Load()
-	rep.Attempts = cnt.attempts.Load()
-	rep.Retries = cnt.retries.Load()
-	rep.Failed = cnt.failed.Load()
-	rep.ROCommitted = cnt.roCommitted.Load()
-	rep.OnTime = cnt.onTime.Load() // read-only tallies; tier commits add below
-	rep.Shed = cnt.shed.Load()
-	rep.Infeasible = cnt.infeasible.Load()
-	rep.RetriesSuppressed = cfg.RetryBudget.Suppressed()
+	rep.Committed = r.cnt.committed.Load()
+	rep.Attempts = r.cnt.attempts.Load()
+	rep.Retries = r.cnt.retries.Load()
+	rep.Failed = r.cnt.failed.Load()
+	rep.ROCommitted = r.cnt.roCommitted.Load()
+	rep.OnTime = r.cnt.onTime.Load()
+	rep.Shed = r.cnt.shed.Load()
+	rep.Infeasible = r.cnt.infeasible.Load()
+	rep.RetriesSuppressed = r.cfg.RetryBudget.Suppressed()
 	var all []time.Duration
 	for _, l := range lats {
 		all = append(all, l...)
@@ -1120,16 +961,10 @@ func finishReport(rep *LoadReport, cfg LoadConfig, tiers *tierStats,
 		rep.P90 = all[n*90/100]
 		rep.P99 = all[n*99/100]
 		rep.P999 = all[n*999/1000]
-		if rep.P99 == 0 { // tiny runs: index n*99/100 may clamp to 0th
-			rep.P99 = all[n-1]
-		}
-		if rep.P999 == 0 {
-			rep.P999 = all[n-1]
-		}
 		rep.Max = all[n-1]
 	}
-	for _, pri := range tiers.order {
-		tc := tiers.byPri[pri]
+	for _, pri := range r.tiers.order {
+		tc := r.tiers.byPri[pri]
 		tr := TierReport{
 			Priority:  pri,
 			Offered:   tc.offered.Load(),
@@ -1140,7 +975,9 @@ func finishReport(rep *LoadReport, cfg LoadConfig, tiers *tierStats,
 		if tr.Offered > 0 {
 			tr.MissRatio = 1 - float64(tr.OnTime)/float64(tr.Offered)
 		}
-		rep.OnTime += tr.OnTime
 		rep.Tiers = append(rep.Tiers, tr)
+	}
+	if r.series != nil {
+		rep.Series = r.series.report()
 	}
 }

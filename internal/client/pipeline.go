@@ -522,17 +522,6 @@ func (pc *PipeClient) attempt(txn func(*PipeConn) error) error {
 	return err
 }
 
-// DoReadTxn runs one read-only snapshot transaction under the retry
-// policy. The only retryable failure specific to this path is a snapshot
-// evicted from a version chain (CodeAborted); a fresh attempt begins on a
-// fresh snapshot, so the retry re-reads committed state — idempotent by
-// construction.
-func (pc *PipeClient) DoReadTxn(items []uint32) error {
-	return pc.run("read-only", func() error {
-		return pc.attempt(func(c *PipeConn) error { return c.RunReadTxn(items) })
-	})
-}
-
 func (pc *PipeClient) get() (*PipeConn, error) {
 	if pc.conn != nil && !pc.conn.Broken() {
 		return pc.conn, nil

@@ -113,6 +113,7 @@ func runLivePhase(ctx context.Context, spec *Spec, ph *PhaseSpec, pi int,
 	}
 	if ph.DeadlineMS > 0 {
 		lc.DeadlineBudget = time.Duration(ph.DeadlineMS * float64(time.Millisecond))
+		lc.OpTimeout = opTimeout(lc.DeadlineBudget)
 	}
 	if ph.ReadFracEnd != nil {
 		start, end := ph.ReadFrac, *ph.ReadFracEnd
@@ -150,6 +151,18 @@ func runLivePhase(ctx context.Context, spec *Spec, ph *PhaseSpec, pi int,
 	}
 	row.finish(ph.DurationS)
 	return row, err
+}
+
+// opTimeout is how long a phase's workers wait for a reply before they give
+// the connection up. A connection the nemesis partitions answers nothing,
+// and parks its worker until then: at the client's 10 s default that is half
+// of a 20 s fault-storm phase spent on transactions whose 250 ms deadlines
+// were lost in the first quarter second. A few deadlines is long enough to
+// tell silence from slowness; the floor keeps the timeout behind the
+// server's own verdict, the watchdog's CodeDeadline a grace period (1 s by
+// default) after the deadline. A phase without a deadline keeps the default.
+func opTimeout(deadline time.Duration) time.Duration {
+	return max(8*deadline, 2*time.Second)
 }
 
 // msOf converts a duration to milliseconds for the shared row schema.

@@ -1,15 +1,18 @@
 package scenario
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"testing"
 	"time"
 
 	"pcpda/internal/rtm"
 	"pcpda/internal/server"
+	"pcpda/internal/wire"
 )
 
 const liveSpecJSON = `{
@@ -139,5 +142,62 @@ func TestRunLiveSchemaMismatch(t *testing.T) {
 	addr := startServer(t, &other)
 	if _, err := RunLive(context.Background(), spec, LiveOptions{Addr: addr}); err == nil {
 		t.Fatal("RunLive accepted a server with a mismatched schema")
+	}
+}
+
+// TestRunLiveOpTimeoutFollowsDeadline: a server that greets and then never
+// answers — what a connection looks like once the nemesis has partitioned
+// it — must cost a phase with a deadline a few deadlines' wait, not the
+// client's 10 s default op timeout.
+func TestRunLiveOpTimeoutFollowsDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out one op timeout (~2s)")
+	}
+	spec, err := Parse([]byte(`{
+  "name": "silent", "seed": 3,
+  "workload": { "n": 2, "items": 4 },
+  "live": { "conns": 2 },
+  "phases": [ { "name": "p", "duration_s": 0.2, "deadline_ms": 50,
+    "arrival": { "kind": "poisson", "rate": 50 }, "access": { "kind": "uniform" } } ]
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ln.Close() }()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = conn.Close() }()
+				br := bufio.NewReader(conn)
+				if _, _, tag, _, err := wire.ReadAny(br, nil); err == nil {
+					hello, _ := wire.AppendTagged(nil, wire.Version, tag, &wire.HelloOK{Set: "silent",
+						Templates: []wire.TemplateInfo{{Name: "T", Priority: 1,
+							Steps: []wire.StepInfo{{Op: wire.OpWrite, Item: 1}}}}})
+					_, _ = conn.Write(hello)
+				}
+				_, _ = io.Copy(io.Discard, br) // read on, answer nothing
+			}()
+		}
+	}()
+
+	start := time.Now()
+	rep, err := RunLive(context.Background(), spec, LiveOptions{Addr: ln.Addr().String(), SkipSchemaCheck: true})
+	if err != nil {
+		t.Fatalf("RunLive: %v", err)
+	}
+	if row := rep.Rows[0]; row.Offered == 0 || row.Committed != 0 {
+		t.Fatalf("offered %d committed %d against a server that answers nothing", row.Offered, row.Committed)
+	}
+	if took := time.Since(start); took < opTimeout(50*time.Millisecond) || took > 6*time.Second {
+		t.Fatalf("phase took %v: want one derived op timeout (%v), not the client's 10s default",
+			took, opTimeout(50*time.Millisecond))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pcpda/internal/client"
+	"pcpda/internal/fault"
 	"pcpda/internal/nemesis"
 	"pcpda/internal/rtm"
 	"pcpda/internal/wire"
@@ -357,5 +358,57 @@ func TestNemesisPipelined(t *testing.T) {
 	waitFor(t, "sessions idle", func() bool { return !srv.liveWork() })
 	if err := mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClosedLoopPipelinedReadMix runs the one RunLoad combination no other
+// test does — the pipelined client in the closed loop, a window of
+// transactions in flight per connection — with nine transactions in ten
+// declared read-only and the manager injecting faults as in TestSoak. The
+// run must reach its target, the read path must have carried its share,
+// every update the client counts must be a commit the manager counts, and
+// the drain in the startServer cleanup must come back clean.
+func TestClosedLoopPipelinedReadMix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak skipped in -short")
+	}
+	inj := fault.NewSeeded(fault.Config{Seed: 42, PDelay: 0.01, PWakeup: 0.01, PAbort: 0.002})
+	mgr, err := rtm.NewWithOptions(testSet(t), rtm.Options{Injector: inj, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, srv := startServer(t, mgr, Config{QueueDepth: 128})
+
+	const txns = 10000
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	rep, err := client.RunLoad(ctx, client.LoadConfig{
+		Addr: addr, Conns: 32, Txns: txns, Seed: 7, Pipelined: true, ReadFrac: 0.9,
+	})
+	if err != nil {
+		t.Fatalf("load: %v (report %+v)", err, rep)
+	}
+	t.Logf("read mix: %d committed (%d read-only) in %v (%.0f txn/s), retries=%d failed=%d p50=%v p99=%v",
+		rep.Committed, rep.ROCommitted, rep.Elapsed, rep.Throughput(), rep.Retries, rep.Failed, rep.P50, rep.P99)
+	if rep.Committed < txns {
+		t.Fatalf("committed %d transactions, want >= %d", rep.Committed, txns)
+	}
+	if rep.ROCommitted == 0 || rep.ROCommitted == rep.Committed {
+		t.Fatalf("%d of %d commits read-only: want a mix", rep.ROCommitted, rep.Committed)
+	}
+
+	waitFor(t, "sessions idle", func() bool { return !srv.liveWork() })
+	if err := mgr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	st := mgr.Stats()
+	if st.Live != 0 {
+		t.Fatalf("%d transactions leaked", st.Live)
+	}
+	if updates := rep.Committed - rep.ROCommitted; int64(st.Commits) < updates {
+		t.Fatalf("manager commits %d < client update commits %d", st.Commits, updates)
+	}
+	if st.ROCommits < rep.ROCommitted {
+		t.Fatalf("manager read-only commits %d < client read-only commits %d", st.ROCommits, rep.ROCommitted)
 	}
 }
