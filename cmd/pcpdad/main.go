@@ -9,6 +9,10 @@
 //	          503 "draining"
 //	/stats    JSON snapshot: server counters + per-shard admission
 //	          stats (depth, stolen, EWMA wait) + manager counters
+//	          (history window and continuous-audit counters included)
+//	/debug/flight  the manager's retained history window, oldest
+//	          operation first ("B7 R7(2,v3) W7(2,v4) C7 ...")
+//	/debug/pprof/  net/http/pprof
 //
 // SIGINT/SIGTERM trigger a graceful drain bounded by -drain-timeout. The
 // exit code is the drain verdict: 0 means the manager shut down provably
@@ -28,6 +32,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -162,7 +167,8 @@ func run() int {
 	return 0
 }
 
-// statsServer exposes /healthz and /stats on addr.
+// statsServer exposes /healthz, /stats, /debug/flight and /debug/pprof/ on
+// addr.
 func statsServer(addr string, srv *server.Server, mgr *rtm.Manager, ctr *metrics.ServerCounters) *http.Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -186,6 +192,14 @@ func statsServer(addr string, srv *server.Server, mgr *rtm.Manager, ctr *metrics
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(doc)
 	})
+	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = fmt.Fprintln(w, mgr.History())
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
 		if err := s.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -143,13 +143,14 @@ func (s *Store) truncateChain(head *versionNode) {
 }
 
 // InstallIntoAt is InstallInto with version-chain appends: every installed
-// version is stamped with tick and published at its item's chain head.
-// Caller holds the store's writer lock.
-func (w *Workspace) InstallIntoAt(s *Store, run RunID, tick int64) []Installed {
-	out := make([]Installed, 0, len(w.order))
+// version is stamped with tick and published at its item's chain head. The
+// installed pairs are appended to dst, which the live manager's commit path
+// reuses from one transaction to the next. Caller holds the store's writer
+// lock.
+func (w *Workspace) InstallIntoAt(dst []Installed, s *Store, run RunID, tick int64) []Installed {
 	for _, x := range w.order {
 		ver := s.InstallVersioned(run, x, w.writes[x], tick)
-		out = append(out, Installed{Item: x, Version: ver})
+		dst = append(dst, Installed{Item: x, Version: ver})
 	}
-	return out
+	return dst
 }

@@ -38,11 +38,7 @@ func (h *History) DOT(set *txn.Set) string {
 		fmt.Fprintf(&b, "  %q [label=%q];\n", name(r), fmt.Sprintf("%s\\ncommit@%d", name(r), committed[r]))
 	}
 	for _, e := range edges {
-		kind := e.why
-		if i := strings.Index(kind, " "); i > 0 {
-			kind = kind[:i]
-		}
-		fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", name(e.from), name(e.to), kind)
+		fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", name(e.from), name(e.to), e.kind)
 	}
 	b.WriteString("}\n")
 	return b.String()

@@ -57,3 +57,29 @@ func FuzzCheck(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAuditVsCheck holds the continuous audit to the batch checker on
+// well-formed deferred-update logs (genLog: one live run per template,
+// reads of committed versions, installs with the commit): whatever Check
+// flags, the audit must flag too. The audit may be stricter — its chain
+// rule and its read-time check have no counterpart in Check — never laxer.
+func FuzzAuditVsCheck(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 0, 1, 3, 0, 4, 0, 0, 6, 0, 5, 1, 6, 0, 1})
+	f.Add([]byte{0, 1, 2, 3, 0, 0, 1, 0, 1, 2, 4, 1, 3, 4, 0, 0, 6, 0, 0, 1, 6, 0, 7, 2, 6, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := genLog(func(n int) (int, bool) {
+			if len(data) == 0 {
+				return 0, false
+			}
+			c := int(data[0]) % n
+			data = data[1:]
+			return c, true
+		})
+		h := &History{Ops: ops}
+		rep := h.Check()
+		if a := Replay(ops); (!rep.Serializable || !rep.CommitOrderOK) && a.Flagged() == 0 {
+			t.Fatalf("Check flags a log the audit passes:\n%s\n%v", h, rep.Violations)
+		}
+	})
+}

@@ -73,33 +73,21 @@ type Op struct {
 	From db.RunID   // ReadOp: run that installed the observed version
 }
 
-// History is an append-only op log.
+// History is an append-only op log: what the simulator records, and the
+// form in which a Recorder hands out its retained window.
 type History struct {
 	Ops []Op
 
-	// base is the low-water run id set by Reset: runs below it belong to
-	// already-validated windows, so reads observing their versions are not
-	// dirty reads even though their commit records were discarded.
+	// base is the low-water run id of a Recorder's window: every run below
+	// it had operations dropped from the log after they were validated (the
+	// continuous Audit saw them all), so such a run is taken as committed —
+	// a read observing one of its versions is not a dirty read even though
+	// its commit record is gone. Zero for a log that was never truncated.
 	base db.RunID
 }
 
 // New returns an empty history.
 func New() *History { return &History{} }
-
-// Reset discards all recorded operations, keeping the backing allocation.
-// Long-running deployments call this between audit windows so the op log —
-// which otherwise grows without bound — stays a bounded tax. Check afterwards
-// validates only operations recorded since the reset; runs from discarded
-// windows are assumed committed (each window was validated before being
-// dropped), so a read observing a pre-reset version is accepted.
-func (h *History) Reset() {
-	for _, op := range h.Ops {
-		if op.Run >= h.base {
-			h.base = op.Run + 1
-		}
-	}
-	h.Ops = h.Ops[:0]
-}
 
 // Begin records the start of a run.
 func (h *History) Begin(t rt.Ticks, run db.RunID, id txn.ID) {
@@ -176,10 +164,40 @@ type Report struct {
 	EdgeCount     int
 }
 
-// graphEdge is one serialization-graph edge with provenance.
+// edgeKind names the dependency a serialization-graph edge stands for.
+type edgeKind uint8
+
+const (
+	edgeWW edgeKind = iota
+	edgeWR
+	edgeRW
+)
+
+func (k edgeKind) String() string {
+	switch k {
+	case edgeWW:
+		return "ww"
+	case edgeWR:
+		return "wr"
+	}
+	return "rw"
+}
+
+// graphEdge is one serialization-graph edge with provenance, kept as
+// (kind, item, version) and formatted only when a violation or DOT asks:
+// the clean path builds one per dependency and reads none of them.
 type graphEdge struct {
 	from, to db.RunID
-	why      string
+	kind     edgeKind
+	item     rt.Item
+	ver      db.Version // wr/rw: the version read; unused for ww
+}
+
+func (e graphEdge) why() string {
+	if e.kind == edgeWW {
+		return fmt.Sprintf("ww on item %d", e.item)
+	}
+	return fmt.Sprintf("%s on item %d v%d", e.kind, e.item, e.ver)
 }
 
 // buildGraph assembles the multiversion serialization graph over committed
@@ -229,11 +247,11 @@ func (h *History) buildGraph() ([]graphEdge, []Violation) {
 	}
 
 	var edges []graphEdge
-	add := func(from, to db.RunID, why string) {
+	add := func(from, to db.RunID, kind edgeKind, x rt.Item, ver db.Version) {
 		if from == to || from == db.InitRun || to == db.InitRun {
 			return
 		}
-		edges = append(edges, graphEdge{from, to, why})
+		edges = append(edges, graphEdge{from, to, kind, x, ver})
 	}
 
 	items := make([]rt.Item, 0, len(versions))
@@ -258,7 +276,7 @@ func (h *History) buildGraph() ([]graphEdge, []Violation) {
 
 		// ww edges along the version chain.
 		for i := 1; i < len(vers); i++ {
-			add(vm[vers[i-1]], vm[vers[i]], fmt.Sprintf("ww on item %d", x))
+			add(vm[vers[i-1]], vm[vers[i]], edgeWW, x, 0)
 		}
 
 		// nextWriter(v): installer of the smallest committed version > v.
@@ -280,10 +298,10 @@ func (h *History) buildGraph() ([]graphEdge, []Violation) {
 
 		for _, r := range reads[x] {
 			if w, ok := writerOf(r.ver); ok {
-				add(w, r.run, fmt.Sprintf("wr on item %d v%d", x, r.ver))
+				add(w, r.run, edgeWR, x, r.ver)
 			}
 			if nw, ok := nextWriter(r.ver); ok {
-				add(r.run, nw, fmt.Sprintf("rw on item %d v%d", x, r.ver))
+				add(r.run, nw, edgeRW, x, r.ver)
 			}
 		}
 	}
@@ -379,7 +397,7 @@ func (h *History) Check() Report {
 			rep.Violations = append(rep.Violations, Violation{
 				Kind: "commit-order",
 				Detail: fmt.Sprintf("edge %d->%d (%s) runs against commit order (%d vs %d)",
-					e.from, e.to, e.why, ct, cu),
+					e.from, e.to, e.why(), ct, cu),
 			})
 		}
 	}

@@ -60,9 +60,9 @@ func (h *History) StateAt(snap rt.Ticks) map[rt.Item]SnapshotWrite {
 //
 // Two observations are accepted without a matching recorded write:
 // the initial state (version 0 by InitRun) where no write committed at
-// or before snap, and versions installed by runs below the post-Reset
-// low-water mark (their write records were discarded with an already
-// validated window, mirroring the dirty-read leniency in buildGraph).
+// or before snap, and versions installed by runs below the low-water
+// mark of a Recorder's window (their write records were dropped after
+// validation, mirroring the dirty-read leniency in buildGraph).
 func (h *History) CheckSnapshot(snap rt.Ticks, reads []SnapshotRead) []Violation {
 	state := h.StateAt(snap)
 	var out []Violation
@@ -73,7 +73,7 @@ func (h *History) CheckSnapshot(snap rt.Ticks, reads []SnapshotRead) []Violation
 				continue // initial state, correctly
 			}
 			if r.From != db.InitRun && r.From < h.base {
-				continue // pre-reset version; its window was validated before discard
+				continue // its write record was dropped from the window, validated
 			}
 			out = append(out, Violation{
 				Kind: "snapshot-read",

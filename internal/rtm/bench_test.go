@@ -152,14 +152,6 @@ func benchManager(b *testing.B, set *txn.Set, workers int) {
 				if n > int64(b.N) {
 					return
 				}
-				if n%8192 == 0 {
-					// Trim the op log so the benchmark measures the manager,
-					// not the history append tax (which grows with b.N and
-					// would make ns/op depend on iteration count).
-					m.mu.Lock()
-					m.hist.Reset()
-					m.mu.Unlock()
-				}
 				for {
 					ok, err := benchTxnOnce(ctx, m, tmpl)
 					if err != nil {

@@ -102,8 +102,10 @@ func (r *ChaosReport) String() string {
 // aborts, injected and real cancellations, optional firm deadlines), then
 // audits the wreckage: the manager must be quiescent with no leaked state
 // (CheckInvariants) and the recorded history must be serializable in commit
-// order. The first schedule that fails aborts the run with an error naming
-// its seed, so any failure is replayable.
+// order — by the batch checker, by the manager's continuous audit, and by a
+// replay of the log through a fresh audit. The first schedule that fails
+// aborts the run with an error naming its seed, so any failure is
+// replayable.
 func RunChaos(set *txn.Set, cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Schedules <= 0 {
 		cfg.Schedules = 1
@@ -199,14 +201,21 @@ func runSchedule(set *txn.Set, cfg ChaosConfig, seed int64, rep *ChaosReport) er
 	if err := m.CheckInvariants(); err != nil {
 		return err
 	}
-	hist := m.History()
+	// CheckInvariants has judged the log twice: the batch checker over the
+	// window (a schedule never outgrows it) and the live audit's latch. A
+	// replay through a fresh audit must agree with both, commit for commit.
+	hist, st := m.History(), m.Stats()
+	if a := history.Replay(hist.Ops); a.Flagged() != 0 || a.Commits() != st.CommitsAudited {
+		return fmt.Errorf("replayed audit: %d violations %v, %d commits against %d audited live",
+			a.Flagged(), a.Violations(), a.Commits(), st.CommitsAudited)
+	}
 	for _, ob := range roObs {
 		if vs := hist.CheckSnapshot(ob.snap, ob.reads); len(vs) > 0 {
 			return fmt.Errorf("snapshot-read violation at tick %d: %s", ob.snap, vs[0].Detail)
 		}
 		rep.ROReadsChecked += len(ob.reads)
 	}
-	rep.add(m.Stats())
+	rep.add(st)
 	return nil
 }
 

@@ -33,16 +33,17 @@ import (
 
 // txnRes bundles every per-transaction allocation that can be recycled
 // between transaction instances: the wait node, the donation multiset, the
-// ceiling count vector, the blocker scratch list and the declared-set
-// containers. One warm manager runs an arbitrary number of transactions with
-// no per-instance allocation of these. The cc.Job itself is NOT pooled — a
-// finished handle's job stays inspectable (tests poll job.Status after the
-// fact), so it must never be reused.
+// ceiling count vector, the blocker scratch list, the commit's installed
+// list and the declared-set containers. One warm manager runs an arbitrary
+// number of transactions with no per-instance allocation of these. The
+// cc.Job itself is NOT pooled — a finished handle's job stays inspectable
+// (tests poll job.Status after the fact), so it must never be reused.
 type txnRes struct {
 	wn         waitNode
 	recv       *rt.PriorityMultiset // donations received while others wait on us
 	ceilCounts []int32              // live read locks per write-ceiling rank
 	blockers   []rt.JobID           // scratch for commit-wait blocker lists
+	installed  []db.Installed       // scratch for the (item, version) pairs a commit installs
 	dataRead   *rt.ItemSet
 	ws         *db.Workspace
 }

@@ -144,12 +144,11 @@ type Options struct {
 type Manager struct {
 	mu sync.Mutex
 
-	set   *txn.Set         //pcpda:guardedby immutable
-	ceil  *txn.Ceilings    //pcpda:guardedby immutable
-	proto *pcpda.Protocol  //pcpda:guardedby immutable
-	locks *lock.Table      //pcpda:guardedby immutable
-	store *db.Store        //pcpda:guardedby immutable
-	hist  *history.History //pcpda:guardedby immutable
+	set   *txn.Set        //pcpda:guardedby immutable
+	ceil  *txn.Ceilings   //pcpda:guardedby immutable
+	proto *pcpda.Protocol //pcpda:guardedby immutable
+	locks *lock.Table     //pcpda:guardedby immutable
+	store *db.Store       //pcpda:guardedby immutable
 
 	opts Options        //pcpda:guardedby immutable
 	inj  fault.Injector //pcpda:guardedby immutable — copy of opts.Injector; nil ⇒ injection disabled
@@ -160,6 +159,10 @@ type Manager struct {
 	nextJob rt.JobID          //pcpda:guardedby mu
 	nextRun db.RunID          //pcpda:guardedby mu
 	clock   rt.Ticks          //pcpda:guardedby mu — logical time: one tick per manager operation
+
+	// hist retains the newest history.RingCap operations and audits every
+	// commit as it happens (history.Recorder): bounded at any uptime.
+	hist *history.Recorder //pcpda:guardedby mu
 
 	// Incremental read-lock ceiling index (see index.go).
 	dom       *rt.PriorityDomain //pcpda:guardedby immutable
@@ -236,7 +239,7 @@ func NewWithOptions(set *txn.Set, opts Options) (*Manager, error) {
 		proto:   p,
 		locks:   lock.NewTable(),
 		store:   db.NewStore(),
-		hist:    history.New(),
+		hist:    history.NewRecorder(),
 		opts:    opts,
 		inj:     opts.Injector,
 		active:  make(map[rt.JobID]*Txn),
@@ -323,7 +326,14 @@ func (m *Manager) Begin(ctx context.Context, name string) (*Txn, error) {
 func (m *Manager) admit(tmpl *txn.Template) *Txn {
 	m.clock++
 	res := m.getRes()
-	j := &cc.Job{
+	// The handle and its job are one allocation. Neither is pooled: a
+	// finished handle's job stays inspectable.
+	a := &struct {
+		t Txn
+		j cc.Job
+	}{}
+	j, t := &a.j, &a.t
+	*j = cc.Job{
 		ID:         m.nextJob,
 		Run:        m.nextRun,
 		Tmpl:       tmpl,
@@ -342,7 +352,7 @@ func (m *Manager) admit(tmpl *txn.Template) *Txn {
 	}
 	m.nextJob++
 	m.nextRun++
-	t := &Txn{mgr: m, job: j, res: res}
+	*t = Txn{mgr: m, job: j, res: res}
 	res.wn.t = t
 	m.active[j.ID] = t
 	m.byTmpl[tmpl.ID] = t
@@ -503,7 +513,8 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return err
 	}
 	m.clock++
-	for _, ins := range t.job.WS.InstallIntoAt(m.store, t.job.Run, int64(m.clock)) {
+	t.res.installed = t.job.WS.InstallIntoAt(t.res.installed[:0], m.store, t.job.Run, int64(m.clock))
+	for _, ins := range t.res.installed {
 		m.hist.Write(m.clock, t.job.Run, t.job.Tmpl.ID, ins.Item, ins.Version)
 	}
 	m.hist.Commit(m.clock, t.job.Run, t.job.Tmpl.ID)
@@ -570,6 +581,14 @@ type Stats struct {
 	ROCommits   int64 // read-only transactions finished via Commit
 	ROAborts    int64 // read-only transactions finished via Abort
 	ROEvictions int64 // snapshot reads refused because the version was truncated
+
+	// The update-transaction history: a window of the newest operations and
+	// a continuous audit of every commit (history.Recorder). Read-only
+	// snapshot commits never enter it, so CommitsAudited tracks Commits.
+	HistoryRetained int    // operations in the window (at most history.RingCap)
+	HistoryEvicted  uint64 // operations recorded and no longer retained
+	CommitsAudited  uint64 // commits validated by the continuous audit
+	AuditViolations uint64 // violations the audit has latched, lifetime (must read 0)
 }
 
 // Stats returns the current counter snapshot.
@@ -586,18 +605,32 @@ func (m *Manager) Stats() Stats {
 	s.ROCommits = m.roCommits.Load()
 	s.ROAborts = m.roAborts.Load()
 	s.ROEvictions = m.roEvictions.Load()
+	s.HistoryRetained = m.hist.Retained()
+	s.HistoryEvicted = m.hist.Evicted()
+	s.CommitsAudited = m.hist.Audit().Commits()
+	s.AuditViolations = m.hist.Audit().Flagged()
 	return s
 }
 
-// History returns the recorded execution history (for validation; the
-// returned pointer must only be inspected once no transactions are live).
-func (m *Manager) History() *history.History { return m.hist }
+// History returns the retained history window — the newest history.RingCap
+// operations, oldest first — as a snapshot taken under the manager mutex:
+// safe to call and to inspect at any time, whatever is live. Older
+// operations are gone from it, but not unchecked: every commit was audited
+// as it happened (Stats.CommitsAudited, CheckInvariants).
+func (m *Manager) History() *history.History { return m.HistoryTail(history.RingCap) }
 
-// ResetHistory discards the recorded op log while keeping its allocation.
-// The log grows without bound (one entry per operation), which a long-running
-// manager cannot afford; deployments that audit periodically call this after
-// each CheckInvariants window. Serializability validation after a reset
-// covers only the operations recorded since.
+// HistoryTail is History restricted to the newest n operations: what a
+// failed audit prints beside its violation.
+func (m *Manager) HistoryTail(n int) *history.History {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.hist.Tail(n)
+}
+
+// ResetHistory empties the retained window, keeping its allocation, so the
+// next History or CheckInvariants sees only what is recorded from here on
+// (the benchmark's audit windows). Memory is bounded without it; the
+// continuous audit is unaffected by it.
 func (m *Manager) ResetHistory() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -618,7 +651,9 @@ func (m *Manager) ReadCommitted(item rt.Item) db.Value {
 // sets, every read/buffered-write is backed by the matching lock (so the
 // dynamic ceilings derived from the table agree with what transactions
 // actually did), the per-template live map matches the active map exactly,
-// and the recorded history is serializable with commit-order intact.
+// and the recorded history is serializable with commit-order intact — the
+// retained window by the batch checker, every commit ever made by the
+// continuous audit, so the cost is bounded at any uptime.
 //
 // It is safe to call at any time; after a quiescent point (no live
 // transactions) it additionally proves that no failure path leaked state.
@@ -808,12 +843,17 @@ func (m *Manager) CheckInvariants() error {
 		}
 	})
 
-	rep := m.hist.Check()
+	// The batch check covers the retained window; the continuous audit has
+	// covered every commit since the manager was built, evicted or not.
+	rep := m.hist.Snapshot().Check()
 	if !rep.Serializable {
 		badf("history not serializable: %v", rep.Violations)
 	}
 	if !rep.CommitOrderOK {
 		badf("history violates commit order: %v", rep.Violations)
+	}
+	if a := m.hist.Audit(); a.Flagged() > 0 {
+		badf("continuous audit latched %d violations over %d commits, first: %v", a.Flagged(), a.Commits(), a.Violations())
 	}
 
 	if len(probs) == 0 {

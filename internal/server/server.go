@@ -411,6 +411,7 @@ force:
 	s.sessWG.Wait()
 	s.dispatchWG.Wait()
 	if err := s.mgr.CheckInvariants(); err != nil {
+		s.logf("drain: invariant audit failed: %v; last operations: %s", err, s.mgr.HistoryTail(flightTail))
 		return fmt.Errorf("server: drain left manager dirty: %w", err)
 	}
 	if n := s.mgr.Stats().Live; n != 0 {
@@ -429,6 +430,11 @@ func (s *Server) Close() error {
 	cancel()
 	return s.Drain(ctx)
 }
+
+// flightTail is how many of the manager's newest retained operations a
+// failed audit logs beside its violation (the whole window is on pcpdad's
+// /debug/flight).
+const flightTail = 64
 
 // queueDepth sums the current occupancy of every shard's admission queue.
 func (s *Server) queueDepth() int {

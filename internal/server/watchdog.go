@@ -78,7 +78,8 @@ func (s *Server) sweepStuck() {
 	if tripped > 0 {
 		if err := s.mgr.CheckInvariants(); err != nil {
 			s.ctr.WatchdogAuditFails.Add(1)
-			s.logf("watchdog: invariant audit failed after %d trips: %v", tripped, err)
+			s.logf("watchdog: invariant audit failed after %d trips: %v; last operations: %s",
+				tripped, err, s.mgr.HistoryTail(flightTail))
 		}
 	}
 }

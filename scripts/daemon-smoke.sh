@@ -7,7 +7,8 @@
 # What those runs exercise inside the server `go test -race ./internal/server/`
 # asserts (TestSoak, TestClosedLoopPipelinedReadMix, TestOpenLoopOverload,
 # TestNemesisSoak, TestNemesisPipelined); this script requires only that the
-# daemon took the load on both paths and then drained clean.
+# daemon took the load on both paths, kept its history bounded and audited
+# (/stats, /debug/flight) and then drained clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,12 +35,36 @@ done
 # only that long, not the default 10s.
 "$tmp/pcpdaload" -addr "$addr" -conns 64 -pipeline -nemesis -op-timeout 2s -attempts 3 \
 	-arrival-rate 20000 -duration 3s -deadline-budget 100ms -report "$tmp/over.json"
-curl -fsS "http://$http/stats" > /dev/null
+curl -fsS "http://$http/stats" > "$tmp/stats.json"
+curl -fsS "http://$http/debug/flight" > "$tmp/flight.txt"
+curl -fsS "http://$http/debug/pprof/cmdline" > /dev/null
 
 # sum FIELDS FILE: the total of the named top-level counters of a report.
 sum() { grep -E "^  \"($1)\": [0-9]+" "$2" | awk '{s+=$2} END {print s+0}'; }
 ro=$(sum ro_committed "$tmp/mix.json")
 refused=$(sum 'shed|infeasible' "$tmp/over.json")
+
+# The manager's history after both phases: a bounded window, and every
+# update commit audited as it happened (read-only snapshot commits never
+# enter the log). One /stats document is one Stats() call under the manager
+# mutex, so the two commit counts are read at the same instant.
+mstat() { grep -E "^ +\"$1\": [0-9]+" "$tmp/stats.json" | head -1 | tr -dc '0-9'; }
+commits=$(mstat Commits) audited=$(mstat CommitsAudited)
+violations=$(mstat AuditViolations) retained=$(mstat HistoryRetained)
+ring=$(sed -n 's/^const RingCap = 1 << \([0-9]*\)$/\1/p' internal/history/ring.go)
+echo "daemon-smoke: commits=$commits audited=$audited audit_violations=$violations history_retained=$retained (ring 1<<$ring)"
+if [[ "$violations" != 0 || -z "$commits" || "$commits" == 0 || "$audited" != "$commits" ]]; then
+	echo "daemon-smoke: continuous audit: $violations violations, $audited of $commits commits audited" >&2
+	exit 1
+fi
+if (( retained > 1 << ring )); then
+	echo "daemon-smoke: history window holds $retained operations, above the ring's 1<<$ring" >&2
+	exit 1
+fi
+if ! grep -qE '^B[0-9]+|[ ]C[0-9]+' "$tmp/flight.txt"; then
+	echo "daemon-smoke: /debug/flight served no operations" >&2
+	exit 1
+fi
 
 kill -TERM "$daemon"
 drain=0; wait "$daemon" || drain=$?
