@@ -18,6 +18,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"pcpda/internal/rt"
@@ -57,10 +58,23 @@ type undoRecord struct {
 	prev cell
 }
 
+// journal is the undo log of one in-place run.
+type journal struct {
+	run  RunID
+	recs []undoRecord
+}
+
 // Store is the memory-resident database.
 type Store struct {
-	cells map[rt.Item]cell
-	undo  map[RunID][]undoRecord
+	// cells is indexed by item id and reaches one past the highest item ever
+	// written; an item beyond it is in the initial state.
+	cells []cell
+	// undo[:live] are the journals of the in-place runs not yet forgotten or
+	// rolled back, found by a scan (run ids are unbounded, the runs journaling
+	// at one instant are at most the live jobs); undo[live:] are finished
+	// journals kept for their storage.
+	undo []journal
+	live int
 
 	// Multiversion read support (mvcc.go). chains holds one chainHead per
 	// item, indexed by item id; the slice grows copy-on-write under the
@@ -74,37 +88,64 @@ type Store struct {
 
 // NewStore returns a store where every item implicitly holds Value(0) at
 // Version 0, written by InitRun.
-func NewStore() *Store {
-	return &Store{
-		cells: make(map[rt.Item]cell),
-		undo:  make(map[RunID][]undoRecord),
+func NewStore() *Store { return &Store{} }
+
+// cell returns x's stored state; an id outside the store (never written, or
+// not an item id at all) reads as the initial state.
+func (s *Store) cell(x rt.Item) cell {
+	if x < 0 || int(x) >= len(s.cells) {
+		return cell{}
 	}
+	return s.cells[x]
 }
 
 // Read returns the current value of x together with its version and the run
 // that installed it. Unwritten items read as the initial state.
 func (s *Store) Read(x rt.Item) (Value, Version, RunID) {
-	c := s.cells[x] // zero cell: Value 0, Version 0, InitRun
+	c := s.cell(x)
 	return c.val, c.version, c.writer
 }
 
 // Install writes v into x on behalf of run, bumping the version. It is used
 // both for commit-time installation of a workspace and (via WriteInPlace)
-// for immediate updates.
+// for immediate updates. A negative item id panics (rt.Item.Index).
 func (s *Store) Install(run RunID, x rt.Item, v Value) Version {
-	c := s.cells[x]
-	c.val = v
+	i := x.Index()
+	if i >= len(s.cells) {
+		s.cells = append(s.cells, make([]cell, i+1-len(s.cells))...)
+	}
+	c := &s.cells[i]
+	c.val, c.writer = v, run
 	c.version++
-	c.writer = run
-	s.cells[x] = c
 	return c.version
 }
 
+// journalOf returns run's journal among the live ones, nil when run has
+// journaled nothing.
+func (s *Store) journalOf(run RunID) *journal {
+	for i := range s.undo[:s.live] {
+		if s.undo[i].run == run {
+			return &s.undo[i]
+		}
+	}
+	return nil
+}
+
 // WriteInPlace applies an immediate (update-in-place) write and journals the
-// previous state so Rollback(run) can undo it.
+// previous state so Rollback(run) can undo it. A negative item id panics
+// (rt.Item.Index) before anything is journaled.
 func (s *Store) WriteInPlace(run RunID, x rt.Item, v Value) Version {
-	prev := s.cells[x]
-	s.undo[run] = append(s.undo[run], undoRecord{item: x, prev: prev})
+	x.Index()
+	j := s.journalOf(run)
+	if j == nil {
+		if s.live == len(s.undo) {
+			s.undo = append(s.undo, journal{})
+		}
+		j = &s.undo[s.live]
+		j.run = run
+		s.live++
+	}
+	j.recs = append(j.recs, undoRecord{item: x, prev: s.cell(x)})
 	return s.Install(run, x, v)
 }
 
@@ -114,66 +155,96 @@ func (s *Store) WriteInPlace(run RunID, x rt.Item, v Value) Version {
 // journaled items in the meantime, so restoration is exact; the checker in
 // package history would flag any dirty read regardless.
 func (s *Store) Rollback(run RunID) {
-	recs := s.undo[run]
-	for i := len(recs) - 1; i >= 0; i-- {
-		s.cells[recs[i].item] = recs[i].prev
+	if j := s.journalOf(run); j != nil {
+		for r := len(j.recs) - 1; r >= 0; r-- {
+			s.cells[j.recs[r].item] = j.recs[r].prev
+		}
+		s.Forget(run)
 	}
-	delete(s.undo, run)
 }
 
 // Forget discards run's undo journal (called on successful commit of an
-// in-place run).
-func (s *Store) Forget(run RunID) { delete(s.undo, run) }
+// in-place run): emptied, it swaps places with the last live one.
+func (s *Store) Forget(run RunID) {
+	if j := s.journalOf(run); j != nil {
+		s.live--
+		last := &s.undo[s.live]
+		*j, *last = *last, journal{recs: j.recs[:0]}
+	}
+}
 
 // PendingUndo returns the number of journaled writes for run (for tests and
 // invariant checks).
-func (s *Store) PendingUndo(run RunID) int { return len(s.undo[run]) }
+func (s *Store) PendingUndo(run RunID) int {
+	if j := s.journalOf(run); j != nil {
+		return len(j.recs)
+	}
+	return 0
+}
+
+// Extent returns how far the store's slices have grown: item cells, and undo
+// journals live or retired. A long-running caller asserts both flat.
+func (s *Store) Extent() (cells, journals int) { return len(s.cells), len(s.undo) }
 
 // Snapshot returns a copy of the current values of the given items.
 func (s *Store) Snapshot(items []rt.Item) map[rt.Item]Value {
 	out := make(map[rt.Item]Value, len(items))
 	for _, x := range items {
-		c := s.cells[x]
-		out[x] = c.val
+		out[x] = s.cell(x).val
 	}
 	return out
 }
 
 // VersionOf returns the current version of x.
-func (s *Store) VersionOf(x rt.Item) Version {
-	return s.cells[x].version
-}
+func (s *Store) VersionOf(x rt.Item) Version { return s.cell(x).version }
 
 // Workspace is a job's private update buffer under the update-in-workspace
 // model: "before a transaction commits, it reads and updates data items only
 // in its private workspace, and then data items are written into the
 // database only upon successful commit."
+//
+// The buffer is two parallel slices in first-write order, searched linearly:
+// a job writes only its template's declared WriteSet, and no write set in
+// this tree exceeds four items (every workload.Config sets OpsMax <= 4, the
+// paper's examples write at most two). The zero value is an empty workspace.
 type Workspace struct {
-	writes map[rt.Item]Value
-	order  []rt.Item
+	order []rt.Item
+	vals  []Value // vals[i] is the pending value of order[i]
 }
 
 // NewWorkspace returns an empty workspace.
-func NewWorkspace() *Workspace {
-	return &Workspace{writes: make(map[rt.Item]Value)}
+func NewWorkspace() *Workspace { return &Workspace{} }
+
+// WorkspaceOver returns an empty workspace that buffers in the storage of
+// order and vals; outgrowing it reallocates, never writes past it.
+func WorkspaceOver(order []rt.Item, vals []Value) Workspace {
+	return Workspace{order: order[:0], vals: vals[:0]}
 }
 
-// Write buffers v as the pending update of x.
+// Write buffers v as the pending update of x. A negative item id panics
+// (rt.Item.Index): it could never be installed.
 func (w *Workspace) Write(x rt.Item, v Value) {
-	if _, ok := w.writes[x]; !ok {
-		w.order = append(w.order, x)
+	if i := slices.Index(w.order, x); i >= 0 {
+		w.vals[i] = v
+		return
 	}
-	w.writes[x] = v
+	x.Index()
+	w.order = append(w.order, x)
+	w.vals = append(w.vals, v)
 }
 
 // Get returns the buffered value of x, if any (a job reads its own writes).
+//
+//pcpda:alloc-free
 func (w *Workspace) Get(x rt.Item) (Value, bool) {
-	v, ok := w.writes[x]
-	return v, ok
+	if i := slices.Index(w.order, x); i >= 0 {
+		return w.vals[i], true
+	}
+	return 0, false
 }
 
 // Len returns the number of distinct buffered items.
-func (w *Workspace) Len() int { return len(w.writes) }
+func (w *Workspace) Len() int { return len(w.order) }
 
 // Items returns the buffered items in first-write order.
 func (w *Workspace) Items() []rt.Item {
@@ -191,22 +262,21 @@ func (w *Workspace) EachItem(fn func(x rt.Item)) {
 }
 
 // InstallInto atomically applies the workspace to the store on behalf of
-// run, returning the installed (item, version) pairs in first-write order.
-func (w *Workspace) InstallInto(s *Store, run RunID) []Installed {
-	out := make([]Installed, 0, len(w.order))
-	for _, x := range w.order {
-		ver := s.Install(run, x, w.writes[x])
-		out = append(out, Installed{Item: x, Version: ver})
+// run, appending the installed (item, version) pairs to dst (which the
+// kernel's commit path reuses) in first-write order.
+func (w *Workspace) InstallInto(dst []Installed, s *Store, run RunID) []Installed {
+	for i, x := range w.order {
+		dst = append(dst, Installed{Item: x, Version: s.Install(run, x, w.vals[i])})
 	}
-	return out
+	return dst
 }
 
-// Discard empties the workspace (abort path).
+// Discard empties the workspace (abort path), keeping its storage.
+//
+//pcpda:alloc-free
 func (w *Workspace) Discard() {
-	for k := range w.writes {
-		delete(w.writes, k)
-	}
 	w.order = w.order[:0]
+	w.vals = w.vals[:0]
 }
 
 // Installed records one commit-time installation.

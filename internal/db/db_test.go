@@ -112,7 +112,7 @@ func TestWorkspaceIsolationUntilInstall(t *testing.T) {
 	if v, _, _ := s.Read(x); v != 0 {
 		t.Fatal("workspace write leaked into store before install")
 	}
-	installed := w.InstallInto(s, RunID(3))
+	installed := w.InstallInto(nil, s, RunID(3))
 	if len(installed) != 1 || installed[0].Item != x || installed[0].Version != 1 {
 		t.Fatalf("installed = %v", installed)
 	}
@@ -127,7 +127,7 @@ func TestWorkspaceInstallOrder(t *testing.T) {
 	w := NewWorkspace()
 	w.Write(y, 1)
 	w.Write(x, 2)
-	installed := w.InstallInto(s, RunID(4))
+	installed := w.InstallInto(nil, s, RunID(4))
 	if installed[0].Item != y || installed[1].Item != x {
 		t.Fatalf("install must follow first-write order: %v", installed)
 	}

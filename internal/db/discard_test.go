@@ -23,7 +23,7 @@ func TestWorkspaceInstallAfterDiscardIsEmpty(t *testing.T) {
 	w.Write(x, 41)
 	w.Write(y, 42)
 	w.Discard()
-	if installed := w.InstallInto(s, RunID(3)); len(installed) != 0 {
+	if installed := w.InstallInto(nil, s, RunID(3)); len(installed) != 0 {
 		t.Fatalf("discarded workspace installed %v", installed)
 	}
 	if v, ver, run := s.Read(x); v != 0 || ver != 0 || run != InitRun {
@@ -42,7 +42,7 @@ func TestWorkspaceDiscardAfterAbortScenario(t *testing.T) {
 
 	retry := NewWorkspace()
 	retry.Write(x, 200)
-	installed := retry.InstallInto(s, RunID(7))
+	installed := retry.InstallInto(nil, s, RunID(7))
 	if len(installed) != 1 || installed[0].Version != 1 {
 		t.Fatalf("installed = %v (aborted attempt must not burn a version)", installed)
 	}

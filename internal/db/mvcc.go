@@ -148,8 +148,8 @@ func (s *Store) truncateChain(head *versionNode) {
 // reuses from one transaction to the next. Caller holds the store's writer
 // lock.
 func (w *Workspace) InstallIntoAt(dst []Installed, s *Store, run RunID, tick int64) []Installed {
-	for _, x := range w.order {
-		ver := s.InstallVersioned(run, x, w.writes[x], tick)
+	for i, x := range w.order {
+		ver := s.InstallVersioned(run, x, w.vals[i], tick)
 		dst = append(dst, Installed{Item: x, Version: ver})
 	}
 	return dst

@@ -24,10 +24,11 @@ import (
 //pcpda:alloc-free
 func (s *Store) ReadAt(x rt.Item, snap int64) (Value, Version, RunID, error) {
 	chains := s.chains.Load()
-	if chains == nil || int(x) >= len(*chains) {
+	if chains == nil || x < 0 || int(x) >= len(*chains) {
 		// No version of x committed before the caller's snapshot was
 		// published (release/acquire: a version with tick <= snap would
-		// have made its slab slot visible to this load).
+		// have made its slab slot visible to this load) — or x is no item
+		// id at all, which reads as initial like every other query.
 		return 0, 0, InitRun, nil
 	}
 	n := (*chains)[x].head.Load()
@@ -47,7 +48,7 @@ func (s *Store) ReadAt(x rt.Item, snap int64) (Value, Version, RunID, error) {
 // (excluding the eviction sentinel). For tests and invariant checks.
 func (s *Store) ChainLen(x rt.Item) int {
 	chains := s.chains.Load()
-	if chains == nil || int(x) >= len(*chains) {
+	if chains == nil || x < 0 || int(x) >= len(*chains) {
 		return 0
 	}
 	n := 0
@@ -61,7 +62,7 @@ func (s *Store) ChainLen(x rt.Item) int {
 // reachable node points at the eviction sentinel).
 func (s *Store) ChainEvicted(x rt.Item) bool {
 	chains := s.chains.Load()
-	if chains == nil || int(x) >= len(*chains) {
+	if chains == nil || x < 0 || int(x) >= len(*chains) {
 		return false
 	}
 	for v := (*chains)[x].head.Load(); v != nil; v = v.prev.Load() {

@@ -17,7 +17,7 @@ package lock
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"pcpda/internal/rt"
@@ -29,25 +29,27 @@ type entry struct {
 	writers []rt.JobID // in acquisition order
 }
 
-func (e *entry) empty() bool { return len(e.readers) == 0 && len(e.writers) == 0 }
-
 // heldSet tracks the items one job holds, per mode, in acquisition order.
 type heldSet struct {
+	o     rt.JobID
 	read  []rt.Item
 	write []rt.Item
 }
 
 // Table is the lock table. The zero value is not usable; call NewTable.
 //
-// Emptied entry and held-set records are kept on internal free lists and
-// reused by later acquisitions, so a steady-state workload (jobs arriving,
-// locking, releasing) performs no per-lock allocations once warm.
+// Both sides are slices, and neither grows with the number of jobs served.
+// items is indexed by item id and reaches one past the highest item ever
+// locked; an emptied entry stays in place and keeps its slices. held[:live]
+// are the jobs holding a lock right now, in no particular order, found by a
+// scan: job ids are unbounded in the live manager, so they index nothing,
+// but the holders at one instant are at most the live transactions.
+// held[live:] are retired records kept for their slices, so a steady-state
+// workload allocates nothing once warm.
 type Table struct {
-	items map[rt.Item]*entry
-	held  map[rt.JobID]*heldSet
-
-	freeEntries []*entry
-	freeHeld    []*heldSet
+	items []entry
+	held  []heldSet
+	live  int
 
 	// ops counts mutating calls (Acquire and every Release variant),
 	// lifetime. It shares the caller's synchronization like the rest of
@@ -57,82 +59,65 @@ type Table struct {
 }
 
 // NewTable returns an empty lock table.
-func NewTable() *Table {
-	return &Table{
-		items: make(map[rt.Item]*entry),
-		held:  make(map[rt.JobID]*heldSet),
-	}
-}
+func NewTable() *Table { return &Table{} }
 
+// entryFor returns x's entry, growing items to cover x. A negative id
+// panics (rt.Item.Index).
 func (t *Table) entryFor(x rt.Item) *entry {
-	e, ok := t.items[x]
-	if !ok {
-		if n := len(t.freeEntries); n > 0 {
-			e = t.freeEntries[n-1]
-			t.freeEntries = t.freeEntries[:n-1]
-		} else {
-			e = &entry{}
-		}
-		t.items[x] = e
+	i := x.Index()
+	if i >= len(t.items) {
+		t.items = append(t.items, make([]entry, i+1-len(t.items))...)
 	}
-	return e
+	return &t.items[i]
 }
 
-// dropEntry retires the (empty) entry of x onto the free list.
-func (t *Table) dropEntry(x rt.Item, e *entry) {
-	e.readers = e.readers[:0]
-	e.writers = e.writers[:0]
-	delete(t.items, x)
-	t.freeEntries = append(t.freeEntries, e)
+// entryOf returns x's entry for a query: the empty one when x is outside the
+// table (never locked, or not an item id at all).
+func (t *Table) entryOf(x rt.Item) entry {
+	if x < 0 || int(x) >= len(t.items) {
+		return entry{}
+	}
+	return t.items[x]
 }
 
-func (t *Table) heldFor(o rt.JobID) *heldSet {
-	h, ok := t.held[o]
-	if !ok {
-		if n := len(t.freeHeld); n > 0 {
-			h = t.freeHeld[n-1]
-			t.freeHeld = t.freeHeld[:n-1]
-		} else {
-			h = &heldSet{}
+// heldOf returns o's record among the live ones, nil when o holds nothing.
+func (t *Table) heldOf(o rt.JobID) *heldSet {
+	for i := range t.held[:t.live] {
+		if t.held[i].o == o {
+			return &t.held[i]
 		}
-		t.held[o] = h
+	}
+	return nil
+}
+
+// heldFor returns o's record, opening one (a retired one when there is) if
+// o holds nothing yet. The pointer is valid until the next heldFor.
+func (t *Table) heldFor(o rt.JobID) *heldSet {
+	h := t.heldOf(o)
+	if h == nil {
+		if t.live == len(t.held) {
+			t.held = append(t.held, heldSet{})
+		}
+		h = &t.held[t.live]
+		h.o = o
+		t.live++
 	}
 	return h
 }
 
-// dropHeld retires o's held-set record onto the free list.
-func (t *Table) dropHeld(o rt.JobID, h *heldSet) {
-	h.read = h.read[:0]
-	h.write = h.write[:0]
-	delete(t.held, o)
-	t.freeHeld = append(t.freeHeld, h)
+// dropHeld retires h: emptied, it swaps places with the last live record.
+func (t *Table) dropHeld(h *heldSet) {
+	t.live--
+	last := &t.held[t.live]
+	*h, *last = *last, heldSet{read: h.read[:0], write: h.write[:0]}
 }
 
-func contains(ids []rt.JobID, o rt.JobID) bool {
-	for _, id := range ids {
-		if id == o {
-			return true
-		}
+// remove deletes the first v from s in place, keeping the order of the rest.
+func remove[T comparable](s []T, v T) []T {
+	if i := slices.Index(s, v); i >= 0 {
+		return slices.Delete(s, i, i+1)
 	}
-	return false
-}
-
-func remove(ids []rt.JobID, o rt.JobID) []rt.JobID {
-	for i, id := range ids {
-		if id == o {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
-}
-
-func removeItem(items []rt.Item, x rt.Item) []rt.Item {
-	for i, it := range items {
-		if it == x {
-			return append(items[:i], items[i+1:]...)
-		}
-	}
-	return items
+	return s
 }
 
 // Acquire records that o now holds x in mode m and reports whether the lock
@@ -143,14 +128,14 @@ func (t *Table) Acquire(o rt.JobID, x rt.Item, m rt.Mode) bool {
 	e := t.entryFor(x)
 	h := t.heldFor(o)
 	if m == rt.Read {
-		if contains(e.readers, o) {
+		if slices.Contains(e.readers, o) {
 			return false
 		}
 		e.readers = append(e.readers, o)
 		h.read = append(h.read, x)
 		return true
 	}
-	if contains(e.writers, o) {
+	if slices.Contains(e.writers, o) {
 		return false
 	}
 	e.writers = append(e.writers, o)
@@ -159,29 +144,26 @@ func (t *Table) Acquire(o rt.JobID, x rt.Item, m rt.Mode) bool {
 }
 
 // Release drops o's lock on x in mode m. Releasing a lock not held is a
-// no-op.
+// no-op; a negative item id panics (rt.Item.Index).
 func (t *Table) Release(o rt.JobID, x rt.Item, m rt.Mode) {
 	t.ops++
-	e, ok := t.items[x]
-	if !ok {
+	if x.Index() >= len(t.items) {
 		return
 	}
-	h, ok := t.held[o]
-	if !ok {
+	h := t.heldOf(o)
+	if h == nil {
 		return
 	}
+	e := &t.items[x]
 	if m == rt.Read {
 		e.readers = remove(e.readers, o)
-		h.read = removeItem(h.read, x)
+		h.read = remove(h.read, x)
 	} else {
 		e.writers = remove(e.writers, o)
-		h.write = removeItem(h.write, x)
-	}
-	if e.empty() {
-		t.dropEntry(x, e)
+		h.write = remove(h.write, x)
 	}
 	if len(h.read) == 0 && len(h.write) == 0 {
-		t.dropHeld(o, h)
+		t.dropHeld(h)
 	}
 }
 
@@ -194,70 +176,39 @@ func (t *Table) ReleaseItem(o rt.JobID, x rt.Item) {
 // ReleaseAll drops every lock held by o and returns the affected items
 // (deduplicated, in first-acquisition order).
 func (t *Table) ReleaseAll(o rt.JobID) []rt.Item {
-	t.ops++
-	h, ok := t.held[o]
-	if !ok {
-		return nil
-	}
-	seen := rt.NewItemSet()
-	for _, x := range h.read {
-		seen.Add(x)
-	}
-	for _, x := range h.write {
-		seen.Add(x)
-	}
-	items := seen.Items()
-	for _, x := range items {
-		if e, ok := t.items[x]; ok {
-			e.readers = remove(e.readers, o)
-			e.writers = remove(e.writers, o)
-			if e.empty() {
-				t.dropEntry(x, e)
-			}
-		}
-	}
-	t.dropHeld(o, h)
+	items := t.HeldBy(o)
+	t.ReleaseAllUnordered(o)
 	return items
 }
 
 // ReleaseAllUnordered drops every lock held by o without materializing the
 // affected item list; it allocates nothing. Callers that need the released
 // items (for history records) use ReleaseAll instead.
+//
+//pcpda:alloc-free
 func (t *Table) ReleaseAllUnordered(o rt.JobID) {
 	t.ops++
-	h, ok := t.held[o]
-	if !ok {
+	h := t.heldOf(o)
+	if h == nil {
 		return
 	}
 	for _, x := range h.read {
-		if e, ok := t.items[x]; ok {
-			e.readers = remove(e.readers, o)
-			if e.empty() {
-				t.dropEntry(x, e)
-			}
-		}
+		t.items[x].readers = remove(t.items[x].readers, o)
 	}
 	for _, x := range h.write {
-		if e, ok := t.items[x]; ok {
-			e.writers = remove(e.writers, o)
-			if e.empty() {
-				t.dropEntry(x, e)
-			}
-		}
+		t.items[x].writers = remove(t.items[x].writers, o)
 	}
-	t.dropHeld(o, h)
+	t.dropHeld(h)
 }
 
 // HoldsRead reports whether o holds a read lock on x.
 func (t *Table) HoldsRead(o rt.JobID, x rt.Item) bool {
-	e, ok := t.items[x]
-	return ok && contains(e.readers, o)
+	return slices.Contains(t.entryOf(x).readers, o)
 }
 
 // HoldsWrite reports whether o holds a write lock on x.
 func (t *Table) HoldsWrite(o rt.JobID, x rt.Item) bool {
-	e, ok := t.items[x]
-	return ok && contains(e.writers, o)
+	return slices.Contains(t.entryOf(x).writers, o)
 }
 
 // Holds reports whether o holds any lock on x.
@@ -268,25 +219,13 @@ func (t *Table) Holds(o rt.JobID, x rt.Item) bool {
 // Readers returns the jobs holding read locks on x, in acquisition order.
 // The returned slice is a copy.
 func (t *Table) Readers(x rt.Item) []rt.JobID {
-	e, ok := t.items[x]
-	if !ok {
-		return nil
-	}
-	out := make([]rt.JobID, len(e.readers))
-	copy(out, e.readers)
-	return out
+	return append([]rt.JobID(nil), t.entryOf(x).readers...)
 }
 
 // Writers returns the jobs holding write locks on x, in acquisition order.
 // The returned slice is a copy.
 func (t *Table) Writers(x rt.Item) []rt.JobID {
-	e, ok := t.items[x]
-	if !ok {
-		return nil
-	}
-	out := make([]rt.JobID, len(e.writers))
-	copy(out, e.writers)
-	return out
+	return append([]rt.JobID(nil), t.entryOf(x).writers...)
 }
 
 // ReadersOther returns the jobs other than o holding read locks on x.
@@ -317,11 +256,7 @@ func (t *Table) WritersOther(x rt.Item, o rt.JobID) []rt.JobID {
 //
 //pcpda:alloc-free
 func (t *Table) EachReader(x rt.Item, fn func(o rt.JobID) bool) {
-	e, ok := t.items[x]
-	if !ok {
-		return
-	}
-	for _, o := range e.readers {
+	for _, o := range t.entryOf(x).readers {
 		if !fn(o) {
 			return
 		}
@@ -334,11 +269,7 @@ func (t *Table) EachReader(x rt.Item, fn func(o rt.JobID) bool) {
 //
 //pcpda:alloc-free
 func (t *Table) EachWriter(x rt.Item, fn func(o rt.JobID) bool) {
-	e, ok := t.items[x]
-	if !ok {
-		return
-	}
-	for _, o := range e.writers {
+	for _, o := range t.entryOf(x).writers {
 		if !fn(o) {
 			return
 		}
@@ -348,11 +279,7 @@ func (t *Table) EachWriter(x rt.Item, fn func(o rt.JobID) bool) {
 // NoRlockByOthers implements the paper's No_Rlock_i(x) predicate: x is not
 // read-locked by any transaction other than o.
 func (t *Table) NoRlockByOthers(x rt.Item, o rt.JobID) bool {
-	e, ok := t.items[x]
-	if !ok {
-		return true
-	}
-	for _, id := range e.readers {
+	for _, id := range t.entryOf(x).readers {
 		if id != o {
 			return false
 		}
@@ -363,75 +290,56 @@ func (t *Table) NoRlockByOthers(x rt.Item, o rt.JobID) bool {
 // ReadHeldBy returns the items o holds read locks on, in acquisition order.
 // The returned slice is a copy.
 func (t *Table) ReadHeldBy(o rt.JobID) []rt.Item {
-	h, ok := t.held[o]
-	if !ok {
-		return nil
+	if h := t.heldOf(o); h != nil {
+		return append([]rt.Item(nil), h.read...)
 	}
-	out := make([]rt.Item, len(h.read))
-	copy(out, h.read)
-	return out
+	return nil
 }
 
 // WriteHeldBy returns the items o holds write locks on, in acquisition
 // order. The returned slice is a copy.
 func (t *Table) WriteHeldBy(o rt.JobID) []rt.Item {
-	h, ok := t.held[o]
-	if !ok {
-		return nil
+	if h := t.heldOf(o); h != nil {
+		return append([]rt.Item(nil), h.write...)
 	}
-	out := make([]rt.Item, len(h.write))
-	copy(out, h.write)
-	return out
+	return nil
 }
 
-// HeldBy returns every item o holds any lock on (deduplicated).
+// HeldBy returns every item o holds any lock on (deduplicated: read-locked
+// items in acquisition order, then the items only write-locked).
 func (t *Table) HeldBy(o rt.JobID) []rt.Item {
-	h, ok := t.held[o]
-	if !ok {
+	h := t.heldOf(o)
+	if h == nil {
 		return nil
 	}
-	seen := rt.NewItemSet()
-	for _, x := range h.read {
-		seen.Add(x)
-	}
+	out := append(make([]rt.Item, 0, len(h.read)+len(h.write)), h.read...)
 	for _, x := range h.write {
-		seen.Add(x)
+		if !slices.Contains(h.read, x) {
+			out = append(out, x)
+		}
 	}
-	return seen.Items()
+	return out
 }
 
 // EachReadLock calls fn for every (item, holder) read-lock pair in the
 // table, in deterministic (item id, acquisition) order. This is the
 // enumeration behind Sysceil_i ("the highest Wceil(x) among all data items
-// read-locked by transactions other than T_i").
+// read-locked by transactions other than T_i"). fn must not mutate the
+// table.
 func (t *Table) EachReadLock(fn func(x rt.Item, holder rt.JobID)) {
-	items := make([]rt.Item, 0, len(t.items))
-	for x, e := range t.items {
-		if len(e.readers) > 0 {
-			items = append(items, x)
-		}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	for _, x := range items {
+	for x := range t.items {
 		for _, o := range t.items[x].readers {
-			fn(x, o)
+			fn(rt.Item(x), o)
 		}
 	}
 }
 
-// EachWriteLock calls fn for every (item, holder) write-lock pair, in
-// deterministic order.
+// EachWriteLock calls fn for every (item, holder) write-lock pair, in the
+// same deterministic order. fn must not mutate the table.
 func (t *Table) EachWriteLock(fn func(x rt.Item, holder rt.JobID)) {
-	items := make([]rt.Item, 0, len(t.items))
-	for x, e := range t.items {
-		if len(e.writers) > 0 {
-			items = append(items, x)
-		}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	for _, x := range items {
+	for x := range t.items {
 		for _, o := range t.items[x].writers {
-			fn(x, o)
+			fn(rt.Item(x), o)
 		}
 	}
 }
@@ -444,23 +352,23 @@ func (t *Table) Ops() int64 { return t.ops }
 // LockCount returns the total number of (job, item, mode) locks held.
 func (t *Table) LockCount() int {
 	n := 0
-	for _, e := range t.items {
-		n += len(e.readers) + len(e.writers)
+	for i := range t.items {
+		n += len(t.items[i].readers) + len(t.items[i].writers)
 	}
 	return n
 }
 
+// Extent returns how far the table's slices have grown: item slots, and
+// holder records live or retired. A long-running caller asserts both flat.
+func (t *Table) Extent() (items, holders int) { return len(t.items), len(t.held) }
+
 // Dump renders the table for debugging, one line per locked item.
 func (t *Table) Dump(cat *rt.Catalog) string {
-	items := make([]rt.Item, 0, len(t.items))
-	for x := range t.items {
-		items = append(items, x)
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
 	var b strings.Builder
-	for _, x := range items {
-		e := t.items[x]
-		fmt.Fprintf(&b, "%s: R%v W%v\n", cat.Name(x), e.readers, e.writers)
+	for x := range t.items {
+		if e := &t.items[x]; len(e.readers)+len(e.writers) > 0 {
+			fmt.Fprintf(&b, "%s: R%v W%v\n", cat.Name(rt.Item(x)), e.readers, e.writers)
+		}
 	}
 	return b.String()
 }

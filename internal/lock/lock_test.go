@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pcpda/internal/rt"
+	"pcpda/internal/testenv"
 )
 
 const (
@@ -304,23 +305,37 @@ func TestReleaseAllUnordered(t *testing.T) {
 }
 
 func TestFreelistRecycling(t *testing.T) {
-	// Churning one job's locks must not grow the table's allocations: the
-	// entry and held-set records recycle through the free lists.
+	// Churning jobs through the table must not allocate once it is warm:
+	// emptied item entries stay in place and retired holder records are
+	// reused, whatever the job ids are (here they never repeat, as in the
+	// live manager).
+	if testenv.Race {
+		t.Skip("the race runtime allocates")
+	}
 	tb := NewTable()
+	next := rt.JobID(1)
+	churn := func() {
+		a, b := next, next+1
+		next += 2
+		tb.Acquire(a, x, rt.Read)
+		tb.Acquire(b, x, rt.Read)
+		tb.Acquire(a, y, rt.Write)
+		tb.Acquire(b, y, rt.Write)
+		tb.Release(b, x, rt.Read)
+		tb.ReleaseItem(b, y)
+		tb.ReleaseAllUnordered(a)
+	}
 	for i := 0; i < 64; i++ {
-		tb.Acquire(j1, x, rt.Read)
-		tb.Acquire(j1, y, rt.Write)
-		tb.ReleaseAllUnordered(j1)
+		churn()
 	}
 	if tb.LockCount() != 0 {
 		t.Fatalf("LockCount = %d after churn, want 0", tb.LockCount())
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		tb.Acquire(j1, x, rt.Read)
-		tb.Acquire(j1, y, rt.Write)
-		tb.ReleaseAllUnordered(j1)
-	})
-	if allocs > 0 {
+	items, holders := tb.Extent()
+	if allocs := testing.AllocsPerRun(100, churn); allocs != 0 {
 		t.Fatalf("steady-state churn allocates %v per run, want 0", allocs)
+	}
+	if i, h := tb.Extent(); i != items || h != holders || h != 2 {
+		t.Fatalf("table grew under churn: %d,%d -> %d,%d (two jobs hold locks at once)", items, holders, i, h)
 	}
 }

@@ -261,39 +261,74 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
+// Index returns it as a slice index. Items are catalog indexes, so a
+// negative one (NoItem included) reaching a structure that keeps per-item
+// state is a caller bug; it panics here by name rather than as an anonymous
+// index-out-of-range inside that structure. Queries never call this: an id
+// outside what a structure covers reads as "absent".
+func (it Item) Index() int {
+	if it < 0 {
+		panic("rt: negative item id used as an index")
+	}
+	return int(it)
+}
+
 // ItemSet is a small set of data items with deterministic iteration order
 // (sorted insertion is not required; order follows first insertion). It is
 // the representation for the paper's WriteSet(T) and DataRead(T).
+//
+// Membership is a bitset over the item id — one inline word for items 0..63,
+// which covers every catalog in this tree, further words grown on demand —
+// beside the insertion-order list. The zero value is an empty set.
 type ItemSet struct {
-	members map[Item]struct{}
-	order   []Item
+	low   uint64   // bit x: item x is a member (0 <= x < 64)
+	high  []uint64 // bit x%64 of word x/64-1: item x is a member (x >= 64)
+	order []Item
 }
 
 // NewItemSet returns a set containing the given items.
 func NewItemSet(items ...Item) *ItemSet {
-	s := &ItemSet{members: make(map[Item]struct{}, len(items))}
+	s := &ItemSet{}
 	for _, it := range items {
 		s.Add(it)
 	}
 	return s
 }
 
-// Add inserts it; duplicates are ignored.
+// ItemSetOver returns an empty set that keeps its insertion-order list in
+// buf's storage; outgrowing it reallocates, never writes past it.
+func ItemSetOver(buf []Item) ItemSet { return ItemSet{order: buf[:0]} }
+
+// Add inserts it; duplicates are ignored. A negative id panics (Item.Index).
 func (s *ItemSet) Add(it Item) {
-	if _, ok := s.members[it]; ok {
+	w, bit := it.Index()>>6, uint64(1)<<(uint(it)&63)
+	word := &s.low
+	if w > 0 {
+		if w > len(s.high) {
+			s.high = append(s.high, make([]uint64, w-len(s.high))...)
+		}
+		word = &s.high[w-1]
+	}
+	if *word&bit != 0 {
 		return
 	}
-	s.members[it] = struct{}{}
+	*word |= bit
 	s.order = append(s.order, it)
 }
 
-// Has reports membership. A nil set contains nothing.
+// Has reports membership. A nil set contains nothing, and an id outside the
+// set's range (negative ids included) is not a member.
+//
+//pcpda:alloc-free
 func (s *ItemSet) Has(it Item) bool {
-	if s == nil {
+	if s == nil || it < 0 {
 		return false
 	}
-	_, ok := s.members[it]
-	return ok
+	w, bit := int(it)>>6, uint64(1)<<(uint(it)&63)
+	if w == 0 {
+		return s.low&bit != 0
+	}
+	return w <= len(s.high) && s.high[w-1]&bit != 0
 }
 
 // Len returns the cardinality. A nil set has length 0.
@@ -301,7 +336,7 @@ func (s *ItemSet) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.members)
+	return len(s.order)
 }
 
 // Items returns the members in insertion order. The returned slice is a
@@ -322,12 +357,11 @@ func (s *ItemSet) Intersects(t *ItemSet) bool {
 	if s == nil || t == nil {
 		return false
 	}
-	small, large := s, t
-	if large.Len() < small.Len() {
-		small, large = large, small
+	if s.low&t.low != 0 {
+		return true
 	}
-	for it := range small.members {
-		if large.Has(it) {
+	for i := 0; i < len(s.high) && i < len(t.high); i++ {
+		if s.high[i]&t.high[i] != 0 {
 			return true
 		}
 	}
@@ -341,16 +375,17 @@ func (s *ItemSet) Clone() *ItemSet {
 	if s == nil {
 		return out
 	}
-	for _, it := range s.order {
-		out.Add(it)
-	}
+	out.low = s.low
+	out.high = append(out.high, s.high...)
+	out.order = append(out.order, s.order...)
 	return out
 }
 
 // Clear removes all members while keeping allocations.
+//
+//pcpda:alloc-free
 func (s *ItemSet) Clear() {
-	for k := range s.members {
-		delete(s.members, k)
-	}
+	s.low = 0
+	clear(s.high)
 	s.order = s.order[:0]
 }

@@ -286,6 +286,9 @@ func TestBoundedHistory(t *testing.T) {
 	c := context.Background()
 	var heap [10]uint64
 	var audit [10]time.Duration
+	// How far the lock table's and the store's slices have grown, per tenth
+	// of the run: {item slots, holder records, cells, undo journals}.
+	var extent [10][4]int
 	for d := range heap {
 		var wg sync.WaitGroup
 		for _, tmpl := range set.Templates {
@@ -311,6 +314,21 @@ func TestBoundedHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			audit[d] = min(audit[d], time.Since(t0))
+		}
+		m.mu.Lock()
+		extent[d][0], extent[d][1] = m.locks.Extent()
+		extent[d][2], extent[d][3] = m.store.Extent()
+		m.mu.Unlock()
+	}
+	// Nothing in the lock table or the store is indexed by a job or run id,
+	// which grow with every transaction: the item side stops at the catalog
+	// within the first tenth, the holder side at the transactions live at
+	// once, and a deferred-update manager journals nothing.
+	items, live := set.Catalog.Len(), len(set.Templates)
+	t.Logf("lock table and store extents {items, holders, cells, journals}: %v -> %v", extent[0], extent[9])
+	for d, e := range extent {
+		if e[0] != items || e[2] != items || e[3] != 0 || e[1] > live {
+			t.Errorf("tenth %d: extents %v, want {%d, <= %d, %d, 0}", d, e, items, live, items)
 		}
 	}
 	st := m.Stats()

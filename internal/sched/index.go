@@ -77,7 +77,9 @@ type ceilIndex struct {
 	free   []*jobCounts
 }
 
-func newCeilIndex(set *txn.Set, ceil *txn.Ceilings) *ceilIndex {
+// newCeilIndex builds the index for set; jobs is the release count the run
+// expects, which pre-sizes the per-job table.
+func newCeilIndex(set *txn.Set, ceil *txn.Ceilings, jobs int) *ceilIndex {
 	pris := make([]rt.Priority, 0, len(set.Templates))
 	maxItem := rt.Item(-1)
 	for _, tmpl := range set.Templates {
@@ -92,6 +94,7 @@ func newCeilIndex(set *txn.Set, ceil *txn.Ceilings) *ceilIndex {
 		dom:       rt.NewPriorityDomain(pris),
 		wceilRank: make([]int16, maxItem+1),
 		aceilRank: make([]int16, maxItem+1),
+		perJob:    make([]*jobCounts, 0, jobs),
 	}
 	for x := range ix.wceilRank {
 		ix.wceilRank[x] = rankOf(ix.dom, ceil.Wceil(rt.Item(x)))

@@ -179,8 +179,15 @@ type Kernel struct {
 	active  []*cc.Job  // live jobs (Ready or Blocked), id order
 	nextRel []rt.Ticks // per template: next release time (-1 done)
 	nextRun db.RunID
-	rng     *rand.Rand // sporadic arrivals only
+	rng     *rand.Rand // sporadic arrivals only; built at the first draw
 	frng    *rand.Rand // injected-fault draws only; nil when faults are off
+
+	// Per-job storage is carved from chunked slabs (see spawn), never
+	// allocated per job: slots holds the jobs themselves with their DataRead
+	// and workspace, itemBuf and valBuf the backing of those two containers.
+	slots   []jobSlot
+	itemBuf []rt.Item
+	valBuf  []db.Value
 
 	// env is what protocols see: the kernel itself, or the index-bearing
 	// wrapper when the ceiling index is on (idx non-nil).
@@ -196,8 +203,9 @@ type Kernel struct {
 	// Per-tick scratch reused across the whole run (the kernel is
 	// single-threaded): dispatch's tried set as per-job tick stamps, the
 	// deadline iteration copy, the canonical blocker buffer, the DFS state
-	// of findWaitCycle, and the per-item blocked-ticks tally that becomes
-	// Result.ItemBlocked.
+	// of findWaitCycle, the commit's installed list, and the per-item
+	// blocked-ticks and per-rule decision tallies that become
+	// Result.ItemBlocked, GrantCounts and BlockCounts.
 	tried       []rt.Ticks // per job id; == now when tried this tick
 	liveScratch []*cc.Job
 	blkBuf      []rt.JobID
@@ -205,9 +213,68 @@ type Kernel struct {
 	dfsEpoch    []int64
 	dfsStack    []rt.JobID
 	curEpoch    int64
-	itemBlocked []rt.Ticks // per item; folded into res.ItemBlocked at the end
+	installed   []db.Installed
+	itemBlocked []rt.Ticks  // per item; folded into res.ItemBlocked at the end
+	rules       []ruleTally // per distinct Decision.Rule; folded at the end
 
 	res Result
+}
+
+// jobSlot is one job's share of a slab chunk: the job and its two containers.
+type jobSlot struct {
+	job  cc.Job
+	read rt.ItemSet
+	ws   db.Workspace
+}
+
+// ruleTally counts the decisions under one Decision.Rule. A protocol names a
+// handful of rules, so a scan finds the tally with no map assignment per grant.
+type ruleTally struct {
+	rule           string
+	grants, blocks int
+}
+
+// Pre-sizing bounds: a horizon that implies more jobs or history operations
+// than these gets this much up front and ordinary append growth after, so a
+// run that stops early (deadlock) never paid for its horizon. The slabs grow
+// by chunks: at most slotChunk jobs, bufChunk items or values (a job takes a
+// handful of each).
+const (
+	maxPresizeJobs, maxPresizeOps = 1 << 16, 1 << 18
+	slotChunk, bufChunk           = 256, 1024
+)
+
+// expectedLoad returns how many jobs a run of set to horizon releases when
+// every template arrives strictly periodically, and how many history
+// operations they record when each runs once to commit (a begin, a commit,
+// at most one per step), each capped at its pre-sizing bound. Jitter releases
+// fewer jobs and restarts record more operations: the figures size buffers,
+// nothing depends on them being exact.
+func expectedLoad(set *txn.Set, horizon rt.Ticks) (jobs, ops int) {
+	for _, t := range set.Templates {
+		if t.Offset >= horizon {
+			continue
+		}
+		n := 1
+		if !t.OneShot() {
+			n = int(min((horizon-t.Offset+t.Period-1)/t.Period, maxPresizeOps))
+		}
+		jobs = min(jobs+n, maxPresizeJobs)
+		ops = min(ops+n*(2+len(t.Steps)), maxPresizeOps)
+	}
+	return jobs, ops
+}
+
+// carve cuts a zero-length slice of capacity n off the front of *slab, which
+// is replaced by a fresh chunk when it has fewer than n left. Appending past
+// n reallocates rather than running into the next carve.
+func carve[T any](slab *[]T, n, chunk int) []T {
+	if n > len(*slab) {
+		*slab = make([]T, max(n, chunk))
+	}
+	out := (*slab)[:0:n]
+	*slab = (*slab)[n:]
+	return out
 }
 
 // New builds a kernel for one run of proto over set. The set must validate.
@@ -226,18 +293,23 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 		ceil = txn.ComputeCeilings(set)
 	}
 	proto.Init(set, ceil)
+	jobs, ops := expectedLoad(set, cfg.Horizon)
 	k := &Kernel{
-		set:     set,
-		ceil:    ceil,
-		proto:   proto,
-		cfg:     cfg,
-		locks:   lock.NewTable(),
-		store:   db.NewStore(),
-		hist:    history.New(),
-		nextRel: make([]rt.Ticks, len(set.Templates)),
-		nextRun: db.InitRun + 1,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		set:      set,
+		ceil:     ceil,
+		proto:    proto,
+		cfg:      cfg,
+		locks:    lock.NewTable(),
+		store:    db.NewStore(),
+		hist:     history.New(),
+		nextRel:  make([]rt.Ticks, len(set.Templates)),
+		nextRun:  db.InitRun + 1,
+		jobs:     make([]*cc.Job, 0, jobs),
+		tried:    make([]rt.Ticks, 0, jobs),
+		dfsColor: make([]uint8, 0, jobs),
+		dfsEpoch: make([]int64, 0, jobs),
 	}
+	k.hist.Ops = make([]history.Op, 0, ops)
 	if cfg.FaultAbortProb > 0 {
 		k.frng = rand.New(rand.NewSource(cfg.FaultSeed))
 	}
@@ -246,7 +318,7 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 	}
 	k.env = k
 	if !cfg.DisableCeilingIndex {
-		k.idx = newCeilIndex(set, ceil)
+		k.idx = newCeilIndex(set, ceil, jobs)
 		k.env = &indexEnv{Kernel: k, ix: k.idx}
 	}
 	k.itemBlocked = make([]rt.Ticks, set.Catalog.Len())
@@ -325,6 +397,14 @@ func (k *Kernel) Run() *Result {
 			k.res.ItemBlocked[rt.Item(x)] = t
 		}
 	}
+	for _, r := range k.rules {
+		if r.grants > 0 {
+			k.res.GrantCounts[r.rule] = r.grants
+		}
+		if r.blocks > 0 {
+			k.res.BlockCounts[r.rule] = r.blocks
+		}
+	}
 	if a, ok := k.proto.(cc.Auditor); ok {
 		k.res.Audit = a.Audit()
 	}
@@ -346,6 +426,9 @@ func (k *Kernel) release() {
 			case tmpl.OneShot():
 				k.nextRel[i] = -1
 			case tmpl.Sporadic && k.cfg.SporadicJitter > 0:
+				if k.rng == nil {
+					k.rng = rand.New(rand.NewSource(k.cfg.Seed))
+				}
 				gap := tmpl.Period
 				extra := float64(tmpl.Period) * k.cfg.SporadicJitter * k.rng.Float64()
 				gap += rt.Ticks(extra)
@@ -362,15 +445,27 @@ func (k *Kernel) release() {
 	k.relMin = next
 }
 
+// spawn releases one job of tmpl. The job, its DataRead and its workspace
+// are carved from the kernel's slabs: a slot from a chunk sized to what the
+// horizon still expects (cap(k.jobs) is that count; at most slotChunk), and
+// the two containers' backing at exactly the template's declared read and
+// write set sizes, which bound what the job can put in them.
 func (k *Kernel) spawn(tmpl *txn.Template, rel rt.Ticks) {
-	j := &cc.Job{
+	if len(k.slots) == 0 {
+		k.slots = make([]jobSlot, min(max(cap(k.jobs)-len(k.jobs), 16), slotChunk))
+	}
+	slot := &k.slots[0]
+	k.slots = k.slots[1:]
+	slot.read = rt.ItemSetOver(carve(&k.itemBuf, tmpl.ReadSet().Len(), bufChunk))
+	j := &slot.job
+	*j = cc.Job{
 		ID:         rt.JobID(len(k.jobs)),
 		Run:        k.nextRun,
 		Tmpl:       tmpl,
 		Release:    rel,
 		Status:     cc.Ready,
 		RunPri:     tmpl.Priority,
-		DataRead:   rt.NewItemSet(),
+		DataRead:   &slot.read,
 		FinishTick: -1,
 		MissedAt:   -1,
 	}
@@ -379,7 +474,9 @@ func (k *Kernel) spawn(tmpl *txn.Template, rel rt.Ticks) {
 		j.AbsDeadline = rel + d
 	}
 	if k.proto.Deferred() {
-		j.WS = db.NewWorkspace()
+		w := tmpl.WriteSet().Len()
+		slot.ws = db.WorkspaceOver(carve(&k.itemBuf, w, bufChunk), carve(&k.valBuf, w, bufChunk))
+		j.WS = &slot.ws
 	}
 	k.jobs = append(k.jobs, j)
 	k.active = append(k.active, j)
@@ -476,7 +573,7 @@ func (k *Kernel) dispatch() *cc.Job {
 			k.applyDecision(j, dec)
 			if !dec.Granted {
 				if !wasBlocked {
-					k.res.BlockCounts[dec.Rule]++
+					k.tally(dec.Rule).blocks++
 				}
 				k.block(j, x, m, dec.Blockers, !wasBlocked)
 				k.tried[j.ID] = k.now
@@ -485,7 +582,7 @@ func (k *Kernel) dispatch() *cc.Job {
 				}
 				continue
 			}
-			k.res.GrantCounts[dec.Rule]++
+			k.tally(dec.Rule).grants++
 			if wasBlocked {
 				k.unblock(j)
 				k.recomputePriorities()
@@ -495,6 +592,17 @@ func (k *Kernel) dispatch() *cc.Job {
 		k.exec(j)
 		return j
 	}
+}
+
+// tally returns the counter of rule, opening one the first time it is seen.
+func (k *Kernel) tally(rule string) *ruleTally {
+	for i := range k.rules {
+		if k.rules[i].rule == rule {
+			return &k.rules[i]
+		}
+	}
+	k.rules = append(k.rules, ruleTally{rule: rule})
+	return &k.rules[len(k.rules)-1]
 }
 
 // bestCandidate returns the highest-priority Ready or Blocked job that has
@@ -773,7 +881,8 @@ func (k *Kernel) commit(j *cc.Job) {
 		victims = arb.CommitVictims(k.env, j)
 	}
 	if j.WS != nil {
-		for _, ins := range j.WS.InstallInto(k.store, j.Run) {
+		k.installed = j.WS.InstallInto(k.installed[:0], k.store, j.Run)
+		for _, ins := range k.installed {
 			k.hist.Write(k.now, j.Run, id, ins.Item, ins.Version)
 		}
 	} else {

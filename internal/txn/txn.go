@@ -270,6 +270,11 @@ func (s *Set) Validate() error {
 		if err := t.Validate(); err != nil {
 			return err
 		}
+		for si, st := range t.Steps {
+			if st.Kind != Compute && (s.Catalog == nil || int(st.Item) >= s.Catalog.Len()) {
+				return fmt.Errorf("txn %s step %d: item %d is not in the catalog", t.Name, si, st.Item)
+			}
+		}
 		if names[t.Name] {
 			return fmt.Errorf("duplicate transaction name %q", t.Name)
 		}

@@ -180,6 +180,10 @@ func TestValidateCatchesProblems(t *testing.T) {
 		{"dup priority", func(s *Set) { s.Templates[1].Priority = s.Templates[0].Priority }, "total order"},
 		{"missing priority", func(s *Set) { s.Templates[1].Priority = rt.Dummy }, "not assigned"},
 		{"negative period", func(s *Set) { s.Templates[0].Period = -1 }, "negative"},
+		{"negative item", func(s *Set) { s.Templates[0].Steps = []Step{Read(-2)} }, "without item"},
+		{"item just past the catalog", func(s *Set) { s.Templates[0].Steps = []Step{Read(1)} }, "not in the catalog"},
+		{"item far past the catalog", func(s *Set) { s.Templates[1].Steps = []Step{Write(1 << 30)} }, "not in the catalog"},
+		{"no catalog", func(s *Set) { s.Catalog = nil }, "not in the catalog"},
 		{"exec > period", func(s *Set) {
 			s.Templates[0].Steps = []Step{Comp(50)}
 			s.Templates[0].readSet = nil // force re-derivation

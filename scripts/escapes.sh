@@ -21,7 +21,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 BASELINE=scripts/escapes.baseline
-PKGS="./internal/lock ./internal/history ./internal/sched ./internal/rtm ./internal/wire ./internal/db ./internal/server ./internal/client"
+PKGS="./internal/rt ./internal/cc ./internal/lock ./internal/history ./internal/sched ./internal/rtm ./internal/wire ./internal/db ./internal/server ./internal/client"
 GOVER=$(go env GOVERSION)
 
 snapshot() {
