@@ -33,7 +33,7 @@ type Value int64
 // and restarted gets a fresh RunID for the retry, so the history can tell
 // the attempts apart. Run 0 ("the initializer") denotes the initial database
 // state.
-type RunID int32
+type RunID int64
 
 // InitRun is the pseudo-run that wrote every item's initial version.
 const InitRun RunID = 0

@@ -281,10 +281,8 @@ func (h *History) buildGraph() ([]graphEdge, []Violation) {
 
 		// nextWriter(v): installer of the smallest committed version > v.
 		nextWriter := func(v db.Version) (db.RunID, bool) {
-			for _, cv := range vers {
-				if cv > v {
-					return vm[cv], true
-				}
+			if i := sort.Search(len(vers), func(i int) bool { return vers[i] > v }); i < len(vers) {
+				return vm[vers[i]], true
 			}
 			return db.NoRun, false
 		}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"pcpda/internal/db"
 	"pcpda/internal/rt"
@@ -180,5 +181,18 @@ func TestRecorderEvictionAdvancesLowWater(t *testing.T) {
 	}
 	if rep := snap.Check(); !rep.Serializable || !rep.CommitOrderOK {
 		t.Fatalf("reader of an evicted run's version flagged: %v", rep.Violations[0])
+	}
+}
+
+// TestOpFitsTheRingBudget pins the ring's memory — RingCap operations of 40
+// bytes each (2.5 MiB), what they were with 32-bit run ids — with run ids
+// wide enough never to wrap. The simulator appends one Op per operation too:
+// at 48 bytes sim-sweep read 4-5 % more CPU per job.
+func TestOpFitsTheRingBudget(t *testing.T) {
+	if sz := unsafe.Sizeof(Op{}); sz > 40 {
+		t.Fatalf("history.Op is %d bytes, budget 40", sz)
+	}
+	if unsafe.Sizeof(Op{}.Run) < 8 || unsafe.Sizeof(Op{}.From) < 8 {
+		t.Fatal("run ids in history.Op are narrower than 64 bits")
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 var errAborted = errors.New("aborted")
 
-type JobID int32
+type JobID int64
 
 type waitNode struct {
 	ch       chan struct{}
@@ -19,23 +19,35 @@ type waitNode struct {
 	allIdx   int
 }
 
+type slot struct {
+	id      JobID
+	waiters []*waitNode
+	begins  []*waitNode
+}
+
 type Manager struct {
 	mu         sync.Mutex
-	waitOn     map[JobID][]*waitNode
-	tmplWait   map[string][]*waitNode
+	slots      []slot
 	allWaiters []*waitNode
+}
+
+func (m *Manager) live(id JobID) *slot {
+	for i := range m.slots {
+		if m.slots[i].id == id {
+			return &m.slots[i]
+		}
+	}
+	return nil
 }
 
 // --- primitives (exempt from the pairing check) ------------------------------
 
-func (m *Manager) pushWaiter(id JobID, n *waitNode) {
-	m.waitOn[id] = append(m.waitOn[id], n)
-}
-
 func (m *Manager) register(n *waitNode, blockers []JobID) {
 	n.blockers = blockers
 	for _, id := range blockers {
-		m.pushWaiter(id, n)
+		if b := m.live(id); b != nil {
+			b.waiters = append(b.waiters, n)
+		}
 	}
 	n.allIdx = len(m.allWaiters)
 	m.allWaiters = append(m.allWaiters, n)
@@ -71,8 +83,8 @@ func (m *Manager) park(ctx context.Context, n *waitNode, blockers []JobID, victi
 }
 
 // ok: raw index appends count as registration; paired here.
-func (m *Manager) parkBegin(ctx context.Context, id string, n *waitNode) error {
-	m.tmplWait[id] = append(m.tmplWait[id], n)
+func (m *Manager) parkBegin(ctx context.Context, s *slot, n *waitNode) error {
+	s.begins = append(s.begins, n)
 	n.allIdx = len(m.allWaiters)
 	m.allWaiters = append(m.allWaiters, n)
 	<-n.ch
@@ -118,13 +130,13 @@ func (m *Manager) parkLeakyError(n *waitNode, blockers []JobID, fail bool) error
 
 // bad: a raw index append with no deregister anywhere, leaking at the
 // implicit function end.
-func (m *Manager) fileAndForget(id JobID, n *waitNode) { // ok (reported on the closing brace below)
-	m.waitOn[id] = append(m.waitOn[id], n)
+func (m *Manager) fileAndForget(s *slot, n *waitNode) { // ok (reported on the closing brace below)
+	s.waiters = append(s.waiters, n)
 } // want `function fileAndForget ends with a wait node still registered`
 
 // ok: no registration at all.
-func (m *Manager) wakeWaitersOn(id JobID) {
-	for _, n := range m.waitOn[id] {
+func (m *Manager) wakeWaitersOn(s *slot) {
+	for _, n := range s.waiters {
 		select {
 		case n.ch <- struct{}{}:
 		default:

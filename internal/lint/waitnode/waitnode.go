@@ -8,9 +8,9 @@
 // silent-drift class the targeted-wakeup rewrite (PR 2) is vulnerable to.
 //
 // The analyzer runs a path-sensitive walk over every function in the rtm
-// package: calls to the registration primitives (register, pushWaiter) and
-// direct appends to the index fields (allWaiters, waitOn, tmplWait) set the
-// registered state; deregister (called directly or deferred) clears it; any
+// package: calls to the registration primitive (register) and direct appends
+// to the index fields (the manager's allWaiters, a slot's waiters and begins)
+// set the registered state; deregister (called directly or deferred) clears it; any
 // return — or falling off the end of the function — while registered is
 // reported. The primitives themselves are exempt: their bodies are the
 // bookkeeping being protected.
@@ -28,13 +28,13 @@ var TargetPkgs = []string{"pcpda/internal/rtm"}
 // registerFuncs / deregisterFuncs are the index primitives; indexFields are
 // the raw index containers whose appends count as registration.
 var (
-	registerFuncs   = map[string]bool{"register": true, "pushWaiter": true}
+	registerFuncs   = map[string]bool{"register": true}
 	deregisterFuncs = map[string]bool{"deregister": true}
-	indexFields     = map[string]bool{"allWaiters": true, "waitOn": true, "tmplWait": true}
+	indexFields     = map[string]bool{"allWaiters": true, "waiters": true, "begins": true}
 	// exemptFuncs implement the primitives (their bodies ARE the
 	// registration bookkeeping) and so are not themselves checked.
 	exemptFuncs = map[string]bool{
-		"register": true, "deregister": true, "pushWaiter": true, "removeNode": true,
+		"register": true, "deregister": true, "removeNode": true,
 	}
 )
 
@@ -244,7 +244,7 @@ func calleeName(call *ast.CallExpr) (bool, string) {
 }
 
 // isIndexAppend reports whether lhs = rhs is an append onto one of the
-// wait-index containers (m.allWaiters, m.waitOn[id], m.tmplWait[id]).
+// wait-index containers (m.allWaiters, s.waiters, s.begins).
 func isIndexAppend(lhs, rhs ast.Expr) bool {
 	call, ok := rhs.(*ast.CallExpr)
 	if !ok {
@@ -253,10 +253,6 @@ func isIndexAppend(lhs, rhs ast.Expr) bool {
 	if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
 		return false
 	}
-	target := lhs
-	if idx, ok := target.(*ast.IndexExpr); ok {
-		target = idx.X
-	}
-	sel, ok := target.(*ast.SelectorExpr)
+	sel, ok := lhs.(*ast.SelectorExpr)
 	return ok && indexFields[sel.Sel.Name]
 }

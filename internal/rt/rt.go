@@ -52,7 +52,7 @@ type Item int32
 
 // JobID identifies one released instance ("job") of a periodic transaction
 // within a simulation run. Job identifiers are dense and unique per run.
-type JobID int32
+type JobID int64
 
 // NoJob is the sentinel for "no job".
 const NoJob JobID = -1

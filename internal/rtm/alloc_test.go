@@ -1,0 +1,101 @@
+package rtm
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"pcpda/internal/history"
+	"pcpda/internal/testenv"
+)
+
+// mallocsPer runs fn n times and returns heap objects and bytes allocated
+// per run, process-wide (so goroutines fn hands work to are counted too).
+func mallocsPer(n int, fn func()) (objects, bytes float64) {
+	var a, b runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&a)
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&b)
+	return float64(b.Mallocs-a.Mallocs) / float64(n), float64(b.TotalAlloc-a.TotalAlloc) / float64(n)
+}
+
+// TestManagerAllocBudget pins what a transaction costs the heap on a warm
+// manager: the handle and the version node its write installs — nothing for
+// the job, the wait node, the waiter lists or the history — and nothing more
+// when an operation parks and resumes on the way.
+func TestManagerAllocBudget(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race detector's runtime allocates")
+	}
+	s, x, y := demoSet(t)
+	m, err := New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := context.Background()
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// updater: Begin, Read(x) (its own write set is readable), Write(y), Commit.
+	serial := func() {
+		tx, err := m.Begin(c, "updater")
+		must(err)
+		_, err = tx.Read(c, x)
+		must(err)
+		must(tx.Write(c, y, 1))
+		must(tx.Commit(c))
+	}
+	for m.Stats().HistoryRetained < history.RingCap { // the ring stops growing once full
+		serial()
+	}
+	objects, bytes := mallocsPer(2000, serial)
+	t.Logf("Begin/Read/Write/Commit: %.2f objects, %.1f bytes", objects, bytes)
+	if objects > 2.1 || bytes > 96 {
+		t.Errorf("one transaction allocates %.2f objects / %.1f bytes, budget 2 / 96", objects, bytes)
+	}
+
+	// The same work with a park in it: the updater writes x, the reader reads
+	// the pre-commit version, the updater's Commit parks on the stale reader
+	// and resumes when the reader commits. A standing goroutine does the
+	// commit, so the cycle itself allocates nothing.
+	commits := make(chan *Txn)
+	committed := make(chan error)
+	go func() {
+		for tx := range commits {
+			committed <- tx.Commit(c)
+		}
+	}()
+	defer close(commits)
+	overlapped := func() {
+		up, err := m.Begin(c, "updater")
+		must(err)
+		must(up.Write(c, x, 2))
+		rd, err := m.Begin(c, "reader")
+		must(err)
+		_, err = rd.Read(c, x)
+		must(err)
+		commits <- up
+		for m.ParkedWaiters() == 0 {
+			runtime.Gosched()
+		}
+		must(rd.Commit(c))
+		must(<-committed)
+	}
+	for i := 0; i < 100; i++ {
+		overlapped()
+	}
+	waits := m.Stats().CommitWaits
+	objects, _ = mallocsPer(500, overlapped)
+	if got := m.Stats().CommitWaits - waits; got != 500 {
+		t.Fatalf("%d of 500 cycles parked", got)
+	}
+	t.Logf("two transactions with a commit wait between them: %.2f objects", objects)
+	if objects > 3.1 { // two handles and one version node; the slack is the runtime's own (sudogs)
+		t.Errorf("a cycle with a park allocates %.2f objects, budget 3: parking must add none", objects)
+	}
+}

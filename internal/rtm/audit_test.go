@@ -257,7 +257,7 @@ func commitOne(c context.Context, m *Manager, tmpl *txn.Template) error {
 			if st.Kind == txn.ReadStep {
 				_, err = tx.Read(c, st.Item)
 			} else {
-				err = tx.Write(c, st.Item, db.Value(tx.job.Run))
+				err = tx.Write(c, st.Item, db.Value(tx.run()))
 			}
 			if err != nil {
 				return err
@@ -289,6 +289,10 @@ func TestBoundedHistory(t *testing.T) {
 	// How far the lock table's and the store's slices have grown, per tenth
 	// of the run: {item slots, holder records, cells, undo journals}.
 	var extent [10][4]int
+	// The manager's own lists — each slot's waiter and Begin queues, the
+	// all-waiters index, the live list, the Begin-node pool — hold at most
+	// one entry per template, so append's doubling stops below twice that.
+	var listCap [10]int
 	for d := range heap {
 		var wg sync.WaitGroup
 		for _, tmpl := range set.Templates {
@@ -308,7 +312,11 @@ func TestBoundedHistory(t *testing.T) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		heap[d], audit[d] = ms.HeapAlloc, 1<<62
-		for i := 0; i < 5; i++ { // best of five
+		samples := 5 // best of five; of fifteen at the two ends the bound compares
+		if d == 0 || d == len(heap)-1 {
+			samples = 15
+		}
+		for i := 0; i < samples; i++ {
 			t0 := time.Now()
 			if err := m.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -318,6 +326,11 @@ func TestBoundedHistory(t *testing.T) {
 		m.mu.Lock()
 		extent[d][0], extent[d][1] = m.locks.Extent()
 		extent[d][2], extent[d][3] = m.store.Extent()
+		listCap[d] = max(cap(m.allWaiters), cap(m.actList), cap(m.freeNodes), cap(m.cycleStack))
+		for i := range m.slots {
+			s := &m.slots[i]
+			listCap[d] = max(listCap[d], cap(s.waiters), cap(s.begins), cap(s.blockers), cap(s.installed))
+		}
 		m.mu.Unlock()
 	}
 	// Nothing in the lock table or the store is indexed by a job or run id,
@@ -329,6 +342,12 @@ func TestBoundedHistory(t *testing.T) {
 	for d, e := range extent {
 		if e[0] != items || e[2] != items || e[3] != 0 || e[1] > live {
 			t.Errorf("tenth %d: extents %v, want {%d, <= %d, %d, 0}", d, e, items, live, items)
+		}
+	}
+	t.Logf("largest manager list capacity per tenth: %v", listCap)
+	for d, c := range listCap {
+		if c >= 2*live {
+			t.Errorf("tenth %d: a manager list has capacity %d with %d templates", d, c, live)
 		}
 	}
 	st := m.Stats()
@@ -348,5 +367,65 @@ func TestBoundedHistory(t *testing.T) {
 	}
 	if st.HistoryRetained != history.RingCap || st.HistoryEvicted == 0 {
 		t.Errorf("window %d ops (ring %d), %d evicted", st.HistoryRetained, history.RingCap, st.HistoryEvicted)
+	}
+}
+
+// TestCheckInvariantsDoesNotStallCommits: the batch check of a full window
+// takes tens of milliseconds, and it runs on a copy after the manager mutex
+// is released — so transactions begun while CheckInvariants is running
+// commit before it returns, which they could not while it held the mutex
+// throughout.
+func TestCheckInvariantsDoesNotStallCommits(t *testing.T) {
+	set := contendedSet()
+	m, err := New(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := context.Background()
+	for m.Stats().HistoryRetained < history.RingCap {
+		if err := commitOne(c, m, set.Templates[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type span struct{ begun, committed time.Time }
+	stop := make(chan struct{})
+	done := make(chan []span)
+	go func() {
+		var spans []span
+		for {
+			select {
+			case <-stop:
+				done <- spans
+				return
+			default:
+			}
+			begun := time.Now()
+			if err := commitOne(c, m, set.Templates[1]); err != nil {
+				t.Error(err)
+			}
+			spans = append(spans, span{begun, time.Now()})
+		}
+	}()
+	before := m.Stats().Clock
+	t0 := time.Now()
+	err = m.CheckInvariants()
+	t1 := time.Now()
+	after := m.Stats().Clock
+	close(stop)
+	spans := <-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	inside := 0
+	for _, sp := range spans {
+		if sp.begun.After(t0) && sp.committed.Before(t1) {
+			inside++
+		}
+	}
+	t.Logf("CheckInvariants took %v; %d transactions began and committed inside it, clock %d -> %d",
+		t1.Sub(t0), inside, before, after)
+	if inside < 10 || after == before {
+		t.Fatalf("%d transactions ran to commit while the check was running (clock %d -> %d): it still holds the mutex",
+			inside, before, after)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"slices"
 
-	"pcpda/internal/cc"
 	"pcpda/internal/fault"
 	"pcpda/internal/rt"
 	"pcpda/internal/txn"
@@ -79,17 +78,17 @@ func (m *Manager) BeginBatch(ctx context.Context, names []string) ([]*Txn, error
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, pos := range order {
-		tmpl := tmpls[pos]
-		for m.byTmpl[tmpl.ID] != nil {
+		s := &m.slots[tmpls[pos].ID]
+		for s.cur != nil {
 			// parkBegin releases m.mu while parked; instances admitted so
 			// far keep their slots and are visible (and abortable-by-fault)
 			// exactly as if their Begin calls had already returned.
-			if err := m.parkBegin(ctx, tmpl.ID); err != nil {
+			if err := m.parkBegin(ctx, s); err != nil {
 				m.rollbackBatch(out)
 				return nil, err
 			}
 		}
-		t := m.admit(tmpl)
+		t := m.admit(s)
 		out[pos] = t
 		if err := m.inject(fault.BeginTxn, t, true); err != nil {
 			// The injected failure already tore t down; undo the rest.
@@ -110,10 +109,8 @@ func (m *Manager) rollbackBatch(ts []*Txn) {
 			continue
 		}
 		m.clock++
-		m.hist.Abort(m.clock, t.job.Run, t.job.Tmpl.ID)
-		t.job.Status = cc.Aborted
 		m.stats.Aborts++
-		m.finish(t)
+		m.kill(t)
 	}
 }
 
@@ -123,10 +120,10 @@ func (m *Manager) Set() *txn.Set { return m.set }
 
 // ID returns the manager-assigned job id of this transaction instance.
 // Stable for the life of the handle, including after it finishes.
-func (t *Txn) ID() rt.JobID { return t.job.ID }
+func (t *Txn) ID() rt.JobID { return t.id }
 
 // Template returns the transaction type this instance was begun from.
-func (t *Txn) Template() *txn.Template { return t.job.Tmpl }
+func (t *Txn) Template() *txn.Template { return t.slot.tmpl }
 
 // ParkedWaiters returns the number of currently registered wait nodes
 // (lock, commit and Begin waiters together). At any quiescent point this is

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pcpda/internal/db"
+	"pcpda/internal/history"
 	"pcpda/internal/rt"
 	"pcpda/internal/txn"
 )
@@ -107,7 +108,7 @@ func benchTxnOnce(ctx context.Context, m *Manager, tmpl *txn.Template) (bool, er
 		case txn.ReadStep:
 			_, err = tx.Read(ctx, st.Item)
 		case txn.WriteStep:
-			err = tx.Write(ctx, st.Item, db.SyntheticValue(tx.job.Run, st.Item))
+			err = tx.Write(ctx, st.Item, db.SyntheticValue(tx.run(), st.Item))
 		}
 		if err != nil {
 			if errors.Is(err, ErrAborted) {
@@ -184,4 +185,89 @@ func BenchmarkManagerParallel(b *testing.B) {
 // contention — isolates the per-operation bookkeeping cost.
 func BenchmarkManagerSerial(b *testing.B) {
 	benchManager(b, benchLowSet(1), 1)
+}
+
+// BenchmarkReadAllSlotsLive prices the job-id → live-instance lookup at its
+// worst: every template has a live instance holding a read lock that raises
+// a ceiling, and the measured transaction — highest priority, admitted last,
+// so last in the live list — re-reads its item. Each Read resolves its own
+// id once (SysceilExcluding); nothing blocks, nothing allocates.
+func BenchmarkReadAllSlotsLive(b *testing.B) {
+	for _, n := range []int{8, 64} {
+		b.Run(fmt.Sprintf("templates=%d", n), func(b *testing.B) {
+			s := txn.NewSet("all-live")
+			items := make([]rt.Item, n)
+			for i := range items {
+				items[i] = s.Catalog.Intern(fmt.Sprintf("a%d", i))
+				s.Add(&txn.Template{
+					Name:  fmt.Sprintf("T%d", i),
+					Steps: []txn.Step{txn.Read(items[i]), txn.Write(items[i])},
+				})
+			}
+			s.AssignByIndex() // T0 is the highest priority
+			m, err := New(s)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			var last *Txn
+			for i := n - 1; i >= 0; i-- {
+				tx, err := m.Begin(ctx, s.Templates[i].Name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tx.Read(ctx, items[i]); err != nil {
+					b.Fatal(err)
+				}
+				last = tx
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := last.Read(ctx, items[0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkHistoryCheckFullWindow prices what CheckInvariants runs off the
+// mutex: History.Check on a full ring of 65 536 operations from the contended
+// set, every map in it keyed by a run id. The window is filled by one
+// goroutine so that it is the same operations on every run; burst is how many
+// instances of a template commit back to back, which is what the check's cost
+// follows — every re-read of an unchanged version is one more edge out of the
+// run that wrote it — and what eight workers racing leave to the scheduler.
+func BenchmarkHistoryCheckFullWindow(b *testing.B) {
+	for _, burst := range []int{1, 64} {
+		b.Run(fmt.Sprintf("burst=%d", burst), func(b *testing.B) {
+			set := contendedSet()
+			m, err := New(set)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			for m.Stats().HistoryEvicted == 0 {
+				for _, tmpl := range set.Templates {
+					for i := 0; i < burst; i++ {
+						if err := commitOne(ctx, m, tmpl); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+			h := m.History()
+			if len(h.Ops) != history.RingCap {
+				b.Fatalf("window of %d operations, want %d", len(h.Ops), history.RingCap)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep := h.Check(); !rep.Serializable || len(rep.Violations) > 0 {
+					b.Fatal(rep.Violations)
+				}
+			}
+		})
+	}
 }

@@ -2,10 +2,12 @@ package rtm
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"pcpda/internal/db"
 	"pcpda/internal/rt"
+	"pcpda/internal/txn"
 )
 
 // TestHostileItemIDsSizeNothing: the lock table, the store and the item sets
@@ -76,5 +78,78 @@ func TestHostileItemIDsSizeNothing(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIDsSurviveTheInt32Boundary: job and run ids count every transaction a
+// manager ever ran — 2^31 of them is under half an hour of the in-process
+// benchmark's rate — and the live list's order, the history's low-water rule
+// and the NoJob/NoRun/InitRun sentinels all assume they only grow. The
+// counters are seeded just below 2^31 and 2^32 and overlapping instances are
+// run across each boundary, with the full audit after every admission and
+// every commit.
+func TestIDsSurviveTheInt32Boundary(t *testing.T) {
+	for _, bits := range []uint{31, 32} {
+		t.Run(fmt.Sprintf("2^%d", bits), func(t *testing.T) {
+			set := benchLowSet(2) // disjoint items: two instances overlap without blocking
+			m, err := New(set)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := int64(1)<<bits - 3 // not a constant: the conversions compile at any id width
+			m.mu.Lock()
+			m.nextJob = rt.JobID(base)
+			m.mu.Unlock()
+			c := context.Background()
+			audit := func(when string, tx *Txn) {
+				t.Helper()
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatalf("after %s job %d: %v", when, tx.ID(), err)
+				}
+				if st := m.Stats(); st.AuditViolations != 0 || st.CommitsAudited != uint64(st.Commits) {
+					t.Fatalf("after %s job %d: audited %d of %d commits, %d violations",
+						when, tx.ID(), st.CommitsAudited, st.Commits, st.AuditViolations)
+				}
+			}
+			begin := func(i int) *Txn {
+				tx, err := m.Begin(c, set.Templates[i].Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				audit("admitting", tx)
+				return tx
+			}
+			commit := func(tx *Txn) {
+				for _, st := range tx.Template().Steps {
+					var err error
+					if st.Kind == txn.ReadStep {
+						_, err = tx.Read(c, st.Item)
+					} else {
+						err = tx.Write(c, st.Item, db.Value(tx.ID()))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := tx.Commit(c); err != nil {
+					t.Fatal(err)
+				}
+				audit("committing", tx)
+			}
+			a := begin(0)
+			for i := 0; i < 8; i++ {
+				b := begin(1) // live together with a
+				commit(a)
+				a = begin(0) // live together with b
+				commit(b)
+			}
+			if got, want := int64(a.ID()), base+16; got != want {
+				t.Fatalf("the 17th instance carries id %d, want %d", got, want)
+			}
+			a.Abort()
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

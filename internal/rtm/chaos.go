@@ -314,7 +314,7 @@ func applyOps(ctx context.Context, tx *Txn, ops []txn.Step) error {
 		if op.Kind == txn.ReadStep {
 			_, err = tx.Read(ctx, op.Item)
 		} else {
-			err = tx.Write(ctx, op.Item, db.SyntheticValue(tx.job.Run, op.Item))
+			err = tx.Write(ctx, op.Item, db.SyntheticValue(tx.run(), op.Item))
 		}
 		if err != nil {
 			return err

@@ -171,10 +171,10 @@ func TestResolveCycleUnit(t *testing.T) {
 	b, _ := m.Begin(c, "TL")
 
 	m.mu.Lock()
-	a.job.Status = cc.Blocked
-	a.job.Blockers = []rt.JobID{b.job.ID}
-	b.job.Status = cc.Blocked
-	b.job.Blockers = []rt.JobID{a.job.ID}
+	a.slot.job.Status = cc.Blocked
+	a.slot.job.Blockers = []rt.JobID{b.slot.job.ID}
+	b.slot.job.Status = cc.Blocked
+	b.slot.job.Blockers = []rt.JobID{a.slot.job.ID}
 	victim := m.resolveCycle(a)
 	m.mu.Unlock()
 	if victim != b {
@@ -183,14 +183,14 @@ func TestResolveCycleUnit(t *testing.T) {
 
 	// No cycle: blocker chain ends at a running transaction.
 	m.mu.Lock()
-	b.job.Status = cc.Ready
-	b.job.Blockers = nil
+	b.slot.job.Status = cc.Ready
+	b.slot.job.Blockers = nil
 	if v := m.resolveCycle(a); v != nil {
 		m.mu.Unlock()
 		t.Fatalf("no cycle but victim %v", v)
 	}
-	a.job.Status = cc.Ready
-	a.job.Blockers = nil
+	a.slot.job.Status = cc.Ready
+	a.slot.job.Blockers = nil
 	m.mu.Unlock()
 	a.Abort()
 	b.Abort()
@@ -203,7 +203,7 @@ func waitBlocked(t *testing.T, m *Manager, tx *Txn) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		m.mu.Lock()
-		blocked := tx.job.Status == cc.Blocked
+		blocked := tx.slot.job.Status == cc.Blocked
 		m.mu.Unlock()
 		if blocked {
 			return

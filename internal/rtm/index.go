@@ -27,56 +27,8 @@ package rtm
 
 import (
 	"pcpda/internal/cc"
-	"pcpda/internal/db"
 	"pcpda/internal/rt"
 )
-
-// txnRes bundles every per-transaction allocation that can be recycled
-// between transaction instances: the wait node, the donation multiset, the
-// ceiling count vector, the blocker scratch list, the commit's installed
-// list and the declared-set containers. One warm manager runs an arbitrary
-// number of transactions with no per-instance allocation of these. The
-// cc.Job itself is NOT pooled — a finished handle's job stays inspectable
-// (tests poll job.Status after the fact), so it must never be reused.
-type txnRes struct {
-	wn         waitNode
-	recv       *rt.PriorityMultiset // donations received while others wait on us
-	ceilCounts []int32              // live read locks per write-ceiling rank
-	blockers   []rt.JobID           // scratch for commit-wait blocker lists
-	installed  []db.Installed       // scratch for the (item, version) pairs a commit installs
-	dataRead   *rt.ItemSet
-	ws         *db.Workspace
-}
-
-func (m *Manager) getRes() *txnRes {
-	if k := len(m.freeRes); k > 0 {
-		r := m.freeRes[k-1]
-		m.freeRes = m.freeRes[:k-1]
-		return r
-	}
-	r := &txnRes{
-		recv:       m.dom.NewMultiset(),
-		ceilCounts: make([]int32, m.dom.Size()),
-		dataRead:   rt.NewItemSet(),
-		ws:         db.NewWorkspace(),
-	}
-	r.wn.ch = make(chan struct{}, 1)
-	r.wn.allIdx = -1
-	return r
-}
-
-// putRes returns r to the pool. The ceiling counts are already zero
-// (ceilRelease runs in finish before this) and the wait node is already
-// deregistered (park never returns while registered).
-func (m *Manager) putRes(r *txnRes) {
-	r.wn.t = nil
-	r.wn.drain()
-	r.recv.Reset()
-	r.dataRead.Clear()
-	r.ws.Discard()
-	r.blockers = r.blockers[:0]
-	m.freeRes = append(m.freeRes, r)
-}
 
 // --- incremental read-lock ceiling index -------------------------------------
 
@@ -106,29 +58,29 @@ func (m *Manager) initCeilIndex() {
 	m.ceilTop = -1
 }
 
-// ceilAdd records a newly acquired read lock by t on x. Caller holds m.mu
-// and must only call this when the lock table reported a fresh acquisition
-// (Acquire returned true), so re-reads never double-count.
-func (m *Manager) ceilAdd(t *Txn, x rt.Item) {
+// ceilAdd records a newly acquired read lock by s's instance on x. Caller
+// holds m.mu and must only call this when the lock table reported a fresh
+// acquisition (Acquire returned true), so re-reads never double-count.
+func (m *Manager) ceilAdd(s *slot, x rt.Item) {
 	r := int(m.wceilRank[x])
 	if r < 0 {
 		return
 	}
 	m.readCeil[r]++
-	t.res.ceilCounts[r]++
+	s.ceilCounts[r]++
 	if r > m.ceilTop {
 		m.ceilTop = r
 	}
 }
 
-// ceilRelease drops every ceiling contribution of t (all its read locks go
-// away together at finish — the manager is strict 2PL). O(priority domain),
-// allocation-free, and leaves t's count vector zeroed for reuse.
-func (m *Manager) ceilRelease(t *Txn) {
-	for r, c := range t.res.ceilCounts {
+// ceilRelease drops every ceiling contribution of s's instance (all its read
+// locks go away together at finish — the manager is strict 2PL). O(priority
+// domain), allocation-free, and leaves the count vector zeroed for reuse.
+func (m *Manager) ceilRelease(s *slot) {
+	for r, c := range s.ceilCounts {
 		if c != 0 {
 			m.readCeil[r] -= c
-			t.res.ceilCounts[r] = 0
+			s.ceilCounts[r] = 0
 		}
 	}
 	for m.ceilTop >= 0 && m.readCeil[m.ceilTop] == 0 {
@@ -144,8 +96,8 @@ func (m *Manager) ceilRelease(t *Txn) {
 //pcpda:holds mu
 func (m *Manager) SysceilExcluding(o rt.JobID) rt.Priority {
 	var own []int32
-	if t, ok := m.active[o]; ok {
-		own = t.res.ceilCounts
+	if s := m.live(o); s != nil {
+		own = s.ceilCounts
 	}
 	for r := m.ceilTop; r >= 0; r-- {
 		n := m.readCeil[r]
@@ -169,56 +121,55 @@ func (m *Manager) EachCeilingHolder(c rt.Priority, o rt.JobID, fn func(holder rt
 	if !ok {
 		return
 	}
-	for _, t := range m.actList {
-		if t.job.ID != o && t.res.ceilCounts[r] > 0 {
-			fn(t.job.ID)
+	for _, s := range m.actList {
+		if s.job.ID != o && s.ceilCounts[r] > 0 {
+			fn(s.job.ID)
 		}
 	}
 }
 
 // --- donation-based priority inheritance -------------------------------------
 
-// donate adds t's running priority to every blocker's received-donations
-// multiset and cascades raises. Called when t parks (Blockers just filled).
-// Two phases — add everywhere first, then refresh — so a cascade that loops
-// back through a transient wait cycle never retracts a value that was not
-// yet added.
-func (m *Manager) donate(t *Txn) {
-	p := t.job.RunPri
-	t.donatedPri = p
-	for _, bid := range t.job.Blockers {
-		if b, ok := m.active[bid]; ok {
-			b.res.recv.Add(p)
+// donate adds the running priority of s's instance to every blocker's
+// received-donations multiset and cascades raises. Called when it parks
+// (Blockers just filled). Two phases — add everywhere first, then refresh —
+// so a cascade that loops back through a transient wait cycle never retracts
+// a value that was not yet added.
+func (m *Manager) donate(s *slot) {
+	p := s.job.RunPri
+	s.donatedPri = p
+	for _, bid := range s.job.Blockers {
+		if b := m.live(bid); b != nil {
+			b.recv.Add(p)
 		}
 	}
-	for _, bid := range t.job.Blockers {
-		if b, ok := m.active[bid]; ok {
+	for _, bid := range s.job.Blockers {
+		if b := m.live(bid); b != nil {
 			m.refreshPri(b)
 		}
 	}
 }
 
-// retract undoes t's outstanding donation and marks t runnable again.
-// Called immediately after a park wakes (before the condition is
+// retract undoes the outstanding donation of s's instance and clears its
+// Blockers. Called immediately after a park wakes (before the condition is
 // re-evaluated), so donation state tracks the Blocked set exactly. Blockers
-// that already finished are simply gone from the active map — their
-// bookkeeping died with them.
-func (m *Manager) retract(t *Txn) {
-	p := t.donatedPri
+// that already finished are no longer live — their bookkeeping was reset
+// with them, and nothing here reaches their slots' next instances.
+func (m *Manager) retract(s *slot) {
+	p := s.donatedPri
 	if p.IsDummy() {
 		return
 	}
-	t.donatedPri = rt.Dummy
-	blockers := t.job.Blockers
-	t.job.Blockers = nil
-	t.job.Status = cc.Ready
+	s.donatedPri = rt.Dummy
+	blockers := s.job.Blockers
+	s.job.Blockers = nil
 	for _, bid := range blockers {
-		if b, ok := m.active[bid]; ok {
-			b.res.recv.Remove(p)
+		if b := m.live(bid); b != nil {
+			b.recv.Remove(p)
 		}
 	}
 	for _, bid := range blockers {
-		if b, ok := m.active[bid]; ok {
+		if b := m.live(bid); b != nil {
 			m.refreshPri(b)
 		}
 	}
@@ -230,8 +181,8 @@ func (m *Manager) retract(t *Txn) {
 // admits on the running priority and may now pass. The cascade terminates:
 // within one donate (retract) call priorities only move up (down) through a
 // finite lattice.
-func (m *Manager) refreshPri(b *Txn) {
-	np := b.job.BasePri().Max(b.res.recv.Max())
+func (m *Manager) refreshPri(b *slot) {
+	np := b.job.BasePri().Max(b.recv.Max())
 	if np == b.job.RunPri {
 		return
 	}
@@ -241,19 +192,19 @@ func (m *Manager) refreshPri(b *Txn) {
 		old := b.donatedPri
 		b.donatedPri = np
 		for _, bid := range b.job.Blockers {
-			if c, ok := m.active[bid]; ok {
-				c.res.recv.Remove(old)
-				c.res.recv.Add(np)
+			if c := m.live(bid); c != nil {
+				c.recv.Remove(old)
+				c.recv.Add(np)
 			}
 		}
 		for _, bid := range b.job.Blockers {
-			if c, ok := m.active[bid]; ok {
+			if c := m.live(bid); c != nil {
 				m.refreshPri(c)
 			}
 		}
 	}
-	if raised && b.res.wn.parked() && b.res.wn.kind == waitLock {
-		b.res.wn.wake()
+	if raised && b.wn.parked() && b.wn.kind == waitLock {
+		b.wn.wake()
 	}
 }
 
@@ -263,21 +214,21 @@ func (m *Manager) refreshPri(b *Txn) {
 // CheckInvariants and the property tests to certify the incremental
 // donations; never on the hot path.
 func (m *Manager) fixpointPri(want map[rt.JobID]rt.Priority) {
-	for id, t := range m.active {
-		want[id] = t.job.BasePri()
+	for _, s := range m.actList {
+		want[s.job.ID] = s.job.BasePri()
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, t := range m.active {
-			if t.job.Status != cc.Blocked {
+		for _, s := range m.actList {
+			if s.job.Status != cc.Blocked {
 				continue
 			}
-			for _, bid := range t.job.Blockers {
-				if _, ok := m.active[bid]; !ok {
+			for _, bid := range s.job.Blockers {
+				if m.live(bid) == nil {
 					continue
 				}
-				if want[bid] < want[t.job.ID] {
-					want[bid] = want[t.job.ID]
+				if want[bid] < want[s.job.ID] {
+					want[bid] = want[s.job.ID]
 					changed = true
 				}
 			}

@@ -77,8 +77,8 @@ func crossCheckIndex(m *Manager) error {
 	defer m.mu.Unlock()
 
 	excls := []rt.JobID{rt.NoJob}
-	for id := range m.active {
-		excls = append(excls, id)
+	for _, s := range m.actList {
+		excls = append(excls, s.job.ID)
 	}
 	for _, o := range excls {
 		want := slowSysceil(m, o)
@@ -215,9 +215,13 @@ func TestIncrementalIndexProperty(t *testing.T) {
 					t.Errorf("ceiling count %d at rank %d after quiescence", c, r)
 				}
 			}
-			if len(m.waitOn) != 0 || len(m.allWaiters) != 0 {
-				t.Errorf("waiter indexes not drained: %d waits-on keys, %d all-waiters",
-					len(m.waitOn), len(m.allWaiters))
+			filed := 0
+			for i := range m.slots {
+				filed += len(m.slots[i].waiters) + len(m.slots[i].begins)
+			}
+			if filed != 0 || len(m.allWaiters) != 0 {
+				t.Errorf("waiter indexes not drained: %d filed in slots, %d all-waiters",
+					filed, len(m.allWaiters))
 			}
 			m.mu.Unlock()
 		})

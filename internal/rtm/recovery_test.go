@@ -3,6 +3,7 @@ package rtm
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,7 +50,7 @@ func TestCancelledBlockedWriteLeavesNoState(t *testing.T) {
 	// The cancelled transaction left nothing behind: no locks, no live
 	// entry, no template slot — exactly as if Abort() had been called.
 	m.mu.Lock()
-	held := m.locks.HeldBy(up.job.ID)
+	held := m.locks.HeldBy(up.slot.job.ID)
 	m.mu.Unlock()
 	if len(held) != 0 {
 		t.Fatalf("cancelled transaction still holds locks on %v", held)
@@ -397,12 +398,23 @@ func TestCheckInvariantsDetectsOrphanedSlot(t *testing.T) {
 	m, _ := New(s)
 	c := ctx(t)
 	tx, _ := m.Begin(c, "reader")
-	// Corrupt the live maps: drop the active entry but keep the template
-	// slot, the exact leak shape the self-cleaning paths must prevent.
+	// Corrupt the live structures: drop the instance from the live list but
+	// keep its slot taken, the exact leak shape the self-cleaning paths must
+	// prevent.
 	m.mu.Lock()
-	delete(m.active, tx.job.ID)
+	m.actList = m.actList[:0]
 	m.mu.Unlock()
-	if err := m.CheckInvariants(); err == nil {
-		t.Fatal("auditor missed an orphaned per-template slot")
+	err := m.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "orphaned slot") {
+		t.Fatalf("auditor missed an orphaned slot: %v", err)
+	}
+	// The reverse leak: the slot freed while the instance is still listed.
+	m.mu.Lock()
+	m.actList = append(m.actList, tx.slot)
+	tx.slot.cur = nil
+	m.mu.Unlock()
+	err = m.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "sits in a free slot") {
+		t.Fatalf("auditor missed a listed instance in a free slot: %v", err)
 	}
 }

@@ -37,7 +37,7 @@
 // Exec wraps Begin/op/Commit in a bounded retry loop with jittered backoff
 // for the retryable sentinels. Options.Injector plugs seeded fault
 // injection (package fault) into every blocking/grant/commit boundary, and
-// Manager.CheckInvariants audits the lock table, live maps, ceilings and
+// Manager.CheckInvariants audits the lock table, slot table, ceilings and
 // history after any schedule, faulty or not.
 //
 // # Deviation from the paper's execution model
@@ -73,7 +73,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -153,12 +152,13 @@ type Manager struct {
 	opts Options        //pcpda:guardedby immutable
 	inj  fault.Injector //pcpda:guardedby immutable — copy of opts.Injector; nil ⇒ injection disabled
 
-	active  map[rt.JobID]*Txn //pcpda:guardedby mu
-	byTmpl  map[txn.ID]*Txn   //pcpda:guardedby mu — one live instance per template
-	actList []*Txn            //pcpda:guardedby mu — live transactions in ascending job-id order
-	nextJob rt.JobID          //pcpda:guardedby mu
-	nextRun db.RunID          //pcpda:guardedby mu
-	clock   rt.Ticks          //pcpda:guardedby mu — logical time: one tick per manager operation
+	// One slot per template, indexed by txn.ID (slot.go): everything the
+	// manager keeps about a transaction type and its at-most-one live
+	// instance. The slice is built once; its elements are guarded by mu.
+	slots   []slot   //pcpda:guardedby immutable
+	actList []*slot  //pcpda:guardedby mu — slots with a live instance, in admission (= ascending job-id) order
+	nextJob rt.JobID //pcpda:guardedby mu — the next instance's job id; its run id is runOf that
+	clock   rt.Ticks //pcpda:guardedby mu — logical time: one tick per manager operation
 
 	// hist retains the newest history.RingCap operations and audits every
 	// commit as it happens (history.Recorder): bounded at any uptime.
@@ -171,16 +171,10 @@ type Manager struct {
 	ceilTop   int                //pcpda:guardedby mu — highest rank with readCeil > 0; -1 when none
 
 	// Targeted-wakeup machinery (see wait.go).
-	waitOn     map[rt.JobID][]*waitNode //pcpda:guardedby mu — parked waiters per blocking job
-	tmplWait   map[txn.ID][]*waitNode   //pcpda:guardedby mu — Begin waiters per template slot
-	allWaiters []*waitNode              //pcpda:guardedby mu — every parked waiter (injected wakeups)
-	freeNodes  []*waitNode              //pcpda:guardedby mu — pooled Begin-waiter nodes
-	freeLists  [][]*waitNode            //pcpda:guardedby mu — retired waits-on index lists
-	freeRes    []*txnRes                //pcpda:guardedby mu — pooled per-transaction resources
+	allWaiters []*waitNode //pcpda:guardedby mu — every parked waiter (injected wakeups)
+	freeNodes  []*waitNode //pcpda:guardedby mu — pooled Begin-waiter nodes
 
-	// resolveCycle scratch, reused across parks.
-	cycleColor map[rt.JobID]int //pcpda:guardedby mu
-	cycleStack []rt.JobID       //pcpda:guardedby mu
+	cycleStack []*slot //pcpda:guardedby mu — resolveCycle's DFS path, reused across parks
 
 	rng *rand.Rand //pcpda:guardedby mu — Exec backoff jitter
 
@@ -202,23 +196,31 @@ type Manager struct {
 	roEvictions atomic.Int64
 }
 
-// Txn is a live transaction handle, owned by a single goroutine.
+// Txn is a live transaction handle, owned by a single goroutine. It holds
+// only what must outlive the instance; everything else is in the slot, which
+// the next instance of the template reuses. Once done is set the handle
+// answers from its own fields and never looks at the slot's state again.
+// slot and id are set before Begin returns and never change; done and
+// aborted are guarded by the manager mutex (slot.mgr.mu).
 type Txn struct {
-	mgr *Manager
-	job *cc.Job
-	res *txnRes // pooled resources; nil once finished
-	// donatedPri is the running priority this transaction is currently
-	// donating to its blockers (dummy = not donating). Guarded by mgr.mu.
-	donatedPri rt.Priority
-	done       bool
-	// aborted is set by the manager (under mgr.mu) when this transaction
-	// is chosen as a cycle victim; the owning goroutine observes it at its
-	// next (or current) blocking operation.
+	slot *slot
+	id   rt.JobID
+	done bool
+	// aborted is set by the manager when this transaction is chosen as a
+	// cycle victim; the owning goroutine observes it at its next (or
+	// current) blocking operation.
 	aborted bool
-	// waitingCommit marks a transaction blocked in Commit (its Blockers
-	// then carry commit-wait edges rather than lock-wait edges).
-	waitingCommit bool
 }
+
+// runOf is the run id of the manager's job id: an instance runs once (a
+// retry after an abort is a new Begin, so a new job), which makes one counter
+// enough for both id spaces; runs start above db.InitRun.
+func runOf(id rt.JobID) db.RunID { return db.InitRun + 1 + db.RunID(id) }
+
+// run is the run id this instance's history records and versions carry. It
+// answers from the handle, so it is safe after the instance finished and its
+// slot was admitted again.
+func (t *Txn) run() db.RunID { return runOf(t.id) }
 
 // New validates the transaction set and returns a manager for it with
 // default options.
@@ -234,24 +236,18 @@ func NewWithOptions(set *txn.Set, opts Options) (*Manager, error) {
 	p := pcpda.New()
 	p.Init(set, ceil)
 	m := &Manager{
-		set:     set,
-		ceil:    ceil,
-		proto:   p,
-		locks:   lock.NewTable(),
-		store:   db.NewStore(),
-		hist:    history.NewRecorder(),
-		opts:    opts,
-		inj:     opts.Injector,
-		active:  make(map[rt.JobID]*Txn),
-		byTmpl:  make(map[txn.ID]*Txn),
-		nextRun: db.InitRun + 1,
-		rng:     rand.New(rand.NewSource(opts.Seed)),
-
-		waitOn:     make(map[rt.JobID][]*waitNode),
-		tmplWait:   make(map[txn.ID][]*waitNode),
-		cycleColor: make(map[rt.JobID]int),
+		set:   set,
+		ceil:  ceil,
+		proto: p,
+		locks: lock.NewTable(),
+		store: db.NewStore(),
+		hist:  history.NewRecorder(),
+		opts:  opts,
+		inj:   opts.Injector,
+		rng:   rand.New(rand.NewSource(opts.Seed)),
 	}
 	m.initCeilIndex()
+	m.initSlots()
 	return m, nil
 }
 
@@ -270,8 +266,8 @@ func (m *Manager) Locks() *lock.Table { return m.locks }
 //
 //pcpda:holds mu
 func (m *Manager) Job(id rt.JobID) *cc.Job {
-	if t, ok := m.active[id]; ok {
-		return t.job
+	if s := m.live(id); s != nil {
+		return &s.job
 	}
 	return nil
 }
@@ -283,8 +279,8 @@ func (m *Manager) Job(id rt.JobID) *cc.Job {
 //pcpda:holds mu
 func (m *Manager) ActiveJobs() []*cc.Job {
 	out := make([]*cc.Job, 0, len(m.actList))
-	for _, t := range m.actList {
-		out = append(out, t.job)
+	for _, s := range m.actList {
+		out = append(out, &s.job)
 	}
 	return out
 }
@@ -308,56 +304,45 @@ func (m *Manager) Begin(ctx context.Context, name string) (*Txn, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.byTmpl[tmpl.ID] != nil {
-		if err := m.parkBegin(ctx, tmpl.ID); err != nil {
+	s := &m.slots[tmpl.ID]
+	for s.cur != nil {
+		if err := m.parkBegin(ctx, s); err != nil {
 			return nil, err
 		}
 	}
-	t := m.admit(tmpl)
+	t := m.admit(s)
 	if err := m.inject(fault.BeginTxn, t, true); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// admit creates and registers a new instance of tmpl — the admission body
-// shared by Begin and BeginBatch. Caller holds m.mu and has already
-// established that tmpl's slot is free.
-func (m *Manager) admit(tmpl *txn.Template) *Txn {
+// admit starts a new instance in the free slot s — the admission body shared
+// by Begin and BeginBatch. Caller holds m.mu. The slot's job is reset field
+// by field: its template, read set and workspace never change, and finish
+// left the rest of the slot clean. The handle is the one allocation.
+func (m *Manager) admit(s *slot) *Txn {
 	m.clock++
-	res := m.getRes()
-	// The handle and its job are one allocation. Neither is pooled: a
-	// finished handle's job stays inspectable.
-	a := &struct {
-		t Txn
-		j cc.Job
-	}{}
-	j, t := &a.j, &a.t
-	*j = cc.Job{
-		ID:         m.nextJob,
-		Run:        m.nextRun,
-		Tmpl:       tmpl,
-		Release:    m.clock,
-		Status:     cc.Ready,
-		RunPri:     tmpl.Priority,
-		DataRead:   res.dataRead,
-		WS:         res.ws,
-		FinishTick: -1,
-		MissedAt:   -1,
-	}
+	j := &s.job
+	j.ID = m.nextJob
+	j.Run = runOf(j.ID)
+	j.Release = m.clock
+	j.AbsDeadline = 0
+	j.Status = cc.Ready
+	j.RunPri = s.tmpl.Priority
+	j.Blockers = nil
+	j.FinishTick = -1
+	j.MissedAt = -1
 	if m.opts.FirmDeadlines {
-		if d := m.relDeadline(tmpl); d > 0 {
+		if d := m.relDeadline(s.tmpl); d > 0 {
 			j.AbsDeadline = j.Release + d
 		}
 	}
 	m.nextJob++
-	m.nextRun++
-	*t = Txn{mgr: m, job: j, res: res}
-	res.wn.t = t
-	m.active[j.ID] = t
-	m.byTmpl[tmpl.ID] = t
-	m.actList = append(m.actList, t)
-	m.hist.Begin(m.clock, j.Run, tmpl.ID)
+	t := &Txn{slot: s, id: j.ID}
+	s.cur = t
+	m.actList = append(m.actList, s)
+	m.hist.Begin(m.clock, j.Run, s.tmpl.ID)
 	m.stats.Begins++
 	return t
 }
@@ -376,27 +361,28 @@ func (m *Manager) relDeadline(tmpl *txn.Template) rt.Ticks {
 // conditions deny it) and returns the visible value: the transaction's own
 // pending write if present, the last committed value otherwise.
 func (t *Txn) Read(ctx context.Context, item rt.Item) (db.Value, error) {
-	m := t.mgr
+	m := t.slot.mgr
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	j := &t.slot.job
 	if err := m.entry(ctx, t); err != nil {
 		return 0, err
 	}
-	if !t.job.Tmpl.ReadSet().Has(item) && !t.job.Tmpl.WriteSet().Has(item) {
-		return 0, fmt.Errorf("rtm: %s reads undeclared item %d", t.job.Tmpl.Name, item)
+	if !j.Tmpl.ReadSet().Has(item) && !j.Tmpl.WriteSet().Has(item) {
+		return 0, fmt.Errorf("rtm: %s reads undeclared item %d", j.Tmpl.Name, item)
 	}
 	for {
 		if err := m.inject(fault.LockRequest, t, true); err != nil {
 			return 0, err
 		}
-		dec := m.proto.Request(m, t.job, item, rt.Read)
+		dec := m.proto.Request(m, j, item, rt.Read)
 		if dec.Granted {
 			break
 		}
-		t.job.Status = cc.Blocked
-		t.job.BlockedOn = item
-		t.job.BlockedMode = rt.Read
-		t.job.Blockers = dec.Blockers
+		j.Status = cc.Blocked
+		j.BlockedOn = item
+		j.BlockedMode = rt.Read
+		j.Blockers = dec.Blockers
 		m.stats.LockWaits++
 		// No unlock-delay here: the deny decision must stay atomic with the
 		// park, or the blocker's wakeup broadcast can be lost.
@@ -407,49 +393,50 @@ func (t *Txn) Read(ctx context.Context, item rt.Item) (db.Value, error) {
 			return 0, err
 		}
 	}
-	t.job.Status = cc.Ready
-	t.job.Blockers = nil
+	j.Status = cc.Ready
+	j.Blockers = nil
 	m.clock++
-	if m.locks.Acquire(t.job.ID, item, rt.Read) {
-		m.ceilAdd(t, item)
+	if m.locks.Acquire(j.ID, item, rt.Read) {
+		m.ceilAdd(t.slot, item)
 	}
-	t.job.DataRead.Add(item)
+	j.DataRead.Add(item)
 	if err := m.inject(fault.LockGrant, t, false); err != nil {
 		return 0, err
 	}
-	if v, own := t.job.WS.Get(item); own {
-		m.hist.Read(m.clock, t.job.Run, t.job.Tmpl.ID, item, -1, t.job.Run)
+	if v, own := j.WS.Get(item); own {
+		m.hist.Read(m.clock, j.Run, j.Tmpl.ID, item, -1, j.Run)
 		return v, nil
 	}
 	v, ver, from := m.store.Read(item)
-	m.hist.Read(m.clock, t.job.Run, t.job.Tmpl.ID, item, ver, from)
+	m.hist.Read(m.clock, j.Run, j.Tmpl.ID, item, ver, from)
 	return v, nil
 }
 
 // Write acquires a PCP-DA write lock on item (LC1: blocking while a foreign
 // read lock exists) and buffers v in the private workspace.
 func (t *Txn) Write(ctx context.Context, item rt.Item, v db.Value) error {
-	m := t.mgr
+	m := t.slot.mgr
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	j := &t.slot.job
 	if err := m.entry(ctx, t); err != nil {
 		return err
 	}
-	if !t.job.Tmpl.WriteSet().Has(item) {
-		return fmt.Errorf("rtm: %s writes undeclared item %d", t.job.Tmpl.Name, item)
+	if !j.Tmpl.WriteSet().Has(item) {
+		return fmt.Errorf("rtm: %s writes undeclared item %d", j.Tmpl.Name, item)
 	}
 	for {
 		if err := m.inject(fault.LockRequest, t, true); err != nil {
 			return err
 		}
-		dec := m.proto.Request(m, t.job, item, rt.Write)
+		dec := m.proto.Request(m, j, item, rt.Write)
 		if dec.Granted {
 			break
 		}
-		t.job.Status = cc.Blocked
-		t.job.BlockedOn = item
-		t.job.BlockedMode = rt.Write
-		t.job.Blockers = dec.Blockers
+		j.Status = cc.Blocked
+		j.BlockedOn = item
+		j.BlockedMode = rt.Write
+		j.Blockers = dec.Blockers
 		m.stats.LockWaits++
 		// See Read: no unlock-delay between the deny decision and the park.
 		if err := m.inject(fault.BlockWait, t, false); err != nil {
@@ -459,11 +446,11 @@ func (t *Txn) Write(ctx context.Context, item rt.Item, v db.Value) error {
 			return err
 		}
 	}
-	t.job.Status = cc.Ready
-	t.job.Blockers = nil
+	j.Status = cc.Ready
+	j.Blockers = nil
 	m.clock++
-	m.locks.Acquire(t.job.ID, item, rt.Write)
-	t.job.WS.Write(item, v)
+	m.locks.Acquire(j.ID, item, rt.Write)
+	j.WS.Write(item, v)
 	if err := m.inject(fault.LockGrant, t, false); err != nil {
 		return err
 	}
@@ -474,9 +461,10 @@ func (t *Txn) Write(ctx context.Context, item rt.Item, v db.Value) error {
 // live transaction still depends on the pre-commit versions of the items
 // being written (see the package comment).
 func (t *Txn) Commit(ctx context.Context) error {
-	m := t.mgr
+	m := t.slot.mgr
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	j := &t.slot.job
 	if err := m.entry(ctx, t); err != nil {
 		return err
 	}
@@ -488,38 +476,34 @@ func (t *Txn) Commit(ctx context.Context) error {
 		if len(stale) == 0 {
 			break
 		}
-		t.job.Status = cc.Blocked
-		t.job.BlockedOn = rt.NoItem
-		t.job.Blockers = stale
-		t.waitingCommit = true
+		j.Status = cc.Blocked
+		j.BlockedOn = rt.NoItem
+		j.Blockers = stale
 		m.stats.CommitWaits++
 		// See Read: no unlock-delay between the stale-reader decision and
 		// the park.
 		if err := m.inject(fault.CommitWait, t, false); err != nil {
-			t.waitingCommit = false
 			return err
 		}
-		err := m.park(ctx, t, waitCommit)
-		t.waitingCommit = false
-		if err != nil {
+		if err := m.park(ctx, t, waitCommit); err != nil {
 			return err
 		}
 	}
-	t.job.Status = cc.Ready
-	t.job.Blockers = nil
+	j.Status = cc.Ready
+	j.Blockers = nil
 	// No unlock between the stale-reader decision and installation: a new
 	// reader admitted in between could otherwise observe a torn state.
 	if err := m.inject(fault.CommitInstall, t, false); err != nil {
 		return err
 	}
 	m.clock++
-	t.res.installed = t.job.WS.InstallIntoAt(t.res.installed[:0], m.store, t.job.Run, int64(m.clock))
-	for _, ins := range t.res.installed {
-		m.hist.Write(m.clock, t.job.Run, t.job.Tmpl.ID, ins.Item, ins.Version)
+	t.slot.installed = j.WS.InstallIntoAt(t.slot.installed[:0], m.store, j.Run, int64(m.clock))
+	for _, ins := range t.slot.installed {
+		m.hist.Write(m.clock, j.Run, j.Tmpl.ID, ins.Item, ins.Version)
 	}
-	m.hist.Commit(m.clock, t.job.Run, t.job.Tmpl.ID)
-	t.job.FinishTick = m.clock
-	t.job.Status = cc.Done
+	m.hist.Commit(m.clock, j.Run, j.Tmpl.ID)
+	j.FinishTick = m.clock
+	j.Status = cc.Done
 	m.stats.Commits++
 	// Publish the snapshot horizon only after every version of this commit
 	// is chained: a read-only transaction that loads snapTick >= m.clock
@@ -533,17 +517,15 @@ func (t *Txn) Commit(ctx context.Context) error {
 // to call at any point before Commit returns nil; idempotent, including
 // after a failure that already cleaned the transaction up.
 func (t *Txn) Abort() {
-	m := t.mgr
+	m := t.slot.mgr
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if t.done {
 		return
 	}
 	m.clock++
-	m.hist.Abort(m.clock, t.job.Run, t.job.Tmpl.ID)
-	t.job.Status = cc.Aborted
 	m.stats.Aborts++
-	m.finish(t)
+	m.kill(t)
 }
 
 // Aborts returns the number of cycle-breaking aborts the manager has
@@ -597,7 +579,7 @@ func (m *Manager) Stats() Stats {
 	defer m.mu.Unlock()
 	s := m.stats
 	s.CycleAborts = m.aborts
-	s.Live = len(m.active)
+	s.Live = len(m.actList)
 	s.Clock = int64(m.clock)
 	s.LockTableOps = m.locks.Ops()
 	s.ROBegins = m.roBegins.Load()
@@ -650,97 +632,100 @@ func (m *Manager) ReadCommitted(item rt.Item) db.Value {
 // the table belongs to a live transaction and lies inside its declared
 // sets, every read/buffered-write is backed by the matching lock (so the
 // dynamic ceilings derived from the table agree with what transactions
-// actually did), the per-template live map matches the active map exactly,
-// and the recorded history is serializable with commit-order intact — the
-// retained window by the batch checker, every commit ever made by the
-// continuous audit, so the cost is bounded at any uptime.
+// actually did), the slot table matches the live list exactly and every
+// free slot is clean, and the recorded history is serializable with
+// commit-order intact — the retained window by the batch checker, every
+// commit ever made by the continuous audit, so the cost is bounded at any
+// uptime. The batch check runs on a copy of the window after the manager
+// mutex is released, so transactions keep committing while it runs.
 //
 // It is safe to call at any time; after a quiescent point (no live
 // transactions) it additionally proves that no failure path leaked state.
 // The chaos harness calls it after every fault schedule.
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	probs := m.auditState()
+	if a := m.hist.Audit(); a.Flagged() > 0 {
+		probs = append(probs, fmt.Sprintf("continuous audit latched %d violations over %d commits, first: %v", a.Flagged(), a.Commits(), a.Violations()))
+	}
+	window := m.hist.Snapshot()
+	m.mu.Unlock()
+
+	// The batch check covers the retained window; the continuous audit has
+	// covered every commit since the manager was built, evicted or not.
+	rep := window.Check()
+	if !rep.Serializable {
+		probs = append(probs, fmt.Sprintf("history not serializable: %v", rep.Violations))
+	}
+	if !rep.CommitOrderOK {
+		probs = append(probs, fmt.Sprintf("history violates commit order: %v", rep.Violations))
+	}
+	if len(probs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("rtm: invariant violations: %s", strings.Join(probs, "; "))
+}
+
+// auditState is CheckInvariants' pass over the live structures. Caller
+// holds m.mu.
+func (m *Manager) auditState() []string {
 	var probs []string
 	badf := func(format string, args ...any) {
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
 
 	m.locks.EachReadLock(func(x rt.Item, o rt.JobID) {
-		if _, ok := m.active[o]; !ok {
+		if m.live(o) == nil {
 			badf("leaked read lock on item %d held by finished job %d", x, o)
 		}
 	})
 	m.locks.EachWriteLock(func(x rt.Item, o rt.JobID) {
-		if _, ok := m.active[o]; !ok {
+		if m.live(o) == nil {
 			badf("leaked write lock on item %d held by finished job %d", x, o)
 		}
 	})
 
-	ids := make([]rt.JobID, 0, len(m.active))
-	for id := range m.active {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		t := m.active[id]
-		if t.done {
-			badf("job %d is finished but still in the active map", id)
+	// The live list holds exactly the slots with a live instance, in
+	// ascending job-id order.
+	for i, s := range m.actList {
+		j, id := &s.job, s.job.ID
+		switch {
+		case s != &m.slots[j.Tmpl.ID]:
+			badf("live list entry %d (job %d) is not template %d's slot", i, id, j.Tmpl.ID)
+		case s.cur == nil:
+			badf("live list entry %d (job %d) sits in a free slot", i, id)
+		case s.cur.done:
+			badf("job %d is finished but still in the live list", id)
+		case s.cur.slot != s || s.cur.id != id:
+			badf("slot of job %d is held by the handle of job %d", id, s.cur.id)
 		}
-		if t.job.ID != id {
-			badf("active map key %d holds job %d", id, t.job.ID)
+		if i > 0 && m.actList[i-1].job.ID >= id {
+			badf("live list out of order at %d: job %d after job %d", i, id, m.actList[i-1].job.ID)
 		}
-		if t.job.Status != cc.Ready && t.job.Status != cc.Blocked {
-			badf("live job %d has terminal status %v", id, t.job.Status)
+		if j.Status != cc.Ready && j.Status != cc.Blocked {
+			badf("live job %d has terminal status %v", id, j.Status)
 		}
-		for _, x := range t.job.DataRead.Items() {
+		for _, x := range j.DataRead.Items() {
 			if !m.locks.HoldsRead(id, x) {
 				badf("job %d read item %d without a surviving read lock", id, x)
 			}
 		}
-		for _, x := range t.job.WS.Items() {
+		for _, x := range j.WS.Items() {
 			if !m.locks.HoldsWrite(id, x) {
 				badf("job %d buffered a write of item %d without a write lock", id, x)
 			}
 		}
 		for _, x := range m.locks.HeldBy(id) {
-			if !t.job.Tmpl.ReadSet().Has(x) && !t.job.Tmpl.WriteSet().Has(x) {
+			if !j.Tmpl.ReadSet().Has(x) && !j.Tmpl.WriteSet().Has(x) {
 				badf("job %d holds a lock on undeclared item %d", id, x)
 			}
-		}
-		if m.byTmpl[t.job.Tmpl.ID] != t {
-			badf("active job %d missing from the per-template map", id)
-		}
-	}
-	for tid, t := range m.byTmpl {
-		if t.job.Tmpl.ID != tid {
-			badf("per-template map key %d holds template %d", tid, t.job.Tmpl.ID)
-		}
-		if m.active[t.job.ID] != t {
-			badf("orphaned per-template entry for template %d (job %d not active)", tid, t.job.ID)
-		}
-	}
-	if len(m.byTmpl) != len(m.active) {
-		badf("map cardinality mismatch: %d active vs %d per-template entries", len(m.active), len(m.byTmpl))
-	}
-
-	// The ordered live list must mirror the active map exactly.
-	if len(m.actList) != len(m.active) {
-		badf("live list cardinality mismatch: %d listed vs %d active", len(m.actList), len(m.active))
-	}
-	for i, t := range m.actList {
-		if m.active[t.job.ID] != t {
-			badf("live list entry %d (job %d) not in the active map", i, t.job.ID)
-		}
-		if i > 0 && m.actList[i-1].job.ID >= t.job.ID {
-			badf("live list out of order at %d: job %d after job %d", i, t.job.ID, m.actList[i-1].job.ID)
 		}
 	}
 
 	// The incremental ceiling index must agree with a from-scratch
 	// recomputation over the lock table.
 	wantCeil := make([]int32, m.dom.Size())
-	wantPer := make(map[rt.JobID][]int32, len(m.active))
+	wantPer := make(map[rt.JobID][]int32, len(m.actList))
 	m.locks.EachReadLock(func(x rt.Item, o rt.JobID) {
 		if int(x) >= len(m.wceilRank) {
 			badf("read lock on item %d outside the declared item range", x)
@@ -770,42 +755,57 @@ func (m *Manager) CheckInvariants() error {
 	if wantTop != m.ceilTop {
 		badf("ceiling top drift: counted %d, recomputed %d", m.ceilTop, wantTop)
 	}
-	for _, t := range m.actList {
-		want := wantPer[t.job.ID]
-		for r, c := range t.res.ceilCounts {
+	// Every slot: a taken one is in the live list, a free one (or one held
+	// for a finished handle still leaving park) carries nothing of its last
+	// instance, the ceiling counts are the recomputed ones (zero when free),
+	// and whatever is filed in its lists is a registered node.
+	for i := range m.slots {
+		s := &m.slots[i]
+		var want []int32
+		if s.cur != nil && !s.cur.done {
+			want = wantPer[s.job.ID]
+			if m.live(s.job.ID) != s {
+				badf("orphaned slot for template %d (job %d not in the live list)", i, s.job.ID)
+			}
+		} else if len(s.waiters) != 0 || s.wn.parked() || !s.donatedPri.IsDummy() || !s.recv.Max().IsDummy() ||
+			s.job.DataRead.Len() != 0 || s.job.WS.Len() != 0 {
+			badf("free slot of template %d still carries state of job %d", i, s.job.ID)
+		}
+		for r, c := range s.ceilCounts {
 			w := int32(0)
 			if want != nil {
 				w = want[r]
 			}
 			if c != w {
-				badf("job %d ceiling counts drift at rank %d: counted %d, recomputed %d", t.job.ID, r, c, w)
+				badf("template %d (job %d) ceiling counts drift at rank %d: counted %d, recomputed %d", i, s.job.ID, r, c, w)
+			}
+		}
+		for _, n := range s.waiters {
+			if !n.parked() {
+				badf("unregistered wait node filed under job %d", s.job.ID)
+			}
+		}
+		for _, n := range s.begins {
+			if !n.parked() {
+				badf("unregistered Begin waiter queued for template %d", i)
 			}
 		}
 	}
 
 	// Incremental donation-based running priorities must agree with the
 	// classical inheritance fixpoint recomputed from scratch.
-	wantPri := make(map[rt.JobID]rt.Priority, len(m.active))
+	wantPri := make(map[rt.JobID]rt.Priority, len(m.actList))
 	m.fixpointPri(wantPri)
-	for _, id := range ids {
-		t := m.active[id]
-		if t.job.RunPri != wantPri[id] {
-			badf("job %d running priority drift: %v, fixpoint says %v", id, t.job.RunPri, wantPri[id])
+	for _, s := range m.actList {
+		if s.job.RunPri != wantPri[s.job.ID] {
+			badf("job %d running priority drift: %v, fixpoint says %v", s.job.ID, s.job.RunPri, wantPri[s.job.ID])
 		}
 	}
 
-	// Waiter-index sanity: the all-waiters list is position-consistent and
-	// every waits-on entry is a registered node.
+	// The all-waiters list is position-consistent.
 	for i, n := range m.allWaiters {
 		if n.allIdx != i {
-			badf("waiter at slot %d carries index %d", i, n.allIdx)
-		}
-	}
-	for id, s := range m.waitOn {
-		for _, n := range s {
-			if !n.parked() {
-				badf("unregistered wait node filed under job %d", id)
-			}
+			badf("waiter at position %d carries index %d", i, n.allIdx)
 		}
 	}
 
@@ -819,10 +819,6 @@ func (m *Manager) CheckInvariants() error {
 	if snap > int64(m.clock) {
 		badf("published snapshot tick %d ahead of clock %d", snap, m.clock)
 	}
-	liveRuns := make(map[db.RunID]rt.JobID, len(m.actList))
-	for _, t := range m.actList {
-		liveRuns[t.job.Run] = t.job.ID
-	}
 	m.store.EachNewestVersion(func(x rt.Item, v db.Value, ver db.Version, writer db.RunID, tick int64) {
 		cv, cver, cw := m.store.Read(x)
 		if cv != v || cver != ver || cw != writer {
@@ -835,31 +831,16 @@ func (m *Manager) CheckInvariants() error {
 		if tick > snap {
 			badf("item %d chain head (tick %d) not covered by published snapshot tick %d", x, tick, snap)
 		}
-		if id, live := liveRuns[writer]; live {
-			badf("item %d chain head written by run %d of still-live job %d", x, writer, id)
+		for _, s := range m.actList {
+			if s.job.Run == writer {
+				badf("item %d chain head written by run %d of still-live job %d", x, writer, s.job.ID)
+			}
 		}
 		if n := m.store.ChainLen(x); n > m.store.ChainLimit() {
 			badf("item %d chain length %d exceeds limit %d", x, n, m.store.ChainLimit())
 		}
 	})
-
-	// The batch check covers the retained window; the continuous audit has
-	// covered every commit since the manager was built, evicted or not.
-	rep := m.hist.Snapshot().Check()
-	if !rep.Serializable {
-		badf("history not serializable: %v", rep.Violations)
-	}
-	if !rep.CommitOrderOK {
-		badf("history violates commit order: %v", rep.Violations)
-	}
-	if a := m.hist.Audit(); a.Flagged() > 0 {
-		badf("continuous audit latched %d violations over %d commits, first: %v", a.Flagged(), a.Commits(), a.Violations())
-	}
-
-	if len(probs) == 0 {
-		return nil
-	}
-	return fmt.Errorf("rtm: invariant violations: %s", strings.Join(probs, "; "))
+	return probs
 }
 
 // --- internals ----------------------------------------------------------------
@@ -868,7 +849,7 @@ func (m *Manager) CheckInvariants() error {
 // handle still open, pending cycle-victim abort, caller context alive, firm
 // deadline not passed. Any failure is self-cleaning. Caller holds m.mu.
 func (m *Manager) entry(ctx context.Context, t *Txn) error {
-	if err := t.usable(); err != nil {
+	if err := m.usable(t); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
@@ -877,19 +858,25 @@ func (m *Manager) entry(ctx context.Context, t *Txn) error {
 	return m.checkDeadline(t)
 }
 
-func (t *Txn) usable() error {
+func (m *Manager) usable(t *Txn) error {
 	if t.done {
 		return ErrClosed
 	}
 	if t.aborted {
-		m := t.mgr
 		m.clock++
-		m.hist.Abort(m.clock, t.job.Run, t.job.Tmpl.ID)
-		t.job.Status = cc.Aborted
-		m.finish(t)
+		m.kill(t)
 		return ErrAborted
 	}
 	return nil
+}
+
+// kill records live t's abort at the current tick and tears it down: the
+// shared tail of every failure path. Caller holds m.mu.
+func (m *Manager) kill(t *Txn) {
+	j := &t.slot.job
+	m.hist.Abort(m.clock, j.Run, j.Tmpl.ID)
+	j.Status = cc.Aborted
+	m.finish(t)
 }
 
 // cancel tears t down exactly as Abort would (workspace discarded, locks
@@ -898,27 +885,24 @@ func (t *Txn) usable() error {
 func (m *Manager) cancel(t *Txn, cause error) error {
 	if !t.done {
 		m.clock++
-		m.hist.Abort(m.clock, t.job.Run, t.job.Tmpl.ID)
-		t.job.Status = cc.Aborted
 		m.stats.Cancellations++
-		m.finish(t)
+		m.kill(t)
 	}
 	return &cancelledError{cause: cause}
 }
 
 // checkDeadline aborts t with ErrDeadlineMissed once firm deadlines are on
 // and the logical clock has reached t's absolute deadline. Caller holds
-// m.mu.
+// m.mu; t is live.
 func (m *Manager) checkDeadline(t *Txn) error {
-	if !m.opts.FirmDeadlines || t.done || t.job.AbsDeadline <= 0 || m.clock < t.job.AbsDeadline {
+	j := &t.slot.job
+	if !m.opts.FirmDeadlines || j.AbsDeadline <= 0 || m.clock < j.AbsDeadline {
 		return nil
 	}
 	m.clock++
-	t.job.MissedAt = m.clock
-	m.hist.Abort(m.clock, t.job.Run, t.job.Tmpl.ID)
-	t.job.Status = cc.Aborted
+	j.MissedAt = m.clock
 	m.stats.DeadlineAborts++
-	m.finish(t)
+	m.kill(t)
 	return ErrDeadlineMissed
 }
 
@@ -932,7 +916,7 @@ func (m *Manager) inject(p fault.Point, t *Txn, mayUnlock bool) error {
 	if m.inj == nil {
 		return nil
 	}
-	switch m.inj.At(p, t.job.Tmpl.Name) {
+	switch m.inj.At(p, t.slot.tmpl.Name) {
 	case fault.Delay:
 		m.stats.InjectedFaults++
 		if mayUnlock {
@@ -940,7 +924,7 @@ func (m *Manager) inject(p fault.Point, t *Txn, mayUnlock bool) error {
 			runtime.Gosched()
 			m.mu.Lock()
 		}
-		return t.usable() // the world may have moved while we yielded
+		return m.usable(t) // the world may have moved while we yielded
 	case fault.Wakeup:
 		m.stats.InjectedFaults++
 		// A spurious broadcast: wake every parked waiter so each re-evaluates
@@ -952,9 +936,7 @@ func (m *Manager) inject(p fault.Point, t *Txn, mayUnlock bool) error {
 		m.stats.InjectedFaults++
 		m.stats.Aborts++
 		m.clock++
-		m.hist.Abort(m.clock, t.job.Run, t.job.Tmpl.ID)
-		t.job.Status = cc.Aborted
-		m.finish(t)
+		m.kill(t)
 		return ErrAborted
 	case fault.ForceCancel:
 		m.stats.InjectedFaults++
@@ -963,42 +945,60 @@ func (m *Manager) inject(p fault.Point, t *Txn, mayUnlock bool) error {
 	return nil
 }
 
-// finish removes t from the live structures and wakes exactly the waiters
-// whose blocking condition could have changed: those filed under t's job id
-// (lock and commit waiters — locks release only here, so any deny→grant flip
-// traces to a finishing blocker) and Begin waiters for t's template slot.
-// Caller holds m.mu; t.job.Status must already be Done or Aborted, and t's
-// wait node must not be registered (park always deregisters before any
-// failure path reaches here).
+// finish ends t's instance and cleans its slot for the next one, waking
+// exactly the waiters whose blocking condition could have changed: those
+// filed under the slot (lock and commit waiters — locks release only here,
+// so any deny→grant flip traces to a finishing blocker) and Begin waiters
+// for the slot. The waiter list is emptied, not left for its nodes to leave
+// one by one: each node deregisters by looking its blockers up by job id,
+// the finished id is no longer live, and so a late deregister can never
+// reach into the list of the slot's next instance. Caller holds m.mu;
+// t.slot.job.Status must already be Done or Aborted.
 func (m *Manager) finish(t *Txn) {
 	if t.done {
 		return
 	}
 	t.done = true
-	if t.job.Status == cc.Aborted {
-		t.job.WS.Discard()
+	s := t.slot
+	// The owner tears itself down only after park has unfiled its node, so a
+	// node still filed means another goroutine is aborting a parked
+	// transaction (the server's watchdog). Unfile it here, and leave the
+	// slot taken until the owner is out of park: a successor must not share
+	// the node's channel with a goroutine still selecting on it.
+	parked := s.wn.parked()
+	if parked {
+		m.deregister(&s.wn)
+		m.retract(s)
 	}
-	m.ceilRelease(t)
-	m.locks.ReleaseAllUnordered(t.job.ID)
-	delete(m.active, t.job.ID)
-	if m.byTmpl[t.job.Tmpl.ID] == t {
-		delete(m.byTmpl, t.job.Tmpl.ID)
-	}
+	s.job.WS.Discard()
+	s.job.DataRead.Clear()
+	m.ceilRelease(s)
+	m.locks.ReleaseAllUnordered(s.job.ID)
 	for i, o := range m.actList {
-		if o == t {
+		if o == s {
 			m.actList = append(m.actList[:i], m.actList[i+1:]...)
 			break
 		}
 	}
-	m.wakeWaitersOn(t.job.ID)
-	m.wakeTmpl(t.job.Tmpl.ID)
-	res := t.res
-	t.res = nil
-	// Detach the pooled containers from the (never reused) job so a handle
-	// inspected after the fact cannot observe a successor's data.
-	t.job.DataRead = nil
-	t.job.WS = nil
-	m.putRes(res)
+	for i, n := range s.waiters {
+		n.wake()
+		s.waiters[i] = nil
+	}
+	s.waiters = s.waiters[:0]
+	s.recv.Reset()
+	if parked {
+		s.wn.wake()
+		return
+	}
+	m.vacate(s)
+}
+
+// vacate frees the slot and wakes the Begin calls queued for it.
+func (m *Manager) vacate(s *slot) {
+	s.cur = nil
+	for _, n := range s.begins {
+		n.wake()
+	}
 }
 
 // staleReaders lists live transactions (other than t) that have read an item
@@ -1007,20 +1007,21 @@ func (m *Manager) finish(t *Txn) {
 // locks (strict 2PL, locks release only at finish), so the set inverts to
 // "readers of t's written items" straight off the lock-table entry lists —
 // O(write set × readers) instead of O(live × write set), and allocation-free
-// (the result reuses t's blocker scratch buffer, stable while t is parked).
+// (the result reuses the slot's blocker scratch buffer, stable while t is
+// parked).
 func (m *Manager) staleReaders(t *Txn) []rt.JobID {
-	buf := t.res.blockers[:0]
-	self := t.job.ID
-	t.job.WS.EachItem(func(x rt.Item) {
+	s := t.slot
+	buf := s.blockers[:0]
+	s.job.WS.EachItem(func(x rt.Item) {
 		m.locks.EachReader(x, func(o rt.JobID) bool {
-			if o != self {
+			if o != t.id {
 				buf = appendUniqueID(buf, o)
 			}
 			return true
 		})
 	})
 	slices.Sort(buf)
-	t.res.blockers = buf
+	s.blockers = buf
 	return buf
 }
 
@@ -1033,65 +1034,57 @@ func appendUniqueID(ids []rt.JobID, id rt.JobID) []rt.JobID {
 	return append(ids, id)
 }
 
+// DFS colours of resolveCycle, kept in slot.color.
+const (
+	white uint8 = iota
+	grey
+	black
+)
+
 // resolveCycle looks for a wait cycle reachable from start (lock waits and
 // commit waits combined) and returns the lowest-base-priority member as the
-// victim, or nil when no cycle exists. The DFS colouring reuses manager
-// scratch (this runs on every park).
+// victim, or nil when no cycle exists. Colours and the path live in the
+// slots and manager scratch (this runs on every park).
 func (m *Manager) resolveCycle(start *Txn) *Txn {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	clear(m.cycleColor)
-	color := m.cycleColor
-	stack := m.cycleStack[:0]
-	defer func() { m.cycleStack = stack[:0] }()
-	var cycle []rt.JobID
+	for _, s := range m.actList {
+		s.color = white
+	}
+	m.cycleStack = m.cycleStack[:0]
+	cycle := m.cycleFrom(start.slot)
+	var victim *slot
+	for _, s := range cycle {
+		if victim == nil || s.job.BasePri() < victim.job.BasePri() {
+			victim = s
+		}
+	}
+	if victim == nil {
+		return nil
+	}
+	return victim.cur
+}
 
-	var dfs func(t *Txn) bool
-	dfs = func(t *Txn) bool {
-		color[t.job.ID] = grey
-		stack = append(stack, t.job.ID)
-		if t.job.Status == cc.Blocked {
-			for _, bid := range t.job.Blockers {
-				b, ok := m.active[bid]
-				if !ok || b.job.Status != cc.Blocked {
-					continue
-				}
-				switch color[b.job.ID] {
-				case grey:
-					for i := len(stack) - 1; i >= 0; i-- {
-						if stack[i] == b.job.ID {
-							cycle = append(cycle, stack[i:]...)
-							return true
-						}
-					}
-					cycle = append(cycle, b.job.ID, t.job.ID)
-					return true
-				case white:
-					if dfs(b) {
-						return true
-					}
+// cycleFrom is resolveCycle's DFS: the members of the first wait cycle found
+// below s (a suffix of the path), nil when there is none.
+func (m *Manager) cycleFrom(s *slot) []*slot {
+	s.color = grey
+	m.cycleStack = append(m.cycleStack, s)
+	if s.job.Status == cc.Blocked {
+		for _, bid := range s.job.Blockers {
+			b := m.live(bid)
+			if b == nil || b.job.Status != cc.Blocked {
+				continue
+			}
+			switch b.color {
+			case grey:
+				return m.cycleStack[slices.Index(m.cycleStack, b):]
+			case white:
+				if cycle := m.cycleFrom(b); cycle != nil {
+					return cycle
 				}
 			}
 		}
-		color[t.job.ID] = black
-		stack = stack[:len(stack)-1]
-		return false
 	}
-	if !dfs(start) {
-		return nil
-	}
-	var victim *Txn
-	for _, id := range cycle {
-		t, ok := m.active[id]
-		if !ok {
-			continue
-		}
-		if victim == nil || t.job.BasePri() < victim.job.BasePri() {
-			victim = t
-		}
-	}
-	return victim
+	s.color = black
+	m.cycleStack = m.cycleStack[:len(m.cycleStack)-1]
+	return nil
 }

@@ -416,7 +416,7 @@ func runOnce(c context.Context, m *Manager, rng *rand.Rand, tmpl *txn.Template) 
 		if op.Kind == txn.ReadStep {
 			_, err = tx.Read(c, op.Item)
 		} else {
-			err = tx.Write(c, op.Item, db.SyntheticValue(tx.job.Run, op.Item))
+			err = tx.Write(c, op.Item, db.SyntheticValue(tx.run(), op.Item))
 		}
 		if err != nil {
 			if errors.Is(err, ErrAborted) {

@@ -5,7 +5,6 @@ import (
 
 	"pcpda/internal/cc"
 	"pcpda/internal/rt"
-	"pcpda/internal/txn"
 )
 
 // waitKind distinguishes what a parked waiter is waiting for, because the
@@ -27,13 +26,12 @@ const (
 // one, a wake delivered at any point after registration is never lost — the
 // subsequent receive completes immediately.
 type waitNode struct {
-	t    *Txn // owning transaction; nil for Begin (template) waiters
 	kind waitKind
-	tmpl txn.ID // template key, waitTmpl only
+	slot *slot // the slot a Begin waiter queues for; waitTmpl only
 	ch   chan struct{}
 
 	// Registration bookkeeping, all under m.mu.
-	blockers []rt.JobID // waits-on index keys this node is filed under
+	blockers []rt.JobID // jobs whose slots' waiter lists this node is filed in
 	allIdx   int        // position in m.allWaiters; -1 when not parked
 }
 
@@ -60,28 +58,23 @@ func (n *waitNode) parked() bool { return n.allIdx >= 0 }
 
 // --- registration (all under m.mu) -------------------------------------------
 
-// pushWaiter files n under blocker id in the waits-on index, reusing a
-// retired list when the key is fresh.
-func (m *Manager) pushWaiter(id rt.JobID, n *waitNode) {
-	s, ok := m.waitOn[id]
-	if !ok && len(m.freeLists) > 0 {
-		s = m.freeLists[len(m.freeLists)-1]
-		m.freeLists = m.freeLists[:len(m.freeLists)-1]
-	}
-	m.waitOn[id] = append(s, n)
-}
-
-// register files n under every blocker and in the all-waiters list.
+// register files n in the waiter list of every blocker's slot and in the
+// all-waiters list. The blockers come from a decision taken under this same
+// hold of m.mu, so each is live.
 func (m *Manager) register(n *waitNode, blockers []rt.JobID) {
 	n.blockers = blockers
 	for _, id := range blockers {
-		m.pushWaiter(id, n)
+		if b := m.live(id); b != nil {
+			b.waiters = append(b.waiters, n)
+		}
 	}
 	n.allIdx = len(m.allWaiters)
 	m.allWaiters = append(m.allWaiters, n)
 }
 
-// deregister removes n from every index it was filed in. Idempotent.
+// deregister removes n from every list it was filed in. Idempotent. A
+// blocker that finished meanwhile is not found by id — it emptied its list
+// when it finished, and whatever holds its slot now never had n.
 func (m *Manager) deregister(n *waitNode) {
 	if n.allIdx < 0 {
 		return
@@ -93,20 +86,13 @@ func (m *Manager) deregister(n *waitNode) {
 	m.allWaiters = m.allWaiters[:last]
 	n.allIdx = -1
 	for _, id := range n.blockers {
-		s := removeNode(m.waitOn[id], n)
-		if len(s) == 0 {
-			// Job ids are never reused, so empty keys must be deleted; the
-			// backing array is recycled for the next fresh key.
-			delete(m.waitOn, id)
-			m.freeLists = append(m.freeLists, s)
-		} else {
-			m.waitOn[id] = s
+		if b := m.live(id); b != nil {
+			b.waiters = removeNode(b.waiters, n)
 		}
 	}
 	n.blockers = nil
 	if n.kind == waitTmpl {
-		// Template keys are a fixed small set; the emptied slice stays.
-		m.tmplWait[n.tmpl] = removeNode(m.tmplWait[n.tmpl], n)
+		n.slot.begins = removeNode(n.slot.begins, n)
 	}
 }
 
@@ -123,21 +109,6 @@ func removeNode(s []*waitNode, n *waitNode) []*waitNode {
 
 // --- wake rules ---------------------------------------------------------------
 
-// wakeWaitersOn wakes every waiter filed under the (finishing) job id. The
-// nodes deregister themselves when their goroutines resume.
-func (m *Manager) wakeWaitersOn(id rt.JobID) {
-	for _, n := range m.waitOn[id] {
-		n.wake()
-	}
-}
-
-// wakeTmpl wakes every Begin waiter for the template slot.
-func (m *Manager) wakeTmpl(id txn.ID) {
-	for _, n := range m.tmplWait[id] {
-		n.wake()
-	}
-}
-
 // wakeAll wakes every parked waiter — the targeted-wakeup equivalent of the
 // legacy condition broadcast, kept for injected spurious wakeups (package
 // fault's Wakeup action must still exercise every waiter's re-evaluation
@@ -152,30 +123,29 @@ func (m *Manager) wakeAll() {
 
 // park blocks t until a targeted wakeup or ctx cancellation, handling
 // priority donation, cycle detection, victim teardown and firm deadlines.
-// Caller holds m.mu with t.job.Status = Blocked and t.job.Blockers filled;
-// on nil return the caller re-evaluates its condition.
+// Caller holds m.mu with the job's Status = Blocked and Blockers filled; on
+// nil return the caller re-evaluates its condition.
 //
 // The ordering is load-bearing: the node registers and the donation cascade
 // runs before m.mu is released, so a blocker finishing (or a priority raise
 // flipping LC2) at any later point finds the node and its token is retained.
 func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind) error {
-	n := &t.res.wn
+	s := t.slot
+	n := &s.wn
 	n.kind = kind
 	n.drain()
-	m.register(n, t.job.Blockers)
-	m.donate(t)
+	m.register(n, s.job.Blockers)
+	m.donate(s)
 	if victim := m.resolveCycle(t); victim != nil {
 		victim.aborted = true
 		m.aborts++
 		if victim == t {
 			m.deregister(n)
-			m.retract(t)
-			t.job.Status = cc.Aborted
-			m.hist.Abort(m.clock, t.job.Run, t.job.Tmpl.ID)
-			m.finish(t)
+			m.retract(s)
+			m.kill(t)
 			return ErrAborted
 		}
-		victim.res.wn.wake()
+		victim.slot.wn.wake()
 	}
 	m.mu.Unlock()
 	var ctxErr error
@@ -186,18 +156,26 @@ func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind) error {
 	}
 	m.mu.Lock()
 	m.deregister(n)
-	m.retract(t)
-	if t.aborted && !t.done {
-		t.job.Status = cc.Aborted
-		m.hist.Abort(m.clock, t.job.Run, t.job.Tmpl.ID)
-		m.finish(t)
+	if ctxErr == nil {
+		ctxErr = ctx.Err()
+	}
+	if t.done {
+		// Aborted from another goroutine while parked: finish already unfiled
+		// the node and kept the slot for us to hand back.
+		m.vacate(s)
+		if ctxErr != nil {
+			return &cancelledError{cause: ctxErr}
+		}
+		return ErrClosed
+	}
+	m.retract(s)
+	s.job.Status = cc.Ready
+	if t.aborted {
+		m.kill(t)
 		return ErrAborted
 	}
 	if err := m.checkDeadline(t); err != nil {
 		return err
-	}
-	if ctxErr == nil {
-		ctxErr = ctx.Err()
 	}
 	if ctxErr != nil {
 		return m.cancel(t, ctxErr)
@@ -205,13 +183,13 @@ func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind) error {
 	return nil
 }
 
-// parkBegin blocks a Begin call until the template slot may be free. The
-// transient node comes from a pool (Begin waiters have no Txn yet).
-func (m *Manager) parkBegin(ctx context.Context, id txn.ID) error {
+// parkBegin blocks a Begin call until slot s may be free. The transient node
+// comes from a pool (Begin waiters have no Txn yet).
+func (m *Manager) parkBegin(ctx context.Context, s *slot) error {
 	n := m.getNode()
 	n.kind = waitTmpl
-	n.tmpl = id
-	m.tmplWait[id] = append(m.tmplWait[id], n)
+	n.slot = s
+	s.begins = append(s.begins, n)
 	n.allIdx = len(m.allWaiters)
 	m.allWaiters = append(m.allWaiters, n)
 	m.mu.Unlock()
@@ -244,6 +222,6 @@ func (m *Manager) getNode() *waitNode {
 
 func (m *Manager) putNode(n *waitNode) {
 	n.drain()
-	n.t = nil
+	n.slot = nil
 	m.freeNodes = append(m.freeNodes, n)
 }

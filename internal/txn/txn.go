@@ -18,8 +18,10 @@ import (
 )
 
 // ID identifies a transaction template within a Set. IDs are dense indexes
-// starting at 0; the paper's T1..Tn numbering maps to IDs 0..n-1.
-type ID int
+// starting at 0; the paper's T1..Tn numbering maps to IDs 0..n-1. Four bytes:
+// every history.Op carries one, and with 64-bit run ids beside it that is
+// what keeps an Op at 40 bytes.
+type ID int32
 
 // NoTxn is the sentinel for "no transaction".
 const NoTxn ID = -1
