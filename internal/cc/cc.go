@@ -165,12 +165,13 @@ type Env interface {
 }
 
 // CeilingIndex is an optional capability an Env may provide (discovered by
-// type assertion) when the kernel maintains read-lock ceilings incrementally.
-// Protocols use it to answer the paper's Sysceil_i query in O(priority
-// domain) instead of scanning every read lock in the table, and to enumerate
-// the transactions realizing that ceiling (the T* set of rules LC3/LC4)
-// without allocating. Envs without the capability fall back to the lock-table
-// scan; the two paths must compute identical values.
+// type assertion) when it maintains read-lock ceilings incrementally: the
+// live manager does, because many transactions hold locks there at once; the
+// simulation kernel does not. PCP-DA uses it to answer the paper's Sysceil_i
+// query and to enumerate the transactions realizing that ceiling (the T* set
+// of rules LC3/LC4); under an Env without it the answer is
+// lock.Table.Ceiling's walk over the locks held, and the two must compute
+// identical values.
 type CeilingIndex interface {
 	// SysceilExcluding returns Sysceil_o: the highest write-priority ceiling
 	// Wceil(x) over all items x read-locked by transactions other than o
@@ -180,33 +181,6 @@ type CeilingIndex interface {
 	// that holds a read lock on some item with Wceil(x) == c. Enumeration
 	// order is ascending job id.
 	EachCeilingHolder(c rt.Priority, o rt.JobID, fn func(holder rt.JobID))
-}
-
-// AccessCeilingIndex is the access-ceiling analogue of CeilingIndex for
-// protocols (OPCP) where EVERY lock — read or write — raises the item's
-// access ceiling Aceil(x). Same discovery, fallback and equivalence rules
-// as CeilingIndex.
-type AccessCeilingIndex interface {
-	// SysAceilExcluding returns the highest Aceil(x) over all items x locked
-	// (in any mode) by transactions other than o (rt.Dummy when none).
-	SysAceilExcluding(o rt.JobID) rt.Priority
-	// EachAceilHolder calls fn for every live transaction other than o that
-	// holds a lock (any mode) on some item with Aceil(x) == c. Enumeration
-	// order is ascending job id.
-	EachAceilHolder(c rt.Priority, o rt.JobID, fn func(holder rt.JobID))
-}
-
-// RWCeilingIndex serves the RW-PCP rw-ceiling query: read locks contribute
-// Wceil(x), write locks contribute Aceil(x) (the protocol's rwceil per
-// lock). Same discovery, fallback and equivalence rules as CeilingIndex.
-type RWCeilingIndex interface {
-	// SysRWceilExcluding returns the highest rw-ceiling over all locks held
-	// by transactions other than o (rt.Dummy when none): Wceil(x) for each
-	// foreign read lock, Aceil(x) for each foreign write lock.
-	SysRWceilExcluding(o rt.JobID) rt.Priority
-	// EachRWceilHolder calls fn for every live transaction other than o
-	// holding a lock whose rw-ceiling equals c, ascending job id.
-	EachRWceilHolder(c rt.Priority, o rt.JobID, fn func(holder rt.JobID))
 }
 
 // Protocol is a pluggable concurrency-control policy.

@@ -3,8 +3,8 @@
 //
 //	//pcpda:alloc-free
 //
-// in their doc comment — the ceiling-index queries, the lock table's
-// EachReader/EachWriter enumerators, the kernel dispatch loop — are flagged
+// in their doc comment — the live manager's ceiling-index queries, the lock
+// table's EachReader/EachWriter enumerators, the kernel dispatch loop — are flagged
 // on any construct that can allocate: append (backing-array growth), make /
 // new / composite literals, variable-capturing closures, interface boxing
 // of concrete values, string building and map writes to fresh keys are the
@@ -168,7 +168,8 @@ func checkBoxingAssign(pass *lint.Pass, name string, as *ast.AssignStmt) {
 
 // boxes reports whether assigning a value of type from to type to wraps a
 // concrete value in an interface. Untyped nil and interface-to-interface
-// assignments don't box.
+// assignments don't box, and neither does a pointer-shaped value (pointer,
+// map, channel, func): it is the interface's data word as it stands.
 func boxes(from, to types.Type) bool {
 	if from == nil || to == nil {
 		return false
@@ -176,7 +177,8 @@ func boxes(from, to types.Type) bool {
 	if _, ok := to.Underlying().(*types.Interface); !ok {
 		return false
 	}
-	if _, ok := from.Underlying().(*types.Interface); ok {
+	switch from.Underlying().(type) {
+	case *types.Interface, *types.Pointer, *types.Map, *types.Chan, *types.Signature:
 		return false
 	}
 	if b, ok := from.(*types.Basic); ok && b.Kind() == types.UntypedNil {

@@ -69,6 +69,13 @@ func (ix *Index) BoxArg(x Item) {
 	sink(x) // want `boxes hotpath.Item into interface any`
 }
 
+// ok: a pointer is the interface's data word; passing it boxes nothing.
+//
+//pcpda:alloc-free
+func (ix *Index) PassSelf() {
+	sink(ix)
+}
+
 //pcpda:alloc-free
 func (ix *Index) Strings(a, b string) string {
 	return a + b // want `concatenates strings`

@@ -287,6 +287,49 @@ func (t *Table) NoRlockByOthers(x rt.Item, o rt.JobID) bool {
 	return true
 }
 
+// Ceiling answers the question every ceiling protocol's admission rule asks
+// — the paper's Sysceil_i and T*: the highest ceiling over the locks held by
+// jobs other than o, and the jobs holding a lock that realises it. A read
+// lock on x raises onRead[x] and a write lock onWrite[x]; a nil table, or an
+// item past its end, raises nothing. rt.NoJob excludes nobody. The holders
+// come back appended to holders[:0] (the caller's scratch; nil is fine), each
+// once, and none when the ceiling is the dummy one.
+//
+// The cost is O(locks held by others) whatever the catalog's size: the walk
+// is over the per-holder records, and under a ceiling protocol few jobs hold
+// locks at one instant — that is what the ceiling is for.
+func (t *Table) Ceiling(o rt.JobID, onRead, onWrite []rt.Priority, holders []rt.JobID) (rt.Priority, []rt.JobID) {
+	c := rt.Dummy
+	holders = holders[:0]
+	for i := range t.held[:t.live] {
+		h := &t.held[i]
+		if h.o == o {
+			continue
+		}
+		own := raised(onRead, h.read).Max(raised(onWrite, h.write))
+		if own > c {
+			c = own
+			holders = holders[:0]
+		}
+		if own == c && !c.IsDummy() {
+			holders = append(holders, h.o)
+		}
+	}
+	return c, holders
+}
+
+// raised returns the highest ceil[x] over items, the dummy level when none
+// of them has an entry.
+func raised(ceil []rt.Priority, items []rt.Item) rt.Priority {
+	c := rt.Dummy
+	for _, x := range items {
+		if int(x) < len(ceil) && ceil[x] > c {
+			c = ceil[x]
+		}
+	}
+	return c
+}
+
 // ReadHeldBy returns the items o holds read locks on, in acquisition order.
 // The returned slice is a copy.
 func (t *Table) ReadHeldBy(o rt.JobID) []rt.Item {
@@ -322,10 +365,10 @@ func (t *Table) HeldBy(o rt.JobID) []rt.Item {
 }
 
 // EachReadLock calls fn for every (item, holder) read-lock pair in the
-// table, in deterministic (item id, acquisition) order. This is the
-// enumeration behind Sysceil_i ("the highest Wceil(x) among all data items
-// read-locked by transactions other than T_i"). fn must not mutate the
-// table.
+// table, in deterministic (item id, acquisition) order: what the invariant
+// checkers and test oracles recompute from. It visits every item slot, so
+// nothing on a request path calls it (Ceiling is the query for that). fn
+// must not mutate the table.
 func (t *Table) EachReadLock(fn func(x rt.Item, holder rt.JobID)) {
 	for x := range t.items {
 		for _, o := range t.items[x].readers {

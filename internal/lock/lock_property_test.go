@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pcpda/internal/rt"
+	"pcpda/internal/testenv"
 )
 
 // model is the reference lock table: the semantics Table had when both its
@@ -162,6 +163,140 @@ func agree(t *testing.T, tb *Table, m *model, jobs []rt.JobID, maxItem rt.Item) 
 	}
 	if tb.live != live {
 		t.Fatalf("%d live holder records for %d jobs holding locks", tb.live, live)
+	}
+	ceilingAgrees(t, tb, m, jobs, maxItem)
+}
+
+// testW and testA are random ceiling tables with the one relation real ones
+// have, Wceil(x) <= Aceil(x). A third of the entries are the dummy level, and
+// the tables stop short of the items the tests lock, so some held locks have
+// no entry at all.
+var testW, testA = func() (w, a []rt.Priority) {
+	rng := rand.New(rand.NewSource(24))
+	w, a = make([]rt.Priority, 200), make([]rt.Priority, 200)
+	for x := range a {
+		if rng.Intn(3) > 0 {
+			a[x] = rt.Priority(1 + rng.Intn(6))
+			w[x] = rt.Priority(rng.Intn(int(a[x]) + 1))
+		}
+	}
+	return w, a
+}()
+
+// modelCeiling is the paper's definition, read off the model item by item:
+// the highest ceiling over the locks held by jobs other than excl — onRead[x]
+// for each reader of x, onWrite[x] for each writer — and the set of jobs
+// holding a lock at that level.
+func modelCeiling(m *model, excl rt.JobID, onRead, onWrite []rt.Priority, maxItem rt.Item) (rt.Priority, map[rt.JobID]bool) {
+	c, at := rt.Dummy, map[rt.JobID]bool{}
+	raise := func(p rt.Priority, holders []rt.JobID) {
+		for _, o := range holders {
+			if o == excl || p.IsDummy() || p < c {
+				continue
+			}
+			if p > c {
+				c = p
+				clear(at)
+			}
+			at[o] = true
+		}
+	}
+	level := func(tab []rt.Priority, x rt.Item) rt.Priority {
+		if int(x) >= len(tab) {
+			return rt.Dummy
+		}
+		return tab[x]
+	}
+	for x := rt.Item(0); x <= maxItem; x++ {
+		raise(level(onRead, x), m.readers[x])
+		raise(level(onWrite, x), m.writers[x])
+	}
+	return c, at
+}
+
+// modelRWCeiling is RW-PCP's definition, per item: x stands at Aceil(x) once
+// a job other than excl write-locks it, at Wceil(x) while such jobs only
+// read-lock it, and every such holder of an item at the top level is named.
+// mixed reports whether some item is read-locked by one of those jobs and
+// write-locked by another — the states RW-PCP never reaches, and the only
+// ones where this reading and the per-lock one name different holders.
+func modelRWCeiling(m *model, excl rt.JobID, maxItem rt.Item) (c rt.Priority, at map[rt.JobID]bool, mixed bool) {
+	at = map[rt.JobID]bool{}
+	others := func(ids []rt.JobID) []rt.JobID {
+		return slices.DeleteFunc(slices.Clone(ids), func(o rt.JobID) bool { return o == excl })
+	}
+	for x := rt.Item(0); x <= maxItem && int(x) < len(testA); x++ {
+		r, w := others(m.readers[x]), others(m.writers[x])
+		for _, o := range r {
+			if len(w) > 1 || len(w) == 1 && w[0] != o {
+				mixed = true
+			}
+		}
+		p := testW[x]
+		if len(w) > 0 {
+			p = testA[x]
+		}
+		if p.IsDummy() || p < c || len(r)+len(w) == 0 {
+			continue
+		}
+		if p > c {
+			c = p
+			clear(at)
+		}
+		for _, o := range append(r, w...) {
+			at[o] = true
+		}
+	}
+	return c, at, mixed
+}
+
+// ceilingAgrees checks Table.Ceiling, for every excluded id (rt.NoJob
+// included) and the three table shapes the protocols pass, against the
+// model's recomputation; that the holders come back in the caller's buffer
+// with nothing of its old contents; and that a warm call allocates nothing.
+func ceilingAgrees(t *testing.T, tb *Table, m *model, jobs []rt.JobID, maxItem rt.Item) {
+	t.Helper()
+	shapes := []struct {
+		name            string
+		onRead, onWrite []rt.Priority
+	}{{"(W,nil)", testW, nil}, {"(A,A)", testA, testA}, {"(W,A)", testW, testA}}
+	buf := make([]rt.JobID, 0, len(jobs))
+	for _, excl := range append([]rt.JobID{rt.NoJob}, jobs...) {
+		for _, sh := range shapes {
+			wantC, wantAt := modelCeiling(m, excl, sh.onRead, sh.onWrite, maxItem)
+			buf = append(buf[:0], -7, -7, -7) // stale contents a correct call overwrites
+			gotC, got := tb.Ceiling(excl, sh.onRead, sh.onWrite, buf)
+			if gotC != wantC || len(got) != len(wantAt) {
+				t.Fatalf("Ceiling%s excluding %d = %v %v, the model says %v %v", sh.name, excl, gotC, got, wantC, wantAt)
+			}
+			for i, o := range got {
+				if !wantAt[o] || slices.Contains(got[:i], o) {
+					t.Fatalf("Ceiling%s excluding %d names %v, the model says %v", sh.name, excl, got, wantAt)
+				}
+			}
+			if len(got) > 0 && &got[0] != &buf[0] {
+				t.Fatalf("Ceiling%s: %d holders fit the buffer of %d and came back elsewhere", sh.name, len(got), cap(buf))
+			}
+			if nilC, fromNil := tb.Ceiling(excl, sh.onRead, sh.onWrite, nil); nilC != gotC || !sameSeq(fromNil, got) {
+				t.Fatalf("Ceiling%s into a nil buffer = %v %v, into a used one %v %v", sh.name, nilC, fromNil, gotC, got)
+			}
+		}
+		if rwC, rwAt, mixed := modelRWCeiling(m, excl, maxItem); !mixed {
+			gotC, got := tb.Ceiling(excl, testW, testA, buf)
+			if gotC != rwC || len(got) != len(rwAt) {
+				t.Fatalf("per-lock Ceiling(W,A) excluding %d = %v %v, RW-PCP's per-item reading %v %v", excl, gotC, got, rwC, rwAt)
+			}
+			for _, o := range got {
+				if !rwAt[o] {
+					t.Fatalf("per-lock Ceiling(W,A) excluding %d names %v, RW-PCP's per-item reading %v", excl, got, rwAt)
+				}
+			}
+		}
+	}
+	if !testenv.Race {
+		if allocs := testing.AllocsPerRun(1, func() { _, buf = tb.Ceiling(rt.NoJob, testW, testA, buf) }); allocs != 0 {
+			t.Fatalf("a warm Ceiling allocates %v times", allocs)
+		}
 	}
 }
 

@@ -26,8 +26,7 @@ type Protocol struct {
 
 	// Scratch for the holder list, reused across Request calls (one
 	// instance drives one single-threaded run); deny decisions copy out.
-	holdBuf    []rt.JobID
-	holdAppend func(rt.JobID)
+	holdBuf []rt.JobID
 }
 
 var _ cc.Protocol = (*Protocol)(nil)
@@ -70,47 +69,10 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 }
 
 // sysceilFor computes Sysceil_i (highest Wceil over items read-locked by
-// others) and the holders realizing it, through the cc.CeilingIndex
-// capability when the Env maintains one, by lock-table scan otherwise. The
-// two paths agree on the ceiling and the holder SET (enumeration order
-// differs; the kernel canonicalizes blocker lists). The holder slice
-// aliases p.holdBuf and is valid until the next Request.
+// others) and the holders realizing it. The holder slice aliases p.holdBuf
+// and is valid until the next Request.
 func (p *Protocol) sysceilFor(env cc.Env, j *cc.Job) (rt.Priority, []rt.JobID) {
-	p.holdBuf = p.holdBuf[:0]
-	if idx, ok := env.(cc.CeilingIndex); ok {
-		c := idx.SysceilExcluding(j.ID)
-		if !c.IsDummy() {
-			if p.holdAppend == nil {
-				p.holdAppend = func(holder rt.JobID) {
-					p.holdBuf = append(p.holdBuf, holder)
-				}
-			}
-			idx.EachCeilingHolder(c, j.ID, p.holdAppend)
-		}
-		return c, p.holdBuf
-	}
-	sys := rt.Dummy
-	env.Locks().EachReadLock(func(it rt.Item, holder rt.JobID) {
-		if holder == j.ID {
-			return
-		}
-		w := p.ceil.Wceil(it)
-		if w > sys {
-			sys = w
-			p.holdBuf = p.holdBuf[:0]
-		}
-		if w == sys && !sys.IsDummy() {
-			p.holdBuf = appendUnique(p.holdBuf, holder)
-		}
-	})
-	return sys, p.holdBuf
-}
-
-func appendUnique(ids []rt.JobID, id rt.JobID) []rt.JobID {
-	for _, have := range ids {
-		if have == id {
-			return ids
-		}
-	}
-	return append(ids, id)
+	sys, holders := env.Locks().Ceiling(j.ID, p.ceil.WceilTable(), nil, p.holdBuf)
+	p.holdBuf = holders
+	return sys, holders
 }

@@ -25,8 +25,7 @@ type Protocol struct {
 
 	// Scratch for the holder list, reused across Request calls (one
 	// instance drives one single-threaded run); deny decisions copy out.
-	holdBuf    []rt.JobID
-	holdAppend func(rt.JobID)
+	holdBuf []rt.JobID
 }
 
 var _ cc.Protocol = (*Protocol)(nil)
@@ -48,52 +47,13 @@ func (p *Protocol) Init(set *txn.Set, ceil *txn.Ceilings) {
 }
 
 // sysceilFor computes the highest Aceil over items locked (in any mode) by
-// jobs other than j, plus the holders realizing it — through the
-// cc.AccessCeilingIndex capability when the Env maintains one, by
-// lock-table scan otherwise. The two paths agree on the ceiling and the
-// holder SET (enumeration order differs; the kernel canonicalizes blocker
-// lists). The holder slice aliases p.holdBuf, valid until the next Request.
-func (p *Protocol) sysceilFor(env cc.Env, j *cc.Job) (rt.Priority, []rt.JobID) {
-	p.holdBuf = p.holdBuf[:0]
-	if idx, ok := env.(cc.AccessCeilingIndex); ok {
-		c := idx.SysAceilExcluding(j.ID)
-		if !c.IsDummy() {
-			if p.holdAppend == nil {
-				p.holdAppend = func(holder rt.JobID) {
-					p.holdBuf = append(p.holdBuf, holder)
-				}
-			}
-			idx.EachAceilHolder(c, j.ID, p.holdAppend)
-		}
-		return c, p.holdBuf
-	}
-	locks := env.Locks()
-	sys := rt.Dummy
-	consider := func(x rt.Item, holder rt.JobID) {
-		if holder == j.ID {
-			return
-		}
-		c := p.ceil.Aceil(x)
-		if c > sys {
-			sys = c
-			p.holdBuf = p.holdBuf[:0]
-		}
-		if c == sys && !sys.IsDummy() {
-			p.holdBuf = appendUnique(p.holdBuf, holder)
-		}
-	}
-	locks.EachReadLock(consider)
-	locks.EachWriteLock(consider)
-	return sys, p.holdBuf
-}
-
-func appendUnique(ids []rt.JobID, id rt.JobID) []rt.JobID {
-	for _, have := range ids {
-		if have == id {
-			return ids
-		}
-	}
-	return append(ids, id)
+// jobs other than o (rt.NoJob: by anyone), plus the holders realizing it. The
+// holder slice aliases p.holdBuf, valid until the next Request.
+func (p *Protocol) sysceilFor(env cc.Env, o rt.JobID) (rt.Priority, []rt.JobID) {
+	aceil := p.ceil.AceilTable()
+	sys, holders := env.Locks().Ceiling(o, aceil, aceil, p.holdBuf)
+	p.holdBuf = holders
+	return sys, holders
 }
 
 // Request grants iff P_i > Sysceil_i (exclusive-lock PCP rule). The mode is
@@ -101,7 +61,7 @@ func appendUnique(ids []rt.JobID, id rt.JobID) []rt.JobID {
 // compatibility-wise everything behaves exclusively: the ceiling raised by
 // any lock is Aceil, which denies every other would-be accessor.
 func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decision {
-	sys, holders := p.sysceilFor(env, j)
+	sys, holders := p.sysceilFor(env, j.ID)
 	if j.BasePri() > sys {
 		return cc.Grant("pcp-ok")
 	}
@@ -111,19 +71,6 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 
 // SystemCeiling reports the highest Aceil in force over all locked items.
 func (p *Protocol) SystemCeiling(env cc.Env) rt.Priority {
-	if idx, ok := env.(cc.AccessCeilingIndex); ok {
-		return idx.SysAceilExcluding(rt.NoJob)
-	}
-	c := rt.Dummy
-	seen := rt.NewItemSet()
-	consider := func(x rt.Item, _ rt.JobID) {
-		if seen.Has(x) {
-			return
-		}
-		seen.Add(x)
-		c = c.Max(p.ceil.Aceil(x))
-	}
-	env.Locks().EachReadLock(consider)
-	env.Locks().EachWriteLock(consider)
-	return c
+	sys, _ := p.sysceilFor(env, rt.NoJob)
+	return sys
 }

@@ -125,15 +125,14 @@ type sysinfo struct {
 // sysceilFor computes Sysceil_i and T* with respect to requester j: the
 // highest Wceil over items read-locked by other jobs, and who holds them.
 //
-// When the Env maintains a cc.CeilingIndex the answer comes from it in O(1)
-// amortized with zero allocation; otherwise the lock table is scanned. The
-// two paths yield the same ceiling and the same T* membership (the index
-// enumerates holders in job-id order, the scan in item order — callers only
-// use T* as a set). Either way info.tstar aliases p.tstarBuf and is valid
-// only until the next Request.
+// The answer is lock.Table.Ceiling's walk over the locks held, except under
+// an Env that maintains a cc.CeilingIndex (the live manager, where many
+// transactions hold locks at once). The two agree on the ceiling and on T*
+// as a set, which is all callers use it as. Either way info.tstar aliases
+// p.tstarBuf and is valid only until the next Request.
 func (p *Protocol) sysceilFor(env cc.Env, j *cc.Job) sysinfo {
-	p.tstarBuf = p.tstarBuf[:0]
 	if idx, ok := env.(cc.CeilingIndex); ok {
+		p.tstarBuf = p.tstarBuf[:0]
 		c := idx.SysceilExcluding(j.ID)
 		if !c.IsDummy() {
 			if p.tstarAppend == nil {
@@ -145,22 +144,9 @@ func (p *Protocol) sysceilFor(env cc.Env, j *cc.Job) sysinfo {
 		}
 		return sysinfo{sysceil: c, tstar: p.tstarBuf}
 	}
-	info := sysinfo{sysceil: rt.Dummy}
-	env.Locks().EachReadLock(func(x rt.Item, holder rt.JobID) {
-		if holder == j.ID {
-			return
-		}
-		w := p.ceil.Wceil(x)
-		if w > info.sysceil {
-			info.sysceil = w
-			p.tstarBuf = p.tstarBuf[:0]
-		}
-		if w == info.sysceil && !info.sysceil.IsDummy() {
-			p.tstarBuf = appendUnique(p.tstarBuf, holder)
-		}
-	})
-	info.tstar = p.tstarBuf
-	return info
+	c, tstar := env.Locks().Ceiling(j.ID, p.ceil.WceilTable(), nil, p.tstarBuf)
+	p.tstarBuf = tstar
+	return sysinfo{sysceil: c, tstar: tstar}
 }
 
 func appendUnique(ids []rt.JobID, id rt.JobID) []rt.JobID {
@@ -278,12 +264,7 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 // items — the quantity the paper plots as Max_Sysceil (dotted line in
 // Figures 4 and 5). Write locks raise nothing under PCP-DA.
 func (p *Protocol) SystemCeiling(env cc.Env) rt.Priority {
-	if idx, ok := env.(cc.CeilingIndex); ok {
-		return idx.SysceilExcluding(rt.NoJob)
-	}
-	c := rt.Dummy
-	env.Locks().EachReadLock(func(x rt.Item, _ rt.JobID) {
-		c = c.Max(p.ceil.Wceil(x))
-	})
+	c, tstar := env.Locks().Ceiling(rt.NoJob, p.ceil.WceilTable(), nil, p.tstarBuf)
+	p.tstarBuf = tstar
 	return c
 }

@@ -80,17 +80,33 @@ func crossCheckIndex(m *Manager) error {
 	for _, s := range m.actList {
 		excls = append(excls, s.job.ID)
 	}
+	var walked []rt.JobID
 	for _, o := range excls {
 		want := slowSysceil(m, o)
 		got := m.SysceilExcluding(o)
 		if got != want {
 			return fmt.Errorf("SysceilExcluding(%d) = %v, scan says %v", o, got, want)
 		}
-		if want.IsDummy() {
-			continue
+		// The kernel's path: PCP-DA under an Env with no index asks the lock
+		// table, and must be told what the manager's index says.
+		var walk rt.Priority
+		walk, walked = m.locks.Ceiling(o, m.ceil.WceilTable(), nil, walked)
+		if walk != got {
+			return fmt.Errorf("SysceilExcluding(%d) = %v, lock.Table.Ceiling says %v", o, got, walk)
 		}
 		fast := make(map[rt.JobID]bool)
 		m.EachCeilingHolder(want, o, func(h rt.JobID) { fast[h] = true })
+		if len(walked) != len(fast) {
+			return fmt.Errorf("ceiling holders for %v excl %d: index %v, lock.Table.Ceiling %v", want, o, fast, walked)
+		}
+		for _, h := range walked {
+			if !fast[h] {
+				return fmt.Errorf("ceiling holder %d named by lock.Table.Ceiling, not by the index (ceiling %v excl %d)", h, want, o)
+			}
+		}
+		if want.IsDummy() {
+			continue
+		}
 		slow := slowHolders(m, want, o)
 		if len(fast) != len(slow) {
 			return fmt.Errorf("ceiling holders for %v excl %d: index %v, scan %v", want, o, fast, slow)

@@ -32,8 +32,7 @@ type Protocol struct {
 
 	// Scratch for the holder list, reused across Request calls (one
 	// instance drives one single-threaded run); deny decisions copy out.
-	holdBuf    []rt.JobID
-	holdAppend func(rt.JobID)
+	holdBuf []rt.JobID
 }
 
 var _ cc.Protocol = (*Protocol)(nil)
@@ -54,103 +53,32 @@ func (p *Protocol) Init(set *txn.Set, ceil *txn.Ceilings) {
 	p.ceil = ceil
 }
 
-// rwceilOfLocked returns the runtime RWceil of x given who currently holds
-// it: Aceil when write-locked, Wceil when only read-locked, dummy when
-// unlocked. The onlyOthers filter excludes the requester's own locks, per
-// the Sysceil_i definition.
-func (p *Protocol) rwceilFor(env cc.Env, x rt.Item, exclude rt.JobID) rt.Priority {
-	locks := env.Locks()
-	if len(locks.WritersOther(x, exclude)) > 0 {
-		return p.ceil.Aceil(x)
-	}
-	if len(locks.ReadersOther(x, exclude)) > 0 {
-		return p.ceil.Wceil(x)
-	}
-	return rt.Dummy
-}
-
-// sysceilFor computes Sysceil_i for requester j and the jobs holding the
-// lock(s) that realize it — through the cc.RWCeilingIndex capability when
-// the Env maintains one, by lock-table scan otherwise.
+// sysceilFor computes Sysceil_o — the highest RWceil over items locked by
+// jobs other than o (rt.NoJob: by anyone) — and the jobs holding the lock(s)
+// that realize it.
 //
-// The index decomposes per LOCK (a read lock raises Wceil(x), a write lock
-// Aceil(x)) where the scan walks per ITEM; the two agree on every state the
-// kernel can reach, because under RW-PCP's own admission rule no item is
-// ever read-locked and write-locked by different transactions (the would-be
-// second locker always fails the ceiling test against the first), so an
-// item's RWceil is realized exactly by the locks its holders actually hold.
-// Holder SETS agree as well; enumeration order differs and the kernel
-// canonicalizes blocker lists. With the index, the holder slice aliases
-// p.holdBuf and is valid until the next Request.
-func (p *Protocol) sysceilFor(env cc.Env, j *cc.Job) (rt.Priority, []rt.JobID) {
-	p.holdBuf = p.holdBuf[:0]
-	if idx, ok := env.(cc.RWCeilingIndex); ok {
-		c := idx.SysRWceilExcluding(j.ID)
-		if !c.IsDummy() {
-			if p.holdAppend == nil {
-				p.holdAppend = func(holder rt.JobID) {
-					p.holdBuf = append(p.holdBuf, holder)
-				}
-			}
-			idx.EachRWceilHolder(c, j.ID, p.holdAppend)
-		}
-		return c, p.holdBuf
-	}
-
-	locks := env.Locks()
-	sys := rt.Dummy
-	holders := p.holdBuf
-
-	consider := func(x rt.Item) {
-		c := p.rwceilFor(env, x, j.ID)
-		if c.IsDummy() {
-			return
-		}
-		if c > sys {
-			sys = c
-			holders = holders[:0]
-		}
-		if c == sys {
-			for _, id := range locks.WritersOther(x, j.ID) {
-				holders = appendUnique(holders, id)
-			}
-			for _, id := range locks.ReadersOther(x, j.ID) {
-				holders = appendUnique(holders, id)
-			}
-		}
-	}
-
-	seen := rt.NewItemSet()
-	locks.EachReadLock(func(x rt.Item, holder rt.JobID) {
-		if holder != j.ID && !seen.Has(x) {
-			seen.Add(x)
-			consider(x)
-		}
-	})
-	locks.EachWriteLock(func(x rt.Item, holder rt.JobID) {
-		if holder != j.ID && !seen.Has(x) {
-			seen.Add(x)
-			consider(x)
-		}
-	})
+// The walk reads the ceiling off each LOCK (a read lock raises Wceil(x), a
+// write lock Aceil(x)) where the package comment's definition reads it off
+// each ITEM (Aceil(x) once anyone write-locks x). For the ceiling the two are the same
+// number in every state: a read lock on a write-locked item adds Wceil(x) ≤
+// Aceil(x), which the write lock already contributes. For the holder set
+// they agree on every state the protocol can reach, because under RW-PCP's
+// own admission rule no item is ever read-locked and write-locked by
+// different transactions (the would-be second locker always fails the
+// ceiling test against the first), so an item's RWceil is realized exactly
+// by the locks its holders actually hold. The holder slice aliases p.holdBuf
+// and is valid until the next Request.
+func (p *Protocol) sysceilFor(env cc.Env, o rt.JobID) (rt.Priority, []rt.JobID) {
+	sys, holders := env.Locks().Ceiling(o, p.ceil.WceilTable(), p.ceil.AceilTable(), p.holdBuf)
 	p.holdBuf = holders
 	return sys, holders
-}
-
-func appendUnique(ids []rt.JobID, id rt.JobID) []rt.JobID {
-	for _, have := range ids {
-		if have == id {
-			return ids
-		}
-	}
-	return append(ids, id)
 }
 
 // Request implements RW-PCP's single locking condition P_i > Sysceil_i.
 // Original priorities are used, consistent with the static ceiling
 // definitions (inheritance only affects dispatch).
 func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decision {
-	sys, holders := p.sysceilFor(env, j)
+	sys, holders := p.sysceilFor(env, j.ID)
 	if j.BasePri() > sys {
 		return cc.Grant("ceiling-ok")
 	}
@@ -159,22 +87,8 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 }
 
 // SystemCeiling reports the highest RWceil in force over all locked items
-// (the Max_Sysceil track of Figures 3 and 5). The per-lock index maximum
-// matches the per-item scan: a read lock on a write-locked item adds
-// Wceil(x) ≤ Aceil(x), which the write lock already contributes.
+// (the Max_Sysceil track of Figures 3 and 5).
 func (p *Protocol) SystemCeiling(env cc.Env) rt.Priority {
-	if idx, ok := env.(cc.RWCeilingIndex); ok {
-		return idx.SysRWceilExcluding(rt.NoJob)
-	}
-	locks := env.Locks()
-	c := rt.Dummy
-	locks.EachWriteLock(func(x rt.Item, _ rt.JobID) {
-		c = c.Max(p.ceil.Aceil(x))
-	})
-	locks.EachReadLock(func(x rt.Item, _ rt.JobID) {
-		if len(locks.Writers(x)) == 0 {
-			c = c.Max(p.ceil.Wceil(x))
-		}
-	})
-	return c
+	sys, _ := p.sysceilFor(env, rt.NoJob)
+	return sys
 }

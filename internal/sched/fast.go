@@ -60,8 +60,8 @@ func (k *Kernel) fastForward(j *cc.Job) {
 		j.StepIdx++
 		j.StepDone = 0
 		j.HasLock = false
-		for _, x := range k.proto.EarlyRelease(k.env, j) {
-			k.releaseItem(j, x)
+		for _, x := range k.proto.EarlyRelease(k, j) {
+			k.locks.ReleaseItem(j.ID, x)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"pcpda/internal/cc"
 	"pcpda/internal/rt"
@@ -111,109 +110,6 @@ func (k *Kernel) checkInvariants() *InvariantError {
 		}
 	}
 
-	// I6: the incremental ceiling index agrees with a from-scratch
-	// recomputation over the lock table.
-	if k.idx != nil {
-		if err := k.checkIndex(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkIndex recomputes the three ceiling profiles (readW, readA, writeA)
-// from the lock table and demands equality with the incremental state —
-// global counts, top pointers and every live job's own vectors.
-func (k *Kernel) checkIndex() *InvariantError {
-	fail := func(format string, args ...any) *InvariantError {
-		return &InvariantError{Tick: k.now, Detail: fmt.Sprintf(format, args...)}
-	}
-	ix := k.idx
-	n := len(ix.readW.counts)
-	wantReadW := make([]int32, n)
-	wantReadA := make([]int32, n)
-	wantWriteA := make([]int32, n)
-	perJob := map[rt.JobID]*jobCounts{}
-	jobVec := func(id rt.JobID) *jobCounts {
-		jc := perJob[id]
-		if jc == nil {
-			jc = &jobCounts{readW: make([]int32, n), readA: make([]int32, n), writeA: make([]int32, n)}
-			perJob[id] = jc
-		}
-		return jc
-	}
-	k.locks.EachReadLock(func(x rt.Item, holder rt.JobID) {
-		if r := int(ix.wceilRank[x]); r >= 0 {
-			wantReadW[r]++
-			jobVec(holder).readW[r]++
-		}
-		if r := int(ix.aceilRank[x]); r >= 0 {
-			wantReadA[r]++
-			jobVec(holder).readA[r]++
-		}
-	})
-	k.locks.EachWriteLock(func(x rt.Item, holder rt.JobID) {
-		if r := int(ix.aceilRank[x]); r >= 0 {
-			wantWriteA[r]++
-			jobVec(holder).writeA[r]++
-		}
-	})
-	check := func(name string, p *profile, want []int32) *InvariantError {
-		top := -1
-		for r := 0; r < n; r++ {
-			if p.counts[r] != want[r] {
-				return fail("index %s[%d] = %d, lock table says %d", name, r, p.counts[r], want[r])
-			}
-			if want[r] > 0 {
-				top = r
-			}
-		}
-		if p.top != top {
-			return fail("index %s top = %d, lock table says %d", name, p.top, top)
-		}
-		return nil
-	}
-	if err := check("readW", &ix.readW, wantReadW); err != nil {
-		return err
-	}
-	if err := check("readA", &ix.readA, wantReadA); err != nil {
-		return err
-	}
-	if err := check("writeA", &ix.writeA, wantWriteA); err != nil {
-		return err
-	}
-	// Sorted so that a violation always names the lowest offending job id,
-	// independent of map iteration order (determinism analyzer).
-	heldIDs := make([]rt.JobID, 0, len(perJob))
-	for id := range perJob {
-		heldIDs = append(heldIDs, id)
-	}
-	sort.Slice(heldIDs, func(a, b int) bool { return heldIDs[a] < heldIDs[b] })
-	for _, id := range heldIDs {
-		want := perJob[id]
-		jc := ix.ownCounts(id)
-		if jc == nil {
-			return fail("job %d holds locks but has no index vectors", id)
-		}
-		for r := 0; r < n; r++ {
-			if jc.readW[r] != want.readW[r] || jc.readA[r] != want.readA[r] || jc.writeA[r] != want.writeA[r] {
-				return fail("job %d index vectors disagree with lock table at rank %d", id, r)
-			}
-		}
-	}
-	for id, jc := range ix.perJob {
-		if jc == nil {
-			continue
-		}
-		if _, ok := perJob[rt.JobID(id)]; ok {
-			continue
-		}
-		for r := 0; r < n; r++ {
-			if jc.readW[r] != 0 || jc.readA[r] != 0 || jc.writeA[r] != 0 {
-				return fail("job %d has index residue at rank %d but holds no locks", id, r)
-			}
-		}
-	}
 	return nil
 }
 

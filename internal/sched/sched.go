@@ -93,12 +93,6 @@ type Config struct {
 	// which is then reported in Result.Invariant. Used by the randomized
 	// test sweeps; costs O(jobs × locks) per tick.
 	Paranoid bool
-	// DisableCeilingIndex withholds the incremental ceiling index (see
-	// index.go): the Env handed to the protocol exposes none of the
-	// cc.CeilingIndex capabilities, so ceiling queries fall back to
-	// lock-table scans. The golden trace tests run every workload both
-	// ways and assert bit-identical schedules.
-	DisableCeilingIndex bool
 	// Ceilings supplies precomputed priority ceilings for the set. Nil
 	// computes them here (the default); a batch runner that simulates the
 	// same set many times over short horizons passes the shared instance so
@@ -188,11 +182,6 @@ type Kernel struct {
 	slots   []jobSlot
 	itemBuf []rt.Item
 	valBuf  []db.Value
-
-	// env is what protocols see: the kernel itself, or the index-bearing
-	// wrapper when the ceiling index is on (idx non-nil).
-	env cc.Env
-	idx *ceilIndex
 
 	// Event-time lower bounds so the per-tick release and deadline scans
 	// skip entirely between events. Both are conservative: a stale bound
@@ -315,11 +304,6 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 	}
 	for i, t := range set.Templates {
 		k.nextRel[i] = t.Offset
-	}
-	k.env = k
-	if !cfg.DisableCeilingIndex {
-		k.idx = newCeilIndex(set, ceil, jobs)
-		k.env = &indexEnv{Kernel: k, ix: k.idx}
 	}
 	k.itemBlocked = make([]rt.Ticks, set.Catalog.Len())
 	if cfg.RecordTrace {
@@ -488,7 +472,7 @@ func (k *Kernel) spawn(tmpl *txn.Template, rel rt.Ticks) {
 	}
 	k.hist.Begin(k.now, j.Run, tmpl.ID)
 	k.annotate(j, "arr")
-	k.proto.Begin(k.env, j)
+	k.proto.Begin(k, j)
 }
 
 // higherPriority is the kernel's total dispatch order.
@@ -569,7 +553,7 @@ func (k *Kernel) dispatch() *cc.Job {
 		}
 		if x, m, need := j.NeedsLock(); need {
 			wasBlocked := j.Status == cc.Blocked
-			dec := k.proto.Request(k.env, j, x, m)
+			dec := k.proto.Request(k, j, x, m)
 			k.applyDecision(j, dec)
 			if !dec.Granted {
 				if !wasBlocked {
@@ -646,9 +630,7 @@ func (k *Kernel) grant(j *cc.Job) {
 	id := j.Tmpl.ID
 	switch step.Kind {
 	case txn.ReadStep:
-		if k.locks.Acquire(j.ID, x, rt.Read) && k.idx != nil {
-			k.idx.onAcquire(j.ID, x, rt.Read)
-		}
+		k.locks.Acquire(j.ID, x, rt.Read)
 		j.DataRead.Add(x)
 		if j.WS != nil {
 			if _, own := j.WS.Get(x); own {
@@ -666,9 +648,7 @@ func (k *Kernel) grant(j *cc.Job) {
 			k.annotate(j, "RL("+k.set.Catalog.Name(x)+")")
 		}
 	case txn.WriteStep:
-		if k.locks.Acquire(j.ID, x, rt.Write) && k.idx != nil {
-			k.idx.onAcquire(j.ID, x, rt.Write)
-		}
+		k.locks.Acquire(j.ID, x, rt.Write)
 		val := db.SyntheticValue(j.Run, x)
 		if j.WS != nil {
 			j.WS.Write(x, val)
@@ -685,7 +665,7 @@ func (k *Kernel) grant(j *cc.Job) {
 	if step.Kind == txn.WriteStep {
 		mode = rt.Write
 	}
-	k.proto.Granted(k.env, j, x, mode)
+	k.proto.Granted(k, j, x, mode)
 }
 
 // exec burns one tick of j's current step and advances the step machine.
@@ -699,22 +679,13 @@ func (k *Kernel) exec(j *cc.Job) {
 		j.StepIdx++
 		j.StepDone = 0
 		j.HasLock = false
-		for _, x := range k.proto.EarlyRelease(k.env, j) {
-			k.releaseItem(j, x)
+		for _, x := range k.proto.EarlyRelease(k, j) {
+			k.locks.ReleaseItem(j.ID, x)
 			if k.tl != nil {
 				k.annotate(j, "UL("+k.set.Catalog.Name(x)+")")
 			}
 		}
 	}
-}
-
-// releaseItem drops j's locks on x and keeps the ceiling index in step (the
-// held modes must be read off the table before the release retires them).
-func (k *Kernel) releaseItem(j *cc.Job, x rt.Item) {
-	if k.idx != nil {
-		k.idx.onRelease(j.ID, x, k.locks.HoldsRead(j.ID, x), k.locks.HoldsWrite(j.ID, x))
-	}
-	k.locks.ReleaseItem(j.ID, x)
 }
 
 // block transitions j to Blocked (or refreshes a standing block) and applies
@@ -761,9 +732,9 @@ func (k *Kernel) unblock(j *cc.Job) {
 }
 
 // canonBlockers copies blockers into k.blkBuf sorted (ascending job id) and
-// deduplicated, so a blocker list is a canonical set representation: the
-// scan and index protocol paths enumerate the same blockers in different
-// orders, and the re-block "changed" test must not see that as a change.
+// deduplicated, so a blocker list is a canonical set representation: a
+// protocol may name the same blockers in a different order from one retry to
+// the next, and the re-block "changed" test must not see that as a change.
 // The result is valid until the next call.
 func (k *Kernel) canonBlockers(blockers []rt.JobID) []rt.JobID {
 	buf := append(k.blkBuf[:0], blockers...)
@@ -878,7 +849,7 @@ func (k *Kernel) commit(j *cc.Job) {
 	// the victims observe the new state on their re-run.
 	var victims []rt.JobID
 	if arb, ok := k.proto.(cc.CommitArbiter); ok {
-		victims = arb.CommitVictims(k.env, j)
+		victims = arb.CommitVictims(k, j)
 	}
 	if j.WS != nil {
 		k.installed = j.WS.InstallInto(k.installed[:0], k.store, j.Run)
@@ -889,13 +860,13 @@ func (k *Kernel) commit(j *cc.Job) {
 		k.store.Forget(j.Run)
 	}
 	k.hist.Commit(k.now, j.Run, id)
-	k.releaseAll(j)
+	k.locks.ReleaseAllUnordered(j.ID)
 	j.Status = cc.Done
 	j.FinishTick = k.now
 	k.removeActive(j)
 	k.res.Committed++
 	k.annotate(j, "commit")
-	k.proto.Committed(k.env, j)
+	k.proto.Committed(k, j)
 	k.recomputePriorities()
 	for _, vid := range victims {
 		v := k.Job(vid)
@@ -915,10 +886,10 @@ func (k *Kernel) abort(j *cc.Job, restart bool) {
 	} else {
 		k.store.Rollback(j.Run)
 	}
-	k.releaseAll(j)
+	k.locks.ReleaseAllUnordered(j.ID)
 	k.hist.Abort(k.now, j.Run, j.Tmpl.ID)
 	k.annotate(j, "abort")
-	k.proto.Aborted(k.env, j)
+	k.proto.Aborted(k, j)
 	if restart {
 		j.Run = k.nextRun
 		k.nextRun++
@@ -931,22 +902,12 @@ func (k *Kernel) abort(j *cc.Job, restart bool) {
 		j.Blockers = j.Blockers[:0]
 		j.Restarts++
 		k.hist.Begin(k.now, j.Run, j.Tmpl.ID)
-		k.proto.Begin(k.env, j)
+		k.proto.Begin(k, j)
 		return
 	}
 	j.Status = cc.Aborted
 	k.removeActive(j)
 	k.recomputePriorities()
-}
-
-// releaseAll drops every lock j holds — strict 2PL retirement at commit or
-// abort — retracting the ceiling index first and skipping the item-list
-// materialization (nothing consumes it).
-func (k *Kernel) releaseAll(j *cc.Job) {
-	if k.idx != nil {
-		k.idx.onReleaseAll(j.ID)
-	}
-	k.locks.ReleaseAllUnordered(j.ID)
 }
 
 func (k *Kernel) removeActive(j *cc.Job) {
@@ -996,7 +957,7 @@ func (k *Kernel) accountTick(executed *cc.Job) {
 	}
 	if k.cfg.TrackCeiling {
 		if cr, ok := k.proto.(cc.CeilingReporter); ok {
-			c := cr.SystemCeiling(k.env)
+			c := cr.SystemCeiling(k)
 			k.res.MaxSysceil = k.res.MaxSysceil.Max(c)
 			if k.tl != nil {
 				k.tl.SetCeiling(k.now, c)

@@ -1,17 +1,19 @@
 package sim
 
-// Golden determinism tests for the ceiling-index-backed kernel. The index
-// (internal/sched/index.go) replaces the protocols' lock-table scans with
-// O(ranks) incremental queries; these tests are the gate: every protocol ×
-// workload × option combination must produce a BIT-IDENTICAL schedule with
-// the index on and off. The fingerprint covers the full observable run —
-// every history op, every job's statistics, every counter, the deadlock
-// verdict, the ceiling track and (when traced) the per-tick timeline — so
-// any divergence in any tick shows up.
+// Golden determinism tests for the kernel. The gate is a stored file:
+// testdata/schedules.sha256 holds one sha256 of fingerprint() per (golden
+// workload, protocol, option profile), and every build must reproduce it.
+// The fingerprint covers the full observable run — every history op, every
+// job's statistics, every counter, the deadlock verdict, the ceiling track
+// and (when traced) the per-tick timeline — so a divergence in any tick
+// changes a hash.
 
 import (
+	"bufio"
 	"crypto/sha256"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -94,41 +96,66 @@ func goldenWorkloads(t *testing.T) []*txn.Set {
 	return sets
 }
 
-// TestGoldenIndexVsScan is the tentpole gate: for every protocol, every
-// golden workload and a spread of option profiles, the index-backed kernel
-// and the scan-backed kernel must produce bit-identical schedules.
-func TestGoldenIndexVsScan(t *testing.T) {
-	variants := []struct {
-		name string
-		opts Options
-	}{
-		{"plain", Options{StopOnDeadlock: true}},
-		{"ceiling", Options{StopOnDeadlock: true, TrackCeiling: true}},
-		{"traced", Options{StopOnDeadlock: true, Trace: true}},
-		{"firm", Options{StopOnDeadlock: true, FirmDeadlines: true, TrackCeiling: true}},
-	}
+const goldenFile = "testdata/schedules.sha256"
+
+// update rewrites goldenFile from this build instead of checking against it
+// (go test ./internal/sim -run TestGoldenSchedules -update). CI never passes
+// it: the file changes only in a PR that means to change a schedule.
+var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this build")
+
+// goldenVariants are the option profiles every (workload, protocol) pair is
+// fingerprinted under.
+var goldenVariants = []struct {
+	name string
+	opts Options
+}{
+	{"plain", Options{StopOnDeadlock: true}},
+	{"ceiling", Options{StopOnDeadlock: true, TrackCeiling: true}},
+	{"traced", Options{StopOnDeadlock: true, Trace: true}},
+	{"firm", Options{StopOnDeadlock: true, FirmDeadlines: true, TrackCeiling: true}},
+}
+
+// TestGoldenSchedules holds every protocol, golden workload and option
+// profile to the schedule stored in goldenFile, in sha256sum's line format
+// ("<hex>  <set>/<protocol>/<profile>"), one line per cell in run order.
+func TestGoldenSchedules(t *testing.T) {
+	var got strings.Builder
 	for _, set := range goldenWorkloads(t) {
 		for _, name := range Protocols() {
-			for _, v := range variants {
-				scanOpts := v.opts
-				scanOpts.DisableCeilingIndex = true
-				scan, err := Run(set, name, scanOpts)
+			for _, v := range goldenVariants {
+				res, err := Run(set, name, v.opts)
 				if err != nil {
-					t.Fatalf("%s/%s/%s scan: %v", set.Name, name, v.name, err)
+					t.Fatalf("%s/%s/%s: %v", set.Name, name, v.name, err)
 				}
-				idx, err := Run(set, name, v.opts)
-				if err != nil {
-					t.Fatalf("%s/%s/%s index: %v", set.Name, name, v.name, err)
-				}
-				fpScan, fpIdx := fingerprint(set, scan), fingerprint(set, idx)
-				if fpScan != fpIdx {
-					hScan := sha256.Sum256([]byte(fpScan))
-					hIdx := sha256.Sum256([]byte(fpIdx))
-					t.Errorf("%s/%s/%s: schedules diverge (scan sha256=%x, index sha256=%x)\nfirst diff: %s",
-						set.Name, name, v.name, hScan[:8], hIdx[:8], firstDiff(fpScan, fpIdx))
-				}
+				fmt.Fprintf(&got, "%x  %s/%s/%s\n", sha256.Sum256([]byte(fingerprint(set, res))), set.Name, name, v.name)
 			}
 		}
+	}
+	if *update {
+		if err := os.WriteFile(goldenFile, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := bufio.NewScanner(f)
+	for n, line := range strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n") {
+		if !want.Scan() {
+			t.Fatalf("%s ends after %d lines; this build runs more cells, the first %q", goldenFile, n, line)
+		}
+		if want.Text() != line {
+			t.Errorf("%s line %d: schedule changed\n stored: %s\n    got: %s", goldenFile, n+1, want.Text(), line)
+		}
+	}
+	if want.Scan() {
+		t.Errorf("%s has cells this build does not run, the first %q", goldenFile, want.Text())
+	}
+	if err := want.Err(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -199,10 +226,9 @@ func TestGoldenCompareWorkers(t *testing.T) {
 	}
 }
 
-// TestGoldenParanoidIndex runs the kernel's per-tick invariant checker —
-// including I6, the full recomputation of the incremental ceiling index
-// from the lock table — over the golden workloads.
-func TestGoldenParanoidIndex(t *testing.T) {
+// TestGoldenParanoid runs the kernel's per-tick invariant checker (I1-I5)
+// over the golden workloads.
+func TestGoldenParanoid(t *testing.T) {
 	for _, set := range goldenWorkloads(t) {
 		for _, name := range Protocols() {
 			p, err := NewProtocol(name)

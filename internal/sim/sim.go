@@ -79,10 +79,11 @@ type Options struct {
 	SporadicJitter float64
 	// Seed drives the sporadic-arrival RNG.
 	Seed int64
-	// DisableCeilingIndex makes the kernel withhold the incremental
-	// ceiling index so protocols fall back to lock-table scans. Exists for
-	// the golden determinism tests, which run every workload both ways and
-	// assert bit-identical schedules.
+	// DisableCeilingIndex has no effect: the kernel keeps no ceiling index
+	// to disable (protocols read ceilings off lock.Table.Ceiling). The
+	// field stays only because benchmark/probes.go sets it and a PR may not
+	// edit the benchmark together with the code it measures; it goes with
+	// that probe (ROADMAP 4(e)).
 	DisableCeilingIndex bool
 	// Workers caps the goroutines Compare fans protocol runs across.
 	// 0 or 1 runs serially; n > 1 runs up to n protocols concurrently.
@@ -150,16 +151,15 @@ func runProtocol(set *txn.Set, p cc.Protocol, opts Options, ceil *txn.Ceilings) 
 		horizon = DefaultHorizon(set)
 	}
 	cfg := sched.Config{
-		Horizon:             horizon,
-		RecordTrace:         opts.Trace,
-		TrackCeiling:        opts.Trace || opts.TrackCeiling,
-		StopOnDeadlock:      opts.StopOnDeadlock,
-		SporadicJitter:      opts.SporadicJitter,
-		Seed:                opts.Seed,
-		DisableCeilingIndex: opts.DisableCeilingIndex,
-		Ceilings:            ceil,
-		FaultAbortProb:      opts.FaultAbortProb,
-		FaultSeed:           opts.FaultSeed,
+		Horizon:        horizon,
+		RecordTrace:    opts.Trace,
+		TrackCeiling:   opts.Trace || opts.TrackCeiling,
+		StopOnDeadlock: opts.StopOnDeadlock,
+		SporadicJitter: opts.SporadicJitter,
+		Seed:           opts.Seed,
+		Ceilings:       ceil,
+		FaultAbortProb: opts.FaultAbortProb,
+		FaultSeed:      opts.FaultSeed,
 	}
 	if opts.FirmDeadlines {
 		cfg.Deadline = sched.FirmAbort

@@ -97,6 +97,23 @@ func TestCeilingsUnknownItemIsDummy(t *testing.T) {
 	}
 }
 
+// TestCeilingsHostileIDs: the ceilings are slices indexed by item id, and the
+// accessors are what every lock request calls with an id that may have come
+// off the wire — any id outside the tables has the dummy ceiling, as it had
+// when the tables were maps.
+func TestCeilingsHostileIDs(t *testing.T) {
+	s, _, _, _ := buildExample4(t)
+	c := ComputeCeilings(s)
+	if len(c.WceilTable()) != s.Catalog.Len() || len(c.AceilTable()) != s.Catalog.Len() {
+		t.Fatalf("tables of %d and %d entries over %d items", len(c.WceilTable()), len(c.AceilTable()), s.Catalog.Len())
+	}
+	for _, x := range []rt.Item{-1, rt.NoItem, -1 << 31, rt.Item(len(c.WceilTable())), 1 << 30} {
+		if w, a := c.Wceil(x), c.Aceil(x); w != rt.Dummy || a != rt.Dummy {
+			t.Errorf("item %d: Wceil %v, Aceil %v, want the dummy ceiling", x, w, a)
+		}
+	}
+}
+
 func TestCeilingReadOnlyItem(t *testing.T) {
 	s := NewSet("ro")
 	x := s.Catalog.Intern("x")
