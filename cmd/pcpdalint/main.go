@@ -6,21 +6,18 @@
 // It exits 0 when every finding is either absent or justified in the
 // committed suppression file (.pcpdalint-suppressions at the module root),
 // and 1 otherwise. Stale suppression entries — entries that no longer
-// match any finding — are also fatal, so the file cannot rot.
-//
-// The binary doubles as a vet tool (see vettool.go):
-//
-//	go build -o /tmp/pcpdalint ./cmd/pcpdalint
-//	go vet -vettool=/tmp/pcpdalint ./...
+// match any finding — are also fatal on a whole-module run, so the file
+// cannot rot. The same suite over the same tree is the tier-1 meta-test
+// internal/lint/all.TestSuiteCleanOnRealTree; this driver is the tool CI
+// and people run (-gh adds GitHub annotations, -v the suppressed findings).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 	"time"
 
 	"pcpda/internal/lint"
@@ -32,30 +29,10 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet -vettool probes the binary with -V=full (version for the build
-	// cache), then -flags (JSON list of tool flags; the suite has none it
-	// exposes to vet), then invokes it with a unitchecker-style *.cfg
-	// argument per package; all three route to vettool behavior.
-	for _, a := range args {
-		if strings.HasPrefix(a, "-V") {
-			fmt.Printf("pcpdalint version pcpda-lint-1 sum h1:pcpda-lint-suite\n")
-			return 0
-		}
-		if a == "-flags" {
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runVet(args[0])
-	}
-
 	fs := flag.NewFlagSet("pcpdalint", flag.ExitOnError)
 	var (
 		listOnly = fs.Bool("list", false, "list the analyzers and exit")
-		suppress = fs.String("suppressions", "", "suppression file (default: <module root>/"+lint.SuppressFile+")")
 		verbose  = fs.Bool("v", false, "also print suppressed findings")
-		jsonOut  = fs.Bool("json", false, "emit findings as a JSON array (machine-readable; suppressed findings included, marked)")
 		ghOut    = fs.Bool("gh", false, "also emit GitHub Actions ::error workflow annotations for unsuppressed findings")
 	)
 	fs.Usage = func() {
@@ -90,10 +67,7 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "pcpdalint:", err)
 		return 2
 	}
-	supPath := *suppress
-	if supPath == "" {
-		supPath = filepath.Join(modDir, lint.SuppressFile)
-	}
+	supPath := filepath.Join(modDir, lint.SuppressFile)
 	sup, err := lint.LoadSuppressions(supPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pcpdalint:", err)
@@ -114,20 +88,13 @@ func run(args []string) int {
 	}
 	elapsed := time.Since(start)
 	kept, suppressed := sup.Filter(findings)
-	if *jsonOut {
-		if err := writeJSON(os.Stdout, kept, suppressed); err != nil {
-			fmt.Fprintln(os.Stderr, "pcpdalint:", err)
-			return 2
+	if *verbose {
+		for _, f := range suppressed {
+			fmt.Printf("suppressed: %s\n", f)
 		}
-	} else {
-		if *verbose {
-			for _, f := range suppressed {
-				fmt.Printf("suppressed: %s\n", f)
-			}
-		}
-		for _, f := range kept {
-			fmt.Println(f)
-		}
+	}
+	for _, f := range kept {
+		fmt.Println(f)
 	}
 	if *ghOut {
 		for _, f := range kept {
@@ -140,13 +107,7 @@ func run(args []string) int {
 	// Stale-entry auditing only makes sense when every package the
 	// suppressions could refer to was analyzed; on a scoped run an entry
 	// for an unanalyzed package would be reported stale spuriously.
-	wholeModule := false
-	for _, p := range patterns {
-		if p == "./..." {
-			wholeModule = true
-		}
-	}
-	if wholeModule {
+	if slices.Contains(patterns, "./...") {
 		for _, e := range sup.Unused() {
 			fmt.Fprintf(os.Stderr, "pcpdalint: %s:%d: stale suppression (matched nothing): %s %q %q\n", supPath, e.Line, e.Analyzer, e.PathSub, e.MsgSub)
 			bad = true
@@ -155,42 +116,7 @@ func run(args []string) int {
 	if bad {
 		return 1
 	}
-	if !*jsonOut {
-		fmt.Printf("pcpdalint: %d packages clean in %v (%d findings suppressed with justification)\n",
-			len(pkgs), elapsed.Round(time.Millisecond), len(suppressed))
-	}
+	fmt.Printf("pcpdalint: %d packages clean in %v (%d findings suppressed with justification)\n",
+		len(pkgs), elapsed.Round(time.Millisecond), len(suppressed))
 	return 0
-}
-
-// jsonFinding is the machine-readable form of one diagnostic.
-type jsonFinding struct {
-	Analyzer   string `json:"analyzer"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Column     int    `json:"column"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed,omitempty"`
-}
-
-// writeJSON emits every finding — kept first, then suppressed (marked) —
-// as one indented JSON array, so CI tooling can consume the run without
-// scraping the human format.
-func writeJSON(w *os.File, kept, suppressed []lint.Finding) error {
-	out := make([]jsonFinding, 0, len(kept)+len(suppressed))
-	for _, f := range kept {
-		out = append(out, jsonFinding{
-			Analyzer: f.Analyzer, File: f.Position.Filename,
-			Line: f.Position.Line, Column: f.Position.Column, Message: f.Message,
-		})
-	}
-	for _, f := range suppressed {
-		out = append(out, jsonFinding{
-			Analyzer: f.Analyzer, File: f.Position.Filename,
-			Line: f.Position.Line, Column: f.Position.Column, Message: f.Message,
-			Suppressed: true,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

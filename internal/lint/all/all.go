@@ -1,6 +1,6 @@
-// Package all registers the complete pcpdalint analyzer suite — the single
-// list the cmd/pcpdalint driver, the go vet -vettool mode and the
-// self-check meta-test all share, so the three runners can never drift.
+// Package all registers the complete pcpdalint analyzer suite: the one
+// list both runners apply — the tier-1 meta-test in this package, which is
+// the gate, and the cmd/pcpdalint driver, which is the tool.
 package all
 
 import (
@@ -12,7 +12,6 @@ import (
 	"pcpda/internal/lint/errcheck"
 	"pcpda/internal/lint/guardedby"
 	"pcpda/internal/lint/lockorder"
-	"pcpda/internal/lint/waitnode"
 )
 
 // Analyzers is the suite in stable (reporting) order.
@@ -24,5 +23,4 @@ var Analyzers = []*lint.Analyzer{
 	errcheck.Analyzer,
 	guardedby.Analyzer,
 	lockorder.Analyzer,
-	waitnode.Analyzer,
 }

@@ -1,17 +1,16 @@
-// Package allocfree keeps the de-allocated hot paths of PR 2/3 honest
+// Package allocfree keeps the annotated hot paths allocation-free
 // (DESIGN.md §10): functions annotated
 //
 //	//pcpda:alloc-free
 //
-// in their doc comment — the live manager's ceiling-index queries, the lock
-// table's EachReader/EachWriter enumerators, the kernel dispatch loop — are flagged
-// on any construct that can allocate: append (backing-array growth), make /
-// new / composite literals, variable-capturing closures, interface boxing
-// of concrete values, string building and map writes to fresh keys are the
-// ones that actually bit during the PR 2/3 work. The static check is
-// cross-checked dynamically by scripts/escapes.sh, which diffs the
-// compiler's escape analysis (-gcflags=-m) for the annotated files against
-// a committed baseline.
+// in their doc comment — the live manager's ceiling queries, the lock
+// table's EachReader/EachWriter enumerators, the kernel dispatch loop, the
+// wire decoder's cursor — are flagged on any construct that can allocate:
+// append (backing-array growth), make / new / composite literals,
+// variable-capturing closures, interface boxing of concrete values, string
+// building and map writes to fresh keys. The check is syntactic; what the
+// compiler actually does is held by the exact-allocation test that executes
+// each annotated function (DESIGN.md §10 lists them side by side).
 package allocfree
 
 import (

@@ -1,4 +1,4 @@
-// Package atomics proves atomic-publication discipline (DESIGN.md §15):
+// Package atomics proves atomic-publication discipline (DESIGN.md §10):
 //
 //  1. Mixed-access ban, module-wide: a plain-typed field touched through
 //     sync/atomic anywhere (atomic.AddInt64(&s.f, ...)) must be touched
@@ -38,17 +38,16 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	guards := flow.ParseGuards(pass)
 	res := flow.Analyze(pass)
-
-	checkMixed(pass, guards, res)
-	checkLockfree(pass, guards, res)
+	checkMixed(pass, res)
+	checkLockfree(pass, res)
 	return nil
 }
 
 // checkMixed enforces the no-mixed-access rule on plain-typed fields and
 // the no-overwrite rule on typed atomic fields.
-func checkMixed(pass *lint.Pass, guards *flow.Guards, res *flow.Result) {
+func checkMixed(pass *lint.Pass, res *flow.Result) {
+	guards := res.Guards
 	atomicUse := map[*types.Var]bool{}
 	for _, acc := range res.Accesses {
 		if acc.Atomic {
@@ -74,7 +73,8 @@ func checkMixed(pass *lint.Pass, guards *flow.Guards, res *flow.Result) {
 }
 
 // checkLockfree re-verifies //pcpda:lockfree files at field-access level.
-func checkLockfree(pass *lint.Pass, guards *flow.Guards, res *flow.Result) {
+func checkLockfree(pass *lint.Pass, res *flow.Result) {
+	guards := res.Guards
 	lockfree := map[*ast.File]bool{}
 	for _, f := range pass.Files {
 		if capability.HasLockfreeMarker(f) {

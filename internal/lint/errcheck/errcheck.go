@@ -1,9 +1,7 @@
-// Package errcheck flags silently dropped error returns in the driver and
-// experiment packages (cmd/ and internal/experiments). Those packages
-// produce the committed experiment reports and benchmark artifacts: a
-// swallowed write error there corrupts an artifact without failing CI. An
-// ignored error must either be handled or explicitly discarded with
-// `_ = f()` (with a comment saying why), which this analyzer accepts.
+// Package errcheck flags silently dropped error returns in the packages
+// PkgPrefixes lists (the one statement of its scope; Analyzer.Doc is built
+// from it). An ignored error must either be handled or explicitly discarded
+// with `_ = f()` (with a comment saying why), which this analyzer accepts.
 //
 // Printing to the process's own stdout/stderr via fmt.Print/Printf/Println
 // is exempt — the conventional Go posture — but fmt.Fprintf to a file,
@@ -34,8 +32,9 @@ var PkgPrefixes = []string{
 // Analyzer is the errcheck analyzer.
 var Analyzer = &lint.Analyzer{
 	Name: "errcheck",
-	Doc:  "cmd/ and internal/experiments must not silently drop error returns; handle them or discard with an explicit `_ =`",
-	Run:  run,
+	Doc: strings.ReplaceAll(strings.Join(PkgPrefixes, ", "), "pcpda/", "") +
+		" must not silently drop error returns; handle them or discard with an explicit `_ =`",
+	Run: run,
 }
 
 func run(pass *lint.Pass) error {

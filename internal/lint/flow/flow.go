@@ -1,19 +1,19 @@
-// Package flow is the flow-aware analysis layer under the field-level
-// concurrency analyzers (guardedby, atomics). Where lockorder tracks the
-// one manager mutex as a scalar state, flow generalizes the same shape —
-// a path-sensitive statement walk, per-function lock-effect summaries
-// iterated to a fixpoint, and entry states propagated from the exported
-// API through same-package call sites — to a *set* of named mutexes, each
-// identified by the mutex variable (a struct field or plain var) plus the
-// access path of the instance it was locked through ("m.mu", "t.mgr.mu",
-// "q.mu").
+// Package flow is the suite's one lock-state dataflow, read by guardedby,
+// atomics and lockorder: a path-sensitive statement walk, per-function
+// lock-effect summaries iterated to a fixpoint, and entry states
+// propagated from the exported API through same-package call sites, over
+// a *set* of named mutexes, each identified by the mutex variable (a
+// struct field or plain var) plus the access path of the instance it was
+// locked through ("m.mu", "t.mgr.mu", "q.mu").
 //
-// The result of Analyze is the list of struct-field accesses the package
-// performs, each carrying the set of mutexes statically held at that
-// point, whether it is a read or a write, whether it goes through
-// sync/atomic, and whether it hits a freshly constructed (not yet
-// published) value. Analyzers turn that list into guard checks; flow
-// itself reports nothing.
+// The result of Analyze is two lists, each entry carrying the set of
+// mutexes statically held at that point: the struct-field accesses the
+// package performs (read or write, through sync/atomic or not, on a
+// freshly constructed value or a published one) and its channel sends and
+// receives (blocking, or a comm of a select with a default). Analyzers
+// turn those lists into checks; flow itself reports nothing. Analyze is
+// memoized on the Pass, so the walk runs once per package however many
+// analyzers read it.
 //
 // Precision notes, shared by every client:
 //
@@ -32,15 +32,15 @@
 //     and nothing fresh: the creator's locks do not protect a new
 //     goroutine.
 //   - Functions never reachable from a seed (exported API, main/init, a
-//     go/defer statement, or a use as a function value) are skipped, the
-//     same policy as lockorder: guessing an entry state would guess
-//     wrong.
+//     go/defer statement, or a use as a function value) are skipped:
+//     guessing an entry state would guess wrong.
 package flow
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -119,6 +119,20 @@ type Access struct {
 	Held []Lock
 }
 
+// ChanOp is one channel send or receive.
+type ChanOp struct {
+	Pos  token.Pos // the arrow
+	Send bool
+	// Field and Owner name the channel when the operand is a struct-field
+	// selection (n.ch: field ch of waitNode); nil otherwise.
+	Field *types.Var
+	Owner *types.Named
+	// NonBlocking marks a comm of a select that has a default clause.
+	NonBlocking bool
+	// Held is the set of mutexes statically held at the operation.
+	Held []Lock
+}
+
 // GlobalWrite is an assignment to a package-level variable (function-body
 // writes only; initializer expressions run single-threaded).
 type GlobalWrite struct {
@@ -159,22 +173,31 @@ type HoldsViolation struct {
 
 // Result is everything Analyze extracts from one package.
 type Result struct {
+	Guards          *Guards
 	Accesses        []Access
+	ChanOps         []ChanOp
 	GlobalWrites    []GlobalWrite
 	BadHolds        []BadHolds
 	HoldsViolations []HoldsViolation
 }
 
-// Analyze runs the flow analysis over the package and returns every field
-// access with its held-lock set.
+// Analyze returns the package's flow analysis: every field access and
+// channel operation with its held-lock set, plus the guard table. The first
+// call for a package computes it; later calls, from whichever analyzer,
+// return the same Result.
 func Analyze(pass *lint.Pass) *Result {
+	type key struct{}
+	return pass.Shared(key{}, func() any { return analyze(pass) }).(*Result)
+}
+
+func analyze(pass *lint.Pass) *Result {
 	a := &analysis{
 		pass:      pass,
 		funcs:     map[types.Object]*funcInfo{},
 		summaries: map[types.Object]*summary{},
 		entries:   map[types.Object]*entryState{},
 		pinned:    map[types.Object]bool{},
-		result:    &Result{},
+		result:    &Result{Guards: parseGuards(pass)},
 	}
 	a.collect()
 	a.fixSummaries()
@@ -189,6 +212,9 @@ func Analyze(pass *lint.Pass) *Result {
 	}
 	sort.Slice(a.result.Accesses, func(i, j int) bool {
 		return a.result.Accesses[i].Pos < a.result.Accesses[j].Pos
+	})
+	sort.Slice(a.result.ChanOps, func(i, j int) bool {
+		return a.result.ChanOps[i].Pos < a.result.ChanOps[j].Pos
 	})
 	return a.result
 }
@@ -761,6 +787,9 @@ type walker struct {
 	aliases    map[types.Object]Path
 	fresh      map[types.Object]bool
 	exits      []state
+	// nonblock is set while walking a comm of a select that has a default
+	// clause: that operation cannot block.
+	nonblock bool
 }
 
 // run walks the body and returns the merged exit state (defers applied).
@@ -807,6 +836,7 @@ func (w *walker) stmt(s ast.Stmt, st state) state {
 		return w.expr(s.X, st)
 	case *ast.SendStmt:
 		st = w.expr(s.Value, st)
+		w.emitChan(s.Arrow, s.Chan, true, st)
 		return w.expr(s.Chan, st)
 	case *ast.AssignStmt:
 		return w.assign(s, st)
@@ -857,12 +887,17 @@ func (w *walker) stmt(s ast.Stmt, st state) state {
 		body := w.block(s.Body, st.clone())
 		return mergeStates(st, body)
 	case *ast.SelectStmt:
+		hasDefault := slices.ContainsFunc(s.Body.List, func(c ast.Stmt) bool {
+			return c.(*ast.CommClause).Comm == nil
+		})
 		out := state{dead: true}
 		for _, c := range s.Body.List {
 			cc := c.(*ast.CommClause)
 			cst := st.clone()
 			if cc.Comm != nil {
+				w.nonblock = hasDefault
 				cst = w.stmt(cc.Comm, cst)
+				w.nonblock = false
 			}
 			out = mergeStates(out, w.block(&ast.BlockStmt{List: cc.Body}, cst))
 		}
@@ -1040,7 +1075,11 @@ func (w *walker) expr(e ast.Expr, st state) state {
 				return w.expr(sel.X, st)
 			}
 		}
-		return w.expr(e.X, st)
+		st = w.expr(e.X, st)
+		if e.Op == token.ARROW {
+			w.emitChan(e.OpPos, e.X, false, st)
+		}
+		return st
 	case *ast.CallExpr:
 		return w.call(e, st)
 	case *ast.ParenExpr:
@@ -1404,6 +1443,24 @@ func (w *walker) emit(sel *ast.SelectorExpr, st state, write, atomic bool) {
 		Held:   append([]Lock(nil), st.held...),
 	}
 	w.a.result.Accesses = append(w.a.result.Accesses, acc)
+}
+
+// emitChan records one channel operation with the current held-lock set.
+func (w *walker) emitChan(arrow token.Pos, ch ast.Expr, send bool, st state) {
+	if w.a.phase != phaseReport {
+		return
+	}
+	op := ChanOp{
+		Pos: arrow, Send: send, NonBlocking: w.nonblock,
+		Held: append([]Lock(nil), st.held...),
+	}
+	if sel, ok := ast.Unparen(ch).(*ast.SelectorExpr); ok {
+		if s, ok := w.a.pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.FieldVal {
+			op.Field, _ = s.Obj().(*types.Var)
+			op.Owner = namedOf(s.Recv())
+		}
+	}
+	w.a.result.ChanOps = append(w.a.result.ChanOps, op)
 }
 
 // isFreshRoot reports whether accesses through root cannot race: the

@@ -1,6 +1,6 @@
 // Guard annotations: the //pcpda:guardedby field marker and its
-// resolution against the declaring struct. Parsing lives in flow because
-// both field-level analyzers (guardedby, atomics) consume the table.
+// resolution against the declaring struct. The table is part of flow's
+// Result because both field-level analyzers (guardedby, atomics) read it.
 package flow
 
 import (
@@ -90,9 +90,9 @@ func (g *Guards) OwnerOf(f *types.Var) (*StructInfo, bool) {
 	return si, ok
 }
 
-// ParseGuards scans the package's struct declarations for GuardMarker
+// parseGuards scans the package's struct declarations for GuardMarker
 // annotations and resolves them.
-func ParseGuards(pass *lint.Pass) *Guards {
+func parseGuards(pass *lint.Pass) *Guards {
 	g := &Guards{
 		byField: map[*types.Var]Guard{},
 		owner:   map[*types.Var]*StructInfo{},

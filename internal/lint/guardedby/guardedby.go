@@ -1,4 +1,4 @@
-// Package guardedby proves field-level mutex discipline (DESIGN.md §15):
+// Package guardedby proves field-level mutex discipline (DESIGN.md §10):
 // every access to a field annotated //pcpda:guardedby <mutexField> must
 // happen while that mutex is statically held (an exclusive hold for
 // writes; a read hold suffices for reads under an RWMutex) or while the
@@ -31,12 +31,12 @@ var Analyzer = &lint.Analyzer{
 }
 
 func run(pass *lint.Pass) error {
-	guards := flow.ParseGuards(pass)
+	res := flow.Analyze(pass)
+	guards := res.Guards
 	for _, bad := range guards.Bad {
 		pass.Reportf(bad.Pos, "unresolvable //pcpda:guardedby %s on field %s: %s",
 			bad.Spec, bad.Field, bad.Reason)
 	}
-	res := flow.Analyze(pass)
 	for _, bad := range res.BadHolds {
 		pass.Reportf(bad.Pos, "unresolvable //pcpda:holds %s on %s: %s",
 			bad.Spec, bad.Fn, bad.Reason)

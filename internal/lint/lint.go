@@ -6,12 +6,13 @@
 // enough that porting an analyzer between the two is mechanical.
 //
 // The suite exists because PCP-DA's guarantees rest on conventions the
-// compiler cannot see: protocol packages must reach lock/ceiling state only
-// through cc capabilities, the sim kernel must stay deterministic so the
-// golden-trace gate stays meaningful, the live manager's wakeup discipline
-// must never send without the manager lock or park while holding it, and
-// the hot paths de-allocated in PR 2/3 must stay allocation-free. Each
-// analyzer mechanically enforces one of those contracts.
+// compiler cannot see: protocol packages reach lock and ceiling state only
+// through cc capabilities, the sim kernel stays deterministic so the
+// golden-schedule gate means something, the live manager never wakes a
+// waiter without its mutex nor sleeps holding it, every shared field is
+// touched under its guard, and annotated hot paths do not allocate. Each
+// analyzer enforces one of those contracts; two runners apply the list in
+// internal/lint/all — the tier-1 meta-test and cmd/pcpdalint.
 package lint
 
 import (
@@ -43,6 +44,23 @@ type Pass struct {
 
 	// Report records one diagnostic. Analyzers usually call Reportf.
 	Report func(Diagnostic)
+
+	// shared is the package's memo table, common to every analyzer's Pass
+	// over that package.
+	shared map[any]any
+}
+
+// Shared returns the value filed under key for this package, calling
+// compute the first time any analyzer asks: an analysis several analyzers
+// read (flow's lock-state dataflow) runs once per package, not once per
+// reader.
+func (p *Pass) Shared(key any, compute func() any) any {
+	v, ok := p.shared[key]
+	if !ok {
+		v = compute()
+		p.shared[key] = v
+	}
+	return v
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -75,6 +93,7 @@ func (f Finding) String() string {
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	for _, pkg := range pkgs {
+		shared := map[any]any{}
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -83,6 +102,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				Pkg:       pkg.Types,
 				PkgPath:   pkg.PkgPath,
 				TypesInfo: pkg.TypesInfo,
+				shared:    shared,
 			}
 			pass.Report = func(d Diagnostic) {
 				out = append(out, Finding{

@@ -33,9 +33,6 @@ type Loader struct {
 	// Resolve maps an import path to the directory holding its sources.
 	// Returning ok=false delegates the path to the stdlib importer.
 	Resolve func(path string) (dir string, ok bool)
-	// IncludeTests also parses _test.go files of the packages under
-	// analysis (never of their dependencies).
-	IncludeTests bool
 
 	std   types.ImporterFrom
 	cache map[string]*loadEntry
@@ -95,7 +92,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // importer.
 func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
 	if dir, ok := l.Resolve(path); ok {
-		pkg, err := l.load(path, dir, false)
+		pkg, err := l.LoadDir(path, dir)
 		if err != nil {
 			return nil, err
 		}
@@ -104,31 +101,22 @@ func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 	return l.std.ImportFrom(path, srcDir, mode)
 }
 
-// LoadDir loads the package rooted at dir under import path pkgPath,
-// honoring IncludeTests for this package only.
+// LoadDir loads the package rooted at dir under import path pkgPath. The
+// contracts are about production code: _test.go files are never parsed.
 func (l *Loader) LoadDir(pkgPath, dir string) (*Package, error) {
-	return l.load(pkgPath, dir, l.IncludeTests)
-}
-
-func (l *Loader) load(pkgPath, dir string, includeTests bool) (*Package, error) {
-	key := pkgPath
-	if includeTests {
-		key += " [tests]"
-	}
-	if e, ok := l.cache[key]; ok {
+	if e, ok := l.cache[pkgPath]; ok {
 		return e.pkg, e.err
 	}
 	// Seed the cache entry first so import cycles fail fast instead of
 	// recursing forever; genuine cycles are reported by the type checker.
 	e := &loadEntry{err: fmt.Errorf("lint: import cycle through %s", pkgPath)}
-	l.cache[key] = e
-	pkg, err := l.parseAndCheck(pkgPath, dir, includeTests)
-	e.pkg, e.err = pkg, err
-	return pkg, err
+	l.cache[pkgPath] = e
+	e.pkg, e.err = l.parseAndCheck(pkgPath, dir)
+	return e.pkg, e.err
 }
 
-func (l *Loader) parseAndCheck(pkgPath, dir string, includeTests bool) (*Package, error) {
-	names, err := goFilesIn(dir, includeTests)
+func (l *Loader) parseAndCheck(pkgPath, dir string) (*Package, error) {
+	names, err := goFilesIn(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -143,12 +131,6 @@ func (l *Loader) parseAndCheck(pkgPath, dir string, includeTests bool) (*Package
 		}
 		files = append(files, f)
 	}
-	// External test packages (package foo_test) type-check separately;
-	// keep only the primary package plus, under IncludeTests, its in-package
-	// tests. The suite's invariants are about production code, and the
-	// linttest harness never needs _test variants.
-	files = primaryPackageFiles(files)
-
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -177,34 +159,9 @@ func (l *Loader) parseAndCheck(pkgPath, dir string, includeTests bool) (*Package
 	}, nil
 }
 
-// primaryPackageFiles drops files whose package clause differs from the
-// majority package (i.e. foo_test external test files).
-func primaryPackageFiles(files []*ast.File) []*ast.File {
-	counts := map[string]int{}
-	for _, f := range files {
-		counts[f.Name.Name]++
-	}
-	best := files[0].Name.Name
-	for name, n := range counts {
-		// Prefer the non-_test package on ties; map order cannot matter
-		// because a package dir has at most two package names and the
-		// _test one is never preferred.
-		if strings.HasSuffix(best, "_test") && !strings.HasSuffix(name, "_test") {
-			best = name
-		} else if n > counts[best] && !strings.HasSuffix(name, "_test") {
-			best = name
-		}
-	}
-	var out []*ast.File
-	for _, f := range files {
-		if f.Name.Name == best {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-func goFilesIn(dir string, includeTests bool) ([]string, error) {
+// goFilesIn lists dir's production Go files: _test.go files (and with them
+// every external foo_test package) are left out.
+func goFilesIn(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -212,10 +169,8 @@ func goFilesIn(dir string, includeTests bool) ([]string, error) {
 	var names []string
 	for _, ent := range ents {
 		name := ent.Name()
-		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if !includeTests && strings.HasSuffix(name, "_test.go") {
+		if ent.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
 		names = append(names, name)
@@ -305,7 +260,7 @@ func walkPackageDirs(root string, fn func(dir string)) error {
 			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
-			names, err := goFilesIn(path, false)
+			names, err := goFilesIn(path)
 			if err != nil {
 				return err
 			}

@@ -5,34 +5,34 @@
 //  1. every wait-node send (n.ch <- token) happens while the manager mutex
 //     is held — registration and wake must be serialized, or a wake can
 //     race a park and be delivered to a node not yet filed (lost wakeup);
-//  2. the manager mutex is never held across a channel receive — a parked
-//     goroutine holding m.mu would deadlock the whole manager, since every
-//     wake path must first acquire m.mu.
+//  2. the manager mutex is never held across a blocking channel receive — a
+//     parked goroutine holding m.mu would deadlock the whole manager, since
+//     every wake path must first acquire m.mu. A receive in a select with a
+//     default clause cannot block and is allowed (waitNode.drain).
 //
-// The analyzer approximates the SSA call graph on the AST: it computes a
-// net lock-effect summary for every function in the rtm package (does it
-// leave the manager mutex in the caller's state, locked, or unlocked),
-// propagates entry lock-states from the exported API (which is always
-// entered unlocked) through same-package calls to a fixpoint, and then
-// walks each reachable function path-sensitively, reporting wait-node
-// sends outside the mutex and receives inside it. Function literals
-// (goroutine bodies) are skipped: they run on foreign goroutines with
-// their own discipline.
+// The analyzer is a filter over flow.Analyze's channel operations, each of
+// which carries the mutexes that must be held there: across same-package
+// calls, through balanced unlock/lock windows, with a helper reached both
+// locked and unlocked counting as unlocked.
 package lockorder
 
 import (
-	"go/ast"
-	"go/token"
+	"fmt"
 	"go/types"
+	"slices"
 
 	"pcpda/internal/lint"
+	"pcpda/internal/lint/flow"
 )
 
 // TargetPkgs are the packages holding the manager mutex discipline.
 var TargetPkgs = []string{"pcpda/internal/rtm"}
 
-// waitNodeType and waitChanField identify the wait-node send sites.
-var (
+// The names the contract is written in: the manager mutex is field mu of
+// type Manager, a wake channel is field ch of type waitNode.
+const (
+	managerType   = "Manager"
+	managerMutex  = "mu"
 	waitNodeType  = "waitNode"
 	waitChanField = "ch"
 )
@@ -41,449 +41,29 @@ var (
 var Analyzer = &lint.Analyzer{
 	Name: "lockorder",
 	Doc: "the rtm manager mutex must be held at every wait-node send and released " +
-		"before any channel receive",
+		"before any blocking channel receive",
 	Run: run,
 }
 
-// lstate is the abstract mutex state along one path.
-type lstate uint8
-
-const (
-	lNone lstate = iota // unreached
-	lUnlocked
-	lLocked
-	lUnknown
-)
-
-func mergeL(a, b lstate) lstate {
-	switch {
-	case a == lNone:
-		return b
-	case b == lNone:
-		return a
-	case a == b:
-		return a
-	default:
-		return lUnknown
-	}
-}
-
-// summary is a function's lock transfer: the exit state for each possible
-// entry state.
-type summary struct {
-	fromUnlocked lstate
-	fromLocked   lstate
-}
-
-func (s summary) apply(entry lstate) lstate {
-	switch entry {
-	case lUnlocked:
-		return s.fromUnlocked
-	case lLocked:
-		return s.fromLocked
-	default:
-		return mergeL(s.fromUnlocked, s.fromLocked)
-	}
-}
-
-type analysis struct {
-	pass      *lint.Pass
-	funcs     map[types.Object]*ast.FuncDecl
-	summaries map[types.Object]summary
-	entries   map[types.Object]lstate
-	report    bool
-}
-
 func run(pass *lint.Pass) error {
-	ok := false
-	for _, p := range TargetPkgs {
-		if pass.PkgPath == p {
-			ok = true
-		}
-	}
-	if !ok {
+	if !slices.Contains(TargetPkgs, pass.PkgPath) {
 		return nil
 	}
-	a := &analysis{
-		pass:      pass,
-		funcs:     map[types.Object]*ast.FuncDecl{},
-		summaries: map[types.Object]summary{},
-		entries:   map[types.Object]lstate{},
+	var mu types.Object
+	if tn := pass.Pkg.Scope().Lookup(managerType); tn != nil {
+		mu, _, _ = types.LookupFieldOrMethod(tn.Type(), true, pass.Pkg, managerMutex)
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fn, okd := decl.(*ast.FuncDecl); okd && fn.Body != nil {
-				if obj := pass.TypesInfo.Defs[fn.Name]; obj != nil {
-					a.funcs[obj] = fn
-					a.summaries[obj] = summary{fromUnlocked: lUnlocked, fromLocked: lLocked}
-				}
-			}
-		}
+	if mu == nil {
+		return fmt.Errorf("no %s.%s in %s: the contract names a mutex that is gone", managerType, managerMutex, pass.PkgPath)
 	}
-
-	// Fixpoint 1: lock-effect summaries (identity to start; iterate until
-	// stable so balanced unlock/lock windows and helpers compose).
-	for range a.funcs {
-		changed := false
-		for obj, fn := range a.funcs {
-			next := summary{
-				fromUnlocked: a.walk(fn.Body, lUnlocked, nil),
-				fromLocked:   a.walk(fn.Body, lLocked, nil),
-			}
-			if next != a.summaries[obj] {
-				a.summaries[obj] = next
-				changed = true
-			}
+	for _, op := range flow.Analyze(pass).ChanOps {
+		held := slices.ContainsFunc(op.Held, func(l flow.Lock) bool { return l.Mutex == mu })
+		switch {
+		case op.Send && !held && op.Owner != nil && op.Owner.Obj().Name() == waitNodeType && op.Field.Name() == waitChanField:
+			pass.Reportf(op.Pos, "wait-node send without holding the manager mutex: a wake can race registration and be lost")
+		case !op.Send && held && !op.NonBlocking:
+			pass.Reportf(op.Pos, "channel receive while holding the manager mutex: wake paths need the mutex, so this can deadlock the manager")
 		}
-		if !changed {
-			break
-		}
-	}
-
-	// Fixpoint 2: entry states, propagated from the exported API (always
-	// entered unlocked) through same-package call sites.
-	for obj, fn := range a.funcs {
-		if ast.IsExported(fn.Name.Name) || fn.Name.Name == "main" || fn.Name.Name == "init" {
-			a.entries[obj] = lUnlocked
-		}
-	}
-	for range 16 { // package call graphs are shallow; bounded for safety
-		changed := false
-		for obj, fn := range a.funcs {
-			entry := a.entries[obj]
-			if entry == lNone {
-				continue
-			}
-			a.walk(fn.Body, entry, func(callee types.Object, at lstate) {
-				if merged := mergeL(a.entries[callee], at); merged != a.entries[callee] {
-					a.entries[callee] = merged
-					changed = true
-				}
-			})
-		}
-		if !changed {
-			break
-		}
-	}
-
-	// Final pass: report. Functions never reached from the exported API
-	// (test helpers, dead code) are skipped rather than guessed at.
-	a.report = true
-	for obj, fn := range a.funcs {
-		if entry := a.entries[obj]; entry != lNone {
-			a.walk(fn.Body, entry, nil)
-		}
-	}
-	return nil
-}
-
-// walk runs the path-sensitive mutex-state walk and returns the exit
-// state. onCall, when set, observes every same-package call site's state.
-func (a *analysis) walk(b *ast.BlockStmt, st lstate, onCall func(types.Object, lstate)) lstate {
-	w := &walker{a: a, onCall: onCall}
-	return w.block(b, st)
-}
-
-type walker struct {
-	a      *analysis
-	onCall func(types.Object, lstate)
-	// nonblock > 0 while walking the comm statements of a select that has
-	// a default clause: those receives cannot block, so holding the mutex
-	// across them is safe (the wake token poll in waitNode.drain).
-	nonblock int
-}
-
-func (w *walker) block(b *ast.BlockStmt, st lstate) lstate {
-	for _, s := range b.List {
-		st = w.stmt(s, st)
-		if st == lNone { // path ended (return)
-			break
-		}
-	}
-	return st
-}
-
-// stmt returns the state after s; lNone marks a returned path.
-func (w *walker) stmt(s ast.Stmt, st lstate) lstate {
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		return w.block(s, st)
-	case *ast.ExprStmt:
-		return w.expr(s.X, st)
-	case *ast.SendStmt:
-		st = w.expr(s.Value, st)
-		if w.a.report && isWaitNodeSend(w.a.pass, s) && st != lLocked {
-			w.a.pass.Reportf(s.Arrow, "wait-node send without holding the manager mutex: a wake can race registration and be lost")
-		}
-		return w.expr(s.Chan, st)
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			st = w.expr(rhs, st)
-		}
-		return st
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			st = w.expr(r, st)
-		}
-		return lNone
-	case *ast.DeferStmt:
-		// A deferred Lock/Unlock takes effect after the body; in-body state
-		// is unchanged. Other deferred calls are scanned for receives only.
-		if !isMutexOp(w.a.pass, s.Call) {
-			return w.expr(s.Call, st)
-		}
-		return st
-	case *ast.IfStmt:
-		if s.Init != nil {
-			st = w.stmt(s.Init, st)
-		}
-		st = w.expr(s.Cond, st)
-		thenSt := w.block(s.Body, st)
-		elseSt := st
-		if s.Else != nil {
-			elseSt = w.stmt(s.Else, st)
-		}
-		return mergeReturned(thenSt, elseSt)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			st = w.stmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			st = w.expr(s.Cond, st)
-		}
-		body := w.block(s.Body, st)
-		return mergeReturned(st, body)
-	case *ast.RangeStmt:
-		st = w.expr(s.X, st)
-		body := w.block(s.Body, st)
-		return mergeReturned(st, body)
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if c.(*ast.CommClause).Comm == nil {
-				hasDefault = true
-			}
-		}
-		out := lNone
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			cst := st
-			if cc.Comm != nil {
-				if hasDefault {
-					w.nonblock++
-				}
-				cst = w.stmt(cc.Comm, cst)
-				if hasDefault {
-					w.nonblock--
-				}
-			}
-			out = mergeReturned(out, w.block(&ast.BlockStmt{List: cc.Body}, cst))
-		}
-		if len(s.Body.List) == 0 {
-			return st
-		}
-		return out
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			st = w.stmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			st = w.expr(s.Tag, st)
-		}
-		return w.caseClauses(s.Body, st)
-	case *ast.TypeSwitchStmt:
-		return w.caseClauses(s.Body, st)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, st)
-	case *ast.GoStmt:
-		// The spawned goroutine runs concurrently with its own discipline;
-		// only scan the call's non-literal argument expressions.
-		for _, arg := range s.Call.Args {
-			st = w.expr(arg, st)
-		}
-		return st
-	case *ast.IncDecStmt:
-		return st
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						st = w.expr(v, st)
-					}
-				}
-			}
-		}
-		return st
-	default:
-		return st
-	}
-}
-
-func (w *walker) caseClauses(body *ast.BlockStmt, st lstate) lstate {
-	hasDefault := false
-	out := lNone
-	for _, c := range body.List {
-		cc := c.(*ast.CaseClause)
-		cst := st
-		for _, e := range cc.List {
-			cst = w.expr(e, cst)
-		}
-		hasDefault = hasDefault || cc.List == nil
-		out = mergeReturned(out, w.block(&ast.BlockStmt{List: cc.Body}, cst))
-	}
-	if !hasDefault {
-		out = mergeReturned(out, st)
-	}
-	if len(body.List) == 0 {
-		return st
-	}
-	return out
-}
-
-// mergeReturned merges two branch exits where lNone marks a returned path.
-func mergeReturned(a, b lstate) lstate {
-	if a == lNone {
-		return b
-	}
-	if b == lNone {
-		return a
-	}
-	return mergeL(a, b)
-}
-
-// expr threads the state through an expression: mutex ops and same-package
-// calls update it, receives are checked against it.
-func (w *walker) expr(e ast.Expr, st lstate) lstate {
-	switch e := e.(type) {
-	case nil:
-		return st
-	case *ast.UnaryExpr:
-		st = w.expr(e.X, st)
-		if e.Op == token.ARROW {
-			if w.a.report && st == lLocked && w.nonblock == 0 {
-				w.a.pass.Reportf(e.OpPos, "channel receive while holding the manager mutex: wake paths need the mutex, so this can deadlock the manager")
-			}
-		}
-		return st
-	case *ast.CallExpr:
-		for _, arg := range e.Args {
-			if _, isLit := arg.(*ast.FuncLit); !isLit {
-				st = w.expr(arg, st)
-			}
-		}
-		if kind := mutexOpKind(w.a.pass, e); kind != 0 {
-			if kind == 'L' {
-				return lLocked
-			}
-			return lUnlocked
-		}
-		if obj := calleeObject(w.a.pass, e); obj != nil {
-			if _, local := w.a.funcs[obj]; local {
-				if w.onCall != nil {
-					w.onCall(obj, st)
-				}
-				return w.a.summaries[obj].apply(st)
-			}
-		}
-		if fun, ok := e.Fun.(*ast.FuncLit); ok {
-			_ = fun // immediately-invoked literals are rare; skip the body
-		}
-		return st
-	case *ast.ParenExpr:
-		return w.expr(e.X, st)
-	case *ast.BinaryExpr:
-		st = w.expr(e.X, st)
-		return w.expr(e.Y, st)
-	case *ast.SelectorExpr:
-		return w.expr(e.X, st)
-	case *ast.IndexExpr:
-		st = w.expr(e.X, st)
-		return w.expr(e.Index, st)
-	case *ast.StarExpr:
-		return w.expr(e.X, st)
-	case *ast.CompositeLit:
-		for _, el := range e.Elts {
-			st = w.expr(el, st)
-		}
-		return st
-	case *ast.KeyValueExpr:
-		return w.expr(e.Value, st)
-	case *ast.TypeAssertExpr:
-		return w.expr(e.X, st)
-	case *ast.SliceExpr:
-		return w.expr(e.X, st)
-	case *ast.FuncLit:
-		return st // foreign goroutine/closure discipline; not this path
-	default:
-		return st
-	}
-}
-
-// mutexOpKind classifies a call as a mutex acquire ('L'), release ('U') or
-// neither (0). Any sync.Mutex / sync.RWMutex method counts; the rtm package
-// has exactly one mutex, the manager's.
-func mutexOpKind(pass *lint.Pass, call *ast.CallExpr) byte {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return 0
-	}
-	var kind byte
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock":
-		kind = 'L'
-	case "Unlock", "RUnlock":
-		kind = 'U'
-	default:
-		return 0
-	}
-	t := pass.TypesInfo.TypeOf(sel.X)
-	if t == nil {
-		return 0
-	}
-	if p, okp := t.(*types.Pointer); okp {
-		t = p.Elem()
-	}
-	named, okn := t.(*types.Named)
-	if !okn || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return 0
-	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex":
-		return kind
-	}
-	return 0
-}
-
-func isMutexOp(pass *lint.Pass, call *ast.CallExpr) bool {
-	return mutexOpKind(pass, call) != 0
-}
-
-// isWaitNodeSend reports whether s sends on a waitNode's wake channel.
-func isWaitNodeSend(pass *lint.Pass, s *ast.SendStmt) bool {
-	sel, ok := s.Chan.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != waitChanField {
-		return false
-	}
-	t := pass.TypesInfo.TypeOf(sel.X)
-	if t == nil {
-		return false
-	}
-	if p, okp := t.(*types.Pointer); okp {
-		t = p.Elem()
-	}
-	named, okn := t.(*types.Named)
-	return okn && named.Obj().Name() == waitNodeType
-}
-
-// calleeObject resolves a call to the types.Object of its callee when it is
-// a plain function or method of this package.
-func calleeObject(pass *lint.Pass, call *ast.CallExpr) types.Object {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return pass.TypesInfo.Uses[fun]
-	case *ast.SelectorExpr:
-		return pass.TypesInfo.Uses[fun.Sel]
 	}
 	return nil
 }

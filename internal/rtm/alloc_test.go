@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pcpda/internal/history"
+	"pcpda/internal/rt"
 	"pcpda/internal/testenv"
 )
 
@@ -24,8 +25,9 @@ func mallocsPer(n int, fn func()) (objects, bytes float64) {
 
 // TestManagerAllocBudget pins what a transaction costs the heap on a warm
 // manager: the handle and the version node its write installs — nothing for
-// the job, the wait node, the waiter lists or the history — and nothing more
-// when an operation parks and resumes on the way.
+// the job, the wait node, the waiter lists or the history — nothing but the
+// handle for a read-only snapshot, and nothing more when an operation parks
+// and resumes on the way.
 func TestManagerAllocBudget(t *testing.T) {
 	if testenv.Race {
 		t.Skip("the race detector's runtime allocates")
@@ -58,6 +60,41 @@ func TestManagerAllocBudget(t *testing.T) {
 	if objects > 2.1 || bytes > 96 {
 		t.Errorf("one transaction allocates %.2f objects / %.1f bytes, budget 2 / 96", objects, bytes)
 	}
+
+	// A read-only snapshot transaction is its handle and nothing else: the
+	// reads (ROTxn.Read over Store.ReadAt) walk the version chain in place.
+	snapshot := func() {
+		ro, err := m.BeginReadOnly(c)
+		must(err)
+		_, err = ro.Read(c, x)
+		must(err)
+		_, err = ro.Read(c, y)
+		must(err)
+		must(ro.Commit(c))
+	}
+	objects, _ = mallocsPer(2000, snapshot)
+	t.Logf("BeginReadOnly/Read/Read/Commit: %.2f objects", objects)
+	if objects > 1.1 {
+		t.Errorf("one read-only transaction allocates %.2f objects, budget 1: a snapshot read must add none", objects)
+	}
+
+	// The two ceiling queries a protocol makes on the way to a denial, with a
+	// read lock standing: counts and the live list, read in place.
+	rd, err := m.Begin(c, "reader")
+	must(err)
+	_, err = rd.Read(c, x)
+	must(err)
+	holders := 0
+	count := func(rt.JobID) { holders++ }
+	m.mu.Lock()
+	allocs := testing.AllocsPerRun(100, func() {
+		m.EachCeilingHolder(m.SysceilExcluding(rt.NoJob), rt.NoJob, count)
+	})
+	m.mu.Unlock()
+	if allocs != 0 || holders == 0 {
+		t.Errorf("SysceilExcluding + EachCeilingHolder allocate %v and named %d holders, want 0 and the reader each time", allocs, holders)
+	}
+	rd.Abort()
 
 	// The same work with a park in it: the updater writes x, the reader reads
 	// the pre-commit version, the updater's Commit parks on the stale reader

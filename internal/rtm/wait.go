@@ -58,15 +58,18 @@ func (n *waitNode) parked() bool { return n.allIdx >= 0 }
 
 // --- registration (all under m.mu) -------------------------------------------
 
-// register files n in the waiter list of every blocker's slot and in the
-// all-waiters list. The blockers come from a decision taken under this same
-// hold of m.mu, so each is live.
+// register files n in the waiter list of every blocker's slot (a Begin
+// waiter: in its slot's begins) and in the all-waiters list. The blockers
+// come from a decision taken under this same hold of m.mu, so each is live.
 func (m *Manager) register(n *waitNode, blockers []rt.JobID) {
 	n.blockers = blockers
 	for _, id := range blockers {
 		if b := m.live(id); b != nil {
 			b.waiters = append(b.waiters, n)
 		}
+	}
+	if n.kind == waitTmpl {
+		n.slot.begins = append(n.slot.begins, n)
 	}
 	n.allIdx = len(m.allWaiters)
 	m.allWaiters = append(m.allWaiters, n)
@@ -121,6 +124,23 @@ func (m *Manager) wakeAll() {
 
 // --- parking ------------------------------------------------------------------
 
+// sleep is the package's one blocking receive and its one deregistration
+// after a wait: with n registered and m.mu held, it releases the mutex,
+// waits for a wake token or for ctx to end, retakes the mutex and unfiles n.
+// It returns ctx's error, which a token that raced the cancellation does not
+// clear. Every way out of a wait passes through here, so no exit of park or
+// parkBegin can leave the node filed (DESIGN.md §10 has the mutation table).
+func (m *Manager) sleep(ctx context.Context, n *waitNode) error {
+	m.mu.Unlock()
+	select {
+	case <-n.ch:
+	case <-ctx.Done():
+	}
+	m.mu.Lock()
+	m.deregister(n)
+	return ctx.Err()
+}
+
 // park blocks t until a targeted wakeup or ctx cancellation, handling
 // priority donation, cycle detection, victim teardown and firm deadlines.
 // Caller holds m.mu with the job's Status = Blocked and Blockers filled; on
@@ -147,18 +167,7 @@ func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind) error {
 		}
 		victim.slot.wn.wake()
 	}
-	m.mu.Unlock()
-	var ctxErr error
-	select {
-	case <-n.ch:
-	case <-ctx.Done():
-		ctxErr = ctx.Err()
-	}
-	m.mu.Lock()
-	m.deregister(n)
-	if ctxErr == nil {
-		ctxErr = ctx.Err()
-	}
+	ctxErr := m.sleep(ctx, n)
 	if t.done {
 		// Aborted from another goroutine while parked: finish already unfiled
 		// the node and kept the slot for us to hand back.
@@ -189,24 +198,11 @@ func (m *Manager) parkBegin(ctx context.Context, s *slot) error {
 	n := m.getNode()
 	n.kind = waitTmpl
 	n.slot = s
-	s.begins = append(s.begins, n)
-	n.allIdx = len(m.allWaiters)
-	m.allWaiters = append(m.allWaiters, n)
-	m.mu.Unlock()
-	var ctxErr error
-	select {
-	case <-n.ch:
-	case <-ctx.Done():
-		ctxErr = ctx.Err()
-	}
-	m.mu.Lock()
-	m.deregister(n)
+	m.register(n, nil)
+	err := m.sleep(ctx, n)
 	m.putNode(n)
-	if ctxErr == nil {
-		ctxErr = ctx.Err()
-	}
-	if ctxErr != nil {
-		return &cancelledError{cause: ctxErr}
+	if err != nil {
+		return &cancelledError{cause: err}
 	}
 	return nil
 }

@@ -14,7 +14,7 @@
 //     selection, with nemesis proxy faults per phase.
 //
 // The spec is JSON (see scenarios/ for the curated catalog) plus flag
-// overrides in cmd/pcpscenario. DESIGN.md §16 documents the grammar, the
+// overrides in cmd/pcpscenario. DESIGN.md §15 documents the grammar, the
 // phase semantics and the sim-vs-live parity caveats.
 package scenario
 

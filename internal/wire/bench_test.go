@@ -11,10 +11,10 @@ import (
 // the small fixed-size request/reply pairs of one driven a step at a time. The benchmarks pin their allocs/op — encode into a
 // reused buffer is 0 allocs/op, decode allocates only the message value.
 
-func benchFrames(b *testing.B) []byte {
-	var stream []byte
-	var err error
-	for i, m := range []Message{
+// steadyFrames are those frames, the set the benchmarks stream and
+// TestCodecAllocBudget pins one by one.
+func steadyFrames() []Message {
+	return []Message{
 		&Txn{Name: "T1", Deadline: 150, Ops: []TxnOp{{Op: OpRead, Item: 3}, {Op: OpWrite, Item: 4, Value: 9}}},
 		&TxnOK{ID: 7, Reads: []int64{-1}},
 		&Begin{Name: "T1", Deadline: 150},
@@ -25,7 +25,13 @@ func benchFrames(b *testing.B) []byte {
 		&WriteOK{},
 		&Commit{},
 		&CommitOK{},
-	} {
+	}
+}
+
+func benchFrames(b *testing.B) []byte {
+	var stream []byte
+	var err error
+	for i, m := range steadyFrames() {
 		stream, err = AppendTagged(stream, Version, uint32(i), m)
 		if err != nil {
 			b.Fatal(err)
