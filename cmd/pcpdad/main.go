@@ -7,8 +7,8 @@
 //
 //	/healthz  liveness: 200 "ok", 200 "degraded" (serving but shedding),
 //	          503 "draining"
-//	/stats    JSON snapshot: server counters + per-shard admission
-//	          stats (depth, stolen, EWMA wait) + manager counters
+//	/stats    JSON snapshot: server counters + the admission queue
+//	          (depth, EWMA wait) + manager counters
 //	          (history window and continuous-audit counters included)
 //	/debug/flight  the manager's retained history window, oldest
 //	          operation first ("B7 R7(2,v3) W7(2,v4) C7 ...")
@@ -57,7 +57,6 @@ func run() int {
 		highWater    = flag.Int("high-water", 0, "queue occupancy at which priority shedding starts (0 = 3/4 of -queue)")
 		batchMax     = flag.Int("batch", 16, "max BEGINs folded into one admission batch")
 		admitting    = flag.Int("admitting", 4, "max concurrently running admission batches")
-		shards       = flag.Int("shards", 0, "admission shards with work stealing (0 = scale with GOMAXPROCS)")
 		inflight     = flag.Int("inflight", 0, "max requests in flight per session, a whole-transaction frame counting one (0 = default)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrent sessions; excess connections are refused at accept with a retryable busy error (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", 30*time.Second, "per-session read deadline")
@@ -109,8 +108,7 @@ func run() int {
 		Manager: mgr, Counters: ctr,
 		QueueDepth: *queueDepth, HighWater: *highWater,
 		BatchMax: *batchMax, MaxAdmitting: *admitting,
-		AdmitShards: *shards, SessionInflight: *inflight,
-		MaxConns:    *maxConns,
+		SessionInflight: *inflight, MaxConns: *maxConns,
 		IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
 		WatchdogInterval: *wdInterval, WatchdogGrace: *wdGrace,
 		StuckTxnAge: *stuckAge, HealthWindow: *healthWindow,
@@ -182,11 +180,11 @@ func statsServer(addr string, srv *server.Server, mgr *rtm.Manager, ctr *metrics
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
 		doc := struct {
-			Health  string                 `json:"health"`
-			Server  metrics.ServerSnapshot `json:"server"`
-			Shards  []server.ShardStat     `json:"shards"`
-			Manager rtm.Stats              `json:"manager"`
-		}{srv.Health(), ctr.Snapshot(), srv.ShardStats(), mgr.Stats()}
+			Health    string                 `json:"health"`
+			Server    metrics.ServerSnapshot `json:"server"`
+			Admission server.ShardStat       `json:"admission"`
+			Manager   rtm.Stats              `json:"manager"`
+		}{srv.Health(), ctr.Snapshot(), srv.ShardStats()[0], mgr.Stats()}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")

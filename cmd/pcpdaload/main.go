@@ -12,10 +12,10 @@
 //     attaches a firm deadline to every transaction; commits later than
 //     it count as deadline misses, not goodput.
 //
-// -pipeline switches the driver from the strict client (a round trip per
-// step) to the pipelined one: each transaction is one TXN frame and one
-// reply, up to -window requests in flight per connection — which in the
-// closed loop is how many transactions each worker keeps in flight.
+// By default a transaction is a conversation: a frame and a round trip per
+// step. -pipeline sends each one whole — one TXN frame and one reply, up to
+// -window requests in flight per connection, which in the closed loop is
+// how many transactions each worker keeps in flight.
 //
 // -read-frac f (requires -pipeline) runs that fraction of transactions as
 // declared read-only snapshot transactions: they bypass admission
@@ -62,9 +62,9 @@ func run() int {
 		report   = flag.String("report", "", "write JSON report to this file (\"-\" = stdout)")
 		attempts = flag.Int("attempts", 16, "max attempts per transaction")
 
-		pipeline = flag.Bool("pipeline", false, "use the pipelined client (a whole transaction per frame, several in flight)")
+		pipeline = flag.Bool("pipeline", false, "send each transaction whole (one TXN frame, several in flight) instead of a frame per step")
 		readFrac = flag.Float64("read-frac", 0, "fraction of transactions issued as declared read-only snapshot transactions (requires -pipeline)")
-		window   = flag.Int("window", 0, "pipelined: max requests in flight per connection (0 = default)")
+		window   = flag.Int("window", 0, "max requests in flight per connection (0 = default)")
 
 		arrivalRate = flag.Float64("arrival-rate", 0, "open loop: Poisson arrivals per second (0 = closed loop)")
 		duration    = flag.Duration("duration", 5*time.Second, "open loop: arrival window")

@@ -5,6 +5,9 @@
 package cctest
 
 import (
+	"cmp"
+	"slices"
+
 	"pcpda/internal/cc"
 	"pcpda/internal/db"
 	"pcpda/internal/lock"
@@ -37,12 +40,11 @@ func (e *Env) Job(id rt.JobID) *cc.Job { return e.Jobs[id] }
 
 // ActiveJobs returns the live jobs in id order.
 func (e *Env) ActiveJobs() []*cc.Job {
-	var out []*cc.Job
-	for id := rt.JobID(0); int(id) <= len(e.Jobs)+8; id++ {
-		if j, ok := e.Jobs[id]; ok {
-			out = append(out, j)
-		}
+	out := make([]*cc.Job, 0, len(e.Jobs))
+	for _, j := range e.Jobs {
+		out = append(out, j)
 	}
+	slices.SortFunc(out, func(a, b *cc.Job) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

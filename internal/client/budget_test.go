@@ -58,9 +58,8 @@ func TestClientStopsAtExhaustedBudget(t *testing.T) {
 			send(t, conn, tag, &wire.ErrMsg{Code: wire.CodeShed, Text: "shed"})
 		}
 	})
-	pool := NewPool(addr, 2*time.Second, 1)
-	defer pool.Close()
-	cl := NewClient(pool, 1)
+	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
+	defer cl.Close()
 	cl.Budget = b
 	var retries atomic.Int64
 	cl.Retries = &retries
@@ -70,9 +69,9 @@ func TestClientStopsAtExhaustedBudget(t *testing.T) {
 		}
 	}
 
-	err := cl.Do("T1", func(c *Conn) error { return nil })
-	if err == nil {
-		t.Fatal("Do succeeded against an always-shedding server")
+	err := cl.Do("T1", func(c *PipeConn) error { return nil })
+	if !wire.IsCode(err, wire.CodeShed) {
+		t.Fatalf("Do against an always-shedding server: %v, want the last attempt's CodeShed", err)
 	}
 	if begins != 1 || retries.Load() != 0 {
 		t.Fatalf("begins = %d retries = %d, want 1/0 (budget must refuse before the sleep)", begins, retries.Load())

@@ -92,7 +92,7 @@ func TestDialHandshake(t *testing.T) {
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
 		greet(t, conn)
 	})
-	c, err := Dial(addr, 2*time.Second)
+	c, err := DialPipelined(addr, 2*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +129,11 @@ func TestDoRetriesOverload(t *testing.T) {
 			}
 		}
 	})
-	pool := NewPool(addr, 2*time.Second, 2)
-	defer pool.Close()
-	cl := NewClient(pool, 1)
+	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
+	defer cl.Close()
 	var retries atomic.Int64
 	cl.Retries = &retries
-	if err := cl.Do("T1", func(c *Conn) error { return nil }); err != nil {
+	if err := cl.Do("T1", func(c *PipeConn) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if begins != 2 || retries.Load() != 1 {
@@ -157,10 +156,9 @@ func TestDoFatalErrorNotRetried(t *testing.T) {
 			send(t, conn, tag, &wire.ErrMsg{Code: wire.CodeProtocol, Text: "no"})
 		}
 	})
-	pool := NewPool(addr, 2*time.Second, 2)
-	defer pool.Close()
-	cl := NewClient(pool, 1)
-	err := cl.Do("T1", func(c *Conn) error { return nil })
+	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
+	defer cl.Close()
+	err := cl.Do("T1", func(c *PipeConn) error { return nil })
 	if !wire.IsCode(err, wire.CodeProtocol) {
 		t.Fatalf("err = %v", err)
 	}
@@ -169,73 +167,194 @@ func TestDoFatalErrorNotRetried(t *testing.T) {
 	}
 }
 
-func TestPoolReusesConnections(t *testing.T) {
-	dials := 0
+// convServer answers HELLO, then every step of a conversation with its
+// success reply unless refuse has an ERR for it; it counts dials and
+// the ABORT frames it is sent.
+type convServer struct {
+	dials, aborts atomic.Int64
+	refuse        func(m wire.Message) *wire.ErrMsg
+}
+
+func (cs *convServer) script(t *testing.T, conn net.Conn) {
+	cs.dials.Add(1)
+	greet(t, conn)
+	for {
+		m, tag, err := recv(conn)
+		if err != nil {
+			return
+		}
+		if cs.refuse != nil {
+			if e := cs.refuse(m); e != nil {
+				send(t, conn, tag, e)
+				continue
+			}
+		}
+		switch m := m.(type) {
+		case *wire.Begin:
+			send(t, conn, tag, &wire.BeginOK{ID: 1})
+		case *wire.Read:
+			send(t, conn, tag, &wire.ReadOK{Value: 7})
+		case *wire.Write:
+			send(t, conn, tag, &wire.WriteOK{})
+		case *wire.Commit:
+			send(t, conn, tag, &wire.CommitOK{})
+		case *wire.Abort:
+			cs.aborts.Add(1)
+			send(t, conn, tag, &wire.AbortOK{})
+		case *wire.Ping:
+			send(t, conn, tag, &wire.Pong{Nonce: m.Nonce})
+		}
+	}
+}
+
+// TestClientReusesConnection: conversations run back to back over one
+// PipeClient share the connection its first attempt dialled.
+func TestClientReusesConnection(t *testing.T) {
+	var cs convServer
+	cl := NewPipeClient(fakeServer(t, cs.script), 2*time.Second, 0, 1)
+	defer cl.Close()
+	var conns [2]*PipeConn
+	for i := range conns {
+		if err := cl.Do("T1", func(c *PipeConn) error { conns[i] = c; return c.Ping(uint64(i)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if conns[0] != conns[1] || cs.dials.Load() != 1 {
+		t.Fatalf("second conversation ran on a new connection (%d dials)", cs.dials.Load())
+	}
+}
+
+// TestBrokenConnRedialled: a framing failure marks the connection broken,
+// ends the attempt with a non-retryable error, and the client's next
+// transaction dials afresh instead of reusing it.
+func TestBrokenConnRedialled(t *testing.T) {
+	var dials atomic.Int64
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		dials++
+		first := dials.Add(1) == 1
 		greet(t, conn)
 		for {
 			m, tag, err := recv(conn)
 			if err != nil {
 				return
 			}
-			if p, ok := m.(*wire.Ping); ok {
-				send(t, conn, tag, &wire.Pong{Nonce: p.Nonce})
+			switch m.(type) {
+			case *wire.Begin:
+				send(t, conn, tag, &wire.BeginOK{ID: 1})
+			case *wire.Commit:
+				send(t, conn, tag, &wire.CommitOK{})
+			case *wire.Ping:
+				if first { // garbage for a reply: the stream is useless from here
+					_, _ = conn.Write([]byte{0xBA, 0xD0})
+					return
+				}
+				send(t, conn, tag, &wire.Pong{Nonce: 1})
 			}
 		}
 	})
-	pool := NewPool(addr, 2*time.Second, 2)
-	defer pool.Close()
-	c1, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
+	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
+	defer cl.Close()
+	var broken *PipeConn
+	if err := cl.Do("T1", func(c *PipeConn) error { broken = c; return c.Ping(1) }); err == nil {
+		t.Fatal("ping over a corrupted stream succeeded")
 	}
-	if err := c1.Ping(1); err != nil {
-		t.Fatal(err)
+	if !broken.Broken() {
+		t.Fatal("framing failure did not mark the conn broken")
 	}
-	pool.Put(c1)
-	c2, err := pool.Get()
-	if err != nil {
-		t.Fatal(err)
+	if err := cl.Do("T1", func(c *PipeConn) error {
+		if c == broken {
+			t.Error("client handed back a broken connection")
+		}
+		return c.Ping(1)
+	}); err != nil {
+		t.Fatalf("transaction after a broken connection: %v", err)
 	}
-	if c2 != c1 {
-		t.Fatal("pool did not reuse the idle connection")
-	}
-	pool.Put(c2)
-	if dials != 1 {
-		t.Fatalf("dials = %d, want 1", dials)
+	if dials.Load() != 2 {
+		t.Fatalf("dials = %d, want 2", dials.Load())
 	}
 }
 
-func TestBrokenConnNotPooled(t *testing.T) {
+// TestDoAbortsOnlyItsOwnFailures: the server ends the transaction on every
+// ERR reply, so Do sends no compensating ABORT after one; a failure of fn's
+// own leaves the transaction live, and Do sends exactly one.
+func TestDoAbortsOnlyItsOwnFailures(t *testing.T) {
+	cs := convServer{refuse: func(m wire.Message) *wire.ErrMsg {
+		if _, isRead := m.(*wire.Read); isRead {
+			return &wire.ErrMsg{Code: wire.CodeProtocol, Text: "undeclared item"}
+		}
+		return nil
+	}}
+	cl := NewPipeClient(fakeServer(t, cs.script), 2*time.Second, 0, 1)
+	defer cl.Close()
+	err := cl.Do("T1", func(c *PipeConn) error { _, err := c.Read(1); return err })
+	if !wire.IsCode(err, wire.CodeProtocol) || cs.aborts.Load() != 0 {
+		t.Fatalf("after an ERR reply: err = %v, %d ABORTs sent, want CodeProtocol and none", err, cs.aborts.Load())
+	}
+	own := errors.New("application says no")
+	err = cl.Do("T1", func(c *PipeConn) error {
+		if err := c.Write(1, 2); err != nil {
+			return err
+		}
+		return own
+	})
+	if !errors.Is(err, own) || cs.aborts.Load() != 1 {
+		t.Fatalf("after fn's own failure: err = %v, %d ABORTs sent, want fn's error and one", err, cs.aborts.Load())
+	}
+	if cs.dials.Load() != 1 {
+		t.Fatalf("dials = %d: neither failure breaks the connection", cs.dials.Load())
+	}
+}
+
+// TestWrongKindReplyKillsConnection: a reply at the right tag but of a kind
+// the request cannot have is a stream desync — the step fails and the
+// connection is dead.
+func TestWrongKindReplyKillsConnection(t *testing.T) {
 	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
 		greet(t, conn)
-		// Answer the first request with garbage, breaking the stream.
-		if _, _, err := recv(conn); err == nil {
-			_, _ = conn.Write([]byte{0xBA, 0xD0})
-		}
+		send(t, conn, expect(t, conn, wire.KindBegin), &wire.CommitOK{})
+		_, _ = conn.Read(make([]byte, 1)) // hold the socket open until the client hangs up
 	})
-	pool := NewPool(addr, 2*time.Second, 2)
-	defer pool.Close()
-	c, err := pool.Get()
+	c, err := DialPipelined(addr, 2*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ping(1); err == nil {
-		t.Fatal("ping over a corrupted stream succeeded")
+	defer func() { _ = c.Close() }()
+	var remote *wire.RemoteError
+	if _, err := c.Begin("T1"); err == nil || errors.As(err, &remote) {
+		t.Fatalf("BEGIN answered by COMMIT_OK: %v, want a local desync error", err)
 	}
 	if !c.Broken() {
-		t.Fatal("framing failure did not mark the conn broken")
+		t.Fatal("a reply of the wrong kind left the connection usable")
 	}
-	pool.Put(c)
-	c2, err := pool.Get()
-	if err != nil && !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("get after broken put: %v", err)
+	if err := c.Ping(1); err == nil {
+		t.Fatal("ping on a dead connection succeeded")
 	}
-	if c2 == c {
-		t.Fatal("pool handed back a broken connection")
+}
+
+// TestDialRefusalIsTypedAndRetried: a server at its connection limit
+// answers the dial with one ERR at tag 0 and closes. DialPipelined returns
+// it as the *wire.RemoteError it is, and Do — for which a refused dial is a
+// failed attempt like any other — backs off and dials again.
+func TestDialRefusalIsTypedAndRetried(t *testing.T) {
+	var cs convServer
+	var refused atomic.Int64
+	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
+		if refused.Add(1) <= 2 {
+			send(t, conn, 0, &wire.ErrMsg{Code: wire.CodeOverload, Text: "connection limit 1 reached; retry later"})
+			return
+		}
+		cs.script(t, conn)
+	})
+	if _, err := DialPipelined(addr, 2*time.Second, 0); !wire.IsCode(err, wire.CodeOverload) {
+		t.Fatalf("dial at the connection limit: %v, want CodeOverload", err)
 	}
-	if c2 != nil {
-		pool.Put(c2)
+	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
+	defer cl.Close()
+	var retries atomic.Int64
+	cl.Retries = &retries
+	if err := cl.Do("T1", func(c *PipeConn) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if retries.Load() != 1 || cs.dials.Load() != 1 {
+		t.Fatalf("retries = %d, accepted dials = %d, want 1 and 1", retries.Load(), cs.dials.Load())
 	}
 }

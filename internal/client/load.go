@@ -16,7 +16,8 @@ import (
 
 // LoadConfig parameterizes the load generator. RunLoad is one worker loop
 // per connection (DESIGN.md §12, "One load worker"), fed by one of two job
-// sources and run over one of two clients.
+// sources, each worker sending its transactions one of two ways over its
+// PipeClient.
 //
 // The sources:
 //
@@ -33,9 +34,9 @@ import (
 //     goodput and deadline misses under offered loads the server cannot
 //     absorb.
 //
-// The clients: the strict one (a round trip per step, one transaction at a
-// time) or, with Pipelined, the pipelined one (a transaction is one TXN
-// frame). A closed-loop pipelined worker keeps Window transactions in
+// The sends: a conversation (a frame and a round trip per step, one
+// transaction at a time) or, with Pipelined, the transaction whole (one TXN
+// frame). A closed-loop worker sending whole keeps Window transactions in
 // flight on its connection; every other worker keeps one.
 type LoadConfig struct {
 	// Addr is the server to drive.
@@ -54,13 +55,13 @@ type LoadConfig struct {
 	OpTimeout time.Duration
 	// MaxAttempts bounds retries per transaction. Default 16 — load
 	// generation under deliberate overload needs more patience than the
-	// Client default.
+	// PipeClient default.
 	MaxAttempts int
-	// Pipelined switches every worker from the strict client (a round trip
-	// per step) to the pipelined one: each transaction is one TXN frame.
+	// Pipelined sends each transaction whole, as one TXN frame, instead of
+	// as a conversation with a round trip per step.
 	Pipelined bool
-	// Window bounds requests in flight per pipelined connection, and is how
-	// many transactions a closed-loop pipelined worker keeps in flight.
+	// Window bounds requests in flight per connection, and is how many
+	// transactions a closed-loop Pipelined worker keeps in flight.
 	// Default 32.
 	Window int
 	// ReadFrac is the fraction of transactions issued as declared
@@ -291,7 +292,7 @@ type loadRun struct {
 // report and ctx's error) if ctx is cancelled.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	cfg.fill()
-	probe, err := Dial(cfg.Addr, cfg.OpTimeout)
+	probe, err := DialPipelined(cfg.Addr, cfg.OpTimeout, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -359,8 +360,8 @@ type loadJob struct {
 	arrival time.Time         // where the latency clock and the deadline start
 	seq     uint64            // open loop: arrival order, set by the queue
 	budget  time.Duration     // what was left of DeadlineBudget when a worker started it
-	fut     *TxnFuture        // pipelined: attempt one, in flight
-	err     error             // pipelined: why attempt one never left
+	fut     *TxnFuture        // sent whole: attempt one, in flight
+	err     error             // sent whole: why attempt one never left
 }
 
 // draw makes the next transaction of the workload: a read-only snapshot
@@ -404,83 +405,48 @@ func (r *loadRun) next(rng *rand.Rand) (loadJob, bool) {
 // runner is one worker's connection and the way a transaction runs on it.
 // start does whatever of attempt one can be done without waiting, finish
 // waits for its outcome and, if that is a retryable refusal, runs the rest
-// of the retry chain synchronously under the shared policy — overlap is
+// of the retry chain synchronously under the client's policy — overlap is
 // for the common case; a failed transaction is worth a stall.
-type runner interface {
-	start(j *loadJob)
-	finish(j *loadJob) error
-	close()
+type runner struct {
+	pc    *PipeClient
+	rng   *rand.Rand
+	whole bool // LoadConfig.Pipelined: a transaction is one TXN frame, not a frame per step
 }
 
 // newRunner builds a worker's runner and says how many transactions it can
-// hold in flight: the strict client or the pipelined one, the only place
-// the two part ways.
+// hold in flight: the connection's window of whole transactions, or the one
+// conversation a session carries.
 func newRunner(cfg *LoadConfig, cnt *loadCounters, id int64, rng *rand.Rand,
-	hook func(wire.ErrorCode)) (runner, int) {
-	policy := func(rp *retryPolicy) {
-		rp.MaxAttempts = cfg.MaxAttempts
-		rp.Retries = &cnt.retries
-		rp.Budget = cfg.RetryBudget
-		rp.CodeHook = hook
-	}
+	hook func(wire.ErrorCode)) (*runner, int) {
+	pc := NewPipeClient(cfg.Addr, cfg.OpTimeout, cfg.Window, cfg.Seed^id)
+	pc.MaxAttempts = cfg.MaxAttempts
+	pc.Retries = &cnt.retries
+	pc.Budget = cfg.RetryBudget
+	pc.CodeHook = hook
+	depth := 1
 	if cfg.Pipelined {
-		pc := NewPipeClient(cfg.Addr, cfg.OpTimeout, cfg.Window, cfg.Seed^id)
-		policy(&pc.retryPolicy)
-		return &pipeRunner{pc, rng}, cfg.Window
+		depth = cfg.Window
 	}
-	cl := NewClient(NewPool(cfg.Addr, cfg.OpTimeout, 1), cfg.Seed^id)
-	policy(&cl.retryPolicy)
-	return &strictRunner{cl, rng}, 1
+	return &runner{pc, rng, cfg.Pipelined}, depth
 }
 
-// strictRunner runs a transaction as a conversation, a round trip per
-// step: there is nothing to start ahead of waiting for it.
-type strictRunner struct {
-	cl  *Client
-	rng *rand.Rand
-}
-
-func (s *strictRunner) start(*loadJob) {}
-
-func (s *strictRunner) finish(j *loadJob) error {
-	return s.cl.DoDeadline(j.tmpl.Name, j.budget, func(c *Conn) error {
-		for _, st := range j.tmpl.Steps {
-			switch st.Op {
-			case wire.OpRead:
-				if _, err := c.Read(st.Item); err != nil {
-					return err
-				}
-			case wire.OpWrite:
-				if err := c.Write(st.Item, s.rng.Int63n(1<<30)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
-func (s *strictRunner) close() { s.cl.pool.Close() }
-
-// pipeRunner sends a transaction whole: start encodes attempt one into the
-// connection's unflushed batch, so transactions started back to back leave
-// in one write when the worker next blocks, and the server executes them in
-// arrival order.
-type pipeRunner struct {
-	pc  *PipeClient
-	rng *rand.Rand
-}
-
-func (p *pipeRunner) start(j *loadJob) {
-	p.pc.earn()
-	c, err := p.pc.get()
+// start encodes attempt one of a whole transaction into the connection's
+// unflushed batch, so transactions started back to back leave in one write
+// when the worker next blocks, and the server executes them in arrival
+// order. A conversation has nothing to send ahead of its first reply.
+func (r *runner) start(j *loadJob) {
+	r.pc.earn()
+	if !r.whole {
+		return
+	}
+	c, err := r.pc.get()
 	if err == nil {
-		j.fut, err = p.submit(c, j)
+		j.fut, err = r.submit(c, j)
 	}
 	j.err = err
 }
 
-func (p *pipeRunner) submit(c *PipeConn, j *loadJob) (*TxnFuture, error) {
+func (r *runner) submit(c *PipeConn, j *loadJob) (*TxnFuture, error) {
 	if j.ro {
 		return c.SubmitReadTxn(j.items)
 	}
@@ -490,35 +456,56 @@ func (p *pipeRunner) submit(c *PipeConn, j *loadJob) (*TxnFuture, error) {
 		case wire.OpRead:
 			steps = append(steps, &wire.Read{Item: st.Item})
 		case wire.OpWrite:
-			steps = append(steps, &wire.Write{Item: st.Item, Value: p.rng.Int63n(1 << 30)})
+			steps = append(steps, &wire.Write{Item: st.Item, Value: r.rng.Int63n(1 << 30)})
 		}
 	}
 	return c.SubmitTxn(j.tmpl.Name, j.budget, steps)
 }
 
-func (p *pipeRunner) finish(j *loadJob) error {
-	err := j.err
-	if j.fut != nil {
-		err = j.fut.Wait()
+// send is one attempt at j on c, waited out.
+func (r *runner) send(c *PipeConn, j *loadJob) error {
+	if r.whole {
+		fut, err := r.submit(c, j)
+		if err != nil {
+			return err
+		}
+		return fut.Wait()
 	}
-	return p.pc.resume(j.tmpl.Name, err, func() error {
-		return p.pc.attempt(func(c *PipeConn) error {
-			fut, err := p.submit(c, j)
-			if err != nil {
-				return err
+	return converse(c, j.tmpl.Name, j.budget, func(c *PipeConn) error {
+		for _, st := range j.tmpl.Steps {
+			switch st.Op {
+			case wire.OpRead:
+				if _, err := c.Read(st.Item); err != nil {
+					return err
+				}
+			case wire.OpWrite:
+				if err := c.Write(st.Item, r.rng.Int63n(1<<30)); err != nil {
+					return err
+				}
 			}
-			return fut.Wait()
-		})
+		}
+		return nil
 	})
 }
 
-func (p *pipeRunner) close() { p.pc.Close() }
+func (r *runner) finish(j *loadJob) error {
+	attempt := func() error {
+		return r.pc.attempt(func(c *PipeConn) error { return r.send(c, j) })
+	}
+	err := j.err
+	if j.fut != nil {
+		err = j.fut.Wait()
+	} else if err == nil { // start sent nothing ahead: attempt one runs here
+		err = attempt()
+	}
+	return r.pc.resume(j.tmpl.Name, err, attempt)
+}
 
 // worker is the load loop, one per connection, the same in every mode: take
 // a job from the source, start it, and once depth of them are in flight —
 // or the source has run out — settle the oldest. Depth is what the runner
-// can hold (one transaction for the strict client, the connection's window
-// for the pipelined one) in the closed loop, where jobs are free and the
+// can hold (one conversation, or the connection's window of whole
+// transactions) in the closed loop, where jobs are free and the
 // point is to keep the server busy; it is one in the open loop, where a job
 // taken early is an arrival that left the priority queue before it had to,
 // ahead of a more important one about to arrive.
@@ -542,7 +529,7 @@ func (r *loadRun) worker(ctx context.Context, id int64, lats *[]time.Duration) e
 			r.cnt.infeasible.Add(1)
 		}
 	})
-	defer run.close()
+	defer run.pc.Close()
 	if r.jobs != nil {
 		depth = 1
 	}

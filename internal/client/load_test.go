@@ -104,7 +104,7 @@ func loadServer(t *testing.T, refuse func(n int64) wire.ErrorCode) (string, *ato
 			if code := refuse(seen.Add(1)); code != 0 {
 				return &wire.ErrMsg{Code: code, Text: "scripted"}
 			}
-			if _, strict := m.(*wire.Begin); strict {
+			if _, conversation := m.(*wire.Begin); conversation {
 				return &wire.BeginOK{ID: 1}
 			}
 		case *wire.Commit:
@@ -180,7 +180,7 @@ func TestWorkerHandsBackAnAbandonedClaim(t *testing.T) {
 
 // TestWorkerStopsOnDrain: a server that is draining ends a closed-loop run
 // in order — no error, the refused transaction counted, nothing offered
-// after it — with either client.
+// after it — whichever way its transactions are sent.
 func TestWorkerStopsOnDrain(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
 		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
@@ -203,7 +203,7 @@ func TestWorkerStopsOnDrain(t *testing.T) {
 
 // TestLatencyClockStartsBeforeSubmit: against a server that withholds every
 // reply for a while, HELLO_OK included, a closed-loop latency covers
-// everything between the claim and the commit in either client — the first
+// everything between the claim and the commit whichever way it is sent — the first
 // transaction's includes its connection's handshake, and none is shorter
 // than one withheld reply.
 func TestLatencyClockStartsBeforeSubmit(t *testing.T) {

@@ -13,13 +13,13 @@ import (
 	"pcpda/internal/wire"
 )
 
-// PipeConn is one pipelined connection: many requests in flight at once,
+// PipeConn is the protocol connection: many requests in flight at once,
 // each carrying a client-chosen tag, with a demux goroutine matching
 // out-of-order replies back to their callers. A transaction travels whole —
 // one TXN frame out, one TXN_OK or ERR back (SubmitTxn, RunTxn and their
-// read-only forms); Submit sends any single request, which is how a
-// transaction is driven a step at a time when its writes depend on its
-// reads. Every method, and Wait on the handles they return, is
+// read-only forms) — or a step at a time, when its writes depend on its
+// reads: Begin, Read, Write, Commit and Abort each Submit one request and
+// Wait for its reply. Every method, and Wait on the handles they return, is
 // single-owner — one goroutine drives the connection — while the demux
 // goroutine runs internally; the two meet in the slot table, on atomics,
 // and share the deadline books and the sticky error under mu. Submitted
@@ -28,7 +28,7 @@ import (
 // window); before sleeping elsewhere, Flush.
 type PipeConn struct {
 	c       net.Conn      //pcpda:guardedby immutable
-	br      *bufio.Reader //pcpda:guardedby none — the handshake's reader, owned by demux afterwards
+	br      *bufio.Reader //pcpda:guardedby none — every byte read off c: the handshake's, then owned by demux
 	schema  *wire.HelloOK //pcpda:guardedby immutable
 	timeout time.Duration //pcpda:guardedby immutable
 
@@ -97,23 +97,53 @@ func DialPipelined(addr string, opTimeout time.Duration, window int) (*PipeConn,
 }
 
 // handshakePipelined is DialPipelined over an established connection,
-// which it closes on failure.
+// which it closes on failure. HELLO is the one request outside the window:
+// it goes out at tag 0 and its reply is read here, before the demux exists.
+// The buffered reader exists before the first byte is read and the demux
+// takes it over, so whatever the server writes back-to-back with HELLO_OK
+// is the demux's first frame, not stranded in a handshake's reader.
 func handshakePipelined(nc net.Conn, opTimeout time.Duration, window int) (*PipeConn, error) {
 	if window <= 0 {
 		window = 32
 	}
 	window = min(window, maxWindow)
-	// The handshake is one strict round trip; its connection's reader
-	// carries on underneath the pipeline.
-	sc, err := handshake(nc, opTimeout)
-	if err != nil {
-		return nil, err
-	}
-	p := &PipeConn{c: nc, br: sc.br, schema: sc.schema, timeout: opTimeout,
+	p := &PipeConn{c: nc, br: bufio.NewReader(nc), timeout: opTimeout,
 		gens: make([]uint16, window), slots: make([]atomic.Pointer[Pending], window),
 		wake: make(chan struct{}, 1), done: make(chan struct{})}
+	if err := p.hello(); err != nil {
+		_ = nc.Close()
+		return nil, err
+	}
 	go p.demux()
 	return p, nil
+}
+
+// hello exchanges HELLO for the schema under one deadline. A server that
+// turns the connection down answers with an ERR, whatever its tag.
+func (p *PipeConn) hello() error {
+	if err := p.c.SetDeadline(time.Now().Add(p.timeout)); err != nil {
+		return err
+	}
+	frame, err := wire.AppendTagged(nil, wire.Version, 0, &wire.Hello{})
+	if err != nil {
+		return err
+	}
+	if _, err := p.c.Write(frame); err != nil {
+		return fmt.Errorf("client: write HELLO: %w", err)
+	}
+	reply, _, tag, _, err := wire.ReadAny(p.br, nil)
+	if err != nil {
+		return fmt.Errorf("client: read reply to HELLO: %w", err)
+	}
+	if err := remoteError(reply); err != nil {
+		return err
+	}
+	schema, isSchema := reply.(*wire.HelloOK)
+	if !isSchema || tag != 0 {
+		return fmt.Errorf("client: reply %s tagged %d to HELLO", reply.Kind(), tag)
+	}
+	p.schema = schema
+	return nil
 }
 
 // Schema returns the transaction-set schema from the handshake.
@@ -366,13 +396,63 @@ func (f *Pending) Wait() (wire.Message, error) {
 	return m, nil
 }
 
-// Ping round-trips a nonce through the pipeline (one submit, one wait).
-func (p *PipeConn) Ping(nonce uint64) error {
-	f, err := p.Submit(&wire.Ping{Nonce: nonce})
+// step runs one request as a round trip: a Submit and a Wait, which
+// flushes. Nothing of the owner's overlaps it.
+func (p *PipeConn) step(m wire.Message) (wire.Message, error) {
+	f, err := p.Submit(m)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	reply, err := f.Wait()
+	return f.Wait()
+}
+
+// Begin starts a transaction of the named type and returns its job id.
+func (p *PipeConn) Begin(name string) (uint64, error) {
+	return p.BeginBudget(name, 0)
+}
+
+// BeginBudget starts a transaction with a firm deadline budget: the server
+// refuses it (CodeInfeasible) if its queue-wait estimate already breaks
+// the budget, and its watchdog force-aborts the transaction if it is still
+// live past budget+grace. budget <= 0 means no deadline.
+func (p *PipeConn) BeginBudget(name string, budget time.Duration) (uint64, error) {
+	reply, err := p.step(&wire.Begin{Name: name, Deadline: budgetMs(budget)})
+	if err != nil {
+		return 0, err
+	}
+	return reply.(*wire.BeginOK).ID, nil
+}
+
+// Read reads one item inside the live transaction.
+func (p *PipeConn) Read(item uint32) (int64, error) {
+	reply, err := p.step(&wire.Read{Item: item})
+	if err != nil {
+		return 0, err
+	}
+	return reply.(*wire.ReadOK).Value, nil
+}
+
+// Write writes one item inside the live transaction.
+func (p *PipeConn) Write(item uint32, v int64) error {
+	_, err := p.step(&wire.Write{Item: item, Value: v})
+	return err
+}
+
+// Commit commits the live transaction.
+func (p *PipeConn) Commit() error {
+	_, err := p.step(&wire.Commit{})
+	return err
+}
+
+// Abort aborts the live transaction.
+func (p *PipeConn) Abort() error {
+	_, err := p.step(&wire.Abort{})
+	return err
+}
+
+// Ping round-trips a nonce.
+func (p *PipeConn) Ping(nonce uint64) error {
+	reply, err := p.step(&wire.Ping{Nonce: nonce})
 	if err != nil {
 		return err
 	}
@@ -475,10 +555,12 @@ func (p *PipeConn) RunReadTxn(items []uint32) error {
 	return fut.Wait()
 }
 
-// PipeClient is the retrying wrapper over one PipeConn: the pipelined
-// analogue of Client, sharing its retryPolicy (budget, jitter, code hook).
-// One goroutine per PipeClient; a broken connection is redialed on the
-// next attempt.
+// PipeClient is the retrying client over one PipeConn, which it dials on
+// first use: retryable typed failures — overload, shed, infeasible, abort,
+// deadline, and a server at its connection limit refusing the dial — back
+// off and rerun the whole transaction under its retryPolicy (attempts,
+// budget, jitter, code hook). One goroutine per PipeClient; a broken
+// connection is redialed on the next attempt.
 type PipeClient struct {
 	retryPolicy
 	addr    string
@@ -497,14 +579,48 @@ func NewPipeClient(addr string, opTimeout time.Duration, window int, seed int64)
 	}
 }
 
-// DoTxn runs one transaction (see PipeConn.RunTxn) under the retry
-// policy: retryable typed failures — overload, shed, infeasible, abort,
-// deadline, and a server at its connection limit refusing the dial — back
-// off and rerun the whole transaction.
+// Do runs one transaction of the named type as a conversation under the
+// retry policy: BEGIN, fn, COMMIT, the whole sequence again after a
+// retryable failure. fn gets the connection with the transaction begun and
+// drives it a step at a time; returning an error ends the attempt.
+func (pc *PipeClient) Do(name string, fn func(c *PipeConn) error) error {
+	return pc.DoDeadline(name, 0, fn)
+}
+
+// DoDeadline is Do with a firm deadline budget attached to the BEGIN (see
+// PipeConn.BeginBudget); budget <= 0 is plain Do. Retries reuse the same
+// budget value — the server re-evaluates feasibility per attempt.
+func (pc *PipeClient) DoDeadline(name string, budget time.Duration, fn func(c *PipeConn) error) error {
+	return pc.do(name, func(c *PipeConn) error { return converse(c, name, budget, fn) })
+}
+
+// converse is one attempt at a conversation on c.
+func converse(c *PipeConn, name string, budget time.Duration, fn func(c *PipeConn) error) error {
+	if _, err := c.BeginBudget(name, budget); err != nil {
+		return err
+	}
+	if err := fn(c); err != nil {
+		// The server ends the transaction on every ERR reply; only a
+		// non-protocol failure inside fn leaves one to abort.
+		var remote *wire.RemoteError
+		if !errors.As(err, &remote) && !c.Broken() {
+			_ = c.Abort()
+		}
+		return err
+	}
+	return c.Commit()
+}
+
+// DoTxn runs one transaction sent whole (see PipeConn.RunTxn) under the
+// retry policy.
 func (pc *PipeClient) DoTxn(name string, budget time.Duration, steps []wire.Message) error {
-	return pc.run(name, func() error {
-		return pc.attempt(func(c *PipeConn) error { return c.RunTxn(name, budget, steps) })
-	})
+	return pc.do(name, func(c *PipeConn) error { return c.RunTxn(name, budget, steps) })
+}
+
+// do runs txn — one attempt at a transaction on a connection — under the
+// retry policy.
+func (pc *PipeClient) do(name string, txn func(*PipeConn) error) error {
+	return pc.run(name, func() error { return pc.attempt(txn) })
 }
 
 // attempt runs txn on the current connection, dialing first if there is
@@ -532,15 +648,6 @@ func (pc *PipeClient) get() (*PipeConn, error) {
 	}
 	pc.conn = c
 	return c, nil
-}
-
-// Schema dials if necessary and returns the handshake schema.
-func (pc *PipeClient) Schema() (*wire.HelloOK, error) {
-	c, err := pc.get()
-	if err != nil {
-		return nil, err
-	}
-	return c.Schema(), nil
 }
 
 // Close closes the underlying connection, if any.

@@ -26,7 +26,6 @@ type ServerCounters struct {
 	PipelinedSessions  atomic.Int64 // sessions that sent a request before the previous one was answered (two frames in one read)
 	ResponseFlushes    atomic.Int64 // writer wakeups that wrote at least one response
 	ResponsesFlushed   atomic.Int64 // responses written (ResponsesFlushed/ResponseFlushes = mean flush batch)
-	StolenAdmissions   atomic.Int64 // admission requests popped from a sibling shard's queue by an idle dispatcher
 	InflightHWM        atomic.Int64 // highest per-session inflight (requests read, response not yet flushed) seen on any session
 	BytesIn            atomic.Int64 // payload bytes read off the wire
 	BytesOut           atomic.Int64 // payload bytes written to the wire
@@ -51,7 +50,7 @@ type ServerSnapshot struct {
 	PipelinedSessions  int64 `json:"pipelined_sessions"`
 	ResponseFlushes    int64 `json:"response_flushes"`
 	ResponsesFlushed   int64 `json:"responses_flushed"`
-	StolenAdmissions   int64 `json:"stolen_admissions"`
+	StolenAdmissions   int64 `json:"stolen_admissions"` // always 0: there is one admission queue; benchmark/probes.go:249 reads it, ROADMAP 4(e) drops both
 	InflightHWM        int64 `json:"inflight_hwm"`
 	BytesIn            int64 `json:"bytes_in"`
 	BytesOut           int64 `json:"bytes_out"`
@@ -76,7 +75,6 @@ func (c *ServerCounters) Snapshot() ServerSnapshot {
 		PipelinedSessions:  c.PipelinedSessions.Load(),
 		ResponseFlushes:    c.ResponseFlushes.Load(),
 		ResponsesFlushed:   c.ResponsesFlushed.Load(),
-		StolenAdmissions:   c.StolenAdmissions.Load(),
 		InflightHWM:        c.InflightHWM.Load(),
 		BytesIn:            c.BytesIn.Load(),
 		BytesOut:           c.BytesOut.Load(),

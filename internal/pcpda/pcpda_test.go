@@ -1,6 +1,7 @@
 package pcpda
 
 import (
+	"slices"
 	"testing"
 
 	"pcpda/internal/cc"
@@ -41,8 +42,16 @@ func newFixture(t *testing.T, opts Options) *fixture {
 	p.Init(s, txn.ComputeCeilings(s))
 	env := cctest.NewEnv()
 	f := &fixture{set: s, x: x, y: y, z: z, p: p, env: env, j: make(map[string]*cc.Job)}
+	ids := []rt.JobID{0, 1, 3, 40} // sparse: a live set's ids have gaps
 	for i, name := range []string{"T1", "T2", "T3", "T4"} {
-		f.j[name] = env.AddJob(rt.JobID(i), s.ByName(name))
+		f.j[name] = env.AddJob(ids[i], s.ByName(name))
+	}
+	var live []rt.JobID
+	for _, j := range env.ActiveJobs() {
+		live = append(live, j.ID)
+	}
+	if !slices.Equal(live, ids) {
+		t.Fatalf("ActiveJobs() = jobs %v, want %v: every live job, in id order", live, ids)
 	}
 	return f
 }

@@ -30,7 +30,7 @@ type LiveOptions struct {
 // template-pick hook — and maps the load report into the shared SLO row
 // schema.
 func RunLive(ctx context.Context, spec *Spec, opts LiveOptions) (*Report, error) {
-	probe, err := client.Dial(opts.Addr, 10*time.Second)
+	probe, err := client.DialPipelined(opts.Addr, 10*time.Second, 1)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: live: %w", spec.Name, err)
 	}

@@ -24,9 +24,7 @@ import (
 // wins, the dispatcher owns any admitted transaction and aborts it, so a
 // handle is never stranded between the two goroutines. Shedding reuses the
 // same protocol: the queue delivers errShed through the reply channel, so
-// a stalled victim session can never block the shedder. Work-stealing
-// composes for free: whichever shard's dispatcher pops the request
-// delivers through the same claim word.
+// a stalled victim session can never block the shedder.
 type admitReq struct {
 	name     string
 	pri      rt.Priority // template base priority; higher = more urgent
@@ -56,28 +54,15 @@ var errShed = errors.New("server: shed as lowest-priority work past the admissio
 // wire.CodeOverload.
 var errQueueFull = errors.New("server: admission queue full")
 
-// admitShard is one slice of the sharded admission path: its own bounded
-// priority queue and its own dispatcher goroutine. Sessions are assigned
-// to shards round-robin at accept time, so each shard sees a stable
-// subset of the connection population; an idle dispatcher steals from the
-// deepest sibling queue (see Server.stealFrom), so a skewed assignment
-// cannot strand queued work behind one busy dispatcher.
-type admitShard struct {
-	id     int          //pcpda:guardedby immutable
-	queue  *admitQueue  //pcpda:guardedby immutable
-	stolen atomic.Int64 // requests this shard's dispatcher stole from siblings
-}
-
-// admitQueue is the bounded, priority-ordered admission queue (one per
-// shard). Unlike the FIFO channel it replaced, it keeps requests sorted by
-// (priority desc, arrival seq asc), so under pressure the dispatcher
-// always admits the most urgent queued work next and the shedding policy
-// always knows which request is the least urgent — PCP-DA's priority
-// semantics extended to the network edge, where the protocol itself
-// cannot see yet.
+// admitQueue is the server's one bounded, priority-ordered admission queue:
+// every session's BEGIN that cannot be admitted inline waits here. It keeps
+// requests sorted by (priority desc, arrival seq asc), so under pressure the
+// dispatcher always admits the most urgent queued work next and the shedding
+// policy always knows which request is the least urgent, whatever session
+// either came from — PCP-DA's one priority order extended to the network
+// edge, where the protocol itself cannot see yet.
 //
-// Shedding policy (applied per shard; each shard's depth and high-water
-// mark are the configured totals divided across shards):
+// Shedding policy:
 //
 //   - Queue full: an arrival that outranks the lowest-priority queued
 //     request displaces it (the victim's session gets errShed); an arrival
@@ -98,7 +83,7 @@ type admitQueue struct {
 	depth     int //pcpda:guardedby immutable
 	highWater int //pcpda:guardedby immutable
 
-	wake chan struct{} // buffered(1); signals the shard's dispatcher
+	wake chan struct{} // buffered(1); signals the dispatcher
 
 	// ewmaWaitNs estimates the queue wait of recently dispatched requests
 	// (exponential moving average, α = 1/8). estimateWait scales it by the
@@ -114,23 +99,21 @@ func newAdmitQueue(depth, highWater int) *admitQueue {
 }
 
 // enqueue files r, applying the shedding policy. It returns the displaced
-// victim (to be failed with errShed by the caller), the queue depth after
-// the operation (the caller nudges the work-stealing signal on backlog),
-// and/or an error for r itself; exactly one of (queued, err) outcomes
-// holds for r.
-func (q *admitQueue) enqueue(r *admitReq) (victim *admitReq, depth int, err error) {
+// victim (to be failed with errShed by the caller) and/or an error for r
+// itself; exactly one of (queued, err) outcomes holds for r.
+func (q *admitQueue) enqueue(r *admitReq) (victim *admitReq, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := len(q.items)
 	if n >= q.depth {
 		low := q.items[n-1] // lowest priority, latest arrival
 		if r.pri <= low.pri {
-			return nil, n, errQueueFull
+			return nil, errQueueFull
 		}
 		q.items = q.items[:n-1]
 		victim = low
 	} else if n >= q.highWater && n > 0 && r.pri < q.items[n-1].pri {
-		return nil, n, errShed
+		return nil, errShed
 	}
 	r.seq = q.seq
 	q.seq++
@@ -144,7 +127,7 @@ func (q *admitQueue) enqueue(r *admitReq) (victim *admitReq, depth int, err erro
 	copy(q.items[i+1:], q.items[i:])
 	q.items[i] = r
 	nudge(q.wake)
-	return victim, len(q.items), nil
+	return victim, nil
 }
 
 // pop removes up to max requests in priority order and feeds the wait
@@ -232,13 +215,13 @@ func (q *admitQueue) estimateWait() time.Duration {
 }
 
 // begin is the admission a BEGIN and a TXN share, run in the session's
-// exec goroutine: validate state, apply deadline-aware admission control
-// against the session's shard, then admit — inline when there is nothing to
-// ration (see beginInline), otherwise by enqueueing onto the shard's bounded
-// priority queue (applying the shedding policy) and waiting for a
-// dispatcher's verdict or session death. It returns with the transaction
-// armed as s.lt (both results nil), with the ERR that refuses the request
-// for the caller to send, or with the error that ends the session.
+// exec goroutine: validate state, apply deadline-aware admission control,
+// then admit — inline when there is nothing to ration (see beginInline),
+// otherwise by enqueueing onto the bounded priority queue (applying the
+// shedding policy) and waiting for the dispatcher's verdict or session
+// death. It returns with the transaction armed as s.lt (both results nil),
+// with the ERR that refuses the request for the caller to send, or with the
+// error that ends the session.
 func (s *session) begin(name string, budgetMs uint32, readOnly bool) (*wire.ErrMsg, error) {
 	if s.lt != nil {
 		return refuse(wire.CodeState, "BEGIN or TXN with a transaction already live"), nil
@@ -255,7 +238,7 @@ func (s *session) begin(name string, budgetMs uint32, readOnly bool) (*wire.ErrM
 		// or the refusal itself would not fit an ERR frame.
 		return refuse(wire.CodeProtocol, "unknown transaction type "+strconv.Quote(name[:min(len(name), 64)])), nil
 	}
-	q := s.shard.queue
+	q := s.srv.queue
 	var deadline time.Time
 	if budgetMs > 0 {
 		deadline = timeNow().Add(time.Duration(budgetMs) * time.Millisecond)
@@ -274,7 +257,7 @@ func (s *session) begin(name string, budgetMs uint32, readOnly bool) (*wire.ErrM
 	}
 	ar := &admitReq{name: name, pri: tmpl.Priority, reply: make(chan admitResult, 1)}
 	s.srv.pending.Add(1)
-	victim, depth, err := q.enqueue(ar)
+	victim, err := q.enqueue(ar)
 	if victim != nil {
 		s.srv.shed(victim)
 	}
@@ -287,10 +270,6 @@ func (s *session) begin(name string, budgetMs uint32, readOnly bool) (*wire.ErrM
 		}
 		s.srv.ctr.RejectedOverload.Add(1)
 		return refuse(wire.CodeOverload, "admission queue full"), nil
-	}
-	if depth > 1 {
-		// Backlog behind this request: offer it to idle sibling dispatchers.
-		s.srv.nudgeSteal()
 	}
 	select {
 	case res := <-ar.reply:
@@ -310,7 +289,7 @@ func (s *session) begin(name string, budgetMs uint32, readOnly bool) (*wire.ErrM
 }
 
 // beginInline admits on the exec goroutine itself, under the
-// admission slot tryBypass claimed. With the shard queue empty there is no
+// admission slot tryBypass claimed. With the queue empty there is no
 // priority order to keep, nothing to shed or displace and nothing to
 // batch, so the queue → dispatcher → BeginBatch → reply-channel relay would
 // deliver exactly this outcome two goroutine handoffs later: the slot
@@ -352,69 +331,23 @@ func (s *Server) shed(victim *admitReq) {
 	}
 }
 
-// nudgeSteal wakes (at most) one idle dispatcher to look for stealable
-// backlog on sibling shards. Best-effort: the token is shared across all
-// shards and every enqueue also wakes its own shard, so losing a nudge
-// costs opportunistic parallelism, never liveness.
-func (s *Server) nudgeSteal() {
-	if len(s.shards) == 1 {
-		return
-	}
-	nudge(s.stealWake)
-}
-
-// stealFrom pops a batch from the deepest sibling queue on behalf of
-// shard sh, whose own queue is empty. The claim protocol makes delivery
-// shard-agnostic, so stolen requests flow through the same admitGroup
-// path; the per-shard counter records the traffic for /stats.
-func (s *Server) stealFrom(sh *admitShard) []*admitReq {
-	var victim *admitShard
-	best := 0
-	for _, o := range s.shards {
-		if o == sh {
-			continue
-		}
-		if d := o.queue.depthNow(); d > best {
-			best, victim = d, o
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	batch := victim.queue.pop(s.cfg.BatchMax)
-	if len(batch) > 0 {
-		sh.stolen.Add(int64(len(batch)))
-		s.ctr.StolenAdmissions.Add(int64(len(batch)))
-	}
-	return batch
-}
-
-// dispatch is one shard's admission pump: it drains the shard's priority
-// queue into groups of distinct template names and admits each group
-// through one rtm.BeginBatch call; with its own queue empty it steals
-// from the deepest sibling. The shared semaphore bounds concurrently
-// running groups across all shards; when all slots are busy the pumps
-// stall, the queues fill past their high-water marks, and the shedding
-// policy starts refusing the lowest-priority work — the backpressure
-// chain the bounded queue promises, now priority-aware and per-core.
-func (s *Server) dispatch(sh *admitShard) {
+// dispatch is the admission pump: it drains the priority queue into groups
+// of distinct template names and admits each group through one
+// rtm.BeginBatch call. The semaphore bounds concurrently running groups (and
+// inline admissions); when all slots are busy the pump stalls, the queue
+// fills past its high-water mark, and the shedding policy starts refusing
+// the lowest-priority work — the backpressure chain the bounded queue
+// promises, in priority order.
+func (s *Server) dispatch() {
 	defer s.dispatchWG.Done()
-	defer func() { abandonGroup(sh.queue.drainAll()) }()
+	defer func() { abandonGroup(s.queue.drainAll()) }()
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
-		case <-sh.queue.wake:
-		case <-s.stealWake:
+		case <-s.queue.wake:
 		}
-		for {
-			batch := sh.queue.pop(s.cfg.BatchMax)
-			if len(batch) == 0 {
-				batch = s.stealFrom(sh)
-				if len(batch) == 0 {
-					break
-				}
-			}
+		for batch := s.queue.pop(s.cfg.BatchMax); len(batch) > 0; batch = s.queue.pop(s.cfg.BatchMax) {
 			for _, group := range splitDistinct(batch) {
 				select {
 				case s.admitSem <- struct{}{}:

@@ -23,7 +23,7 @@ func TestTryBypassNeedsEmptyQueueAndFreeSlot(t *testing.T) {
 		t.Fatal("bypass with every admission slot taken")
 	}
 	<-sem
-	if _, _, err := q.enqueue(mkReq("hi", 9)); err != nil {
+	if _, err := q.enqueue(mkReq("hi", 9)); err != nil {
 		t.Fatal(err)
 	}
 	if q.tryBypass(sem) || len(sem) != 0 {
@@ -92,14 +92,14 @@ func admit(t *testing.T, addr, name string, whole bool) (*rawPipe, <-chan uint64
 func TestInlineBeginYieldsToQueuedWork(t *testing.T) {
 	eachAdmission(t, func(t *testing.T, whole bool) {
 		mgr, _ := rtm.New(testSet(t))
-		addr, srv := startServer(t, mgr, Config{MaxAdmitting: 1, BatchMax: 1, AdmitShards: 1})
+		addr, srv := startServer(t, mgr, Config{MaxAdmitting: 1, BatchMax: 1})
 		holder, parked, popped := blockDispatcher(t, addr, srv, mgr)
 		defer func() { _ = holder.Close(); _ = parked.Close(); _ = popped.Close() }()
 
 		queue := func(name string, depth int) <-chan uint64 {
 			t.Helper()
 			_, id := admit(t, addr, name, whole)
-			waitFor(t, name+" queued", func() bool { return srv.queueDepth() == depth })
+			waitFor(t, name+" queued", func() bool { return srv.queue.depthNow() == depth })
 			return id
 		}
 		high := queue("reader", 1) // priority 3, template slot free
@@ -149,7 +149,7 @@ func TestDisconnectWhileParkedInline(t *testing.T) {
 		}
 		waiter, answered := admit(t, addr, "zonly", whole)
 		waitFor(t, "the admission to park", func() bool { return mgr.ParkedWaiters() == 1 })
-		if d, p, a := srv.queueDepth(), srv.pending.Load(), len(srv.admitSem); d != 0 || p != 1 || a != 1 {
+		if d, p, a := srv.queue.depthNow(), srv.pending.Load(), len(srv.admitSem); d != 0 || p != 1 || a != 1 {
 			t.Fatalf("queue depth %d, pending %d, admission slots %d; want an inline admission (0, 1, 1)", d, p, a)
 		}
 

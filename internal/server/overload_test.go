@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"pcpda/internal/nemesis"
 	"pcpda/internal/rt"
 	"pcpda/internal/rtm"
+	"pcpda/internal/txn"
 	"pcpda/internal/wire"
 )
 
@@ -26,7 +28,7 @@ func TestAdmitQueueOrdering(t *testing.T) {
 		mkReq("low-a", 1), mkReq("hi-a", 3), mkReq("mid", 2),
 		mkReq("low-b", 1), mkReq("hi-b", 3),
 	} {
-		if v, _, err := q.enqueue(r); v != nil || err != nil {
+		if v, err := q.enqueue(r); v != nil || err != nil {
 			t.Fatalf("enqueue %s: victim=%v err=%v", r.name, v, err)
 		}
 	}
@@ -47,18 +49,18 @@ func TestAdmitQueueDisplacement(t *testing.T) {
 	lowA, lowB := mkReq("low-a", 1), mkReq("low-b", 1)
 	mustEnq := func(r *admitReq) {
 		t.Helper()
-		if v, _, err := q.enqueue(r); v != nil || err != nil {
+		if v, err := q.enqueue(r); v != nil || err != nil {
 			t.Fatalf("enqueue %s: victim=%v err=%v", r.name, v, err)
 		}
 	}
 	mustEnq(lowA)
 	mustEnq(lowB)
 	// Equal priority cannot displace: plain overload.
-	if _, _, err := q.enqueue(mkReq("low-c", 1)); err != errQueueFull {
+	if _, err := q.enqueue(mkReq("low-c", 1)); err != errQueueFull {
 		t.Fatalf("equal-priority arrival into full queue: err=%v, want errQueueFull", err)
 	}
 	// Higher priority displaces the lowest, latest-arrived request.
-	v, _, err := q.enqueue(mkReq("hi", 3))
+	v, err := q.enqueue(mkReq("hi", 3))
 	if err != nil || v != lowB {
 		t.Fatalf("displacement: victim=%v err=%v, want low-b", v, err)
 	}
@@ -70,20 +72,20 @@ func TestAdmitQueueDisplacement(t *testing.T) {
 
 func TestAdmitQueueHighWaterShed(t *testing.T) {
 	q := newAdmitQueue(8, 2)
-	if _, _, err := q.enqueue(mkReq("mid-a", 2)); err != nil {
+	if _, err := q.enqueue(mkReq("mid-a", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := q.enqueue(mkReq("mid-b", 2)); err != nil {
+	if _, err := q.enqueue(mkReq("mid-b", 2)); err != nil {
 		t.Fatal(err)
 	}
 	// At the high-water mark and strictly below everything queued: shed on
 	// arrival even though the queue has room.
-	if _, _, err := q.enqueue(mkReq("low", 1)); err != errShed {
+	if _, err := q.enqueue(mkReq("low", 1)); err != errShed {
 		t.Fatalf("below-min arrival past high water: err=%v, want errShed", err)
 	}
 	// Equal to the queued minimum still rides along (FIFO fairness within a
 	// priority is preserved; only strictly-lower work is refused early).
-	if _, _, err := q.enqueue(mkReq("mid-c", 2)); err != nil {
+	if _, err := q.enqueue(mkReq("mid-c", 2)); err != nil {
 		t.Fatalf("equal-priority arrival past high water: %v", err)
 	}
 	if n := q.depthNow(); n != 3 {
@@ -100,7 +102,7 @@ func TestAdmitQueueWaitEstimate(t *testing.T) {
 	// (= high water): the estimate must be the full EWMA.
 	q.ewmaWaitNs.Store(int64(100 * time.Millisecond))
 	for i := 0; i < 4; i++ {
-		if _, _, err := q.enqueue(mkReq("r", 2)); err != nil {
+		if _, err := q.enqueue(mkReq("r", 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +132,7 @@ func names(rs []*admitReq) []string {
 // parked in BeginBatch on it (consuming the MaxAdmitting=1 slot), and one
 // more popped request blocks the dispatcher on the semaphore. Returns the
 // holder (abort it to unwind) and the two sacrificial conns.
-func blockDispatcher(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (holder, parked, popped *client.Conn) {
+func blockDispatcher(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (holder, parked, popped *client.PipeConn) {
 	t.Helper()
 	holder = mustDial(t, addr)
 	if _, err := holder.Begin("zonly"); err != nil {
@@ -142,7 +144,7 @@ func blockDispatcher(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (
 	popped = mustDial(t, addr)
 	go func() { _, _ = popped.Begin("zonly") }()
 	waitFor(t, "dispatcher to block on the admit semaphore", func() bool {
-		return srv.pending.Load() == 2 && srv.queueDepth() == 0
+		return srv.pending.Load() == 2 && srv.queue.depthNow() == 0
 	})
 	return holder, parked, popped
 }
@@ -153,10 +155,8 @@ func blockDispatcher(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (
 // high-priority burst — priorities honored end to end.
 func TestShedUnderBurst(t *testing.T) {
 	mgr, _ := rtm.New(testSet(t))
-	// AdmitShards pinned to 1: the test asserts globally exact shed and
-	// displacement order, which only a single shared queue guarantees.
 	addr, srv := startServer(t, mgr, Config{
-		QueueDepth: 4, HighWater: 1, MaxAdmitting: 1, BatchMax: 1, AdmitShards: 1,
+		QueueDepth: 4, HighWater: 1, MaxAdmitting: 1, BatchMax: 1,
 	})
 	holder, parked, popped := blockDispatcher(t, addr, srv, mgr)
 	defer func() { _ = holder.Close(); _ = parked.Close(); _ = popped.Close() }()
@@ -164,7 +164,7 @@ func TestShedUnderBurst(t *testing.T) {
 	// Queue up two updaters (priority 2): past the high-water mark (1) but
 	// with queue room (depth 4) to spare.
 	type pending struct {
-		c   *client.Conn
+		c   *client.PipeConn
 		err chan error
 	}
 	var updaters []pending
@@ -173,7 +173,7 @@ func TestShedUnderBurst(t *testing.T) {
 		p := pending{c: mustDial(t, addr), err: make(chan error, 1)}
 		go func() { _, err := p.c.Begin("updater"); p.err <- err }()
 		updaters = append(updaters, p)
-		waitFor(t, "updater queued", func() bool { return srv.queueDepth() == len(updaters) })
+		waitFor(t, "updater queued", func() bool { return srv.queue.depthNow() == len(updaters) })
 	}
 	addUpdater()
 	addUpdater()
@@ -248,15 +248,15 @@ func TestShedUnderBurst(t *testing.T) {
 func TestInfeasibleRejected(t *testing.T) {
 	mgr, _ := rtm.New(testSet(t))
 	addr, srv := startServer(t, mgr, Config{
-		QueueDepth: 4, HighWater: 1, MaxAdmitting: 1, BatchMax: 1, AdmitShards: 1,
+		QueueDepth: 4, HighWater: 1, MaxAdmitting: 1, BatchMax: 1,
 	})
 	holder, parked, popped := blockDispatcher(t, addr, srv, mgr)
 
 	// One queued request gives nonzero occupancy; the seeded EWMA says
 	// recent dispatches waited 200ms.
 	q := pendingBegin(t, addr, "updater")
-	waitFor(t, "occupancy", func() bool { return srv.queueDepth() == 1 })
-	srv.shards[0].queue.ewmaWaitNs.Store(int64(200 * time.Millisecond))
+	waitFor(t, "occupancy", func() bool { return srv.queue.depthNow() == 1 })
+	srv.queue.ewmaWaitNs.Store(int64(200 * time.Millisecond))
 
 	c := mustDial(t, addr)
 	defer func() { _ = c.Close() }()
@@ -268,12 +268,12 @@ func TestInfeasibleRejected(t *testing.T) {
 	}
 	// A budget with room above the estimate is admitted normally.
 	ok := pendingBegin(t, addr, "reader")
-	waitFor(t, "feasible budget queued", func() bool { return srv.queueDepth() == 2 })
+	waitFor(t, "feasible budget queued", func() bool { return srv.queue.depthNow() == 2 })
 
 	if err := holder.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	for _, conn := range []*client.Conn{parked, popped, q, ok, holder, c} {
+	for _, conn := range []*client.PipeConn{parked, popped, q, ok, holder, c} {
 		_ = conn.Close()
 	}
 	waitFor(t, "admission pipeline to empty", func() bool { return srv.pending.Load() == 0 })
@@ -281,11 +281,122 @@ func TestInfeasibleRejected(t *testing.T) {
 
 // pendingBegin fires a BEGIN (with a generous deadline budget) in the
 // background and returns the conn; the caller closes it to abandon.
-func pendingBegin(t *testing.T, addr, name string) *client.Conn {
+func pendingBegin(t *testing.T, addr, name string) *client.PipeConn {
 	t.Helper()
 	c := mustDial(t, addr)
 	go func() { _, _ = c.BeginBudget(name, 10*time.Second) }()
 	return c
+}
+
+// TestAdmissionOrderIsGlobalAtDefaultConfig: at the shipped configuration —
+// nothing set but the queue's depth — shedding, Health's mark and the order
+// of admission hold over all sessions together. Every queued BEGIN comes
+// from every second session accepted and the sessions in between stay idle,
+// so an admission path that kept a queue per group of sessions would see the
+// idle ones' queue empty; with one queue it cannot matter which session a
+// BEGIN came from. Admission is jammed (MaxAdmitting BEGINs parked on a held
+// template slot, the dispatcher holding the highest-priority arrival for a
+// slot), top-priority BEGINs queue in scrambled order up to HighWater, the
+// session accepted next sends the lowest-priority one, and when the slot
+// frees the job ids — handed out in admission order — must run with the
+// priorities.
+func TestAdmissionOrderIsGlobalAtDefaultConfig(t *testing.T) {
+	const depth = 32
+	set := txn.NewSet("wide")
+	w := set.Catalog.Intern("w")
+	for i := 0; i <= depth; i++ { // index order is priority order, highest first
+		set.Add(&txn.Template{Name: fmt.Sprintf("p%02d", i), Steps: []txn.Step{txn.Write(w)}})
+	}
+	set.Add(&txn.Template{Name: "jam", Steps: []txn.Step{txn.Write(w)}})
+	set.Add(&txn.Template{Name: "low", Steps: []txn.Step{txn.Write(w)}})
+	set.AssignByIndex()
+	mgr, err := rtm.New(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, srv := startServer(t, mgr, Config{QueueDepth: depth})
+	highWater, admitting := srv.cfg.HighWater, srv.cfg.MaxAdmitting
+
+	var conns []*client.PipeConn
+	defer func() {
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	}()
+	var spare *client.PipeConn // the idle session accepted after the last one dial returned
+	dial := func() *client.PipeConn {
+		c := mustDial(t, addr)
+		spare = mustDial(t, addr)
+		conns = append(conns, c, spare)
+		return c
+	}
+
+	holder := dial()
+	if _, err := holder.Begin("jam"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < admitting; i++ {
+		c := dial()
+		go func() { _, _ = c.Begin("jam") }()
+	}
+	waitFor(t, "every admission slot to park on jam's template slot", func() bool {
+		return mgr.ParkedWaiters() == admitting && len(srv.admitSem) == admitting
+	})
+
+	// p00 first: the dispatcher pops it and blocks for a slot with it in
+	// hand; the rest stay queued, in an order that is not their priorities'.
+	ids := make([]chan uint64, highWater+1)
+	begin := func(i int) {
+		c, got := dial(), make(chan uint64, 1)
+		ids[i] = got
+		go func() {
+			id, err := c.Begin(fmt.Sprintf("p%02d", i))
+			if err != nil {
+				t.Errorf("queued BEGIN p%02d: %v", i, err)
+			}
+			got <- id
+		}()
+	}
+	begin(0)
+	waitFor(t, "the dispatcher to block on the admit semaphore", func() bool {
+		return srv.pending.Load() == int64(admitting)+1 && srv.queue.depthNow() == 0
+	})
+	for n, i := range rand.New(rand.NewSource(26)).Perm(highWater) {
+		if n == highWater-1 {
+			if h := srv.Health(); h != "ok" {
+				t.Fatalf("health at occupancy %d of high water %d = %q, want ok", n, highWater, h)
+			}
+		}
+		begin(i + 1)
+		waitFor(t, fmt.Sprintf("BEGIN %d of %d to queue", n+1, highWater), func() bool {
+			return srv.queue.depthNow() == n+1
+		})
+	}
+	if h := srv.Health(); h != "degraded" {
+		t.Fatalf("health at occupancy %d = high water = %q, want degraded", highWater, h)
+	}
+	if _, err := spare.Begin("low"); !wire.IsCode(err, wire.CodeShed) {
+		t.Fatalf("lowest-priority BEGIN from an idle session at high water: %v, want CodeShed", err)
+	}
+	if got, d := srv.Counters().Shed.Load(), srv.queue.depthNow(); got != 1 || d != highWater {
+		t.Fatalf("shed = %d, occupancy = %d after the refusal, want 1 and %d", got, d, highWater)
+	}
+
+	if err := holder.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	var last uint64
+	for i, got := range ids {
+		select {
+		case id := <-got:
+			if i > 0 && id <= last {
+				t.Fatalf("p%02d (job %d) was admitted before p%02d (job %d), which outranks it", i, id, i-1, last)
+			}
+			last = id
+		case <-time.After(5 * time.Second):
+			t.Fatalf("queued BEGIN p%02d was never answered", i)
+		}
+	}
 }
 
 // --- watchdog ----------------------------------------------------------------

@@ -12,15 +12,6 @@ import (
 	"pcpda/internal/wire"
 )
 
-func mustDialPipe(t *testing.T, addr string) *client.PipeConn {
-	t.Helper()
-	p, err := client.DialPipelined(addr, 5*time.Second, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
 // TestPipelinedTxnBurst: whole transactions, one frame each — the steady
 // state of the pipelined protocol — including the outcome contract: a
 // refusal or a failed operation is the transaction's one reply, nothing is
@@ -29,7 +20,7 @@ func TestPipelinedTxnBurst(t *testing.T) {
 	set := testSet(t)
 	mgr, _ := rtm.New(set)
 	addr, srv := startServer(t, mgr, Config{})
-	p := mustDialPipe(t, addr)
+	p := mustDial(t, addr)
 	defer func() { _ = p.Close() }()
 	x, y := item(t, set, "x"), item(t, set, "y")
 
@@ -102,7 +93,7 @@ func TestPipelinedPingOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := mustDialPipe(t, addr)
+	p := mustDial(t, addr)
 	defer func() { _ = p.Close() }()
 	begin, err := p.Submit(&wire.Begin{Name: "zonly"})
 	if err != nil {
@@ -217,7 +208,7 @@ func TestPipelinedDisconnectEveryPhase(t *testing.T) {
 	}
 	for _, ph := range phases {
 		t.Run(ph.name, func(t *testing.T) {
-			ph.run(t, mustDialPipe(t, addr))
+			ph.run(t, mustDial(t, addr))
 			waitFor(t, "admission pipeline to empty", func() bool { return srv.pending.Load() == 0 })
 			waitFor(t, "manager quiescent", func() bool { return mgr.Stats().Live == 0 })
 			if err := mgr.CheckInvariants(); err != nil {
@@ -225,80 +216,6 @@ func TestPipelinedDisconnectEveryPhase(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestShardStealing: with two admission shards, backlog queued behind one
-// busy dispatcher is stolen by the idle sibling. Sessions are assigned to
-// shards round-robin in dial order, which the test exploits to aim BEGINs
-// at shard 0 only.
-func TestShardStealing(t *testing.T) {
-	mgr, _ := rtm.New(testSet(t))
-	addr, srv := startServer(t, mgr, Config{
-		QueueDepth: 32, AdmitShards: 2, MaxAdmitting: 1, BatchMax: 2,
-	})
-	if len(srv.shards) != 2 {
-		t.Fatalf("shards = %d, want 2", len(srv.shards))
-	}
-	var conns []*client.Conn
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-	}()
-	dial := func() *client.Conn {
-		c := mustDial(t, addr)
-		conns = append(conns, c)
-		return c
-	}
-	evenDial := func() *client.Conn { // lands on shard 0 (round-robin)
-		c := dial()
-		dial() // burn the shard-1 slot
-		return c
-	}
-
-	// Shard 0, session 1: take zonly's template slot.
-	holder := evenDial()
-	if _, err := holder.Begin("zonly"); err != nil {
-		t.Fatal(err)
-	}
-	// Shard 0, session 2: BEGIN parks in BeginBatch holding the single
-	// MaxAdmitting slot — dispatcher 0's next pop will block on it.
-	bg := func(c *client.Conn) {
-		go func() { _, _ = c.Begin("zonly") }()
-	}
-	bg(evenDial())
-	waitFor(t, "admission group to park", func() bool { return mgr.ParkedWaiters() > 0 })
-	// Shard 0, session 3: popped by dispatcher 0, which then blocks on the
-	// admission semaphore with shard 0's queue drained.
-	bg(evenDial())
-	waitFor(t, "dispatcher 0 to block", func() bool {
-		return srv.pending.Load() == 2 && srv.queueDepth() == 0
-	})
-	// Shard 0, sessions 4 and 5: queue up behind the blocked dispatcher.
-	// The second enqueue sees backlog and nudges the steal wake; dispatcher
-	// 1 (idle, empty queue) steals from shard 0.
-	bg(evenDial())
-	bg(evenDial())
-	waitFor(t, "idle sibling to steal the backlog", func() bool {
-		return srv.Counters().StolenAdmissions.Load() >= 1
-	})
-	st := srv.ShardStats()
-	if st[0].Stolen+st[1].Stolen != srv.Counters().StolenAdmissions.Load() {
-		t.Fatalf("per-shard stolen %v does not sum to the counter", st)
-	}
-
-	// Unwind: free the template slot, then retire every conn (the deferred
-	// closes); abandoned claims and auto-aborts drain the pipeline and the
-	// startServer cleanup audits the drain.
-	if err := holder.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range conns {
-		_ = c.Close()
-	}
-	conns = nil
-	waitFor(t, "admission pipeline to empty", func() bool { return srv.pending.Load() == 0 })
-	waitFor(t, "manager quiescent", func() bool { return mgr.Stats().Live == 0 })
 }
 
 // TestNemesisPipelined is the pipelined arm of the nemesis determinism

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,24 +52,15 @@ type Config struct {
 	// Counters receives session and admission statistics. Allocated
 	// internally when nil.
 	Counters *metrics.ServerCounters
-	// QueueDepth bounds the admission queue, summed across shards. A BEGIN
-	// arriving when its shard's queue is full is rejected with CodeOverload
-	// — unless it outranks queued work, in which case the lowest-priority
-	// queued BEGIN is shed to make room. Default 64.
+	// QueueDepth bounds the admission queue. A BEGIN arriving when the queue
+	// is full is rejected with CodeOverload — unless it outranks queued
+	// work, in which case the lowest-priority queued BEGIN is shed to make
+	// room. Default 64.
 	QueueDepth int
-	// HighWater is the queue occupancy (summed across shards) at which
-	// priority shedding starts: at or past it, a BEGIN ranking below
-	// everything already queued is refused with CodeShed instead of
-	// queueing. Default 3/4 of QueueDepth.
+	// HighWater is the queue occupancy at which priority shedding starts:
+	// at or past it, a BEGIN ranking below everything already queued is
+	// refused with CodeShed instead of queueing. Default 3/4 of QueueDepth.
 	HighWater int
-	// AdmitShards is the number of admission shards, each with its own
-	// queue slice (depth QueueDepth/shards) and dispatcher goroutine.
-	// Sessions are assigned round-robin; idle dispatchers steal from the
-	// deepest sibling queue. Default: min(GOMAXPROCS, QueueDepth/16),
-	// at least 1 — small queues get exactly one shard, which keeps the
-	// shedding/displacement policy globally exact (the PR 6 semantics);
-	// sharding trades that global exactness for parallel admission.
-	AdmitShards int
 	// BatchMax caps how many queued BEGINs one dispatcher round gathers
 	// into BeginBatch groups. Default 16.
 	BatchMax int
@@ -132,12 +122,6 @@ func (c *Config) fill() error {
 	if c.HighWater <= 0 || c.HighWater > c.QueueDepth {
 		c.HighWater = max(1, c.QueueDepth*3/4)
 	}
-	if c.AdmitShards <= 0 {
-		c.AdmitShards = min(runtime.GOMAXPROCS(0), max(1, c.QueueDepth/16))
-	}
-	if c.AdmitShards > c.QueueDepth {
-		c.AdmitShards = c.QueueDepth
-	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
 	}
@@ -175,12 +159,10 @@ type Server struct {
 	ctx    context.Context // lifetime of all sessions and the dispatcher
 	cancel context.CancelFunc
 
-	shards    []*admitShard
-	stealWake chan struct{} // buffered(1); shared work-stealing nudge
-	nextShard atomic.Uint64 // round-robin session→shard assignment
-	admitSem  chan struct{} // bounds concurrent admissions (BeginBatch groups and inline BEGINs), all shards
-	pending   atomic.Int64  // BEGINs enqueued but not yet resolved
-	draining  atomic.Bool
+	queue    *admitQueue   //pcpda:guardedby immutable
+	admitSem chan struct{} // bounds concurrent admissions (BeginBatch groups and inline BEGINs)
+	pending  atomic.Int64  // BEGINs enqueued but not yet resolved
+	draining atomic.Bool
 
 	// lastOverload is the unix-nano timestamp of the most recent shed,
 	// infeasible or queue-full rejection; Health reports "degraded" for
@@ -204,26 +186,17 @@ func New(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		mgr:       cfg.Manager,
-		ctr:       cfg.Counters,
-		ctx:       ctx,
-		cancel:    cancel,
-		stealWake: make(chan struct{}, 1),
-		admitSem:  make(chan struct{}, cfg.MaxAdmitting),
-		sessions:  make(map[*session]struct{}),
+		cfg:      cfg,
+		mgr:      cfg.Manager,
+		ctr:      cfg.Counters,
+		ctx:      ctx,
+		cancel:   cancel,
+		queue:    newAdmitQueue(cfg.QueueDepth, cfg.HighWater),
+		admitSem: make(chan struct{}, cfg.MaxAdmitting),
+		sessions: make(map[*session]struct{}),
 	}
-	// Each shard gets an equal slice of the configured totals, rounded up
-	// so the sum never loses capacity to integer division.
-	n := cfg.AdmitShards
-	depth := (cfg.QueueDepth + n - 1) / n
-	hw := max(1, (cfg.HighWater+n-1)/n)
-	for i := 0; i < n; i++ {
-		sh := &admitShard{id: i, queue: newAdmitQueue(depth, hw)}
-		s.shards = append(s.shards, sh)
-		s.dispatchWG.Add(1)
-		go s.dispatch(sh)
-	}
+	s.dispatchWG.Add(1)
+	go s.dispatch()
 	if cfg.WatchdogInterval > 0 {
 		s.dispatchWG.Add(1)
 		go s.watchdog()
@@ -283,7 +256,6 @@ func (s *Server) startSession(conn net.Conn) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	sess := &session{
 		srv: s, conn: conn, ctx: ctx, cancel: cancel,
-		shard:      s.shards[int(s.nextShard.Add(1)-1)%len(s.shards)],
 		inWake:     make(chan struct{}, 1),
 		inSpace:    make(chan struct{}, 1),
 		outWake:    make(chan struct{}, 1),
@@ -369,7 +341,7 @@ func (s *Server) Health() string {
 	if s.draining.Load() {
 		return "draining"
 	}
-	if s.queueDepth() >= s.cfg.HighWater {
+	if s.queue.depthNow() >= s.cfg.HighWater {
 		return "degraded"
 	}
 	if last := s.lastOverload.Load(); last != 0 &&
@@ -436,33 +408,20 @@ func (s *Server) Close() error {
 // /debug/flight).
 const flightTail = 64
 
-// queueDepth sums the current occupancy of every shard's admission queue.
-func (s *Server) queueDepth() int {
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.queue.depthNow()
-	}
-	return total
-}
-
-// ShardStat is one admission shard's point-in-time state for /stats.
+// ShardStat is the admission queue's point-in-time state for /stats.
 type ShardStat struct {
 	Depth      int     `json:"depth"`        // current queue occupancy
-	Stolen     int64   `json:"stolen"`       // requests this shard's dispatcher stole from siblings
 	EWMAWaitMs float64 `json:"ewma_wait_ms"` // recent-dispatch queue-wait estimate
 }
 
-// ShardStats snapshots every admission shard, indexed by shard id.
+// ShardStats snapshots the admission queue. One element: the name and the
+// slice are what benchmark/probes.go:254 compiles against; ROADMAP 4(e)
+// renames it with the probe.
 func (s *Server) ShardStats() []ShardStat {
-	out := make([]ShardStat, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = ShardStat{
-			Depth:      sh.queue.depthNow(),
-			Stolen:     sh.stolen.Load(),
-			EWMAWaitMs: float64(sh.queue.ewmaWaitNs.Load()) / 1e6,
-		}
-	}
-	return out
+	return []ShardStat{{
+		Depth:      s.queue.depthNow(),
+		EWMAWaitMs: float64(s.queue.ewmaWaitNs.Load()) / 1e6,
+	}}
 }
 
 // timeNow is indirected for deadline tests.

@@ -69,9 +69,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func mustDial(t *testing.T, addr string) *client.Conn {
+func mustDial(t *testing.T, addr string) *client.PipeConn {
 	t.Helper()
-	c, err := client.Dial(addr, 5*time.Second)
+	c, err := client.DialPipelined(addr, 5*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestOverloadBackpressure(t *testing.T) {
 
 	// Fill the queue, then overflow it. The queued request may be drained
 	// into a second gather round, so push until overload shows up.
-	var strangers []*client.Conn
+	var strangers []*client.PipeConn
 	var sawOverload bool
 	for i := 0; i < 10 && !sawOverload; i++ {
 		c := mustDial(t, addr)

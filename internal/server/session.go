@@ -134,7 +134,6 @@ type session struct {
 	conn   net.Conn           //pcpda:guardedby immutable
 	ctx    context.Context    //pcpda:guardedby immutable
 	cancel context.CancelFunc //pcpda:guardedby immutable
-	shard  *admitShard        //pcpda:guardedby immutable — admission shard this session's BEGINs enqueue to
 
 	greeted bool                   //pcpda:guardedby none — HELLO has been answered; owned by run
 	lt      *liveTx                //pcpda:guardedby none — live transaction; owned by run
@@ -553,7 +552,7 @@ func refuse(code wire.ErrorCode, text string) *wire.ErrMsg {
 }
 
 // beginRO admits a declared read-only snapshot transaction. It
-// bypasses the admission shards entirely — no queue wait, no shed or
+// bypasses admission entirely — no queue wait, no shed or
 // infeasibility eligibility, no pending accounting — because BeginReadOnly
 // never blocks and takes no locks: admission control exists to ration the
 // lock manager, and this path never touches it. The template name and any

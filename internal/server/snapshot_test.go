@@ -23,7 +23,7 @@ func TestReadOnlyEndToEnd(t *testing.T) {
 	xi := item(t, set, "x")
 	yi := item(t, set, "y")
 
-	pc := mustDialPipe(t, addr)
+	pc := mustDial(t, addr)
 	defer func() { _ = pc.Close() }()
 	if err := pc.RunTxn("updater", 0, []wire.Message{
 		&wire.Write{Item: xi, Value: 7},
@@ -128,11 +128,8 @@ func TestMaxConnsRefusal(t *testing.T) {
 		t.Fatalf("RejectedConnLimit = %d, want 1", got)
 	}
 
-	// Both dial paths hand the refusal to their caller typed, so that a
-	// retry policy can see it is retryable.
-	if _, err := client.Dial(addr, 2*time.Second); !wire.IsCode(err, wire.CodeOverload) {
-		t.Fatalf("Dial past the limit: %v, want CodeOverload", err)
-	}
+	// The dial hands the refusal to its caller typed, so that a retry
+	// policy can see it is retryable.
 	if _, err := client.DialPipelined(addr, 2*time.Second, 0); !wire.IsCode(err, wire.CodeOverload) {
 		t.Fatalf("DialPipelined past the limit: %v, want CodeOverload", err)
 	}
@@ -140,7 +137,7 @@ func TestMaxConnsRefusal(t *testing.T) {
 	// Freeing the slot readmits.
 	_ = c1.Close()
 	waitFor(t, "slot freed", func() bool {
-		c2, err := client.Dial(addr, 2*time.Second)
+		c2, err := client.DialPipelined(addr, 2*time.Second, 0)
 		if err != nil {
 			return false
 		}
@@ -176,19 +173,15 @@ func TestMaxConnsRefusalIsRetried(t *testing.T) {
 		t.Fatalf("committed z = %v, want 5", v)
 	}
 
-	// The strict client's pool dials through the same refusal.
+	// A conversation dials through the same refusal.
 	pc.Close()
 	hog = takeSlot(t, addr)
-	pool := client.NewPool(addr, 2*time.Second, 1)
-	defer pool.Close()
-	cl := client.NewClient(pool, 1)
-	cl.MaxAttempts, cl.BackoffBase = 50, 2*time.Millisecond
 	before := srv.Counters().RejectedConnLimit.Load()
-	go func() { done <- cl.Do("zonly", func(c *client.Conn) error { return c.Write(z, 6) }) }()
+	go func() { done <- pc.Do("zonly", func(c *client.PipeConn) error { return c.Write(z, 6) }) }()
 	waitFor(t, "a refused dial", func() bool { return srv.Counters().RejectedConnLimit.Load() > before })
 	_ = hog.Close()
 	if err := <-done; err != nil {
-		t.Fatalf("Client against a server at its connection limit: %v", err)
+		t.Fatalf("PipeClient.Do against a server at its connection limit: %v", err)
 	}
 	if v := mgr.ReadCommitted(2); v != 6 {
 		t.Fatalf("committed z = %v, want 6", v)
@@ -196,12 +189,12 @@ func TestMaxConnsRefusalIsRetried(t *testing.T) {
 }
 
 // takeSlot dials until a connection slot that is being freed is free.
-func takeSlot(t *testing.T, addr string) *client.Conn {
+func takeSlot(t *testing.T, addr string) *client.PipeConn {
 	t.Helper()
-	var c *client.Conn
+	var c *client.PipeConn
 	waitFor(t, "the freed slot", func() bool {
 		var err error
-		c, err = client.Dial(addr, 2*time.Second)
+		c, err = client.DialPipelined(addr, 2*time.Second, 0)
 		return err == nil
 	})
 	return c

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"net"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -19,19 +20,19 @@ import (
 // A TXN frame is a whole transaction: admission, every operation, commit,
 // one reply. These tests send it every way it can end.
 
-// jammed is the admission configuration of TestShedUnderBurst: one shard,
+// jammed is the admission configuration of TestShedUnderBurst:
 // one admission slot, a queue of four that sheds from one up — with
 // blockDispatcher, arrivals stay queued.
-var jammed = Config{QueueDepth: 4, HighWater: 1, MaxAdmitting: 1, BatchMax: 1, AdmitShards: 1}
+var jammed = Config{QueueDepth: 4, HighWater: 1, MaxAdmitting: 1, BatchMax: 1}
 
 // queueUpdaters leaves n "updater" BEGINs queued behind a blocked
 // dispatcher and returns their connections.
-func queueUpdaters(t *testing.T, addr string, srv *Server, n int) []*client.Conn {
+func queueUpdaters(t *testing.T, addr string, srv *Server, n int) []*client.PipeConn {
 	t.Helper()
-	var conns []*client.Conn
+	var conns []*client.PipeConn
 	for i := 1; i <= n; i++ {
 		conns = append(conns, pendingBegin(t, addr, "updater"))
-		waitFor(t, "updater queued", func() bool { return srv.queueDepth() == i })
+		waitFor(t, "updater queued", func() bool { return srv.queue.depthNow() == i })
 	}
 	return conns
 }
@@ -87,7 +88,7 @@ func TestTxnOutcomes(t *testing.T) {
 			arrange: func(w world) (wire.Txn, func()) {
 				holder, parked, popped := blockDispatcher(w.t, w.addr, w.srv, w.mgr)
 				queued := queueUpdaters(w.t, w.addr, w.srv, 1)
-				w.srv.shards[0].queue.ewmaWaitNs.Store(int64(200 * time.Millisecond))
+				w.srv.queue.ewmaWaitNs.Store(int64(200 * time.Millisecond))
 				return wire.Txn{Name: "reader", Deadline: 50}, func() { closeAll(holder, parked, popped, queued) }
 			}},
 		{name: "undeclared-item", want: wire.CodeProtocol,
@@ -175,7 +176,7 @@ func TestTxnOutcomes(t *testing.T) {
 
 // closeAll hangs up every connection: queued and parked admissions are
 // abandoned or auto-aborted.
-func closeAll(a, b, c *client.Conn, more []*client.Conn) {
+func closeAll(a, b, c *client.PipeConn, more []*client.PipeConn) {
 	for _, conn := range append(more, a, b, c) {
 		_ = conn.Close()
 	}
@@ -248,6 +249,82 @@ func TestTxnReadsInStepOrder(t *testing.T) {
 	}
 	// One reply a transaction: HELLO_OK and four TXN_OKs.
 	waitFor(t, "the replies to be counted", func() bool { return srv.Counters().ResponsesFlushed.Load() == 5 })
+}
+
+// statsDelta is after − before, counter by counter.
+func statsDelta(after, before rtm.Stats) rtm.Stats {
+	var d rtm.Stats
+	a, b, out := reflect.ValueOf(after), reflect.ValueOf(before), reflect.ValueOf(&d).Elem()
+	for i := 0; i < a.NumField(); i++ {
+		if a.Field(i).CanInt() {
+			out.Field(i).SetInt(a.Field(i).Int() - b.Field(i).Int())
+		} else {
+			out.Field(i).SetUint(a.Field(i).Uint() - b.Field(i).Uint())
+		}
+	}
+	return d
+}
+
+// TestConversationEqualsTxn: one transaction sent as a conversation — a
+// frame and a round trip per step — and then whole, as a TXN frame, on the
+// same connection reads the same values, commits the same values and moves
+// every manager counter by the same amount. The conversation never has two
+// requests in the server at once: each step is flushed when it is waited
+// on, not before the previous reply.
+func TestConversationEqualsTxn(t *testing.T) {
+	set := testSet(t)
+	mgr, _ := rtm.New(set)
+	addr, srv := startServer(t, mgr, Config{})
+	x, y := item(t, set, "x"), item(t, set, "y")
+	c := mustDial(t, addr)
+	defer func() { _ = c.Close() }()
+	committed := func() [2]int64 { return [2]int64{int64(mgr.ReadCommitted(0)), int64(mgr.ReadCommitted(1))} }
+
+	s0 := mgr.Stats()
+	if _, err := c.Begin("updater"); err != nil {
+		t.Fatal(err)
+	}
+	var conv []int64
+	for _, st := range []wire.TxnOp{readOp(x), writeOp(x, 7), readOp(x), writeOp(y, 8), readOp(y)} {
+		if st.Op == wire.OpWrite {
+			if err := c.Write(st.Item, st.Value); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		v, err := c.Read(st.Item)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv = append(conv, v)
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s1, afterConv := mgr.Stats(), committed()
+	if n := srv.Counters().PipelinedSessions.Load(); n != 0 {
+		t.Fatalf("the conversation overlapped requests on its session (pipelined sessions = %d)", n)
+	}
+
+	// The same steps whole: x's first read finds the conversation's 7.
+	fut, err := c.SubmitTxn("updater", 0, []wire.Message{
+		&wire.Read{Item: x}, &wire.Write{Item: x, Value: 7}, &wire.Read{Item: x},
+		&wire.Write{Item: y, Value: 8}, &wire.Read{Item: y}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if whole := fut.Reads(); !slices.Equal(conv, []int64{0, 7, 8}) || !slices.Equal(whole, []int64{7, 7, 8}) {
+		t.Fatalf("conversation read %v, TXN read %v; want [0 7 8] and [7 7 8]", conv, whole)
+	}
+	if got := committed(); got != afterConv || got != [2]int64{7, 8} {
+		t.Fatalf("committed x, y = %v after the TXN, %v after the conversation; want [7 8] both", got, afterConv)
+	}
+	if dConv, dTxn := statsDelta(s1, s0), statsDelta(mgr.Stats(), s1); dConv != dTxn || dConv.Commits != 1 {
+		t.Fatalf("manager counters moved differently:\nconversation %+v\nTXN          %+v", dConv, dTxn)
+	}
 }
 
 // TestOtherFramingRefusedAtFirstFrame: a peer still speaking one of the

@@ -2,12 +2,13 @@
 # daemon-smoke.sh — the one thing the in-process tests cannot check:
 # cmd/pcpdad itself. Its flag wiring (admission, rtm fault injection, -http)
 # and SIGTERM → drain → exit code, under the race detector, driven by
-# cmd/pcpdaload through a pipelined closed-loop 90/10 read mix and then an
-# open loop past saturation, through the nemesis proxy, with a firm deadline.
+# cmd/pcpdaload through a short closed loop of conversations (a frame per
+# step), a pipelined closed-loop 90/10 read mix and then an open loop past
+# saturation, through the nemesis proxy, with a firm deadline.
 # What those runs exercise inside the server `go test -race ./internal/server/`
 # asserts (TestSoak, TestClosedLoopPipelinedReadMix, TestOpenLoopOverload,
 # TestNemesisSoak, TestNemesisPipelined); this script requires only that the
-# daemon took the load on both paths, kept its history bounded and audited
+# daemon took the load each way, kept its history bounded and audited
 # (/stats, /debug/flight) and then drained clean.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +31,7 @@ for _ in $(seq 1 100); do
 	sleep 0.1
 done
 
+"$tmp/pcpdaload" -addr "$addr" -conns 8 -txns 2000 -report "$tmp/conv.json"
 "$tmp/pcpdaload" -addr "$addr" -conns 32 -txns 10000 -pipeline -read-frac 0.9 -report "$tmp/mix.json"
 # -op-timeout 2s: a connection the nemesis partitions stalls its worker
 # only that long, not the default 10s.
@@ -41,10 +43,11 @@ curl -fsS "http://$http/debug/pprof/cmdline" > /dev/null
 
 # sum FIELDS FILE: the total of the named top-level counters of a report.
 sum() { grep -E "^  \"($1)\": [0-9]+" "$2" | awk '{s+=$2} END {print s+0}'; }
+conv=$(sum committed "$tmp/conv.json")
 ro=$(sum ro_committed "$tmp/mix.json")
 refused=$(sum 'shed|infeasible' "$tmp/over.json")
 
-# The manager's history after both phases: a bounded window, and every
+# The manager's history after the three runs: a bounded window, and every
 # update commit audited as it happened (read-only snapshot commits never
 # enter the log). One /stats document is one Stats() call under the manager
 # mutex, so the two commit counts are read at the same instant.
@@ -70,7 +73,11 @@ kill -TERM "$daemon"
 drain=0; wait "$daemon" || drain=$?
 daemon=
 cat "$tmp/pcpdad.log"
-echo "daemon-smoke: ro_committed=$ro shed+infeasible=$refused pcpdad exit=$drain"
+echo "daemon-smoke: conversation committed=$conv ro_committed=$ro shed+infeasible=$refused pcpdad exit=$drain"
+if [[ "$conv" == 0 ]]; then
+	echo "daemon-smoke: the conversation-mode closed loop committed nothing" >&2
+	exit 1
+fi
 if [[ "$ro" == 0 ]]; then
 	echo "daemon-smoke: the read mix committed no read-only transaction" >&2
 	exit 1
