@@ -55,12 +55,11 @@ func run() int {
 		httpAddr     = flag.String("http", "", "stats/health HTTP listen address (empty = disabled)")
 		queueDepth   = flag.Int("queue", 64, "admission queue depth (full queue => overload rejection)")
 		highWater    = flag.Int("high-water", 0, "queue occupancy at which priority shedding starts (0 = 3/4 of -queue)")
-		batchMax     = flag.Int("batch", 16, "max BEGINs folded into one admission batch")
-		admitting    = flag.Int("admitting", 4, "max concurrently running admission batches")
+		admitting    = flag.Int("admitting", 4, "admission slots: max sessions inside the manager's Begin at once")
 		inflight     = flag.Int("inflight", 0, "max requests in flight per session, a whole-transaction frame counting one (0 = default)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrent sessions; excess connections are refused at accept with a retryable busy error (0 = unlimited)")
 		idleTimeout  = flag.Duration("idle-timeout", 30*time.Second, "per-session read deadline")
-		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline (slow-client kill threshold)")
+		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-flush write deadline (slow-client kill threshold)")
 		wdInterval   = flag.Duration("watchdog-interval", 100*time.Millisecond, "stuck-transaction watchdog sweep interval (negative = disabled)")
 		wdGrace      = flag.Duration("watchdog-grace", time.Second, "how far past its firm deadline a transaction may live before force-abort")
 		stuckAge     = flag.Duration("stuck-age", 0, "force-abort any transaction older than this, deadline or not (0 = disabled)")
@@ -106,8 +105,7 @@ func run() int {
 	ctr := &metrics.ServerCounters{}
 	srv, err := server.New(server.Config{
 		Manager: mgr, Counters: ctr,
-		QueueDepth: *queueDepth, HighWater: *highWater,
-		BatchMax: *batchMax, MaxAdmitting: *admitting,
+		QueueDepth: *queueDepth, HighWater: *highWater, MaxAdmitting: *admitting,
 		SessionInflight: *inflight, MaxConns: *maxConns,
 		IdleTimeout: *idleTimeout, WriteTimeout: *writeTimeout,
 		WatchdogInterval: *wdInterval, WatchdogGrace: *wdGrace,

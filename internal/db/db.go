@@ -80,10 +80,8 @@ type Store struct {
 	// item, indexed by item id; the slice grows copy-on-write under the
 	// caller's writer lock while lock-free readers keep whatever slice they
 	// loaded (head cells are shared by identity, so an old slice still sees
-	// new versions of the items it covers). chainLimit bounds the reachable
-	// chain length per item; 0 means DefaultChainLimit.
-	chains     atomic.Pointer[[]*chainHead]
-	chainLimit int
+	// new versions of the items it covers).
+	chains atomic.Pointer[[]*chainHead]
 }
 
 // NewStore returns a store where every item implicitly holds Value(0) at

@@ -12,7 +12,7 @@
 //
 // Concurrency contract:
 //
-//   - All mutation (InstallVersioned, InstallIntoAt, SetChainLimit) happens
+//   - All mutation (InstallVersioned, InstallIntoAt) happens
 //     under one external writer lock — the rtm manager mutex. The chain
 //     code itself takes no locks.
 //   - ReadAt may be called from any goroutine with no lock held, provided
@@ -38,11 +38,10 @@ import (
 	"pcpda/internal/rt"
 )
 
-// DefaultChainLimit is the per-item version-chain bound when the store was
-// not configured otherwise: long enough that a snapshot only one or two
-// commit ticks old essentially never misses, short enough that a hot item
-// holds O(1) history.
-const DefaultChainLimit = 8
+// ChainLimit bounds every item's reachable version chain: long enough that
+// a snapshot only one or two commit ticks old essentially never misses,
+// short enough that a hot item holds O(1) history.
+const ChainLimit = 8
 
 // ErrSnapshotEvicted reports that the version a snapshot read needed has
 // been truncated from the item's chain. The transaction's snapshot is no
@@ -71,24 +70,6 @@ type chainHead struct {
 	head atomic.Pointer[versionNode]
 }
 
-// SetChainLimit bounds every item's reachable chain at n versions
-// (n <= 0 resets to DefaultChainLimit). Call before concurrent use, or
-// under the same writer lock as installs; it only affects future installs.
-func (s *Store) SetChainLimit(n int) {
-	if n <= 0 {
-		n = DefaultChainLimit
-	}
-	s.chainLimit = n
-}
-
-// ChainLimit returns the effective per-item chain bound.
-func (s *Store) ChainLimit() int {
-	if s.chainLimit <= 0 {
-		return DefaultChainLimit
-	}
-	return s.chainLimit
-}
-
 // InstallVersioned is Install plus a version-chain append: the new version
 // is stamped with tick and becomes the item's chain head. Caller holds the
 // writer lock; tick must be monotonically non-decreasing across calls and
@@ -99,7 +80,7 @@ func (s *Store) InstallVersioned(run RunID, x rt.Item, v Value, tick int64) Vers
 	n := &versionNode{val: v, ver: ver, writer: run, tick: tick}
 	n.prev.Store(h.head.Load())
 	h.head.Store(n)
-	s.truncateChain(n)
+	truncateChain(n)
 	return ver
 }
 
@@ -127,10 +108,9 @@ func (s *Store) headFor(x rt.Item) *chainHead {
 // the limit depth gets the eviction sentinel as its predecessor, making
 // everything older unreachable for walks that start after this point.
 // Walks already past the cut keep their (immutable, correct) old nodes.
-func (s *Store) truncateChain(head *versionNode) {
-	limit := s.ChainLimit()
+func truncateChain(head *versionNode) {
 	n := head
-	for i := 1; i < limit; i++ {
+	for i := 1; i < ChainLimit; i++ {
 		next := n.prev.Load()
 		if next == nil || next == evictedNode {
 			return

@@ -60,19 +60,18 @@ func TestReadAtVersionSelection(t *testing.T) {
 // snapshot must succeed.
 func TestChainTruncation(t *testing.T) {
 	s := NewStore()
-	s.SetChainLimit(4)
 	const writes = 100
 	for i := 1; i <= writes; i++ {
 		s.InstallVersioned(RunID(i), x, Value(i), int64(i))
 	}
-	if got := s.ChainLen(x); got > 4 {
-		t.Fatalf("chain length %d exceeds limit 4", got)
+	if got := s.ChainLen(x); got != ChainLimit {
+		t.Fatalf("chain length %d after %d writes, want the limit %d", got, writes, ChainLimit)
 	}
 	if !s.ChainEvicted(x) {
 		t.Fatal("chain should report evicted versions after the hammer")
 	}
 	// Snapshots inside the retained window read exact values.
-	for snap := int64(writes - 3); snap <= writes; snap++ {
+	for snap := int64(writes - ChainLimit + 1); snap <= writes; snap++ {
 		v, _, _, err := s.ReadAt(x, snap)
 		if err != nil {
 			t.Fatalf("ReadAt(x,%d): %v", snap, err)
@@ -102,7 +101,6 @@ func TestChainTruncation(t *testing.T) {
 // error.
 func TestChainReadersUnderConcurrentWrites(t *testing.T) {
 	s := NewStore()
-	s.SetChainLimit(8)
 	const writes = 2000
 	done := make(chan struct{})
 	go func() {

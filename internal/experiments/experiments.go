@@ -9,7 +9,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
+
+	"pcpda/internal/sim"
 )
 
 // Experiment is one reproducible unit: it writes its report to w and
@@ -124,32 +125,5 @@ func check(w io.Writer, ok bool, format string, args ...any) {
 // aggregation stays deterministic regardless of scheduling). The first
 // error — by seed order, also deterministic — aborts the sweep.
 func runSeeds[T any](n int64, fn func(seed int64) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	workers := Workers()
-	if int64(workers) > n {
-		workers = int(n)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int64)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range next {
-				out[seed], errs[seed] = fn(seed)
-			}
-		}()
-	}
-	for seed := int64(0); seed < n; seed++ {
-		next <- seed
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return sim.Fan(int(n), Workers(), func(i int) (T, error) { return fn(int64(i)) })
 }

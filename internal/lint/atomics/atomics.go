@@ -127,7 +127,7 @@ func verb(acc flow.Access) string {
 	return "read"
 }
 
-// fieldName renders "Store.chainLimit" (declaring struct when known).
+// fieldName renders "Store.chains" (declaring struct when known).
 func fieldName(guards *flow.Guards, field *types.Var) string {
 	if si, ok := guards.OwnerOf(field); ok {
 		return si.Named.Obj().Name() + "." + field.Name()

@@ -357,6 +357,44 @@ func (m *Manager) relDeadline(tmpl *txn.Template) rt.Ticks {
 	return tmpl.RelativeDeadline()
 }
 
+// acquire takes t's lock on item in the given mode, blocking while the
+// locking conditions deny it: request, and on a denial mark the job blocked
+// on its blockers, park, and ask again. Every lock decision the manager
+// makes is made here. It returns with the lock in the table and one tick
+// charged. Caller holds m.mu and has passed entry.
+func (m *Manager) acquire(ctx context.Context, t *Txn, item rt.Item, mode rt.Mode) error {
+	j := &t.slot.job
+	for {
+		if err := m.inject(fault.LockRequest, t, true); err != nil {
+			return err
+		}
+		dec := m.proto.Request(m, j, item, mode)
+		if dec.Granted {
+			break
+		}
+		j.Status = cc.Blocked
+		j.BlockedOn = item
+		j.BlockedMode = mode
+		j.Blockers = dec.Blockers
+		m.stats.LockWaits++
+		// No unlock-delay here: the deny decision must stay atomic with the
+		// park, or the blocker's wakeup broadcast can be lost.
+		if err := m.inject(fault.BlockWait, t, false); err != nil {
+			return err
+		}
+		if err := m.park(ctx, t, waitLock); err != nil {
+			return err
+		}
+	}
+	j.Status = cc.Ready
+	j.Blockers = nil
+	m.clock++
+	if m.locks.Acquire(j.ID, item, mode) && mode == rt.Read {
+		m.ceilAdd(t.slot, item)
+	}
+	return nil
+}
+
 // Read acquires a PCP-DA read lock on item (blocking while the locking
 // conditions deny it) and returns the visible value: the transaction's own
 // pending write if present, the last committed value otherwise.
@@ -371,33 +409,8 @@ func (t *Txn) Read(ctx context.Context, item rt.Item) (db.Value, error) {
 	if !j.Tmpl.ReadSet().Has(item) && !j.Tmpl.WriteSet().Has(item) {
 		return 0, fmt.Errorf("rtm: %s reads undeclared item %d", j.Tmpl.Name, item)
 	}
-	for {
-		if err := m.inject(fault.LockRequest, t, true); err != nil {
-			return 0, err
-		}
-		dec := m.proto.Request(m, j, item, rt.Read)
-		if dec.Granted {
-			break
-		}
-		j.Status = cc.Blocked
-		j.BlockedOn = item
-		j.BlockedMode = rt.Read
-		j.Blockers = dec.Blockers
-		m.stats.LockWaits++
-		// No unlock-delay here: the deny decision must stay atomic with the
-		// park, or the blocker's wakeup broadcast can be lost.
-		if err := m.inject(fault.BlockWait, t, false); err != nil {
-			return 0, err
-		}
-		if err := m.park(ctx, t, waitLock); err != nil {
-			return 0, err
-		}
-	}
-	j.Status = cc.Ready
-	j.Blockers = nil
-	m.clock++
-	if m.locks.Acquire(j.ID, item, rt.Read) {
-		m.ceilAdd(t.slot, item)
+	if err := m.acquire(ctx, t, item, rt.Read); err != nil {
+		return 0, err
 	}
 	j.DataRead.Add(item)
 	if err := m.inject(fault.LockGrant, t, false); err != nil {
@@ -425,36 +438,11 @@ func (t *Txn) Write(ctx context.Context, item rt.Item, v db.Value) error {
 	if !j.Tmpl.WriteSet().Has(item) {
 		return fmt.Errorf("rtm: %s writes undeclared item %d", j.Tmpl.Name, item)
 	}
-	for {
-		if err := m.inject(fault.LockRequest, t, true); err != nil {
-			return err
-		}
-		dec := m.proto.Request(m, j, item, rt.Write)
-		if dec.Granted {
-			break
-		}
-		j.Status = cc.Blocked
-		j.BlockedOn = item
-		j.BlockedMode = rt.Write
-		j.Blockers = dec.Blockers
-		m.stats.LockWaits++
-		// See Read: no unlock-delay between the deny decision and the park.
-		if err := m.inject(fault.BlockWait, t, false); err != nil {
-			return err
-		}
-		if err := m.park(ctx, t, waitLock); err != nil {
-			return err
-		}
-	}
-	j.Status = cc.Ready
-	j.Blockers = nil
-	m.clock++
-	m.locks.Acquire(j.ID, item, rt.Write)
-	j.WS.Write(item, v)
-	if err := m.inject(fault.LockGrant, t, false); err != nil {
+	if err := m.acquire(ctx, t, item, rt.Write); err != nil {
 		return err
 	}
-	return nil
+	j.WS.Write(item, v)
+	return m.inject(fault.LockGrant, t, false)
 }
 
 // Commit installs the workspace and releases every lock. It blocks until no
@@ -836,8 +824,8 @@ func (m *Manager) auditState() []string {
 				badf("item %d chain head written by run %d of still-live job %d", x, writer, s.job.ID)
 			}
 		}
-		if n := m.store.ChainLen(x); n > m.store.ChainLimit() {
-			badf("item %d chain length %d exceeds limit %d", x, n, m.store.ChainLimit())
+		if n := m.store.ChainLen(x); n > db.ChainLimit {
+			badf("item %d chain length %d exceeds limit %d", x, n, db.ChainLimit)
 		}
 	})
 	return probs

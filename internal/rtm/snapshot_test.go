@@ -200,8 +200,7 @@ func TestSnapshotEvictionRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	limit := m.store.ChainLimit()
-	for i := 0; i < limit+4; i++ {
+	for i := 0; i < db.ChainLimit+4; i++ {
 		tx, err := m.Begin(c, "updater")
 		if err != nil {
 			t.Fatal(err)
@@ -224,8 +223,8 @@ func TestSnapshotEvictionRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != db.Value(100+limit+3) {
-		t.Fatalf("retry read = %v, want %v", v, 100+limit+3)
+	if v != db.Value(100+db.ChainLimit+3) {
+		t.Fatalf("retry read = %v, want %v", v, 100+db.ChainLimit+3)
 	}
 	if err := retry.Commit(c); err != nil {
 		t.Fatal(err)

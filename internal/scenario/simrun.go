@@ -10,9 +10,9 @@ import (
 
 // SimOptions tunes the sim backend.
 type SimOptions struct {
-	// Workers fans (phase, seed) cells across goroutines. Results are
-	// collected per cell and merged in deterministic order, so any worker
-	// count produces byte-identical reports. 0 or 1 runs serially.
+	// Workers fans (phase, seed) cells across goroutines (sim.Fan). Results
+	// are collected per cell and merged in deterministic order, so any
+	// worker count produces byte-identical reports.
 	Workers int
 	// Protocols overrides the spec's protocol list (and the
 	// all-protocols default).
@@ -44,20 +44,13 @@ func RunSim(spec *Spec, opts SimOptions) (*Report, error) {
 		phase, sweep int
 		cp           *compiledPhase
 		results      []*sched.Result // one per protocol, in protocols order
-		err          error
 	}
-	cells := make([]*cell, 0, len(spec.Phases)*spec.Seeds)
-	for pi := range spec.Phases {
-		for s := 0; s < spec.Seeds; s++ {
-			cells = append(cells, &cell{phase: pi, sweep: s})
-		}
-	}
-	runCell := func(c *cell) {
+	cells, err := sim.Fan(len(spec.Phases)*spec.Seeds, opts.Workers, func(i int) (cell, error) {
+		c := cell{phase: i / spec.Seeds, sweep: i % spec.Seeds}
 		ph := &spec.Phases[c.phase]
 		cp, err := compilePhase(spec, ph, base, spec.phaseSeed(c.phase, c.sweep))
 		if err != nil {
-			c.err = err
-			return
+			return c, err
 		}
 		c.cp = cp
 		simOpts := sim.Options{
@@ -71,43 +64,14 @@ func RunSim(spec *Spec, opts SimOptions) (*Report, error) {
 			simOpts.FaultSeed = spec.phaseSeed(c.phase, c.sweep) ^ f.Seed
 		}
 		runs := make([]sim.BatchRun, len(protocols))
-		for i, p := range protocols {
-			runs[i] = sim.BatchRun{Set: cp.set, Protocol: p, Opts: simOpts}
+		for k, p := range protocols {
+			runs[k] = sim.BatchRun{Set: cp.set, Protocol: p, Opts: simOpts}
 		}
-		c.results, c.err = sim.RunBatch(runs)
-	}
-
-	workers := opts.Workers
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers <= 1 {
-		for _, c := range cells {
-			runCell(c)
-		}
-	} else {
-		next := make(chan *cell)
-		done := make(chan struct{})
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				for c := range next {
-					runCell(c)
-				}
-			}()
-		}
-		for _, c := range cells {
-			next <- c
-		}
-		close(next)
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-	}
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, c.err // first by cell order: deterministic
-		}
+		c.results, err = sim.RunBatch(runs)
+		return c, err
+	})
+	if err != nil {
+		return nil, err // first by cell order: deterministic
 	}
 
 	// Aggregate: rows are (phase, protocol); cells merge in sweep-seed

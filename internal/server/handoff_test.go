@@ -198,7 +198,7 @@ func TestDisconnectMidBatch(t *testing.T) {
 	waitFor(t, "the session to end", func() bool { return srv.Counters().SessionsLive() == 0 })
 	release()
 	waitFor(t, "manager quiescent", func() bool { return mgr.Stats().Live == 0 })
-	if p, w, a := srv.pending.Load(), mgr.ParkedWaiters(), len(srv.admitSem); p != 0 || w != 0 || a != 0 {
+	if p, w, a := srv.pending.Load(), mgr.ParkedWaiters(), slotsHeld(srv); p != 0 || w != 0 || a != 0 {
 		t.Fatalf("pending %d, parked waiters %d, admission slots %d; want all zero", p, w, a)
 	}
 	if st := mgr.Stats(); st.Begins != 2 || st.Commits != 1 {
@@ -336,7 +336,7 @@ func TestDisconnectMidBatchTxn(t *testing.T) {
 	waitFor(t, "the session to end", func() bool { return srv.Counters().SessionsLive() == 0 })
 	release()
 	waitFor(t, "manager quiescent", func() bool { return mgr.Stats().Live == 0 })
-	if p, w, a := srv.pending.Load(), mgr.ParkedWaiters(), len(srv.admitSem); p != 0 || w != 0 || a != 0 {
+	if p, w, a := srv.pending.Load(), mgr.ParkedWaiters(), slotsHeld(srv); p != 0 || w != 0 || a != 0 {
 		t.Fatalf("pending %d, parked waiters %d, admission slots %d; want all zero", p, w, a)
 	}
 	if st := mgr.Stats(); st.Begins != 2 || st.Commits != 1 {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -8,39 +10,45 @@ import (
 	"pcpda/internal/wire"
 )
 
-// Inline admission (session.beginInline) may only happen when it is
-// indistinguishable from the queued path: nothing queued on the shard and
-// an admission slot free at that instant. A BEGIN and a TXN are admitted by
-// the same code, and the end-to-end cases run with each.
+// A BEGIN that finds nothing waiting and a slot free is admitted at once —
+// by the same acquire every queued BEGIN goes through, so there is no
+// second path for it to differ from. A BEGIN and a TXN are admitted by the
+// same code, and the end-to-end cases run with each.
 
 func TestTryBypassNeedsEmptyQueueAndFreeSlot(t *testing.T) {
-	q := newAdmitQueue(4, 3)
-	sem := make(chan struct{}, 1)
-	if !q.tryBypass(sem) || len(sem) != 1 {
-		t.Fatalf("empty queue, free slot: bypass refused (slots taken %d)", len(sem))
+	q := newAdmitQueue(1, 4, 3, new(atomic.Int64))
+	bg := context.Background()
+	free := func() int { return freeSlots(q) }
+	if v := arrive(t, bg, q, 1); len(v) != 1 || <-v != nil || free() != 0 {
+		t.Fatalf("empty queue, free slot: not admitted at once (slots free %d)", free())
 	}
-	if q.tryBypass(sem) {
-		t.Fatal("bypass with every admission slot taken")
+	hi := arrive(t, bg, q, 9)
+	if len(hi) != 0 || q.depthNow() != 1 {
+		t.Fatal("admitted at once with every admission slot taken")
 	}
-	<-sem
-	if _, err := q.enqueue(mkReq("hi", 9)); err != nil {
+	// A slot given up while work waits is never free for an arrival to
+	// take: it goes to the waiter, and a later arrival queues behind.
+	late := arrive(t, bg, q, 1)
+	q.release()
+	if err := verdictOf(t, "hi", hi); err != nil || len(late) != 0 || free() != 0 {
+		t.Fatalf("admitted past queued work: hi got %v, late answered %v, slots free %d", err, len(late) != 0, free())
+	}
+	q.release()
+	if err := verdictOf(t, "late", late); err != nil {
 		t.Fatal(err)
 	}
-	if q.tryBypass(sem) || len(sem) != 0 {
-		t.Fatalf("bypass past queued work (slots taken %d)", len(sem))
-	}
-	q.pop(1)
-	if !q.tryBypass(sem) {
-		t.Fatal("bypass refused after the queue emptied")
+	q.release()
+	if free() != 1 {
+		t.Fatalf("slots free = %d after every holder released, want 1", free())
 	}
 
-	// Each bypass is a zero-wait sample: the estimate decays as if a
-	// dispatcher had popped the request the moment it arrived.
+	// Each admission at once is a zero-wait sample: the estimate decays.
 	q.ewmaWaitNs.Store(int64(8 * time.Millisecond))
-	<-sem
-	q.tryBypass(sem)
+	if v := arrive(t, bg, q, 1); len(v) != 1 {
+		t.Fatal("not admitted at once after the queue emptied")
+	}
 	if got := time.Duration(q.ewmaWaitNs.Load()); got != 7*time.Millisecond {
-		t.Fatalf("wait estimate after a bypass = %v, want 7ms", got)
+		t.Fatalf("wait estimate after an admission at once = %v, want 7ms", got)
 	}
 }
 
@@ -92,9 +100,9 @@ func admit(t *testing.T, addr, name string, whole bool) (*rawPipe, <-chan uint64
 func TestInlineBeginYieldsToQueuedWork(t *testing.T) {
 	eachAdmission(t, func(t *testing.T, whole bool) {
 		mgr, _ := rtm.New(testSet(t))
-		addr, srv := startServer(t, mgr, Config{MaxAdmitting: 1, BatchMax: 1})
-		holder, parked, popped := blockDispatcher(t, addr, srv, mgr)
-		defer func() { _ = holder.Close(); _ = parked.Close(); _ = popped.Close() }()
+		addr, srv := startServer(t, mgr, Config{MaxAdmitting: 1})
+		holder, parked := jamAdmission(t, addr, srv, mgr)
+		defer func() { _ = holder.Close(); _ = parked.Close() }()
 
 		queue := func(name string, depth int) <-chan uint64 {
 			t.Helper()
@@ -107,7 +115,7 @@ func TestInlineBeginYieldsToQueuedWork(t *testing.T) {
 
 		// The bound holds: one admission in flight (parked on zonly's slot),
 		// nothing else admitted although reader and updater could start.
-		if got := len(srv.admitSem); got != 1 {
+		if got := slotsHeld(srv); got != 1 {
 			t.Fatalf("admission slots taken = %d, want 1", got)
 		}
 		if st := mgr.Stats(); st.Live != 1 || mgr.ParkedWaiters() != 1 {
@@ -117,12 +125,11 @@ func TestInlineBeginYieldsToQueuedWork(t *testing.T) {
 			t.Fatalf("accepted = %d while the admission slot is held, want 1", got)
 		}
 
-		// Unwind: each zonly inherits the template slot in turn.
+		// Unwind: the parked zonly inherits the template slot and gives its
+		// admission slot up.
 		if err := holder.Abort(); err != nil {
 			t.Fatal(err)
 		}
-		_ = parked.Close()
-		_ = popped.Close()
 		h, hok := <-high
 		l, lok := <-low
 		if !hok || !lok {
@@ -135,7 +142,7 @@ func TestInlineBeginYieldsToQueuedWork(t *testing.T) {
 	})
 }
 
-// An arrival admitted inline onto a busy template slot parks in the manager
+// An arrival admitted at once onto a busy template slot parks in the manager
 // under the session context. A disconnect unwinds it there: no orphan is
 // ever admitted, the admission slot comes back, and nothing stays parked.
 func TestDisconnectWhileParkedInline(t *testing.T) {
@@ -149,16 +156,16 @@ func TestDisconnectWhileParkedInline(t *testing.T) {
 		}
 		waiter, answered := admit(t, addr, "zonly", whole)
 		waitFor(t, "the admission to park", func() bool { return mgr.ParkedWaiters() == 1 })
-		if d, p, a := srv.queue.depthNow(), srv.pending.Load(), len(srv.admitSem); d != 0 || p != 1 || a != 1 {
-			t.Fatalf("queue depth %d, pending %d, admission slots %d; want an inline admission (0, 1, 1)", d, p, a)
+		if d, p, a := srv.queue.depthNow(), srv.pending.Load(), slotsHeld(srv); d != 0 || p != 1 || a != 1 {
+			t.Fatalf("queue depth %d, pending %d, admission slots %d; want an admission at once (0, 1, 1)", d, p, a)
 		}
 
 		_ = waiter.conn.Close()
 		if _, ok := <-answered; ok {
 			t.Fatal("the abandoned admission was answered")
 		}
-		waitFor(t, "inline admission to unwind", func() bool {
-			return srv.pending.Load() == 0 && mgr.ParkedWaiters() == 0 && len(srv.admitSem) == 0
+		waitFor(t, "the admission to unwind", func() bool {
+			return srv.pending.Load() == 0 && mgr.ParkedWaiters() == 0 && slotsHeld(srv) == 0
 		})
 		if st := mgr.Stats(); st.Begins != 1 || st.Live != 1 {
 			t.Fatalf("begins = %d, live = %d; the abandoned arrival must never have been admitted", st.Begins, st.Live)
@@ -173,7 +180,7 @@ func TestDisconnectWhileParkedInline(t *testing.T) {
 }
 
 // The watchdog force-aborts a stuck holder while another session's arrival
-// is parked inline on its template slot: the parked one inherits the slot
+// is parked on its template slot: the parked one inherits the slot
 // and completes, the holder's session learns of the trip, and the admission
 // accounting ends at zero.
 func TestWatchdogTripFreesParkedInline(t *testing.T) {
@@ -187,7 +194,7 @@ func TestWatchdogTripFreesParkedInline(t *testing.T) {
 		if _, err := holder.BeginBudget("zonly", 50*time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
-		// Parks inline until the watchdog trips the holder.
+		// Parks in the manager until the watchdog trips the holder.
 		waiter, admitted := admit(t, addr, "zonly", whole)
 		if _, ok := <-admitted; !ok {
 			t.Fatal("the arrival parked behind a stuck holder was never admitted")
@@ -200,7 +207,7 @@ func TestWatchdogTripFreesParkedInline(t *testing.T) {
 			waiter.send(2, &wire.Commit{})
 			waiter.expect(2, wire.KindCommitOK)
 		}
-		if p, w, a := srv.pending.Load(), mgr.ParkedWaiters(), len(srv.admitSem); p != 0 || w != 0 || a != 0 {
+		if p, w, a := srv.pending.Load(), mgr.ParkedWaiters(), slotsHeld(srv); p != 0 || w != 0 || a != 0 {
 			t.Fatalf("pending %d, parked waiters %d, admission slots %d; want all zero", p, w, a)
 		}
 		if st := mgr.Stats(); st.Commits != 1 || st.Live != 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,77 +17,123 @@ import (
 	"pcpda/internal/wire"
 )
 
-// --- admission queue (unit) --------------------------------------------------
+// --- admission gate (unit) ---------------------------------------------------
 
-func mkReq(name string, pri rt.Priority) *admitReq {
-	return &admitReq{name: name, pri: pri, reply: make(chan admitResult, 1)}
+// jammedGate is a gate whose one slot is taken, so every arrival waits or is
+// refused; shed is the counter it moves.
+func jammedGate(t *testing.T, depth, highWater int) (q *admitQueue, shed *atomic.Int64) {
+	t.Helper()
+	shed = new(atomic.Int64)
+	q = newAdmitQueue(1, depth, highWater, shed)
+	if err := q.acquire(context.Background(), 0); err != nil {
+		t.Fatalf("first arrival at an idle gate: %v", err)
+	}
+	return q, shed
 }
 
+// arrive runs acquire for an arrival of priority pri in the background and
+// returns, once the arrival has queued or been answered, the channel its
+// one verdict arrives on.
+func arrive(t *testing.T, ctx context.Context, q *admitQueue, pri rt.Priority) <-chan error {
+	t.Helper()
+	arrivals := func() uint64 {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return q.seq
+	}
+	before, verdict := arrivals(), make(chan error, 1)
+	go func() { verdict <- q.acquire(ctx, pri) }()
+	waitFor(t, "the arrival to queue or be answered", func() bool { return arrivals() > before || len(verdict) > 0 })
+	return verdict
+}
+
+// verdictOf waits for an arrival's verdict.
+func verdictOf(t *testing.T, who string, verdict <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-verdict:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no verdict", who)
+		return nil
+	}
+}
+
+// freeSlots is how many of the gate's slots nobody holds.
+func freeSlots(q *admitQueue) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.free
+}
+
+// slotsHeld is how many of the server's admission slots are taken.
+func slotsHeld(srv *Server) int { return srv.cfg.MaxAdmitting - freeSlots(srv.queue) }
+
 func TestAdmitQueueOrdering(t *testing.T) {
-	q := newAdmitQueue(8, 6)
-	for _, r := range []*admitReq{
-		mkReq("low-a", 1), mkReq("hi-a", 3), mkReq("mid", 2),
-		mkReq("low-b", 1), mkReq("hi-b", 3),
-	} {
-		if v, err := q.enqueue(r); v != nil || err != nil {
-			t.Fatalf("enqueue %s: victim=%v err=%v", r.name, v, err)
+	q, _ := jammedGate(t, 8, 6)
+	bg := context.Background()
+	waiting := map[string]<-chan error{
+		"low-a": arrive(t, bg, q, 1), "hi-a": arrive(t, bg, q, 3), "mid": arrive(t, bg, q, 2),
+	}
+	waiting["low-b"] = arrive(t, bg, q, 1)
+	waiting["hi-b"] = arrive(t, bg, q, 3)
+	if n := q.depthNow(); n != 5 {
+		t.Fatalf("depth = %d, want 5", n)
+	}
+	for i, want := range []string{"hi-a", "hi-b", "mid", "low-a", "low-b"} {
+		q.release()
+		if err := verdictOf(t, want, waiting[want]); err != nil {
+			t.Fatalf("slot order[%d]: %s got %v, want the slot (priority desc, FIFO within)", i, want, err)
 		}
-	}
-	got := q.pop(10)
-	want := []string{"hi-a", "hi-b", "mid", "low-a", "low-b"}
-	if len(got) != len(want) {
-		t.Fatalf("popped %d, want %d", len(got), len(want))
-	}
-	for i, r := range got {
-		if r.name != want[i] {
-			t.Fatalf("pop order[%d] = %s, want %s (priority desc, FIFO within)", i, r.name, want[i])
+		delete(waiting, want)
+		for name, v := range waiting {
+			if len(v) != 0 {
+				t.Fatalf("slot order[%d]: %s answered alongside %s", i, name, want)
+			}
 		}
 	}
 }
 
 func TestAdmitQueueDisplacement(t *testing.T) {
-	q := newAdmitQueue(2, 2)
-	lowA, lowB := mkReq("low-a", 1), mkReq("low-b", 1)
-	mustEnq := func(r *admitReq) {
-		t.Helper()
-		if v, err := q.enqueue(r); v != nil || err != nil {
-			t.Fatalf("enqueue %s: victim=%v err=%v", r.name, v, err)
-		}
-	}
-	mustEnq(lowA)
-	mustEnq(lowB)
+	q, shed := jammedGate(t, 2, 2)
+	bg := context.Background()
+	lowA, lowB := arrive(t, bg, q, 1), arrive(t, bg, q, 1)
 	// Equal priority cannot displace: plain overload.
-	if _, err := q.enqueue(mkReq("low-c", 1)); err != errQueueFull {
+	if err := verdictOf(t, "low-c", arrive(t, bg, q, 1)); err != errQueueFull {
 		t.Fatalf("equal-priority arrival into full queue: err=%v, want errQueueFull", err)
 	}
-	// Higher priority displaces the lowest, latest-arrived request.
-	v, err := q.enqueue(mkReq("hi", 3))
-	if err != nil || v != lowB {
-		t.Fatalf("displacement: victim=%v err=%v, want low-b", v, err)
+	// Higher priority displaces the lowest, latest-arrived waiter.
+	hi := arrive(t, bg, q, 3)
+	if err := verdictOf(t, "low-b", lowB); err != errShed || len(lowA) != 0 {
+		t.Fatalf("displacement: low-b got %v (low-a answered: %v), want low-b shed", err, len(lowA) != 0)
 	}
-	got := q.pop(10)
-	if len(got) != 2 || got[0].name != "hi" || got[1].name != "low-a" {
-		t.Fatalf("after displacement: %v", names(got))
+	if got := shed.Load(); got != 1 {
+		t.Fatalf("shed counter = %d after one displacement, want 1", got)
+	}
+	q.release()
+	if err := verdictOf(t, "hi", hi); err != nil || len(lowA) != 0 {
+		t.Fatalf("after displacement: hi got %v (low-a answered: %v), want hi first", err, len(lowA) != 0)
+	}
+	q.release()
+	if err := verdictOf(t, "low-a", lowA); err != nil {
+		t.Fatalf("after displacement: low-a got %v, want the slot", err)
 	}
 }
 
 func TestAdmitQueueHighWaterShed(t *testing.T) {
-	q := newAdmitQueue(8, 2)
-	if _, err := q.enqueue(mkReq("mid-a", 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.enqueue(mkReq("mid-b", 2)); err != nil {
-		t.Fatal(err)
-	}
-	// At the high-water mark and strictly below everything queued: shed on
+	q, shed := jammedGate(t, 8, 2)
+	bg := context.Background()
+	arrive(t, bg, q, 2)
+	arrive(t, bg, q, 2)
+	// At the high-water mark and strictly below everything waiting: shed on
 	// arrival even though the queue has room.
-	if _, err := q.enqueue(mkReq("low", 1)); err != errShed {
-		t.Fatalf("below-min arrival past high water: err=%v, want errShed", err)
+	if err := verdictOf(t, "low", arrive(t, bg, q, 1)); err != errShed || shed.Load() != 1 {
+		t.Fatalf("below-min arrival past high water: err=%v shed=%d, want errShed counted once", err, shed.Load())
 	}
-	// Equal to the queued minimum still rides along (FIFO fairness within a
+	// Equal to the waiting minimum still rides along (FIFO fairness within a
 	// priority is preserved; only strictly-lower work is refused early).
-	if _, err := q.enqueue(mkReq("mid-c", 2)); err != nil {
-		t.Fatalf("equal-priority arrival past high water: %v", err)
+	if v := arrive(t, bg, q, 2); len(v) != 0 {
+		t.Fatalf("equal-priority arrival past high water: %v", <-v)
 	}
 	if n := q.depthNow(); n != 3 {
 		t.Fatalf("depth = %d, want 3", n)
@@ -94,45 +141,63 @@ func TestAdmitQueueHighWaterShed(t *testing.T) {
 }
 
 func TestAdmitQueueWaitEstimate(t *testing.T) {
-	q := newAdmitQueue(8, 4)
+	q, _ := jammedGate(t, 8, 4)
 	if got := q.estimateWait(); got != 0 {
 		t.Fatalf("empty queue estimate %v, want 0", got)
 	}
-	// Seed the EWMA as if recent dispatches waited 100ms, with occupancy 4
+	// Seed the EWMA as if recent arrivals waited 100ms, with occupancy 4
 	// (= high water): the estimate must be the full EWMA.
 	q.ewmaWaitNs.Store(int64(100 * time.Millisecond))
-	for i := 0; i < 4; i++ {
-		if _, err := q.enqueue(mkReq("r", 2)); err != nil {
-			t.Fatal(err)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	var gone []<-chan error
+	for i := 0; i < 3; i++ {
+		gone = append(gone, arrive(t, ctx, q, 2))
 	}
+	arrive(t, context.Background(), q, 2)
 	if got := q.estimateWait(); got != 100*time.Millisecond {
 		t.Fatalf("estimate at high water = %v, want 100ms", got)
 	}
-	// Occupancy scaling: a single queued request after the overload clears
-	// estimates far lower — a stale-high EWMA cannot wedge admission shut.
-	q.pop(3)
+	// Occupancy scaling: a single waiter after the overload clears (three
+	// sessions died waiting) estimates far lower — a stale-high EWMA cannot
+	// wedge admission shut.
+	cancel()
+	for _, v := range gone {
+		if err := verdictOf(t, "cancelled waiter", v); err != context.Canceled {
+			t.Fatalf("cancelled waiter got %v, want context.Canceled", err)
+		}
+	}
 	if got := q.estimateWait(); got >= 100*time.Millisecond/2 {
 		t.Fatalf("estimate at occupancy 1 = %v, want well under the 100ms EWMA", got)
 	}
 }
 
-func names(rs []*admitReq) []string {
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.name
+// TestWaitEstimateCountsTheWaitForASlot: what the estimator is told is the
+// time from arrival to slot, measured when the slot is handed over — a
+// waiter behind jammed slots for 100 ms moves the average by an eighth of
+// that, not by the near-zero time it spent being sorted.
+func TestWaitEstimateCountsTheWaitForASlot(t *testing.T) {
+	q, _ := jammedGate(t, 8, 6)
+	const jam = 100 * time.Millisecond
+	start := time.Now()
+	w := arrive(t, context.Background(), q, 1)
+	time.Sleep(jam)
+	q.release()
+	if err := verdictOf(t, "the waiter", w); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	waited := time.Since(start)
+	if got := time.Duration(q.ewmaWaitNs.Load()); got < jam/8 || got > waited/8 {
+		t.Fatalf("wait estimate after one %v wait for a slot = %v, want within [%v, %v]", waited, got, jam/8, waited/8)
+	}
 }
 
 // --- shed and infeasible, end to end -----------------------------------------
 
-// blockDispatcher wedges the admission pipeline so enqueued BEGINs stay
-// queued: the holder owns zonly's template slot, one admission group is
-// parked in BeginBatch on it (consuming the MaxAdmitting=1 slot), and one
-// more popped request blocks the dispatcher on the semaphore. Returns the
-// holder (abort it to unwind) and the two sacrificial conns.
-func blockDispatcher(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (holder, parked, popped *client.PipeConn) {
+// jamAdmission wedges admission so arriving BEGINs stay queued: the holder
+// owns zonly's template slot and one more zonly BEGIN is parked in the
+// manager on it, holding the MaxAdmitting=1 admission slot. Returns the
+// holder (abort it to unwind) and the sacrificial conn.
+func jamAdmission(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (holder, parked *client.PipeConn) {
 	t.Helper()
 	holder = mustDial(t, addr)
 	if _, err := holder.Begin("zonly"); err != nil {
@@ -140,13 +205,10 @@ func blockDispatcher(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (
 	}
 	parked = mustDial(t, addr)
 	go func() { _, _ = parked.Begin("zonly") }()
-	waitFor(t, "admission group to park", func() bool { return mgr.ParkedWaiters() > 0 })
-	popped = mustDial(t, addr)
-	go func() { _, _ = popped.Begin("zonly") }()
-	waitFor(t, "dispatcher to block on the admit semaphore", func() bool {
-		return srv.pending.Load() == 2 && srv.queue.depthNow() == 0
+	waitFor(t, "the admission slot's holder to park", func() bool {
+		return mgr.ParkedWaiters() == 1 && slotsHeld(srv) == 1
 	})
-	return holder, parked, popped
+	return holder, parked
 }
 
 // TestShedUnderBurst drives the full priority-shedding matrix through the
@@ -156,10 +218,10 @@ func blockDispatcher(t *testing.T, addr string, srv *Server, mgr *rtm.Manager) (
 func TestShedUnderBurst(t *testing.T) {
 	mgr, _ := rtm.New(testSet(t))
 	addr, srv := startServer(t, mgr, Config{
-		QueueDepth: 4, HighWater: 1, MaxAdmitting: 1, BatchMax: 1,
+		QueueDepth: 4, HighWater: 1, MaxAdmitting: 1,
 	})
-	holder, parked, popped := blockDispatcher(t, addr, srv, mgr)
-	defer func() { _ = holder.Close(); _ = parked.Close(); _ = popped.Close() }()
+	holder, parked := jamAdmission(t, addr, srv, mgr)
+	defer func() { _ = holder.Close(); _ = parked.Close() }()
 
 	// Queue up two updaters (priority 2): past the high-water mark (1) but
 	// with queue room (depth 4) to spare.
@@ -218,15 +280,11 @@ func TestShedUnderBurst(t *testing.T) {
 		t.Fatalf("shed counter = %d, want 2 (one at-arrival, one displaced)", got)
 	}
 
-	// Unwind: free zonly's slot, then retire the sacrificial zonly conns —
-	// each inherits the slot in turn, and with MaxAdmitting=1 the queued
-	// work only moves once their admissions resolve. Disconnect auto-abort
-	// does the retiring.
+	// Unwind: free zonly's slot. The parked zonly inherits it and gives its
+	// admission slot up, and the queued work moves.
 	if err := holder.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	_ = parked.Close()
-	_ = popped.Close()
 	if err := <-rd.err; err != nil {
 		t.Fatalf("displacing reader was never admitted: %v", err)
 	}
@@ -248,12 +306,12 @@ func TestShedUnderBurst(t *testing.T) {
 func TestInfeasibleRejected(t *testing.T) {
 	mgr, _ := rtm.New(testSet(t))
 	addr, srv := startServer(t, mgr, Config{
-		QueueDepth: 4, HighWater: 1, MaxAdmitting: 1, BatchMax: 1,
+		QueueDepth: 4, HighWater: 1, MaxAdmitting: 1,
 	})
-	holder, parked, popped := blockDispatcher(t, addr, srv, mgr)
+	holder, parked := jamAdmission(t, addr, srv, mgr)
 
 	// One queued request gives nonzero occupancy; the seeded EWMA says
-	// recent dispatches waited 200ms.
+	// recent arrivals waited 200ms.
 	q := pendingBegin(t, addr, "updater")
 	waitFor(t, "occupancy", func() bool { return srv.queue.depthNow() == 1 })
 	srv.queue.ewmaWaitNs.Store(int64(200 * time.Millisecond))
@@ -273,7 +331,7 @@ func TestInfeasibleRejected(t *testing.T) {
 	if err := holder.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	for _, conn := range []*client.PipeConn{parked, popped, q, ok, holder, c} {
+	for _, conn := range []*client.PipeConn{parked, q, ok, holder, c} {
 		_ = conn.Close()
 	}
 	waitFor(t, "admission pipeline to empty", func() bool { return srv.pending.Load() == 0 })
@@ -295,16 +353,16 @@ func pendingBegin(t *testing.T, addr, name string) *client.PipeConn {
 // so an admission path that kept a queue per group of sessions would see the
 // idle ones' queue empty; with one queue it cannot matter which session a
 // BEGIN came from. Admission is jammed (MaxAdmitting BEGINs parked on a held
-// template slot, the dispatcher holding the highest-priority arrival for a
-// slot), top-priority BEGINs queue in scrambled order up to HighWater, the
-// session accepted next sends the lowest-priority one, and when the slot
-// frees the job ids — handed out in admission order — must run with the
-// priorities.
+// template slot), BEGINs queue up to HighWater in scrambled order with the
+// lowest-priority one first — a gate that let any request leave the queue
+// before it had a slot would take that one — the session accepted next sends
+// one that ranks below them all, and when the slot frees the job ids —
+// handed out in admission order — must run with the priorities.
 func TestAdmissionOrderIsGlobalAtDefaultConfig(t *testing.T) {
 	const depth = 32
 	set := txn.NewSet("wide")
 	w := set.Catalog.Intern("w")
-	for i := 0; i <= depth; i++ { // index order is priority order, highest first
+	for i := 0; i < depth; i++ { // index order is priority order, highest first
 		set.Add(&txn.Template{Name: fmt.Sprintf("p%02d", i), Steps: []txn.Step{txn.Write(w)}})
 	}
 	set.Add(&txn.Template{Name: "jam", Steps: []txn.Step{txn.Write(w)}})
@@ -340,12 +398,10 @@ func TestAdmissionOrderIsGlobalAtDefaultConfig(t *testing.T) {
 		go func() { _, _ = c.Begin("jam") }()
 	}
 	waitFor(t, "every admission slot to park on jam's template slot", func() bool {
-		return mgr.ParkedWaiters() == admitting && len(srv.admitSem) == admitting
+		return mgr.ParkedWaiters() == admitting && slotsHeld(srv) == admitting
 	})
 
-	// p00 first: the dispatcher pops it and blocks for a slot with it in
-	// hand; the rest stay queued, in an order that is not their priorities'.
-	ids := make([]chan uint64, highWater+1)
+	ids := make([]chan uint64, highWater)
 	begin := func(i int) {
 		c, got := dial(), make(chan uint64, 1)
 		ids[i] = got
@@ -357,17 +413,14 @@ func TestAdmissionOrderIsGlobalAtDefaultConfig(t *testing.T) {
 			got <- id
 		}()
 	}
-	begin(0)
-	waitFor(t, "the dispatcher to block on the admit semaphore", func() bool {
-		return srv.pending.Load() == int64(admitting)+1 && srv.queue.depthNow() == 0
-	})
-	for n, i := range rand.New(rand.NewSource(26)).Perm(highWater) {
+	order := append([]int{highWater - 1}, rand.New(rand.NewSource(27)).Perm(highWater-1)...)
+	for n, i := range order {
 		if n == highWater-1 {
 			if h := srv.Health(); h != "ok" {
 				t.Fatalf("health at occupancy %d of high water %d = %q, want ok", n, highWater, h)
 			}
 		}
-		begin(i + 1)
+		begin(i)
 		waitFor(t, fmt.Sprintf("BEGIN %d of %d to queue", n+1, highWater), func() bool {
 			return srv.queue.depthNow() == n+1
 		})
@@ -396,6 +449,71 @@ func TestAdmissionOrderIsGlobalAtDefaultConfig(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("queued BEGIN p%02d was never answered", i)
 		}
+	}
+}
+
+// TestQueuedBeginDoesNotWaitForAnotherTemplatesSlot: a queued BEGIN is
+// delayed by the wait for an admission slot and, once it has one, by its own
+// template's slot — never by the template slot of a lower-priority BEGIN
+// queued beside it. Both admission slots are parked on held templates, three
+// BEGINs queue (jamA, low, high — low's template is held live too), and the
+// first slot to come back must deliver high's BEGIN_OK while low's holder is
+// still live.
+func TestQueuedBeginDoesNotWaitForAnotherTemplatesSlot(t *testing.T) {
+	set := txn.NewSet("four")
+	w := set.Catalog.Intern("w")
+	for _, name := range []string{"high", "low", "jamA", "jamB"} { // index order is priority order
+		set.Add(&txn.Template{Name: name, Steps: []txn.Step{txn.Write(w)}})
+	}
+	set.AssignByIndex()
+	mgr, err := rtm.New(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, srv := startServer(t, mgr, Config{MaxAdmitting: 2})
+
+	holders := map[string]*client.PipeConn{}
+	for _, name := range []string{"low", "jamA", "jamB"} {
+		c := mustDial(t, addr)
+		defer func() { _ = c.Close() }()
+		if _, err := c.Begin(name); err != nil {
+			t.Fatal(err)
+		}
+		holders[name] = c
+	}
+	begin := func(name string) <-chan error {
+		c, done := mustDial(t, addr), make(chan error, 1)
+		t.Cleanup(func() { _ = c.Close() })
+		go func() { _, err := c.Begin(name); done <- err }()
+		return done
+	}
+	begin("jamA")
+	begin("jamB")
+	waitFor(t, "both admission slots to park on jamA's and jamB's template slots", func() bool {
+		return mgr.ParkedWaiters() == 2 && slotsHeld(srv) == 2
+	})
+	var high <-chan error
+	for n, name := range []string{"jamA", "low", "high"} {
+		high = begin(name)
+		waitFor(t, name+" to queue", func() bool { return srv.queue.depthNow() == n+1 })
+	}
+
+	if err := holders["jamB"].Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := holders["jamA"].Abort(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-high:
+		if err != nil {
+			t.Fatalf("high's BEGIN: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("high's BEGIN still unanswered 2 s after admission slots freed: it is waiting for low's template slot")
+	}
+	if err := holders["low"].Commit(); err != nil {
+		t.Fatalf("low's holder was not live when high was answered: %v", err)
 	}
 }
 
@@ -593,7 +711,7 @@ func TestOpenLoopOverload(t *testing.T) {
 	// A deliberately narrow server: queue of 6 (high water 4) against 32
 	// workers, so contention parks pile BEGINs up past the shed threshold.
 	addr, srv := startServer(t, mgr, Config{
-		QueueDepth: 6, MaxAdmitting: 1, BatchMax: 1,
+		QueueDepth: 6, MaxAdmitting: 1,
 		WatchdogInterval: 5 * time.Millisecond, WatchdogGrace: 50 * time.Millisecond,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -128,8 +128,8 @@ func TestPipelinedPingOutOfOrder(t *testing.T) {
 }
 
 // TestPipelinedDisconnectEveryPhase tears a pipelined session down at each
-// phase of a transaction's life — BEGIN parked in admission (the request
-// unwinds through the claim protocol), transaction live, a per-step burst
+// phase of a transaction's life — BEGIN parked in admission (the park
+// unwinds under the session context), transaction live, a per-step burst
 // and a TXN flushed but their replies unread, transaction fully done — and
 // requires a quiescent, clean manager after every one.
 func TestPipelinedDisconnectEveryPhase(t *testing.T) {
@@ -145,7 +145,7 @@ func TestPipelinedDisconnectEveryPhase(t *testing.T) {
 	}{
 		{"begin-parked", func(t *testing.T, p *client.PipeConn) {
 			// zonly's slot is held, so the tagged BEGIN parks in admission;
-			// closing abandons the claim and the dispatcher aborts the orphan.
+			// closing cancels the park and gives the admission slot back.
 			holder := mustDial(t, addr)
 			if _, err := holder.Begin("zonly"); err != nil {
 				t.Fatal(err)
@@ -221,7 +221,7 @@ func TestPipelinedDisconnectEveryPhase(t *testing.T) {
 // TestNemesisPipelined is the pipelined arm of the nemesis determinism
 // coverage: a seeded fault plan (resets and one-way partitions) against
 // pipelined sessions. Severed sessions must unwind their tagged in-flight
-// requests through the claim protocol and disconnect teardown, and the
+// requests through the gate's cancellation and disconnect teardown, and the
 // drain audit must stay clean.
 func TestNemesisPipelined(t *testing.T) {
 	if testing.Short() {

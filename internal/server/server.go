@@ -3,14 +3,14 @@
 // Each TCP connection is one session speaking the internal/wire protocol:
 // HELLO handshake, then at most one live transaction at a time — a whole
 // one per TXN frame, or one driven by BEGIN/READ/WRITE/COMMIT/ABORT — with
-// PING usable throughout. Admission (a TXN's is a BEGIN's) is
-// mediated by a bounded queue: BEGINs that find the queue full are refused
-// immediately with CodeOverload (backpressure instead of unbounded memory),
-// and a dispatcher goroutine folds queued arrivals into rtm.BeginBatch
-// calls so a burst pays the manager-lock herd cost once, not once per
-// transaction. A BEGIN that finds its queue empty and an admission slot
-// free has nothing to be rationed against and is admitted by its own
-// session goroutine, under that slot.
+// PING usable throughout. Admission (a TXN's is a BEGIN's) is one gate the
+// session's own goroutine passes through: MaxAdmitting slots, and a bounded
+// queue, sorted by template priority, of the BEGINs waiting for one. A BEGIN
+// that finds nothing waiting and a slot free takes it at once; otherwise it
+// waits its turn, the most urgent first — or is refused: CodeOverload when
+// the queue is full (backpressure instead of unbounded memory), CodeShed
+// when it is the least urgent work past the high-water mark. The slot is
+// held across the manager's Begin and released the moment it returns.
 //
 // The two liveness hazards of putting a blocking lock manager behind a
 // socket are handled structurally:
@@ -61,12 +61,9 @@ type Config struct {
 	// at or past it, a BEGIN ranking below everything already queued is
 	// refused with CodeShed instead of queueing. Default 3/4 of QueueDepth.
 	HighWater int
-	// BatchMax caps how many queued BEGINs one dispatcher round gathers
-	// into BeginBatch groups. Default 16.
-	BatchMax int
-	// MaxAdmitting bounds concurrently running admissions — dispatcher
-	// groups and inline BEGINs alike; arrivals beyond it wait in the queue
-	// (and overflow to CodeOverload). Default 4.
+	// MaxAdmitting is the number of admission slots: how many sessions may
+	// be inside the manager's Begin at once. Arrivals beyond it wait in the
+	// queue (and overflow to CodeOverload). Default 4.
 	MaxAdmitting int
 	// SessionInflight bounds one session's requests in flight: both the
 	// requests decoded and not yet executed and the replies queued and not
@@ -122,9 +119,6 @@ func (c *Config) fill() error {
 	if c.HighWater <= 0 || c.HighWater > c.QueueDepth {
 		c.HighWater = max(1, c.QueueDepth*3/4)
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
 	if c.MaxAdmitting <= 0 {
 		c.MaxAdmitting = 4
 	}
@@ -156,12 +150,11 @@ type Server struct {
 	mgr *rtm.Manager
 	ctr *metrics.ServerCounters
 
-	ctx    context.Context // lifetime of all sessions and the dispatcher
+	ctx    context.Context // lifetime of all sessions and the watchdog
 	cancel context.CancelFunc
 
-	queue    *admitQueue   //pcpda:guardedby immutable
-	admitSem chan struct{} // bounds concurrent admissions (BeginBatch groups and inline BEGINs)
-	pending  atomic.Int64  // BEGINs enqueued but not yet resolved
+	queue    *admitQueue  //pcpda:guardedby immutable
+	pending  atomic.Int64 // BEGINs at the gate or inside the manager's Begin, not yet resolved
 	draining atomic.Bool
 
 	// lastOverload is the unix-nano timestamp of the most recent shed,
@@ -176,7 +169,7 @@ type Server struct {
 	sessions map[*session]struct{}
 
 	sessWG     sync.WaitGroup // session goroutines
-	dispatchWG sync.WaitGroup // dispatcher + admission groups
+	watchdogWG sync.WaitGroup
 }
 
 // New builds a Server from cfg. Call Serve to start accepting.
@@ -191,14 +184,11 @@ func New(cfg Config) (*Server, error) {
 		ctr:      cfg.Counters,
 		ctx:      ctx,
 		cancel:   cancel,
-		queue:    newAdmitQueue(cfg.QueueDepth, cfg.HighWater),
-		admitSem: make(chan struct{}, cfg.MaxAdmitting),
+		queue:    newAdmitQueue(cfg.MaxAdmitting, cfg.QueueDepth, cfg.HighWater, &cfg.Counters.Shed),
 		sessions: make(map[*session]struct{}),
 	}
-	s.dispatchWG.Add(1)
-	go s.dispatch()
 	if cfg.WatchdogInterval > 0 {
-		s.dispatchWG.Add(1)
+		s.watchdogWG.Add(1)
 		go s.watchdog()
 	}
 	return s, nil
@@ -381,7 +371,7 @@ func (s *Server) Drain(ctx context.Context) error {
 force:
 	s.cancel()
 	s.sessWG.Wait()
-	s.dispatchWG.Wait()
+	s.watchdogWG.Wait()
 	if err := s.mgr.CheckInvariants(); err != nil {
 		s.logf("drain: invariant audit failed: %v; last operations: %s", err, s.mgr.HistoryTail(flightTail))
 		return fmt.Errorf("server: drain left manager dirty: %w", err)
@@ -411,7 +401,7 @@ const flightTail = 64
 // ShardStat is the admission queue's point-in-time state for /stats.
 type ShardStat struct {
 	Depth      int     `json:"depth"`        // current queue occupancy
-	EWMAWaitMs float64 `json:"ewma_wait_ms"` // recent-dispatch queue-wait estimate
+	EWMAWaitMs float64 `json:"ewma_wait_ms"` // recent arrivals' wait for a slot, EWMA
 }
 
 // ShardStats snapshots the admission queue. One element: the name and the

@@ -169,20 +169,20 @@ func TestBeginWhileLiveIsStateError(t *testing.T) {
 	}
 }
 
-// TestOverloadBackpressure fills the admission pipeline — one group
-// parked on a busy template slot with MaxAdmitting=1 and QueueDepth=1 —
-// and asserts a further BEGIN is refused with CodeOverload.
+// TestOverloadBackpressure fills the admission gate — its one slot's
+// holder parked on a busy template slot, QueueDepth=1 — and asserts a
+// further BEGIN is refused with CodeOverload.
 func TestOverloadBackpressure(t *testing.T) {
 	mgr, _ := rtm.New(testSet(t))
-	addr, srv := startServer(t, mgr, Config{QueueDepth: 1, MaxAdmitting: 1, BatchMax: 1})
+	addr, srv := startServer(t, mgr, Config{QueueDepth: 1, MaxAdmitting: 1})
 
 	holder := mustDial(t, addr)
 	defer func() { _ = holder.Close() }()
 	if _, err := holder.Begin("zonly"); err != nil {
 		t.Fatal(err)
 	}
-	// This BEGIN parks inside BeginBatch on zonly's slot, pinning the one
-	// admission-group slot.
+	// This BEGIN parks inside the manager's Begin on zonly's slot, pinning
+	// the one admission slot.
 	parked := mustDial(t, addr)
 	defer func() { _ = parked.Close() }()
 	parkedErr := make(chan error, 1)
@@ -190,10 +190,10 @@ func TestOverloadBackpressure(t *testing.T) {
 		_, err := parked.Begin("zonly")
 		parkedErr <- err
 	}()
-	waitFor(t, "admission group to park", func() bool { return mgr.ParkedWaiters() > 0 })
+	waitFor(t, "the admission to park", func() bool { return mgr.ParkedWaiters() > 0 })
 
-	// Fill the queue, then overflow it. The queued request may be drained
-	// into a second gather round, so push until overload shows up.
+	// Fill the queue, then overflow it: the first stranger queues, the
+	// second finds the queue full.
 	var strangers []*client.PipeConn
 	var sawOverload bool
 	for i := 0; i < 10 && !sawOverload; i++ {
@@ -232,8 +232,8 @@ func TestOverloadBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cut the queued strangers loose. Each either gets admitted (and is
-	// auto-aborted on disconnect) or abandons its claim; either way the
-	// pipeline must fully unwind for the drain audit.
+	// auto-aborted on disconnect) or leaves the queue; either way the
+	// gate must fully unwind for the drain audit.
 	for _, c := range strangers {
 		_ = c.Close()
 	}
@@ -374,8 +374,9 @@ func TestDisconnectWhileParkedInCommit(t *testing.T) {
 	}
 }
 
-// Disconnect while a BEGIN is parked in the admission queue: the claim
-// protocol must hand the orphaned admission back for abort.
+// Disconnect while a BEGIN is parked inside the manager's Begin, its
+// admission slot held: the park unwinds under the session context, the slot
+// comes back, and no transaction is ever begun for the dead session.
 func TestDisconnectWhileBeginParked(t *testing.T) {
 	mgr, _ := rtm.New(testSet(t))
 	addr, srv := startServer(t, mgr, Config{})
@@ -394,8 +395,10 @@ func TestDisconnectWhileBeginParked(t *testing.T) {
 	<-beginErr
 	waitFor(t, "abandoned admission resolved", func() bool { return srv.pending.Load() == 0 })
 
-	// Free the slot: the orphan is admitted by the batch and immediately
-	// aborted by the dispatcher, leaving exactly the holder live.
+	if st := mgr.Stats(); st.Begins != 1 || mgr.ParkedWaiters() != 0 || slotsHeld(srv) != 0 {
+		t.Fatalf("begins = %d, parked = %d, admission slots held = %d; want the holder's begin only and nothing left behind",
+			st.Begins, mgr.ParkedWaiters(), slotsHeld(srv))
+	}
 	if err := holder.Abort(); err != nil {
 		t.Fatal(err)
 	}

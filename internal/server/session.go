@@ -629,8 +629,6 @@ func (s *session) cleanup() {
 // — the client's mistake, hence CodeProtocol.
 func codeOf(err error) wire.ErrorCode {
 	switch {
-	case errors.Is(err, errShed):
-		return wire.CodeShed
 	case errors.Is(err, db.ErrSnapshotEvicted):
 		// The snapshot pinned a version the chain bound dropped; a fresh
 		// BEGIN gets a fresh snapshot, so this is retryable like a

@@ -22,11 +22,11 @@ import (
 
 // jammed is the admission configuration of TestShedUnderBurst:
 // one admission slot, a queue of four that sheds from one up — with
-// blockDispatcher, arrivals stay queued.
-var jammed = Config{QueueDepth: 4, HighWater: 1, MaxAdmitting: 1, BatchMax: 1}
+// jamAdmission, arrivals stay queued.
+var jammed = Config{QueueDepth: 4, HighWater: 1, MaxAdmitting: 1}
 
-// queueUpdaters leaves n "updater" BEGINs queued behind a blocked
-// dispatcher and returns their connections.
+// queueUpdaters leaves n "updater" BEGINs queued at a jammed gate and
+// returns their connections.
 func queueUpdaters(t *testing.T, addr string, srv *Server, n int) []*client.PipeConn {
 	t.Helper()
 	var conns []*client.PipeConn
@@ -74,22 +74,22 @@ func TestTxnOutcomes(t *testing.T) {
 			}},
 		{name: "shed", cfg: jammed, want: wire.CodeShed,
 			arrange: func(w world) (wire.Txn, func()) {
-				holder, parked, popped := blockDispatcher(w.t, w.addr, w.srv, w.mgr)
+				holder, parked := jamAdmission(w.t, w.addr, w.srv, w.mgr)
 				queued := queueUpdaters(w.t, w.addr, w.srv, 2) // past the high-water mark, all outranking zonly
-				return wire.Txn{Name: "zonly"}, func() { closeAll(holder, parked, popped, queued) }
+				return wire.Txn{Name: "zonly"}, func() { closeAll(holder, parked, queued) }
 			}},
 		{name: "queue-full", cfg: jammed, want: wire.CodeOverload,
 			arrange: func(w world) (wire.Txn, func()) {
-				holder, parked, popped := blockDispatcher(w.t, w.addr, w.srv, w.mgr)
+				holder, parked := jamAdmission(w.t, w.addr, w.srv, w.mgr)
 				queued := queueUpdaters(w.t, w.addr, w.srv, 4) // full, and an updater does not outrank an updater
-				return wire.Txn{Name: "updater"}, func() { closeAll(holder, parked, popped, queued) }
+				return wire.Txn{Name: "updater"}, func() { closeAll(holder, parked, queued) }
 			}},
 		{name: "infeasible", cfg: jammed, want: wire.CodeInfeasible,
 			arrange: func(w world) (wire.Txn, func()) {
-				holder, parked, popped := blockDispatcher(w.t, w.addr, w.srv, w.mgr)
+				holder, parked := jamAdmission(w.t, w.addr, w.srv, w.mgr)
 				queued := queueUpdaters(w.t, w.addr, w.srv, 1)
 				w.srv.queue.ewmaWaitNs.Store(int64(200 * time.Millisecond))
-				return wire.Txn{Name: "reader", Deadline: 50}, func() { closeAll(holder, parked, popped, queued) }
+				return wire.Txn{Name: "reader", Deadline: 50}, func() { closeAll(holder, parked, queued) }
 			}},
 		{name: "undeclared-item", want: wire.CodeProtocol,
 			arrange: func(w world) (wire.Txn, func()) {
@@ -176,8 +176,8 @@ func TestTxnOutcomes(t *testing.T) {
 
 // closeAll hangs up every connection: queued and parked admissions are
 // abandoned or auto-aborted.
-func closeAll(a, b, c *client.PipeConn, more []*client.PipeConn) {
-	for _, conn := range append(more, a, b, c) {
+func closeAll(a, b *client.PipeConn, more []*client.PipeConn) {
+	for _, conn := range append(more, a, b) {
 		_ = conn.Close()
 	}
 }

@@ -23,7 +23,7 @@ import "time"
 // ceiling/serialization state inconsistent, WatchdogAuditFails records it
 // the moment it happens rather than at drain time.
 func (s *Server) watchdog() {
-	defer s.dispatchWG.Done()
+	defer s.watchdogWG.Done()
 	tick := time.NewTicker(s.cfg.WatchdogInterval)
 	defer tick.Stop()
 	for {

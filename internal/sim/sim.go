@@ -7,6 +7,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"pcpda/internal/cc"
 	"pcpda/internal/ccp"
@@ -178,62 +179,55 @@ type Comparison struct {
 	Summary metrics.Summary
 }
 
-// Compare runs set under each named protocol and summarizes. With
-// opts.Workers > 1 the runs fan out across that many goroutines — each run
-// owns its kernel and protocol instance and the shared set is read-only —
-// and the results are merged in argument order, so the output is identical
-// to a serial run.
-func Compare(set *txn.Set, protocols []string, opts Options) ([]Comparison, error) {
-	workers := opts.Workers
-	if workers > len(protocols) {
-		workers = len(protocols)
-	}
-	if workers <= 1 {
-		var out []Comparison
-		for _, name := range protocols {
-			res, err := Run(set, name, opts)
-			if err != nil {
-				return nil, fmt.Errorf("sim: %s: %w", name, err)
+// Fan evaluates fn(i) for every i in [0, n) on up to workers goroutines (one
+// when workers < 1) and returns the results by index, or the error of the
+// lowest failing index. Neither depends on which goroutine ran which i, so a
+// caller whose fn calls share nothing mutable gets the same output at every
+// worker count. It is the one fan-out the simulator side has: Compare, the
+// experiment sweeps and the scenario backend all merge through it.
+func Fan[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := max(1, min(workers, n)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				out[i], errs[i] = fn(i)
 			}
-			out = append(out, Comparison{Name: name, Result: res, Summary: metrics.Summarize(res)})
-		}
-		return out, nil
+		}()
 	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
+// Compare runs set under each named protocol and summarizes. The runs fan
+// out across opts.Workers goroutines — each run owns its kernel and protocol
+// instance and the shared set is read-only — and the results are merged in
+// argument order, so the output is the same at every worker count.
+func Compare(set *txn.Set, protocols []string, opts Options) ([]Comparison, error) {
 	// Warm the set's lazily derived caches (read/write sets, ceilings are
 	// per-kernel) before sharing it across goroutines.
 	for _, t := range set.Templates {
 		t.AccessSet()
 	}
-	out := make([]Comparison, len(protocols))
-	errs := make([]error, len(protocols))
-	next := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range next {
-				name := protocols[i]
-				res, err := Run(set, name, opts)
-				if err != nil {
-					errs[i] = fmt.Errorf("sim: %s: %w", name, err)
-					continue
-				}
-				out[i] = Comparison{Name: name, Result: res, Summary: metrics.Summarize(res)}
-			}
-		}()
-	}
-	for i := range protocols {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	for _, err := range errs {
+	return Fan(len(protocols), opts.Workers, func(i int) (Comparison, error) {
+		name := protocols[i]
+		res, err := Run(set, name, opts)
 		if err != nil {
-			return nil, err // first by argument order: deterministic
+			return Comparison{}, fmt.Errorf("sim: %s: %w", name, err)
 		}
-	}
-	return out, nil
+		return Comparison{Name: name, Result: res, Summary: metrics.Summarize(res)}, nil
+	})
 }
