@@ -154,33 +154,12 @@ func Block(rule string, blockers ...rt.JobID) Decision {
 
 // Env is the kernel-side state a protocol may inspect while deciding.
 type Env interface {
-	// Now returns the current tick.
-	Now() rt.Ticks
 	// Locks returns the shared lock table (read-only use by protocols).
 	Locks() *lock.Table
 	// Job resolves a job id; nil when the job has left the system.
 	Job(id rt.JobID) *Job
 	// ActiveJobs returns the live (Ready/Blocked) jobs in id order.
 	ActiveJobs() []*Job
-}
-
-// CeilingIndex is an optional capability an Env may provide (discovered by
-// type assertion) when it maintains read-lock ceilings incrementally: the
-// live manager does, because many transactions hold locks there at once; the
-// simulation kernel does not. PCP-DA uses it to answer the paper's Sysceil_i
-// query and to enumerate the transactions realizing that ceiling (the T* set
-// of rules LC3/LC4); under an Env without it the answer is
-// lock.Table.Ceiling's walk over the locks held, and the two must compute
-// identical values.
-type CeilingIndex interface {
-	// SysceilExcluding returns Sysceil_o: the highest write-priority ceiling
-	// Wceil(x) over all items x read-locked by transactions other than o
-	// (rt.Dummy when there are none).
-	SysceilExcluding(o rt.JobID) rt.Priority
-	// EachCeilingHolder calls fn for every live transaction other than o
-	// that holds a read lock on some item with Wceil(x) == c. Enumeration
-	// order is ascending job id.
-	EachCeilingHolder(c rt.Priority, o rt.JobID, fn func(holder rt.JobID))
 }
 
 // Protocol is a pluggable concurrency-control policy.

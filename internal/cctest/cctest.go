@@ -17,7 +17,6 @@ import (
 
 // Env is a hand-arranged protocol environment.
 type Env struct {
-	T     rt.Ticks
 	Table *lock.Table
 	Jobs  map[rt.JobID]*cc.Job
 }
@@ -28,9 +27,6 @@ var _ cc.Env = (*Env)(nil)
 func NewEnv() *Env {
 	return &Env{Table: lock.NewTable(), Jobs: make(map[rt.JobID]*cc.Job)}
 }
-
-// Now returns the configured tick.
-func (e *Env) Now() rt.Ticks { return e.T }
 
 // Locks returns the table.
 func (e *Env) Locks() *lock.Table { return e.Table }

@@ -73,9 +73,6 @@ type Protocol struct {
 	// paths) copy what they keep.
 	tstarBuf []rt.JobID
 	offBuf   []rt.JobID
-	// tstarAppend is the one closure handed to CeilingIndex.EachCeilingHolder,
-	// built once so the interface call does not allocate it per request.
-	tstarAppend func(rt.JobID)
 }
 
 var _ cc.Protocol = (*Protocol)(nil)
@@ -123,27 +120,11 @@ type sysinfo struct {
 }
 
 // sysceilFor computes Sysceil_i and T* with respect to requester j: the
-// highest Wceil over items read-locked by other jobs, and who holds them.
-//
-// The answer is lock.Table.Ceiling's walk over the locks held, except under
-// an Env that maintains a cc.CeilingIndex (the live manager, where many
-// transactions hold locks at once). The two agree on the ceiling and on T*
-// as a set, which is all callers use it as. Either way info.tstar aliases
-// p.tstarBuf and is valid only until the next Request.
+// highest Wceil over items read-locked by other jobs, and who holds them —
+// lock.Table.Ceiling's walk over the locks held, under the kernel and the
+// live manager alike. info.tstar aliases p.tstarBuf and is valid only until
+// the next Request.
 func (p *Protocol) sysceilFor(env cc.Env, j *cc.Job) sysinfo {
-	if idx, ok := env.(cc.CeilingIndex); ok {
-		p.tstarBuf = p.tstarBuf[:0]
-		c := idx.SysceilExcluding(j.ID)
-		if !c.IsDummy() {
-			if p.tstarAppend == nil {
-				p.tstarAppend = func(holder rt.JobID) {
-					p.tstarBuf = append(p.tstarBuf, holder)
-				}
-			}
-			idx.EachCeilingHolder(c, j.ID, p.tstarAppend)
-		}
-		return sysinfo{sysceil: c, tstar: p.tstarBuf}
-	}
 	c, tstar := env.Locks().Ceiling(j.ID, p.ceil.WceilTable(), nil, p.tstarBuf)
 	p.tstarBuf = tstar
 	return sysinfo{sysceil: c, tstar: tstar}

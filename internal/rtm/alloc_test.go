@@ -8,6 +8,7 @@ import (
 	"pcpda/internal/history"
 	"pcpda/internal/rt"
 	"pcpda/internal/testenv"
+	"pcpda/internal/txn"
 )
 
 // mallocsPer runs fn n times and returns heap objects and bytes allocated
@@ -78,23 +79,47 @@ func TestManagerAllocBudget(t *testing.T) {
 		t.Errorf("one read-only transaction allocates %.2f objects, budget 1: a snapshot read must add none", objects)
 	}
 
-	// The two ceiling queries a protocol makes on the way to a denial, with a
-	// read lock standing: counts and the live list, read in place.
+	// A granted Read under a raised ceiling: the reader's lock on x stands
+	// (Wceil(x) is the updater's priority, not the dummy level), so the
+	// updater's Read of y walks a foreign holder, finds T* = the reader and
+	// passes LC4 after looking T*'s write set up — every step in place.
 	rd, err := m.Begin(c, "reader")
 	must(err)
 	_, err = rd.Read(c, x)
 	must(err)
-	holders := 0
-	count := func(rt.JobID) { holders++ }
+	up, err := m.Begin(c, "updater")
+	must(err)
 	m.mu.Lock()
-	allocs := testing.AllocsPerRun(100, func() {
-		m.EachCeilingHolder(m.SysceilExcluding(rt.NoJob), rt.NoJob, count)
-	})
+	sysceil, tstar := m.locks.Ceiling(up.id, txn.ComputeCeilings(s).WceilTable(), nil, nil)
 	m.mu.Unlock()
-	if allocs != 0 || holders == 0 {
-		t.Errorf("SysceilExcluding + EachCeilingHolder allocate %v and named %d holders, want 0 and the reader each time", allocs, holders)
+	if sysceil.IsDummy() || len(tstar) != 1 || tstar[0] != rd.id {
+		t.Fatalf("the updater's Sysceil = %v with T* = %v, want a raised ceiling held by the reader (job %d)", sysceil, tstar, rd.id)
 	}
+	grantedRead := func(tx *Txn, item rt.Item) func() {
+		return func() {
+			_, err := tx.Read(c, item)
+			must(err)
+		}
+	}
+	grantedRead(up, y)() // warm: the first grant takes the lock
+	if allocs := testing.AllocsPerRun(200, grantedRead(up, y)); allocs != 0 {
+		t.Errorf("a granted Read under a raised ceiling (T* non-empty) allocates %v, want 0", allocs)
+	}
+	up.Abort()
 	rd.Abort()
+
+	// The same with all eight slots of an 8-template set live (the largest
+	// shipped set): the walk passes seven foreign holder records.
+	full, top, item := allSlotsLive(t, 8)
+	for full.Stats().HistoryRetained < history.RingCap {
+		grantedRead(top, item)()
+	}
+	if allocs := testing.AllocsPerRun(200, grantedRead(top, item)); allocs != 0 {
+		t.Errorf("a granted Read with eight slots live allocates %v, want 0", allocs)
+	}
+	if waits := full.Stats().LockWaits + m.Stats().LockWaits; waits != 0 {
+		t.Errorf("%d lock waits: a priced Read was denied, not granted", waits)
+	}
 
 	// The same work with a park in it: the updater writes x, the reader reads
 	// the pre-commit version, the updater's Commit parks on the stale reader

@@ -12,11 +12,10 @@ import (
 	"pcpda/internal/txn"
 )
 
-// Property tests for the incremental bookkeeping in index.go: under random
-// seeded workloads, the O(1)-maintained ceiling index, donation-based running
-// priorities and inverted stale-reader sets must agree at every sampled
-// m.mu boundary with the quantities recomputed from scratch the way the
-// pre-optimization manager did.
+// Property tests for the manager's incremental bookkeeping: under random
+// seeded workloads, donation-based running priorities (inherit.go) and the
+// inverted stale-reader sets must agree at every sampled m.mu boundary with
+// the same quantities recomputed from scratch.
 
 // propSet builds a random template set: nTmpl templates over nItems shared
 // items, each reading/writing a random sample (an item appears at most once
@@ -44,79 +43,13 @@ func propSet(rng *rand.Rand, nTmpl, nItems int) *txn.Set {
 	return s
 }
 
-// slowSysceil recomputes Sysceil excluding holder excl by scanning the lock
-// table — the pre-index definition. Caller holds m.mu.
-func slowSysceil(m *Manager, excl rt.JobID) rt.Priority {
-	c := rt.Dummy
-	m.locks.EachReadLock(func(x rt.Item, holder rt.JobID) {
-		if holder != excl {
-			c = c.Max(m.ceil.Wceil(x))
-		}
-	})
-	return c
-}
-
-// slowHolders recomputes the T* membership at ceiling c excluding excl by
-// scanning the lock table. Caller holds m.mu.
-func slowHolders(m *Manager, c rt.Priority, excl rt.JobID) map[rt.JobID]bool {
-	out := make(map[rt.JobID]bool)
-	m.locks.EachReadLock(func(x rt.Item, holder rt.JobID) {
-		if holder != excl && m.ceil.Wceil(x) == c {
-			out[holder] = true
-		}
-	})
-	return out
-}
-
-// crossCheckIndex compares, under m.mu, every incremental quantity against
-// its from-scratch definition: Sysceil and T* for each live transaction (and
-// for "exclude nobody"), and the inverted stale-reader sets against the
-// legacy DataRead-intersection scan.
-func crossCheckIndex(m *Manager) error {
+// crossCheckStaleReaders compares, under m.mu, the stale-reader inversion
+// Commit uses (readers of t's written items, off the lock table's entry
+// lists) against its definition: every live transaction whose DataRead meets
+// t's pending write set.
+func crossCheckStaleReaders(m *Manager) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-
-	excls := []rt.JobID{rt.NoJob}
-	for _, s := range m.actList {
-		excls = append(excls, s.job.ID)
-	}
-	var walked []rt.JobID
-	for _, o := range excls {
-		want := slowSysceil(m, o)
-		got := m.SysceilExcluding(o)
-		if got != want {
-			return fmt.Errorf("SysceilExcluding(%d) = %v, scan says %v", o, got, want)
-		}
-		// The kernel's path: PCP-DA under an Env with no index asks the lock
-		// table, and must be told what the manager's index says.
-		var walk rt.Priority
-		walk, walked = m.locks.Ceiling(o, m.ceil.WceilTable(), nil, walked)
-		if walk != got {
-			return fmt.Errorf("SysceilExcluding(%d) = %v, lock.Table.Ceiling says %v", o, got, walk)
-		}
-		fast := make(map[rt.JobID]bool)
-		m.EachCeilingHolder(want, o, func(h rt.JobID) { fast[h] = true })
-		if len(walked) != len(fast) {
-			return fmt.Errorf("ceiling holders for %v excl %d: index %v, lock.Table.Ceiling %v", want, o, fast, walked)
-		}
-		for _, h := range walked {
-			if !fast[h] {
-				return fmt.Errorf("ceiling holder %d named by lock.Table.Ceiling, not by the index (ceiling %v excl %d)", h, want, o)
-			}
-		}
-		if want.IsDummy() {
-			continue
-		}
-		slow := slowHolders(m, want, o)
-		if len(fast) != len(slow) {
-			return fmt.Errorf("ceiling holders for %v excl %d: index %v, scan %v", want, o, fast, slow)
-		}
-		for h := range slow {
-			if !fast[h] {
-				return fmt.Errorf("ceiling holder %d missing from index (ceiling %v excl %d)", h, want, o)
-			}
-		}
-	}
 
 	for _, t := range m.actList {
 		// Inverted: readers of t's written items, straight off the lock table.
@@ -129,7 +62,7 @@ func crossCheckIndex(m *Manager) error {
 				return true
 			})
 		})
-		// Legacy: every live transaction whose DataRead meets t's write set.
+		// Brute force: every live transaction whose DataRead meets t's write set.
 		brute := make(map[rt.JobID]bool)
 		for _, o := range m.actList {
 			if o == t {
@@ -154,15 +87,16 @@ func crossCheckIndex(m *Manager) error {
 	return nil
 }
 
-// TestIncrementalIndexProperty drives random concurrent workloads while an
-// auditor repeatedly (a) runs CheckInvariants — which already recomputes the
-// ceiling profile, per-transaction counts and the priority-inheritance
-// fixpoint from scratch and demands equality — and (b) cross-checks the
-// CeilingIndex fast paths and the stale-reader inversion against lock-table
-// scans. Every m.mu release is a potential sample point, so drift anywhere
-// in the incremental bookkeeping surfaces as a diff against the scratch
-// recomputation, not as a downstream scheduling anomaly.
-func TestIncrementalIndexProperty(t *testing.T) {
+// TestDonationAndStaleReaderProperty drives random concurrent workloads while
+// an auditor repeatedly (a) runs CheckInvariants — which recomputes the
+// priority-inheritance fixpoint from scratch (fixpointPri) and demands the
+// donated running priorities equal it — and (b) cross-checks the stale-reader
+// inversion against brute force. Every m.mu release is a potential sample
+// point, so drift in the incremental bookkeeping surfaces as a diff against
+// the scratch recomputation, not as a downstream scheduling anomaly. (The
+// system ceiling has no bookkeeping to drift: it is lock.Table.Ceiling's walk
+// over the locks held, which package lock holds to its definition.)
+func TestDonationAndStaleReaderProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -213,7 +147,7 @@ func TestIncrementalIndexProperty(t *testing.T) {
 				if err := m.CheckInvariants(); err != nil {
 					t.Fatal(err)
 				}
-				if err := crossCheckIndex(m); err != nil {
+				if err := crossCheckStaleReaders(m); err != nil {
 					t.Fatal(err)
 				}
 				audits++
@@ -221,22 +155,17 @@ func TestIncrementalIndexProperty(t *testing.T) {
 			if audits < 10 {
 				t.Logf("only %d mid-run audits (slow machine?)", audits)
 			}
-			// Quiescent: the index must have drained to empty.
+			// Quiescent: no lock left in the table, no waiter filed.
 			m.mu.Lock()
-			if m.ceilTop != -1 {
-				t.Errorf("ceiling top %d after quiescence", m.ceilTop)
-			}
-			for r, c := range m.readCeil {
-				if c != 0 {
-					t.Errorf("ceiling count %d at rank %d after quiescence", c, r)
-				}
+			if n := m.locks.LockCount(); n != 0 {
+				t.Errorf("%d locks left in the table after quiescence", n)
 			}
 			filed := 0
 			for i := range m.slots {
 				filed += len(m.slots[i].waiters) + len(m.slots[i].begins)
 			}
 			if filed != 0 || len(m.allWaiters) != 0 {
-				t.Errorf("waiter indexes not drained: %d filed in slots, %d all-waiters",
+				t.Errorf("waiters not drained: %d filed in slots, %d all-waiters",
 					filed, len(m.allWaiters))
 			}
 			m.mu.Unlock()

@@ -13,14 +13,16 @@
 //	_ = tx.Commit(ctx)
 //
 // Admission decisions are made by the very same code that drives the
-// simulator (pcpda.Protocol.Request over the cc.Env interface), so the
+// simulator (pcpda.Protocol.Request over the cc.Env interface, its ceiling
+// query lock.Table.Ceiling's walk over the locks held under both), so the
 // library and the reproduction cannot drift apart.
 //
 // # Failure model
 //
 // Every error exit is self-cleaning: when an operation fails, the manager
 // has already aborted the transaction — workspace discarded, locks
-// released, ceilings restored, template slot freed — before the error is
+// released (a ceiling is a function of the locks held, so it falls with
+// them), template slot freed — before the error is
 // returned. Callers never need to pair an error with Abort() (though a
 // later Abort() is a harmless no-op). The sentinel tells the caller what
 // happened and what to do:
@@ -37,8 +39,8 @@
 // Exec wraps Begin/op/Commit in a bounded retry loop with jittered backoff
 // for the retryable sentinels. Options.Injector plugs seeded fault
 // injection (package fault) into every blocking/grant/commit boundary, and
-// Manager.CheckInvariants audits the lock table, slot table, ceilings and
-// history after any schedule, faulty or not.
+// Manager.CheckInvariants audits the lock table, slot table, inherited
+// priorities and history after any schedule, faulty or not.
 //
 // # Deviation from the paper's execution model
 //
@@ -144,7 +146,6 @@ type Manager struct {
 	mu sync.Mutex
 
 	set   *txn.Set        //pcpda:guardedby immutable
-	ceil  *txn.Ceilings   //pcpda:guardedby immutable
 	proto *pcpda.Protocol //pcpda:guardedby immutable
 	locks *lock.Table     //pcpda:guardedby immutable
 	store *db.Store       //pcpda:guardedby immutable
@@ -164,11 +165,9 @@ type Manager struct {
 	// commit as it happens (history.Recorder): bounded at any uptime.
 	hist *history.Recorder //pcpda:guardedby mu
 
-	// Incremental read-lock ceiling index (see index.go).
-	dom       *rt.PriorityDomain //pcpda:guardedby immutable
-	wceilRank []int16            //pcpda:guardedby immutable — per item: dense rank of Wceil(x); -1 for dummy
-	readCeil  []int32            //pcpda:guardedby mu — live read locks per ceiling rank, all holders
-	ceilTop   int                //pcpda:guardedby mu — highest rank with readCeil > 0; -1 when none
+	// dom is the templates' dense priority order; it sizes every slot's
+	// donation multiset (inherit.go).
+	dom *rt.PriorityDomain //pcpda:guardedby immutable
 
 	// Targeted-wakeup machinery (see wait.go).
 	allWaiters []*waitNode //pcpda:guardedby mu — every parked waiter (injected wakeups)
@@ -235,29 +234,26 @@ func NewWithOptions(set *txn.Set, opts Options) (*Manager, error) {
 	ceil := txn.ComputeCeilings(set)
 	p := pcpda.New()
 	p.Init(set, ceil)
+	pris := make([]rt.Priority, len(set.Templates))
+	for i, tmpl := range set.Templates {
+		pris[i] = tmpl.Priority
+	}
 	m := &Manager{
 		set:   set,
-		ceil:  ceil,
 		proto: p,
 		locks: lock.NewTable(),
 		store: db.NewStore(),
 		hist:  history.NewRecorder(),
+		dom:   rt.NewPriorityDomain(pris),
 		opts:  opts,
 		inj:   opts.Injector,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
 	}
-	m.initCeilIndex()
 	m.initSlots()
 	return m, nil
 }
 
 // --- cc.Env over the live state ---------------------------------------------
-
-// Now returns the logical clock (one tick per manager operation).
-// Called by protocol hooks while the kernel runs under the manager lock.
-//
-//pcpda:holds mu
-func (m *Manager) Now() rt.Ticks { return m.clock }
 
 // Locks returns the shared lock table.
 func (m *Manager) Locks() *lock.Table { return m.locks }
@@ -286,7 +282,6 @@ func (m *Manager) ActiveJobs() []*cc.Job {
 }
 
 var _ cc.Env = (*Manager)(nil)
-var _ cc.CeilingIndex = (*Manager)(nil)
 
 // --- public API ---------------------------------------------------------------
 
@@ -375,6 +370,10 @@ func (m *Manager) acquire(ctx context.Context, t *Txn, item rt.Item, mode rt.Mod
 		j.Status = cc.Blocked
 		j.BlockedOn = item
 		j.BlockedMode = mode
+		// A set, in whatever order the protocol named it (on a ceiling denial
+		// the lock table's holder-record order): donate and retract visit
+		// every blocker, fixpointPri is order-free, and resolveCycle's victim
+		// is the lowest priority on the cycle wherever the search entered it.
 		j.Blockers = dec.Blockers
 		m.stats.LockWaits++
 		// No unlock-delay here: the deny decision must stay atomic with the
@@ -389,9 +388,7 @@ func (m *Manager) acquire(ctx context.Context, t *Txn, item rt.Item, mode rt.Mod
 	j.Status = cc.Ready
 	j.Blockers = nil
 	m.clock++
-	if m.locks.Acquire(j.ID, item, mode) && mode == rt.Read {
-		m.ceilAdd(t.slot, item)
-	}
+	m.locks.Acquire(j.ID, item, mode)
 	return nil
 }
 
@@ -710,63 +707,18 @@ func (m *Manager) auditState() []string {
 		}
 	}
 
-	// The incremental ceiling index must agree with a from-scratch
-	// recomputation over the lock table.
-	wantCeil := make([]int32, m.dom.Size())
-	wantPer := make(map[rt.JobID][]int32, len(m.actList))
-	m.locks.EachReadLock(func(x rt.Item, o rt.JobID) {
-		if int(x) >= len(m.wceilRank) {
-			badf("read lock on item %d outside the declared item range", x)
-			return
-		}
-		r := int(m.wceilRank[x])
-		if r < 0 {
-			return
-		}
-		wantCeil[r]++
-		per, ok := wantPer[o]
-		if !ok {
-			per = make([]int32, m.dom.Size())
-			wantPer[o] = per
-		}
-		per[r]++
-	})
-	wantTop := -1
-	for r := range wantCeil {
-		if wantCeil[r] != m.readCeil[r] {
-			badf("ceiling index drift at rank %d: counted %d, recomputed %d", r, m.readCeil[r], wantCeil[r])
-		}
-		if wantCeil[r] > 0 {
-			wantTop = r
-		}
-	}
-	if wantTop != m.ceilTop {
-		badf("ceiling top drift: counted %d, recomputed %d", m.ceilTop, wantTop)
-	}
 	// Every slot: a taken one is in the live list, a free one (or one held
 	// for a finished handle still leaving park) carries nothing of its last
-	// instance, the ceiling counts are the recomputed ones (zero when free),
-	// and whatever is filed in its lists is a registered node.
+	// instance, and whatever is filed in its lists is a registered node.
 	for i := range m.slots {
 		s := &m.slots[i]
-		var want []int32
 		if s.cur != nil && !s.cur.done {
-			want = wantPer[s.job.ID]
 			if m.live(s.job.ID) != s {
 				badf("orphaned slot for template %d (job %d not in the live list)", i, s.job.ID)
 			}
 		} else if len(s.waiters) != 0 || s.wn.parked() || !s.donatedPri.IsDummy() || !s.recv.Max().IsDummy() ||
 			s.job.DataRead.Len() != 0 || s.job.WS.Len() != 0 {
 			badf("free slot of template %d still carries state of job %d", i, s.job.ID)
-		}
-		for r, c := range s.ceilCounts {
-			w := int32(0)
-			if want != nil {
-				w = want[r]
-			}
-			if c != w {
-				badf("template %d (job %d) ceiling counts drift at rank %d: counted %d, recomputed %d", i, s.job.ID, r, c, w)
-			}
 		}
 		for _, n := range s.waiters {
 			if !n.parked() {
@@ -960,7 +912,6 @@ func (m *Manager) finish(t *Txn) {
 	}
 	s.job.WS.Discard()
 	s.job.DataRead.Clear()
-	m.ceilRelease(s)
 	m.locks.ReleaseAllUnordered(s.job.ID)
 	for i, o := range m.actList {
 		if o == s {

@@ -30,7 +30,6 @@ type slot struct {
 	wn         waitNode             //pcpda:guardedby Manager.mu — cur's own wait node
 	recv       *rt.PriorityMultiset //pcpda:guardedby Manager.mu — donations received while others wait on cur
 	donatedPri rt.Priority          //pcpda:guardedby Manager.mu — what cur donates to its blockers; dummy = not donating
-	ceilCounts []int32              //pcpda:guardedby Manager.mu — cur's live read locks per write-ceiling rank
 	blockers   []rt.JobID           //pcpda:guardedby Manager.mu — scratch for commit-wait blocker lists
 	installed  []db.Installed       //pcpda:guardedby Manager.mu — scratch for the (item, version) pairs a commit installs
 
@@ -39,19 +38,18 @@ type slot struct {
 	color   uint8       //pcpda:guardedby Manager.mu — resolveCycle's DFS colour
 }
 
-// initSlots builds the table. Called once from NewWithOptions, after
-// initCeilIndex (the count vectors are sized by the priority domain).
+// initSlots builds the table. Called once from NewWithOptions, after m.dom
+// is set (the donation multisets are sized by the priority domain).
 func (m *Manager) initSlots() {
 	m.slots = make([]slot, len(m.set.Templates))
 	m.actList = make([]*slot, 0, len(m.slots))
 	for i, tmpl := range m.set.Templates {
 		m.slots[i] = slot{
-			mgr:        m,
-			tmpl:       tmpl,
-			job:        cc.Job{Tmpl: tmpl, Status: cc.Done, DataRead: rt.NewItemSet(), WS: db.NewWorkspace()},
-			wn:         waitNode{ch: make(chan struct{}, 1), allIdx: -1},
-			recv:       m.dom.NewMultiset(),
-			ceilCounts: make([]int32, m.dom.Size()),
+			mgr:  m,
+			tmpl: tmpl,
+			job:  cc.Job{Tmpl: tmpl, Status: cc.Done, DataRead: rt.NewItemSet(), WS: db.NewWorkspace()},
+			wn:   waitNode{ch: make(chan struct{}, 1), allIdx: -1},
+			recv: m.dom.NewMultiset(),
 		}
 	}
 }

@@ -95,7 +95,7 @@ func TestEnvInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Now() != 0 {
+	if k.now != 0 {
 		t.Fatal("time starts at 0")
 	}
 	if k.Locks() == nil {

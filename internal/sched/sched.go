@@ -323,9 +323,6 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 
 // --- cc.Env implementation -------------------------------------------------
 
-// Now returns the current tick.
-func (k *Kernel) Now() rt.Ticks { return k.now }
-
 // Locks returns the shared lock table.
 func (k *Kernel) Locks() *lock.Table { return k.locks }
 
