@@ -92,7 +92,7 @@ func main() {
 	fmt.Printf("torn snapshots observed:        %d (must be 0)\n", torn)
 	fmt.Printf("serializable:                   %v\n", rep.Serializable)
 	fmt.Printf("commit-order (Theorem 3):       %v\n", rep.CommitOrderOK)
-	fmt.Printf("cycle-breaking aborts:          %d\n", mgr.Aborts())
+	fmt.Printf("cycle-breaking aborts:          %d\n", mgr.Stats().CycleAborts)
 	fmt.Printf("final pair:                     lo=%d hi=%d\n",
 		mgr.ReadCommitted(lo), mgr.ReadCommitted(hi))
 	if torn != 0 || !rep.Serializable {

@@ -5,9 +5,16 @@
 // The kernel owns jobs, the CPU, the lock table, the database and the
 // history; a Protocol owns only the admission policy: given a lock request
 // it answers "granted" (possibly after aborting victims) or "blocked by
-// these jobs". Priority inheritance, blocking bookkeeping, deadlock
-// detection and data movement are kernel concerns, identical across
-// protocols, which keeps every protocol comparison apples-to-apples.
+// these jobs". Priority inheritance, blocking bookkeeping and data movement
+// are kernel concerns, identical across protocols, which keeps every
+// protocol comparison apples-to-apples.
+//
+// The two checks on the blocking graph have one implementation here, and
+// both engines — the kernel and the live manager (package rtm), each a
+// cc.Env — call it: WaitCycle, the waits-for search behind the kernel's
+// deadlock verdict and the manager's cycle breaker, and CheckState, the
+// structural audit behind the kernel's Paranoid mode and the manager's
+// CheckInvariants.
 package cc
 
 import (

@@ -6,7 +6,7 @@ import "pcpda/internal/rt"
 
 type Table struct{}
 
-func (t *Table) Acquire(o rt.JobID, x rt.Item, m rt.Mode) bool { return true }
+func (t *Table) Acquire(o rt.JobID, x rt.Item, m rt.Mode) {}
 
 func (t *Table) ReleaseAll(o rt.JobID) []rt.Item { return nil }
 

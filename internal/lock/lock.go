@@ -120,27 +120,22 @@ func remove[T comparable](s []T, v T) []T {
 	return s
 }
 
-// Acquire records that o now holds x in mode m and reports whether the lock
-// was newly taken (false: this mode was already held, a no-op). It is the
-// caller's (protocol's) responsibility to have decided the grant is legal.
-func (t *Table) Acquire(o rt.JobID, x rt.Item, m rt.Mode) bool {
+// Acquire records that o now holds x in mode m; taking a mode o already holds
+// on x is a no-op. It is the caller's (protocol's) responsibility to have
+// decided the grant is legal.
+func (t *Table) Acquire(o rt.JobID, x rt.Item, m rt.Mode) {
 	t.ops++
 	e := t.entryFor(x)
 	h := t.heldFor(o)
 	if m == rt.Read {
-		if slices.Contains(e.readers, o) {
-			return false
+		if !slices.Contains(e.readers, o) {
+			e.readers = append(e.readers, o)
+			h.read = append(h.read, x)
 		}
-		e.readers = append(e.readers, o)
-		h.read = append(h.read, x)
-		return true
+	} else if !slices.Contains(e.writers, o) {
+		e.writers = append(e.writers, o)
+		h.write = append(h.write, x)
 	}
-	if slices.Contains(e.writers, o) {
-		return false
-	}
-	e.writers = append(e.writers, o)
-	h.write = append(h.write, x)
-	return true
 }
 
 // Release drops o's lock on x in mode m. Releasing a lock not held is a

@@ -240,23 +240,28 @@ func TestDump(t *testing.T) {
 	}
 }
 
-func TestAcquireReportsFreshness(t *testing.T) {
+func TestAcquireIsIdempotentPerMode(t *testing.T) {
 	tb := NewTable()
-	if !tb.Acquire(j1, x, rt.Read) {
-		t.Fatal("first acquisition must report fresh")
+	tb.Acquire(j1, x, rt.Read)
+	tb.Acquire(j1, x, rt.Read)
+	if n := tb.LockCount(); n != 1 || !tb.HoldsRead(j1, x) {
+		t.Fatalf("re-acquiring a held read lock: %d locks, j1 reads x %v; want the one lock", n, tb.HoldsRead(j1, x))
 	}
-	if tb.Acquire(j1, x, rt.Read) {
-		t.Fatal("idempotent re-acquisition must not report fresh")
+	tb.Acquire(j1, x, rt.Write)
+	if n := tb.LockCount(); n != 2 || !tb.HoldsWrite(j1, x) {
+		t.Fatalf("same item, new mode: %d locks, want 2", n)
 	}
-	if !tb.Acquire(j1, x, rt.Write) {
-		t.Fatal("same item, new mode is a fresh acquisition")
-	}
-	if !tb.Acquire(j2, x, rt.Read) {
-		t.Fatal("same item, new holder is a fresh acquisition")
+	tb.Acquire(j2, x, rt.Read)
+	if n := tb.LockCount(); n != 3 || !tb.HoldsRead(j2, x) {
+		t.Fatalf("same item, new holder: %d locks, want 3", n)
 	}
 	tb.Release(j1, x, rt.Read)
-	if !tb.Acquire(j1, x, rt.Read) {
-		t.Fatal("re-acquisition after release must report fresh")
+	if tb.HoldsRead(j1, x) {
+		t.Fatal("released read lock still held")
+	}
+	tb.Acquire(j1, x, rt.Read)
+	if n := tb.LockCount(); n != 3 || !tb.HoldsRead(j1, x) {
+		t.Fatalf("re-acquisition after release: %d locks, j1 reads x %v", n, tb.HoldsRead(j1, x))
 	}
 }
 
@@ -299,8 +304,9 @@ func TestReleaseAllUnordered(t *testing.T) {
 	}
 	tb.ReleaseAllUnordered(j1) // idempotent
 	// The table must stay fully usable after bulk release.
-	if !tb.Acquire(j1, y, rt.Write) {
-		t.Fatal("acquire after bulk release failed")
+	tb.Acquire(j1, y, rt.Write)
+	if !tb.HoldsWrite(j1, y) || tb.LockCount() != 2 {
+		t.Fatalf("acquire after bulk release: j1 writes y %v, %d locks", tb.HoldsWrite(j1, y), tb.LockCount())
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 //     DataRead(TL) ∩ WriteSet(TH) = {y} ≠ ∅. TH waits until TL commits.
 //
 // Either way one transaction finishes and unblocks the other; the
-// cycle-breaking abort machinery stays cold (Aborts() == 0).
+// cycle-breaking abort machinery stays cold (Stats().CycleAborts == 0).
 func cycleSet() (*txn.Set, rt.Item, rt.Item) {
 	s := txn.NewSet("cycle")
 	x := s.Catalog.Intern("x")
@@ -84,8 +84,8 @@ func TestCycleGuardCeilingOrder(t *testing.T) {
 	if err := tl.Commit(c); err != nil {
 		t.Fatal(err)
 	}
-	if m.Aborts() != 0 {
-		t.Fatalf("cycle breaker fired %d times; the guards should prevent that", m.Aborts())
+	if n := m.Stats().CycleAborts; n != 0 {
+		t.Fatalf("cycle breaker fired %d times; the guards should prevent that", n)
 	}
 	rep := m.History().Check()
 	if !rep.Serializable || !rep.CommitOrderOK {
@@ -146,8 +146,8 @@ func TestCycleGuardTable1Order(t *testing.T) {
 	if err := th.Commit(c); err != nil {
 		t.Fatal(err)
 	}
-	if m.Aborts() != 0 {
-		t.Fatalf("cycle breaker fired %d times", m.Aborts())
+	if n := m.Stats().CycleAborts; n != 0 {
+		t.Fatalf("cycle breaker fired %d times", n)
 	}
 	rep := m.History().Check()
 	if !rep.Serializable || !rep.CommitOrderOK {

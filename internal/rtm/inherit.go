@@ -11,13 +11,10 @@
 // at every release of m.mu: parking (Status=Blocked, Blockers set, donations
 // added) and waking (donations retracted, Blockers cleared) are each atomic
 // under the lock, so CheckInvariants can always recompute the fixpoint from
-// scratch and demand equality.
+// scratch (cc.CheckState, the kernel's audit too) and demand equality.
 package rtm
 
-import (
-	"pcpda/internal/cc"
-	"pcpda/internal/rt"
-)
+import "pcpda/internal/rt"
 
 // donate adds the running priority of s's instance to every blocker's
 // received-donations multiset and cascades raises. Called when it parks
@@ -94,33 +91,5 @@ func (m *Manager) refreshPri(b *slot) {
 	}
 	if raised && b.wn.parked() && b.wn.kind == waitLock {
 		b.wn.wake()
-	}
-}
-
-// fixpointPri recomputes the inheritance fixpoint from scratch (the legacy
-// O(live²) rule: a blocker runs at the highest priority among the
-// transactions transitively blocked on it) into the provided map. Used by
-// CheckInvariants and the property tests to certify the incremental
-// donations; never on the hot path.
-func (m *Manager) fixpointPri(want map[rt.JobID]rt.Priority) {
-	for _, s := range m.actList {
-		want[s.job.ID] = s.job.BasePri()
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, s := range m.actList {
-			if s.job.Status != cc.Blocked {
-				continue
-			}
-			for _, bid := range s.job.Blockers {
-				if m.live(bid) == nil {
-					continue
-				}
-				if want[bid] < want[s.job.ID] {
-					want[bid] = want[s.job.ID]
-					changed = true
-				}
-			}
-		}
 	}
 }

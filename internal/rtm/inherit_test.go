@@ -89,7 +89,7 @@ func crossCheckStaleReaders(m *Manager) error {
 
 // TestDonationAndStaleReaderProperty drives random concurrent workloads while
 // an auditor repeatedly (a) runs CheckInvariants — which recomputes the
-// priority-inheritance fixpoint from scratch (fixpointPri) and demands the
+// priority-inheritance fixpoint from scratch (cc.CheckState) and demands the
 // donated running priorities equal it — and (b) cross-checks the stale-reader
 // inversion against brute force. Every m.mu release is a potential sample
 // point, so drift in the incremental bookkeeping surfaces as a diff against

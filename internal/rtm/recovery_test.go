@@ -393,6 +393,29 @@ func TestCheckInvariantsDetectsLeakedLock(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsDetectsUnrecordedReadLock: a live transaction's read
+// lock on an item it declared, with no DataRead entry behind it. The lock
+// raises the item's ceiling for everyone, yet the transaction has not read
+// anything the commit guard or the history can see; the manager's own
+// strict-2PL checks look the other way (from DataRead to the lock), so only
+// the audit shared with the kernel reports it.
+func TestCheckInvariantsDetectsUnrecordedReadLock(t *testing.T) {
+	s, x, _ := demoSet(t)
+	m, _ := New(s)
+	tx := mustBegin(t, m, ctx(t), "reader")
+	m.mu.Lock()
+	m.locks.Acquire(tx.ID(), x, rt.Read)
+	m.mu.Unlock()
+	err := m.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "without recording the read") {
+		t.Fatalf("auditor missed a read lock with no DataRead entry: %v", err)
+	}
+	tx.Abort()
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCheckInvariantsDetectsOrphanedSlot(t *testing.T) {
 	s, _, _ := demoSet(t)
 	m, _ := New(s)

@@ -173,12 +173,11 @@ type Manager struct {
 	allWaiters []*waitNode //pcpda:guardedby mu — every parked waiter (injected wakeups)
 	freeNodes  []*waitNode //pcpda:guardedby mu — pooled Begin-waiter nodes
 
-	cycleStack []*slot //pcpda:guardedby mu — resolveCycle's DFS path, reused across parks
+	cycle cc.CycleScratch //pcpda:guardedby mu — resolveCycle's search state, reused across parks
 
 	rng *rand.Rand //pcpda:guardedby mu — Exec backoff jitter
 
-	aborts int   //pcpda:guardedby mu — cycle-breaking aborts, for introspection
-	stats  Stats //pcpda:guardedby mu — lifetime counters (CycleAborts/Live filled on read)
+	stats Stats //pcpda:guardedby mu — lifetime counters (Stats fills the rest on read)
 
 	// Multiversion snapshot state (snapshot.go). snapTick is the commit
 	// tick of the newest fully installed commit, stored (release) at the
@@ -372,8 +371,9 @@ func (m *Manager) acquire(ctx context.Context, t *Txn, item rt.Item, mode rt.Mod
 		j.BlockedMode = mode
 		// A set, in whatever order the protocol named it (on a ceiling denial
 		// the lock table's holder-record order): donate and retract visit
-		// every blocker, fixpointPri is order-free, and resolveCycle's victim
-		// is the lowest priority on the cycle wherever the search entered it.
+		// every blocker, the inheritance fixpoint is order-free, and
+		// resolveCycle's victim is the lowest priority on the cycle wherever
+		// the search entered it.
 		j.Blockers = dec.Blockers
 		m.stats.LockWaits++
 		// No unlock-delay here: the deny decision must stay atomic with the
@@ -513,21 +513,13 @@ func (t *Txn) Abort() {
 	m.kill(t)
 }
 
-// Aborts returns the number of cycle-breaking aborts the manager has
-// performed (zero under the paper's execution assumptions).
-func (m *Manager) Aborts() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.aborts
-}
-
 // Stats is a snapshot of the manager's lifetime counters.
 type Stats struct {
 	Begins         int // transactions started
 	Batches        int // BeginBatch calls that admitted at least one instance
 	Commits        int // successful commits
 	Aborts         int // explicit Abort() calls + injected forced aborts
-	CycleAborts    int // cycle-breaking victim aborts
+	CycleAborts    int // cycle-breaking victim aborts (zero under the paper's execution assumptions)
 	Cancellations  int // transactions torn down by context cancellation/expiry
 	DeadlineAborts int // firm-deadline aborts (ErrDeadlineMissed)
 	Retries        int // Exec retry attempts after a retryable failure
@@ -563,7 +555,6 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
-	s.CycleAborts = m.aborts
 	s.Live = len(m.actList)
 	s.Clock = int64(m.clock)
 	s.LockTableOps = m.locks.Ops()
@@ -613,16 +604,19 @@ func (m *Manager) ReadCommitted(item rt.Item) db.Value {
 	return v
 }
 
-// CheckInvariants audits the manager's internal consistency: every lock in
-// the table belongs to a live transaction and lies inside its declared
-// sets, every read/buffered-write is backed by the matching lock (so the
-// dynamic ceilings derived from the table agree with what transactions
-// actually did), the slot table matches the live list exactly and every
-// free slot is clean, and the recorded history is serializable with
-// commit-order intact — the retained window by the batch checker, every
-// commit ever made by the continuous audit, so the cost is bounded at any
-// uptime. The batch check runs on a copy of the window after the manager
-// mutex is released, so transactions keep committing while it runs.
+// CheckInvariants audits the manager's internal consistency. First the
+// audit the kernel runs too (cc.CheckState): every lock belongs to a live
+// transaction, lies inside its declared sets and, for a read lock, is
+// recorded in DataRead; the live list is in id order; running priorities
+// equal the inheritance fixpoint. Then what holds for the manager alone:
+// every read and buffered write is backed by the matching lock (strict
+// 2PL), the slot table matches the live list exactly and every free slot is
+// clean, the wait lists and version chains are consistent, and the recorded
+// history is serializable with commit-order intact — the retained window by
+// the batch checker, every commit ever made by the continuous audit, so the
+// cost is bounded at any uptime. The batch check runs on a copy of the
+// window after the manager mutex is released, so transactions keep
+// committing while it runs.
 //
 // It is safe to call at any time; after a quiescent point (no live
 // transactions) it additionally proves that no failure path leaked state.
@@ -651,27 +645,16 @@ func (m *Manager) CheckInvariants() error {
 	return fmt.Errorf("rtm: invariant violations: %s", strings.Join(probs, "; "))
 }
 
-// auditState is CheckInvariants' pass over the live structures. Caller
-// holds m.mu.
+// auditState is CheckInvariants' pass over the live structures: the shared
+// audit, then the manager's own checks. Caller holds m.mu.
 func (m *Manager) auditState() []string {
-	var probs []string
+	probs := cc.CheckState(m)
 	badf := func(format string, args ...any) {
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
 
-	m.locks.EachReadLock(func(x rt.Item, o rt.JobID) {
-		if m.live(o) == nil {
-			badf("leaked read lock on item %d held by finished job %d", x, o)
-		}
-	})
-	m.locks.EachWriteLock(func(x rt.Item, o rt.JobID) {
-		if m.live(o) == nil {
-			badf("leaked write lock on item %d held by finished job %d", x, o)
-		}
-	})
-
-	// The live list holds exactly the slots with a live instance, in
-	// ascending job-id order.
+	// The live list holds exactly the slots with a live instance, and under
+	// strict 2PL every read and buffered write is backed by its lock.
 	for i, s := range m.actList {
 		j, id := &s.job, s.job.ID
 		switch {
@@ -684,12 +667,6 @@ func (m *Manager) auditState() []string {
 		case s.cur.slot != s || s.cur.id != id:
 			badf("slot of job %d is held by the handle of job %d", id, s.cur.id)
 		}
-		if i > 0 && m.actList[i-1].job.ID >= id {
-			badf("live list out of order at %d: job %d after job %d", i, id, m.actList[i-1].job.ID)
-		}
-		if j.Status != cc.Ready && j.Status != cc.Blocked {
-			badf("live job %d has terminal status %v", id, j.Status)
-		}
 		for _, x := range j.DataRead.Items() {
 			if !m.locks.HoldsRead(id, x) {
 				badf("job %d read item %d without a surviving read lock", id, x)
@@ -698,11 +675,6 @@ func (m *Manager) auditState() []string {
 		for _, x := range j.WS.Items() {
 			if !m.locks.HoldsWrite(id, x) {
 				badf("job %d buffered a write of item %d without a write lock", id, x)
-			}
-		}
-		for _, x := range m.locks.HeldBy(id) {
-			if !j.Tmpl.ReadSet().Has(x) && !j.Tmpl.WriteSet().Has(x) {
-				badf("job %d holds a lock on undeclared item %d", id, x)
 			}
 		}
 	}
@@ -729,16 +701,6 @@ func (m *Manager) auditState() []string {
 			if !n.parked() {
 				badf("unregistered Begin waiter queued for template %d", i)
 			}
-		}
-	}
-
-	// Incremental donation-based running priorities must agree with the
-	// classical inheritance fixpoint recomputed from scratch.
-	wantPri := make(map[rt.JobID]rt.Priority, len(m.actList))
-	m.fixpointPri(wantPri)
-	for _, s := range m.actList {
-		if s.job.RunPri != wantPri[s.job.ID] {
-			badf("job %d running priority drift: %v, fixpoint says %v", s.job.ID, s.job.RunPri, wantPri[s.job.ID])
 		}
 	}
 
@@ -973,26 +935,14 @@ func appendUniqueID(ids []rt.JobID, id rt.JobID) []rt.JobID {
 	return append(ids, id)
 }
 
-// DFS colours of resolveCycle, kept in slot.color.
-const (
-	white uint8 = iota
-	grey
-	black
-)
-
 // resolveCycle looks for a wait cycle reachable from start (lock waits and
-// commit waits combined) and returns the lowest-base-priority member as the
-// victim, or nil when no cycle exists. Colours and the path live in the
-// slots and manager scratch (this runs on every park).
+// commit waits combined; the search is cc.WaitCycle, the kernel's) and
+// returns its lowest-base-priority member as the victim, nil when there is
+// no cycle. It runs on every park.
 func (m *Manager) resolveCycle(start *Txn) *Txn {
-	for _, s := range m.actList {
-		s.color = white
-	}
-	m.cycleStack = m.cycleStack[:0]
-	cycle := m.cycleFrom(start.slot)
 	var victim *slot
-	for _, s := range cycle {
-		if victim == nil || s.job.BasePri() < victim.job.BasePri() {
+	for _, id := range cc.WaitCycle(m, &start.slot.job, &m.cycle) {
+		if s := m.live(id); victim == nil || s.job.BasePri() < victim.job.BasePri() {
 			victim = s
 		}
 	}
@@ -1000,30 +950,4 @@ func (m *Manager) resolveCycle(start *Txn) *Txn {
 		return nil
 	}
 	return victim.cur
-}
-
-// cycleFrom is resolveCycle's DFS: the members of the first wait cycle found
-// below s (a suffix of the path), nil when there is none.
-func (m *Manager) cycleFrom(s *slot) []*slot {
-	s.color = grey
-	m.cycleStack = append(m.cycleStack, s)
-	if s.job.Status == cc.Blocked {
-		for _, bid := range s.job.Blockers {
-			b := m.live(bid)
-			if b == nil || b.job.Status != cc.Blocked {
-				continue
-			}
-			switch b.color {
-			case grey:
-				return m.cycleStack[slices.Index(m.cycleStack, b):]
-			case white:
-				if cycle := m.cycleFrom(b); cycle != nil {
-					return cycle
-				}
-			}
-		}
-	}
-	s.color = black
-	m.cycleStack = m.cycleStack[:len(m.cycleStack)-1]
-	return nil
 }

@@ -156,8 +156,8 @@ func TestDynamicAdjustmentReadThroughWriteLock(t *testing.T) {
 	if !rep.Serializable || !rep.CommitOrderOK {
 		t.Fatalf("history: %+v", rep.Violations)
 	}
-	if m.Aborts() != 0 {
-		t.Fatalf("aborts = %d", m.Aborts())
+	if n := m.Stats().CycleAborts; n != 0 {
+		t.Fatalf("cycle aborts = %d", n)
 	}
 }
 
@@ -389,7 +389,7 @@ func TestHammer(t *testing.T) {
 			t.Fatalf("item %d final value %v, want from run %d", it, got, want)
 		}
 	}
-	t.Logf("hammer: %d commits, %d cycle aborts", rep.CommittedRuns, m.Aborts())
+	t.Logf("hammer: %d commits, %d cycle aborts", rep.CommittedRuns, m.Stats().CycleAborts)
 }
 
 // runOnce executes one live transaction over tmpl's declared access sets in

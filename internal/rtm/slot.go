@@ -35,7 +35,6 @@ type slot struct {
 
 	waiters []*waitNode //pcpda:guardedby Manager.mu — lock and commit waiters blocked on cur
 	begins  []*waitNode //pcpda:guardedby Manager.mu — Begin calls waiting for the slot
-	color   uint8       //pcpda:guardedby Manager.mu — resolveCycle's DFS colour
 }
 
 // initSlots builds the table. Called once from NewWithOptions, after m.dom

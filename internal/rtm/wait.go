@@ -158,7 +158,7 @@ func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind) error {
 	m.donate(s)
 	if victim := m.resolveCycle(t); victim != nil {
 		victim.aborted = true
-		m.aborts++
+		m.stats.CycleAborts++
 		if victim == t {
 			m.deregister(n)
 			m.retract(s)

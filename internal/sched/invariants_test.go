@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"pcpda/internal/cc"
 	"pcpda/internal/papercases"
 	"pcpda/internal/pcpda"
 	"pcpda/internal/rt"
@@ -57,9 +56,11 @@ func TestParanoidCleanOnRandomSweep(t *testing.T) {
 	}
 }
 
+// TestInvariantDetectsCorruption sanity-checks the kernel's own invariant by
+// corrupting its state by hand, and shows that Paranoid runs reach the audit
+// the kernel shares with the manager (cc.CheckState, whose clauses have a
+// corruption row each in package cc).
 func TestInvariantDetectsCorruption(t *testing.T) {
-	// Sanity-check the checker itself: corrupt kernel state by hand and
-	// confirm each invariant fires.
 	mk := func() *Kernel {
 		k, err := New(papercases.Example4(), pcpda.New(), Config{Horizon: 12, Paranoid: true})
 		if err != nil {
@@ -76,52 +77,34 @@ func TestInvariantDetectsCorruption(t *testing.T) {
 				k.commit(j)
 			}
 		}
+		if len(k.active) == 0 {
+			t.Fatal("need an active job")
+		}
 		return k
 	}
 
-	// I1: a lock held by a dead job.
+	// I5: a live status on a job missing from the active list.
 	k := mk()
-	k.locks.Acquire(rt.JobID(1000), 0, rt.Read)
-	err := k.checkInvariants()
-	// The dead holder is beyond len(jobs): I1 fires via the live map.
-	if err == nil || !strings.Contains(err.Detail, "dead job") {
-		t.Fatalf("I1 not detected: %v", err)
-	}
-
-	// I2: self-blocking.
-	k = mk()
-	if len(k.active) == 0 {
-		t.Fatal("need an active job")
-	}
 	j := k.active[0]
-	j.Status = cc.Blocked
-	j.Blockers = []rt.JobID{j.ID}
-	if err := k.checkInvariants(); err == nil || !strings.Contains(err.Detail, "blocks itself") {
-		t.Fatalf("I2 not detected: %v", err)
+	k.removeActive(j)
+	if err := k.checkInvariants(); err == nil || !strings.Contains(err.Detail, "but active=false") {
+		t.Fatalf("I5 not detected: %v", err)
 	}
 
-	// I3: unjustified inheritance.
+	// I5: a job stored away from its id.
 	k = mk()
-	j = k.active[0]
-	j.RunPri = j.BasePri() + 10
-	if err := k.checkInvariants(); err == nil || !strings.Contains(err.Detail, "inherits") {
-		t.Fatalf("I3 not detected: %v", err)
+	k.jobs[0].ID = 7
+	if err := k.checkInvariants(); err == nil || !strings.Contains(err.Detail, "stored at index") {
+		t.Fatalf("I5 density not detected: %v", err)
 	}
 
-	// I3 lower bound: running below base.
+	// The shared audit, reached by a Paranoid run: a lock held by a job that
+	// was never released halts the run at the end of the next tick.
 	k = mk()
-	j = k.active[0]
-	j.RunPri = j.BasePri() - 1
-	if err := k.checkInvariants(); err == nil || !strings.Contains(err.Detail, "below its base") {
-		t.Fatalf("I3 lower bound not detected: %v", err)
-	}
-
-	// I4: read lock without a recorded read.
-	k = mk()
-	j = k.active[0]
-	k.locks.Acquire(j.ID, 2, rt.Read) // item never added to DataRead
-	if err := k.checkInvariants(); err == nil || !strings.Contains(err.Detail, "without recording") {
-		t.Fatalf("I4 not detected: %v", err)
+	k.locks.Acquire(rt.JobID(1000), 0, rt.Read)
+	res := k.Run()
+	if res.Invariant == nil || !strings.Contains(res.Invariant.Detail, "job 1000, which is not active") {
+		t.Fatalf("Paranoid run missed a lock held by no active job: %v", res.Invariant)
 	}
 }
 

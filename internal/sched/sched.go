@@ -24,15 +24,16 @@
 //
 // A job that finishes its last tick commits at the following tick boundary:
 // deferred workspaces install atomically, locks release, and waiting jobs
-// re-request at the top of the next tick. The kernel also maintains a
-// waits-for graph; protocols that can deadlock (PIP, the naive strawman of
-// the paper's Example 5) are caught and reported rather than hanging the
-// simulation.
+// re-request at the top of the next tick. Every changed block searches the
+// waits-for graph (cc.WaitCycle); protocols that can deadlock (PIP, the
+// naive strawman of the paper's Example 5) are caught and reported rather
+// than hanging the simulation.
 package sched
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pcpda/internal/cc"
 	"pcpda/internal/db"
@@ -191,17 +192,14 @@ type Kernel struct {
 
 	// Per-tick scratch reused across the whole run (the kernel is
 	// single-threaded): dispatch's tried set as per-job tick stamps, the
-	// deadline iteration copy, the canonical blocker buffer, the DFS state
-	// of findWaitCycle, the commit's installed list, and the per-item
+	// deadline iteration copy, the canonical blocker buffer, the waits-for
+	// search's state, the commit's installed list, and the per-item
 	// blocked-ticks and per-rule decision tallies that become
 	// Result.ItemBlocked, GrantCounts and BlockCounts.
 	tried       []rt.Ticks // per job id; == now when tried this tick
 	liveScratch []*cc.Job
 	blkBuf      []rt.JobID
-	dfsColor    []uint8 // per job id, valid when dfsEpoch matches
-	dfsEpoch    []int64
-	dfsStack    []rt.JobID
-	curEpoch    int64
+	cycle       cc.CycleScratch
 	installed   []db.Installed
 	itemBlocked []rt.Ticks  // per item; folded into res.ItemBlocked at the end
 	rules       []ruleTally // per distinct Decision.Rule; folded at the end
@@ -284,19 +282,17 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 	proto.Init(set, ceil)
 	jobs, ops := expectedLoad(set, cfg.Horizon)
 	k := &Kernel{
-		set:      set,
-		ceil:     ceil,
-		proto:    proto,
-		cfg:      cfg,
-		locks:    lock.NewTable(),
-		store:    db.NewStore(),
-		hist:     history.New(),
-		nextRel:  make([]rt.Ticks, len(set.Templates)),
-		nextRun:  db.InitRun + 1,
-		jobs:     make([]*cc.Job, 0, jobs),
-		tried:    make([]rt.Ticks, 0, jobs),
-		dfsColor: make([]uint8, 0, jobs),
-		dfsEpoch: make([]int64, 0, jobs),
+		set:     set,
+		ceil:    ceil,
+		proto:   proto,
+		cfg:     cfg,
+		locks:   lock.NewTable(),
+		store:   db.NewStore(),
+		hist:    history.New(),
+		nextRel: make([]rt.Ticks, len(set.Templates)),
+		nextRun: db.InitRun + 1,
+		jobs:    make([]*cc.Job, 0, jobs),
+		tried:   make([]rt.Ticks, 0, jobs),
 	}
 	k.hist.Ops = make([]history.Op, 0, ops)
 	if cfg.FaultAbortProb > 0 {
@@ -462,8 +458,6 @@ func (k *Kernel) spawn(tmpl *txn.Template, rel rt.Ticks) {
 	k.jobs = append(k.jobs, j)
 	k.active = append(k.active, j)
 	k.tried = append(k.tried, -1)
-	k.dfsColor = append(k.dfsColor, 0)
-	k.dfsEpoch = append(k.dfsEpoch, 0)
 	if j.AbsDeadline > 0 && j.AbsDeadline < k.dlMin {
 		k.dlMin = j.AbsDeadline
 	}
@@ -714,10 +708,10 @@ func (k *Kernel) block(j *cc.Job, x rt.Item, m rt.Mode, blockers []rt.JobID, fre
 		return
 	}
 	k.recomputePriorities()
-	if cyc := k.findWaitCycle(j); cyc != nil && !k.res.Deadlocked {
+	if cyc := cc.WaitCycle(k, j, &k.cycle); cyc != nil && !k.res.Deadlocked {
 		k.res.Deadlocked = true
 		k.res.DeadlockAt = k.now
-		k.res.DeadlockCycle = cyc
+		k.res.DeadlockCycle = slices.Clone(cyc)
 		k.annotate(j, "DEADLOCK")
 	}
 }
@@ -775,67 +769,6 @@ func (k *Kernel) recomputePriorities() {
 			}
 		}
 	}
-}
-
-// DFS colors for findWaitCycle, stamped per search via dfsEpoch so the
-// color array never needs clearing.
-const (
-	dfsWhite = 0
-	dfsGrey  = 1
-	dfsBlack = 2
-)
-
-// findWaitCycle looks for a waits-for cycle reachable from start. The DFS
-// state lives in per-job arrays validated by an epoch counter, so a
-// cycle-free search (the overwhelmingly common case) allocates nothing.
-func (k *Kernel) findWaitCycle(start *cc.Job) []rt.JobID {
-	k.curEpoch++
-	k.dfsStack = k.dfsStack[:0]
-	return k.dfsVisit(start)
-}
-
-func (k *Kernel) colorOf(id rt.JobID) uint8 {
-	if k.dfsEpoch[id] != k.curEpoch {
-		return dfsWhite
-	}
-	return k.dfsColor[id]
-}
-
-func (k *Kernel) setColor(id rt.JobID, c uint8) {
-	k.dfsEpoch[id] = k.curEpoch
-	k.dfsColor[id] = c
-}
-
-// dfsVisit returns the cycle found through j, or nil.
-func (k *Kernel) dfsVisit(j *cc.Job) []rt.JobID {
-	k.setColor(j.ID, dfsGrey)
-	k.dfsStack = append(k.dfsStack, j.ID)
-	if j.Status == cc.Blocked {
-		for _, bid := range j.Blockers {
-			b := k.Job(bid)
-			// Only blocked blockers propagate waiting; a Ready blocker can
-			// run and eventually release.
-			if b == nil || b.Status != cc.Blocked {
-				continue
-			}
-			switch k.colorOf(b.ID) {
-			case dfsGrey:
-				for i := len(k.dfsStack) - 1; i >= 0; i-- {
-					if k.dfsStack[i] == b.ID {
-						return append([]rt.JobID(nil), k.dfsStack[i:]...)
-					}
-				}
-				return []rt.JobID{b.ID, j.ID}
-			case dfsWhite:
-				if cyc := k.dfsVisit(b); cyc != nil {
-					return cyc
-				}
-			}
-		}
-	}
-	k.setColor(j.ID, dfsBlack)
-	k.dfsStack = k.dfsStack[:len(k.dfsStack)-1]
-	return nil
 }
 
 // commit finalizes a finished job at the current tick boundary.
