@@ -9,12 +9,12 @@
 // are kernel concerns, identical across protocols, which keeps every
 // protocol comparison apples-to-apples.
 //
-// The two checks on the blocking graph have one implementation here, and
-// both engines — the kernel and the live manager (package rtm), each a
-// cc.Env — call it: WaitCycle, the waits-for search behind the kernel's
-// deadlock verdict and the manager's cycle breaker, and CheckState, the
-// structural audit behind the kernel's Paranoid mode and the manager's
-// CheckInvariants.
+// The rule and the two checks on the blocking graph have one implementation
+// here, and both engines — the kernel and the live manager (package rtm),
+// each a cc.Env — call it: Inherit, priority inheritance; WaitCycle, the
+// waits-for search behind the kernel's deadlock verdict and the manager's
+// cycle breaker; and CheckState, the structural audit behind the kernel's
+// Paranoid mode and the manager's CheckInvariants.
 package cc
 
 import (
@@ -167,6 +167,41 @@ type Env interface {
 	Job(id rt.JobID) *Job
 	// ActiveJobs returns the live (Ready/Blocked) jobs in id order.
 	ActiveJobs() []*Job
+}
+
+// Inherit runs priority inheritance: every job ActiveJobs lists starts at its
+// base priority and is raised to the running priority of every Blocked job
+// that names it among its Blockers, until nothing changes — the least
+// fixpoint, so a wait cycle inflates nothing. A blocker env.Job no longer
+// resolves, or one that is not Ready or Blocked, receives nothing; a Ready
+// job donates nothing, whatever its Blockers say. The kernel calls it after
+// every change to the Blocked set or the active list, the manager after every
+// change to its Blocked set.
+//
+//pcpda:alloc-free
+func Inherit(env Env) {
+	active := env.ActiveJobs()
+	for _, j := range active {
+		j.RunPri = j.BasePri()
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, j := range active {
+			if j.Status != Blocked {
+				continue
+			}
+			for _, id := range j.Blockers {
+				b := env.Job(id)
+				if b == nil || (b.Status != Ready && b.Status != Blocked) {
+					continue
+				}
+				if b.RunPri < j.RunPri {
+					b.RunPri = j.RunPri
+					changed = true
+				}
+			}
+		}
+	}
 }
 
 // Protocol is a pluggable concurrency-control policy.

@@ -63,7 +63,9 @@ func push(ids *[]rt.JobID, id rt.JobID) { *ids = append(*ids, id) }
 //   - ActiveJobs is in ascending id order and lists only Ready or Blocked
 //     jobs;
 //   - no job blocks itself;
-//   - every job's RunPri is the inheritance fixpoint.
+//   - every job runs at the highest base priority among itself and every job
+//     with a waits-for path to it: what Inherit computes, checked against
+//     the definition.
 //
 // It is the kernel's Paranoid check and the first half of the manager's
 // CheckInvariants; each engine adds the checks that hold for it alone.
@@ -107,39 +109,41 @@ func CheckState(env Env) []string {
 	want := inheritance(env, active)
 	for _, j := range active {
 		if j.RunPri != want[j.ID] {
-			badf("job %d runs at %v, the inheritance fixpoint says %v", j.ID, j.RunPri, want[j.ID])
+			badf("job %d runs at %v, inheritance says %v", j.ID, j.RunPri, want[j.ID])
 		}
 	}
 	return probs
 }
 
-// inheritance recomputes priority inheritance from scratch: every active job
-// at its base priority, raised to the running priority of every Blocked job
-// that names it as a blocker, until nothing changes. It is the reference both
-// engines' running priorities are held to — the kernel's recomputation and
-// the manager's incremental donations — and is order-free over each blocker
-// list.
+// inheritance is the reference CheckState holds running priorities to,
+// written from the definition rather than by iteration: a job runs at the
+// highest base priority among itself and every job with a waits-for path to
+// it. Each active job's base priority is carried along every path from it; an
+// edge runs from a Blocked job to each of its Blockers that env.Job resolves
+// and that is Ready or Blocked.
 func inheritance(env Env, active []*Job) map[rt.JobID]rt.Priority {
 	want := make(map[rt.JobID]rt.Priority, len(active))
-	for _, j := range active {
-		want[j.ID] = j.BasePri()
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, j := range active {
+	for _, w := range active {
+		reached := map[rt.JobID]bool{}
+		var reach func(j *Job)
+		reach = func(j *Job) {
+			if reached[j.ID] {
+				return
+			}
+			reached[j.ID] = true
+			if p, ok := want[j.ID]; !ok || p < w.BasePri() {
+				want[j.ID] = w.BasePri()
+			}
 			if j.Status != Blocked {
-				continue
+				return
 			}
 			for _, id := range j.Blockers {
-				if b := env.Job(id); b == nil || (b.Status != Ready && b.Status != Blocked) {
-					continue
-				}
-				if want[id] < want[j.ID] {
-					want[id] = want[j.ID]
-					changed = true
+				if b := env.Job(id); b != nil && (b.Status == Ready || b.Status == Blocked) {
+					reach(b)
 				}
 			}
 		}
+		reach(w)
 	}
 	return want
 }

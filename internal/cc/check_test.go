@@ -148,6 +148,11 @@ func TestCheckStateDetectsCorruption(t *testing.T) {
 			a.th.Status, a.th.Blockers = cc.Ready, nil
 			return a.env
 		}, "job 2 runs at"},
+		{"raised around a cycle past every base on it", func(a *audit) cc.Env {
+			a.tl.Status, a.tl.Blockers = cc.Blocked, []rt.JobID{a.th.ID}
+			a.th.RunPri, a.tl.RunPri = a.th.BasePri()+1, a.th.BasePri()+1
+			return a.env
+		}, "job 1 runs at"},
 		{"below the base priority", func(a *audit) cc.Env {
 			a.th.RunPri = a.th.BasePri() - 1
 			return a.env

@@ -87,126 +87,6 @@ func (m Mode) String() string {
 // updates); protocols that need the classical relation use this helper.
 func Conflicts(a, b Mode) bool { return a == Write || b == Write }
 
-// PriorityDomain is a dense rank indexing of a finite, totally ordered set
-// of priorities — the paper's assumption that transaction priorities form a
-// small total order, made operational. Ceiling and inheritance bookkeeping
-// that would otherwise scan live transactions can instead keep O(1)-updatable
-// bucket arrays indexed by rank (see PriorityMultiset).
-//
-// Rank 0 is the lowest real priority; the dummy level is deliberately
-// outside the domain (it never needs a bucket: it is the "empty" answer).
-type PriorityDomain struct {
-	pris  []Priority // ascending, unique, all above Dummy
-	ranks map[Priority]int
-}
-
-// NewPriorityDomain builds the domain of the given priorities (duplicates
-// and dummy-level entries are dropped).
-func NewPriorityDomain(pris []Priority) *PriorityDomain {
-	d := &PriorityDomain{ranks: make(map[Priority]int, len(pris))}
-	for _, p := range pris {
-		if p.IsDummy() {
-			continue
-		}
-		if _, ok := d.ranks[p]; ok {
-			continue
-		}
-		d.ranks[p] = 0 // placeholder; fixed below
-		d.pris = append(d.pris, p)
-	}
-	// Insertion sort: domains are small (one entry per transaction type).
-	for i := 1; i < len(d.pris); i++ {
-		for j := i; j > 0 && d.pris[j] < d.pris[j-1]; j-- {
-			d.pris[j], d.pris[j-1] = d.pris[j-1], d.pris[j]
-		}
-	}
-	for r, p := range d.pris {
-		d.ranks[p] = r
-	}
-	return d
-}
-
-// Size returns the number of distinct priorities in the domain.
-func (d *PriorityDomain) Size() int { return len(d.pris) }
-
-// Rank returns the dense rank of p (0 = lowest) and whether p is in the
-// domain. The dummy level is never in the domain.
-func (d *PriorityDomain) Rank(p Priority) (int, bool) {
-	r, ok := d.ranks[p]
-	return r, ok
-}
-
-// Priority returns the priority at rank r.
-func (d *PriorityDomain) Priority(r int) Priority { return d.pris[r] }
-
-// PriorityMultiset is a multiset of domain priorities backed by a bucket
-// array, with O(1) Add/Remove and O(domain) worst-case Max (amortized O(1):
-// the max pointer only moves down past ranks whose buckets emptied).
-type PriorityMultiset struct {
-	dom    *PriorityDomain
-	counts []int32
-	top    int // highest rank with counts > 0; -1 when empty
-}
-
-// NewMultiset returns an empty multiset over the domain.
-func (d *PriorityDomain) NewMultiset() *PriorityMultiset {
-	return &PriorityMultiset{dom: d, counts: make([]int32, d.Size()), top: -1}
-}
-
-// Add inserts one occurrence of p. Priorities outside the domain (including
-// the dummy level) are ignored: they can never be a maximum above dummy.
-func (s *PriorityMultiset) Add(p Priority) {
-	r, ok := s.dom.Rank(p)
-	if !ok {
-		return
-	}
-	s.counts[r]++
-	if r > s.top {
-		s.top = r
-	}
-}
-
-// Remove drops one occurrence of p (a no-op for priorities outside the
-// domain, mirroring Add).
-func (s *PriorityMultiset) Remove(p Priority) {
-	r, ok := s.dom.Rank(p)
-	if !ok {
-		return
-	}
-	s.counts[r]--
-	for s.top >= 0 && s.counts[s.top] == 0 {
-		s.top--
-	}
-}
-
-// Max returns the highest priority present, or Dummy when empty.
-func (s *PriorityMultiset) Max() Priority {
-	if s.top < 0 {
-		return Dummy
-	}
-	return s.dom.Priority(s.top)
-}
-
-// Empty reports whether the multiset holds nothing.
-func (s *PriorityMultiset) Empty() bool { return s.top < 0 }
-
-// Reset empties the multiset, keeping its allocation.
-func (s *PriorityMultiset) Reset() {
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-	s.top = -1
-}
-
-// Count returns the multiplicity of p.
-func (s *PriorityMultiset) Count(p Priority) int {
-	r, ok := s.dom.Rank(p)
-	if !ok {
-		return 0
-	}
-	return int(s.counts[r])
-}
-
 // Catalog maps item identifiers to stable human-readable names. It is
 // append-only and not safe for concurrent mutation; simulations build it up
 // front.

@@ -219,109 +219,3 @@ func TestItemSetIntersectsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestPriorityDomain(t *testing.T) {
-	// Duplicates and dummy-level entries drop; ranks are dense and ordered.
-	d := NewPriorityDomain([]Priority{5, 2, 9, 2, Dummy, -1, 5})
-	if d.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", d.Size())
-	}
-	for want, p := range []Priority{2, 5, 9} {
-		r, ok := d.Rank(p)
-		if !ok || r != want {
-			t.Fatalf("Rank(%v) = %d,%v, want %d,true", p, r, ok, want)
-		}
-		if d.Priority(want) != p {
-			t.Fatalf("Priority(%d) = %v, want %v", want, d.Priority(want), p)
-		}
-	}
-	if _, ok := d.Rank(Dummy); ok {
-		t.Fatal("dummy level must stay outside the domain")
-	}
-	if _, ok := d.Rank(7); ok {
-		t.Fatal("unknown priority must not resolve to a rank")
-	}
-}
-
-func TestPriorityMultiset(t *testing.T) {
-	d := NewPriorityDomain([]Priority{1, 4, 8})
-	s := d.NewMultiset()
-	if !s.Empty() || s.Max() != Dummy {
-		t.Fatal("fresh multiset must be empty with dummy max")
-	}
-	s.Add(4)
-	s.Add(1)
-	s.Add(4)
-	if s.Max() != 4 || s.Count(4) != 2 || s.Count(1) != 1 {
-		t.Fatalf("unexpected state: max %v count4 %d count1 %d", s.Max(), s.Count(4), s.Count(1))
-	}
-	s.Add(Dummy) // outside the domain: ignored
-	s.Add(99)
-	if s.Count(99) != 0 {
-		t.Fatal("out-of-domain priority must not be counted")
-	}
-	s.Remove(4)
-	if s.Max() != 4 {
-		t.Fatal("max must survive while a copy remains")
-	}
-	s.Remove(4)
-	if s.Max() != 1 {
-		t.Fatalf("max must drop to 1, got %v", s.Max())
-	}
-	s.Remove(1)
-	if !s.Empty() || s.Max() != Dummy {
-		t.Fatal("multiset must drain back to empty")
-	}
-	s.Add(8)
-	s.Reset()
-	if !s.Empty() || s.Count(8) != 0 {
-		t.Fatal("Reset must empty the multiset")
-	}
-	s.Add(1)
-	if s.Max() != 1 {
-		t.Fatal("multiset must be usable after Reset")
-	}
-}
-
-func TestPriorityMultisetMatchesReference(t *testing.T) {
-	// Against a reference multiset (a plain slice), random Add/Remove/Reset
-	// sequences must agree on Max and Count at every step.
-	pris := []Priority{1, 2, 3, 5, 8}
-	d := NewPriorityDomain(pris)
-	f := func(ops []uint8) bool {
-		s := d.NewMultiset()
-		var ref []Priority
-		for _, op := range ops {
-			p := pris[int(op>>2)%len(pris)]
-			switch op & 3 {
-			case 0, 1:
-				s.Add(p)
-				ref = append(ref, p)
-			case 2:
-				// Remove only what was added (the callers' contract: donations
-				// retract exactly what they donated).
-				for i, q := range ref {
-					if q == p {
-						ref = append(ref[:i], ref[i+1:]...)
-						s.Remove(p)
-						break
-					}
-				}
-			case 3:
-				s.Reset()
-				ref = ref[:0]
-			}
-			want := Dummy
-			for _, q := range ref {
-				want = want.Max(q)
-			}
-			if s.Max() != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}

@@ -326,7 +326,7 @@ func TestBoundedHistory(t *testing.T) {
 		m.mu.Lock()
 		extent[d][0], extent[d][1] = m.locks.Extent()
 		extent[d][2], extent[d][3] = m.store.Extent()
-		listCap[d] = max(cap(m.allWaiters), cap(m.actList), cap(m.freeNodes))
+		listCap[d] = max(cap(m.allWaiters), cap(m.active), cap(m.freeNodes))
 		for i := range m.slots {
 			s := &m.slots[i]
 			listCap[d] = max(listCap[d], cap(s.waiters), cap(s.begins), cap(s.blockers), cap(s.installed))

@@ -196,6 +196,56 @@ func TestResolveCycleUnit(t *testing.T) {
 	b.Abort()
 }
 
+// TestRaisedLockWaiterIsWoken: LC2 admits on the running priority, so a
+// parked lock waiter whose priority rises may now pass and inherit hands it a
+// wake token; a parked commit waiter depends only on its stale readers
+// finishing and gets none. The state is fabricated as in TestResolveCycleUnit:
+// T1 parks behind T2, then T0 blocks on T1 and raises it.
+func TestRaisedLockWaiterIsWoken(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		kind  waitKind
+		woken bool
+	}{{"lock waiter", waitLock, true}, {"commit waiter", waitCommit, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, _ := New(contendedSet())
+			c := ctx(t)
+			hi, mid, lo := mustBegin(t, m, c, "T0"), mustBegin(t, m, c, "T1"), mustBegin(t, m, c, "T2")
+			h, j, n := &hi.slot.job, &mid.slot.job, &mid.slot.wn
+
+			m.mu.Lock()
+			n.kind = tc.kind
+			j.Status, j.Blockers = cc.Blocked, []rt.JobID{lo.ID()}
+			m.register(n, j.Blockers)
+			m.inherit() // raises T2, which is not parked; T1 stays at its base
+			tokenBefore := len(n.ch)
+			h.Status, h.Blockers = cc.Blocked, []rt.JobID{mid.ID()}
+			m.inherit()
+			raised, woken := j.RunPri == h.BasePri() && lo.slot.job.RunPri == h.BasePri(), len(n.ch) == 1
+			m.deregister(n)
+			n.drain()
+			h.Status, h.Blockers = cc.Ready, nil
+			j.Status, j.Blockers = cc.Ready, nil
+			m.inherit()
+			m.mu.Unlock()
+
+			if tokenBefore != 0 {
+				t.Fatal("a waiter whose priority did not rise was woken")
+			}
+			if !raised {
+				t.Fatal("T0's priority did not reach T1 and T2")
+			}
+			if woken != tc.woken {
+				t.Fatalf("raised %s woken = %v, want %v", tc.name, woken, tc.woken)
+			}
+			hi.Abort()
+			mid.Abort()
+			lo.Abort()
+			assertQuiescent(t, m)
+		})
+	}
+}
+
 // waitBlocked polls until tx's job is observed Blocked (under the manager
 // lock), failing the test after a deadline.
 func waitBlocked(t *testing.T, m *Manager, tx *Txn) {

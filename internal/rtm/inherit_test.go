@@ -12,10 +12,9 @@ import (
 	"pcpda/internal/txn"
 )
 
-// Property tests for the manager's incremental bookkeeping: under random
-// seeded workloads, donation-based running priorities (inherit.go) and the
-// inverted stale-reader sets must agree at every sampled m.mu boundary with
-// the same quantities recomputed from scratch.
+// Property tests for the manager's bookkeeping: under random seeded
+// workloads, running priorities (inherit.go) and the inverted stale-reader
+// sets must agree at every sampled m.mu boundary with their definitions.
 
 // propSet builds a random template set: nTmpl templates over nItems shared
 // items, each reading/writing a random sample (an item appears at most once
@@ -51,12 +50,12 @@ func crossCheckStaleReaders(m *Manager) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	for _, t := range m.actList {
+	for _, t := range m.active {
 		// Inverted: readers of t's written items, straight off the lock table.
 		inv := make(map[rt.JobID]bool)
-		t.job.WS.EachItem(func(x rt.Item) {
+		t.WS.EachItem(func(x rt.Item) {
 			m.locks.EachReader(x, func(o rt.JobID) bool {
-				if o != t.job.ID {
+				if o != t.ID {
 					inv[o] = true
 				}
 				return true
@@ -64,39 +63,39 @@ func crossCheckStaleReaders(m *Manager) error {
 		})
 		// Brute force: every live transaction whose DataRead meets t's write set.
 		brute := make(map[rt.JobID]bool)
-		for _, o := range m.actList {
+		for _, o := range m.active {
 			if o == t {
 				continue
 			}
-			for _, x := range t.job.WS.Items() {
-				if o.job.DataRead.Has(x) {
-					brute[o.job.ID] = true
+			for _, x := range t.WS.Items() {
+				if o.DataRead.Has(x) {
+					brute[o.ID] = true
 					break
 				}
 			}
 		}
 		if len(inv) != len(brute) {
-			return fmt.Errorf("stale readers of job %d: inverted %v, brute force %v", t.job.ID, inv, brute)
+			return fmt.Errorf("stale readers of job %d: inverted %v, brute force %v", t.ID, inv, brute)
 		}
 		for o := range brute {
 			if !inv[o] {
-				return fmt.Errorf("stale reader %d of job %d missing from inversion", o, t.job.ID)
+				return fmt.Errorf("stale reader %d of job %d missing from inversion", o, t.ID)
 			}
 		}
 	}
 	return nil
 }
 
-// TestDonationAndStaleReaderProperty drives random concurrent workloads while
-// an auditor repeatedly (a) runs CheckInvariants — which recomputes the
-// priority-inheritance fixpoint from scratch (cc.CheckState) and demands the
-// donated running priorities equal it — and (b) cross-checks the stale-reader
-// inversion against brute force. Every m.mu release is a potential sample
-// point, so drift in the incremental bookkeeping surfaces as a diff against
-// the scratch recomputation, not as a downstream scheduling anomaly. (The
-// system ceiling has no bookkeeping to drift: it is lock.Table.Ceiling's walk
-// over the locks held, which package lock holds to its definition.)
-func TestDonationAndStaleReaderProperty(t *testing.T) {
+// TestInheritanceAndStaleReaderProperty drives random concurrent workloads
+// while an auditor repeatedly (a) runs CheckInvariants — which holds every
+// running priority to the definition of inheritance (cc.CheckState), so an
+// inherit call missing where the Blocked set changes shows — and (b)
+// cross-checks the stale-reader inversion against brute force. Every m.mu
+// release is a potential sample point, so drift surfaces as a diff against
+// the definition, not as a downstream scheduling anomaly. (The system ceiling
+// has no bookkeeping to drift: it is lock.Table.Ceiling's walk over the locks
+// held, which package lock holds to its definition.)
+func TestInheritanceAndStaleReaderProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

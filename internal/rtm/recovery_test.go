@@ -425,7 +425,7 @@ func TestCheckInvariantsDetectsOrphanedSlot(t *testing.T) {
 	// keep its slot taken, the exact leak shape the self-cleaning paths must
 	// prevent.
 	m.mu.Lock()
-	m.actList = m.actList[:0]
+	m.active = m.active[:0]
 	m.mu.Unlock()
 	err := m.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "orphaned slot") {
@@ -433,7 +433,7 @@ func TestCheckInvariantsDetectsOrphanedSlot(t *testing.T) {
 	}
 	// The reverse leak: the slot freed while the instance is still listed.
 	m.mu.Lock()
-	m.actList = append(m.actList, tx.slot)
+	m.active = append(m.active, &tx.slot.job)
 	tx.slot.cur = nil
 	m.mu.Unlock()
 	err = m.CheckInvariants()

@@ -156,18 +156,16 @@ type Manager struct {
 	// One slot per template, indexed by txn.ID (slot.go): everything the
 	// manager keeps about a transaction type and its at-most-one live
 	// instance. The slice is built once; its elements are guarded by mu.
-	slots   []slot   //pcpda:guardedby immutable
-	actList []*slot  //pcpda:guardedby mu — slots with a live instance, in admission (= ascending job-id) order
-	nextJob rt.JobID //pcpda:guardedby mu — the next instance's job id; its run id is runOf that
-	clock   rt.Ticks //pcpda:guardedby mu — logical time: one tick per manager operation
+	slots   []slot    //pcpda:guardedby immutable
+	active  []*cc.Job //pcpda:guardedby mu — the live instances' jobs, in admission (= ascending job-id) order
+	nextJob rt.JobID  //pcpda:guardedby mu — the next instance's job id; its run id is runOf that
+	clock   rt.Ticks  //pcpda:guardedby mu — logical time: one tick per manager operation
 
 	// hist retains the newest history.RingCap operations and audits every
 	// commit as it happens (history.Recorder): bounded at any uptime.
 	hist *history.Recorder //pcpda:guardedby mu
 
-	// dom is the templates' dense priority order; it sizes every slot's
-	// donation multiset (inherit.go).
-	dom *rt.PriorityDomain //pcpda:guardedby immutable
+	pris []rt.Priority //pcpda:guardedby mu — inherit's scratch, one per slot: running priorities before the recompute, in active order
 
 	// Targeted-wakeup machinery (see wait.go).
 	allWaiters []*waitNode //pcpda:guardedby mu — every parked waiter (injected wakeups)
@@ -233,17 +231,12 @@ func NewWithOptions(set *txn.Set, opts Options) (*Manager, error) {
 	ceil := txn.ComputeCeilings(set)
 	p := pcpda.New()
 	p.Init(set, ceil)
-	pris := make([]rt.Priority, len(set.Templates))
-	for i, tmpl := range set.Templates {
-		pris[i] = tmpl.Priority
-	}
 	m := &Manager{
 		set:   set,
 		proto: p,
 		locks: lock.NewTable(),
 		store: db.NewStore(),
 		hist:  history.NewRecorder(),
-		dom:   rt.NewPriorityDomain(pris),
 		opts:  opts,
 		inj:   opts.Injector,
 		rng:   rand.New(rand.NewSource(opts.Seed)),
@@ -267,18 +260,11 @@ func (m *Manager) Job(id rt.JobID) *cc.Job {
 	return nil
 }
 
-// ActiveJobs returns the live jobs in id order. The live list is maintained
-// in that order already (job ids are assigned monotonically and removals
-// splice), so no sort is needed.
+// ActiveJobs returns the live jobs in id order: the live list itself, kept in
+// that order (job ids are assigned monotonically and removals splice).
 //
 //pcpda:holds mu
-func (m *Manager) ActiveJobs() []*cc.Job {
-	out := make([]*cc.Job, 0, len(m.actList))
-	for _, s := range m.actList {
-		out = append(out, &s.job)
-	}
-	return out
-}
+func (m *Manager) ActiveJobs() []*cc.Job { return m.active }
 
 var _ cc.Env = (*Manager)(nil)
 
@@ -335,7 +321,7 @@ func (m *Manager) admit(s *slot) *Txn {
 	m.nextJob++
 	t := &Txn{slot: s, id: j.ID}
 	s.cur = t
-	m.actList = append(m.actList, s)
+	m.active = append(m.active, j)
 	m.hist.Begin(m.clock, j.Run, s.tmpl.ID)
 	m.stats.Begins++
 	return t
@@ -370,10 +356,9 @@ func (m *Manager) acquire(ctx context.Context, t *Txn, item rt.Item, mode rt.Mod
 		j.BlockedOn = item
 		j.BlockedMode = mode
 		// A set, in whatever order the protocol named it (on a ceiling denial
-		// the lock table's holder-record order): donate and retract visit
-		// every blocker, the inheritance fixpoint is order-free, and
-		// resolveCycle's victim is the lowest priority on the cycle wherever
-		// the search entered it.
+		// the lock table's holder-record order): inheritance is order-free,
+		// and resolveCycle's victim is the lowest priority on the cycle
+		// wherever the search entered it.
 		j.Blockers = dec.Blockers
 		m.stats.LockWaits++
 		// No unlock-delay here: the deny decision must stay atomic with the
@@ -555,7 +540,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
-	s.Live = len(m.actList)
+	s.Live = len(m.active)
 	s.Clock = int64(m.clock)
 	s.LockTableOps = m.locks.Ops()
 	s.ROBegins = m.roBegins.Load()
@@ -653,12 +638,13 @@ func (m *Manager) auditState() []string {
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
 
-	// The live list holds exactly the slots with a live instance, and under
-	// strict 2PL every read and buffered write is backed by its lock.
-	for i, s := range m.actList {
-		j, id := &s.job, s.job.ID
+	// The live list holds exactly the jobs of the slots with a live instance,
+	// and under strict 2PL every read and buffered write is backed by its
+	// lock.
+	for i, j := range m.active {
+		s, id := &m.slots[j.Tmpl.ID], j.ID
 		switch {
-		case s != &m.slots[j.Tmpl.ID]:
+		case j != &s.job:
 			badf("live list entry %d (job %d) is not template %d's slot", i, id, j.Tmpl.ID)
 		case s.cur == nil:
 			badf("live list entry %d (job %d) sits in a free slot", i, id)
@@ -688,8 +674,7 @@ func (m *Manager) auditState() []string {
 			if m.live(s.job.ID) != s {
 				badf("orphaned slot for template %d (job %d not in the live list)", i, s.job.ID)
 			}
-		} else if len(s.waiters) != 0 || s.wn.parked() || !s.donatedPri.IsDummy() || !s.recv.Max().IsDummy() ||
-			s.job.DataRead.Len() != 0 || s.job.WS.Len() != 0 {
+		} else if len(s.waiters) != 0 || s.wn.parked() || s.job.DataRead.Len() != 0 || s.job.WS.Len() != 0 {
 			badf("free slot of template %d still carries state of job %d", i, s.job.ID)
 		}
 		for _, n := range s.waiters {
@@ -733,9 +718,9 @@ func (m *Manager) auditState() []string {
 		if tick > snap {
 			badf("item %d chain head (tick %d) not covered by published snapshot tick %d", x, tick, snap)
 		}
-		for _, s := range m.actList {
-			if s.job.Run == writer {
-				badf("item %d chain head written by run %d of still-live job %d", x, writer, s.job.ID)
+		for _, j := range m.active {
+			if j.Run == writer {
+				badf("item %d chain head written by run %d of still-live job %d", x, writer, j.ID)
 			}
 		}
 		if n := m.store.ChainLen(x); n > db.ChainLimit {
@@ -870,14 +855,14 @@ func (m *Manager) finish(t *Txn) {
 	parked := s.wn.parked()
 	if parked {
 		m.deregister(&s.wn)
-		m.retract(s)
+		m.inherit()
 	}
 	s.job.WS.Discard()
 	s.job.DataRead.Clear()
 	m.locks.ReleaseAllUnordered(s.job.ID)
-	for i, o := range m.actList {
-		if o == s {
-			m.actList = append(m.actList[:i], m.actList[i+1:]...)
+	for i, j := range m.active {
+		if j == &s.job {
+			m.active = append(m.active[:i], m.active[i+1:]...)
 			break
 		}
 	}
@@ -886,7 +871,6 @@ func (m *Manager) finish(t *Txn) {
 		s.waiters[i] = nil
 	}
 	s.waiters = s.waiters[:0]
-	s.recv.Reset()
 	if parked {
 		s.wn.wake()
 		return

@@ -27,28 +27,25 @@ type slot struct {
 	// job is cur's job. Tmpl, DataRead and WS are set once and never change.
 	job cc.Job //pcpda:guardedby Manager.mu
 
-	wn         waitNode             //pcpda:guardedby Manager.mu — cur's own wait node
-	recv       *rt.PriorityMultiset //pcpda:guardedby Manager.mu — donations received while others wait on cur
-	donatedPri rt.Priority          //pcpda:guardedby Manager.mu — what cur donates to its blockers; dummy = not donating
-	blockers   []rt.JobID           //pcpda:guardedby Manager.mu — scratch for commit-wait blocker lists
-	installed  []db.Installed       //pcpda:guardedby Manager.mu — scratch for the (item, version) pairs a commit installs
+	wn        waitNode       //pcpda:guardedby Manager.mu — cur's own wait node
+	blockers  []rt.JobID     //pcpda:guardedby Manager.mu — scratch for commit-wait blocker lists
+	installed []db.Installed //pcpda:guardedby Manager.mu — scratch for the (item, version) pairs a commit installs
 
 	waiters []*waitNode //pcpda:guardedby Manager.mu — lock and commit waiters blocked on cur
 	begins  []*waitNode //pcpda:guardedby Manager.mu — Begin calls waiting for the slot
 }
 
-// initSlots builds the table. Called once from NewWithOptions, after m.dom
-// is set (the donation multisets are sized by the priority domain).
+// initSlots builds the table. Called once from NewWithOptions.
 func (m *Manager) initSlots() {
 	m.slots = make([]slot, len(m.set.Templates))
-	m.actList = make([]*slot, 0, len(m.slots))
+	m.active = make([]*cc.Job, 0, len(m.slots))
+	m.pris = make([]rt.Priority, len(m.slots))
 	for i, tmpl := range m.set.Templates {
 		m.slots[i] = slot{
 			mgr:  m,
 			tmpl: tmpl,
 			job:  cc.Job{Tmpl: tmpl, Status: cc.Done, DataRead: rt.NewItemSet(), WS: db.NewWorkspace()},
 			wn:   waitNode{ch: make(chan struct{}, 1), allIdx: -1},
-			recv: m.dom.NewMultiset(),
 		}
 	}
 }
@@ -58,9 +55,9 @@ func (m *Manager) initSlots() {
 //
 //pcpda:alloc-free
 func (m *Manager) live(id rt.JobID) *slot {
-	for _, s := range m.actList {
-		if s.job.ID == id {
-			return s
+	for _, j := range m.active {
+		if j.ID == id {
+			return &m.slots[j.Tmpl.ID]
 		}
 	}
 	return nil

@@ -39,8 +39,8 @@ func assertQuiescent(t *testing.T, m *Manager) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.actList) != 0 {
-		t.Fatalf("%d instances still live", len(m.actList))
+	if len(m.active) != 0 {
+		t.Fatalf("%d instances still live", len(m.active))
 	}
 	for i := range m.slots {
 		if m.slots[i].cur != nil {
@@ -127,7 +127,7 @@ func finishAndReadmit(m *Manager, blocker *Txn) *Txn {
 }
 
 // assertNothingInherited checks that the successor got nothing of what was
-// filed under its predecessor: no waiter, no donation.
+// filed under its predecessor: no waiter, no raised priority.
 func assertNothingInherited(t *testing.T, m *Manager, next *Txn) {
 	t.Helper()
 	m.mu.Lock()
@@ -136,15 +136,15 @@ func assertNothingInherited(t *testing.T, m *Manager, next *Txn) {
 	if len(s.waiters) != 0 {
 		t.Fatalf("successor inherited %d waiters", len(s.waiters))
 	}
-	if !s.recv.Max().IsDummy() || s.job.RunPri != s.job.BasePri() {
-		t.Fatalf("successor inherited a donation: runs at %v over base %v", s.job.RunPri, s.job.BasePri())
+	if s.job.RunPri != s.job.BasePri() {
+		t.Fatalf("successor inherited a raise: runs at %v over base %v", s.job.RunPri, s.job.BasePri())
 	}
 }
 
 // TestWaiterOutlivesItsBlockersSlot: a lock waiter and a commit waiter whose
 // blocker finishes and whose blocker's slot is re-admitted before the waiter
 // resumes. The wake must not be lost, the waiter's late deregister and
-// retract must not reach the successor, and the injector's Delay at the wait
+// recompute must not reach the successor, and the injector's Delay at the wait
 // points adds a yield after every resume.
 func TestWaiterOutlivesItsBlockersSlot(t *testing.T) {
 	delay := fault.Func(func(p fault.Point, _ string) fault.Action {
@@ -215,8 +215,8 @@ func TestWaiterOutlivesItsBlockersSlot(t *testing.T) {
 		assertQuiescent(t, m)
 	})
 	// A waiter that raises its blocker: the low-priority holder inherits,
-	// finishes, and the retraction that follows finds neither it nor its
-	// successor.
+	// finishes, and the recompute at the waiter's wake finds neither it nor
+	// its successor.
 	t.Run("donation retracts to the fixpoint", func(t *testing.T) {
 		s, _, y := cycleSet() // TL reads y, TH writes y
 		m, _ := NewWithOptions(s, Options{Injector: delay})
@@ -243,7 +243,7 @@ func TestWaiterOutlivesItsBlockersSlot(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertNothingInherited(t, m, tl2)
-		if err := m.CheckInvariants(); err != nil { // and after the retraction
+		if err := m.CheckInvariants(); err != nil { // and after the wake
 			t.Fatal(err)
 		}
 		th.Abort()
@@ -378,7 +378,7 @@ func TestForeignAbortOfAParkedTransaction(t *testing.T) {
 	m.stats.Aborts++
 	m.kill(up)
 	slot := up.slot
-	kept, parked, live := slot.cur == up, slot.wn.parked(), len(m.actList)
+	kept, parked, live := slot.cur == up, slot.wn.parked(), len(m.active)
 	filed := len(rd.slot.waiters)
 	m.mu.Unlock()
 	if !kept || parked || live != 1 || filed != 0 {
@@ -427,7 +427,6 @@ func TestCheckInvariantsDetectsDirtyFreeSlot(t *testing.T) {
 	}
 	for name, corrupt := range map[string]func(*slot) func(){
 		"read set": func(s *slot) func() { s.job.DataRead.Add(x); return s.job.DataRead.Clear },
-		"donation": func(s *slot) func() { s.recv.Add(s.tmpl.Priority); return s.recv.Reset },
 		"waiter": func(s *slot) func() {
 			s.waiters = append(s.waiters, &s.wn)
 			return func() { s.waiters = s.waiters[:0] }

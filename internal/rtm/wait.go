@@ -142,27 +142,27 @@ func (m *Manager) sleep(ctx context.Context, n *waitNode) error {
 }
 
 // park blocks t until a targeted wakeup or ctx cancellation, handling
-// priority donation, cycle detection, victim teardown and firm deadlines.
+// priority inheritance, cycle detection, victim teardown and firm deadlines.
 // Caller holds m.mu with the job's Status = Blocked and Blockers filled; on
 // nil return the caller re-evaluates its condition.
 //
-// The ordering is load-bearing: the node registers and the donation cascade
-// runs before m.mu is released, so a blocker finishing (or a priority raise
-// flipping LC2) at any later point finds the node and its token is retained.
+// The ordering is load-bearing: the node registers and inheritance runs before
+// m.mu is released, so a blocker finishing (or a priority raise flipping LC2)
+// at any later point finds the node and its token is retained.
 func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind) error {
 	s := t.slot
 	n := &s.wn
 	n.kind = kind
 	n.drain()
 	m.register(n, s.job.Blockers)
-	m.donate(s)
+	m.inherit()
 	if victim := m.resolveCycle(t); victim != nil {
 		victim.aborted = true
 		m.stats.CycleAborts++
 		if victim == t {
 			m.deregister(n)
-			m.retract(s)
 			m.kill(t)
+			m.inherit()
 			return ErrAborted
 		}
 		victim.slot.wn.wake()
@@ -177,8 +177,8 @@ func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind) error {
 		}
 		return ErrClosed
 	}
-	m.retract(s)
-	s.job.Status = cc.Ready
+	s.job.Status, s.job.Blockers = cc.Ready, nil
+	m.inherit()
 	if t.aborted {
 		m.kill(t)
 		return ErrAborted

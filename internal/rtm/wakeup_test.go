@@ -68,7 +68,7 @@ func driveHerd(t *testing.T, m *Manager, set *txn.Set, workers, txnsEach int) {
 // TestNoLostWakeups runs the herd with NO fault injection: PWakeup is zero,
 // so there are no spurious broadcasts to paper over a dropped targeted wake.
 // Every deny→grant transition must be carried by exactly the wake edges
-// finish/refreshPri/resolveCycle emit.
+// finish/inherit/resolveCycle emit.
 func TestNoLostWakeups(t *testing.T) {
 	const workers = 8
 	set := benchHighSet(workers)

@@ -56,10 +56,10 @@ type PhaseReport struct {
 
 // Report is one backend's run of a scenario.
 type Report struct {
-	Scenario string `json:"scenario"`
-	Backend  string `json:"backend"` // "sim" | "live"
-	Seed     int64  `json:"seed"`
-	Seeds    int    `json:"seeds,omitempty"` // sim sweep width
+	Scenario string        `json:"scenario"`
+	Backend  string        `json:"backend"` // "sim" | "live"
+	Seed     int64         `json:"seed"`
+	Seeds    int           `json:"seeds,omitempty"` // sim sweep width
 	Rows     []PhaseReport `json:"rows"`
 }
 

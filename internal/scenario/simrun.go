@@ -152,4 +152,3 @@ func accumulateSim(row *PhaseReport, tierAcc map[int32]*TierSLO, lats *[]float64
 		row.Series[bucket]++
 	}
 }
-

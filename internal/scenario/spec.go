@@ -115,8 +115,8 @@ type PhaseSpec struct {
 	// fraction across the phase. Live backend only (the kernel has no
 	// snapshot read path — a parity caveat; use mixshift access skew for
 	// a mix shift both backends realize).
-	ReadFrac    float64  `json:"read_frac,omitempty"`
-	ReadFracEnd *float64 `json:"read_frac_end,omitempty"`
+	ReadFrac    float64    `json:"read_frac,omitempty"`
+	ReadFracEnd *float64   `json:"read_frac_end,omitempty"`
 	Faults      *FaultSpec `json:"faults,omitempty"`
 }
 

@@ -537,7 +537,7 @@ func (k *Kernel) checkDeadlines() {
 //pcpda:alloc-free
 func (k *Kernel) dispatch() *cc.Job {
 	for {
-		k.recomputePriorities()
+		cc.Inherit(k)
 		j := k.bestCandidate()
 		if j == nil {
 			return nil
@@ -560,7 +560,7 @@ func (k *Kernel) dispatch() *cc.Job {
 			k.tally(dec.Rule).grants++
 			if wasBlocked {
 				k.unblock(j)
-				k.recomputePriorities()
+				cc.Inherit(k)
 			}
 			k.grant(j)
 		}
@@ -707,7 +707,7 @@ func (k *Kernel) block(j *cc.Job, x rt.Item, m rt.Mode, blockers []rt.JobID, fre
 	if !changed {
 		return
 	}
-	k.recomputePriorities()
+	cc.Inherit(k)
 	if cyc := cc.WaitCycle(k, j, &k.cycle); cyc != nil && !k.res.Deadlocked {
 		k.res.Deadlocked = true
 		k.res.DeadlockAt = k.now
@@ -744,33 +744,6 @@ func (k *Kernel) canonBlockers(blockers []rt.JobID) []rt.JobID {
 	return out
 }
 
-// recomputePriorities runs priority inheritance to a fixpoint: every
-// blocker executes at least at the priority of every job it (transitively)
-// blocks.
-func (k *Kernel) recomputePriorities() {
-	for _, j := range k.active {
-		j.RunPri = j.BasePri()
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, j := range k.active {
-			if j.Status != cc.Blocked {
-				continue
-			}
-			for _, bid := range j.Blockers {
-				b := k.Job(bid)
-				if b == nil || (b.Status != cc.Ready && b.Status != cc.Blocked) {
-					continue
-				}
-				if b.RunPri < j.RunPri {
-					b.RunPri = j.RunPri
-					changed = true
-				}
-			}
-		}
-	}
-}
-
 // commit finalizes a finished job at the current tick boundary.
 func (k *Kernel) commit(j *cc.Job) {
 	id := j.Tmpl.ID
@@ -797,7 +770,7 @@ func (k *Kernel) commit(j *cc.Job) {
 	k.res.Committed++
 	k.annotate(j, "commit")
 	k.proto.Committed(k, j)
-	k.recomputePriorities()
+	cc.Inherit(k)
 	for _, vid := range victims {
 		v := k.Job(vid)
 		if v == nil || v == j || (v.Status != cc.Ready && v.Status != cc.Blocked) {
@@ -837,7 +810,7 @@ func (k *Kernel) abort(j *cc.Job, restart bool) {
 	}
 	j.Status = cc.Aborted
 	k.removeActive(j)
-	k.recomputePriorities()
+	cc.Inherit(k)
 }
 
 func (k *Kernel) removeActive(j *cc.Job) {
