@@ -174,9 +174,14 @@ type Env interface {
 // that names it among its Blockers, until nothing changes — the least
 // fixpoint, so a wait cycle inflates nothing. A blocker env.Job no longer
 // resolves, or one that is not Ready or Blocked, receives nothing; a Ready
-// job donates nothing, whatever its Blockers say. The kernel calls it after
-// every change to the Blocked set or the active list, the manager after every
-// change to its Blocked set.
+// job donates nothing, whatever its Blockers say.
+//
+// Both engines follow one rule: call it wherever the Blocked set changes — a
+// job blocks, re-blocks behind different Blockers, is unblocked, or leaves
+// while Blocked (aborted or restarted) — so between calls every RunPri already
+// is the fixpoint and a scheduler reads it as is. A Ready job leaving
+// ActiveJobs moves nobody's priority: the kernel recomputes at every commit
+// and abort anyway, the manager only when the job was parked.
 //
 //pcpda:alloc-free
 func Inherit(env Env) {

@@ -3,17 +3,23 @@ package sched
 import (
 	"pcpda/internal/cc"
 	"pcpda/internal/rt"
+	"pcpda/internal/txn"
 )
 
 // fastForward advances time in bulk across spans where nothing observable
 // can happen, preserving exact tick-by-tick semantics:
 //
-//   - j (the job that just executed a tick) is mid-segment: until the
-//     segment ends no lock request, commit, early release or priority
-//     change occurs — provided no job release and no deadline boundary
-//     falls inside the span, every tick is identical to the one just
-//     accounted.
+//   - j (the job that just executed a tick) is mid-segment, or at the start
+//     of a compute segment that no early lock release preceded: until j
+//     reaches an access step or its end, no lock request, grant, release or
+//     priority change occurs — provided no job release and no deadline
+//     boundary falls inside the span, every tick is identical to the one just
+//     accounted. A chain of compute segments is one span.
 //   - the system is empty: idle until the next release.
+//
+// released says whether j's tick ended a segment with an early release
+// (CCP's EarlyRelease): blocked jobs may then be granted at the next tick,
+// which needs a full dispatch.
 //
 // Spans never cross a release time, a deadline boundary or the horizon, so
 // the main loop's per-tick work (release, deadline check, dispatch) happens
@@ -22,13 +28,13 @@ import (
 // Config.DisableFastForward.
 //
 // Ceiling tracking alone does NOT disable it: the lock table cannot change
-// inside a span (no request, grant or release happens mid-segment), so
-// every skipped tick would have recorded the same ceiling as the tick just
-// accounted, and the early release at the span's end only lowers the
+// inside a span (no request, grant or release happens in it), so every
+// skipped tick would have recorded the same ceiling as the tick just
+// accounted, and the early release that ends a span only lowers the
 // ceiling — Result.MaxSysceil is unaffected either way. (TrackCeiling plus
 // RecordTrace still runs tick-by-tick: the timeline wants a per-tick
 // ceiling row.)
-func (k *Kernel) fastForward(j *cc.Job) {
+func (k *Kernel) fastForward(j *cc.Job, released bool) {
 	if k.cfg.DisableFastForward || k.cfg.RecordTrace {
 		return
 	}
@@ -42,27 +48,24 @@ func (k *Kernel) fastForward(j *cc.Job) {
 		// no job executes, so no draw happens.
 		return
 	}
-	step, ok := j.CurStep()
-	if !ok || j.StepDone == 0 {
-		// Segment boundary: the next tick needs a full dispatch (lock
-		// request, possible preemption re-evaluation).
-		return
-	}
-	span := step.Dur - j.StepDone // remaining ticks in the segment
-	span = k.clampSpan(span)
-	if span <= 0 {
-		return
-	}
-	j.StepDone += span
-	k.accountSpan(j, span)
-	k.now += span
-	if j.StepDone >= step.Dur {
-		j.StepIdx++
-		j.StepDone = 0
-		j.HasLock = false
-		for _, x := range k.proto.EarlyRelease(k, j) {
-			k.locks.ReleaseItem(j.ID, x)
+	for {
+		step, ok := j.CurStep()
+		if !ok || (j.StepDone == 0 && (released || step.Kind != txn.Compute)) {
+			// The next tick needs a full dispatch: a lock request, or blocked
+			// jobs re-requesting after an early release.
+			return
 		}
+		span := k.clampSpan(step.Dur - j.StepDone) // remaining ticks in the segment
+		if span <= 0 {
+			return
+		}
+		j.StepDone += span
+		k.accountSpan(j, span)
+		k.now += span
+		if j.StepDone < step.Dur {
+			return
+		}
+		released = k.endStep(j)
 	}
 }
 

@@ -148,19 +148,30 @@ func TestFastForwardEquivalenceSporadic(t *testing.T) {
 	diffResults(t, "sporadic", fast, slow)
 }
 
+// TestFastForwardActuallySkips holds what the fast path saves, in Run's
+// passes: a Read(x), Comp(400), Comp(400) job costs its grant pass, whose span
+// runs on through both compute segments to the end of the body (no lock can
+// change at a boundary into a compute step), and one idle pass that jumps to
+// the next release. Tick by tick the same run takes a pass per tick.
 func TestFastForwardActuallySkips(t *testing.T) {
-	// A long-period, long-compute workload: the fast path must not change
-	// results (checked above); this test documents that it is exercised by
-	// verifying a long compute segment exists at all.
 	s := txn.NewSet("skip")
 	x := s.Catalog.Intern("x")
-	s.Add(&txn.Template{Name: "T", Period: 1000, Steps: []txn.Step{txn.Read(x), txn.Comp(400)}})
+	s.Add(&txn.Template{Name: "T", Period: 1000, Steps: []txn.Step{txn.Read(x), txn.Comp(400), txn.Comp(400)}})
 	s.AssignRateMonotonic()
-	fast := runMode(t, s, pcpda.New(), 10000, Config{})
-	if fast.Committed != 10 {
-		t.Fatalf("committed = %d, want 10", fast.Committed)
-	}
-	if fast.IdleTicks != 10000-10*401 {
-		t.Fatalf("idle = %d", fast.IdleTicks)
+	for _, c := range []struct {
+		disable bool
+		passes  int
+	}{{false, 10 * 2}, {true, 10000}} {
+		k, err := New(s, pcpda.New(), Config{Horizon: 10000, DisableFastForward: c.disable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := k.Run()
+		if res.Committed != 10 || res.IdleTicks != 10000-10*801 {
+			t.Fatalf("DisableFastForward=%v: committed %d, idle %d", c.disable, res.Committed, res.IdleTicks)
+		}
+		if k.passes != c.passes {
+			t.Errorf("DisableFastForward=%v: %d passes, want %d", c.disable, k.passes, c.passes)
+		}
 	}
 }

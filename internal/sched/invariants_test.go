@@ -70,7 +70,7 @@ func TestInvariantDetectsCorruption(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			k.release()
 			k.checkDeadlines()
-			j := k.dispatch()
+			j, _ := k.dispatch()
 			k.accountTick(j)
 			k.now++
 			if j != nil && j.Finished() {

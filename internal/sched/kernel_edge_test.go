@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"pcpda/internal/cc"
@@ -9,6 +10,7 @@ import (
 	"pcpda/internal/pcpda"
 	"pcpda/internal/pip"
 	"pcpda/internal/rt"
+	"pcpda/internal/tplhp"
 	"pcpda/internal/txn"
 )
 
@@ -164,6 +166,49 @@ func TestBlockedTicksVsInversionTicks(t *testing.T) {
 	}
 	if h.InvBlockTicks != 2 {
 		t.Fatalf("H inversion %d, want 2 (X's ticks excluded)", h.InvBlockTicks)
+	}
+}
+
+// hpOverPIP decides R's requests by 2PL-HP (a higher-priority requester
+// restarts lower-priority holders) and everyone else's by PIP (a conflicting
+// request waits and its holders inherit). Under 2PL-HP alone a job only waits
+// for holders of at least its own base priority, so no restart victim is ever
+// donating; the mix makes one.
+type hpOverPIP struct{ *pip.Protocol }
+
+func (p hpOverPIP) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decision {
+	if j.Tmpl.Name == "R" {
+		return tplhp.New().Request(env, j, x, m)
+	}
+	return p.Protocol.Request(env, j, x, m)
+}
+
+// TestRestartedVictimStopsDonating: V, blocked on L's read lock, lifts L to
+// V's priority; R's write restarts V, which leaves the Blocked set, so L is
+// back at its base priority before the next candidate is chosen — the kernel
+// recomputes inheritance at the restart, not at the next dispatch. Paranoid
+// checks the fixpoint at the end of R's tick, before the next choice.
+func TestRestartedVictimStopsDonating(t *testing.T) {
+	s := txn.NewSet("restart-donor")
+	x, y, z := s.Catalog.Intern("x"), s.Catalog.Intern("y"), s.Catalog.Intern("z")
+	s.Add(&txn.Template{Name: "R", Offset: 3, Steps: []txn.Step{txn.Write(y), txn.Read(z)}})
+	s.Add(&txn.Template{Name: "V", Offset: 1, Steps: []txn.Step{txn.Read(y), txn.Write(x)}})
+	s.Add(&txn.Template{Name: "L", Steps: []txn.Step{txn.Read(x), txn.Comp(6)}})
+	s.AssignByIndex()
+	k, err := New(s, hpOverPIP{pip.New()}, Config{Horizon: 4, Paranoid: true, StopOnDeadlock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := k.Run()
+	if res.Invariant != nil {
+		t.Fatal(res.Invariant)
+	}
+	l, v := res.Jobs[0], res.Jobs[1]
+	if res.Restarts != 1 || v.Restarts != 1 || !slices.Equal(v.EverBlockedBy, []rt.JobID{l.ID}) {
+		t.Fatalf("restarts %d, V restarts %d, V ever blocked by %v: the scenario did not happen", res.Restarts, v.Restarts, v.EverBlockedBy)
+	}
+	if l.RunPri != l.BasePri() {
+		t.Fatalf("L runs at %d after its only donor restarted, want its base %d", l.RunPri, l.BasePri())
 	}
 }
 

@@ -170,6 +170,7 @@ type Kernel struct {
 	tl    *trace.Timeline
 
 	now     rt.Ticks
+	passes  int        // iterations of Run's loop: dispatches, each then fast-forwarded
 	jobs    []*cc.Job  // every job ever released, by id
 	active  []*cc.Job  // live jobs (Ready or Blocked), id order
 	nextRel []rt.Ticks // per template: next release time (-1 done)
@@ -234,9 +235,9 @@ const (
 // expectedLoad returns how many jobs a run of set to horizon releases when
 // every template arrives strictly periodically, and how many history
 // operations they record when each runs once to commit (a begin, a commit,
-// at most one per step), each capped at its pre-sizing bound. Jitter releases
-// fewer jobs and restarts record more operations: the figures size buffers,
-// nothing depends on them being exact.
+// one per read or write step; compute steps record none), each capped at its
+// pre-sizing bound. Jitter releases fewer jobs and restarts record more
+// operations: the figures size buffers, nothing depends on them being exact.
 func expectedLoad(set *txn.Set, horizon rt.Ticks) (jobs, ops int) {
 	for _, t := range set.Templates {
 		if t.Offset >= horizon {
@@ -246,8 +247,14 @@ func expectedLoad(set *txn.Set, horizon rt.Ticks) (jobs, ops int) {
 		if !t.OneShot() {
 			n = int(min((horizon-t.Offset+t.Period-1)/t.Period, maxPresizeOps))
 		}
+		per := 2
+		for _, s := range t.Steps {
+			if s.Kind != txn.Compute {
+				per++
+			}
+		}
 		jobs = min(jobs+n, maxPresizeJobs)
-		ops = min(ops+n*(2+len(t.Steps)), maxPresizeOps)
+		ops = min(ops+n*per, maxPresizeOps)
 	}
 	return jobs, ops
 }
@@ -339,15 +346,16 @@ func (k *Kernel) ActiveJobs() []*cc.Job { return k.active }
 // most once per Kernel.
 func (k *Kernel) Run() *Result {
 	for k.now < k.cfg.Horizon {
+		k.passes++
 		k.release()
 		k.checkDeadlines()
-		j := k.dispatch()
+		j, released := k.dispatch()
 		if k.res.Deadlocked && k.cfg.StopOnDeadlock {
 			break
 		}
 		k.accountTick(j)
 		k.now++
-		k.fastForward(j)
+		k.fastForward(j, released)
 		if j != nil && k.frng != nil && k.frng.Float64() < k.cfg.FaultAbortProb {
 			// Injected transient fault: the job that just ran is terminated
 			// at this tick boundary — even one that just finished (a commit
@@ -532,15 +540,17 @@ func (k *Kernel) checkDeadlines() {
 // one dispatched, which is when the real system would hand it the lock. A
 // denial (re-)blocks the candidate, inheritance kicks in, and the next
 // candidate is considered; a grant unblocks the job and it executes this
-// tick. Returns the job that executed, or nil for an idle tick.
+// tick. Running priorities are already the inheritance fixpoint here: every
+// change to the Blocked set or the active list re-runs cc.Inherit where it
+// happens. Returns the job that executed, or nil for an idle tick, and
+// whether its tick ended a segment with an early lock release.
 //
 //pcpda:alloc-free
-func (k *Kernel) dispatch() *cc.Job {
+func (k *Kernel) dispatch() (*cc.Job, bool) {
 	for {
-		cc.Inherit(k)
 		j := k.bestCandidate()
 		if j == nil {
-			return nil
+			return nil, false
 		}
 		if x, m, need := j.NeedsLock(); need {
 			wasBlocked := j.Status == cc.Blocked
@@ -553,7 +563,7 @@ func (k *Kernel) dispatch() *cc.Job {
 				k.block(j, x, m, dec.Blockers, !wasBlocked)
 				k.tried[j.ID] = k.now
 				if k.res.Deadlocked && k.cfg.StopOnDeadlock {
-					return nil
+					return nil, false
 				}
 				continue
 			}
@@ -564,8 +574,7 @@ func (k *Kernel) dispatch() *cc.Job {
 			}
 			k.grant(j)
 		}
-		k.exec(j)
-		return j
+		return j, k.exec(j)
 	}
 }
 
@@ -659,24 +668,31 @@ func (k *Kernel) grant(j *cc.Job) {
 	k.proto.Granted(k, j, x, mode)
 }
 
-// exec burns one tick of j's current step and advances the step machine.
-func (k *Kernel) exec(j *cc.Job) {
+// exec burns one tick of j's current step and advances the step machine. It
+// reports whether the tick ended the segment with an early lock release.
+func (k *Kernel) exec(j *cc.Job) bool {
 	step, ok := j.CurStep()
 	if !ok {
-		return
+		return false
 	}
 	j.StepDone++
-	if j.StepDone >= step.Dur {
-		j.StepIdx++
-		j.StepDone = 0
-		j.HasLock = false
-		for _, x := range k.proto.EarlyRelease(k, j) {
-			k.locks.ReleaseItem(j.ID, x)
-			if k.tl != nil {
-				k.annotate(j, "UL("+k.set.Catalog.Name(x)+")")
-			}
+	return j.StepDone >= step.Dur && k.endStep(j)
+}
+
+// endStep moves j past its finished segment and lets the protocol release
+// locks early (only CCP does). It reports whether any lock was released.
+func (k *Kernel) endStep(j *cc.Job) (released bool) {
+	j.StepIdx++
+	j.StepDone = 0
+	j.HasLock = false
+	for _, x := range k.proto.EarlyRelease(k, j) {
+		k.locks.ReleaseItem(j.ID, x)
+		released = true
+		if k.tl != nil {
+			k.annotate(j, "UL("+k.set.Catalog.Name(x)+")")
 		}
 	}
+	return released
 }
 
 // block transitions j to Blocked (or refreshes a standing block) and applies
@@ -782,7 +798,8 @@ func (k *Kernel) commit(j *cc.Job) {
 }
 
 // abort rolls back j; restart=true re-arms it from its first step (2PL-HP),
-// restart=false removes it (firm deadline).
+// restart=false removes it (firm deadline). Either way j donates nothing
+// from here on, so inheritance is recomputed before anyone is dispatched.
 func (k *Kernel) abort(j *cc.Job, restart bool) {
 	if j.WS != nil {
 		j.WS.Discard()
@@ -806,10 +823,10 @@ func (k *Kernel) abort(j *cc.Job, restart bool) {
 		j.Restarts++
 		k.hist.Begin(k.now, j.Run, j.Tmpl.ID)
 		k.proto.Begin(k, j)
-		return
+	} else {
+		j.Status = cc.Aborted
+		k.removeActive(j)
 	}
-	j.Status = cc.Aborted
-	k.removeActive(j)
 	cc.Inherit(k)
 }
 

@@ -100,7 +100,10 @@ const goldenFile = "testdata/schedules.sha256"
 
 // update rewrites goldenFile from this build instead of checking against it
 // (go test ./internal/sim -run TestGoldenSchedules -update). CI never passes
-// it: the file changes only in a PR that means to change a schedule.
+// it: the file changes only in a PR that means to change a schedule. Such a
+// PR usually moves the experiment report too, whose checksum CI's sweeps job
+// holds; rewrite it with
+// go run ./cmd/experiments -j 1 -maxticks 600 | sha256sum > cmd/experiments/testdata/maxticks600.sha256
 var update = flag.Bool("update", false, "rewrite "+goldenFile+" from this build")
 
 // goldenVariants are the option profiles every (workload, protocol) pair is
