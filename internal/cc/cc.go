@@ -5,16 +5,15 @@
 // The kernel owns jobs, the CPU, the lock table, the database and the
 // history; a Protocol owns only the admission policy: given a lock request
 // it answers "granted" (possibly after aborting victims) or "blocked by
-// these jobs". Priority inheritance, blocking bookkeeping and data movement
-// are kernel concerns, identical across protocols, which keeps every
-// protocol comparison apples-to-apples.
-//
-// The rule and the two checks on the blocking graph have one implementation
-// here, and both engines — the kernel and the live manager (package rtm),
-// each a cc.Env — call it: Inherit, priority inheritance; WaitCycle, the
-// waits-for search behind the kernel's deadlock verdict and the manager's
-// cycle breaker; and CheckState, the structural audit behind the kernel's
-// Paranoid mode and the manager's CheckInvariants.
+// these jobs". What is identical across protocols, which keeps every
+// protocol comparison apples-to-apples, is written once here over Env and
+// called by both engines, the kernel and the live manager (package rtm): the
+// transition — Apply, one request's outcome; Wait, a block, which is Apply's
+// denial and the manager's commit wait; Retire, a job leaving — the rule,
+// Inherit, run wherever a transition reports a change; and the two checks,
+// WaitCycle (the kernel's deadlock verdict, the manager's cycle breaker) and
+// CheckState (the kernel's Paranoid mode, the manager's CheckInvariants).
+// Data movement (store, workspace, history, trace) stays with each engine.
 package cc
 
 import (
@@ -54,9 +53,10 @@ func (s Status) String() string {
 }
 
 // Job is one released instance of a periodic transaction, including its
-// runtime execution state. All fields are managed by the kernel; protocols
-// read them (notably Tmpl's declared write set and DataRead) but must not
-// mutate them.
+// runtime execution state. The engine that runs it manages every field, the
+// lock and blocking state through Apply, Wait and Retire; protocols read
+// them (notably Tmpl's declared write set and DataRead) but must not mutate
+// them.
 type Job struct {
 	ID          rt.JobID
 	Run         db.RunID // current attempt; changes on restart
@@ -77,7 +77,8 @@ type Job struct {
 	DataRead *rt.ItemSet   // the paper's DataRead(T_i): items read so far
 	WS       *db.Workspace // non-nil under deferred-update protocols
 
-	// Blocking state (valid while Status == Blocked).
+	// Blocking state (valid while Status == Blocked), written by Wait:
+	// Blockers is a set, ascending and without repeats.
 	BlockedOn   rt.Item
 	BlockedMode rt.Mode
 	Blockers    []rt.JobID
@@ -176,12 +177,13 @@ type Env interface {
 // resolves, or one that is not Ready or Blocked, receives nothing; a Ready
 // job donates nothing, whatever its Blockers say.
 //
-// Both engines follow one rule: call it wherever the Blocked set changes — a
-// job blocks, re-blocks behind different Blockers, is unblocked, or leaves
-// while Blocked (aborted or restarted) — so between calls every RunPri already
-// is the fixpoint and a scheduler reads it as is. A Ready job leaving
-// ActiveJobs moves nobody's priority: the kernel recomputes at every commit
-// and abort anyway, the manager only when the job was parked.
+// Both engines follow one rule: call it when Apply, Wait or Retire reports a
+// change to the Blocked set — a job blocks, re-blocks behind different
+// Blockers, is granted after a block, or is retired while Blocked (aborted,
+// or restarted by the kernel) — so between calls every RunPri already is the
+// fixpoint and a scheduler reads it as is. Nothing else moves a priority: a
+// re-block behind the same set, a grant to a Ready job, a Ready job leaving
+// ActiveJobs.
 //
 //pcpda:alloc-free
 func Inherit(env Env) {
@@ -220,18 +222,8 @@ type Protocol interface {
 	// Init receives the static transaction set and its priority ceilings
 	// before the simulation starts.
 	Init(set *txn.Set, ceil *txn.Ceilings)
-	// Begin is called when a job is released (and again after a restart).
-	Begin(env Env, j *Job)
 	// Request decides a lock request by j for x in mode m.
 	Request(env Env, j *Job, x rt.Item, m rt.Mode) Decision
-	// Granted is called after the kernel records the lock in the table.
-	Granted(env Env, j *Job, x rt.Item, m rt.Mode)
-	// Committed is called after the kernel installed j's effects and
-	// released its locks.
-	Committed(env Env, j *Job)
-	// Aborted is called after the kernel rolled back j and released its
-	// locks.
-	Aborted(env Env, j *Job)
 	// EarlyRelease is called after j completes a step; the returned items
 	// are unlocked immediately (CCP's pre-commit unlocking). Most protocols
 	// return nil (strict 2PL).
@@ -259,21 +251,9 @@ type CommitArbiter interface {
 	CommitVictims(env Env, j *Job) []rt.JobID
 }
 
-// Base provides no-op implementations of the optional Protocol callbacks;
-// protocols embed it and override what they need.
+// Base provides the strict-2PL EarlyRelease; protocols embed it and override
+// it only to unlock early (CCP).
 type Base struct{}
-
-// Begin is a no-op.
-func (Base) Begin(Env, *Job) {}
-
-// Granted is a no-op.
-func (Base) Granted(Env, *Job, rt.Item, rt.Mode) {}
-
-// Committed is a no-op.
-func (Base) Committed(Env, *Job) {}
-
-// Aborted is a no-op.
-func (Base) Aborted(Env, *Job) {}
 
 // EarlyRelease keeps strict two-phase locking: nothing unlocks early.
 func (Base) EarlyRelease(Env, *Job) []rt.Item { return nil }

@@ -123,10 +123,6 @@ func TestStatusStrings(t *testing.T) {
 
 func TestBaseIsNoOp(t *testing.T) {
 	var b Base
-	b.Begin(nil, nil)
-	b.Granted(nil, nil, 0, rt.Read)
-	b.Committed(nil, nil)
-	b.Aborted(nil, nil)
 	if items := b.EarlyRelease(nil, nil); items != nil {
 		t.Fatal("Base.EarlyRelease must keep strict 2PL")
 	}

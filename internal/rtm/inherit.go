@@ -1,6 +1,6 @@
 // Priority inheritance for the live manager: the kernel's rule, cc.Inherit,
-// re-run wherever the Blocked set changes, plus the one wake rule it implies
-// here.
+// re-run wherever the transition reports a change to the Blocked set, plus
+// the one wake rule it implies here.
 package rtm
 
 import "pcpda/internal/cc"
@@ -8,13 +8,14 @@ import "pcpda/internal/cc"
 // inherit recomputes every live transaction's running priority (cc.Inherit,
 // the rule the kernel schedules by) and wakes each parked lock waiter whose
 // priority rose: LC2 admits on the running priority and may now pass. It is
-// called wherever the Blocked set changes — a park, a wake, a cycle victim's
-// own exit, a foreign abort of a parked owner — so running priorities equal
-// the inheritance fixpoint at every release of m.mu. A park only adds edges,
-// so priorities only rise and "raised" is "ends above where it started"; the
-// other changes only remove edges and wake nobody. At most one instance per
-// template is live, and only parks and wakes pay, so each recompute walks a
-// handful of jobs.
+// called wherever cc.Apply, cc.Wait or cc.Retire reports that the Blocked set
+// changed — a fresh or changed block before its park, a grant after a block,
+// a Blocked transaction's exit — so running priorities equal the inheritance
+// fixpoint at every release of m.mu. A change can lower some priorities and
+// raise others (a re-block may swap blockers), and only a raise can flip a
+// denial, so "raised" is "ends above where it started". At most one instance
+// per template is live, and only changes to the Blocked set pay, so each
+// recompute walks a handful of jobs.
 //
 //pcpda:alloc-free
 func (m *Manager) inherit() {

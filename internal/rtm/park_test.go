@@ -74,7 +74,7 @@ func TestEveryParkExitLeavesNoWaiter(t *testing.T) {
 			m.mu.Lock()
 			th.slot.job.Status, th.slot.job.Blockers = cc.Blocked, []rt.JobID{tl.ID()}
 			tl.slot.job.Status, tl.slot.job.Blockers = cc.Blocked, []rt.JobID{th.ID()}
-			err := m.park(c, tl, waitLock) // the lower priority of the two: its own victim
+			err := m.park(c, tl, waitLock, true) // the lower priority of the two: its own victim
 			th.slot.job.Status, th.slot.job.Blockers = cc.Ready, nil
 			m.mu.Unlock()
 			if !errors.Is(err, ErrAborted) {
@@ -100,7 +100,7 @@ func TestEveryParkExitLeavesNoWaiter(t *testing.T) {
 			waitBlocked(t, m, tl)
 			m.mu.Lock()
 			th.slot.job.Status, th.slot.job.Blockers = cc.Blocked, []rt.JobID{tl.ID()}
-			err := m.park(c, th, waitLock) // flags TL, sleeps, is woken by TL's teardown: a second "woken"
+			err := m.park(c, th, waitLock, true) // flags TL, sleeps, is woken by TL's teardown: a second "woken"
 			m.mu.Unlock()
 			if err != nil {
 				t.Fatalf("survivor's park = %v", err)

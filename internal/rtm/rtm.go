@@ -19,13 +19,15 @@
 //
 // # Failure model
 //
-// Every error exit is self-cleaning: when an operation fails, the manager
-// has already aborted the transaction — workspace discarded, locks
+// Every error exit but one is self-cleaning: when an operation fails, the
+// manager has already aborted the transaction — workspace discarded, locks
 // released (a ceiling is a function of the locks held, so it falls with
-// them), template slot freed — before the error is
-// returned. Callers never need to pair an error with Abort() (though a
-// later Abort() is a harmless no-op). The sentinel tells the caller what
-// happened and what to do:
+// them), template slot freed — before the error is returned, and a later
+// Abort() is a harmless no-op. The exception is a Read or Write of an item
+// the template did not declare: that error carries no sentinel and leaves
+// the transaction live and usable, so a caller that gives up on it must
+// call Abort(), or the template's slot stays taken and every later Begin of
+// it waits. The sentinels tell the caller what happened and what to do:
 //
 //   - ErrAborted: sacrificed (cycle victim or injected fault); retry.
 //   - ErrCancelled: the caller's context was cancelled or expired (the
@@ -310,7 +312,7 @@ func (m *Manager) admit(s *slot) *Txn {
 	j.AbsDeadline = 0
 	j.Status = cc.Ready
 	j.RunPri = s.tmpl.Priority
-	j.Blockers = nil
+	j.EverBlockedBy = j.EverBlockedBy[:0]
 	j.FinishTick = -1
 	j.MissedAt = -1
 	if m.opts.FirmDeadlines {
@@ -338,10 +340,12 @@ func (m *Manager) relDeadline(tmpl *txn.Template) rt.Ticks {
 }
 
 // acquire takes t's lock on item in the given mode, blocking while the
-// locking conditions deny it: request, and on a denial mark the job blocked
-// on its blockers, park, and ask again. Every lock decision the manager
-// makes is made here. It returns with the lock in the table and one tick
-// charged. Caller holds m.mu and has passed entry.
+// locking conditions deny it: request, apply the decision (cc.Apply, the
+// kernel's transition), and on a denial park and ask again. A woken waiter
+// stays Blocked until its next request is decided, as in the kernel. Every
+// lock decision the manager makes is made here. It returns with the lock in
+// the table, a read recorded in DataRead, and one tick charged. Caller holds
+// m.mu and has passed entry.
 func (m *Manager) acquire(ctx context.Context, t *Txn, item rt.Item, mode rt.Mode) error {
 	j := &t.slot.job
 	for {
@@ -349,32 +353,24 @@ func (m *Manager) acquire(ctx context.Context, t *Txn, item rt.Item, mode rt.Mod
 			return err
 		}
 		dec := m.proto.Request(m, j, item, mode)
+		changed := cc.Apply(m, j, item, mode, dec, &m.stats.Decisions)
 		if dec.Granted {
-			break
+			if changed {
+				m.inherit()
+			}
+			m.clock++
+			return nil
 		}
-		j.Status = cc.Blocked
-		j.BlockedOn = item
-		j.BlockedMode = mode
-		// A set, in whatever order the protocol named it (on a ceiling denial
-		// the lock table's holder-record order): inheritance is order-free,
-		// and resolveCycle's victim is the lowest priority on the cycle
-		// wherever the search entered it.
-		j.Blockers = dec.Blockers
 		m.stats.LockWaits++
 		// No unlock-delay here: the deny decision must stay atomic with the
 		// park, or the blocker's wakeup broadcast can be lost.
 		if err := m.inject(fault.BlockWait, t, false); err != nil {
 			return err
 		}
-		if err := m.park(ctx, t, waitLock); err != nil {
+		if err := m.park(ctx, t, waitLock, changed); err != nil {
 			return err
 		}
 	}
-	j.Status = cc.Ready
-	j.Blockers = nil
-	m.clock++
-	m.locks.Acquire(j.ID, item, mode)
-	return nil
 }
 
 // Read acquires a PCP-DA read lock on item (blocking while the locking
@@ -394,7 +390,6 @@ func (t *Txn) Read(ctx context.Context, item rt.Item) (db.Value, error) {
 	if err := m.acquire(ctx, t, item, rt.Read); err != nil {
 		return 0, err
 	}
-	j.DataRead.Add(item)
 	if err := m.inject(fault.LockGrant, t, false); err != nil {
 		return 0, err
 	}
@@ -446,23 +441,21 @@ func (t *Txn) Commit(ctx context.Context) error {
 		if len(stale) == 0 {
 			break
 		}
-		j.Status = cc.Blocked
-		j.BlockedOn = rt.NoItem
-		j.Blockers = stale
+		changed := cc.Wait(j, rt.NoItem, rt.Write, stale)
 		m.stats.CommitWaits++
-		// See Read: no unlock-delay between the stale-reader decision and
+		// See acquire: no unlock-delay between the stale-reader decision and
 		// the park.
 		if err := m.inject(fault.CommitWait, t, false); err != nil {
 			return err
 		}
-		if err := m.park(ctx, t, waitCommit); err != nil {
+		if err := m.park(ctx, t, waitCommit, changed); err != nil {
 			return err
 		}
 	}
-	j.Status = cc.Ready
-	j.Blockers = nil
-	// No unlock between the stale-reader decision and installation: a new
-	// reader admitted in between could otherwise observe a torn state.
+	// A job that waited is still Blocked, on readers that have all finished:
+	// it donates to nobody, and finish's cc.Retire reports it. No unlock
+	// between the stale-reader decision and installation: a new reader
+	// admitted in between could otherwise observe a torn state.
 	if err := m.inject(fault.CommitInstall, t, false); err != nil {
 		return err
 	}
@@ -473,13 +466,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	m.hist.Commit(m.clock, j.Run, j.Tmpl.ID)
 	j.FinishTick = m.clock
-	j.Status = cc.Done
 	m.stats.Commits++
 	// Publish the snapshot horizon only after every version of this commit
 	// is chained: a read-only transaction that loads snapTick >= m.clock
 	// (acquire) is then guaranteed to observe all of them (release).
 	m.snapTick.Store(int64(m.clock))
-	m.finish(t)
+	m.finish(t, cc.Done)
 	return nil
 }
 
@@ -513,6 +505,12 @@ type Stats struct {
 	LockWaits      int // blocking episodes on lock requests
 	CommitWaits    int // blocking episodes waiting out stale readers
 
+	// Decisions counts lock decisions by the rule that fired (LC1–LC4 for
+	// grants, "ceiling", "rw-conflict" or "wr-conflict" for denials): every
+	// grant, and a denial once per blocking episode, however often a woken
+	// waiter is denied again. LockWaits counts every denial.
+	Decisions cc.Tally
+
 	// Clock and LockTableOps witness the read-only path's isolation: every
 	// operation that holds the manager mutex ticks the clock, and every
 	// lock-table mutation bumps the ops counter, so a pure read-only phase
@@ -540,6 +538,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.stats
+	s.Decisions = slices.Clone(s.Decisions)
 	s.Live = len(m.active)
 	s.Clock = int64(m.clock)
 	s.LockTableOps = m.locks.Ops()
@@ -762,8 +761,7 @@ func (m *Manager) usable(t *Txn) error {
 func (m *Manager) kill(t *Txn) {
 	j := &t.slot.job
 	m.hist.Abort(m.clock, j.Run, j.Tmpl.ID)
-	j.Status = cc.Aborted
-	m.finish(t)
+	m.finish(t, cc.Aborted)
 }
 
 // cancel tears t down exactly as Abort would (workspace discarded, locks
@@ -839,9 +837,10 @@ func (m *Manager) inject(p fault.Point, t *Txn, mayUnlock bool) error {
 // for the slot. The waiter list is emptied, not left for its nodes to leave
 // one by one: each node deregisters by looking its blockers up by job id,
 // the finished id is no longer live, and so a late deregister can never
-// reach into the list of the slot's next instance. Caller holds m.mu;
-// t.slot.job.Status must already be Done or Aborted.
-func (m *Manager) finish(t *Txn) {
+// reach into the list of the slot's next instance. The lock side is
+// cc.Retire, the kernel's; inheritance is recomputed when it reports the job
+// was Blocked. Caller holds m.mu; st is Done or Aborted.
+func (m *Manager) finish(t *Txn, st cc.Status) {
 	if t.done {
 		return
 	}
@@ -855,16 +854,17 @@ func (m *Manager) finish(t *Txn) {
 	parked := s.wn.parked()
 	if parked {
 		m.deregister(&s.wn)
-		m.inherit()
 	}
 	s.job.WS.Discard()
-	s.job.DataRead.Clear()
-	m.locks.ReleaseAllUnordered(s.job.ID)
+	wasBlocked := cc.Retire(m, &s.job, st)
 	for i, j := range m.active {
 		if j == &s.job {
 			m.active = append(m.active[:i], m.active[i+1:]...)
 			break
 		}
+	}
+	if wasBlocked {
+		m.inherit()
 	}
 	for i, n := range s.waiters {
 		n.wake()
@@ -892,31 +892,21 @@ func (m *Manager) vacate(s *slot) {
 // locks (strict 2PL, locks release only at finish), so the set inverts to
 // "readers of t's written items" straight off the lock-table entry lists —
 // O(write set × readers) instead of O(live × write set), and allocation-free
-// (the result reuses the slot's blocker scratch buffer, stable while t is
-// parked).
+// (the result reuses the slot's blocker scratch buffer). A reader of two
+// items is listed twice: cc.Wait keeps the set.
 func (m *Manager) staleReaders(t *Txn) []rt.JobID {
 	s := t.slot
 	buf := s.blockers[:0]
 	s.job.WS.EachItem(func(x rt.Item) {
 		m.locks.EachReader(x, func(o rt.JobID) bool {
 			if o != t.id {
-				buf = appendUniqueID(buf, o)
+				buf = append(buf, o)
 			}
 			return true
 		})
 	})
-	slices.Sort(buf)
 	s.blockers = buf
 	return buf
-}
-
-func appendUniqueID(ids []rt.JobID, id rt.JobID) []rt.JobID {
-	for _, have := range ids {
-		if have == id {
-			return ids
-		}
-	}
-	return append(ids, id)
 }
 
 // resolveCycle looks for a wait cycle reachable from start (lock waits and

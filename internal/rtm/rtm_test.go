@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -447,7 +448,7 @@ func TestStatsCounters(t *testing.T) {
 	m, _ := New(s)
 	c := ctx(t)
 
-	if st := m.Stats(); st != (Stats{}) {
+	if st := m.Stats(); !reflect.DeepEqual(st, Stats{}) {
 		t.Fatalf("fresh manager stats = %+v", st)
 	}
 

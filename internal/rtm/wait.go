@@ -3,7 +3,6 @@ package rtm
 import (
 	"context"
 
-	"pcpda/internal/cc"
 	"pcpda/internal/rt"
 )
 
@@ -143,29 +142,33 @@ func (m *Manager) sleep(ctx context.Context, n *waitNode) error {
 
 // park blocks t until a targeted wakeup or ctx cancellation, handling
 // priority inheritance, cycle detection, victim teardown and firm deadlines.
-// Caller holds m.mu with the job's Status = Blocked and Blockers filled; on
-// nil return the caller re-evaluates its condition.
+// Caller holds m.mu with the job Blocked by cc.Wait (or cc.Apply), which
+// reported whether the Blocked set changed; only then do inheritance and the
+// cycle search run, as in the kernel. On nil return the job is still Blocked
+// and the caller re-evaluates its condition.
 //
-// The ordering is load-bearing: the node registers and inheritance runs before
-// m.mu is released, so a blocker finishing (or a priority raise flipping LC2)
-// at any later point finds the node and its token is retained.
-func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind) error {
+// The ordering is load-bearing: the node registers, and inheritance runs when
+// it is due, before m.mu is released, so a blocker finishing (or a priority
+// raise flipping LC2) at any later point finds the node and its token is
+// retained.
+func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind, changed bool) error {
 	s := t.slot
 	n := &s.wn
 	n.kind = kind
 	n.drain()
 	m.register(n, s.job.Blockers)
-	m.inherit()
-	if victim := m.resolveCycle(t); victim != nil {
-		victim.aborted = true
-		m.stats.CycleAborts++
-		if victim == t {
-			m.deregister(n)
-			m.kill(t)
-			m.inherit()
-			return ErrAborted
+	if changed {
+		m.inherit()
+		if victim := m.resolveCycle(t); victim != nil {
+			victim.aborted = true
+			m.stats.CycleAborts++
+			if victim == t {
+				m.deregister(n)
+				m.kill(t)
+				return ErrAborted
+			}
+			victim.slot.wn.wake()
 		}
-		victim.slot.wn.wake()
 	}
 	ctxErr := m.sleep(ctx, n)
 	if t.done {
@@ -177,8 +180,6 @@ func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind) error {
 		}
 		return ErrClosed
 	}
-	s.job.Status, s.job.Blockers = cc.Ready, nil
-	m.inherit()
 	if t.aborted {
 		m.kill(t)
 		return ErrAborted

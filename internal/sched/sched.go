@@ -193,17 +193,15 @@ type Kernel struct {
 
 	// Per-tick scratch reused across the whole run (the kernel is
 	// single-threaded): dispatch's tried set as per-job tick stamps, the
-	// deadline iteration copy, the canonical blocker buffer, the waits-for
-	// search's state, the commit's installed list, and the per-item
-	// blocked-ticks and per-rule decision tallies that become
-	// Result.ItemBlocked, GrantCounts and BlockCounts.
+	// deadline iteration copy, the waits-for search's state, the commit's
+	// installed list, and the per-item blocked-ticks and per-rule decision
+	// tallies that become Result.ItemBlocked, GrantCounts and BlockCounts.
 	tried       []rt.Ticks // per job id; == now when tried this tick
 	liveScratch []*cc.Job
-	blkBuf      []rt.JobID
 	cycle       cc.CycleScratch
 	installed   []db.Installed
-	itemBlocked []rt.Ticks  // per item; folded into res.ItemBlocked at the end
-	rules       []ruleTally // per distinct Decision.Rule; folded at the end
+	itemBlocked []rt.Ticks // per item; folded into res.ItemBlocked at the end
+	rules       cc.Tally   // folded at the end
 
 	res Result
 }
@@ -213,13 +211,6 @@ type jobSlot struct {
 	job  cc.Job
 	read rt.ItemSet
 	ws   db.Workspace
-}
-
-// ruleTally counts the decisions under one Decision.Rule. A protocol names a
-// handful of rules, so a scan finds the tally with no map assignment per grant.
-type ruleTally struct {
-	rule           string
-	grants, blocks int
 }
 
 // Pre-sizing bounds: a horizon that implies more jobs or history operations
@@ -383,11 +374,11 @@ func (k *Kernel) Run() *Result {
 		}
 	}
 	for _, r := range k.rules {
-		if r.grants > 0 {
-			k.res.GrantCounts[r.rule] = r.grants
+		if r.Grants > 0 {
+			k.res.GrantCounts[r.Rule] = r.Grants
 		}
-		if r.blocks > 0 {
-			k.res.BlockCounts[r.rule] = r.blocks
+		if r.Blocks > 0 {
+			k.res.BlockCounts[r.Rule] = r.Blocks
 		}
 	}
 	if a, ok := k.proto.(cc.Auditor); ok {
@@ -471,7 +462,6 @@ func (k *Kernel) spawn(tmpl *txn.Template, rel rt.Ticks) {
 	}
 	k.hist.Begin(k.now, j.Run, tmpl.ID)
 	k.annotate(j, "arr")
-	k.proto.Begin(k, j)
 }
 
 // higherPriority is the kernel's total dispatch order.
@@ -486,18 +476,6 @@ func higherPriority(a, b *cc.Job) bool {
 		return a.Release < b.Release
 	}
 	return a.ID < b.ID
-}
-
-func equalBlockers(a, b []rt.JobID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // checkDeadlines records misses at the deadline boundary; under FirmAbort
@@ -540,10 +518,11 @@ func (k *Kernel) checkDeadlines() {
 // one dispatched, which is when the real system would hand it the lock. A
 // denial (re-)blocks the candidate, inheritance kicks in, and the next
 // candidate is considered; a grant unblocks the job and it executes this
-// tick. Running priorities are already the inheritance fixpoint here: every
-// change to the Blocked set or the active list re-runs cc.Inherit where it
-// happens. Returns the job that executed, or nil for an idle tick, and
-// whether its tick ended a segment with an early lock release.
+// tick. cc.Apply makes either change. Running priorities are already the
+// inheritance fixpoint here: wherever cc.Apply or cc.Retire reports a change
+// to the Blocked set, cc.Inherit runs at once. Returns the job that executed,
+// or nil for an idle tick, and whether its tick ended a segment with an early
+// lock release.
 //
 //pcpda:alloc-free
 func (k *Kernel) dispatch() (*cc.Job, bool) {
@@ -553,40 +532,25 @@ func (k *Kernel) dispatch() (*cc.Job, bool) {
 			return nil, false
 		}
 		if x, m, need := j.NeedsLock(); need {
-			wasBlocked := j.Status == cc.Blocked
+			fresh := j.Status != cc.Blocked
 			dec := k.proto.Request(k, j, x, m)
 			k.applyDecision(j, dec)
+			changed := cc.Apply(k, j, x, m, dec, &k.rules)
+			if changed {
+				cc.Inherit(k)
+			}
 			if !dec.Granted {
-				if !wasBlocked {
-					k.tally(dec.Rule).blocks++
-				}
-				k.block(j, x, m, dec.Blockers, !wasBlocked)
+				k.blocked(j, fresh, changed)
 				k.tried[j.ID] = k.now
 				if k.res.Deadlocked && k.cfg.StopOnDeadlock {
 					return nil, false
 				}
 				continue
 			}
-			k.tally(dec.Rule).grants++
-			if wasBlocked {
-				k.unblock(j)
-				cc.Inherit(k)
-			}
 			k.grant(j)
 		}
 		return j, k.exec(j)
 	}
-}
-
-// tally returns the counter of rule, opening one the first time it is seen.
-func (k *Kernel) tally(rule string) *ruleTally {
-	for i := range k.rules {
-		if k.rules[i].rule == rule {
-			return &k.rules[i]
-		}
-	}
-	k.rules = append(k.rules, ruleTally{rule: rule})
-	return &k.rules[len(k.rules)-1]
 }
 
 // bestCandidate returns the highest-priority Ready or Blocked job that has
@@ -619,19 +583,14 @@ func (k *Kernel) applyDecision(j *cc.Job, dec cc.Decision) {
 	}
 }
 
-// grant records the lock in the table, performs the data access, and
-// notifies the protocol. The job must be at an unacquired lock step.
+// grant performs the data access of the lock step cc.Apply just granted j:
+// the store read or write, the history and the timeline.
 func (k *Kernel) grant(j *cc.Job) {
-	step, ok := j.CurStep()
-	if !ok || step.Kind == txn.Compute {
-		return
-	}
+	step, _ := j.CurStep()
 	x := step.Item
 	id := j.Tmpl.ID
 	switch step.Kind {
 	case txn.ReadStep:
-		k.locks.Acquire(j.ID, x, rt.Read)
-		j.DataRead.Add(x)
 		if j.WS != nil {
 			if _, own := j.WS.Get(x); own {
 				// Reading its own pending write: no inter-transaction edge.
@@ -648,7 +607,6 @@ func (k *Kernel) grant(j *cc.Job) {
 			k.annotate(j, "RL("+k.set.Catalog.Name(x)+")")
 		}
 	case txn.WriteStep:
-		k.locks.Acquire(j.ID, x, rt.Write)
 		val := db.SyntheticValue(j.Run, x)
 		if j.WS != nil {
 			j.WS.Write(x, val)
@@ -661,11 +619,6 @@ func (k *Kernel) grant(j *cc.Job) {
 		}
 	}
 	j.HasLock = true
-	mode := rt.Read
-	if step.Kind == txn.WriteStep {
-		mode = rt.Write
-	}
-	k.proto.Granted(k, j, x, mode)
 }
 
 // exec burns one tick of j's current step and advances the step machine. It
@@ -695,69 +648,22 @@ func (k *Kernel) endStep(j *cc.Job) (released bool) {
 	return released
 }
 
-// block transitions j to Blocked (or refreshes a standing block) and applies
-// inheritance plus the deadlock check. fresh marks a Ready→Blocked
-// transition; re-blocks only re-annotate when the blocker set changed.
-func (k *Kernel) block(j *cc.Job, x rt.Item, m rt.Mode, blockers []rt.JobID, fresh bool) {
-	canon := k.canonBlockers(blockers)
-	changed := fresh || !equalBlockers(j.Blockers, canon)
-	j.Status = cc.Blocked
-	j.BlockedOn = x
-	j.BlockedMode = m
-	j.Blockers = append(j.Blockers[:0], canon...)
-	for _, b := range j.Blockers {
-		seen := false
-		for _, have := range j.EverBlockedBy {
-			if have == b {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			j.EverBlockedBy = append(j.EverBlockedBy, b)
-		}
-	}
+// blocked follows a denial cc.Apply recorded: a fresh block is annotated,
+// and a changed one — after the caller's cc.Inherit — searches the waits-for
+// graph for a deadlock.
+func (k *Kernel) blocked(j *cc.Job, fresh, changed bool) {
 	if fresh && k.tl != nil {
-		k.annotate(j, fmt.Sprintf("blocked %s(%s)", m, k.set.Catalog.Name(x)))
+		k.annotate(j, fmt.Sprintf("blocked %s(%s)", j.BlockedMode, k.set.Catalog.Name(j.BlockedOn)))
 	}
 	if !changed {
 		return
 	}
-	cc.Inherit(k)
 	if cyc := cc.WaitCycle(k, j, &k.cycle); cyc != nil && !k.res.Deadlocked {
 		k.res.Deadlocked = true
 		k.res.DeadlockAt = k.now
 		k.res.DeadlockCycle = slices.Clone(cyc)
 		k.annotate(j, "DEADLOCK")
 	}
-}
-
-func (k *Kernel) unblock(j *cc.Job) {
-	j.Status = cc.Ready
-	j.BlockedOn = rt.NoItem
-	j.Blockers = j.Blockers[:0] // keep capacity for the next block
-}
-
-// canonBlockers copies blockers into k.blkBuf sorted (ascending job id) and
-// deduplicated, so a blocker list is a canonical set representation: a
-// protocol may name the same blockers in a different order from one retry to
-// the next, and the re-block "changed" test must not see that as a change.
-// The result is valid until the next call.
-func (k *Kernel) canonBlockers(blockers []rt.JobID) []rt.JobID {
-	buf := append(k.blkBuf[:0], blockers...)
-	k.blkBuf = buf
-	for i := 1; i < len(buf); i++ { // insertion sort: lists are tiny
-		for p := i; p > 0 && buf[p] < buf[p-1]; p-- {
-			buf[p], buf[p-1] = buf[p-1], buf[p]
-		}
-	}
-	out := buf[:0]
-	for i, id := range buf {
-		if i == 0 || id != out[len(out)-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // commit finalizes a finished job at the current tick boundary.
@@ -779,14 +685,13 @@ func (k *Kernel) commit(j *cc.Job) {
 		k.store.Forget(j.Run)
 	}
 	k.hist.Commit(k.now, j.Run, id)
-	k.locks.ReleaseAllUnordered(j.ID)
-	j.Status = cc.Done
+	// j has just run, so it is Ready, and a Ready job leaving moves nobody's
+	// priority: no cc.Inherit.
+	cc.Retire(k, j, cc.Done)
 	j.FinishTick = k.now
 	k.removeActive(j)
 	k.res.Committed++
 	k.annotate(j, "commit")
-	k.proto.Committed(k, j)
-	cc.Inherit(k)
 	for _, vid := range victims {
 		v := k.Job(vid)
 		if v == nil || v == j || (v.Status != cc.Ready && v.Status != cc.Blocked) {
@@ -799,35 +704,31 @@ func (k *Kernel) commit(j *cc.Job) {
 
 // abort rolls back j; restart=true re-arms it from its first step (2PL-HP),
 // restart=false removes it (firm deadline). Either way j donates nothing
-// from here on, so inheritance is recomputed before anyone is dispatched.
+// from here on: when it was Blocked, inheritance is recomputed at once.
 func (k *Kernel) abort(j *cc.Job, restart bool) {
 	if j.WS != nil {
 		j.WS.Discard()
 	} else {
 		k.store.Rollback(j.Run)
 	}
-	k.locks.ReleaseAllUnordered(j.ID)
+	wasBlocked := cc.Retire(k, j, cc.Aborted)
 	k.hist.Abort(k.now, j.Run, j.Tmpl.ID)
 	k.annotate(j, "abort")
-	k.proto.Aborted(k, j)
 	if restart {
 		j.Run = k.nextRun
 		k.nextRun++
 		j.StepIdx = 0
 		j.StepDone = 0
 		j.HasLock = false
-		j.DataRead.Clear()
 		j.Status = cc.Ready
-		j.BlockedOn = rt.NoItem
-		j.Blockers = j.Blockers[:0]
 		j.Restarts++
 		k.hist.Begin(k.now, j.Run, j.Tmpl.ID)
-		k.proto.Begin(k, j)
 	} else {
-		j.Status = cc.Aborted
 		k.removeActive(j)
 	}
-	cc.Inherit(k)
+	if wasBlocked {
+		cc.Inherit(k)
+	}
 }
 
 func (k *Kernel) removeActive(j *cc.Job) {

@@ -122,10 +122,11 @@ type (
 	Value = db.Value
 )
 
-// Live-manager sentinel errors. Every error exit from the manager is
-// self-cleaning: by the time one of these is returned the transaction's
-// workspace is discarded, its locks released and its template slot freed
-// (a later Abort() is a harmless no-op).
+// Live-manager sentinel errors. Every error exit that returns one of these
+// is self-cleaning: by then the transaction's workspace is discarded, its
+// locks released and its template slot freed (a later Abort() is a harmless
+// no-op). A Read or Write of an undeclared item returns a plain error and
+// leaves the transaction live: the caller must Abort() it.
 var (
 	// ErrAborted reports a sacrifice — cycle-breaking or injected fault
 	// (workspace discarded; retry, or let Manager.Exec retry for you).
