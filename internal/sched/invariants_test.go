@@ -86,7 +86,7 @@ func TestInvariantDetectsCorruption(t *testing.T) {
 	// I5: a live status on a job missing from the active list.
 	k := mk()
 	j := k.active[0]
-	k.removeActive(j)
+	k.leave(j)
 	if err := k.checkInvariants(); err == nil || !strings.Contains(err.Detail, "but active=false") {
 		t.Fatalf("I5 not detected: %v", err)
 	}

@@ -116,6 +116,16 @@ func TestEnvInterface(t *testing.T) {
 	if res.Committed != 3 {
 		t.Fatalf("committed = %d", res.Committed)
 	}
+	// cc.Env's contract: a job that has left resolves to nil, though the
+	// result still holds it.
+	for _, j := range res.Jobs {
+		if j.Status != cc.Done {
+			t.Fatalf("job %d is %v at the horizon", j.ID, j.Status)
+		}
+		if k.Job(j.ID) != nil {
+			t.Errorf("committed job %d still resolves", j.ID)
+		}
+	}
 }
 
 func TestPIPInheritanceBoundsInversion(t *testing.T) {
@@ -254,4 +264,36 @@ func TestZeroPriorityJobsRejectedEarly(t *testing.T) {
 		t.Fatal("unassigned priorities must be rejected")
 	}
 	_ = rt.Dummy
+}
+
+// TestEveryLateJobAbortsAtItsDeadline: three jobs share a deadline they
+// cannot all meet, so two of them are late at one tick. The deadline check
+// walks the live list while each firm abort takes a job out of it; every late
+// job must still be caught at its deadline, not at a later scan.
+func TestEveryLateJobAbortsAtItsDeadline(t *testing.T) {
+	s := txn.NewSet("late")
+	for _, name := range []string{"A", "B", "C"} {
+		s.Add(&txn.Template{Name: name, Period: 6, Steps: []txn.Step{txn.Comp(5)}})
+	}
+	s.AssignByIndex()
+	for _, ff := range []bool{false, true} {
+		k, err := New(s, pcpda.New(), Config{Horizon: 30, Deadline: FirmAbort, DisableFastForward: !ff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := k.Run()
+		late := map[rt.Ticks]int{}
+		for _, j := range res.Jobs {
+			if !j.Missed() {
+				continue
+			}
+			late[j.MissedAt]++
+			if j.MissedAt != j.AbsDeadline || j.Status != cc.Aborted {
+				t.Errorf("fast-forward %v: job %d (%s) %v, missed at %d, deadline %d", ff, j.ID, j.Tmpl.Name, j.Status, j.MissedAt, j.AbsDeadline)
+			}
+		}
+		if late[6] != 2 {
+			t.Errorf("fast-forward %v: %d jobs late at tick 6, want 2", ff, late[6])
+		}
+	}
 }

@@ -173,17 +173,16 @@ type Kernel struct {
 	passes  int        // iterations of Run's loop: dispatches, each then fast-forwarded
 	jobs    []*cc.Job  // every job ever released, by id
 	active  []*cc.Job  // live jobs (Ready or Blocked), id order
+	boxes   []*box     // boxes[i] is active[i]'s; those past len(active) are spare
 	nextRel []rt.Ticks // per template: next release time (-1 done)
 	nextRun db.RunID
 	rng     *rand.Rand // sporadic arrivals only; built at the first draw
 	frng    *rand.Rand // injected-fault draws only; nil when faults are off
 
-	// Per-job storage is carved from chunked slabs (see spawn), never
-	// allocated per job: slots holds the jobs themselves with their DataRead
-	// and workspace, itemBuf and valBuf the backing of those two containers.
-	slots   []jobSlot
-	itemBuf []rt.Item
-	valBuf  []db.Value
+	// Jobs are carved from a chunked slab (see spawn), never allocated one by
+	// one. A slot is only the cc.Job a result reads; what a job uses only
+	// while it is live is in its box.
+	slots []cc.Job
 
 	// Event-time lower bounds so the per-tick release and deadline scans
 	// skip entirely between events. Both are conservative: a stale bound
@@ -192,12 +191,9 @@ type Kernel struct {
 	dlMin  rt.Ticks // no unmissed deadline expires before this tick
 
 	// Per-tick scratch reused across the whole run (the kernel is
-	// single-threaded): dispatch's tried set as per-job tick stamps, the
-	// deadline iteration copy, the waits-for search's state, the commit's
-	// installed list, and the per-item blocked-ticks and per-rule decision
-	// tallies that become Result.ItemBlocked, GrantCounts and BlockCounts.
-	tried       []rt.Ticks // per job id; == now when tried this tick
-	liveScratch []*cc.Job
+	// single-threaded): the waits-for search's state, the commit's installed
+	// list, and the per-item blocked-ticks and per-rule decision tallies that
+	// become Result.ItemBlocked, GrantCounts and BlockCounts.
 	cycle       cc.CycleScratch
 	installed   []db.Installed
 	itemBlocked []rt.Ticks // per item; folded into res.ItemBlocked at the end
@@ -206,21 +202,25 @@ type Kernel struct {
 	res Result
 }
 
-// jobSlot is one job's share of a slab chunk: the job and its two containers.
-type jobSlot struct {
-	job  cc.Job
-	read rt.ItemSet
-	ws   db.Workspace
+// box is what a job uses only while it is live: the backing of its DataRead,
+// its workspace and its blocker list, and dispatch's stamp. spawn lends one,
+// a spare when there is one; leave takes it back when the job departs, so a
+// run makes no more boxes than it has jobs live at once and a departed job
+// keeps only its cc.Job.
+type box struct {
+	read     rt.ItemSet
+	ws       db.Workspace
+	blockers []rt.JobID
+	tried    rt.Ticks // == now when dispatch tried the job this tick
 }
 
 // Pre-sizing bounds: a horizon that implies more jobs or history operations
 // than these gets this much up front and ordinary append growth after, so a
-// run that stops early (deadlock) never paid for its horizon. The slabs grow
-// by chunks: at most slotChunk jobs, bufChunk items or values (a job takes a
-// handful of each).
+// run that stops early (deadlock) never paid for its horizon. The job slab
+// grows by chunks of at most slotChunk jobs.
 const (
 	maxPresizeJobs, maxPresizeOps = 1 << 16, 1 << 18
-	slotChunk, bufChunk           = 256, 1024
+	slotChunk                     = 512
 )
 
 // expectedLoad returns how many jobs a run of set to horizon releases when
@@ -248,18 +248,6 @@ func expectedLoad(set *txn.Set, horizon rt.Ticks) (jobs, ops int) {
 		ops = min(ops+n*per, maxPresizeOps)
 	}
 	return jobs, ops
-}
-
-// carve cuts a zero-length slice of capacity n off the front of *slab, which
-// is replaced by a fresh chunk when it has fewer than n left. Appending past
-// n reallocates rather than running into the next carve.
-func carve[T any](slab *[]T, n, chunk int) []T {
-	if n > len(*slab) {
-		*slab = make([]T, max(n, chunk))
-	}
-	out := (*slab)[:0:n]
-	*slab = (*slab)[n:]
-	return out
 }
 
 // New builds a kernel for one run of proto over set. The set must validate.
@@ -290,7 +278,8 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 		nextRel: make([]rt.Ticks, len(set.Templates)),
 		nextRun: db.InitRun + 1,
 		jobs:    make([]*cc.Job, 0, jobs),
-		tried:   make([]rt.Ticks, 0, jobs),
+		active:  make([]*cc.Job, 0, len(set.Templates)),
+		boxes:   make([]*box, 0, len(set.Templates)),
 	}
 	k.hist.Ops = make([]history.Op, 0, ops)
 	if cfg.FaultAbortProb > 0 {
@@ -320,12 +309,15 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 // Locks returns the shared lock table.
 func (k *Kernel) Locks() *lock.Table { return k.locks }
 
-// Job resolves a job id.
+// Job resolves a job id; nil when the job is not live (Ready or Blocked).
 func (k *Kernel) Job(id rt.JobID) *cc.Job {
 	if id < 0 || int(id) >= len(k.jobs) {
 		return nil
 	}
-	return k.jobs[id]
+	if j := k.jobs[id]; j.Status == cc.Ready || j.Status == cc.Blocked {
+		return j
+	}
+	return nil
 }
 
 // ActiveJobs returns the live jobs in id order.
@@ -421,47 +413,63 @@ func (k *Kernel) release() {
 	k.relMin = next
 }
 
-// spawn releases one job of tmpl. The job, its DataRead and its workspace
-// are carved from the kernel's slabs: a slot from a chunk sized to what the
-// horizon still expects (cap(k.jobs) is that count; at most slotChunk), and
-// the two containers' backing at exactly the template's declared read and
-// write set sizes, which bound what the job can put in them.
+// spawn releases one job of tmpl. The job is carved from the kernel's slab,
+// a chunk sized to what the horizon still expects (cap(k.jobs) is that count;
+// at most slotChunk), and filled field by field: the chunk is zeroed already.
+// Its DataRead, workspace and blocker list are in the box it is lent.
 func (k *Kernel) spawn(tmpl *txn.Template, rel rt.Ticks) {
 	if len(k.slots) == 0 {
-		k.slots = make([]jobSlot, min(max(cap(k.jobs)-len(k.jobs), 16), slotChunk))
+		k.slots = make([]cc.Job, min(max(cap(k.jobs)-len(k.jobs), 16), slotChunk))
 	}
-	slot := &k.slots[0]
+	j := &k.slots[0]
 	k.slots = k.slots[1:]
-	slot.read = rt.ItemSetOver(carve(&k.itemBuf, tmpl.ReadSet().Len(), bufChunk))
-	j := &slot.job
-	*j = cc.Job{
-		ID:         rt.JobID(len(k.jobs)),
-		Run:        k.nextRun,
-		Tmpl:       tmpl,
-		Release:    rel,
-		Status:     cc.Ready,
-		RunPri:     tmpl.Priority,
-		DataRead:   &slot.read,
-		FinishTick: -1,
-		MissedAt:   -1,
+	b := k.lend()
+	j.ID = rt.JobID(len(k.jobs))
+	j.Run = k.nextRun
+	j.Tmpl = tmpl
+	j.Release = rel
+	j.Status = cc.Ready
+	j.RunPri = tmpl.Priority
+	j.DataRead = &b.read
+	if k.proto.Deferred() {
+		j.WS = &b.ws
 	}
+	j.Blockers = b.blockers
+	j.FinishTick = -1
+	j.MissedAt = -1
 	k.nextRun++
 	if d := tmpl.RelativeDeadline(); d > 0 {
 		j.AbsDeadline = rel + d
 	}
-	if k.proto.Deferred() {
-		w := tmpl.WriteSet().Len()
-		slot.ws = db.WorkspaceOver(carve(&k.itemBuf, w, bufChunk), carve(&k.valBuf, w, bufChunk))
-		j.WS = &slot.ws
-	}
 	k.jobs = append(k.jobs, j)
 	k.active = append(k.active, j)
-	k.tried = append(k.tried, -1)
 	if j.AbsDeadline > 0 && j.AbsDeadline < k.dlMin {
 		k.dlMin = j.AbsDeadline
 	}
 	k.hist.Begin(k.now, j.Run, tmpl.ID)
 	k.annotate(j, "arr")
+}
+
+// lend returns the box of the job about to join k.active: a spare, or a new
+// one whose containers hold the set's largest read and write sets, which
+// bound what any job puts in them.
+func (k *Kernel) lend() *box {
+	if n := len(k.active); n < len(k.boxes) {
+		b := k.boxes[n]
+		b.tried = -1
+		return b
+	}
+	reads, writes := 0, 0
+	for _, t := range k.set.Templates {
+		reads = max(reads, t.ReadSet().Len())
+		writes = max(writes, t.WriteSet().Len())
+	}
+	b := &box{read: rt.ItemSetOver(make([]rt.Item, 0, reads)), tried: -1}
+	if k.proto.Deferred() {
+		b.ws = db.WorkspaceOver(make([]rt.Item, 0, writes), make([]db.Value, 0, writes))
+	}
+	k.boxes = append(k.boxes, b)
+	return b
 }
 
 // higherPriority is the kernel's total dispatch order.
@@ -486,11 +494,9 @@ func (k *Kernel) checkDeadlines() {
 	if k.now < k.dlMin {
 		return
 	}
-	// Iterate over a copy: FirmAbort mutates k.active.
-	live := append(k.liveScratch[:0], k.active...)
-	k.liveScratch = live
 	next := k.cfg.Horizon + 1
-	for _, j := range live {
+	for i := 0; i < len(k.active); i++ {
+		j := k.active[i]
 		if j.AbsDeadline <= 0 || j.MissedAt >= 0 {
 			continue
 		}
@@ -504,8 +510,9 @@ func (k *Kernel) checkDeadlines() {
 		k.res.Misses++
 		k.annotate(j, "MISS")
 		if k.cfg.Deadline == FirmAbort {
-			k.abort(j, false)
+			k.abort(j, false) // j leaves k.active: its successor moves to i
 			k.res.Aborts++
+			i--
 		}
 	}
 	k.dlMin = next
@@ -527,10 +534,11 @@ func (k *Kernel) checkDeadlines() {
 //pcpda:alloc-free
 func (k *Kernel) dispatch() (*cc.Job, bool) {
 	for {
-		j := k.bestCandidate()
-		if j == nil {
+		i := k.bestCandidate()
+		if i < 0 {
 			return nil, false
 		}
+		j, b := k.active[i], k.boxes[i]
 		if x, m, need := j.NeedsLock(); need {
 			fresh := j.Status != cc.Blocked
 			dec := k.proto.Request(k, j, x, m)
@@ -541,7 +549,7 @@ func (k *Kernel) dispatch() (*cc.Job, bool) {
 			}
 			if !dec.Granted {
 				k.blocked(j, fresh, changed)
-				k.tried[j.ID] = k.now
+				b.tried = k.now
 				if k.res.Deadlocked && k.cfg.StopOnDeadlock {
 					return nil, false
 				}
@@ -553,19 +561,20 @@ func (k *Kernel) dispatch() (*cc.Job, bool) {
 	}
 }
 
-// bestCandidate returns the highest-priority Ready or Blocked job that has
-// not been tried this tick (tick stamps in k.tried replace a per-tick set).
-func (k *Kernel) bestCandidate() *cc.Job {
-	var best *cc.Job
-	for _, j := range k.active {
-		if k.tried[j.ID] == k.now {
+// bestCandidate returns the index in k.active of the highest-priority Ready
+// or Blocked job not tried this tick (tick stamps in the boxes replace a
+// per-tick set), or -1 when there is none.
+func (k *Kernel) bestCandidate() int {
+	best := -1
+	for i, j := range k.active {
+		if k.boxes[i].tried == k.now {
 			continue
 		}
 		if j.Status != cc.Ready && j.Status != cc.Blocked {
 			continue
 		}
-		if best == nil || higherPriority(j, best) {
-			best = j
+		if best < 0 || higherPriority(j, k.active[best]) {
+			best = i
 		}
 	}
 	return best
@@ -574,12 +583,10 @@ func (k *Kernel) bestCandidate() *cc.Job {
 // applyDecision aborts 2PL-HP victims before a grant takes effect.
 func (k *Kernel) applyDecision(j *cc.Job, dec cc.Decision) {
 	for _, vid := range dec.AbortVictims {
-		v := k.Job(vid)
-		if v == nil || v == j || (v.Status != cc.Ready && v.Status != cc.Blocked) {
-			continue
+		if v := k.Job(vid); v != nil && v != j {
+			k.abort(v, true)
+			k.res.Restarts++
 		}
-		k.abort(v, true)
-		k.res.Restarts++
 	}
 }
 
@@ -689,16 +696,14 @@ func (k *Kernel) commit(j *cc.Job) {
 	// priority: no cc.Inherit.
 	cc.Retire(k, j, cc.Done)
 	j.FinishTick = k.now
-	k.removeActive(j)
+	k.leave(j)
 	k.res.Committed++
 	k.annotate(j, "commit")
 	for _, vid := range victims {
-		v := k.Job(vid)
-		if v == nil || v == j || (v.Status != cc.Ready && v.Status != cc.Blocked) {
-			continue
+		if v := k.Job(vid); v != nil {
+			k.abort(v, true)
+			k.res.Restarts++
 		}
-		k.abort(v, true)
-		k.res.Restarts++
 	}
 }
 
@@ -724,20 +729,25 @@ func (k *Kernel) abort(j *cc.Job, restart bool) {
 		j.Restarts++
 		k.hist.Begin(k.now, j.Run, j.Tmpl.ID)
 	} else {
-		k.removeActive(j)
+		k.leave(j)
 	}
 	if wasBlocked {
 		cc.Inherit(k)
 	}
 }
 
-func (k *Kernel) removeActive(j *cc.Job) {
-	for i, a := range k.active {
-		if a == j {
-			k.active = append(k.active[:i], k.active[i+1:]...)
-			return
-		}
-	}
+// leave takes j, just retired, off the live list and takes back its box: the
+// workspace emptied (cc.Retire emptied DataRead), the blocker backing kept at
+// the capacity it grew to, and j's three pointers into the box cleared.
+func (k *Kernel) leave(j *cc.Job) {
+	i, n := slices.Index(k.active, j), len(k.active)-1
+	b := k.boxes[i]
+	b.ws.Discard()
+	b.blockers = j.Blockers[:0]
+	j.DataRead, j.WS, j.Blockers = nil, nil, nil
+	k.active = append(k.active[:i], k.active[i+1:]...)
+	copy(k.boxes[i:n], k.boxes[i+1:n+1])
+	k.boxes[n] = b // the first spare
 }
 
 // accountTick updates traces and statistics for the tick that just ran.

@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"pcpda/internal/sched"
+	"pcpda/internal/testenv"
 	"pcpda/internal/txn"
 	"pcpda/internal/workload"
 )
 
-// fullSweep widens TestFastForwardOnSweepRegime from a slice to the whole
-// grid (go test ./internal/sim -run TestFastForwardOnSweepRegime -fullsweep,
-// about 12 s); CI's sweeps job passes it.
-var fullSweep = flag.Bool("fullsweep", false, "run TestFastForwardOnSweepRegime over all sweepSets sets")
+// fullSweep widens TestFastForwardOnSweepRegime and
+// TestKernelBytesOnSweepRegime from a slice to the whole grid (go test
+// ./internal/sim -run 'TestFastForwardOnSweepRegime|TestKernelBytesOnSweepRegime'
+// -fullsweep, about 17 s); CI's sweeps job passes it.
+var fullSweep = flag.Bool("fullsweep", false, "run the sweep-regime tests over all sweepSets sets")
 
 // sweepSets and sweepSetConfig copy the repository benchmark's sim-sweep
 // regime (benchmark/simsweep.go: sweepSets, sweepConfig and its 15 000-tick
@@ -73,5 +75,56 @@ func TestFastForwardOnSweepRegime(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKernelBytesOnSweepRegime holds what the simulator allocates per
+// released job on the benchmark's sweep cells, run as sim-sweep runs them:
+// one RunBatch of the nine protocols per set under firm deadlines. A job
+// keeps its cc.Job; its DataRead, workspace and blocker list are lent to it
+// only while it is live. Tier-1 runs every tenth set; -fullsweep runs all 360
+// cells. Both read 454 B; when every job kept its live state to the end of
+// the run they read 573 B.
+func TestKernelBytesOnSweepRegime(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race runtime allocates")
+	}
+	const budget = 480 // bytes per released job
+	stride := 10
+	if *fullSweep {
+		stride = 1
+	}
+	var cells [][]BatchRun
+	for i := 0; i < sweepSets; i += stride {
+		set, err := workload.Generate(sweepSetConfig(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := make([]BatchRun, 0, len(Protocols()))
+		for _, name := range Protocols() {
+			runs = append(runs, BatchRun{Set: set, Protocol: name, Opts: Options{Horizon: sweepHorizon, FirmDeadlines: true, StopOnDeadlock: true}})
+		}
+		cells = append(cells, runs)
+	}
+	var jobs int64
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			jobs = 0
+			for _, runs := range cells {
+				results, err := RunBatch(runs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, res := range results {
+					jobs += int64(len(res.Jobs))
+				}
+			}
+		}
+	})
+	perJob := r.AllocedBytesPerOp() / jobs
+	t.Logf("%d cells, %d jobs: %d B and %.3f allocations per released job", len(cells)*len(Protocols()), jobs, perJob, float64(r.AllocsPerOp())/float64(jobs))
+	if perJob > budget {
+		t.Errorf("%d B per released job, budget %d", perJob, budget)
 	}
 }
