@@ -1,9 +1,9 @@
 // Command pcpdad serves a PCP-DA transaction manager over TCP.
 //
 // It generates a seeded synthetic transaction set, builds a live
-// rtm.Manager over it (optionally with firm deadlines and fault
-// injection), and runs the internal/server protocol on -listen. A side
-// HTTP listener on -http exposes:
+// rtm.Manager over it (optionally with fault injection), and runs the
+// internal/server protocol on -listen. A side HTTP listener on -http
+// exposes:
 //
 //	/healthz  liveness: 200 "ok", 200 "degraded" (serving but shedding),
 //	          503 "draining"
@@ -20,7 +20,7 @@
 // 1 means the drain audit failed; 2 means startup failed.
 //
 //	pcpdad -listen :9723 -http :9724 -n 8 -items 12 -seed 1
-//	pcpdad -listen :9723 -fault-abort 0.01 -firm-deadlines
+//	pcpdad -listen :9723 -fault-abort 0.01
 package main
 
 import (
@@ -61,7 +61,7 @@ func run() int {
 		idleTimeout  = flag.Duration("idle-timeout", 30*time.Second, "per-session read deadline")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-flush write deadline (slow-client kill threshold)")
 		wdInterval   = flag.Duration("watchdog-interval", 100*time.Millisecond, "stuck-transaction watchdog sweep interval (negative = disabled)")
-		wdGrace      = flag.Duration("watchdog-grace", time.Second, "how far past its firm deadline a transaction may live before force-abort")
+		wdGrace      = flag.Duration("watchdog-grace", time.Second, "how far past its deadline budget a transaction may live before force-abort")
 		stuckAge     = flag.Duration("stuck-age", 0, "force-abort any transaction older than this, deadline or not (0 = disabled)")
 		healthWindow = flag.Duration("health-window", 5*time.Second, "how long after the last overload event /healthz stays degraded")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight transactions on shutdown")
@@ -72,7 +72,6 @@ func run() int {
 		writeProb = flag.Float64("write-prob", 0.5, "probability an operation is a write")
 		seed      = flag.Int64("seed", 1, "workload generation seed")
 
-		firm        = flag.Bool("firm-deadlines", false, "abort transactions that miss their firm deadline")
 		faultSeed   = flag.Int64("fault-seed", 42, "fault injector seed")
 		faultDelay  = flag.Float64("fault-delay", 0, "probability of an injected scheduling delay")
 		faultWakeup = flag.Float64("fault-wakeup", 0, "probability of an injected spurious wakeup")
@@ -90,7 +89,7 @@ func run() int {
 		log.Printf("pcpdad: workload: %v", err)
 		return 2
 	}
-	opts := rtm.Options{FirmDeadlines: *firm, Seed: *seed}
+	opts := rtm.Options{Seed: *seed}
 	if *faultDelay > 0 || *faultWakeup > 0 || *faultAbort > 0 || *faultCancel > 0 {
 		opts.Injector = fault.NewSeeded(fault.Config{
 			Seed: *faultSeed, PDelay: *faultDelay, PWakeup: *faultWakeup,

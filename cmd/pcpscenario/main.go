@@ -176,9 +176,8 @@ func startSelfHost(spec *scenario.Spec) (*selfHost, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Firm deadlines to mirror the sim backend, which always simulates
-	// under FirmAbort; the seed ties manager-side randomness to the spec.
-	mgr, err := rtm.NewWithOptions(set, rtm.Options{FirmDeadlines: true, Seed: spec.Seed})
+	// The seed ties manager-side randomness to the spec.
+	mgr, err := rtm.NewWithOptions(set, rtm.Options{Seed: spec.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -18,9 +18,9 @@
 //
 // The -chaos N flag skips the simulator and instead hammers the LIVE
 // transaction manager (internal/rtm) with N seeded fault schedules —
-// forced delays, spurious wakeups, forced aborts, injected and real
-// cancellations, plus firm deadlines when -firm is set — auditing lock
-// table, live maps and history serializability after every schedule:
+// forced delays, spurious wakeups, forced aborts, injected cancellations
+// and real expiring deadlines — auditing lock table, live maps and history
+// serializability after every schedule (-firm is a simulator flag):
 //
 //	pcpsim -workload set.json -chaos 500 -seed 1
 package main
@@ -74,7 +74,7 @@ func main() {
 	}
 
 	if *chaos > 0 {
-		runChaos(set, *chaos, *seed, *firm)
+		runChaos(set, *chaos, *seed)
 		return
 	}
 	if strings.Contains(*protocol, ",") {
@@ -206,17 +206,15 @@ func runCompare(set *txn.Set, names []string, opts sim.Options) {
 // runChaos hammers the live manager with seeded fault schedules and prints
 // the aggregated failure-path statistics. Any invariant violation or
 // non-serializable history exits non-zero with the offending seed.
-func runChaos(set *txn.Set, schedules int, seed int64, firm bool) {
-	fmt.Printf("chaos: %d seeded fault schedules over %q (firm deadlines: %v)\n",
-		schedules, set.Name, firm)
+func runChaos(set *txn.Set, schedules int, seed int64) {
+	fmt.Printf("chaos: %d seeded fault schedules over %q\n", schedules, set.Name)
 	rep, err := rtm.RunChaos(set, rtm.ChaosConfig{
-		Schedules:     schedules,
-		Seed:          seed,
-		FirmDeadlines: firm,
-		PDelay:        0.08,
-		PWakeup:       0.05,
-		PAbort:        0.04,
-		PCancel:       0.04,
+		Schedules: schedules,
+		Seed:      seed,
+		PDelay:    0.08,
+		PWakeup:   0.05,
+		PAbort:    0.04,
+		PCancel:   0.04,
 	})
 	fmt.Println(rep)
 	if err != nil {

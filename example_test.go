@@ -2,6 +2,7 @@ package pcpda_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -92,6 +93,46 @@ func ExampleNewManager() {
 	fmt.Printf("reader saw committed value %d; now x=%d\n", v, mgr.ReadCommitted(x))
 	// Output:
 	// reader saw committed value 0; now x=42
+}
+
+// ExampleManager_Exec runs a transaction through Exec, which retries a
+// sacrificed attempt with backoff. The caller's context is its one
+// deadline: once it expires, Exec returns ErrCancelled wrapping
+// context.DeadlineExceeded, the transaction already aborted.
+func ExampleManager_Exec() {
+	set := pcpda.NewSet("live")
+	weights := set.Catalog.Intern("weights")
+	set.Add(&pcpda.Template{Name: "rebalance",
+		Steps: []pcpda.Step{pcpda.Read(weights), pcpda.Write(weights)}})
+	set.AssignByIndex()
+
+	mgr, err := pcpda.NewManager(set)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	rebalance := func(ctx context.Context) error {
+		return mgr.Exec(ctx, "rebalance", func(tx *pcpda.LiveTxn) error {
+			v, err := tx.Read(ctx, weights)
+			if err != nil {
+				return err // sacrifices are retried by Exec automatically
+			}
+			return tx.Write(ctx, weights, v+1)
+		}) // commits on success
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	fmt.Println("within the deadline:", rebalance(ctx), "weights =", mgr.ReadCommitted(weights))
+
+	expired, cancelExpired := context.WithTimeout(context.Background(), 0)
+	defer cancelExpired()
+	err = rebalance(expired)
+	fmt.Println("past the deadline:", errors.Is(err, pcpda.ErrCancelled),
+		errors.Is(err, context.DeadlineExceeded), "weights =", mgr.ReadCommitted(weights))
+	// Output:
+	// within the deadline: <nil> weights = 1
+	// past the deadline: true true weights = 1
 }
 
 // ExampleGenerate builds a seeded random workload and checks it under

@@ -29,17 +29,16 @@ type ChaosConfig struct {
 	Workers int
 	// Iters is the number of transactions each worker attempts (default 3).
 	Iters int
-	// FirmDeadlines turns on firm-deadline enforcement in the manager.
-	FirmDeadlines bool
 	// Timeout is the per-schedule wall-clock budget; exceeding it means
 	// the manager wedged and the schedule fails (default 10s).
 	Timeout time.Duration
 	// PDelay/PWakeup/PAbort/PCancel are the injection probabilities
 	// (fault.Config). All zero means no injection — the schedule then only
-	// exercises real context cancellations.
+	// exercises real expiring deadlines.
 	PDelay, PWakeup, PAbort, PCancel float64
-	// CancelProb is the probability that a worker races a real context
-	// cancellation against one of its transactions (default 0.2).
+	// CancelProb is the probability that a worker runs one of its
+	// transactions under a real deadline, a context.WithTimeout of up to
+	// 200µs that may expire at any point of it (default 0.2).
 	CancelProb float64
 	// ReadOnlyProb is the probability that a worker iteration runs a
 	// read-only snapshot transaction instead of an update. Every committed
@@ -57,7 +56,6 @@ type ChaosReport struct {
 	Aborts         int
 	CycleAborts    int
 	Cancellations  int
-	DeadlineAborts int
 	Retries        int
 	InjectedFaults int
 	LockWaits      int
@@ -74,7 +72,6 @@ func (r *ChaosReport) add(s Stats) {
 	r.Aborts += s.Aborts
 	r.CycleAborts += s.CycleAborts
 	r.Cancellations += s.Cancellations
-	r.DeadlineAborts += s.DeadlineAborts
 	r.Retries += s.Retries
 	r.InjectedFaults += s.InjectedFaults
 	r.LockWaits += s.LockWaits
@@ -88,18 +85,18 @@ func (r *ChaosReport) add(s Stats) {
 func (r *ChaosReport) String() string {
 	return fmt.Sprintf(
 		"schedules %d: begins %d, commits %d, aborts %d, cycle-aborts %d, "+
-			"cancellations %d, deadline-aborts %d, retries %d, injected faults %d, "+
+			"cancellations %d, retries %d, injected faults %d, "+
 			"lock-waits %d, commit-waits %d, ro-begins %d, ro-commits %d, "+
 			"ro-evictions %d, ro-reads-checked %d",
 		r.Schedules, r.Begins, r.Commits, r.Aborts, r.CycleAborts,
-		r.Cancellations, r.DeadlineAborts, r.Retries, r.InjectedFaults,
+		r.Cancellations, r.Retries, r.InjectedFaults,
 		r.LockWaits, r.CommitWaits, r.ROBegins, r.ROCommits,
 		r.ROEvictions, r.ROReadsChecked)
 }
 
 // RunChaos hammers a fresh manager per schedule with concurrent workers
 // under seeded fault injection (forced delays, spurious wakeups, forced
-// aborts, injected and real cancellations, optional firm deadlines), then
+// aborts, injected cancellations and real expiring deadlines), then
 // audits the wreckage: the manager must be quiescent with no leaked state
 // (CheckInvariants) and the recorded history must be serializable in commit
 // order — by the batch checker, by the manager's continuous audit, and by a
@@ -142,11 +139,7 @@ func runSchedule(set *txn.Set, cfg ChaosConfig, seed int64, rep *ChaosReport) er
 		PAbort:  cfg.PAbort,
 		PCancel: cfg.PCancel,
 	})
-	m, err := NewWithOptions(set, Options{
-		FirmDeadlines: cfg.FirmDeadlines,
-		Injector:      inj,
-		Seed:          seed,
-	})
+	m, err := NewWithOptions(set, Options{Injector: inj, Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -263,10 +256,10 @@ func chaosRO(ctx context.Context, m *Manager, rng *rand.Rand, tmpl *txn.Template
 
 // chaosOnce drives one transaction over tmpl's declared access sets in a
 // random order — half the time through Exec (exercising retry/backoff),
-// half manually, possibly racing a real context cancellation. Sacrifices,
-// deadline misses and cancellations are the point of the exercise and are
-// tolerated; anything else (including a wedge that exhausts the schedule's
-// context budget) propagates as a failure.
+// half manually, possibly racing a real expiring deadline. Sacrifices and
+// cancellations are the point of the exercise and are tolerated; anything
+// else (including a wedge that exhausts the schedule's context budget)
+// propagates as a failure.
 func chaosOnce(ctx context.Context, m *Manager, rng *rand.Rand, tmpl *txn.Template, cancelProb float64) error {
 	ops := make([]txn.Step, 0, 8)
 	for _, x := range tmpl.ReadSet().Items() {
@@ -278,14 +271,10 @@ func chaosOnce(ctx context.Context, m *Manager, rng *rand.Rand, tmpl *txn.Templa
 	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
 
 	opCtx := ctx
-	var opCancel context.CancelFunc
-	raceCancel := rng.Float64() < cancelProb
-	if raceCancel {
-		opCtx, opCancel = context.WithCancel(ctx)
-		delay := time.Duration(rng.Intn(200)) * time.Microsecond
-		timer := time.AfterFunc(delay, opCancel)
-		defer timer.Stop()
-		defer opCancel()
+	if rng.Float64() < cancelProb {
+		var cancel context.CancelFunc
+		opCtx, cancel = context.WithTimeout(ctx, time.Duration(rng.Intn(200))*time.Microsecond)
+		defer cancel()
 	}
 
 	var err error
@@ -334,10 +323,7 @@ func tolerate(parent context.Context, err error) error {
 		return fmt.Errorf("schedule budget exhausted (wedged?): %w", err)
 	}
 	switch {
-	case errors.Is(err, ErrAborted),
-		errors.Is(err, ErrDeadlineMissed),
-		errors.Is(err, ErrCancelled),
-		errors.Is(err, context.Canceled):
+	case errors.Is(err, ErrAborted), errors.Is(err, ErrCancelled):
 		return nil
 	}
 	return err

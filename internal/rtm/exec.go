@@ -21,11 +21,12 @@ const (
 
 // Exec runs fn inside a transaction of the named type: Begin, fn, Commit.
 // When the transaction is sacrificed (ErrAborted — cycle victim or injected
-// fault) or firm-deadline aborted (ErrDeadlineMissed), Exec retries with
-// jittered exponential backoff, up to execMaxAttempts attempts, honouring
-// ctx throughout. Every other error — including ErrCancelled and fn's own
-// errors — aborts the transaction (a no-op when the failure already cleaned
-// it up) and is returned as-is.
+// fault), Exec retries with jittered exponential backoff, up to
+// execMaxAttempts attempts, honouring ctx throughout: ctx is the caller's
+// deadline, and a ctx that dies in backoff ends Exec with ErrCancelled
+// wrapping the context error. Every other error — including ErrCancelled
+// and fn's own errors — aborts the transaction (a no-op when the failure
+// already cleaned it up) and is returned as-is.
 //
 // fn must confine itself to the handle it is given and may be called
 // multiple times; each invocation sees a fresh transaction.
@@ -67,11 +68,11 @@ func (m *Manager) Exec(ctx context.Context, name string, fn func(tx *Txn) error)
 // retryable reports whether err is a sacrifice the caller did not cause and
 // a fresh attempt can survive.
 func retryable(err error) bool {
-	return errors.Is(err, ErrAborted) || errors.Is(err, ErrDeadlineMissed)
+	return errors.Is(err, ErrAborted)
 }
 
 // backoff sleeps for the attempt's jittered exponential delay, returning
-// early with the context error if ctx dies first.
+// early with ErrCancelled wrapping the context error if ctx dies first.
 func (m *Manager) backoff(ctx context.Context, attempt int) error {
 	d := execBackoffBase << (attempt - 1)
 	if d > execBackoffCap {
@@ -85,7 +86,7 @@ func (m *Manager) backoff(ctx context.Context, attempt int) error {
 	defer timer.Stop()
 	select {
 	case <-ctx.Done():
-		return ctx.Err()
+		return &cancelledError{cause: ctx.Err()}
 	case <-timer.C:
 		return nil
 	}

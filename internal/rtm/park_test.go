@@ -8,7 +8,6 @@ import (
 
 	"pcpda/internal/cc"
 	"pcpda/internal/rt"
-	"pcpda/internal/txn"
 )
 
 // blockedWrite is the park most tests here start from: the reader holds the
@@ -121,23 +120,6 @@ func TestEveryParkExitLeavesNoWaiter(t *testing.T) {
 				t.Fatalf("owner's write = %v, want ErrClosed", err)
 			}
 			rd.Abort()
-			return m
-		}},
-		{"firm deadline passed while parked", func(t *testing.T) *Manager {
-			s, x, _ := demoSet(t)
-			m, _ := NewWithOptions(s, Options{
-				FirmDeadlines: true,
-				DeadlineOf:    func(*txn.Template) rt.Ticks { return 50 },
-			})
-			c := ctx(t)
-			rd, _, wrote := blockedWrite(t, m, c, c, x)
-			m.mu.Lock()
-			m.clock += 100
-			m.mu.Unlock()
-			rd.Abort()
-			if err := <-wrote; !errors.Is(err, ErrDeadlineMissed) {
-				t.Fatalf("write woken past its deadline = %v, want ErrDeadlineMissed", err)
-			}
 			return m
 		}},
 		{"context cancelled", func(t *testing.T) *Manager {

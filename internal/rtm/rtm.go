@@ -32,10 +32,8 @@
 //   - ErrAborted: sacrificed (cycle victim or injected fault); retry.
 //   - ErrCancelled: the caller's context was cancelled or expired (the
 //     concrete context error is wrapped and still matches errors.Is);
-//     don't retry on the same context.
-//   - ErrDeadlineMissed: firm-deadline enforcement (Options.FirmDeadlines)
-//     aborted the transaction at its deadline; retry iff a fresh instance
-//     can still be useful.
+//     don't retry on the same context. The context is the caller's one
+//     deadline: give it one with context.WithTimeout.
 //   - ErrClosed: handle already finished (programming error).
 //
 // Exec wraps Begin/op/Commit in a bounded retry loop with jittered backoff
@@ -106,11 +104,6 @@ var ErrClosed = errors.New("rtm: transaction already committed or aborted")
 // (context.Canceled / context.DeadlineExceeded) via errors.Is.
 var ErrCancelled = errors.New("rtm: transaction cancelled; workspace discarded and locks released")
 
-// ErrDeadlineMissed is returned when firm-deadline enforcement
-// (Options.FirmDeadlines) aborted the transaction at its deadline — the
-// live counterpart of sched.FirmAbort.
-var ErrDeadlineMissed = errors.New("rtm: firm deadline missed; transaction aborted")
-
 // cancelledError couples ErrCancelled with the concrete cause (a context
 // error, or fault.ErrInjected) so both match under errors.Is.
 type cancelledError struct{ cause error }
@@ -122,18 +115,8 @@ func (e *cancelledError) Is(target error) bool { return target == ErrCancelled }
 func (e *cancelledError) Unwrap() error        { return e.cause }
 
 // Options configures optional manager behaviour. The zero value is the
-// plain manager: no firm deadlines, no fault injection.
+// plain manager: no fault injection.
 type Options struct {
-	// FirmDeadlines aborts a live transaction with ErrDeadlineMissed once
-	// the manager's logical clock passes its absolute deadline — the live
-	// counterpart of sched.FirmAbort. Deadlines are measured in manager
-	// ticks (one tick per manager operation), not wall time, so fault
-	// schedules stay deterministic and unit-testable.
-	FirmDeadlines bool
-	// DeadlineOf overrides the relative deadline (in ticks) applied to a
-	// template under FirmDeadlines. Nil, or a non-positive return value,
-	// falls back to Template.RelativeDeadline().
-	DeadlineOf func(tmpl *txn.Template) rt.Ticks
 	// Injector, when non-nil, is consulted at every blocking, grant and
 	// commit boundary (see package fault). Nil costs one branch per
 	// boundary.
@@ -309,17 +292,10 @@ func (m *Manager) admit(s *slot) *Txn {
 	j.ID = m.nextJob
 	j.Run = runOf(j.ID)
 	j.Release = m.clock
-	j.AbsDeadline = 0
 	j.Status = cc.Ready
 	j.RunPri = s.tmpl.Priority
 	j.EverBlockedBy = j.EverBlockedBy[:0]
 	j.FinishTick = -1
-	j.MissedAt = -1
-	if m.opts.FirmDeadlines {
-		if d := m.relDeadline(s.tmpl); d > 0 {
-			j.AbsDeadline = j.Release + d
-		}
-	}
 	m.nextJob++
 	t := &Txn{slot: s, id: j.ID}
 	s.cur = t
@@ -327,16 +303,6 @@ func (m *Manager) admit(s *slot) *Txn {
 	m.hist.Begin(m.clock, j.Run, s.tmpl.ID)
 	m.stats.Begins++
 	return t
-}
-
-// relDeadline resolves the relative firm deadline (in ticks) for tmpl.
-func (m *Manager) relDeadline(tmpl *txn.Template) rt.Ticks {
-	if m.opts.DeadlineOf != nil {
-		if d := m.opts.DeadlineOf(tmpl); d > 0 {
-			return d
-		}
-	}
-	return tmpl.RelativeDeadline()
 }
 
 // acquire takes t's lock on item in the given mode, blocking while the
@@ -498,7 +464,6 @@ type Stats struct {
 	Aborts         int // explicit Abort() calls + injected forced aborts
 	CycleAborts    int // cycle-breaking victim aborts (zero under the paper's execution assumptions)
 	Cancellations  int // transactions torn down by context cancellation/expiry
-	DeadlineAborts int // firm-deadline aborts (ErrDeadlineMissed)
 	Retries        int // Exec retry attempts after a retryable failure
 	InjectedFaults int // injector actions applied (delays, wakeups, aborts, cancels)
 	Live           int // currently active transactions
@@ -732,8 +697,8 @@ func (m *Manager) auditState() []string {
 // --- internals ----------------------------------------------------------------
 
 // entry performs the common checks at the top of every Txn operation:
-// handle still open, pending cycle-victim abort, caller context alive, firm
-// deadline not passed. Any failure is self-cleaning. Caller holds m.mu.
+// handle still open, pending cycle-victim abort, caller context alive. Any
+// failure is self-cleaning. Caller holds m.mu.
 func (m *Manager) entry(ctx context.Context, t *Txn) error {
 	if err := m.usable(t); err != nil {
 		return err
@@ -741,7 +706,7 @@ func (m *Manager) entry(ctx context.Context, t *Txn) error {
 	if err := ctx.Err(); err != nil {
 		return m.cancel(t, err)
 	}
-	return m.checkDeadline(t)
+	return nil
 }
 
 func (m *Manager) usable(t *Txn) error {
@@ -774,21 +739,6 @@ func (m *Manager) cancel(t *Txn, cause error) error {
 		m.kill(t)
 	}
 	return &cancelledError{cause: cause}
-}
-
-// checkDeadline aborts t with ErrDeadlineMissed once firm deadlines are on
-// and the logical clock has reached t's absolute deadline. Caller holds
-// m.mu; t is live.
-func (m *Manager) checkDeadline(t *Txn) error {
-	j := &t.slot.job
-	if !m.opts.FirmDeadlines || j.AbsDeadline <= 0 || m.clock < j.AbsDeadline {
-		return nil
-	}
-	m.clock++
-	j.MissedAt = m.clock
-	m.stats.DeadlineAborts++
-	m.kill(t)
-	return ErrDeadlineMissed
 }
 
 // inject consults the configured injector at point p on behalf of t and

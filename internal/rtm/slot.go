@@ -44,7 +44,7 @@ func (m *Manager) initSlots() {
 		m.slots[i] = slot{
 			mgr:  m,
 			tmpl: tmpl,
-			job:  cc.Job{Tmpl: tmpl, Status: cc.Done, DataRead: rt.NewItemSet(), WS: db.NewWorkspace()},
+			job:  cc.Job{Tmpl: tmpl, Status: cc.Done, MissedAt: -1, DataRead: rt.NewItemSet(), WS: db.NewWorkspace()},
 			wn:   waitNode{ch: make(chan struct{}, 1), allIdx: -1},
 		}
 	}

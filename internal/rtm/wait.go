@@ -141,7 +141,7 @@ func (m *Manager) sleep(ctx context.Context, n *waitNode) error {
 }
 
 // park blocks t until a targeted wakeup or ctx cancellation, handling
-// priority inheritance, cycle detection, victim teardown and firm deadlines.
+// priority inheritance, cycle detection and victim teardown.
 // Caller holds m.mu with the job Blocked by cc.Wait (or cc.Apply), which
 // reported whether the Blocked set changed; only then do inheritance and the
 // cycle search run, as in the kernel. On nil return the job is still Blocked
@@ -183,9 +183,6 @@ func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind, changed bool)
 	if t.aborted {
 		m.kill(t)
 		return ErrAborted
-	}
-	if err := m.checkDeadline(t); err != nil {
-		return err
 	}
 	if ctxErr != nil {
 		return m.cancel(t, ctxErr)

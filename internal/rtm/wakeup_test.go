@@ -84,8 +84,8 @@ func TestNoLostWakeups(t *testing.T) {
 }
 
 // TestNoLostWakeupsUnderChaos repeats the herd with the fault injector
-// aborting, cancelling and delaying transactions mid-flight (plus firm
-// deadlines), so wake edges also fire from every failure path — and with
+// aborting, cancelling and delaying transactions mid-flight, so wake edges
+// also fire from every failure path — and with
 // injected spurious wakeups (fault.Wakeup), which must still reach every
 // parked waiter through wakeAll.
 func TestNoLostWakeupsUnderChaos(t *testing.T) {
@@ -98,7 +98,7 @@ func TestNoLostWakeupsUnderChaos(t *testing.T) {
 		PAbort:  0.02,
 		PCancel: 0.02,
 	})
-	m, err := NewWithOptions(set, Options{Injector: inj, FirmDeadlines: true})
+	m, err := NewWithOptions(set, Options{Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func startServer(t *testing.T, spec *Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := rtm.NewWithOptions(set, rtm.Options{FirmDeadlines: true, Seed: spec.Seed})
+	mgr, err := rtm.NewWithOptions(set, rtm.Options{Seed: spec.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}

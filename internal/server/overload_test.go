@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -520,21 +522,57 @@ func TestQueuedBeginDoesNotWaitForAnotherTemplatesSlot(t *testing.T) {
 // --- watchdog ----------------------------------------------------------------
 
 // TestWatchdogTripsIdleTxn: watchdog-first order. A transaction sits idle
-// holding its template slot past deadline+grace; the watchdog force-aborts
-// it, the manager goes quiescent, and the session survives to report a
-// retryable CodeDeadline and start fresh work.
+// holding its template slot past deadline+grace, or past StuckTxnAge with
+// no deadline at all; the watchdog force-aborts it with one log line, the
+// manager goes quiescent, and the session survives to report a retryable
+// CodeDeadline and start fresh work.
 func TestWatchdogTripsIdleTxn(t *testing.T) {
+	rows := []struct {
+		name   string
+		cfg    Config
+		budget time.Duration // 0: a plain BEGIN, no deadline
+	}{
+		{"past budget and grace", Config{WatchdogGrace: 10 * time.Millisecond}, 20 * time.Millisecond},
+		{"past StuckTxnAge, no budget", Config{StuckTxnAge: 20 * time.Millisecond}, 0},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) { watchdogTripsIdleTxn(t, row.cfg, row.budget) })
+	}
+}
+
+func watchdogTripsIdleTxn(t *testing.T, cfg Config, budget time.Duration) {
 	set := testSet(t)
 	mgr, _ := rtm.New(set)
-	addr, srv := startServer(t, mgr, Config{
-		WatchdogInterval: 2 * time.Millisecond, WatchdogGrace: 10 * time.Millisecond,
-	})
+	var logMu sync.Mutex
+	var lines []string
+	cfg.WatchdogInterval = 2 * time.Millisecond
+	cfg.Logf = func(format string, args ...any) {
+		logMu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}
+	addr, srv := startServer(t, mgr, cfg)
 	c := mustDial(t, addr)
 	defer func() { _ = c.Close() }()
-	if _, err := c.BeginBudget("updater", 20*time.Millisecond); err != nil {
+	if _, err := c.BeginBudget("updater", budget); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "watchdog trip", func() bool { return srv.Counters().WatchdogTrips.Load() >= 1 })
+	// The trip is counted before its line is logged: wait for the line.
+	var trips []string
+	waitFor(t, "watchdog trip", func() bool {
+		logMu.Lock()
+		defer logMu.Unlock()
+		trips = trips[:0]
+		for _, l := range lines {
+			if strings.HasPrefix(l, "watchdog: force-aborted") {
+				trips = append(trips, l)
+			}
+		}
+		return len(trips) > 0
+	})
+	if len(trips) != 1 || srv.Counters().WatchdogTrips.Load() != 1 || strings.Contains(trips[0], "2562047h") {
+		t.Fatalf("watchdog trip lines = %q, want one with a sane deadline", trips)
+	}
 	waitFor(t, "manager quiescent", func() bool { return mgr.Stats().Live == 0 })
 	if err := mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)

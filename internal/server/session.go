@@ -636,8 +636,6 @@ func codeOf(err error) wire.ErrorCode {
 		return wire.CodeAborted
 	case errors.Is(err, rtm.ErrAborted):
 		return wire.CodeAborted
-	case errors.Is(err, rtm.ErrDeadlineMissed):
-		return wire.CodeDeadline
 	case errors.Is(err, rtm.ErrCancelled):
 		return wire.CodeCancelled
 	case errors.Is(err, rtm.ErrClosed):

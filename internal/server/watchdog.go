@@ -7,12 +7,13 @@ import "time"
 // inside the manager on a lock whose holder is itself slow (the connection
 // is healthy, so no read timeout fires), or idle holding locks while its
 // client thinks (the manager is not involved, so nothing unwinds). Either
-// way a firm-deadline transaction past deadline+grace is worthless by
-// definition — PCP-DA's premise — and worse than worthless: it holds locks
-// that block feasible work. The watchdog sweeps live transactions every
-// WatchdogInterval and force-aborts offenders: cancelling the
-// transaction's context unparks a blocked manager call, and the
-// idempotent Abort releases the locks of an idle one. The owning session
+// way a transaction past its deadline budget plus grace is worthless by
+// definition — PCP-DA's firm-deadline premise — and worse than worthless:
+// it holds locks that block feasible work. This is the live path's one
+// deadline: the manager keeps none of its own. The watchdog sweeps live
+// transactions every WatchdogInterval and force-aborts offenders:
+// cancelling the transaction's context unparks a blocked manager call, and
+// the idempotent Abort releases the locks of an idle one. The owning session
 // survives — its next operation on the transaction reports a retryable
 // CodeDeadline (see txFailed) — so one stuck transaction costs one
 // transaction, not one connection.
@@ -71,9 +72,12 @@ func (s *Server) sweepStuck() {
 		lt.tx.Abort()
 		tripped++
 		id, name := txDesc(lt.tx)
-		s.logf("watchdog: force-aborted txn %d (%s) live %v, deadline %v ago",
-			id, name, now.Sub(lt.start).Round(time.Millisecond),
-			now.Sub(lt.deadline).Round(time.Millisecond))
+		late := "no deadline"
+		if !lt.deadline.IsZero() {
+			late = "deadline " + now.Sub(lt.deadline).Round(time.Millisecond).String() + " ago"
+		}
+		s.logf("watchdog: force-aborted txn %d (%s) live %v, %s",
+			id, name, now.Sub(lt.start).Round(time.Millisecond), late)
 	}
 	if tripped > 0 {
 		if err := s.mgr.CheckInvariants(); err != nil {

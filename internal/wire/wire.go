@@ -160,8 +160,9 @@ const (
 	// CodeCancelled: the transaction was torn down by cancellation
 	// (disconnect, drain, or injected cancel). Retry only on a new session.
 	CodeCancelled
-	// CodeDeadline: firm-deadline enforcement aborted the transaction.
-	// Retry iff a fresh instance is still useful.
+	// CodeDeadline: the server's watchdog force-aborted the transaction,
+	// live past its deadline budget plus grace or past StuckTxnAge. Retry
+	// iff a fresh instance is still useful.
 	CodeDeadline
 	// CodeDraining: the server is draining; it admits no new transactions.
 	// Stop sending work.

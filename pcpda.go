@@ -111,12 +111,11 @@ type (
 	Manager = rtm.Manager
 	// LiveTxn is a running transaction handle owned by one goroutine.
 	LiveTxn = rtm.Txn
-	// ManagerOptions configures firm deadlines, fault injection and retry
-	// jitter for a live manager.
+	// ManagerOptions configures fault injection and retry jitter for a
+	// live manager. A caller's deadline is its context.
 	ManagerOptions = rtm.Options
 	// ManagerStats is the manager's lifetime counter snapshot, including
-	// the failure-path counters (Cancellations, DeadlineAborts, Retries,
-	// InjectedFaults).
+	// the failure-path counters (Cancellations, Retries, InjectedFaults).
 	ManagerStats = rtm.Stats
 	// Value is a data-item value in the store.
 	Value = db.Value
@@ -134,19 +133,17 @@ var (
 	// ErrClosed reports use of a finished transaction handle.
 	ErrClosed = rtm.ErrClosed
 	// ErrCancelled reports a transaction torn down because its context was
-	// cancelled or expired; the concrete context error is wrapped.
+	// cancelled or expired (the context is the caller's deadline); the
+	// concrete context error is wrapped.
 	ErrCancelled = rtm.ErrCancelled
-	// ErrDeadlineMissed reports a firm-deadline abort
-	// (ManagerOptions.FirmDeadlines).
-	ErrDeadlineMissed = rtm.ErrDeadlineMissed
 )
 
 // NewManager returns a live PCP-DA transaction manager over the registered
 // transaction set.
 func NewManager(set *Set) (*Manager, error) { return rtm.New(set) }
 
-// NewManagerWithOptions returns a live manager configured by opts (firm
-// deadlines, fault injection, Exec jitter seed).
+// NewManagerWithOptions returns a live manager configured by opts (fault
+// injection, Exec jitter seed).
 func NewManagerWithOptions(set *Set, opts ManagerOptions) (*Manager, error) {
 	return rtm.NewWithOptions(set, opts)
 }

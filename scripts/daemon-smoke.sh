@@ -4,7 +4,7 @@
 # and SIGTERM → drain → exit code, under the race detector, driven by
 # cmd/pcpdaload through a short closed loop of conversations (a frame per
 # step), a pipelined closed-loop 90/10 read mix and then an open loop past
-# saturation, through the nemesis proxy, with a firm deadline.
+# saturation, through the nemesis proxy, with a 100 ms deadline budget.
 # What those runs exercise inside the server `go test -race ./internal/server/`
 # asserts (TestSoak, TestClosedLoopPipelinedReadMix, TestOpenLoopOverload,
 # TestNemesisSoak, TestNemesisPipelined); this script requires only that the
