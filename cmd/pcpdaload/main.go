@@ -172,10 +172,11 @@ func printReport(rep *client.LoadReport, openLoop bool) {
 	fmt.Printf("pcpdaload: arrival rate offered=%.0f/s achieved=%.0f/s\n",
 		rep.OfferedRate, rep.AchievedRate)
 	// Whole-run achieved-vs-offered hides a collapse confined to one
-	// stretch of the window; the slices localize it.
-	for _, ps := range rep.Pacing {
-		fmt.Printf("pcpdaload:   pace [%4.1fs,%4.1fs) offered=%.0f/s achieved=%.0f/s max_lag=%.1fms\n",
-			ps.StartS, ps.EndS, ps.OfferedRate, ps.AchievedRate, ps.MaxLagMS)
+	// stretch of the window; the buckets localize it.
+	for _, b := range rep.Buckets {
+		w := b.EndS - b.StartS
+		fmt.Printf("pcpdaload:   bucket [%4.1fs,%4.1fs) offered=%.0f/s achieved=%.0f/s max_lag=%.1fms committed=%d on_time=%d\n",
+			b.StartS, b.EndS, float64(b.Scheduled)/w, float64(b.Emitted)/w, b.MaxLagMS, b.Committed, b.OnTime)
 	}
 	for _, tr := range rep.Tiers {
 		fmt.Printf("pcpdaload:   tier pri=%d offered=%d committed=%d on_time=%d shed=%d miss=%.3f\n",

@@ -1,8 +1,6 @@
 package client
 
 import (
-	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,7 +8,7 @@ import (
 )
 
 func TestRetryBudgetCapsRetryRatio(t *testing.T) {
-	b := NewRetryBudget(0.2, 10)
+	b := newRetryBudget(10)
 	// The bucket starts full: a burst of 10 retries passes.
 	for i := 0; i < 10; i++ {
 		if !b.take() {
@@ -20,7 +18,7 @@ func TestRetryBudgetCapsRetryRatio(t *testing.T) {
 	if b.take() {
 		t.Fatal("retry granted from an empty bucket")
 	}
-	if got := b.Suppressed(); got != 1 {
+	if got := b.suppressed(); got != 1 {
 		t.Fatalf("suppressed = %d, want 1", got)
 	}
 	// Sustained overload: 100 first attempts earn 0.2 each, so at most 20
@@ -38,48 +36,28 @@ func TestRetryBudgetCapsRetryRatio(t *testing.T) {
 	}
 }
 
+// TestClientStopsAtExhaustedBudget: against a server that sheds
+// everything, a retry the budget refuses is never slept for and never sent.
+// The server sees the first attempts and the granted retries and nothing
+// else, the granted retries stay within what the bucket held and earned,
+// and every shed is counted, on the run and on its tier.
 func TestClientStopsAtExhaustedBudget(t *testing.T) {
-	// Budget with zero headroom: the first retry is refused, so Do makes
-	// exactly one attempt even though MaxAttempts allows eight.
-	b := NewRetryBudget(0.01, 1)
-	if !b.take() {
-		t.Fatal("priming take failed")
+	addr, seen := loadServer(t, func(int64) wire.ErrorCode { return wire.CodeShed })
+	const arrivals = 10
+	rep := runLoad(t, LoadConfig{Addr: addr, Conns: 1, MaxAttempts: 4, MaxInFlight: arrivals,
+		ArrivalRate: 1, Duration: time.Second, ArrivalTimes: make([]time.Duration, arrivals)})
+	if rep.Attempts != arrivals || rep.Failed != arrivals || rep.Committed != 0 {
+		t.Fatalf("attempts/failed/committed = %d/%d/%d, want %d/%d/0", rep.Attempts, rep.Failed, rep.Committed, arrivals, arrivals)
 	}
-	begins := 0
-	var sawShed int64
-	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		greet(t, conn)
-		for {
-			_, tag, err := recv(conn)
-			if err != nil {
-				return
-			}
-			begins++
-			send(t, conn, tag, &wire.ErrMsg{Code: wire.CodeShed, Text: "shed"})
-		}
-	})
-	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
-	defer cl.Close()
-	cl.Budget = b
-	var retries atomic.Int64
-	cl.Retries = &retries
-	cl.CodeHook = func(code wire.ErrorCode) {
-		if code == wire.CodeShed {
-			sawShed++
-		}
+	if got := seen.Load(); got != rep.Attempts+rep.Retries {
+		t.Fatalf("server saw %d attempts, want %d first attempts + %d granted retries", got, rep.Attempts, rep.Retries)
 	}
-
-	err := cl.Do("T1", func(c *PipeConn) error { return nil })
-	if !wire.IsCode(err, wire.CodeShed) {
-		t.Fatalf("Do against an always-shedding server: %v, want the last attempt's CodeShed", err)
+	// The bucket starts with a burst of 10×Conns and each first attempt
+	// earns a fifth of a token.
+	if max := int64(10 + arrivals*retryEarn); rep.Retries > max || rep.RetriesSuppressed == 0 {
+		t.Fatalf("retries = %d, suppressed = %d: want at most %d granted and some refused", rep.Retries, rep.RetriesSuppressed, max)
 	}
-	if begins != 1 || retries.Load() != 0 {
-		t.Fatalf("begins = %d retries = %d, want 1/0 (budget must refuse before the sleep)", begins, retries.Load())
-	}
-	if sawShed != 1 {
-		t.Fatalf("CodeHook saw %d sheds, want 1", sawShed)
-	}
-	if b.Suppressed() == 0 {
-		t.Fatal("suppression not recorded")
+	if rep.Shed != seen.Load() || rep.Tiers[0].Shed != seen.Load() {
+		t.Fatalf("shed %d, tier shed %d: want every one of the %d attempts counted", rep.Shed, rep.Tiers[0].Shed, seen.Load())
 	}
 }

@@ -1,8 +1,10 @@
 package client
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync/atomic"
@@ -102,77 +104,52 @@ func TestDialHandshake(t *testing.T) {
 	}
 }
 
-// TestDoRetriesOverload: the first BEGIN is refused with the retryable
-// CodeOverload; Do must back off and succeed on the second attempt.
+// TestDoRetriesOverload: a first attempt refused with the retryable
+// CodeOverload is backed off, sent again and commits, whichever way the
+// transaction is sent.
 func TestDoRetriesOverload(t *testing.T) {
-	begins := 0
-	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		greet(t, conn)
-		for {
-			m, tag, err := recv(conn)
-			if err != nil {
-				return
-			}
-			switch m.(type) {
-			case *wire.Begin:
-				begins++
-				if begins == 1 {
-					send(t, conn, tag, &wire.ErrMsg{Code: wire.CodeOverload, Text: "full"})
-				} else {
-					send(t, conn, tag, &wire.BeginOK{ID: 9})
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			addr, seen := loadServer(t, func(n int64) wire.ErrorCode {
+				if n == 1 {
+					return wire.CodeOverload
 				}
-			case *wire.Commit:
-				send(t, conn, tag, &wire.CommitOK{})
-			default:
-				t.Errorf("fake server: unexpected %s", m.Kind())
-				return
+				return 0
+			})
+			rep := runLoad(t, LoadConfig{Addr: addr, Conns: 1, Txns: 1, Pipelined: pipelined})
+			if rep.Committed != 1 || rep.Retries != 1 || seen.Load() != 2 {
+				t.Fatalf("committed/retries = %d/%d, server saw %d attempts; want 1/1 and 2",
+					rep.Committed, rep.Retries, seen.Load())
 			}
-		}
-	})
-	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
-	defer cl.Close()
-	var retries atomic.Int64
-	cl.Retries = &retries
-	if err := cl.Do("T1", func(c *PipeConn) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if begins != 2 || retries.Load() != 1 {
-		t.Fatalf("begins = %d, retries = %d", begins, retries.Load())
+		})
 	}
 }
 
-// TestDoFatalErrorNotRetried: CodeProtocol is not retryable; Do returns it
-// after one attempt.
+// TestDoFatalErrorNotRetried: CodeProtocol is not retryable; a closed loop
+// fails the run with it after one attempt.
 func TestDoFatalErrorNotRetried(t *testing.T) {
-	begins := 0
-	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		greet(t, conn)
-		for {
-			_, tag, err := recv(conn)
-			if err != nil {
-				return
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			var seen atomic.Int64 // loadServer cannot script CodeProtocol: it is code 0
+			addr := replyServer(t, nil, func(wire.Message) wire.Message {
+				seen.Add(1)
+				return &wire.ErrMsg{Code: wire.CodeProtocol, Text: "no"}
+			})
+			rep, err := RunLoad(context.Background(), LoadConfig{Addr: addr, Conns: 1, Txns: 5, Pipelined: pipelined, Window: 1})
+			if !wire.IsCode(err, wire.CodeProtocol) {
+				t.Fatalf("err = %v, want CodeProtocol", err)
 			}
-			begins++
-			send(t, conn, tag, &wire.ErrMsg{Code: wire.CodeProtocol, Text: "no"})
-		}
-	})
-	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
-	defer cl.Close()
-	err := cl.Do("T1", func(c *PipeConn) error { return nil })
-	if !wire.IsCode(err, wire.CodeProtocol) {
-		t.Fatalf("err = %v", err)
-	}
-	if begins != 1 {
-		t.Fatalf("begins = %d, want 1 (no retry)", begins)
+			if seen.Load() != 1 || rep.Retries != 0 {
+				t.Fatalf("server saw %d attempts, %d retries; want 1 and none", seen.Load(), rep.Retries)
+			}
+		})
 	}
 }
 
-// convServer answers HELLO, then every step of a conversation with its
-// success reply unless refuse has an ERR for it; it counts dials and
-// the ABORT frames it is sent.
+// convServer answers HELLO, then every transaction, sent as a conversation
+// or whole, with success; it counts dials.
 type convServer struct {
-	dials, aborts atomic.Int64
-	refuse        func(m wire.Message) *wire.ErrMsg
+	dials atomic.Int64
 }
 
 func (cs *convServer) script(t *testing.T, conn net.Conn) {
@@ -183,124 +160,61 @@ func (cs *convServer) script(t *testing.T, conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if cs.refuse != nil {
-			if e := cs.refuse(m); e != nil {
-				send(t, conn, tag, e)
-				continue
-			}
-		}
-		switch m := m.(type) {
+		switch m.(type) {
 		case *wire.Begin:
 			send(t, conn, tag, &wire.BeginOK{ID: 1})
-		case *wire.Read:
-			send(t, conn, tag, &wire.ReadOK{Value: 7})
-		case *wire.Write:
-			send(t, conn, tag, &wire.WriteOK{})
 		case *wire.Commit:
 			send(t, conn, tag, &wire.CommitOK{})
-		case *wire.Abort:
-			cs.aborts.Add(1)
-			send(t, conn, tag, &wire.AbortOK{})
-		case *wire.Ping:
-			send(t, conn, tag, &wire.Pong{Nonce: m.Nonce})
+		case *wire.Txn:
+			send(t, conn, tag, &wire.TxnOK{ID: 1})
 		}
 	}
 }
 
-// TestClientReusesConnection: conversations run back to back over one
-// PipeClient share the connection its first attempt dialled.
+// TestClientReusesConnection: a worker runs transaction after transaction
+// on the connection it dialled for the first; the server accepts one
+// connection for the worker and one for RunLoad's schema probe.
 func TestClientReusesConnection(t *testing.T) {
-	var cs convServer
-	cl := NewPipeClient(fakeServer(t, cs.script), 2*time.Second, 0, 1)
-	defer cl.Close()
-	var conns [2]*PipeConn
-	for i := range conns {
-		if err := cl.Do("T1", func(c *PipeConn) error { conns[i] = c; return c.Ping(uint64(i)) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if conns[0] != conns[1] || cs.dials.Load() != 1 {
-		t.Fatalf("second conversation ran on a new connection (%d dials)", cs.dials.Load())
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			var cs convServer
+			rep := runLoad(t, LoadConfig{Addr: fakeServer(t, cs.script), Conns: 1, Txns: 10, Pipelined: pipelined})
+			if rep.Committed != 10 || cs.dials.Load() != 2 {
+				t.Fatalf("committed %d over %d dials, want 10 over 2 (the probe and the worker's one)",
+					rep.Committed, cs.dials.Load())
+			}
+		})
 	}
 }
 
-// TestBrokenConnRedialled: a framing failure marks the connection broken,
-// ends the attempt with a non-retryable error, and the client's next
-// transaction dials afresh instead of reusing it.
+// TestBrokenConnRedialled: a framing failure marks the worker's connection
+// broken and fails its transaction, and the next transaction dials afresh
+// instead of reusing it. An open loop counts the failure and goes on, so
+// the run commits every other arrival.
 func TestBrokenConnRedialled(t *testing.T) {
-	var dials atomic.Int64
-	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		first := dials.Add(1) == 1
-		greet(t, conn)
-		for {
-			m, tag, err := recv(conn)
-			if err != nil {
-				return
-			}
-			switch m.(type) {
-			case *wire.Begin:
-				send(t, conn, tag, &wire.BeginOK{ID: 1})
-			case *wire.Commit:
-				send(t, conn, tag, &wire.CommitOK{})
-			case *wire.Ping:
-				if first { // garbage for a reply: the stream is useless from here
-					_, _ = conn.Write([]byte{0xBA, 0xD0})
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			var cs convServer
+			var dials atomic.Int64
+			addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
+				if dials.Add(1) != 2 { // the first dial is RunLoad's schema probe
+					cs.script(t, conn)
 					return
 				}
-				send(t, conn, tag, &wire.Pong{Nonce: 1})
+				greet(t, conn)
+				if _, _, err := recv(conn); err == nil { // garbage for a reply: the stream is useless from here
+					_, _ = conn.Write([]byte{0xBA, 0xD0})
+				}
+			})
+			rep := runLoad(t, LoadConfig{Addr: addr, Conns: 1, Pipelined: pipelined, ArrivalRate: 1, Duration: time.Second,
+				ArrivalTimes: []time.Duration{0, 10 * time.Millisecond, 20 * time.Millisecond}})
+			if rep.Committed != 2 || rep.Failed != 1 || rep.Retries != 0 {
+				t.Fatalf("committed/failed/retries = %d/%d/%d, want 2/1/0", rep.Committed, rep.Failed, rep.Retries)
 			}
-		}
-	})
-	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
-	defer cl.Close()
-	var broken *PipeConn
-	if err := cl.Do("T1", func(c *PipeConn) error { broken = c; return c.Ping(1) }); err == nil {
-		t.Fatal("ping over a corrupted stream succeeded")
-	}
-	if !broken.Broken() {
-		t.Fatal("framing failure did not mark the conn broken")
-	}
-	if err := cl.Do("T1", func(c *PipeConn) error {
-		if c == broken {
-			t.Error("client handed back a broken connection")
-		}
-		return c.Ping(1)
-	}); err != nil {
-		t.Fatalf("transaction after a broken connection: %v", err)
-	}
-	if dials.Load() != 2 {
-		t.Fatalf("dials = %d, want 2", dials.Load())
-	}
-}
-
-// TestDoAbortsOnlyItsOwnFailures: the server ends the transaction on every
-// ERR reply, so Do sends no compensating ABORT after one; a failure of fn's
-// own leaves the transaction live, and Do sends exactly one.
-func TestDoAbortsOnlyItsOwnFailures(t *testing.T) {
-	cs := convServer{refuse: func(m wire.Message) *wire.ErrMsg {
-		if _, isRead := m.(*wire.Read); isRead {
-			return &wire.ErrMsg{Code: wire.CodeProtocol, Text: "undeclared item"}
-		}
-		return nil
-	}}
-	cl := NewPipeClient(fakeServer(t, cs.script), 2*time.Second, 0, 1)
-	defer cl.Close()
-	err := cl.Do("T1", func(c *PipeConn) error { _, err := c.Read(1); return err })
-	if !wire.IsCode(err, wire.CodeProtocol) || cs.aborts.Load() != 0 {
-		t.Fatalf("after an ERR reply: err = %v, %d ABORTs sent, want CodeProtocol and none", err, cs.aborts.Load())
-	}
-	own := errors.New("application says no")
-	err = cl.Do("T1", func(c *PipeConn) error {
-		if err := c.Write(1, 2); err != nil {
-			return err
-		}
-		return own
-	})
-	if !errors.Is(err, own) || cs.aborts.Load() != 1 {
-		t.Fatalf("after fn's own failure: err = %v, %d ABORTs sent, want fn's error and one", err, cs.aborts.Load())
-	}
-	if cs.dials.Load() != 1 {
-		t.Fatalf("dials = %d: neither failure breaks the connection", cs.dials.Load())
+			if dials.Load() != 3 {
+				t.Fatalf("dials = %d, want 3: the probe, the broken connection and its replacement", dials.Load())
+			}
+		})
 	}
 }
 
@@ -332,29 +246,30 @@ func TestWrongKindReplyKillsConnection(t *testing.T) {
 
 // TestDialRefusalIsTypedAndRetried: a server at its connection limit
 // answers the dial with one ERR at tag 0 and closes. DialPipelined returns
-// it as the *wire.RemoteError it is, and Do — for which a refused dial is a
-// failed attempt like any other — backs off and dials again.
+// it as the *wire.RemoteError it is, and the worker — for which a refused
+// dial is a failed attempt like any other — backs off and dials again.
 func TestDialRefusalIsTypedAndRetried(t *testing.T) {
-	var cs convServer
-	var refused atomic.Int64
-	addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
-		if refused.Add(1) <= 2 {
-			send(t, conn, 0, &wire.ErrMsg{Code: wire.CodeOverload, Text: "connection limit 1 reached; retry later"})
-			return
-		}
-		cs.script(t, conn)
-	})
-	if _, err := DialPipelined(addr, 2*time.Second, 0); !wire.IsCode(err, wire.CodeOverload) {
-		t.Fatalf("dial at the connection limit: %v, want CodeOverload", err)
-	}
-	cl := NewPipeClient(addr, 2*time.Second, 0, 1)
-	defer cl.Close()
-	var retries atomic.Int64
-	cl.Retries = &retries
-	if err := cl.Do("T1", func(c *PipeConn) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if retries.Load() != 1 || cs.dials.Load() != 1 {
-		t.Fatalf("retries = %d, accepted dials = %d, want 1 and 1", retries.Load(), cs.dials.Load())
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			var cs convServer
+			var dials atomic.Int64
+			addr := fakeServer(t, func(t *testing.T, conn net.Conn) {
+				// The first dial is this test's own, the second RunLoad's
+				// schema probe, the third the worker's first.
+				if n := dials.Add(1); n == 1 || n == 3 {
+					send(t, conn, 0, &wire.ErrMsg{Code: wire.CodeOverload, Text: "connection limit 1 reached; retry later"})
+					return
+				}
+				cs.script(t, conn)
+			})
+			if _, err := DialPipelined(addr, 2*time.Second, 0); !wire.IsCode(err, wire.CodeOverload) {
+				t.Fatalf("dial at the connection limit: %v, want CodeOverload", err)
+			}
+			rep := runLoad(t, LoadConfig{Addr: addr, Conns: 1, Txns: 1, Pipelined: pipelined})
+			if rep.Committed != 1 || rep.Retries != 1 || cs.dials.Load() != 2 {
+				t.Fatalf("committed/retries = %d/%d, accepted dials = %d, want 1/1 and 2 (the probe and the redial)",
+					rep.Committed, rep.Retries, cs.dials.Load())
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ import (
 // LoadConfig parameterizes the load generator. RunLoad is one worker loop
 // per connection (DESIGN.md §12, "One load worker"), fed by one of two job
 // sources, each worker sending its transactions one of two ways over its
-// PipeClient.
+// own connection and retrying them itself.
 //
 // The sources:
 //
@@ -53,9 +53,10 @@ type LoadConfig struct {
 	Seed int64
 	// OpTimeout bounds each request/reply round trip. Default 10s.
 	OpTimeout time.Duration
-	// MaxAttempts bounds retries per transaction. Default 16 — load
-	// generation under deliberate overload needs more patience than the
-	// PipeClient default.
+	// MaxAttempts bounds attempts per transaction, the first included.
+	// Default 16. Every retry is also paid for from the run's retry budget
+	// (DESIGN.md §12): a first attempt earns a fifth of a token, a retry
+	// spends one, and the bucket holds at most 10×Conns.
 	MaxAttempts int
 	// Pipelined sends each transaction whole, as one TXN frame, instead of
 	// as a conversation with a round trip per step.
@@ -88,9 +89,6 @@ type LoadConfig struct {
 	// reintroduces the priority inversion the server's admission queue
 	// avoids). Default 4×Conns.
 	MaxInFlight int
-	// RetryBudget caps retries across all workers; allocated internally
-	// (0.2 tokens per transaction, burst 10×Conns) when nil.
-	RetryBudget *RetryBudget
 
 	// ArrivalTimes, when non-nil, replaces the open loop's Poisson draw
 	// with an explicit schedule: ascending offsets from the start of the
@@ -111,10 +109,6 @@ type LoadConfig struct {
 	// as a function of the arrival's fraction through the window — a
 	// read-mix shift inside one run. Requires Pipelined, like ReadFrac.
 	ReadFracAt func(frac float64) float64
-	// SeriesBuckets, when > 0, splits the open-loop arrival window into
-	// this many equal time buckets and reports per-bucket commit counts
-	// (LoadReport.Series) — the throughput-over-time series.
-	SeriesBuckets int
 }
 
 const (
@@ -123,10 +117,15 @@ const (
 	// whose granularity on a coarse-timer host is ~10ms, far wider than the
 	// sub-millisecond gaps of a multi-thousand/s arrival process.
 	spinUnder = 10 * time.Millisecond
-	// paceSlices is how many slices of the arrival window LoadReport.Pacing
-	// reports.
-	paceSlices = 5
+	// A retry waits a full-jitter draw below a ceiling that starts at
+	// backoffBase and doubles per attempt up to backoffCap.
+	backoffBase = time.Millisecond
+	backoffCap  = 100 * time.Millisecond
 )
+
+// Buckets is how many equal slices of the open-loop arrival window
+// LoadReport.Buckets reports.
+const Buckets = 10
 
 // TierReport aggregates one priority tier (all templates sharing one base
 // priority) of a load run.
@@ -139,27 +138,20 @@ type TierReport struct {
 	MissRatio float64 `json:"deadline_miss_ratio"` // 1 - OnTime/Offered
 }
 
-// SeriesBucket is one time bucket of the throughput-over-time series.
-type SeriesBucket struct {
+// Bucket is one slice of the open-loop arrival window. Its arrivals say how
+// well the generator paced — a healthy one emits what it scheduled with
+// sub-millisecond lag, and on a coarse-timer 1-core box the buckets localize
+// where pacing collapses — and its commits are the throughput-over-time
+// series. Commits landing after the window (the in-flight tail) count in the
+// last bucket.
+type Bucket struct {
 	StartS    float64 `json:"start_s"` // bucket bounds, seconds from run start
 	EndS      float64 `json:"end_s"`
+	Scheduled int64   `json:"scheduled"`  // arrivals the process scheduled in the bucket
+	Emitted   int64   `json:"emitted"`    // arrivals actually emitted during the bucket
+	MaxLagMS  float64 `json:"max_lag_ms"` // worst (emission − schedule) of the bucket
 	Committed int64   `json:"committed"`
 	OnTime    int64   `json:"on_time"`
-}
-
-// PaceSlice reports one slice of the open-loop arrival window: how many
-// arrivals were scheduled in the slice versus actually emitted during it,
-// and the worst emission lag of the slice's scheduled arrivals. A healthy
-// generator has AchievedRate tracking OfferedRate and sub-millisecond lag;
-// on a coarse-timer 1-core box the slices localize where pacing collapses.
-type PaceSlice struct {
-	StartS       float64 `json:"start_s"` // slice bounds, seconds from run start
-	EndS         float64 `json:"end_s"`
-	Scheduled    int64   `json:"scheduled"`     // arrivals the process scheduled in the slice
-	Emitted      int64   `json:"emitted"`       // arrivals actually emitted during the slice
-	OfferedRate  float64 `json:"offered_rate"`  // Scheduled / slice width
-	AchievedRate float64 `json:"achieved_rate"` // Emitted / slice width
-	MaxLagMS     float64 `json:"max_lag_ms"`    // worst (emission − schedule) of the slice
 }
 
 // LoadReport aggregates one load run.
@@ -198,10 +190,9 @@ type LoadReport struct {
 	RetriesSuppressed int64        `json:"retries_suppressed"`      // retries the budget refused
 	Tiers             []TierReport `json:"tiers,omitempty"`         // per-priority breakdown, highest first
 
-	// Series is the throughput-over-time view (Config.SeriesBuckets);
-	// Pacing the per-slice offered-vs-achieved view. Both open loop only.
-	Series []SeriesBucket `json:"series,omitempty"`
-	Pacing []PaceSlice    `json:"pacing,omitempty"`
+	// Buckets splits the open-loop arrival window into Buckets slices:
+	// pacing and commits over time. Open loop only.
+	Buckets []Bucket `json:"buckets,omitempty"`
 }
 
 // loadCounters is the hot-path (atomic) form of LoadReport's shared
@@ -258,9 +249,6 @@ func (cfg *LoadConfig) fill() {
 	if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
-	if cfg.RetryBudget == nil {
-		cfg.RetryBudget = NewRetryBudget(0.2, float64(10*cfg.Conns))
-	}
 	if cfg.ReadFrac < 0 {
 		cfg.ReadFrac = 0
 	}
@@ -270,15 +258,17 @@ func (cfg *LoadConfig) fill() {
 }
 
 // loadRun is the state one RunLoad shares among its workers: the
-// configuration, the schema, the job source and the tallies.
+// configuration, the schema, the job source, the retry budget and the
+// tallies.
 type loadRun struct {
-	cfg    LoadConfig
-	schema *wire.HelloOK
-	items  []uint32 // the schema's item space: what read-only transactions read
-	roPri  int32    // the rank read-only arrivals queue at
-	tiers  *tierStats
-	cnt    loadCounters
-	series *seriesTracker // open loop with SeriesBuckets, else nil
+	cfg     LoadConfig
+	schema  *wire.HelloOK
+	items   []uint32 // the schema's item space: what read-only transactions read
+	roPri   int32    // the rank read-only arrivals queue at
+	tiers   *tierStats
+	budget  *retryBudget
+	cnt     loadCounters
+	buckets *bucketTracker // open loop only, else nil
 
 	// The job source. Open loop: jobs, filled by the arrival process. Closed
 	// loop (jobs == nil): remaining, the transactions still to be claimed.
@@ -301,7 +291,8 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if len(schema.Templates) == 0 {
 		return nil, errors.New("client: server exports no transaction types")
 	}
-	r := &loadRun{cfg: cfg, schema: schema, items: schemaItems(schema), tiers: newTierStats(schema)}
+	r := &loadRun{cfg: cfg, schema: schema, items: schemaItems(schema), tiers: newTierStats(schema),
+		budget: newRetryBudget(float64(10 * cfg.Conns))}
 	if cfg.ReadFrac > 0 || cfg.ReadFracAt != nil {
 		if !cfg.Pipelined {
 			return nil, errors.New("client: ReadFrac requires Pipelined (a read-only snapshot is a TXN frame)")
@@ -323,9 +314,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	start := time.Now()
 	if cfg.ArrivalRate > 0 {
 		r.jobs = newOpenQueue(cfg.MaxInFlight)
-		if cfg.SeriesBuckets > 0 {
-			r.series = newSeriesTracker(start, cfg.Duration, cfg.SeriesBuckets)
-		}
+		r.buckets = newBucketTracker(start, cfg.Duration)
 	} else {
 		r.remaining.Store(int64(cfg.Txns))
 	}
@@ -402,44 +391,51 @@ func (r *loadRun) next(rng *rand.Rand) (loadJob, bool) {
 	return loadJob{}, false
 }
 
-// runner is one worker's connection and the way a transaction runs on it.
-// start does whatever of attempt one can be done without waiting, finish
-// waits for its outcome and, if that is a retryable refusal, runs the rest
-// of the retry chain synchronously under the client's policy — overlap is
-// for the common case; a failed transaction is worth a stall.
+// runner is one worker's connection and the way a transaction runs on it:
+// the client's one retry loop. start does whatever of attempt one can be
+// done without waiting, finish waits for its outcome and, while that is a
+// retryable refusal, backs off and runs the transaction again — overlap is
+// for the common case; a failed transaction is worth a stall. One rng, the
+// worker's, draws its templates, written values and backoff jitter.
 type runner struct {
-	pc    *PipeClient
-	rng   *rand.Rand
-	whole bool // LoadConfig.Pipelined: a transaction is one TXN frame, not a frame per step
+	*loadRun
+	rng  *rand.Rand
+	conn *PipeConn // dialled on first use, redialled once an attempt breaks it
 }
 
-// newRunner builds a worker's runner and says how many transactions it can
-// hold in flight: the connection's window of whole transactions, or the one
-// conversation a session carries.
-func newRunner(cfg *LoadConfig, cnt *loadCounters, id int64, rng *rand.Rand,
-	hook func(wire.ErrorCode)) (*runner, int) {
-	pc := NewPipeClient(cfg.Addr, cfg.OpTimeout, cfg.Window, cfg.Seed^id)
-	pc.MaxAttempts = cfg.MaxAttempts
-	pc.Retries = &cnt.retries
-	pc.Budget = cfg.RetryBudget
-	pc.CodeHook = hook
-	depth := 1
-	if cfg.Pipelined {
-		depth = cfg.Window
+// dial returns the worker's connection, dialling one if there is none or
+// the last one broke (a broken PipeConn has already closed its socket).
+// A server at its connection limit refuses the dial with a retryable
+// CodeOverload, which the retry loop treats like any other refused attempt.
+func (r *runner) dial() (*PipeConn, error) {
+	if r.conn != nil && !r.conn.Broken() {
+		return r.conn, nil
 	}
-	return &runner{pc, rng, cfg.Pipelined}, depth
+	c, err := DialPipelined(r.cfg.Addr, r.cfg.OpTimeout, r.cfg.Window)
+	if err != nil {
+		return nil, err
+	}
+	r.conn = c
+	return c, nil
 }
 
-// start encodes attempt one of a whole transaction into the connection's
-// unflushed batch, so transactions started back to back leave in one write
-// when the worker next blocks, and the server executes them in arrival
-// order. A conversation has nothing to send ahead of its first reply.
+func (r *runner) close() {
+	if r.conn != nil {
+		_ = r.conn.Close()
+	}
+}
+
+// start earns the budget its share of j's first attempt and, for a whole
+// transaction, encodes that attempt into the connection's unflushed batch,
+// so transactions started back to back leave in one write when the worker
+// next blocks, and the server executes them in arrival order. A
+// conversation has nothing to send ahead of its first reply.
 func (r *runner) start(j *loadJob) {
-	r.pc.earn()
-	if !r.whole {
+	r.budget.credit()
+	if !r.cfg.Pipelined {
 		return
 	}
-	c, err := r.pc.get()
+	c, err := r.dial()
 	if err == nil {
 		j.fut, err = r.submit(c, j)
 	}
@@ -462,49 +458,107 @@ func (r *runner) submit(c *PipeConn, j *loadJob) (*TxnFuture, error) {
 	return c.SubmitTxn(j.tmpl.Name, j.budget, steps)
 }
 
-// send is one attempt at j on c, waited out.
-func (r *runner) send(c *PipeConn, j *loadJob) error {
-	if r.whole {
+// attempt is one attempt at j, waited out: the whole transaction as one TXN
+// frame, or a conversation — BEGIN, a round trip per step, COMMIT. The
+// server ends the transaction on every ERR reply, and any other failure has
+// broken the connection, so a failed conversation leaves nothing to abort.
+func (r *runner) attempt(j *loadJob) error {
+	c, err := r.dial()
+	if err != nil {
+		return err
+	}
+	if r.cfg.Pipelined {
 		fut, err := r.submit(c, j)
 		if err != nil {
 			return err
 		}
 		return fut.Wait()
 	}
-	return converse(c, j.tmpl.Name, j.budget, func(c *PipeConn) error {
-		for _, st := range j.tmpl.Steps {
-			switch st.Op {
-			case wire.OpRead:
-				if _, err := c.Read(st.Item); err != nil {
-					return err
-				}
-			case wire.OpWrite:
-				if err := c.Write(st.Item, r.rng.Int63n(1<<30)); err != nil {
-					return err
-				}
-			}
+	if _, err := c.BeginBudget(j.tmpl.Name, j.budget); err != nil {
+		return err
+	}
+	for _, st := range j.tmpl.Steps {
+		switch st.Op {
+		case wire.OpRead:
+			_, err = c.Read(st.Item)
+		case wire.OpWrite:
+			err = c.Write(st.Item, r.rng.Int63n(1<<30))
 		}
-		return nil
-	})
+		if err != nil {
+			return err
+		}
+	}
+	return c.Commit()
 }
 
-func (r *runner) finish(j *loadJob) error {
-	attempt := func() error {
-		return r.pc.attempt(func(c *PipeConn) error { return r.send(c, j) })
-	}
+// finish settles j: it waits out attempt one (or runs it, if start sent
+// nothing ahead) and carries a retryable refusal on through the retry chain
+// — at most MaxAttempts attempts, each retry paid for from the run's budget
+// before it is slept for, full-jitter backoff between them, and every typed
+// refusal counted. A cancelled run sends no further attempt.
+func (r *runner) finish(ctx context.Context, j *loadJob) error {
 	err := j.err
 	if j.fut != nil {
 		err = j.fut.Wait()
-	} else if err == nil { // start sent nothing ahead: attempt one runs here
-		err = attempt()
+	} else if err == nil {
+		err = r.attempt(j)
 	}
-	return r.pc.resume(j.tmpl.Name, err, attempt)
+	for a := 1; err != nil; a++ {
+		var remote *wire.RemoteError
+		if !errors.As(err, &remote) {
+			return err
+		}
+		r.refused(j, remote.Code)
+		if !remote.Code.Retryable() {
+			return err
+		}
+		if a >= r.cfg.MaxAttempts {
+			return fmt.Errorf("client: %s: attempts exhausted: %w", j.tmpl.Name, err)
+		}
+		if !r.budget.take() {
+			return fmt.Errorf("client: %s: retry budget exhausted: %w", j.tmpl.Name, err)
+		}
+		if r.backoff(ctx, a) != nil {
+			return err
+		}
+		r.cnt.retries.Add(1)
+		err = r.attempt(j)
+	}
+	return nil
+}
+
+// backoff sleeps before retry a, a full-jitter draw below a ceiling that
+// doubles per attempt, and returns early with ctx's error if the run ends.
+// The doubling stops at the cap: shifted on unbounded, the ceiling would
+// wrap negative past the 44th retry.
+func (r *runner) backoff(ctx context.Context, a int) error {
+	ceil := min(backoffBase<<min(a-1, 7), backoffCap)
+	t := time.NewTimer(time.Duration(r.rng.Int63n(int64(ceil) + 1)))
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+	case <-t.C:
+	}
+	return ctx.Err()
+}
+
+// refused counts a typed refusal of one of j's attempts, retried or not.
+func (r *runner) refused(j *loadJob, code wire.ErrorCode) {
+	switch code {
+	case wire.CodeShed:
+		r.cnt.shed.Add(1)
+		if j.tier != nil {
+			j.tier.shed.Add(1)
+		}
+	case wire.CodeInfeasible:
+		r.cnt.infeasible.Add(1)
+	}
 }
 
 // worker is the load loop, one per connection, the same in every mode: take
 // a job from the source, start it, and once depth of them are in flight —
-// or the source has run out — settle the oldest. Depth is what the runner
-// can hold (one conversation, or the connection's window of whole
+// or the source has run out — settle the oldest. Depth is what the
+// connection can hold (one conversation, or its window of whole
 // transactions) in the closed loop, where jobs are free and the
 // point is to keep the server busy; it is one in the open loop, where a job
 // taken early is an arrival that left the priority queue before it had to,
@@ -516,26 +570,15 @@ func (r *runner) finish(j *loadJob) error {
 // it abandoned back to the source, stops quietly when the server drains,
 // and fails the run on anything else.
 func (r *loadRun) worker(ctx context.Context, id int64, lats *[]time.Duration) error {
-	rng := rand.New(rand.NewSource(r.cfg.Seed + id))
-	var settling *tierCounters // whose refusals the retry policy is reporting
-	run, depth := newRunner(&r.cfg, &r.cnt, id, rng, func(code wire.ErrorCode) {
-		switch code {
-		case wire.CodeShed:
-			r.cnt.shed.Add(1)
-			if settling != nil {
-				settling.shed.Add(1)
-			}
-		case wire.CodeInfeasible:
-			r.cnt.infeasible.Add(1)
-		}
-	})
-	defer run.pc.Close()
-	if r.jobs != nil {
-		depth = 1
+	run := &runner{loadRun: r, rng: rand.New(rand.NewSource(r.cfg.Seed + id))}
+	defer run.close()
+	depth := 1
+	if r.cfg.Pipelined && r.jobs == nil {
+		depth = r.cfg.Window
 	}
 	queue := make([]loadJob, 0, depth)
 	for ctx.Err() == nil {
-		if j, ok := r.next(rng); ok {
+		if j, ok := r.next(run.rng); ok {
 			if r.cfg.DeadlineBudget > 0 {
 				// The deadline is anchored at arrival; hand the server only
 				// what remains. A job whose budget evaporated waiting for a
@@ -555,8 +598,7 @@ func (r *loadRun) worker(ctx context.Context, id int64, lats *[]time.Duration) e
 		}
 		j := &queue[0]
 		queue = queue[1:]
-		settling = j.tier
-		err := run.finish(j)
+		err := run.finish(ctx, j)
 		r.cnt.attempts.Add(1)
 		if err == nil {
 			r.commit(j, lats)
@@ -592,7 +634,7 @@ func (r *loadRun) commit(j *loadJob, lats *[]time.Duration) {
 	if onTime {
 		r.cnt.onTime.Add(1)
 	}
-	r.series.record(onTime)
+	r.buckets.commit(onTime)
 	if j.ro {
 		r.cnt.roCommitted.Add(1)
 	} else {
@@ -685,103 +727,63 @@ func (q *openQueue) close() {
 	q.cond.Broadcast()
 }
 
-// seriesTracker buckets commits over the arrival window. Workers record
-// concurrently, so the buckets are atomics; commits landing after the
-// window (the in-flight tail) clamp into the last bucket.
-type seriesTracker struct {
-	start  time.Time
-	width  time.Duration
-	commit []atomic.Int64
-	onTime []atomic.Int64
+// bucketTracker books the open loop's arrivals and commits into Buckets
+// equal slices of the arrival window. Only the arrival goroutine books
+// arrivals, so those counters are plain; workers book commits concurrently,
+// so those are atomics.
+type bucketTracker struct {
+	start              time.Time
+	width              time.Duration
+	scheduled, emitted [Buckets]int64
+	maxLag             [Buckets]time.Duration
+	committed, onTime  [Buckets]atomic.Int64
 }
 
-func newSeriesTracker(start time.Time, window time.Duration, n int) *seriesTracker {
-	return &seriesTracker{
-		start:  start,
-		width:  window / time.Duration(n),
-		commit: make([]atomic.Int64, n),
-		onTime: make([]atomic.Int64, n),
-	}
+// newBucketTracker slices window; a slice is at least a nanosecond wide, so
+// even a window of a few nanoseconds divides.
+func newBucketTracker(start time.Time, window time.Duration) *bucketTracker {
+	return &bucketTracker{start: start, width: max(window/Buckets, 1)}
 }
 
-func (s *seriesTracker) record(onTime bool) {
-	if s == nil {
+// slice is the bucket an offset from the run start falls in, the ends
+// clamped into the first and last.
+func (b *bucketTracker) slice(d time.Duration) int {
+	return min(max(int(d/b.width), 0), Buckets-1)
+}
+
+// arrival books one emitted arrival: sched is its scheduled offset from the
+// run start, actual the offset it was actually emitted at.
+func (b *bucketTracker) arrival(sched, actual time.Duration) {
+	i := b.slice(sched)
+	b.scheduled[i]++
+	b.emitted[b.slice(actual)]++
+	b.maxLag[i] = max(b.maxLag[i], actual-sched)
+}
+
+// commit books one commit at the current time; a nil tracker (the closed
+// loop) books nothing.
+func (b *bucketTracker) commit(onTime bool) {
+	if b == nil {
 		return
 	}
-	i := int(time.Since(s.start) / s.width)
-	if i >= len(s.commit) {
-		i = len(s.commit) - 1
-	}
-	s.commit[i].Add(1)
+	i := b.slice(time.Since(b.start))
+	b.committed[i].Add(1)
 	if onTime {
-		s.onTime[i].Add(1)
+		b.onTime[i].Add(1)
 	}
 }
 
-func (s *seriesTracker) report() []SeriesBucket {
-	out := make([]SeriesBucket, len(s.commit))
+func (b *bucketTracker) report() []Bucket {
+	out := make([]Bucket, Buckets)
 	for i := range out {
-		out[i] = SeriesBucket{
-			StartS:    (time.Duration(i) * s.width).Seconds(),
-			EndS:      (time.Duration(i+1) * s.width).Seconds(),
-			Committed: s.commit[i].Load(),
-			OnTime:    s.onTime[i].Load(),
-		}
-	}
-	return out
-}
-
-// paceTracker accumulates per-slice pacing statistics. Only the arrival
-// goroutine touches it, so the counters are plain.
-type paceTracker struct {
-	width     time.Duration
-	scheduled []int64
-	emitted   []int64
-	maxLag    []time.Duration
-}
-
-func newPaceTracker(window time.Duration, n int) *paceTracker {
-	return &paceTracker{
-		width:     window / time.Duration(n),
-		scheduled: make([]int64, n),
-		emitted:   make([]int64, n),
-		maxLag:    make([]time.Duration, n),
-	}
-}
-
-// arrival records one emitted arrival: sched is its scheduled offset from
-// the run start, actual the offset it was actually emitted at.
-func (p *paceTracker) arrival(sched, actual time.Duration) {
-	clamp := func(d time.Duration) int {
-		i := int(d / p.width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(p.scheduled) {
-			i = len(p.scheduled) - 1
-		}
-		return i
-	}
-	si := clamp(sched)
-	p.scheduled[si]++
-	p.emitted[clamp(actual)]++
-	if lag := actual - sched; lag > p.maxLag[si] {
-		p.maxLag[si] = lag
-	}
-}
-
-func (p *paceTracker) report() []PaceSlice {
-	out := make([]PaceSlice, len(p.scheduled))
-	w := p.width.Seconds()
-	for i := range out {
-		out[i] = PaceSlice{
-			StartS:       float64(i) * w,
-			EndS:         float64(i+1) * w,
-			Scheduled:    p.scheduled[i],
-			Emitted:      p.emitted[i],
-			MaxLagMS:     float64(p.maxLag[i]) / float64(time.Millisecond),
-			OfferedRate:  float64(p.scheduled[i]) / w,
-			AchievedRate: float64(p.emitted[i]) / w,
+		out[i] = Bucket{
+			StartS:    (time.Duration(i) * b.width).Seconds(),
+			EndS:      (time.Duration(i+1) * b.width).Seconds(),
+			Scheduled: b.scheduled[i],
+			Emitted:   b.emitted[i],
+			MaxLagMS:  float64(b.maxLag[i]) / float64(time.Millisecond),
+			Committed: b.committed[i].Load(),
+			OnTime:    b.onTime[i].Load(),
 		}
 	}
 	return out
@@ -805,12 +807,11 @@ func (p *paceTracker) report() []PaceSlice {
 // sub-millisecond gaps of a multi-thousand/s Poisson process — it
 // oversleeps, then dumps the overdue arrivals in bursts. The spin costs one
 // core's worth of yields but makes the achieved rate track the offered rate
-// (both are reported, whole-run and per slice, so a run shows when and
+// (both are reported, whole-run and per bucket, so a run shows when and
 // where it does not).
 func (r *loadRun) arrivals(ctx context.Context, rep *LoadReport, start time.Time) {
 	cfg := &r.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pace := newPaceTracker(cfg.Duration, paceSlices)
 	deadline := start.Add(cfg.Duration)
 	next := start
 	timer := time.NewTimer(0)
@@ -849,7 +850,7 @@ arrivals:
 			break
 		}
 		frac := float64(next.Sub(start)) / float64(cfg.Duration)
-		pace.arrival(next.Sub(start), time.Since(start))
+		r.buckets.arrival(next.Sub(start), time.Since(start))
 		readFrac := cfg.ReadFrac
 		if cfg.ReadFracAt != nil {
 			readFrac = cfg.ReadFracAt(frac)
@@ -867,7 +868,6 @@ arrivals:
 	if w := time.Since(start); w > 0 {
 		rep.AchievedRate = float64(rep.Offered) / w.Seconds()
 	}
-	rep.Pacing = pace.report()
 }
 
 // schemaItems collects the distinct items named by the schema's template
@@ -937,7 +937,7 @@ func (r *loadRun) finishReport(rep *LoadReport, lats [][]time.Duration, start ti
 	rep.OnTime = r.cnt.onTime.Load()
 	rep.Shed = r.cnt.shed.Load()
 	rep.Infeasible = r.cnt.infeasible.Load()
-	rep.RetriesSuppressed = r.cfg.RetryBudget.Suppressed()
+	rep.RetriesSuppressed = r.budget.suppressed()
 	var all []time.Duration
 	for _, l := range lats {
 		all = append(all, l...)
@@ -964,7 +964,7 @@ func (r *loadRun) finishReport(rep *LoadReport, lats [][]time.Duration, start ti
 		}
 		rep.Tiers = append(rep.Tiers, tr)
 	}
-	if r.series != nil {
-		rep.Series = r.series.report()
+	if r.buckets != nil {
+		rep.Buckets = r.buckets.report()
 	}
 }

@@ -2,7 +2,9 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -127,8 +129,8 @@ func runLoad(t *testing.T, cfg LoadConfig) *LoadReport {
 
 // TestWorkerRetriesAFailedFirstAttempt: the pipelined closed loop has three
 // transactions in flight when the first comes back with a retryable ERR;
-// the worker runs the rest of its chain under the shared policy and the
-// run ends with every transaction committed and one retry on the books.
+// the worker runs the rest of its chain and the run ends with every
+// transaction committed and one retry on the books.
 func TestWorkerRetriesAFailedFirstAttempt(t *testing.T) {
 	addr, seen := loadServer(t, func(n int64) wire.ErrorCode {
 		if n == 1 {
@@ -149,25 +151,21 @@ func TestWorkerRetriesAFailedFirstAttempt(t *testing.T) {
 	}
 }
 
-// TestWorkerHandsBackAnAbandonedClaim: with the retry budget empty, a shed
-// first attempt is abandoned — Failed, one suppressed retry, the shed on
-// its tier — and its claim goes back to the source. All three claims were
-// out when that happened, so the count had run to zero: the worker must
-// claim the returned one again and the run still reach its target.
+// TestWorkerHandsBackAnAbandonedClaim: with one attempt allowed, a shed
+// first attempt is abandoned — Failed, no retry, the shed on its tier — and
+// its claim goes back to the source. All three claims were out when that
+// happened, so the count had run to zero: the worker must claim the
+// returned one again and the run still reach its target.
 func TestWorkerHandsBackAnAbandonedClaim(t *testing.T) {
-	budget := NewRetryBudget(0.01, 1)
-	if !budget.take() {
-		t.Fatal("priming take failed")
-	}
 	addr, seen := loadServer(t, func(n int64) wire.ErrorCode {
 		if n == 1 {
 			return wire.CodeShed
 		}
 		return 0
 	})
-	rep := runLoad(t, LoadConfig{Addr: addr, Conns: 1, Txns: 3, Pipelined: true, Window: 4, RetryBudget: budget})
-	if rep.Committed != 3 || rep.Attempts != 4 || rep.Retries != 0 || rep.Failed != 1 || rep.RetriesSuppressed != 1 {
-		t.Fatalf("committed/attempts/retries/failed/suppressed = %d/%d/%d/%d/%d, want 3/4/0/1/1",
+	rep := runLoad(t, LoadConfig{Addr: addr, Conns: 1, Txns: 3, Pipelined: true, Window: 4, MaxAttempts: 1})
+	if rep.Committed != 3 || rep.Attempts != 4 || rep.Retries != 0 || rep.Failed != 1 || rep.RetriesSuppressed != 0 {
+		t.Fatalf("committed/attempts/retries/failed/suppressed = %d/%d/%d/%d/%d, want 3/4/0/1/0",
 			rep.Committed, rep.Attempts, rep.Retries, rep.Failed, rep.RetriesSuppressed)
 	}
 	if got := seen.Load(); got != 4 {
@@ -198,6 +196,76 @@ func TestWorkerStopsOnDrain(t *testing.T) {
 				t.Fatalf("server saw %d transaction attempts, want 3: the worker kept offering load to a draining server", got)
 			}
 		})
+	}
+}
+
+// TestWorkerStopsRetryingWhenCancelled: a run cancelled while its worker is
+// in a retry chain sends no further attempt — the backoff waits on the run's
+// context, not a bare sleep — and returns promptly, whichever way its
+// transactions are sent. The server cancels as it takes the third attempt,
+// before it refuses it, so anything it sees after is sent after the cancel.
+func TestWorkerStopsRetryingWhenCancelled(t *testing.T) {
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var cancelledAt atomic.Int64
+			addr, seen := loadServer(t, func(n int64) wire.ErrorCode {
+				if n == 3 {
+					cancelledAt.Store(time.Now().UnixNano())
+					cancel()
+				}
+				return wire.CodeShed
+			})
+			rep, err := RunLoad(ctx, LoadConfig{Addr: addr, Conns: 1, Txns: 1, MaxAttempts: 1000, Pipelined: pipelined, Window: 1})
+			took := time.Since(time.Unix(0, cancelledAt.Load()))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("RunLoad: %v, want context.Canceled", err)
+			}
+			if got := seen.Load(); got != 3 || rep.Retries != 2 {
+				t.Fatalf("server saw %d attempts, %d retries sent: want 3 and 2, nothing after the cancel", got, rep.Retries)
+			}
+			if took > 50*time.Millisecond {
+				t.Fatalf("RunLoad returned %v after the cancel, want within 50ms", took)
+			}
+		})
+	}
+}
+
+// TestBackoffHoldsItsCapAtAnyAttempt: however long a retry chain runs, its
+// backoff draws below the capped ceiling — a chain past the 44th retry does
+// not shift the ceiling into a negative draw — and a cancelled run's
+// backoff returns at once with the run's error.
+func TestBackoffHoldsItsCapAtAnyAttempt(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := &runner{rng: rand.New(rand.NewSource(1))}
+	for _, a := range []int{1, 7, 8, 45, 64, 65, 1000} {
+		if err := r.backoff(ctx, a); !errors.Is(err, context.Canceled) {
+			t.Fatalf("backoff before retry %d of a cancelled run: %v, want context.Canceled", a, err)
+		}
+	}
+}
+
+// TestBucketsOfATinyWindow: an arrival window of a few nanoseconds still
+// slices into buckets at least a nanosecond wide — no divide by zero at the
+// first arrival — and books what lands past its end in the last bucket.
+func TestBucketsOfATinyWindow(t *testing.T) {
+	b := newBucketTracker(time.Now(), 3*time.Nanosecond)
+	b.arrival(0, time.Millisecond)
+	b.commit(true)
+	got := b.report()
+	if len(got) != Buckets {
+		t.Fatalf("%d buckets, want %d", len(got), Buckets)
+	}
+	first, last := got[0], got[Buckets-1]
+	if first.Scheduled != 1 || last.Emitted != 1 || last.Committed != 1 || last.OnTime != 1 {
+		t.Fatalf("first %+v, last %+v: want the arrival scheduled in the first and emitted and committed in the last", first, last)
+	}
+	for _, bk := range got {
+		if bk.EndS <= bk.StartS {
+			t.Fatalf("bucket %+v has no width", bk)
+		}
 	}
 }
 
@@ -257,7 +325,7 @@ func TestTinyRunPercentiles(t *testing.T) {
 		{[][]time.Duration{{7 * ms}}, 7 * ms, 7 * ms, 7 * ms, 7 * ms, 7 * ms},
 		{[][]time.Duration{{3 * ms}, {1 * ms, 2 * ms}}, 2 * ms, 3 * ms, 3 * ms, 3 * ms, 3 * ms},
 	} {
-		r := &loadRun{tiers: newTierStats(fakeSchema)}
+		r := &loadRun{tiers: newTierStats(fakeSchema), budget: newRetryBudget(1)}
 		r.cfg.fill()
 		rep := &LoadReport{}
 		r.finishReport(rep, tc.lats, time.Now())

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -553,107 +552,4 @@ func (p *PipeConn) RunReadTxn(items []uint32) error {
 		return err
 	}
 	return fut.Wait()
-}
-
-// PipeClient is the retrying client over one PipeConn, which it dials on
-// first use: retryable typed failures — overload, shed, infeasible, abort,
-// deadline, and a server at its connection limit refusing the dial — back
-// off and rerun the whole transaction under its retryPolicy (attempts,
-// budget, jitter, code hook). One goroutine per PipeClient; a broken
-// connection is redialed on the next attempt.
-type PipeClient struct {
-	retryPolicy
-	addr    string
-	timeout time.Duration
-	window  int
-	conn    *PipeConn
-}
-
-// NewPipeClient builds a retrying pipelined client for addr. seed drives
-// backoff jitter deterministically.
-func NewPipeClient(addr string, opTimeout time.Duration, window int, seed int64) *PipeClient {
-	return &PipeClient{
-		retryPolicy: retryPolicy{MaxAttempts: 8, BackoffBase: time.Millisecond,
-			rng: rand.New(rand.NewSource(seed))},
-		addr: addr, timeout: opTimeout, window: window,
-	}
-}
-
-// Do runs one transaction of the named type as a conversation under the
-// retry policy: BEGIN, fn, COMMIT, the whole sequence again after a
-// retryable failure. fn gets the connection with the transaction begun and
-// drives it a step at a time; returning an error ends the attempt.
-func (pc *PipeClient) Do(name string, fn func(c *PipeConn) error) error {
-	return pc.DoDeadline(name, 0, fn)
-}
-
-// DoDeadline is Do with a firm deadline budget attached to the BEGIN (see
-// PipeConn.BeginBudget); budget <= 0 is plain Do. Retries reuse the same
-// budget value — the server re-evaluates feasibility per attempt.
-func (pc *PipeClient) DoDeadline(name string, budget time.Duration, fn func(c *PipeConn) error) error {
-	return pc.do(name, func(c *PipeConn) error { return converse(c, name, budget, fn) })
-}
-
-// converse is one attempt at a conversation on c.
-func converse(c *PipeConn, name string, budget time.Duration, fn func(c *PipeConn) error) error {
-	if _, err := c.BeginBudget(name, budget); err != nil {
-		return err
-	}
-	if err := fn(c); err != nil {
-		// The server ends the transaction on every ERR reply; only a
-		// non-protocol failure inside fn leaves one to abort.
-		var remote *wire.RemoteError
-		if !errors.As(err, &remote) && !c.Broken() {
-			_ = c.Abort()
-		}
-		return err
-	}
-	return c.Commit()
-}
-
-// DoTxn runs one transaction sent whole (see PipeConn.RunTxn) under the
-// retry policy.
-func (pc *PipeClient) DoTxn(name string, budget time.Duration, steps []wire.Message) error {
-	return pc.do(name, func(c *PipeConn) error { return c.RunTxn(name, budget, steps) })
-}
-
-// do runs txn — one attempt at a transaction on a connection — under the
-// retry policy.
-func (pc *PipeClient) do(name string, txn func(*PipeConn) error) error {
-	return pc.run(name, func() error { return pc.attempt(txn) })
-}
-
-// attempt runs txn on the current connection, dialing first if there is
-// none, and drops a connection the attempt broke.
-func (pc *PipeClient) attempt(txn func(*PipeConn) error) error {
-	c, err := pc.get()
-	if err != nil {
-		return err
-	}
-	err = txn(c)
-	if c.Broken() {
-		_ = c.Close()
-		pc.conn = nil
-	}
-	return err
-}
-
-func (pc *PipeClient) get() (*PipeConn, error) {
-	if pc.conn != nil && !pc.conn.Broken() {
-		return pc.conn, nil
-	}
-	c, err := DialPipelined(pc.addr, pc.timeout, pc.window)
-	if err != nil {
-		return nil, err
-	}
-	pc.conn = c
-	return c, nil
-}
-
-// Close closes the underlying connection, if any.
-func (pc *PipeClient) Close() {
-	if pc.conn != nil {
-		_ = pc.conn.Close()
-		pc.conn = nil
-	}
 }

@@ -97,19 +97,18 @@ func runLivePhase(ctx context.Context, spec *Spec, ph *PhaseSpec, pi int,
 	}
 
 	lc := client.LoadConfig{
-		Addr:          target,
-		Conns:         spec.Live.Conns,
-		Seed:          seed,
-		Pipelined:     true,
-		Window:        spec.Live.Window,
-		MaxAttempts:   spec.Live.MaxAttempts,
-		MaxInFlight:   spec.Live.MaxInFlight,
-		ArrivalRate:   MeanRate(ph.Arrival),
-		ArrivalTimes:  offsets,
-		Duration:      time.Duration(ph.DurationS * float64(time.Second)),
-		ReadFrac:      ph.ReadFrac,
-		SeriesBuckets: seriesBuckets,
-		PickTemplate:  func(rng *rand.Rand, frac float64) int { return picker.Pick(rng, frac) },
+		Addr:         target,
+		Conns:        spec.Live.Conns,
+		Seed:         seed,
+		Pipelined:    true,
+		Window:       spec.Live.Window,
+		MaxAttempts:  spec.Live.MaxAttempts,
+		MaxInFlight:  spec.Live.MaxInFlight,
+		ArrivalRate:  MeanRate(ph.Arrival),
+		ArrivalTimes: offsets,
+		Duration:     time.Duration(ph.DurationS * float64(time.Second)),
+		ReadFrac:     ph.ReadFrac,
+		PickTemplate: func(rng *rand.Rand, frac float64) int { return picker.Pick(rng, frac) },
 	}
 	if ph.DeadlineMS > 0 {
 		lc.DeadlineBudget = time.Duration(ph.DeadlineMS * float64(time.Millisecond))
@@ -139,12 +138,10 @@ func runLivePhase(ctx context.Context, spec *Spec, ph *PhaseSpec, pi int,
 		P999MS:       msOf(lr.P999),
 		OfferedRate:  lr.OfferedRate,
 		AchievedRate: lr.AchievedRate,
-		Series:       make([]int64, seriesBuckets),
+		Series:       make([]int64, client.Buckets),
 	}
-	for i, b := range lr.Series {
-		if i < len(row.Series) {
-			row.Series[i] = b.Committed
-		}
+	for i, b := range lr.Buckets {
+		row.Series[i] = b.Committed
 	}
 	for _, tr := range lr.Tiers {
 		row.Tiers = append(row.Tiers, TierSLO{Tier: tr.Priority, Offered: tr.Offered, OnTime: tr.OnTime})

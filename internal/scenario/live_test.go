@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pcpda/internal/client"
 	"pcpda/internal/rtm"
 	"pcpda/internal/server"
 	"pcpda/internal/wire"
@@ -104,8 +105,8 @@ func TestRunLiveEndToEnd(t *testing.T) {
 		if row.AchievedRate <= 0 {
 			t.Fatalf("row %s achieved rate %v", row.Phase, row.AchievedRate)
 		}
-		if len(row.Series) != seriesBuckets {
-			t.Fatalf("row %s series has %d buckets, want %d", row.Phase, len(row.Series), seriesBuckets)
+		if len(row.Series) != client.Buckets {
+			t.Fatalf("row %s series has %d buckets, want %d", row.Phase, len(row.Series), client.Buckets)
 		}
 	}
 	// The live report shares the sim schema: round-trips byte-identically.

@@ -7,10 +7,6 @@ import (
 	"sort"
 )
 
-// seriesBuckets is the throughput-over-time resolution both backends
-// report at.
-const seriesBuckets = 10
-
 // TierSLO is one priority tier's share of a phase row. Tier is the BASE
 // priority of the tier's templates (the wire schema's priority on the
 // live side, the origin template's priority on the sim side), so the two
@@ -50,7 +46,8 @@ type PhaseReport struct {
 
 	Tiers []TierSLO `json:"tiers"`
 	// Series is commits per bucket across the phase window (plus the
-	// straggler tail in the last bucket) — the throughput-over-time view.
+	// straggler tail in the last bucket) — the throughput-over-time view,
+	// client.Buckets of them on both backends.
 	Series []int64 `json:"series"`
 }
 

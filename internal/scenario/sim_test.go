@@ -238,13 +238,14 @@ func TestCatalogSpecsParse(t *testing.T) {
 
 func TestParseRejects(t *testing.T) {
 	cases := map[string]string{
-		"unknown field":    `{"name":"x","workload":{"n":2,"items":2},"phasez":[]}`,
-		"no phases":        `{"name":"x","workload":{"n":2,"items":2}}`,
-		"bad arrival kind": `{"name":"x","workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"warp","rate":1}}]}`,
-		"zero rate":        `{"name":"x","workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"poisson"}}]}`,
-		"bad protocol":     `{"name":"x","protocols":["nope"],"workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"poisson","rate":1}}]}`,
-		"dup phase":        `{"name":"x","workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"poisson","rate":1}},{"name":"p","duration_s":1,"arrival":{"kind":"poisson","rate":1}}]}`,
-		"bad fault prob":   `{"name":"x","workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"poisson","rate":1},"faults":{"abort_prob":1.5}}]}`,
+		"unknown field":      `{"name":"x","workload":{"n":2,"items":2},"phasez":[]}`,
+		"no phases":          `{"name":"x","workload":{"n":2,"items":2}}`,
+		"bad arrival kind":   `{"name":"x","workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"warp","rate":1}}]}`,
+		"zero rate":          `{"name":"x","workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"poisson"}}]}`,
+		"bad protocol":       `{"name":"x","protocols":["nope"],"workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"poisson","rate":1}}]}`,
+		"dup phase":          `{"name":"x","workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"poisson","rate":1}},{"name":"p","duration_s":1,"arrival":{"kind":"poisson","rate":1}}]}`,
+		"bad fault prob":     `{"name":"x","workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":1,"arrival":{"kind":"poisson","rate":1},"faults":{"abort_prob":1.5}}]}`,
+		"phase under a tick": `{"name":"x","workload":{"n":2,"items":2},"phases":[{"name":"p","duration_s":0.001,"arrival":{"kind":"periodic","rate":5000}}]}`,
 	}
 	for name, js := range cases {
 		if _, err := Parse([]byte(js)); err == nil {

@@ -3,7 +3,7 @@ package scenario
 import (
 	"sort"
 
-	"pcpda/internal/rt"
+	"pcpda/internal/client"
 	"pcpda/internal/sched"
 	"pcpda/internal/sim"
 )
@@ -84,7 +84,7 @@ func RunSim(spec *Spec, opts SimOptions) (*Report, error) {
 				Phase:       ph.Name,
 				Protocol:    proto,
 				OfferedRate: MeanRate(ph.Arrival),
-				Series:      make([]int64, seriesBuckets),
+				Series:      make([]int64, client.Buckets),
 			}
 			var lats []float64
 			tierAcc := make(map[int32]*TierSLO)
@@ -145,10 +145,6 @@ func accumulateSim(row *PhaseReport, tierAcc map[int32]*TierSLO, lats *[]float64
 		row.OnTime++
 		ts.OnTime++
 		*lats = append(*lats, float64(j.FinishTick-j.Release)*msPerTick)
-		bucket := int(j.FinishTick * rt.Ticks(seriesBuckets) / cp.durTicks)
-		if bucket >= seriesBuckets {
-			bucket = seriesBuckets - 1
-		}
-		row.Series[bucket]++
+		row.Series[min(int(j.FinishTick*client.Buckets/cp.durTicks), client.Buckets-1)]++
 	}
 }

@@ -260,6 +260,10 @@ func (s *Spec) Validate() error {
 		if p.DurationS <= 0 {
 			return fmt.Errorf("scenario %s: phase %s: duration_s %v must be > 0", s.Name, p.Name, p.DurationS)
 		}
+		if p.DurationS*float64(s.TicksPerSecond) < 1 {
+			return fmt.Errorf("scenario %s: phase %s: duration_s %v is shorter than one tick at %d ticks/s",
+				s.Name, p.Name, p.DurationS, s.TicksPerSecond)
+		}
 		if err := p.Arrival.validate(); err != nil {
 			return fmt.Errorf("scenario %s: phase %s: %w", s.Name, p.Name, err)
 		}

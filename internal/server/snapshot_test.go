@@ -2,8 +2,10 @@ package server
 
 import (
 	"bufio"
+	"context"
+	"fmt"
+	"math/rand"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,56 +148,54 @@ func TestMaxConnsRefusal(t *testing.T) {
 	})
 }
 
-// TestMaxConnsRefusalIsRetried: a retrying client that finds the server at
-// its connection limit backs off and redials — the refusal is the
-// retryable CodeOverload, not a dead end — and commits once a slot frees.
+// TestMaxConnsRefusalIsRetried: a load worker that finds the server at its
+// connection limit backs off and redials — the refusal is the retryable
+// CodeOverload, not a dead end — and commits once a slot frees. A hog holds
+// one of two slots and a live zonly transaction, so RunLoad's schema probe
+// gets in, and then, every transaction being a zonly, whichever of its two
+// workers takes the last slot waits on the hog's transaction while the other
+// is refused. The hog commits once a dial has been refused.
 func TestMaxConnsRefusalIsRetried(t *testing.T) {
-	set := testSet(t)
-	mgr, _ := rtm.New(set)
-	addr, srv := startServer(t, mgr, Config{MaxConns: 1})
-	hog := mustDial(t, addr)
-	z := item(t, set, "z")
-
-	var retries atomic.Int64
-	pc := client.NewPipeClient(addr, 2*time.Second, 0, 1)
-	defer pc.Close()
-	pc.MaxAttempts, pc.BackoffBase, pc.Retries = 50, 2*time.Millisecond, &retries
-	done := make(chan error, 1)
-	go func() { done <- pc.DoTxn("zonly", 0, []wire.Message{&wire.Write{Item: z, Value: 5}}) }()
-	waitFor(t, "a refused dial to be retried", func() bool {
-		return srv.Counters().RejectedConnLimit.Load() >= 1 && retries.Load() >= 1
-	})
-	_ = hog.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("PipeClient against a server at its connection limit: %v", err)
+	for _, pipelined := range []bool{false, true} {
+		t.Run(fmt.Sprintf("pipelined=%v", pipelined), func(t *testing.T) {
+			mgr, _ := rtm.New(testSet(t))
+			addr, srv := startServer(t, mgr, Config{MaxConns: 2})
+			hog := mustDial(t, addr)
+			defer func() { _ = hog.Close() }()
+			zonly := -1
+			for i, tmpl := range hog.Schema().Templates {
+				if tmpl.Name == "zonly" {
+					zonly = i
+				}
+			}
+			if _, err := hog.Begin("zonly"); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			const txns = 20
+			var rep *client.LoadReport
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				rep, err = client.RunLoad(ctx, client.LoadConfig{Addr: addr, Conns: 2, Txns: txns,
+					Pipelined: pipelined, Window: 1, OpTimeout: 5 * time.Second,
+					PickTemplate: func(*rand.Rand, float64) int { return zonly }})
+				done <- err
+			}()
+			waitFor(t, "a refused dial", func() bool { return srv.Counters().RejectedConnLimit.Load() >= 1 })
+			if err := hog.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("RunLoad against a server at its connection limit: %v", err)
+			}
+			if rep.Committed != txns || rep.Retries == 0 {
+				t.Fatalf("committed %d with %d retries, want %d and the refused dial retried", rep.Committed, rep.Retries, txns)
+			}
+			if got := mgr.Stats().Commits; got != txns+1 {
+				t.Fatalf("manager commits %d, want %d and the hog's", got, txns)
+			}
+		})
 	}
-	if v := mgr.ReadCommitted(2); v != 5 {
-		t.Fatalf("committed z = %v, want 5", v)
-	}
-
-	// A conversation dials through the same refusal.
-	pc.Close()
-	hog = takeSlot(t, addr)
-	before := srv.Counters().RejectedConnLimit.Load()
-	go func() { done <- pc.Do("zonly", func(c *client.PipeConn) error { return c.Write(z, 6) }) }()
-	waitFor(t, "a refused dial", func() bool { return srv.Counters().RejectedConnLimit.Load() > before })
-	_ = hog.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("PipeClient.Do against a server at its connection limit: %v", err)
-	}
-	if v := mgr.ReadCommitted(2); v != 6 {
-		t.Fatalf("committed z = %v, want 6", v)
-	}
-}
-
-// takeSlot dials until a connection slot that is being freed is free.
-func takeSlot(t *testing.T, addr string) *client.PipeConn {
-	t.Helper()
-	var c *client.PipeConn
-	waitFor(t, "the freed slot", func() bool {
-		var err error
-		c, err = client.DialPipelined(addr, 2*time.Second, 0)
-		return err == nil
-	})
-	return c
 }
