@@ -3,13 +3,12 @@
 //
 //	pcpsim -workload example3.json -protocol pcpda
 //	pcpsim -workload set.json -protocol rwpcp -horizon 200 -firm
-//	pcpsim -workload set.json -protocol pcpda,rwpcp,ccp -j 3   # side-by-side
+//	pcpsim -workload set.json -protocol pcpda,rwpcp,ccp   # side-by-side
 //	pcpsim -protocols            # list available protocols
 //
 // Passing several comma-separated protocols switches to compare mode: the
-// set runs once per protocol (fanned across -j worker goroutines) and the
-// summary table is printed side by side. The output is identical for every
-// -j — runs share nothing and merge in argument order.
+// set runs once per protocol, in argument order, and the summary table is
+// printed side by side.
 //
 // Workload files are JSON (see internal/workload): transactions with
 // periods, offsets and step lists over named items. The -paper flag loads
@@ -57,7 +56,6 @@ func main() {
 		jitter       = flag.Float64("jitter", 0, "sporadic arrival jitter J (inter-arrival in [Pd, Pd*(1+J)])")
 		seed         = flag.Int64("seed", 0, "sporadic-arrival RNG seed (also seeds -chaos)")
 		chaos        = flag.Int("chaos", 0, "run N seeded fault schedules against the live manager instead of simulating")
-		jobs         = flag.Int("j", 1, "worker goroutines for multi-protocol compare mode (-protocol a,b,c)")
 	)
 	flag.Parse()
 
@@ -85,7 +83,6 @@ func main() {
 			StopOnDeadlock: true,
 			SporadicJitter: *jitter,
 			Seed:           *seed,
-			Workers:        *jobs,
 		})
 		return
 	}
@@ -168,10 +165,9 @@ func main() {
 	}
 }
 
-// runCompare simulates set once per named protocol — fanned across
-// opts.Workers goroutines — and prints the side-by-side summary table. A
-// deadlocked run is reported per protocol; a non-serializable history exits
-// non-zero, same as single-protocol mode.
+// runCompare simulates set once per named protocol and prints the
+// side-by-side summary table. A deadlocked run is reported per protocol; a
+// non-serializable history exits non-zero, same as single-protocol mode.
 func runCompare(set *txn.Set, names []string, opts sim.Options) {
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
@@ -180,8 +176,8 @@ func runCompare(set *txn.Set, names []string, opts sim.Options) {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("workload %q under %d protocols (horizon %d, %d workers)\n\n",
-		set.Name, len(comps), comps[0].Result.Horizon, opts.Workers)
+	fmt.Printf("workload %q under %d protocols (horizon %d)\n\n",
+		set.Name, len(comps), comps[0].Result.Horizon)
 	sums := make([]metrics.Summary, len(comps))
 	for i, c := range comps {
 		sums[i] = c.Summary

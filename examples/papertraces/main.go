@@ -6,7 +6,9 @@
 //
 // For the full checked reproduction (with PASS/FAIL assertions against the
 // prose) use cmd/experiments instead; this example shows how to drive the
-// same scenarios from library code.
+// same scenarios from library code. The sets and their horizons come from
+// internal/papercases, the one copy of the paper's examples (DESIGN.md §4
+// justifies their segment lengths).
 package main
 
 import (
@@ -14,54 +16,8 @@ import (
 	"log"
 
 	"pcpda"
+	"pcpda/internal/papercases"
 )
-
-// The paper's examples, rebuilt through the public API. Arrival times and
-// segment lengths follow the prose (see DESIGN.md §4).
-func example1() *pcpda.Set {
-	s := pcpda.NewSet("example1")
-	x := s.Catalog.Intern("x")
-	y := s.Catalog.Intern("y")
-	s.Add(&pcpda.Template{Name: "T1", Offset: 2, Steps: []pcpda.Step{pcpda.Read(x)}})
-	s.Add(&pcpda.Template{Name: "T2", Offset: 1, Steps: []pcpda.Step{pcpda.Read(y)}})
-	s.Add(&pcpda.Template{Name: "T3", Offset: 0, Steps: []pcpda.Step{pcpda.Write(x), pcpda.Comp(2)}})
-	s.AssignByIndex()
-	return s
-}
-
-func example3() *pcpda.Set {
-	s := pcpda.NewSet("example3")
-	x := s.Catalog.Intern("x")
-	y := s.Catalog.Intern("y")
-	s.Add(&pcpda.Template{Name: "T1", Offset: 1, Period: 5, Steps: []pcpda.Step{pcpda.Read(x), pcpda.Read(y)}})
-	s.Add(&pcpda.Template{Name: "T2", Offset: 0, Steps: []pcpda.Step{
-		pcpda.Write(x), pcpda.Comp(2), pcpda.Write(y), pcpda.Comp(1)}})
-	s.AssignByIndex()
-	return s
-}
-
-func example4() *pcpda.Set {
-	s := pcpda.NewSet("example4")
-	x := s.Catalog.Intern("x")
-	y := s.Catalog.Intern("y")
-	z := s.Catalog.Intern("z")
-	s.Add(&pcpda.Template{Name: "T1", Offset: 4, Steps: []pcpda.Step{pcpda.Read(x), pcpda.Comp(1)}})
-	s.Add(&pcpda.Template{Name: "T2", Offset: 9, Steps: []pcpda.Step{pcpda.Write(y), pcpda.Comp(1)}})
-	s.Add(&pcpda.Template{Name: "T3", Offset: 1, Steps: []pcpda.Step{pcpda.Read(z), pcpda.Write(z)}})
-	s.Add(&pcpda.Template{Name: "T4", Offset: 0, Steps: []pcpda.Step{pcpda.Read(y), pcpda.Write(x), pcpda.Comp(3)}})
-	s.AssignByIndex()
-	return s
-}
-
-func example5() *pcpda.Set {
-	s := pcpda.NewSet("example5")
-	x := s.Catalog.Intern("x")
-	y := s.Catalog.Intern("y")
-	s.Add(&pcpda.Template{Name: "TH", Offset: 1, Steps: []pcpda.Step{pcpda.Read(y), pcpda.Write(x)}})
-	s.Add(&pcpda.Template{Name: "TL", Offset: 0, Steps: []pcpda.Step{pcpda.Read(x), pcpda.Comp(1), pcpda.Write(y)}})
-	s.AssignByIndex()
-	return s
-}
 
 func show(title string, set *pcpda.Set, protocol string, horizon pcpda.Ticks) {
 	res, err := pcpda.Run(set, protocol, pcpda.Options{
@@ -78,12 +34,12 @@ func show(title string, set *pcpda.Set, protocol string, horizon pcpda.Ticks) {
 }
 
 func main() {
-	show("Figure 1: Example 1", example1(), "rwpcp", 6)
-	show("Example 1, blocking-free contrast", example1(), "pcpda", 6)
-	show("Figure 2: Example 3", example3(), "pcpda", 10)
-	show("Figure 3: Example 3 — T1 misses its deadline at t=6", example3(), "rwpcp", 10)
-	show("Figure 4: Example 4", example4(), "pcpda", 12)
-	show("Figure 5: Example 4", example4(), "rwpcp", 12)
-	show("Example 5: the naive protocol deadlocks", example5(), "naiveda", 8)
-	show("Example 5: PCP-DA does not", example5(), "pcpda", 8)
+	show("Figure 1: Example 1", papercases.Example1(), "rwpcp", papercases.Example1Horizon)
+	show("Example 1, blocking-free contrast", papercases.Example1(), "pcpda", papercases.Example1Horizon)
+	show("Figure 2: Example 3", papercases.Example3(), "pcpda", papercases.Example3Horizon)
+	show("Figure 3: Example 3 — T1 misses its deadline at t=6", papercases.Example3(), "rwpcp", papercases.Example3Horizon)
+	show("Figure 4: Example 4", papercases.Example4(), "pcpda", papercases.Example4Horizon)
+	show("Figure 5: Example 4", papercases.Example4(), "rwpcp", papercases.Example4Horizon)
+	show("Example 5: the naive protocol deadlocks", papercases.Example5(), "naiveda", papercases.Example5Horizon)
+	show("Example 5: PCP-DA does not", papercases.Example5(), "pcpda", papercases.Example5Horizon)
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"pcpda/internal/rt"
-	"pcpda/internal/sched"
 	"pcpda/internal/sim"
 	"pcpda/internal/txn"
 )
@@ -48,20 +47,17 @@ func SetHorizonCap(t rt.Ticks) {
 	horizonCap.Store(int64(t))
 }
 
-// simRun is sim.Run with the engine's horizon cap applied. Sweep-style
-// experiments route their runs through here; the tiny paper-example figures
-// do not (their horizons are already a few dozen ticks, and capping them
-// would break the exact paper traces they assert).
-func simRun(set *txn.Set, protocol string, opts sim.Options) (*sched.Result, error) {
+// capHorizon returns opts with the engine's horizon cap applied to set's
+// run. Sweep-style experiments route their runs through here; the tiny
+// paper-example figures do not (their horizons are already a few dozen
+// ticks, and capping them would break the exact paper traces they assert).
+func capHorizon(set *txn.Set, opts sim.Options) sim.Options {
 	if cap := rt.Ticks(horizonCap.Load()); cap > 0 {
 		h := opts.Horizon
 		if h <= 0 {
 			h = sim.DefaultHorizon(set)
 		}
-		if h > cap {
-			h = cap
-		}
-		opts.Horizon = h
+		opts.Horizon = min(h, cap)
 	}
-	return sim.Run(set, protocol, opts)
+	return opts
 }

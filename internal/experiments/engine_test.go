@@ -19,7 +19,7 @@ func TestSweepEngineWorkerDeterminism(t *testing.T) {
 	// sweep experiment at test-friendly cost; the capped numbers differ
 	// from the paper's but are equally deterministic.
 	SetHorizonCap(600)
-	for _, name := range []string{"breakdown", "missratio", "blocking", "restarts", "ablation"} {
+	for _, name := range []string{"breakdown", "missratio", "blocking", "restarts", "ablation", "cslength", "hotspot"} {
 		e, ok := ByName(name)
 		if !ok {
 			t.Fatalf("missing experiment %s", name)
@@ -50,7 +50,7 @@ func TestHorizonCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	SetHorizonCap(100)
-	res, err := simRun(set, "pcpda", sim.Options{StopOnDeadlock: true})
+	res, err := sim.Run(set, "pcpda", capHorizon(set, sim.Options{StopOnDeadlock: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestHorizonCap(t *testing.T) {
 		t.Errorf("capped horizon = %d, want ≤ 100", res.Horizon)
 	}
 	SetHorizonCap(0)
-	res, err = simRun(set, "pcpda", sim.Options{StopOnDeadlock: true})
+	res, err = sim.Run(set, "pcpda", capHorizon(set, sim.Options{StopOnDeadlock: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

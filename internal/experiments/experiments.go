@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation, plus the extension experiments catalogued in DESIGN.md §2.
-// cmd/experiments is a thin CLI over this package and the repository-root
-// benchmarks drive the same entry points, so the numbers in EXPERIMENTS.md
-// always come from this code.
+// cmd/experiments is a thin CLI over this package, so the numbers in
+// EXPERIMENTS.md always come from this code.
 package experiments
 
 import (

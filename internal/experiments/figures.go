@@ -24,7 +24,7 @@ func init() {
 }
 
 // figureDir, when non-empty, makes the figure experiments also write each
-// reproduced timeline as an SVG file (fig1.svg .. fig5.svg, ex5-*.svg).
+// reproduced timeline as an SVG file (fig1.svg .. fig5.svg).
 var figureDir string
 
 // SetFigureDir enables SVG figure dumping into dir (cmd/experiments

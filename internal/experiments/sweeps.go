@@ -31,42 +31,67 @@ func sweepConfig(u float64, writeProb float64, seed int64) workload.Config {
 
 const sweepReps = 40
 
-// simPoint is the per-seed sample the blocking-style sweeps aggregate.
+// simPoint is one protocol's run on one seeded set, reduced to what the
+// sweeps read.
 type simPoint struct {
 	blocked   rt.Ticks
 	committed int
 	misses    int
 	deadlined int
 	restarts  int
+	grants34  int // LC3 + LC4 grants
 	maxCeil   float64
 	ceilCap   float64
 }
 
-// samplePoint runs one seeded workload under one protocol and extracts the
-// aggregate sample. mutate customizes the workload config before
-// generation.
-func samplePoint(protocol string, opts sim.Options, base workload.Config) (simPoint, error) {
-	var pt simPoint
-	set, err := workload.Generate(base)
-	if err != nil {
-		return pt, err
-	}
-	res, err := simRun(set, protocol, opts)
-	if err != nil {
-		return pt, err
-	}
-	for _, j := range res.Jobs {
-		pt.blocked += j.BlockedTicks
-		if j.AbsDeadline > 0 {
-			pt.deadlined++
+// sweep generates the set cfg(seed) once for every seed in [0, n) and runs
+// each protocol on it, so every column of a table compares the protocols on
+// the same transactions. cells[seed][i] is protocols[i]'s point. Each run is
+// reduced as soon as it returns, so a cell holds points, not results.
+func sweep(n int, protocols []string, opts sim.Options, cfg func(seed int64) workload.Config) ([][]simPoint, error) {
+	return runSeeds(int64(n), func(seed int64) ([]simPoint, error) {
+		set, err := workload.Generate(cfg(seed))
+		if err != nil {
+			return nil, err
 		}
+		o := capHorizon(set, opts)
+		pts := make([]simPoint, len(protocols))
+		for i, p := range protocols {
+			res, err := sim.Run(set, p, o)
+			if err != nil {
+				return nil, err
+			}
+			pt := &pts[i]
+			for _, j := range res.Jobs {
+				pt.blocked += j.BlockedTicks
+				if j.AbsDeadline > 0 {
+					pt.deadlined++
+				}
+			}
+			pt.committed = res.Committed
+			pt.misses = res.Misses
+			pt.restarts = res.Restarts
+			pt.grants34 = res.GrantCounts["LC3"] + res.GrantCounts["LC4"]
+			pt.maxCeil = float64(res.MaxSysceil)
+			pt.ceilCap = float64(len(set.Templates))
+		}
+		return pts, nil
+	})
+}
+
+// blockedPerCommit is protocol p's mean blocked ticks per committed job over
+// a sweep's cells (0 when nothing committed).
+func blockedPerCommit(cells [][]simPoint, p int) float64 {
+	var blocked rt.Ticks
+	var committed int
+	for _, c := range cells {
+		blocked += c[p].blocked
+		committed += c[p].committed
 	}
-	pt.committed = res.Committed
-	pt.misses = res.Misses
-	pt.restarts = res.Restarts
-	pt.maxCeil = float64(res.MaxSysceil)
-	pt.ceilCap = float64(len(set.Templates))
-	return pt, nil
+	if committed == 0 {
+		return 0
+	}
+	return float64(blocked) / float64(committed)
 }
 
 func breakdown(w io.Writer) error {
@@ -82,25 +107,29 @@ func breakdown(w io.Writer) error {
 	// Remember fractions at a mid utilization for the shape check.
 	var fracAt50 = map[analysis.Kind]float64{}
 	for _, u := range []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7} {
-		pf(w, "%-6.2f", u)
-		for _, k := range kinds {
-			verdicts, err := runSeeds(sweepReps, func(seed int64) (bool, error) {
-				set, err := workload.Generate(sweepConfig(u, 0.4, 7000+seed))
-				if err != nil {
-					return false, err
-				}
+		verdicts, err := runSeeds(sweepReps, func(seed int64) ([]bool, error) {
+			set, err := workload.Generate(sweepConfig(u, 0.4, 7000+seed))
+			if err != nil {
+				return nil, err
+			}
+			ok := make([]bool, len(kinds))
+			for i, k := range kinds {
 				rep, err := analysis.RMTest(set, k)
 				if err != nil {
-					return false, err
+					return nil, err
 				}
-				return rep.Schedulable, nil
-			})
-			if err != nil {
-				return err
+				ok[i] = rep.Schedulable
 			}
+			return ok, nil
+		})
+		if err != nil {
+			return err
+		}
+		pf(w, "%-6.2f", u)
+		for i, k := range kinds {
 			pass := 0
 			for _, ok := range verdicts {
-				if ok {
+				if ok[i] {
 					pass++
 				}
 			}
@@ -140,20 +169,18 @@ func missRatio(w io.Writer) error {
 		ratioAt[p] = map[float64]float64{}
 	}
 	for _, u := range []float64{0.4, 0.6, 0.8, 1.0, 1.2} {
+		cells, err := sweep(sweepReps/2, protocols,
+			sim.Options{FirmDeadlines: true, StopOnDeadlock: true},
+			func(seed int64) workload.Config { return sweepConfig(u, 0.4, 9000+seed) })
+		if err != nil {
+			return err
+		}
 		pf(w, "%-6.2f", u)
-		for _, p := range protocols {
-			pts, err := runSeeds(sweepReps/2, func(seed int64) (simPoint, error) {
-				return samplePoint(p,
-					sim.Options{FirmDeadlines: true, StopOnDeadlock: true},
-					sweepConfig(u, 0.4, 9000+seed))
-			})
-			if err != nil {
-				return err
-			}
+		for i, p := range protocols {
 			var misses, jobs int
-			for _, pt := range pts {
-				misses += pt.misses
-				jobs += pt.deadlined
+			for _, c := range cells {
+				misses += c[i].misses
+				jobs += c[i].deadlined
 			}
 			r := 0.0
 			if jobs > 0 {
@@ -189,32 +216,23 @@ func blockingProfile(w io.Writer) error {
 		blockAt[p] = map[float64]float64{}
 	}
 	for _, wp := range []float64{0.0, 0.2, 0.4, 0.6, 0.8, 1.0} {
+		// TrackCeiling (not Trace): the profile only reads Max_Sysceil,
+		// and skipping the timeline keeps the kernel's fast-forward
+		// eligible.
+		cells, err := sweep(sweepReps/2, protocols,
+			sim.Options{TrackCeiling: true, StopOnDeadlock: true},
+			func(seed int64) workload.Config { return sweepConfig(0.55, wp, 11000+seed) })
+		if err != nil {
+			return err
+		}
 		pf(w, "%-6.2f", wp)
-		for _, p := range protocols {
-			pts, err := runSeeds(sweepReps/2, func(seed int64) (simPoint, error) {
-				// TrackCeiling (not Trace): the profile only reads
-				// Max_Sysceil, and skipping the timeline keeps the
-				// kernel's fast-forward eligible.
-				return samplePoint(p,
-					sim.Options{TrackCeiling: true, StopOnDeadlock: true},
-					sweepConfig(0.55, wp, 11000+seed))
-			})
-			if err != nil {
-				return err
-			}
-			var blocked rt.Ticks
-			var committed int
+		for i, p := range protocols {
 			var ceilSum, ceilMax float64
-			for _, pt := range pts {
-				blocked += pt.blocked
-				committed += pt.committed
-				ceilSum += pt.maxCeil
-				ceilMax += pt.ceilCap
+			for _, c := range cells {
+				ceilSum += c[i].maxCeil
+				ceilMax += c[i].ceilCap
 			}
-			mean := 0.0
-			if committed > 0 {
-				mean = float64(blocked) / float64(committed)
-			}
+			mean := blockedPerCommit(cells, i)
 			blockAt[p][wp] = mean
 			pf(w, "   %6.3f/%.2f", mean, ceilSum/ceilMax)
 		}
@@ -234,6 +252,7 @@ func blockingProfile(w io.Writer) error {
 }
 
 func restarts(w io.Writer) error {
+	protocols := []string{"2plhp", "occ", "pcpda"}
 	pln(w, "restart counts of the abort-based protocols (2PL-HP, OCC-BC) vs the")
 	pln(w, "no-restart guarantee of PCP-DA")
 	pf(w, "(N=8, write probability 0.6, %d seeds per point)\n\n", sweepReps/2)
@@ -241,37 +260,24 @@ func restarts(w io.Writer) error {
 		"U", "hp-restart", "hp-miss", "occ-rsts", "occ-miss", "pcpda-rsts", "pcpda-miss")
 	totalHP, totalOCC, totalDA := 0, 0, 0
 	for _, u := range []float64{0.4, 0.6, 0.8} {
-		type triple struct{ hp, oc, da simPoint }
-		pts, err := runSeeds(sweepReps/2, func(seed int64) (triple, error) {
-			var tr triple
-			var err error
-			opts := sim.Options{StopOnDeadlock: true}
-			cfg := sweepConfig(u, 0.6, 13000+seed)
-			if tr.hp, err = samplePoint("2plhp", opts, cfg); err != nil {
-				return tr, err
-			}
-			if tr.oc, err = samplePoint("occ", opts, cfg); err != nil {
-				return tr, err
-			}
-			tr.da, err = samplePoint("pcpda", opts, cfg)
-			return tr, err
-		})
+		cells, err := sweep(sweepReps/2, protocols, sim.Options{StopOnDeadlock: true},
+			func(seed int64) workload.Config { return sweepConfig(u, 0.6, 13000+seed) })
 		if err != nil {
 			return err
 		}
-		var hpR, hpM, ocR, ocM, daR, daM int
-		for _, tr := range pts {
-			hpR += tr.hp.restarts
-			hpM += tr.hp.misses
-			ocR += tr.oc.restarts
-			ocM += tr.oc.misses
-			daR += tr.da.restarts
-			daM += tr.da.misses
+		var sum [3]simPoint
+		for _, c := range cells {
+			for i := range sum {
+				sum[i].restarts += c[i].restarts
+				sum[i].misses += c[i].misses
+			}
 		}
-		totalHP += hpR
-		totalOCC += ocR
-		totalDA += daR
-		pf(w, "%-6.2f %10d %10d %10d %10d %12d %12d\n", u, hpR, hpM, ocR, ocM, daR, daM)
+		hp, oc, da := sum[0], sum[1], sum[2]
+		totalHP += hp.restarts
+		totalOCC += oc.restarts
+		totalDA += da.restarts
+		pf(w, "%-6.2f %10d %10d %10d %10d %12d %12d\n",
+			u, hp.restarts, hp.misses, oc.restarts, oc.misses, da.restarts, da.misses)
 	}
 	pln(w)
 	check(w, totalDA == 0, "PCP-DA never restarts a transaction (got %d)", totalDA)
@@ -283,53 +289,25 @@ func restarts(w io.Writer) error {
 func ablation(w io.Writer) error {
 	pln(w, "LC3/LC4 ablation: PCP-DA vs PCP-DA restricted to LC1+LC2")
 	pf(w, "(N=8, U=0.55, write probability 0.5, %d seeds)\n\n", sweepReps)
-	type pair struct {
-		fullBlocked, lc2Blocked rt.Ticks
-		grants34                int
-		fullMiss, lc2Miss       int
-	}
-	pts, err := runSeeds(sweepReps, func(seed int64) (pair, error) {
-		var pr pair
-		set, err := workload.Generate(sweepConfig(0.55, 0.5, 15000+seed))
-		if err != nil {
-			return pr, err
-		}
-		full, err := simRun(set, "pcpda", sim.Options{StopOnDeadlock: true})
-		if err != nil {
-			return pr, err
-		}
-		lc2, err := simRun(set, "pcpda-lc2", sim.Options{StopOnDeadlock: true})
-		if err != nil {
-			return pr, err
-		}
-		for _, j := range full.Jobs {
-			pr.fullBlocked += j.BlockedTicks
-		}
-		for _, j := range lc2.Jobs {
-			pr.lc2Blocked += j.BlockedTicks
-		}
-		pr.grants34 = full.GrantCounts["LC3"] + full.GrantCounts["LC4"]
-		pr.fullMiss = full.Misses
-		pr.lc2Miss = lc2.Misses
-		return pr, nil
-	})
+	cells, err := sweep(sweepReps, []string{"pcpda", "pcpda-lc2"}, sim.Options{StopOnDeadlock: true},
+		func(seed int64) workload.Config { return sweepConfig(0.55, 0.5, 15000+seed) })
 	if err != nil {
 		return err
 	}
-	var agg pair
-	for _, pr := range pts {
-		agg.fullBlocked += pr.fullBlocked
-		agg.lc2Blocked += pr.lc2Blocked
-		agg.grants34 += pr.grants34
-		agg.fullMiss += pr.fullMiss
-		agg.lc2Miss += pr.lc2Miss
+	var full, lc2 simPoint
+	for _, c := range cells {
+		full.blocked += c[0].blocked
+		lc2.blocked += c[1].blocked
+		full.grants34 += c[0].grants34
+		full.misses += c[0].misses
+		lc2.misses += c[1].misses
 	}
-	pf(w, "  total blocked ticks: full=%d lc2-only=%d\n", agg.fullBlocked, agg.lc2Blocked)
-	pf(w, "  LC3+LC4 grants under full PCP-DA: %d\n", agg.grants34)
-	pf(w, "  deadline misses: full=%d lc2-only=%d\n\n", agg.fullMiss, agg.lc2Miss)
-	check(w, agg.fullBlocked <= agg.lc2Blocked,
-		"LC3/LC4 reduce aggregate blocking (%d vs %d)", agg.fullBlocked, agg.lc2Blocked)
-	check(w, agg.grants34 > 0, "LC3/LC4 actually fire on contended workloads (%d grants)", agg.grants34)
+	pf(w, "  total blocked ticks: full=%d lc2-only=%d\n", full.blocked, lc2.blocked)
+	pf(w, "  LC3+LC4 grants under full PCP-DA: %d\n", full.grants34)
+	pf(w, "  deadline misses: full=%d lc2-only=%d\n\n", full.misses, lc2.misses)
+	check(w, full.blocked <= lc2.blocked,
+		"LC3/LC4 reduce aggregate blocking (%d vs %d)", full.blocked, lc2.blocked)
+	check(w, full.grants34 > 0, "LC3/LC4 actually fire on contended workloads (%d grants)", full.grants34)
 	return nil
 }
 
@@ -349,28 +327,19 @@ func csLength(w io.Writer) error {
 		blockAt[p] = map[rt.Ticks]float64{}
 	}
 	for _, dur := range []rt.Ticks{1, 2, 4, 8} {
-		pf(w, "%-8d", dur)
-		for _, p := range protocols {
-			pts, err := runSeeds(sweepReps/2, func(seed int64) (simPoint, error) {
+		cells, err := sweep(sweepReps/2, protocols, sim.Options{StopOnDeadlock: true},
+			func(seed int64) workload.Config {
 				cfg := sweepConfig(0.55, 0.4, 17000+seed)
 				cfg.OpDurMax = dur
-				return samplePoint(p, sim.Options{StopOnDeadlock: true}, cfg)
+				return cfg
 			})
-			if err != nil {
-				return err
-			}
-			var blocked rt.Ticks
-			var committed int
-			for _, pt := range pts {
-				blocked += pt.blocked
-				committed += pt.committed
-			}
-			mean := 0.0
-			if committed > 0 {
-				mean = float64(blocked) / float64(committed)
-			}
-			blockAt[p][dur] = mean
-			pf(w, " %9.3f", mean)
+		if err != nil {
+			return err
+		}
+		pf(w, "%-8d", dur)
+		for i, p := range protocols {
+			blockAt[p][dur] = blockedPerCommit(cells, i)
+			pf(w, " %9.3f", blockAt[p][dur])
 		}
 		pln(w)
 	}
@@ -400,29 +369,20 @@ func hotspot(w io.Writer) error {
 		blockAt[p] = map[float64]float64{}
 	}
 	for _, hp := range []float64{0.0, 0.3, 0.6, 0.9} {
-		pf(w, "%-8.2f", hp)
-		for _, p := range protocols {
-			pts, err := runSeeds(sweepReps/2, func(seed int64) (simPoint, error) {
+		cells, err := sweep(sweepReps/2, protocols, sim.Options{StopOnDeadlock: true},
+			func(seed int64) workload.Config {
 				cfg := sweepConfig(0.55, 0.4, 19000+seed)
 				cfg.HotItems = 2
 				cfg.HotProb = hp
-				return samplePoint(p, sim.Options{StopOnDeadlock: true}, cfg)
+				return cfg
 			})
-			if err != nil {
-				return err
-			}
-			var blocked rt.Ticks
-			var committed int
-			for _, pt := range pts {
-				blocked += pt.blocked
-				committed += pt.committed
-			}
-			mean := 0.0
-			if committed > 0 {
-				mean = float64(blocked) / float64(committed)
-			}
-			blockAt[p][hp] = mean
-			pf(w, " %9.3f", mean)
+		if err != nil {
+			return err
+		}
+		pf(w, "%-8.2f", hp)
+		for i, p := range protocols {
+			blockAt[p][hp] = blockedPerCommit(cells, i)
+			pf(w, " %9.3f", blockAt[p][hp])
 		}
 		pln(w)
 	}

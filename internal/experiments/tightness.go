@@ -32,21 +32,21 @@ func tightness(w io.Writer) error {
 	pf(w, "(N=6, U=0.5, wp=0.4, %d random sets, horizon 50×max period)\n\n", sweepReps)
 	pf(w, "%-8s %10s %12s %14s %14s\n", "protocol", "sets", "violations", "mean obs/bnd", "max obs/bnd")
 
-	for _, pk := range kinds {
-		violations := 0
-		setsUsed := 0
-		var ratio stats.Stream
-		for seed := int64(0); seed < sweepReps; seed++ {
-			cfg := workload.Config{
-				N: 6, Items: 8, Utilization: 0.5,
-				PeriodMin: 30, PeriodMax: 500,
-				OpsMin: 1, OpsMax: 4, WriteProb: 0.4,
-				Seed: 21000 + seed,
-			}
-			set, err := workload.Generate(cfg)
-			if err != nil {
-				return err
-			}
+	violations := make([]int, len(kinds))
+	setsUsed := make([]int, len(kinds))
+	ratio := make([]stats.Stream, len(kinds))
+	for seed := int64(0); seed < sweepReps; seed++ {
+		set, err := workload.Generate(workload.Config{
+			N: 6, Items: 8, Utilization: 0.5,
+			PeriodMin: 30, PeriodMax: 500,
+			OpsMin: 1, OpsMax: 4, WriteProb: 0.4,
+			Seed: 21000 + seed,
+		})
+		if err != nil {
+			return err
+		}
+		opts := capHorizon(set, sim.Options{StopOnDeadlock: true})
+		for i, pk := range kinds {
 			rta, err := analysis.ResponseTimeTest(set, pk.kind)
 			if err != nil {
 				return err
@@ -54,15 +54,15 @@ func tightness(w io.Writer) error {
 			if !rta.Schedulable {
 				continue // the bound only promises anything for admitted sets
 			}
-			setsUsed++
-			res, err := simRun(set, pk.proto, sim.Options{StopOnDeadlock: true})
+			setsUsed[i]++
+			res, err := sim.Run(set, pk.proto, opts)
 			if err != nil {
 				return err
 			}
 			if res.Misses > 0 {
 				// An admitted set missing a deadline would itself be a
 				// soundness violation.
-				violations++
+				violations[i]++
 				continue
 			}
 			bounds := map[string]rt.Ticks{}
@@ -75,16 +75,18 @@ func tightness(w io.Writer) error {
 					continue
 				}
 				if s.MaxResponse > b {
-					violations++
+					violations[i]++
 				}
-				ratio.Add(float64(s.MaxResponse) / float64(b))
+				ratio[i].Add(float64(s.MaxResponse) / float64(b))
 			}
 		}
+	}
+	for i, pk := range kinds {
 		pf(w, "%-8s %10d %12d %14.3f %14.3f\n",
-			pk.proto, setsUsed, violations, ratio.Mean(), ratio.Max())
-		check(w, violations == 0,
+			pk.proto, setsUsed[i], violations[i], ratio[i].Mean(), ratio[i].Max())
+		check(w, violations[i] == 0,
 			"%s: no job ever exceeds its response-time bound on admitted sets (%d violations over %d sets)",
-			pk.proto, violations, setsUsed)
+			pk.proto, violations[i], setsUsed[i])
 	}
 	pln(w)
 	pln(w, "ratios below 1 quantify the analysis' conservatism: the simulated")

@@ -290,8 +290,8 @@ func TestBoundedHistory(t *testing.T) {
 	// of the run: {item slots, holder records, cells, undo journals}.
 	var extent [10][4]int
 	// The manager's own lists — each slot's waiter and Begin queues, the
-	// all-waiters index, the live list, the Begin-node pool — hold at most
-	// one entry per template, so append's doubling stops below twice that.
+	// live list, the Begin-node pool — hold at most one entry per template,
+	// so append's doubling stops below twice that.
 	var listCap [10]int
 	for d := range heap {
 		var wg sync.WaitGroup
@@ -326,7 +326,7 @@ func TestBoundedHistory(t *testing.T) {
 		m.mu.Lock()
 		extent[d][0], extent[d][1] = m.locks.Extent()
 		extent[d][2], extent[d][3] = m.store.Extent()
-		listCap[d] = max(cap(m.allWaiters), cap(m.active), cap(m.freeNodes))
+		listCap[d] = max(cap(m.active), cap(m.freeNodes))
 		for i := range m.slots {
 			s := &m.slots[i]
 			listCap[d] = max(listCap[d], cap(s.waiters), cap(s.begins), cap(s.blockers), cap(s.installed))

@@ -132,5 +132,7 @@ func (t *Txn) Template() *txn.Template { return t.slot.tmpl }
 func (m *Manager) ParkedWaiters() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.allWaiters)
+	n := 0
+	m.eachParked(func(*waitNode) { n++ })
+	return n
 }

@@ -153,8 +153,7 @@ type Manager struct {
 	pris []rt.Priority //pcpda:guardedby mu — inherit's scratch, one per slot: running priorities before the recompute, in active order
 
 	// Targeted-wakeup machinery (see wait.go).
-	allWaiters []*waitNode //pcpda:guardedby mu — every parked waiter (injected wakeups)
-	freeNodes  []*waitNode //pcpda:guardedby mu — pooled Begin-waiter nodes
+	freeNodes []*waitNode //pcpda:guardedby mu — pooled Begin-waiter nodes
 
 	cycle cc.CycleScratch //pcpda:guardedby mu — resolveCycle's search state, reused across parks
 
@@ -650,13 +649,6 @@ func (m *Manager) auditState() []string {
 			if !n.parked() {
 				badf("unregistered Begin waiter queued for template %d", i)
 			}
-		}
-	}
-
-	// The all-waiters list is position-consistent.
-	for i, n := range m.allWaiters {
-		if n.allIdx != i {
-			badf("waiter at position %d carries index %d", i, n.allIdx)
 		}
 	}
 

@@ -45,7 +45,7 @@ func (m *Manager) initSlots() {
 			mgr:  m,
 			tmpl: tmpl,
 			job:  cc.Job{Tmpl: tmpl, Status: cc.Done, MissedAt: -1, DataRead: rt.NewItemSet(), WS: db.NewWorkspace()},
-			wn:   waitNode{ch: make(chan struct{}, 1), allIdx: -1},
+			wn:   waitNode{ch: make(chan struct{}, 1)},
 		}
 	}
 }

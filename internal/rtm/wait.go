@@ -31,7 +31,7 @@ type waitNode struct {
 
 	// Registration bookkeeping, all under m.mu.
 	blockers []rt.JobID // jobs whose slots' waiter lists this node is filed in
-	allIdx   int        // position in m.allWaiters; -1 when not parked
+	filed    bool       // registered and not yet deregistered
 }
 
 // wake delivers one wake token; extra tokens while one is already pending
@@ -53,13 +53,13 @@ func (n *waitNode) drain() {
 }
 
 // parked reports whether the node is currently registered.
-func (n *waitNode) parked() bool { return n.allIdx >= 0 }
+func (n *waitNode) parked() bool { return n.filed }
 
 // --- registration (all under m.mu) -------------------------------------------
 
 // register files n in the waiter list of every blocker's slot (a Begin
-// waiter: in its slot's begins) and in the all-waiters list. The blockers
-// come from a decision taken under this same hold of m.mu, so each is live.
+// waiter: in its slot's begins). The blockers come from a decision taken
+// under this same hold of m.mu, so each is live.
 func (m *Manager) register(n *waitNode, blockers []rt.JobID) {
 	n.blockers = blockers
 	for _, id := range blockers {
@@ -70,23 +70,17 @@ func (m *Manager) register(n *waitNode, blockers []rt.JobID) {
 	if n.kind == waitTmpl {
 		n.slot.begins = append(n.slot.begins, n)
 	}
-	n.allIdx = len(m.allWaiters)
-	m.allWaiters = append(m.allWaiters, n)
+	n.filed = true
 }
 
 // deregister removes n from every list it was filed in. Idempotent. A
 // blocker that finished meanwhile is not found by id — it emptied its list
 // when it finished, and whatever holds its slot now never had n.
 func (m *Manager) deregister(n *waitNode) {
-	if n.allIdx < 0 {
+	if !n.filed {
 		return
 	}
-	last := len(m.allWaiters) - 1
-	m.allWaiters[n.allIdx] = m.allWaiters[last]
-	m.allWaiters[n.allIdx].allIdx = n.allIdx
-	m.allWaiters[last] = nil
-	m.allWaiters = m.allWaiters[:last]
-	n.allIdx = -1
+	n.filed = false
 	for _, id := range n.blockers {
 		if b := m.live(id); b != nil {
 			b.waiters = removeNode(b.waiters, n)
@@ -116,8 +110,21 @@ func removeNode(s []*waitNode, n *waitNode) []*waitNode {
 // fault's Wakeup action must still exercise every waiter's re-evaluation
 // path).
 func (m *Manager) wakeAll() {
-	for _, n := range m.allWaiters {
-		n.wake()
+	m.eachParked(func(n *waitNode) { n.wake() })
+}
+
+// eachParked calls f on every parked waiter. The slot table is the one
+// record of them: a lock or commit waiter parks on its slot's own node, and
+// a Begin waiter is filed in the begins of the slot it queues for.
+func (m *Manager) eachParked(f func(n *waitNode)) {
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.wn.filed {
+			f(&s.wn)
+		}
+		for _, n := range s.begins {
+			f(n)
+		}
 	}
 }
 
@@ -211,7 +218,7 @@ func (m *Manager) getNode() *waitNode {
 		m.freeNodes = m.freeNodes[:k-1]
 		return n
 	}
-	return &waitNode{ch: make(chan struct{}, 1), allIdx: -1}
+	return &waitNode{ch: make(chan struct{}, 1)}
 }
 
 func (m *Manager) putNode(n *waitNode) {

@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"pcpda/internal/metrics"
 	"pcpda/internal/papercases"
 	"pcpda/internal/rt"
 	"pcpda/internal/sched"
@@ -194,36 +195,33 @@ func TestGoldenFastForwardVsTickByTick(t *testing.T) {
 	}
 }
 
-// TestGoldenCompareWorkers asserts the parallel Compare fan-out is
-// observationally identical to the serial path for every worker count.
+// TestGoldenCompareWorkers asserts Compare returns, in argument order, what
+// a lone Run of each protocol returns: the same schedule and its summary.
 func TestGoldenCompareWorkers(t *testing.T) {
 	protocols := Protocols()
+	opts := Options{StopOnDeadlock: true, TrackCeiling: true}
 	for _, set := range goldenWorkloads(t) {
-		serial, err := Compare(set, protocols, Options{StopOnDeadlock: true, TrackCeiling: true})
+		comps, err := Compare(set, protocols, opts)
 		if err != nil {
-			t.Fatalf("%s serial: %v", set.Name, err)
+			t.Fatalf("%s: %v", set.Name, err)
 		}
-		for _, workers := range []int{2, 8} {
-			par, err := Compare(set, protocols, Options{StopOnDeadlock: true, TrackCeiling: true, Workers: workers})
+		if len(comps) != len(protocols) {
+			t.Fatalf("%s: %d comparisons, want %d", set.Name, len(comps), len(protocols))
+		}
+		for i, name := range protocols {
+			res, err := Run(set, name, opts)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", set.Name, workers, err)
+				t.Fatalf("%s/%s: %v", set.Name, name, err)
 			}
-			if len(par) != len(serial) {
-				t.Fatalf("%s workers=%d: %d comparisons, want %d", set.Name, workers, len(par), len(serial))
+			if comps[i].Name != name {
+				t.Errorf("%s: comparison %d is %s, want %s", set.Name, i, comps[i].Name, name)
 			}
-			for i := range serial {
-				if par[i].Name != serial[i].Name {
-					t.Errorf("%s workers=%d: order diverges at %d: %s vs %s",
-						set.Name, workers, i, par[i].Name, serial[i].Name)
-				}
-				if !reflect.DeepEqual(par[i].Summary, serial[i].Summary) {
-					t.Errorf("%s/%s workers=%d: summaries diverge:\n  serial: %+v\n  par:    %+v",
-						set.Name, serial[i].Name, workers, serial[i].Summary, par[i].Summary)
-				}
-				if fpS, fpP := fingerprint(set, serial[i].Result), fingerprint(set, par[i].Result); fpS != fpP {
-					t.Errorf("%s/%s workers=%d: results diverge\nfirst diff: %s",
-						set.Name, serial[i].Name, workers, firstDiff(fpS, fpP))
-				}
+			if fpC, fpR := fingerprint(set, comps[i].Result), fingerprint(set, res); fpC != fpR {
+				t.Errorf("%s/%s: Compare diverges from Run\nfirst diff: %s", set.Name, name, firstDiff(fpC, fpR))
+			}
+			if sum := metrics.Summarize(res); !reflect.DeepEqual(comps[i].Summary, sum) {
+				t.Errorf("%s/%s: summaries diverge:\n  Compare: %+v\n  Run:     %+v",
+					set.Name, name, comps[i].Summary, sum)
 			}
 		}
 	}

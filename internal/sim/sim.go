@@ -86,11 +86,6 @@ type Options struct {
 	// edit the benchmark together with the code it measures; it goes with
 	// that probe (ROADMAP 4(e)).
 	DisableCeilingIndex bool
-	// Workers caps the goroutines Compare fans protocol runs across.
-	// 0 or 1 runs serially; n > 1 runs up to n protocols concurrently.
-	// Output is deterministic either way: runs share nothing and results
-	// are merged in argument order.
-	Workers int
 	// FaultAbortProb injects seeded transient faults into the kernel: after
 	// every executed tick, with this probability, the running job is
 	// firm-aborted (see sched.Config.FaultAbortProb). FaultSeed drives the
@@ -183,8 +178,8 @@ type Comparison struct {
 // when workers < 1) and returns the results by index, or the error of the
 // lowest failing index. Neither depends on which goroutine ran which i, so a
 // caller whose fn calls share nothing mutable gets the same output at every
-// worker count. It is the one fan-out the simulator side has: Compare, the
-// experiment sweeps and the scenario backend all merge through it.
+// worker count. It is the one fan-out the simulator side has: the
+// experiment sweeps and the scenario backend merge through it.
 func Fan[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -212,22 +207,21 @@ func Fan[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// Compare runs set under each named protocol and summarizes. The runs fan
-// out across opts.Workers goroutines — each run owns its kernel and protocol
-// instance and the shared set is read-only — and the results are merged in
-// argument order, so the output is the same at every worker count.
+// Compare runs set under each named protocol, one after another through
+// RunBatch (so the set is prepared once), and summarizes each run. The
+// results are in argument order.
 func Compare(set *txn.Set, protocols []string, opts Options) ([]Comparison, error) {
-	// Warm the set's lazily derived caches (read/write sets, ceilings are
-	// per-kernel) before sharing it across goroutines.
-	for _, t := range set.Templates {
-		t.AccessSet()
+	runs := make([]BatchRun, len(protocols))
+	for i, name := range protocols {
+		runs[i] = BatchRun{Set: set, Protocol: name, Opts: opts}
 	}
-	return Fan(len(protocols), opts.Workers, func(i int) (Comparison, error) {
-		name := protocols[i]
-		res, err := Run(set, name, opts)
-		if err != nil {
-			return Comparison{}, fmt.Errorf("sim: %s: %w", name, err)
-		}
-		return Comparison{Name: name, Result: res, Summary: metrics.Summarize(res)}, nil
-	})
+	results, err := RunBatch(runs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Comparison, len(results))
+	for i, res := range results {
+		out[i] = Comparison{Name: protocols[i], Result: res, Summary: metrics.Summarize(res)}
+	}
+	return out, nil
 }
