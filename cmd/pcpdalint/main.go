@@ -3,21 +3,18 @@
 //
 //	go run ./cmd/pcpdalint ./...
 //
-// It exits 0 when every finding is either absent or justified in the
-// committed suppression file (.pcpdalint-suppressions at the module root),
-// and 1 otherwise. Stale suppression entries — entries that no longer
-// match any finding — are also fatal on a whole-module run, so the file
-// cannot rot. The same suite over the same tree is the tier-1 meta-test
+// It exits 0 when the packages are clean, 1 on any finding and 2 when it
+// could not run (bad flags, no module, a package that does not load). There
+// is no suppression mechanism: a false positive is fixed in its analyzer.
+// The same suite over the same tree is the tier-1 meta-test
 // internal/lint/all.TestSuiteCleanOnRealTree; this driver is the tool CI
-// and people run (-gh adds GitHub annotations, -v the suppressed findings).
+// and people run (-gh adds GitHub annotations).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"slices"
 	"time"
 
 	"pcpda/internal/lint"
@@ -32,8 +29,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("pcpdalint", flag.ExitOnError)
 	var (
 		listOnly = fs.Bool("list", false, "list the analyzers and exit")
-		verbose  = fs.Bool("v", false, "also print suppressed findings")
-		ghOut    = fs.Bool("gh", false, "also emit GitHub Actions ::error workflow annotations for unsuppressed findings")
+		ghOut    = fs.Bool("gh", false, "also emit GitHub Actions ::error workflow annotations for findings")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pcpdalint [flags] [packages]\n\nAnalyzers:\n")
@@ -67,13 +63,6 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "pcpdalint:", err)
 		return 2
 	}
-	supPath := filepath.Join(modDir, lint.SuppressFile)
-	sup, err := lint.LoadSuppressions(supPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pcpdalint:", err)
-		return 2
-	}
-
 	start := time.Now()
 	loader := lint.NewLoader(lint.ModuleResolver(modPath, modDir))
 	pkgs, err := loader.LoadPatterns(modPath, modDir, patterns)
@@ -87,36 +76,19 @@ func run(args []string) int {
 		return 2
 	}
 	elapsed := time.Since(start)
-	kept, suppressed := sup.Filter(findings)
-	if *verbose {
-		for _, f := range suppressed {
-			fmt.Printf("suppressed: %s\n", f)
-		}
-	}
-	for _, f := range kept {
+	for _, f := range findings {
 		fmt.Println(f)
 	}
 	if *ghOut {
-		for _, f := range kept {
+		for _, f := range findings {
 			// %0A etc. need no escaping here: messages are single-line.
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=pcpdalint %s::%s\n",
 				f.Position.Filename, f.Position.Line, f.Position.Column, f.Analyzer, f.Message)
 		}
 	}
-	bad := len(kept) > 0
-	// Stale-entry auditing only makes sense when every package the
-	// suppressions could refer to was analyzed; on a scoped run an entry
-	// for an unanalyzed package would be reported stale spuriously.
-	if slices.Contains(patterns, "./...") {
-		for _, e := range sup.Unused() {
-			fmt.Fprintf(os.Stderr, "pcpdalint: %s:%d: stale suppression (matched nothing): %s %q %q\n", supPath, e.Line, e.Analyzer, e.PathSub, e.MsgSub)
-			bad = true
-		}
-	}
-	if bad {
+	if len(findings) > 0 {
 		return 1
 	}
-	fmt.Printf("pcpdalint: %d packages clean in %v (%d findings suppressed with justification)\n",
-		len(pkgs), elapsed.Round(time.Millisecond), len(suppressed))
+	fmt.Printf("pcpdalint: %d packages clean in %v\n", len(pkgs), elapsed.Round(time.Millisecond))
 	return 0
 }

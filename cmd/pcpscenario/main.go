@@ -10,7 +10,7 @@
 // service under the same trace.
 //
 //	pcpscenario -f scenarios/hotspot-shift.json
-//	pcpscenario -f scenarios/overload-ramp.json -backend both -j 4 -o report.json
+//	pcpscenario -f scenarios/overload-ramp.json -backend both -o report.json
 //	pcpscenario -f scenarios/read-surge.json -backend live -addr 127.0.0.1:9723
 //
 // Exit code 0 on success, 1 when a backend fails, 2 on usage errors.
@@ -45,7 +45,6 @@ func run() int {
 		specPath  = flag.String("f", "", "scenario spec file (JSON, see scenarios/)")
 		backend   = flag.String("backend", "sim", "backend to run: sim | live | both")
 		addr      = flag.String("addr", "", "live pcpdad address (empty with a live backend = self-host in-process)")
-		workers   = flag.Int("j", 1, "sim worker goroutines (any value yields byte-identical reports)")
 		protoCSV  = flag.String("protocols", "", "comma-separated sim protocol override (empty = spec, then all)")
 		seed      = flag.Int64("seed", 0, "override the spec seed (0 = keep)")
 		seeds     = flag.Int("seeds", 0, "override the sim sweep width (0 = keep)")
@@ -107,7 +106,7 @@ func run() int {
 
 	doc := &scenario.Document{Scenario: spec.Name}
 	if runSim {
-		rep, err := scenario.RunSim(spec, scenario.SimOptions{Workers: *workers, Protocols: protocols})
+		rep, err := scenario.RunSim(spec, scenario.SimOptions{Protocols: protocols})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pcpscenario: sim: %v\n", err)
 			return 1

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"pcpda/internal/rt"
@@ -35,6 +36,39 @@ func Workers() int {
 		return int(n)
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// runSeeds evaluates fn for every seed in [0, n) on up to Workers()
+// goroutines and returns the results in seed order, or the error of the
+// lowest failing seed. Neither depends on which goroutine ran which seed:
+// each call builds its own set and kernels, so every worker count prints
+// the same report. It is the simulator side's one worker pool; the kernel
+// packages themselves spawn nothing.
+func runSeeds[T any](n int64, fn func(seed int64) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	next := make(chan int64)
+	for w := max(1, min(int64(Workers()), n)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seed := range next {
+				out[seed], errs[seed] = fn(seed)
+			}
+		}()
+	}
+	for seed := int64(0); seed < n; seed++ {
+		next <- seed
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // SetHorizonCap bounds the horizon of every sweep simulation at t ticks

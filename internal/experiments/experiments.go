@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"pcpda/internal/sim"
 )
 
 // Experiment is one reproducible unit: it writes its report to w and
@@ -117,12 +115,4 @@ func check(w io.Writer, ok bool, format string, args ...any) {
 		status = "FAIL"
 	}
 	pf(w, "  [%s] %s\n", status, fmt.Sprintf(format, args...))
-}
-
-// runSeeds evaluates fn for every seed in [0, n) on a worker pool sized by
-// SetWorkers (default GOMAXPROCS) and returns the results in seed order (so
-// aggregation stays deterministic regardless of scheduling). The first
-// error — by seed order, also deterministic — aborts the sweep.
-func runSeeds[T any](n int64, fn func(seed int64) (T, error)) ([]T, error) {
-	return sim.Fan(int(n), Workers(), func(i int) (T, error) { return fn(int64(i)) })
 }

@@ -2,7 +2,6 @@ package all_test
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
 	"pcpda/internal/lint"
@@ -10,12 +9,11 @@ import (
 )
 
 // TestSuiteCleanOnRealTree is the suite's meta-test: the full analyzer
-// suite must run clean over the actual module, modulo the justified entries
-// in .pcpdalint-suppressions — and every one of those entries must still
-// match a finding (a stale entry means the code it excused is gone and the
-// file is rotting). This is the same contract the CI lint job enforces via
-// cmd/pcpdalint; having it as a test means `go test ./...` catches a
-// contract violation even where CI is not wired up.
+// suite must run clean over the actual module. There are no suppressions; a
+// false positive is fixed in its analyzer. This is the same contract the CI
+// lint job enforces via cmd/pcpdalint; having it as a test means
+// `go test ./...` catches a contract violation even where CI is not wired
+// up.
 func TestSuiteCleanOnRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -28,10 +26,6 @@ func TestSuiteCleanOnRealTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := lint.LoadSuppressions(filepath.Join(modDir, lint.SuppressFile))
-	if err != nil {
-		t.Fatal(err)
-	}
 	loader := lint.NewLoader(lint.ModuleResolver(modPath, modDir))
 	pkgs, err := loader.LoadPatterns(modPath, modDir, []string{"./..."})
 	if err != nil {
@@ -41,13 +35,8 @@ func TestSuiteCleanOnRealTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, suppressed := sup.Filter(findings)
-	for _, f := range kept {
-		t.Errorf("unsuppressed finding: %s", f)
+	for _, f := range findings {
+		t.Errorf("finding: %s", f)
 	}
-	for _, e := range sup.Unused() {
-		t.Errorf("%s:%d: stale suppression (matched nothing): %s %q %q -- %s",
-			lint.SuppressFile, e.Line, e.Analyzer, e.PathSub, e.MsgSub, e.Reason)
-	}
-	t.Logf("suite clean: %d packages, %d findings suppressed with justification", len(pkgs), len(suppressed))
+	t.Logf("suite clean: %d packages", len(pkgs))
 }

@@ -140,7 +140,7 @@ func run(pass *lint.Pass) error {
 				// &j.Field hands out a mutable alias to kernel-owned state.
 				if n.Op.String() == "&" {
 					if sel, ok := n.X.(*ast.SelectorExpr); ok && isJobSelector(pass, sel) {
-						pass.Reportf(n.Pos(), "protocol takes the address of kernel-owned field %s.%s (cc.Job is read-only for protocols)", exprString(sel.X), sel.Sel.Name)
+						pass.Reportf(n.Pos(), "protocol takes the address of kernel-owned field %s.%s (cc.Job is read-only for protocols)", lint.ExprString(sel.X), sel.Sel.Name)
 					}
 				}
 			}
@@ -215,10 +215,10 @@ func checkLockfree(pass *lint.Pass, f *ast.File) {
 			}
 			if named := namedOf(pass.TypesInfo.TypeOf(sel.X)); named != nil {
 				if isLockTable(named) {
-					pass.Reportf(n.Pos(), "lockfree file calls lock-table method %s.%s", exprString(sel.X), sel.Sel.Name)
+					pass.Reportf(n.Pos(), "lockfree file calls lock-table method %s.%s", lint.ExprString(sel.X), sel.Sel.Name)
 				}
 				if isSyncLock(named) {
-					pass.Reportf(n.Pos(), "lockfree file calls %s.%s on a sync lock", exprString(sel.X), sel.Sel.Name)
+					pass.Reportf(n.Pos(), "lockfree file calls %s.%s on a sync lock", lint.ExprString(sel.X), sel.Sel.Name)
 				}
 			}
 		case *ast.SelectorExpr:
@@ -269,7 +269,7 @@ func checkLockMutation(pass *lint.Pass, call *ast.CallExpr) {
 		return
 	}
 	if named := namedOf(recv); named != nil && isLockTable(named) {
-		pass.Reportf(call.Pos(), "protocol mutates the lock table via %s.%s; lock state changes are kernel-only", exprString(sel.X), sel.Sel.Name)
+		pass.Reportf(call.Pos(), "protocol mutates the lock table via %s.%s; lock state changes are kernel-only", lint.ExprString(sel.X), sel.Sel.Name)
 	}
 }
 
@@ -291,7 +291,7 @@ func checkJobWrite(pass *lint.Pass, lhs ast.Expr) {
 	if !ok || !isJobSelector(pass, sel) {
 		return
 	}
-	pass.Reportf(lhs.Pos(), "protocol writes kernel-owned field %s.%s (cc.Job is read-only for protocols)", exprString(sel.X), sel.Sel.Name)
+	pass.Reportf(lhs.Pos(), "protocol writes kernel-owned field %s.%s (cc.Job is read-only for protocols)", lint.ExprString(sel.X), sel.Sel.Name)
 }
 
 // isJobSelector reports whether sel selects a field of cc.Job.
@@ -326,20 +326,5 @@ func namedOf(t types.Type) *types.Named {
 		default:
 			return nil
 		}
-	}
-}
-
-func exprString(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprString(x.X) + "." + x.Sel.Name
-	case *ast.CallExpr:
-		return exprString(x.Fun) + "()"
-	case *ast.IndexExpr:
-		return exprString(x.X) + "[...]"
-	default:
-		return "expr"
 	}
 }

@@ -13,9 +13,8 @@
 // later passed to a sort.* / slices.Sort* call in the same function. (Uses
 // of the slice between collection and sort are not tracked; the sort must
 // simply exist downstream.) Anything else — including collect loops whose
-// slices are never sorted — is flagged and must be fixed or justified in
-// the suppression file, so a new map range is a reviewed event, not a
-// silent one.
+// slices are never sorted — is flagged and must be fixed: the suite has no
+// suppressions, so a false positive is fixed here, in the analyzer.
 package determinism
 
 import (
@@ -67,12 +66,12 @@ func run(pass *lint.Pass) error {
 			case *ast.CallExpr:
 				checkCall(pass, n)
 			case *ast.GoStmt:
-				pass.Reportf(n.Pos(), "go statement in kernel package: goroutine scheduling is nondeterministic; only the seed-ordered worker pool is exempt (suppression file)")
+				pass.Reportf(n.Pos(), "go statement in kernel package: goroutine scheduling is nondeterministic")
 			case *ast.RangeStmt:
 				if t := pass.TypesInfo.TypeOf(n.X); t != nil {
 					if _, ok := t.Underlying().(*types.Map); ok {
 						if !isSortedCollect(pass, f, n) {
-							pass.Reportf(n.Pos(), "range over map %s in kernel package: iteration order is randomized; sort the keys or justify in the suppression file", exprString(n.X))
+							pass.Reportf(n.Pos(), "range over map %s in kernel package: iteration order is randomized; sort the keys", lint.ExprString(n.X))
 						}
 					}
 				}
@@ -273,20 +272,5 @@ func checkCall(pass *lint.Pass, call *ast.CallExpr) {
 		if bannedRandFuncs[sel.Sel.Name] {
 			pass.Reportf(call.Pos(), "global rand.%s in kernel package: unseeded process-global randomness; draw from a per-run seeded *rand.Rand", sel.Sel.Name)
 		}
-	}
-}
-
-func exprString(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		return exprString(x.X) + "." + x.Sel.Name
-	case *ast.CallExpr:
-		return exprString(x.Fun) + "()"
-	case *ast.IndexExpr:
-		return exprString(x.X) + "[...]"
-	default:
-		return "expression"
 	}
 }

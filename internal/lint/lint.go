@@ -25,7 +25,7 @@ import (
 
 // An Analyzer describes one static-analysis pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and suppression entries.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is the one-paragraph help text (first line is the summary).
 	Doc string
@@ -75,7 +75,7 @@ type Diagnostic struct {
 }
 
 // A Finding is a resolved diagnostic: analyzer name, file position and
-// message, ready for printing, sorting and suppression matching.
+// message, ready for printing and sorting.
 type Finding struct {
 	Analyzer string
 	Position token.Position
@@ -130,4 +130,21 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		return a.Message < b.Message
 	})
 	return out, nil
+}
+
+// ExprString renders e for a diagnostic: identifiers, selectors, calls and
+// index expressions spelled out, anything else as "expression".
+func ExprString(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return ExprString(x.X) + "." + x.Sel.Name
+	case *ast.CallExpr:
+		return ExprString(x.Fun) + "()"
+	case *ast.IndexExpr:
+		return ExprString(x.X) + "[...]"
+	default:
+		return "expression"
+	}
 }

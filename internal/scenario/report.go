@@ -69,7 +69,7 @@ type Document struct {
 
 // JSON renders the report deterministically (fixed field order, no
 // wall-clock fields on the sim backend): two sim runs of the same spec and
-// seed produce byte-identical output regardless of worker count.
+// seed produce byte-identical output.
 func (r *Report) JSON() ([]byte, error) {
 	out, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {

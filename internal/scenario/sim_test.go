@@ -113,33 +113,34 @@ func TestCompileDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunSimDeterminism is the tentpole's reproducibility contract: the
-// same spec and seed produce byte-identical JSON reports at any worker
-// count, including with the fault layer on.
+// TestRunSimDeterminism is the backend's reproducibility contract: the
+// same spec and seed produce byte-identical JSON reports run after run,
+// with the fault layer on (phase b injects aborts) and with it off.
 func TestRunSimDeterminism(t *testing.T) {
-	spec := testSpec(t)
-	var dumps [][]byte
-	for _, workers := range []int{1, 4} {
-		rep, err := RunSim(spec, SimOptions{Workers: workers})
+	faulted := testSpec(t)
+	clean := testSpec(t)
+	for i := range clean.Phases {
+		clean.Phases[i].Faults = nil
+	}
+	dump := func(spec *Spec) []byte {
+		t.Helper()
+		rep, err := RunSim(spec, SimOptions{})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
 		out, err := rep.JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		dumps = append(dumps, out)
+		return out
 	}
-	if !bytes.Equal(dumps[0], dumps[1]) {
-		t.Fatalf("sim report differs between 1 and 4 workers:\n%s\nvs\n%s", dumps[0], dumps[1])
+	for name, spec := range map[string]*Spec{"faults on": faulted, "faults off": clean} {
+		if a, b := dump(spec), dump(spec); !bytes.Equal(a, b) {
+			t.Fatalf("%s: sim report differs between two runs:\n%s\nvs\n%s", name, a, b)
+		}
 	}
-	rep2, err := RunSim(spec, SimOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2, _ := rep2.JSON()
-	if !bytes.Equal(dumps[0], out2) {
-		t.Fatal("sim report differs on rerun at workers=2")
+	if bytes.Equal(dump(faulted), dump(clean)) {
+		t.Fatal("the fault layer left the report unchanged")
 	}
 }
 

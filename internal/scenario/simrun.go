@@ -10,10 +10,6 @@ import (
 
 // SimOptions tunes the sim backend.
 type SimOptions struct {
-	// Workers fans (phase, seed) cells across goroutines (sim.Fan). Results
-	// are collected per cell and merged in deterministic order, so any
-	// worker count produces byte-identical reports.
-	Workers int
 	// Protocols overrides the spec's protocol list (and the
 	// all-protocols default).
 	Protocols []string
@@ -22,8 +18,8 @@ type SimOptions struct {
 // RunSim runs the scenario against the simulator kernel: every phase ×
 // sweep seed is compiled to a one-shot set and simulated under every
 // protocol via sim.RunBatch, and the per-phase SLO rows aggregate across
-// the sweep. The report is a pure function of (spec, options): no clocks,
-// no map iteration, deterministic merge.
+// the sweep. The report is a pure function of (spec, options): one
+// goroutine, no clocks, no map iteration.
 func RunSim(spec *Spec, opts SimOptions) (*Report, error) {
 	base, err := spec.BaseSet()
 	if err != nil {
@@ -37,79 +33,77 @@ func RunSim(spec *Spec, opts SimOptions) (*Report, error) {
 		protocols = sim.Protocols()
 	}
 
-	// One cell per (phase, sweep seed): compile once, simulate every
-	// protocol against the same compiled set (sim.RunBatch amortizes the
-	// per-set setup across the protocol fan).
-	type cell struct {
-		phase, sweep int
-		cp           *compiledPhase
-		results      []*sched.Result // one per protocol, in protocols order
+	// Rows are (phase, protocol). Each phase's seeds run in sweep order,
+	// every protocol against the same compiled set, and each result folds
+	// into its protocol's row as its batch returns, so pooled latencies
+	// (and therefore percentiles) are stable.
+	type acc struct {
+		row     PhaseReport
+		tierAcc map[int32]*TierSLO
+		lats    []float64
 	}
-	cells, err := sim.Fan(len(spec.Phases)*spec.Seeds, opts.Workers, func(i int) (cell, error) {
-		c := cell{phase: i / spec.Seeds, sweep: i % spec.Seeds}
-		ph := &spec.Phases[c.phase]
-		cp, err := compilePhase(spec, ph, base, spec.phaseSeed(c.phase, c.sweep))
-		if err != nil {
-			return c, err
-		}
-		c.cp = cp
-		simOpts := sim.Options{
-			Horizon:        cp.horizon,
-			FirmDeadlines:  true,
-			StopOnDeadlock: true,
-			Seed:           spec.phaseSeed(c.phase, c.sweep),
-		}
-		if f := ph.Faults; f != nil && f.AbortProb > 0 {
-			simOpts.FaultAbortProb = f.AbortProb
-			simOpts.FaultSeed = spec.phaseSeed(c.phase, c.sweep) ^ f.Seed
-		}
-		runs := make([]sim.BatchRun, len(protocols))
-		for k, p := range protocols {
-			runs[k] = sim.BatchRun{Set: cp.set, Protocol: p, Opts: simOpts}
-		}
-		c.results, err = sim.RunBatch(runs)
-		return c, err
-	})
-	if err != nil {
-		return nil, err // first by cell order: deterministic
-	}
-
-	// Aggregate: rows are (phase, protocol); cells merge in sweep-seed
-	// order so pooled latencies (and therefore percentiles) are stable.
 	rep := &Report{Scenario: spec.Name, Backend: "sim", Seed: spec.Seed, Seeds: spec.Seeds}
 	for pi := range spec.Phases {
 		ph := &spec.Phases[pi]
+		accs := make([]acc, len(protocols))
 		for pr, proto := range protocols {
-			row := PhaseReport{
-				Phase:       ph.Name,
-				Protocol:    proto,
-				OfferedRate: MeanRate(ph.Arrival),
-				Series:      make([]int64, client.Buckets),
+			accs[pr] = acc{
+				row: PhaseReport{
+					Phase:       ph.Name,
+					Protocol:    proto,
+					OfferedRate: MeanRate(ph.Arrival),
+					Series:      make([]int64, client.Buckets),
+				},
+				tierAcc: make(map[int32]*TierSLO),
 			}
-			var lats []float64
-			tierAcc := make(map[int32]*TierSLO)
-			for _, c := range cells {
-				if c.phase != pi {
-					continue
-				}
-				res := c.results[pr]
-				accumulateSim(&row, tierAcc, &lats, res, c.cp, spec.TicksPerSecond)
+		}
+		for sweep := 0; sweep < spec.Seeds; sweep++ {
+			seed := spec.phaseSeed(pi, sweep)
+			cp, err := compilePhase(spec, ph, base, seed)
+			if err != nil {
+				return nil, err
 			}
-			sort.Float64s(lats)
-			row.P50MS, row.P99MS, row.P999MS = percentileMS(lats)
-			tiers := make([]int32, 0, len(tierAcc))
-			for t := range tierAcc {
+			simOpts := sim.Options{
+				Horizon:        cp.horizon,
+				FirmDeadlines:  true,
+				StopOnDeadlock: true,
+				Seed:           seed,
+			}
+			if f := ph.Faults; f != nil && f.AbortProb > 0 {
+				simOpts.FaultAbortProb = f.AbortProb
+				simOpts.FaultSeed = seed ^ f.Seed
+			}
+			runs := make([]sim.BatchRun, len(protocols))
+			for k, p := range protocols {
+				runs[k] = sim.BatchRun{Set: cp.set, Protocol: p, Opts: simOpts}
+			}
+			results, err := sim.RunBatch(runs)
+			if err != nil {
+				return nil, err
+			}
+			for pr, res := range results {
+				a := &accs[pr]
+				accumulateSim(&a.row, a.tierAcc, &a.lats, res, cp, spec.TicksPerSecond)
+			}
+		}
+		for pr := range accs {
+			a := &accs[pr]
+			row := &a.row
+			sort.Float64s(a.lats)
+			row.P50MS, row.P99MS, row.P999MS = percentileMS(a.lats)
+			tiers := make([]int32, 0, len(a.tierAcc))
+			for t := range a.tierAcc {
 				tiers = append(tiers, t)
 			}
-			sort.Slice(tiers, func(a, b int) bool { return tiers[a] > tiers[b] })
+			sort.Slice(tiers, func(x, y int) bool { return tiers[x] > tiers[y] })
 			for _, t := range tiers {
-				row.Tiers = append(row.Tiers, *tierAcc[t])
+				row.Tiers = append(row.Tiers, *a.tierAcc[t])
 			}
 			// The sim's arrival schedule is realized exactly (offsets are
 			// template releases), so achieved == nominal by construction.
 			row.AchievedRate = row.OfferedRate
 			row.finish(float64(spec.Seeds) * ph.DurationS)
-			rep.Rows = append(rep.Rows, row)
+			rep.Rows = append(rep.Rows, *row)
 		}
 	}
 	phaseNames := make([]string, len(spec.Phases))

@@ -6,8 +6,8 @@
 //
 //   - the sim backend compiles every phase into one-shot transaction
 //     instances for the simulator kernel and runs every requested protocol
-//     over a seed sweep (internal/sim.RunBatch), byte-identically
-//     reproducible for a fixed seed regardless of worker count;
+//     over a seed sweep (internal/sim.RunBatch) on one goroutine,
+//     byte-identically reproducible for a fixed seed;
 //   - the live backend drives a pcpdad service through the pipelined
 //     open-loop client (client.RunLoad), realizing the same arrival
 //     schedule in wall time and the same access skew as template

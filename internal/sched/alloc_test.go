@@ -31,7 +31,7 @@ func TestKernelAllocBudget(t *testing.T) {
 		t.Skip("the race runtime allocates")
 	}
 	set := firstSweepSet(t)
-	cfg := Config{Horizon: 15_000, Deadline: FirmAbort, StopOnDeadlock: true, Ceilings: txn.ComputeCeilings(set)}
+	cfg := Config{Horizon: 15_000, Deadline: FirmAbort, StopOnDeadlock: true}
 	const budget = 0.70 // allocations per released job; the three read 0.27-0.42
 	// Bytes per released job, which the object count does not see: a job
 	// keeps its 184-byte cc.Job, and its DataRead, workspace and blocker list

@@ -94,12 +94,6 @@ type Config struct {
 	// which is then reported in Result.Invariant. Used by the randomized
 	// test sweeps; costs O(jobs × locks) per tick.
 	Paranoid bool
-	// Ceilings supplies precomputed priority ceilings for the set. Nil
-	// computes them here (the default); a batch runner that simulates the
-	// same set many times over short horizons passes the shared instance so
-	// the O(templates × items) ceiling derivation is paid once, not per
-	// run. The caller vouches that the ceilings belong to this exact set.
-	Ceilings *txn.Ceilings
 	// FaultAbortProb injects seeded transient faults: after every executed
 	// tick, with this probability, the job that ran is firm-aborted (locks
 	// released, workspace discarded, instance terminated — the kernel
@@ -261,10 +255,7 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 	if cfg.FaultAbortProb < 0 || cfg.FaultAbortProb > 1 {
 		return nil, fmt.Errorf("sched: fault-abort probability %v out of [0,1]", cfg.FaultAbortProb)
 	}
-	ceil := cfg.Ceilings
-	if ceil == nil {
-		ceil = txn.ComputeCeilings(set)
-	}
+	ceil := txn.ComputeCeilings(set)
 	proto.Init(set, ceil)
 	jobs, ops := expectedLoad(set, cfg.Horizon)
 	k := &Kernel{

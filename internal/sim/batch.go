@@ -15,41 +15,17 @@ type BatchRun struct {
 	Opts     Options
 }
 
-// RunBatch executes the runs sequentially in the calling goroutine and
-// returns the results in argument order. It produces byte-identical results
-// to calling Run for each entry (the golden test in batch_test.go gates
-// this) but amortizes the per-run set preparation — Validate, the lazily
-// derived access-set caches and the O(templates × items) ceiling derivation
-// — across every run that shares a *txn.Set. Scenario sweeps simulate the
-// same set dozens of times over short horizons (one entry per seed per
-// protocol), where that setup otherwise dominates.
-//
-// Sharing is keyed by set identity (the pointer), so callers that mutate a
-// set between runs must pass distinct sets. The first error aborts the
-// batch.
+// RunBatch executes the runs one after another in the calling goroutine and
+// returns the results in argument order, each the result Run gives for its
+// entry (the golden test in batch_test.go gates this). The first error
+// aborts the batch.
 func RunBatch(runs []BatchRun) ([]*sched.Result, error) {
-	ceilings := make(map[*txn.Set]*txn.Ceilings)
 	out := make([]*sched.Result, len(runs))
 	for i, r := range runs {
 		if r.Set == nil {
 			return nil, fmt.Errorf("sim: batch run %d: nil set", i)
 		}
-		ceil, ok := ceilings[r.Set]
-		if !ok {
-			if err := r.Set.Validate(); err != nil {
-				return nil, fmt.Errorf("sim: batch run %d: %w", i, err)
-			}
-			for _, t := range r.Set.Templates {
-				t.AccessSet() // warm the lazily derived read/write sets
-			}
-			ceil = txn.ComputeCeilings(r.Set)
-			ceilings[r.Set] = ceil
-		}
-		p, err := NewProtocol(r.Protocol)
-		if err != nil {
-			return nil, fmt.Errorf("sim: batch run %d: %w", i, err)
-		}
-		res, err := runProtocol(r.Set, p, r.Opts, ceil)
+		res, err := Run(r.Set, r.Protocol, r.Opts)
 		if err != nil {
 			return nil, fmt.Errorf("sim: batch run %d: %s: %w", i, r.Protocol, err)
 		}

@@ -119,8 +119,8 @@ func TestFaultLayerGolden(t *testing.T) {
 	}
 }
 
-// batchBenchSet builds the short-horizon scenario-sweep regime the batch
-// API exists for: a modest set simulated many times.
+// batchBenchSet builds the short-horizon scenario-sweep regime: a modest
+// set simulated many times.
 func batchBenchSet(b *testing.B) *txn.Set {
 	b.Helper()
 	set, err := workload.Generate(workload.Config{
@@ -152,19 +152,6 @@ func BenchmarkRunBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunBatch(runs); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRunSequential(b *testing.B) {
-	set := batchBenchSet(b)
-	runs := benchRuns(set)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j, r := range runs {
-			if _, err := Run(r.Set, r.Protocol, r.Opts); err != nil {
-				b.Fatalf("run %d: %v", j, err)
-			}
 		}
 	}
 }

@@ -7,7 +7,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"pcpda/internal/cc"
 	"pcpda/internal/ccp"
@@ -135,13 +134,6 @@ func Run(set *txn.Set, protocol string, opts Options) (*sched.Result, error) {
 // RunProtocol simulates set under an already-constructed protocol instance.
 // The instance must be fresh (one instance per run).
 func RunProtocol(set *txn.Set, p cc.Protocol, opts Options) (*sched.Result, error) {
-	return runProtocol(set, p, opts, nil)
-}
-
-// runProtocol is the shared core of RunProtocol and RunBatch. A non-nil ceil
-// is handed to the kernel so repeated runs of the same set skip the ceiling
-// derivation.
-func runProtocol(set *txn.Set, p cc.Protocol, opts Options, ceil *txn.Ceilings) (*sched.Result, error) {
 	horizon := opts.Horizon
 	if horizon <= 0 {
 		horizon = DefaultHorizon(set)
@@ -153,7 +145,6 @@ func runProtocol(set *txn.Set, p cc.Protocol, opts Options, ceil *txn.Ceilings) 
 		StopOnDeadlock: opts.StopOnDeadlock,
 		SporadicJitter: opts.SporadicJitter,
 		Seed:           opts.Seed,
-		Ceilings:       ceil,
 		FaultAbortProb: opts.FaultAbortProb,
 		FaultSeed:      opts.FaultSeed,
 	}
@@ -174,42 +165,8 @@ type Comparison struct {
 	Summary metrics.Summary
 }
 
-// Fan evaluates fn(i) for every i in [0, n) on up to workers goroutines (one
-// when workers < 1) and returns the results by index, or the error of the
-// lowest failing index. Neither depends on which goroutine ran which i, so a
-// caller whose fn calls share nothing mutable gets the same output at every
-// worker count. It is the one fan-out the simulator side has: the
-// experiment sweeps and the scenario backend merge through it.
-func Fan[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := max(1, min(workers, n)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // Compare runs set under each named protocol, one after another through
-// RunBatch (so the set is prepared once), and summarizes each run. The
-// results are in argument order.
+// RunBatch, and summarizes each run. The results are in argument order.
 func Compare(set *txn.Set, protocols []string, opts Options) ([]Comparison, error) {
 	runs := make([]BatchRun, len(protocols))
 	for i, name := range protocols {

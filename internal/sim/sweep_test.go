@@ -7,7 +7,6 @@ import (
 
 	"pcpda/internal/sched"
 	"pcpda/internal/testenv"
-	"pcpda/internal/txn"
 	"pcpda/internal/workload"
 )
 
@@ -49,7 +48,6 @@ func TestFastForwardOnSweepRegime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ceil := txn.ComputeCeilings(set)
 		for _, name := range Protocols() {
 			for policy, pname := range map[sched.DeadlinePolicy]string{sched.FirmAbort: "firm", sched.HardRecord: "hard"} {
 				run := func(disableFF bool) *sched.Result {
@@ -61,7 +59,6 @@ func TestFastForwardOnSweepRegime(t *testing.T) {
 						Horizon:            sweepHorizon,
 						Deadline:           policy,
 						StopOnDeadlock:     true,
-						Ceilings:           ceil,
 						DisableFastForward: disableFF,
 					})
 					if err != nil {
