@@ -149,13 +149,11 @@ type Config struct {
 }
 
 // Seeded is a probabilistic injector with a deterministic decision stream.
-// It is safe for concurrent use and counts what it injected.
+// It is safe for concurrent use.
 type Seeded struct {
-	mu     sync.Mutex
-	rng    *rand.Rand
-	cfg    Config
-	calls  int
-	counts [numActions]int
+	mu  sync.Mutex
+	rng *rand.Rand
+	cfg Config
 }
 
 // NewSeeded returns a Seeded injector for cfg.
@@ -167,53 +165,19 @@ func NewSeeded(cfg Config) *Seeded {
 func (s *Seeded) At(p Point, txn string) Action {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.calls++
 	if s.cfg.Only != nil && !s.cfg.Only[p] {
-		s.counts[Proceed]++
 		return Proceed
 	}
 	u := s.rng.Float64()
-	a := Proceed
 	switch {
 	case u < s.cfg.PDelay:
-		a = Delay
+		return Delay
 	case u < s.cfg.PDelay+s.cfg.PWakeup:
-		a = Wakeup
+		return Wakeup
 	case u < s.cfg.PDelay+s.cfg.PWakeup+s.cfg.PAbort:
-		a = ForceAbort
+		return ForceAbort
 	case u < s.cfg.PDelay+s.cfg.PWakeup+s.cfg.PAbort+s.cfg.PCancel:
-		a = ForceCancel
+		return ForceCancel
 	}
-	s.counts[a]++
-	return a
-}
-
-// Calls returns how many times the injector was consulted.
-func (s *Seeded) Calls() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.calls
-}
-
-// Injected returns how many consultations resulted in a fault (any action
-// other than Proceed).
-func (s *Seeded) Injected() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for a := Proceed + 1; a < numActions; a++ {
-		n += s.counts[a]
-	}
-	return n
-}
-
-// Counts returns the per-action decision counts.
-func (s *Seeded) Counts() map[Action]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[Action]int, numActions)
-	for a := Action(0); a < numActions; a++ {
-		out[a] = s.counts[a]
-	}
-	return out
+	return Proceed
 }

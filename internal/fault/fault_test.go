@@ -5,15 +5,17 @@ import "testing"
 func TestSeededDeterministicStream(t *testing.T) {
 	cfg := Config{Seed: 7, PDelay: 0.2, PWakeup: 0.1, PAbort: 0.1, PCancel: 0.1}
 	a, b := NewSeeded(cfg), NewSeeded(cfg)
+	injected := 0
 	for i := 0; i < 1000; i++ {
-		if x, y := a.At(LockRequest, "t"), b.At(LockRequest, "t"); x != y {
+		x, y := a.At(LockRequest, "t"), b.At(LockRequest, "t")
+		if x != y {
 			t.Fatalf("call %d: %v vs %v", i, x, y)
 		}
+		if x != Proceed {
+			injected++
+		}
 	}
-	if a.Calls() != 1000 {
-		t.Fatalf("calls = %d", a.Calls())
-	}
-	if a.Injected() == 0 {
+	if injected == 0 {
 		t.Fatal("nothing injected at 50% total probability")
 	}
 }
@@ -25,9 +27,6 @@ func TestSeededZeroConfigNeverInjects(t *testing.T) {
 			t.Fatalf("injected %v with zero probabilities", got)
 		}
 	}
-	if s.Injected() != 0 {
-		t.Fatalf("injected = %d", s.Injected())
-	}
 }
 
 func TestSeededOnlyRestrictsPoints(t *testing.T) {
@@ -38,17 +37,14 @@ func TestSeededOnlyRestrictsPoints(t *testing.T) {
 	if got := s.At(CommitInstall, "t"); got != ForceAbort {
 		t.Fatalf("allowed point returned %v", got)
 	}
-	if c := s.Counts(); c[ForceAbort] != 1 || c[Proceed] != 1 {
-		t.Fatalf("counts = %v", c)
-	}
 }
 
 func TestSeededAllActionsReachable(t *testing.T) {
 	s := NewSeeded(Config{Seed: 99, PDelay: 0.25, PWakeup: 0.25, PAbort: 0.25, PCancel: 0.2})
+	var c [numActions]int
 	for i := 0; i < 5000; i++ {
-		s.At(BlockWait, "t")
+		c[s.At(BlockWait, "t")]++
 	}
-	c := s.Counts()
 	for a := Proceed; a < numActions; a++ {
 		if c[a] == 0 {
 			t.Fatalf("action %v never drawn: %v", a, c)

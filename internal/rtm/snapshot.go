@@ -35,23 +35,16 @@ package rtm
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 
 	"pcpda/internal/db"
 	"pcpda/internal/rt"
 )
 
-// ErrReadOnly is returned when a write is attempted on a read-only
-// snapshot transaction. Not retryable: the caller declared the
-// transaction read-only.
-var ErrReadOnly = errors.New("rtm: write on read-only snapshot transaction")
-
 // ROTxn is a read-only snapshot transaction. Unlike Txn it holds no
 // locks, no template slot and no manager resources: it is a snapshot tick
 // plus a done flag, and every operation is lock-free. Safe for use by one
-// goroutine; Abort may be called concurrently with an in-flight Read
-// (the server's teardown path), which at worst lets that Read complete.
+// goroutine.
 type ROTxn struct {
 	mgr  *Manager //pcpda:guardedby immutable
 	id   int64    //pcpda:guardedby immutable — RO sequence number; a namespace separate from rt.JobID
@@ -92,26 +85,14 @@ func (t *ROTxn) Snapshot() rt.Ticks { return rt.Ticks(t.snap) }
 //
 //pcpda:alloc-free
 func (t *ROTxn) Read(ctx context.Context, item rt.Item) (db.Value, error) {
-	if t.done.Load() {
-		return 0, ErrClosed
-	}
-	if err := ctx.Err(); err != nil {
-		t.Abort()
-		return 0, wrapCancelled(err)
-	}
-	m := t.mgr
-	m.roReads.Add(1)
-	v, _, _, err := m.store.ReadAt(item, t.snap)
-	if err != nil {
-		m.roEvictions.Add(1)
-		t.Abort()
-		return 0, err
-	}
-	return v, nil
+	v, _, _, err := t.ReadVersion(ctx, item)
+	return v, err
 }
 
 // ReadVersion is Read with the full observation — value, version and
 // writing run — for snapshot-consistency audits (history.CheckSnapshot).
+//
+//pcpda:alloc-free
 func (t *ROTxn) ReadVersion(ctx context.Context, item rt.Item) (db.Value, db.Version, db.RunID, error) {
 	if t.done.Load() {
 		return 0, 0, db.NoRun, ErrClosed
@@ -129,14 +110,6 @@ func (t *ROTxn) ReadVersion(ctx context.Context, item rt.Item) (db.Value, db.Ver
 		return 0, 0, db.NoRun, err
 	}
 	return v, ver, from, nil
-}
-
-// Write always fails: the transaction declared itself read-only.
-func (t *ROTxn) Write(ctx context.Context, item rt.Item, v db.Value) error {
-	if t.done.Load() {
-		return ErrClosed
-	}
-	return ErrReadOnly
 }
 
 // Commit finishes the transaction. A read-only snapshot transaction holds
@@ -157,7 +130,3 @@ func (t *ROTxn) Abort() {
 		t.mgr.roAborts.Add(1)
 	}
 }
-
-// SnapshotTick returns the newest published commit tick — the snapshot a
-// BeginReadOnly issued now would read at.
-func (m *Manager) SnapshotTick() rt.Ticks { return rt.Ticks(m.snapTick.Load()) }

@@ -1,6 +1,7 @@
 package rtm
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -21,9 +22,6 @@ func TestReadOnlyBasics(t *testing.T) {
 	}
 	if v, err := ro.Read(c, x); err != nil || v != 0 {
 		t.Fatalf("initial snapshot read = (%v, %v)", v, err)
-	}
-	if err := ro.Write(c, x, 1); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("write on RO txn: %v, want ErrReadOnly", err)
 	}
 	if err := ro.Commit(c); err != nil {
 		t.Fatal(err)
@@ -68,6 +66,29 @@ func TestReadOnlyBasics(t *testing.T) {
 	st := m.Stats()
 	if st.ROBegins != 3 || st.ROCommits != 1 || st.ROAborts != 2 {
 		t.Fatalf("RO counters = begins %d commits %d aborts %d", st.ROBegins, st.ROCommits, st.ROAborts)
+	}
+}
+
+// TestReadOnlyReadOnDeadContext: a snapshot read under a cancelled context
+// fails with ErrCancelled wrapping the context's error and finishes the
+// transaction as an abort, so a later Commit finds it closed.
+func TestReadOnlyReadOnDeadContext(t *testing.T) {
+	s, x, _ := demoSet(t)
+	m, _ := New(s)
+	dead, cancel := context.WithCancel(ctx(t))
+	ro, err := m.BeginReadOnly(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := ro.Read(dead, x); !errors.Is(err, ErrCancelled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("read on a dead context: %v, want ErrCancelled wrapping context.Canceled", err)
+	}
+	if st := m.Stats(); st.ROAborts != 1 || st.ROCommits != 0 {
+		t.Fatalf("RO counters = aborts %d commits %d, want 1 and 0", st.ROAborts, st.ROCommits)
+	}
+	if err := ro.Commit(ctx(t)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("commit after the failed read: %v, want ErrClosed", err)
 	}
 }
 

@@ -189,6 +189,18 @@ func (q *admitQueue) estimateWait() time.Duration {
 	return time.Duration(est)
 }
 
+// busy refuses a BEGIN or a TXN while a transaction is live on the session
+// or the server is draining; nil lets it through.
+func (s *session) busy() *wire.ErrMsg {
+	if s.lt != nil {
+		return refuse(wire.CodeState, "BEGIN or TXN with a transaction already live")
+	}
+	if s.srv.draining.Load() {
+		return refuse(wire.CodeDraining, "server draining")
+	}
+	return nil
+}
+
 // begin is the admission a BEGIN and a TXN share, run in the session's
 // exec goroutine: validate state, apply deadline-aware admission control,
 // pass the gate, begin. The slot is held across the manager's Begin and no
@@ -200,15 +212,9 @@ func (q *admitQueue) estimateWait() time.Duration {
 // with the transaction armed as s.lt (both results nil), with the ERR that
 // refuses the request for the caller to send, or with the error that ends
 // the session.
-func (s *session) begin(name string, budgetMs uint32, readOnly bool) (*wire.ErrMsg, error) {
-	if s.lt != nil {
-		return refuse(wire.CodeState, "BEGIN or TXN with a transaction already live"), nil
-	}
-	if s.srv.draining.Load() {
-		return refuse(wire.CodeDraining, "server draining"), nil
-	}
-	if readOnly {
-		return s.beginRO(), nil
+func (s *session) begin(name string, budgetMs uint32) (*wire.ErrMsg, error) {
+	if refusal := s.busy(); refusal != nil {
+		return refusal, nil
 	}
 	tmpl := s.srv.mgr.Set().ByName(name)
 	if tmpl == nil {
@@ -252,7 +258,7 @@ func (s *session) begin(name string, budgetMs uint32, readOnly bool) (*wire.ErrM
 		}
 		return refuse(codeOf(err), "BEGIN: "+err.Error()), nil
 	}
-	s.armTx(tx, uint64(tx.ID()), deadline)
+	s.armTx(tx, deadline)
 	s.srv.ctr.Accepted.Add(1)
 	return nil, nil
 }

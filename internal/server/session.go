@@ -25,17 +25,6 @@ import (
 // every session.
 const maxScratch = 64 << 10
 
-// txnHandle is what a session needs from a transaction: the common
-// surface of an update transaction (*rtm.Txn, locking PCP-DA) and a
-// read-only snapshot transaction (*rtm.ROTxn, lock-free). The session
-// state machine is identical for both; only BEGIN routing differs.
-type txnHandle interface {
-	Read(ctx context.Context, item rt.Item) (db.Value, error)
-	Write(ctx context.Context, item rt.Item, v db.Value) error
-	Commit(ctx context.Context) error
-	Abort()
-}
-
 // liveTx is the state of one live transaction on a session, and the
 // context.Context its manager calls run under: the session's, plus a
 // cancellation the watchdog can aim at this transaction alone — cancel
@@ -47,8 +36,7 @@ type txnHandle interface {
 // that never parks never has one.
 type liveTx struct {
 	context.Context                    // the session's
-	tx              txnHandle          //pcpda:guardedby immutable
-	id              uint64             //pcpda:guardedby immutable — what BEGIN_OK / TXN_OK report: the job id, or roIDFlag | the RO sequence number
+	tx              *rtm.Txn           //pcpda:guardedby immutable
 	start           time.Time          //pcpda:guardedby immutable
 	deadline        time.Time          //pcpda:guardedby immutable — firm deadline from BEGIN or TXN; zero = none
 	made            *atomic.Int64      //pcpda:guardedby immutable — Server.txCtxMade
@@ -89,18 +77,6 @@ func (lt *liveTx) cancel() {
 		lt.stop()
 	}
 	lt.mu.Unlock()
-}
-
-// txDesc names a transaction for logs: job id and template for an update
-// transaction, the RO sequence number for a snapshot transaction.
-func txDesc(h txnHandle) (id int64, name string) {
-	switch t := h.(type) {
-	case *rtm.Txn:
-		return int64(t.ID()), t.Template().Name
-	case *rtm.ROTxn:
-		return t.ID(), "read-only"
-	}
-	return 0, "?"
 }
 
 // request is one decoded frame and the client-chosen tag its reply must
@@ -467,14 +443,17 @@ func (s *session) handle(req request) error {
 	case *wire.Txn:
 		return s.handleTxn(req, m)
 	case *wire.Begin:
-		refusal, err := s.begin(m.Name, m.Deadline, m.ReadOnly)
+		if m.ReadOnly {
+			return s.replyTo(req, refuse(wire.CodeProtocol, "BEGIN: a read-only snapshot transaction is one TXN frame"))
+		}
+		refusal, err := s.begin(m.Name, m.Deadline)
 		if err != nil {
 			return err
 		}
 		if refusal != nil {
 			return s.replyTo(req, refusal)
 		}
-		return s.replyTo(req, &wire.BeginOK{ID: s.lt.id})
+		return s.replyTo(req, &wire.BeginOK{ID: uint64(s.lt.tx.ID())})
 	case *wire.Read:
 		v, err := s.lt.tx.Read(s.lt, rt.Item(int32(m.Item)))
 		if err != nil {
@@ -513,7 +492,10 @@ func (s *session) handle(req request) error {
 // outcome and goes through txFailed like a failed step's; a TXN that finds
 // an interactive transaction live is refused by begin and leaves it alone.
 func (s *session) handleTxn(req request, m *wire.Txn) error {
-	refusal, err := s.begin(m.Name, m.Deadline, m.ReadOnly)
+	if m.ReadOnly {
+		return s.handleRO(req, m)
+	}
+	refusal, err := s.begin(m.Name, m.Deadline)
 	if err != nil {
 		return err
 	}
@@ -538,11 +520,57 @@ func (s *session) handleTxn(req request, m *wire.Txn) error {
 		return s.txFailed(req, "COMMIT", err)
 	}
 	s.clearTx()
-	s.txnOK = wire.TxnOK{ID: lt.id, Reads: reads} // replyTo encodes before it returns
+	s.txnOK = wire.TxnOK{ID: uint64(lt.tx.ID()), Reads: reads} // replyTo encodes before it returns
 	return s.replyTo(req, &s.txnOK)
 }
 
-// roIDFlag tags a BEGIN_OK / TXN_OK id as coming from the read-only
+// handleRO runs a declared read-only snapshot transaction from its one
+// frame: begin, read, commit and reply, without it ever becoming the
+// session's live transaction. It bypasses admission entirely — no queue
+// wait, no shed or infeasibility eligibility, no pending accounting —
+// because BeginReadOnly never blocks and takes no locks: admission control
+// exists to ration the lock manager, and this path never touches it. The
+// template name and any deadline budget are ignored; a snapshot
+// transaction has no template slot and cannot be late in admission. A
+// write is refused before a snapshot is taken.
+func (s *session) handleRO(req request, m *wire.Txn) error {
+	if refusal := s.busy(); refusal != nil {
+		return s.replyTo(req, refusal)
+	}
+	for _, op := range m.Ops {
+		if op.Op != wire.OpRead {
+			return s.replyTo(req, refuse(wire.CodeProtocol, "WRITE in a read-only TXN"))
+		}
+	}
+	// The snapshot handle finishes itself on every error Read returns, so
+	// a failure leaves nothing to abort.
+	failed := func(op string, err error) error {
+		if s.ctx.Err() != nil {
+			return s.ctx.Err()
+		}
+		return s.replyTo(req, refuse(codeOf(err), op+": "+err.Error()))
+	}
+	tx, err := s.srv.mgr.BeginReadOnly(s.ctx)
+	if err != nil {
+		return failed("BEGIN", err)
+	}
+	s.srv.ctr.ROAccepted.Add(1)
+	reads := s.txnOK.Reads[:0]
+	for _, op := range m.Ops {
+		v, err := tx.Read(s.ctx, rt.Item(int32(op.Item)))
+		if err != nil {
+			return failed("READ", err)
+		}
+		reads = append(reads, int64(v))
+	}
+	if err := tx.Commit(s.ctx); err != nil {
+		return failed("COMMIT", err)
+	}
+	s.txnOK = wire.TxnOK{ID: roIDFlag | uint64(tx.ID()), Reads: reads} // replyTo encodes before it returns
+	return s.replyTo(req, &s.txnOK)
+}
+
+// roIDFlag tags a TXN_OK id as coming from the read-only
 // sequence namespace, which is disjoint from update-transaction job ids.
 const roIDFlag = uint64(1) << 63
 
@@ -551,28 +579,11 @@ func refuse(code wire.ErrorCode, text string) *wire.ErrMsg {
 	return &wire.ErrMsg{Code: code, Text: text}
 }
 
-// beginRO admits a declared read-only snapshot transaction. It
-// bypasses admission entirely — no queue wait, no shed or
-// infeasibility eligibility, no pending accounting — because BeginReadOnly
-// never blocks and takes no locks: admission control exists to ration the
-// lock manager, and this path never touches it. The template name and any
-// deadline budget on the request are ignored; a snapshot transaction has no
-// template slot and cannot be late in admission.
-func (s *session) beginRO() *wire.ErrMsg {
-	tx, err := s.srv.mgr.BeginReadOnly(s.ctx)
-	if err != nil {
-		return refuse(codeOf(err), "BEGIN: "+err.Error())
-	}
-	s.armTx(tx, roIDFlag|uint64(tx.ID()), time.Time{})
-	s.srv.ctr.ROAccepted.Add(1)
-	return nil
-}
-
 // armTx installs a freshly admitted transaction: the liveTx is the context
 // its manager calls run under, and publishing it through cur makes the
 // transaction visible to the watchdog and Drain.
-func (s *session) armTx(tx txnHandle, id uint64, deadline time.Time) {
-	lt := &liveTx{Context: s.ctx, tx: tx, id: id, start: timeNow(), deadline: deadline, made: &s.srv.txCtxMade}
+func (s *session) armTx(tx *rtm.Txn, deadline time.Time) {
+	lt := &liveTx{Context: s.ctx, tx: tx, start: timeNow(), deadline: deadline, made: &s.srv.txCtxMade}
 	s.lt = lt
 	s.cur.Store(lt)
 }

@@ -15,9 +15,10 @@ import (
 )
 
 // TestReadOnlyEndToEnd drives a declared read-only transaction over the
-// wire: BEGIN(read-only) bypasses admission, the reads answer from the
-// version chains, and the whole phase moves neither the manager clock nor
-// the lock table.
+// wire: its one TXN frame bypasses admission, the reads answer from the
+// version chains, a BEGIN with the read-only flag is refused without
+// ending the session, and the whole phase moves neither the manager clock
+// nor the lock table.
 func TestReadOnlyEndToEnd(t *testing.T) {
 	set := testSet(t)
 	mgr, _ := rtm.New(set)
@@ -39,39 +40,25 @@ func TestReadOnlyEndToEnd(t *testing.T) {
 	before := mgr.Stats()
 	accepted := srv.Counters().Accepted.Load()
 
+	fut, err := pc.SubmitReadTxn([]uint32{xi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fut.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fut.Reads(); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("snapshot read over the wire = %v, want [7]", got)
+	}
+
+	// The per-step form is refused, and the session goes on serving.
 	bp, err := pc.Submit(&wire.Begin{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := pc.Submit(&wire.Read{Item: xi})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := bp.Wait(); !wire.IsCode(err, wire.CodeProtocol) {
+		t.Fatalf("read-only BEGIN: %v, want CodeProtocol", err)
 	}
-	cp, err := pc.Submit(&wire.Commit{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	bm, err := bp.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok := bm.(*wire.BeginOK); ok.ID&roIDFlag == 0 {
-		t.Fatalf("read-only BeginOK id %#x lacks the RO flag bit", ok.ID)
-	}
-	rm, err := rp.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := rm.(*wire.ReadOK).Value; v != 7 {
-		t.Fatalf("snapshot read over the wire = %d, want 7", v)
-	}
-	if _, err := cp.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
 	// A burst through the high-level helper too.
 	for i := 0; i < 10; i++ {
 		if err := pc.RunReadTxn([]uint32{xi, yi}); err != nil {

@@ -209,6 +209,26 @@ func TestTxnWhileInteractiveLive(t *testing.T) {
 	}
 }
 
+// TestReadOnlyTxnWithAWriteIsRefused: a read-only TXN that carries a write
+// is refused with CodeProtocol before any snapshot is taken, and the
+// session goes on serving read-only TXNs.
+func TestReadOnlyTxnWithAWriteIsRefused(t *testing.T) {
+	set := testSet(t)
+	mgr, _ := rtm.New(set)
+	addr, srv := startServer(t, mgr, Config{})
+	x := item(t, set, "x")
+	r := dialRaw(t, addr)
+	r.send(1, &wire.Txn{ReadOnly: true, Ops: []wire.TxnOp{readOp(x), writeOp(x, 5)}})
+	r.expectErr(1, wire.CodeProtocol)
+	if ro, begins := srv.Counters().ROAccepted.Load(), mgr.Stats().ROBegins; ro != 0 || begins != 0 {
+		t.Fatalf("ROAccepted = %d, ROBegins = %d; want 0 and 0: the write is refused before a snapshot", ro, begins)
+	}
+	r.send(2, &wire.Txn{ReadOnly: true, Ops: []wire.TxnOp{readOp(x)}})
+	if ok := r.expect(2, wire.KindTxnOK).(*wire.TxnOK); len(ok.Reads) != 1 || ok.Reads[0] != 0 {
+		t.Fatalf("read-only TXN after the refusal read %v, want [0]", ok.Reads)
+	}
+}
+
 // TestTxnReadsInStepOrder: TXN_OK carries every value the transaction
 // read, in the order its reads appear among its operations — its own writes
 // included — and they are what the manager holds.

@@ -71,13 +71,12 @@ func (s *Server) sweepStuck() {
 		lt.cancel()
 		lt.tx.Abort()
 		tripped++
-		id, name := txDesc(lt.tx)
 		late := "no deadline"
 		if !lt.deadline.IsZero() {
 			late = "deadline " + now.Sub(lt.deadline).Round(time.Millisecond).String() + " ago"
 		}
 		s.logf("watchdog: force-aborted txn %d (%s) live %v, %s",
-			id, name, now.Sub(lt.start).Round(time.Millisecond), late)
+			lt.tx.ID(), lt.tx.Template().Name, now.Sub(lt.start).Round(time.Millisecond), late)
 	}
 	if tripped > 0 {
 		if err := s.mgr.CheckInvariants(); err != nil {

@@ -59,8 +59,9 @@
 //
 // BEGIN and TXN pass the same admission: with a deadline budget
 // (milliseconds) the server refuses with CodeInfeasible when the measured
-// queue wait already exceeds it; read-only marks a snapshot transaction,
-// which bypasses admission and takes no locks.
+// queue wait already exceeds it. A TXN's read-only flag marks a snapshot
+// transaction, which bypasses admission and takes no locks; the server
+// refuses a BEGIN that carries the flag with CodeProtocol.
 //
 // Every failure is a typed ERR reply (ErrMsg): an ErrorCode the client can
 // branch on (overload → back off and retry, aborted → retry the
@@ -288,11 +289,9 @@ type HelloOK struct {
 // stuck-transaction watchdog force-aborts the instance once the budget
 // plus a grace period has elapsed.
 //
-// ReadOnly, when set, declares the transaction a read-only snapshot
-// transaction: the server routes it around admission entirely (no queue
-// wait, no shed eligibility, no locks) and answers its reads from the
-// multiversion snapshot path. Writes on such a transaction fail with
-// CodeProtocol.
+// ReadOnly shares its encoding with Txn.ReadOnly. A read-only snapshot
+// transaction is one TXN frame, so the server refuses a BEGIN that sets
+// it with CodeProtocol and goes on serving the session.
 type Begin struct {
 	Name     string
 	Deadline uint32 // firm budget in milliseconds; 0 = none
@@ -349,7 +348,7 @@ type TxnOp struct {
 type Txn struct {
 	Name     string
 	Deadline uint32 // firm budget in milliseconds; 0 = none
-	ReadOnly bool   // snapshot transaction: Name is ignored, writes fail
+	ReadOnly bool   // snapshot transaction: Name is ignored, a write is refused before any snapshot is taken
 	Ops      []TxnOp
 }
 
