@@ -109,7 +109,7 @@ func sameSet(a, b []rt.JobID) bool {
 // list and moves the data.
 func Retire(env Env, j *Job, st Status) (wasBlocked bool) {
 	wasBlocked = j.Status == Blocked
-	env.Locks().ReleaseAllUnordered(j.ID)
+	env.Locks().ReleaseAll(j.ID)
 	j.DataRead.Clear()
 	j.BlockedOn = rt.NoItem
 	j.Blockers = j.Blockers[:0]

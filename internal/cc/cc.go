@@ -137,21 +137,30 @@ func (j *Job) ResponseTime() rt.Ticks {
 // Missed reports whether the job's deadline was missed.
 func (j *Job) Missed() bool { return j.MissedAt >= 0 }
 
-// Decision is a protocol's answer to a lock request.
+// Decision is a protocol's answer to a lock request. Blockers and
+// AbortVictims may point into the protocol's own scratch, reused by its next
+// call: an engine reads them before it calls the protocol again, and keeps
+// nothing of them but what Wait copies into the job's Blockers.
 type Decision struct {
 	// Granted: the lock may be taken now.
 	Granted bool
-	// Rule names the clause that fired, e.g. "LC1".."LC4" for PCP-DA,
-	// "ceiling" for RW-PCP grants, "conflict"/"ceiling-block" for denials.
-	// Rules are aggregated into per-run counters.
+	// Rule names the clause that fired; rules are aggregated into per-run
+	// counters. Grants: "LC1".."LC4" (PCP-DA), "cond1"/"cond2" (naive-DA),
+	// "ceiling-ok" (RW-PCP, CCP), "pcp-ok" (PCP), "2pl-ok" (PIP, 2PL-HP),
+	// "hp-restart" (2PL-HP, after aborting its victims), "occ-ok" (OCC).
+	// Denials: "rw-conflict" (a write behind foreign readers), "wr-conflict"
+	// (PCP-DA's Table 1 side condition), "ceiling", "2pl-conflict" (PIP),
+	// "hp-wait" (2PL-HP).
 	Rule string
 	// Blockers: on denial, the jobs responsible; they inherit the
-	// requester's priority (transitively) until the request is granted.
+	// requester's priority (transitively) until the request is granted. The
+	// list may name a job more than once and in any order: Wait keeps the
+	// set.
 	Blockers []rt.JobID
-	// AbortVictims: jobs the protocol sacrifices for the requester (2PL-HP).
-	// The kernel aborts and restarts them before acting on Granted, so a
-	// decision may abort the lower-priority holders and still block on the
-	// higher-priority ones.
+	// AbortVictims: jobs the protocol sacrifices for the requester (2PL-HP),
+	// each named once. The kernel aborts and restarts them before acting on
+	// Granted, so a decision may abort the lower-priority holders and still
+	// block on the higher-priority ones.
 	AbortVictims []rt.JobID
 }
 
@@ -227,9 +236,10 @@ type Protocol interface {
 	Init(set *txn.Set, ceil *txn.Ceilings)
 	// Request decides a lock request by j for x in mode m.
 	Request(env Env, j *Job, x rt.Item, m rt.Mode) Decision
-	// EarlyRelease is called after j completes a step; the returned items
-	// are unlocked immediately (CCP's pre-commit unlocking). Most protocols
-	// return nil (strict 2PL).
+	// EarlyRelease is called after j completes a step; j's read locks on
+	// the returned items are released immediately (CCP's pre-commit
+	// unlocking), its write locks are kept to commit. Most protocols return
+	// nil (strict 2PL).
 	EarlyRelease(env Env, j *Job) []rt.Item
 }
 
@@ -250,6 +260,8 @@ type Auditor interface {
 // conflicts at commit time: just before j's effects install, the kernel
 // asks which active jobs must be restarted (forward validation / broadcast
 // commit). The returned jobs are aborted and re-released after j commits.
+// Like a Decision's lists, the result may point into the protocol's scratch
+// and is read before the protocol is called again.
 type CommitArbiter interface {
 	CommitVictims(env Env, j *Job) []rt.JobID
 }

@@ -73,30 +73,48 @@ func TestEarlyReleaseShortensBlocking(t *testing.T) {
 
 func TestEarlyReleaseKeepsWriteLocks(t *testing.T) {
 	// A transaction with trailing compute after a WRITE must keep the write
-	// lock to commit (abort safety): its in-place value stays protected.
-	s := txn.NewSet("keepw")
-	x := s.Catalog.Intern("x")
-	s.Add(&txn.Template{Name: "H", Offset: 1, Steps: []txn.Step{txn.Read(x)}})
-	s.Add(&txn.Template{Name: "L", Offset: 0, Steps: []txn.Step{txn.Write(x), txn.Comp(4)}})
-	s.AssignByIndex()
-	k, err := sched.New(s, New(), sched.Config{Horizon: 12, RecordTrace: true})
-	if err != nil {
-		t.Fatal(err)
+	// lock to commit (abort safety): its in-place value stays protected,
+	// also when it read the item first and so holds it in both modes.
+	cases := []struct {
+		name string
+		cfg  sched.Config
+		add  func(s *txn.Set, x rt.Item)
+	}{
+		{"blind write", sched.Config{Horizon: 12}, func(s *txn.Set, x rt.Item) {
+			s.Add(&txn.Template{Name: "H", Offset: 1, Steps: []txn.Step{txn.Read(x)}})
+			s.Add(&txn.Template{Name: "L", Offset: 0, Steps: []txn.Step{txn.Write(x), txn.Comp(4)}})
+		}},
+		{"read then write", sched.Config{Horizon: 14}, func(s *txn.Set, x rt.Item) {
+			s.Add(&txn.Template{Name: "H", Offset: 3, Steps: []txn.Step{txn.Read(x)}})
+			s.Add(&txn.Template{Name: "L", Offset: 0, Steps: []txn.Step{txn.Read(x), txn.Write(x), txn.Comp(6)}})
+		}},
+		// L misses its deadline under M's preemption and is aborted: a read
+		// of its uncommitted write by H would be a dirty read.
+		{"read then write, aborted", sched.Config{Horizon: 20, Deadline: sched.FirmAbort}, func(s *txn.Set, x rt.Item) {
+			s.Add(&txn.Template{Name: "H", Offset: 3, Steps: []txn.Step{txn.Read(x)}})
+			s.Add(&txn.Template{Name: "M", Offset: 4, Steps: []txn.Step{txn.Comp(8)}})
+			s.Add(&txn.Template{Name: "L", Offset: 0, Deadline: 10, Steps: []txn.Step{txn.Read(x), txn.Write(x), txn.Comp(6)}})
+		}},
 	}
-	res := k.Run()
-	// H must be blocked while L's write lock persists through the tail.
-	var h = res.Jobs[0]
-	for _, j := range res.Jobs {
-		if j.Tmpl.Name == "H" {
-			h = j
+	for _, c := range cases {
+		s := txn.NewSet("keepw")
+		c.add(s, s.Catalog.Intern("x"))
+		s.AssignByIndex()
+		c.cfg.RecordTrace = true
+		k, err := sched.New(s, New(), c.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if h.BlockedTicks == 0 {
-		t.Fatal("write lock released early: H never blocked")
-	}
-	rep := res.History.Check()
-	if !rep.Serializable {
-		t.Errorf("history: %v", rep.Violations)
+		res := k.Run()
+		// H must be blocked while L's write lock persists through the tail.
+		for _, j := range res.Jobs {
+			if j.Tmpl.Name == "H" && j.BlockedTicks == 0 {
+				t.Errorf("%s: write lock released early: H never blocked", c.name)
+			}
+		}
+		if rep := res.History.Check(); !rep.Serializable || len(rep.Violations) != 0 {
+			t.Errorf("%s: history: %v", c.name, rep.Violations)
+		}
 	}
 }
 

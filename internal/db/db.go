@@ -244,20 +244,10 @@ func (w *Workspace) Get(x rt.Item) (Value, bool) {
 // Len returns the number of distinct buffered items.
 func (w *Workspace) Len() int { return len(w.order) }
 
-// Items returns the buffered items in first-write order.
-func (w *Workspace) Items() []rt.Item {
-	out := make([]rt.Item, len(w.order))
-	copy(out, w.order)
-	return out
-}
-
-// EachItem calls fn for every buffered item in first-write order, without
-// copying the item list. fn must not mutate the workspace.
-func (w *Workspace) EachItem(fn func(x rt.Item)) {
-	for _, x := range w.order {
-		fn(x)
-	}
-}
+// Items returns the buffered items in first-write order: the workspace's own
+// list, valid until the next Write or Discard, which the caller must not
+// modify.
+func (w *Workspace) Items() []rt.Item { return w.order }
 
 // InstallInto atomically applies the workspace to the store on behalf of
 // run, appending the installed (item, version) pairs to dst (which the

@@ -55,11 +55,12 @@ func TestWorkspaceVsMapModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: Len=%d want %d", seed, step, w.Len(), len(model.writes))
 				}
 				items := w.Items()
-				var each []rt.Item
-				w.EachItem(func(x rt.Item) { each = append(each, x) })
+				if len(items) != len(model.order) {
+					t.Fatalf("seed %d step %d: Items=%v want %v", seed, step, items, model.order)
+				}
 				for i, x := range model.order {
-					if i >= len(items) || items[i] != x || each[i] != x {
-						t.Fatalf("seed %d step %d: Items=%v EachItem=%v want %v", seed, step, items, each, model.order)
+					if items[i] != x {
+						t.Fatalf("seed %d step %d: Items=%v want %v", seed, step, items, model.order)
 					}
 				}
 			}

@@ -411,7 +411,7 @@ func (h *History) Check() Report {
 
 // LastWriters returns, per item, the committed run whose installed version
 // is highest — the value a serial replay in commit order would leave behind.
-// Package sim compares this against the store's actual final state.
+// Tests compare it against the store's actual final state.
 func (h *History) LastWriters() map[rt.Item]db.RunID {
 	committed := h.Committed()
 	best := make(map[rt.Item]db.Version)

@@ -87,11 +87,9 @@ const LockfreeMarker = "//pcpda:lockfree"
 // table itself is reachable read-only via cc.Env.Locks(), so the import ban
 // alone cannot stop a protocol from mutating it.
 var lockTableMutators = map[string]bool{
-	"Acquire":             true,
-	"Release":             true,
-	"ReleaseItem":         true,
-	"ReleaseAll":          true,
-	"ReleaseAllUnordered": true,
+	"Acquire":    true,
+	"Release":    true,
+	"ReleaseAll": true,
 }
 
 // Analyzer is the capability analyzer.

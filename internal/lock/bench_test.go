@@ -7,8 +7,8 @@ import (
 )
 
 // Microbenchmarks of the lock-table paths the live manager hits on every
-// operation. The Each* iteration variants exist so the hot path can query
-// holder sets without the per-call copies Readers/Writers/HeldBy make.
+// operation. Holder sets are read through the Each* enumerators, which copy
+// nothing; ReadHeldBy is the one query that returns a copy.
 
 // benchTable returns a table with `items` items, each read-locked by
 // `readers` jobs and write-locked by one job.
@@ -36,24 +36,24 @@ func BenchmarkLockAcquireRelease(b *testing.B) {
 	}
 }
 
-func BenchmarkLockReadersCopy(b *testing.B) {
+func BenchmarkLockEachReader(b *testing.B) {
 	tb := benchTable(8, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		n += len(tb.Readers(rt.Item(i % 8)))
+		tb.EachReader(rt.Item(i%8), func(rt.JobID) bool { n++; return true })
 	}
 	sinkInt = n
 }
 
-func BenchmarkLockHeldByCopy(b *testing.B) {
+func BenchmarkLockReadHeldByCopy(b *testing.B) {
 	tb := benchTable(8, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		n += len(tb.HeldBy(rt.JobID(i % 4)))
+		n += len(tb.ReadHeldBy(rt.JobID(i % 4)))
 	}
 	sinkInt = n
 }

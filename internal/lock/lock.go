@@ -16,9 +16,7 @@
 package lock
 
 import (
-	"fmt"
 	"slices"
-	"strings"
 
 	"pcpda/internal/rt"
 )
@@ -162,26 +160,10 @@ func (t *Table) Release(o rt.JobID, x rt.Item, m rt.Mode) {
 	}
 }
 
-// ReleaseItem drops every lock o holds on x (both modes).
-func (t *Table) ReleaseItem(o rt.JobID, x rt.Item) {
-	t.Release(o, x, rt.Read)
-	t.Release(o, x, rt.Write)
-}
-
-// ReleaseAll drops every lock held by o and returns the affected items
-// (deduplicated, in first-acquisition order).
-func (t *Table) ReleaseAll(o rt.JobID) []rt.Item {
-	items := t.HeldBy(o)
-	t.ReleaseAllUnordered(o)
-	return items
-}
-
-// ReleaseAllUnordered drops every lock held by o without materializing the
-// affected item list; it allocates nothing. Callers that need the released
-// items (for history records) use ReleaseAll instead.
+// ReleaseAll drops every lock held by o; it allocates nothing.
 //
 //pcpda:alloc-free
-func (t *Table) ReleaseAllUnordered(o rt.JobID) {
+func (t *Table) ReleaseAll(o rt.JobID) {
 	t.ops++
 	h := t.heldOf(o)
 	if h == nil {
@@ -206,48 +188,9 @@ func (t *Table) HoldsWrite(o rt.JobID, x rt.Item) bool {
 	return slices.Contains(t.entryOf(x).writers, o)
 }
 
-// Holds reports whether o holds any lock on x.
-func (t *Table) Holds(o rt.JobID, x rt.Item) bool {
-	return t.HoldsRead(o, x) || t.HoldsWrite(o, x)
-}
-
-// Readers returns the jobs holding read locks on x, in acquisition order.
-// The returned slice is a copy.
-func (t *Table) Readers(x rt.Item) []rt.JobID {
-	return append([]rt.JobID(nil), t.entryOf(x).readers...)
-}
-
-// Writers returns the jobs holding write locks on x, in acquisition order.
-// The returned slice is a copy.
-func (t *Table) Writers(x rt.Item) []rt.JobID {
-	return append([]rt.JobID(nil), t.entryOf(x).writers...)
-}
-
-// ReadersOther returns the jobs other than o holding read locks on x.
-func (t *Table) ReadersOther(x rt.Item, o rt.JobID) []rt.JobID {
-	var out []rt.JobID
-	for _, id := range t.Readers(x) {
-		if id != o {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// WritersOther returns the jobs other than o holding write locks on x.
-func (t *Table) WritersOther(x rt.Item, o rt.JobID) []rt.JobID {
-	var out []rt.JobID
-	for _, id := range t.Writers(x) {
-		if id != o {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // EachReader calls fn for every job holding a read lock on x, in acquisition
-// order, stopping early when fn returns false. Unlike Readers it performs no
-// allocation; fn must not mutate the table.
+// order, stopping early when fn returns false. Allocation-free; fn must not
+// mutate the table.
 //
 //pcpda:alloc-free
 func (t *Table) EachReader(x rt.Item, fn func(o rt.JobID) bool) {
@@ -334,31 +277,6 @@ func (t *Table) ReadHeldBy(o rt.JobID) []rt.Item {
 	return nil
 }
 
-// WriteHeldBy returns the items o holds write locks on, in acquisition
-// order. The returned slice is a copy.
-func (t *Table) WriteHeldBy(o rt.JobID) []rt.Item {
-	if h := t.heldOf(o); h != nil {
-		return append([]rt.Item(nil), h.write...)
-	}
-	return nil
-}
-
-// HeldBy returns every item o holds any lock on (deduplicated: read-locked
-// items in acquisition order, then the items only write-locked).
-func (t *Table) HeldBy(o rt.JobID) []rt.Item {
-	h := t.heldOf(o)
-	if h == nil {
-		return nil
-	}
-	out := append(make([]rt.Item, 0, len(h.read)+len(h.write)), h.read...)
-	for _, x := range h.write {
-		if !slices.Contains(h.read, x) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // EachReadLock calls fn for every (item, holder) read-lock pair in the
 // table, in deterministic (item id, acquisition) order: what the invariant
 // checkers and test oracles recompute from. It visits every item slot, so
@@ -399,14 +317,3 @@ func (t *Table) LockCount() int {
 // Extent returns how far the table's slices have grown: item slots, and
 // holder records live or retired. A long-running caller asserts both flat.
 func (t *Table) Extent() (items, holders int) { return len(t.items), len(t.held) }
-
-// Dump renders the table for debugging, one line per locked item.
-func (t *Table) Dump(cat *rt.Catalog) string {
-	var b strings.Builder
-	for x := range t.items {
-		if e := &t.items[x]; len(e.readers)+len(e.writers) > 0 {
-			fmt.Fprintf(&b, "%s: R%v W%v\n", cat.Name(rt.Item(x)), e.readers, e.writers)
-		}
-	}
-	return b.String()
-}

@@ -1,6 +1,7 @@
 package lock
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -26,11 +27,11 @@ func TestAcquireHoldRelease(t *testing.T) {
 	if !tb.HoldsRead(j1, x) || tb.HoldsWrite(j1, x) {
 		t.Fatal("read lock recorded wrongly")
 	}
-	if !tb.Holds(j1, x) || tb.Holds(j2, x) {
-		t.Fatal("Holds wrong")
+	if tb.HoldsRead(j2, x) || tb.HoldsWrite(j2, x) {
+		t.Fatal("a job that took nothing holds x")
 	}
 	tb.Release(j1, x, rt.Read)
-	if tb.Holds(j1, x) || tb.LockCount() != 0 {
+	if tb.HoldsRead(j1, x) || tb.LockCount() != 0 {
 		t.Fatal("release failed")
 	}
 }
@@ -54,9 +55,13 @@ func TestMixedModesSameJob(t *testing.T) {
 	if !tb.HoldsRead(j1, x) || !tb.HoldsWrite(j1, x) {
 		t.Fatal("upgrade must keep both modes")
 	}
-	tb.ReleaseItem(j1, x)
-	if tb.Holds(j1, x) {
-		t.Fatal("ReleaseItem must clear both modes")
+	tb.Release(j1, x, rt.Read) // CCP's early release: the write lock stays
+	if tb.HoldsRead(j1, x) || !tb.HoldsWrite(j1, x) {
+		t.Fatal("releasing the read mode must keep the write mode")
+	}
+	tb.Release(j1, x, rt.Write)
+	if tb.HoldsWrite(j1, x) || tb.LockCount() != 0 {
+		t.Fatal("releasing both modes must clear x")
 	}
 }
 
@@ -66,7 +71,7 @@ func TestConcurrentWritersAllowed(t *testing.T) {
 	tb := NewTable()
 	tb.Acquire(j1, x, rt.Write)
 	tb.Acquire(j2, x, rt.Write)
-	w := tb.Writers(x)
+	w := holders(tb.EachWriter, x)
 	if len(w) != 2 || w[0] != j1 || w[1] != j2 {
 		t.Fatalf("writers = %v, want [1 2] in acquisition order", w)
 	}
@@ -101,19 +106,35 @@ func TestNoRlockByOthers(t *testing.T) {
 	}
 }
 
+// TestReadersWritersOther: the holders other than a requester, which every
+// protocol's conflict list is, come off the enumerators with the requester
+// skipped.
 func TestReadersWritersOther(t *testing.T) {
 	tb := NewTable()
 	tb.Acquire(j1, x, rt.Read)
 	tb.Acquire(j2, x, rt.Read)
 	tb.Acquire(j3, x, rt.Write)
-	if got := tb.ReadersOther(x, j1); len(got) != 1 || got[0] != j2 {
-		t.Fatalf("ReadersOther = %v", got)
+	others := func(each func(rt.Item, func(rt.JobID) bool), o rt.JobID) []rt.JobID {
+		var out []rt.JobID
+		each(x, func(h rt.JobID) bool {
+			if h != o {
+				out = append(out, h)
+			}
+			return true
+		})
+		return out
 	}
-	if got := tb.WritersOther(x, j3); got != nil {
-		t.Fatalf("WritersOther = %v, want nil", got)
+	if got := others(tb.EachReader, j1); len(got) != 1 || got[0] != j2 {
+		t.Fatalf("readers other than j1 = %v", got)
 	}
-	if got := tb.WritersOther(x, j1); len(got) != 1 || got[0] != j3 {
-		t.Fatalf("WritersOther = %v", got)
+	if got := others(tb.EachWriter, j3); got != nil {
+		t.Fatalf("writers other than j3 = %v, want none", got)
+	}
+	if got := others(tb.EachWriter, j1); len(got) != 1 || got[0] != j3 {
+		t.Fatalf("writers other than j1 = %v", got)
+	}
+	if tb.NoRlockByOthers(x, j1) || !tb.NoRlockByOthers(y, j1) {
+		t.Fatal("NoRlockByOthers disagrees with the readers other than j1")
 	}
 }
 
@@ -121,20 +142,18 @@ func TestReleaseAll(t *testing.T) {
 	tb := NewTable()
 	tb.Acquire(j1, x, rt.Read)
 	tb.Acquire(j1, y, rt.Write)
-	tb.Acquire(j1, y, rt.Read) // also read y: dedup in returned items
+	tb.Acquire(j1, y, rt.Read) // both modes on y
 	tb.Acquire(j2, x, rt.Read)
-	items := tb.ReleaseAll(j1)
-	if len(items) != 2 {
-		t.Fatalf("released items = %v, want 2 distinct", items)
-	}
-	if tb.Holds(j1, x) || tb.Holds(j1, y) {
+	tb.ReleaseAll(j1)
+	if tb.HoldsRead(j1, x) || tb.HoldsRead(j1, y) || tb.HoldsWrite(j1, y) || tb.ReadHeldBy(j1) != nil {
 		t.Fatal("j1 must hold nothing")
 	}
-	if !tb.HoldsRead(j2, x) {
+	if !tb.HoldsRead(j2, x) || tb.LockCount() != 1 {
 		t.Fatal("other jobs' locks must survive")
 	}
-	if got := tb.ReleaseAll(j3); got != nil {
-		t.Fatalf("releasing lock-less job returned %v", got)
+	tb.ReleaseAll(j3) // a lock-less job: a no-op
+	if !tb.HoldsRead(j2, x) || tb.LockCount() != 1 {
+		t.Fatal("releasing a lock-less job changed the table")
 	}
 }
 
@@ -147,15 +166,11 @@ func TestHeldByEnumeration(t *testing.T) {
 	if len(r) != 2 || r[0] != x || r[1] != z {
 		t.Fatalf("ReadHeldBy order = %v, want acquisition order [x z]", r)
 	}
-	w := tb.WriteHeldBy(j1)
+	w := writeHeld(tb, j1)
 	if len(w) != 1 || w[0] != y {
-		t.Fatalf("WriteHeldBy = %v", w)
+		t.Fatalf("write-held = %v", w)
 	}
-	all := tb.HeldBy(j1)
-	if len(all) != 3 {
-		t.Fatalf("HeldBy = %v", all)
-	}
-	if tb.HeldBy(j2) != nil {
+	if tb.ReadHeldBy(j2) != nil || writeHeld(tb, j2) != nil {
 		t.Fatal("job without locks holds nothing")
 	}
 	// Returned slices are copies.
@@ -229,14 +244,20 @@ func TestLockCount(t *testing.T) {
 	}
 }
 
+// TestDump: the two lock enumerations together are a complete picture of the
+// table, named through the catalog — what a debugging dump prints.
 func TestDump(t *testing.T) {
 	cat := rt.NewCatalog()
-	a := cat.Intern("alpha")
+	a, b := cat.Intern("alpha"), cat.Intern("beta")
 	tb := NewTable()
+	tb.Acquire(j2, b, rt.Write)
 	tb.Acquire(j1, a, rt.Read)
-	out := tb.Dump(cat)
-	if !strings.Contains(out, "alpha") {
-		t.Fatalf("dump missing item name: %q", out)
+	tb.Acquire(j1, b, rt.Read)
+	var out strings.Builder
+	tb.EachReadLock(func(x rt.Item, o rt.JobID) { fmt.Fprintf(&out, "%s:R%d ", cat.Name(x), o) })
+	tb.EachWriteLock(func(x rt.Item, o rt.JobID) { fmt.Fprintf(&out, "%s:W%d ", cat.Name(x), o) })
+	if got, want := out.String(), "alpha:R1 beta:R1 beta:W2 "; got != want {
+		t.Fatalf("dump = %q, want %q", got, want)
 	}
 }
 
@@ -292,9 +313,9 @@ func TestReleaseAllUnordered(t *testing.T) {
 	tb.Acquire(j1, x, rt.Write)
 	tb.Acquire(j1, y, rt.Write)
 	tb.Acquire(j2, x, rt.Read)
-	tb.ReleaseAllUnordered(j1)
-	if len(tb.HeldBy(j1)) != 0 {
-		t.Fatalf("j1 still holds %v", tb.HeldBy(j1))
+	tb.ReleaseAll(j1)
+	if r, w := tb.ReadHeldBy(j1), writeHeld(tb, j1); r != nil || w != nil {
+		t.Fatalf("j1 still holds R%v W%v", r, w)
 	}
 	if !tb.HoldsRead(j2, x) {
 		t.Fatal("other holders must survive")
@@ -302,7 +323,7 @@ func TestReleaseAllUnordered(t *testing.T) {
 	if tb.LockCount() != 1 {
 		t.Fatalf("LockCount = %d, want 1", tb.LockCount())
 	}
-	tb.ReleaseAllUnordered(j1) // idempotent
+	tb.ReleaseAll(j1) // idempotent
 	// The table must stay fully usable after bulk release.
 	tb.Acquire(j1, y, rt.Write)
 	if !tb.HoldsWrite(j1, y) || tb.LockCount() != 2 {
@@ -328,8 +349,8 @@ func TestFreelistRecycling(t *testing.T) {
 		tb.Acquire(a, y, rt.Write)
 		tb.Acquire(b, y, rt.Write)
 		tb.Release(b, x, rt.Read)
-		tb.ReleaseItem(b, y)
-		tb.ReleaseAllUnordered(a)
+		tb.Release(b, y, rt.Write)
+		tb.ReleaseAll(a)
 	}
 	for i := 0; i < 64; i++ {
 		churn()

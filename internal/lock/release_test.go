@@ -16,7 +16,7 @@ func TestReleaseIdempotent(t *testing.T) {
 	tb.Acquire(j1, x, rt.Read)
 	tb.Release(j1, x, rt.Read)
 	tb.Release(j1, x, rt.Read) // double release: no-op
-	if tb.LockCount() != 0 || tb.Holds(j1, x) {
+	if tb.LockCount() != 0 || tb.HoldsRead(j1, x) {
 		t.Fatal("double release corrupted the table")
 	}
 	tb.Release(j1, y, rt.Write) // release of a never-held lock: no-op
@@ -32,7 +32,7 @@ func TestReleaseWrongModeIsNoop(t *testing.T) {
 	if !tb.HoldsWrite(j1, x) {
 		t.Fatal("wrong-mode release dropped the write lock")
 	}
-	if len(tb.WriteHeldBy(j1)) != 1 {
+	if len(writeHeld(tb, j1)) != 1 {
 		t.Fatal("held-set lost the write entry")
 	}
 }
@@ -42,12 +42,11 @@ func TestReleaseAllIdempotent(t *testing.T) {
 	tb.Acquire(j1, x, rt.Read)
 	tb.Acquire(j1, y, rt.Write)
 	tb.Acquire(j1, y, rt.Read) // both modes on y
-	if got := tb.ReleaseAll(j1); len(got) != 2 {
-		t.Fatalf("ReleaseAll items = %v", got)
+	tb.ReleaseAll(j1)
+	if tb.LockCount() != 0 || tb.live != 0 {
+		t.Fatalf("locks left after ReleaseAll: %d", tb.LockCount())
 	}
-	if got := tb.ReleaseAll(j1); got != nil {
-		t.Fatalf("second ReleaseAll = %v, want nil", got)
-	}
+	tb.ReleaseAll(j1)
 	if tb.LockCount() != 0 {
 		t.Fatalf("locks left: %d", tb.LockCount())
 	}
@@ -67,7 +66,7 @@ func TestReleaseWhileOthersHold(t *testing.T) {
 	tb.Acquire(j3, x, rt.Read)
 	tb.Acquire(j1, y, rt.Write)
 	tb.ReleaseAll(j1)
-	if tb.Holds(j1, x) || tb.Holds(j1, y) {
+	if tb.HoldsRead(j1, x) || tb.HoldsWrite(j1, y) {
 		t.Fatal("j1 still holds locks")
 	}
 	if !tb.HoldsRead(j3, x) {
@@ -76,21 +75,27 @@ func TestReleaseWhileOthersHold(t *testing.T) {
 	if !tb.NoRlockByOthers(x, j3) {
 		t.Fatal("phantom foreign reader survives j1's release")
 	}
-	if got := tb.Readers(x); len(got) != 1 || got[0] != j3 {
+	if got := holders(tb.EachReader, x); len(got) != 1 || got[0] != j3 {
 		t.Fatalf("readers of x = %v", got)
 	}
 }
 
+// TestReleaseItemBothModes: one Release drops one mode, so a job holding x in
+// both modes gives it up only after a release of each.
 func TestReleaseItemBothModes(t *testing.T) {
 	tb := NewTable()
 	tb.Acquire(j1, x, rt.Read)
 	tb.Acquire(j1, x, rt.Write)
-	tb.ReleaseItem(j1, x)
-	if tb.Holds(j1, x) || tb.LockCount() != 0 {
-		t.Fatal("ReleaseItem left a mode behind")
+	tb.Release(j1, x, rt.Write)
+	if !tb.HoldsRead(j1, x) || tb.HoldsWrite(j1, x) || tb.live != 1 {
+		t.Fatal("releasing the write mode must keep the read mode and its holder record")
 	}
-	tb.ReleaseItem(j1, x) // idempotent
+	tb.Release(j1, x, rt.Read)
+	if tb.HoldsRead(j1, x) || tb.LockCount() != 0 || tb.live != 0 {
+		t.Fatal("releasing both modes left a lock behind")
+	}
+	tb.Release(j1, x, rt.Read) // idempotent
 	if tb.LockCount() != 0 {
-		t.Fatal("double ReleaseItem corrupted the table")
+		t.Fatal("a repeated release corrupted the table")
 	}
 }

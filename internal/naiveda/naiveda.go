@@ -21,11 +21,11 @@ import (
 // Protocol is the condition-(2) strawman.
 type Protocol struct {
 	cc.Base
-	set  *txn.Set
 	ceil *txn.Ceilings
 
 	// Scratch for the holder list, reused across Request calls (one
-	// instance drives one single-threaded run); deny decisions copy out.
+	// instance drives one single-threaded run); a denial's Blockers point
+	// into it until the next Request (cc.Decision).
 	holdBuf []rt.JobID
 }
 
@@ -40,11 +40,8 @@ func (p *Protocol) Name() string { return "naive-DA" }
 // Deferred is true: same update-in-workspace model as PCP-DA.
 func (p *Protocol) Deferred() bool { return true }
 
-// Init captures the static set and ceilings.
-func (p *Protocol) Init(set *txn.Set, ceil *txn.Ceilings) {
-	p.set = set
-	p.ceil = ceil
-}
+// Init captures the ceilings.
+func (p *Protocol) Init(_ *txn.Set, ceil *txn.Ceilings) { p.ceil = ceil }
 
 // Request implements LC1 for writes and conditions (1)/(2) for reads.
 func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decision {
@@ -53,7 +50,14 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 		if locks.NoRlockByOthers(x, j.ID) {
 			return cc.Grant("LC1")
 		}
-		return cc.Block("rw-conflict", locks.ReadersOther(x, j.ID)...)
+		p.holdBuf = p.holdBuf[:0]
+		locks.EachReader(x, func(id rt.JobID) bool {
+			if id != j.ID {
+				p.holdBuf = append(p.holdBuf, id)
+			}
+			return true
+		})
+		return cc.Block("rw-conflict", p.holdBuf...)
 	}
 
 	pri := j.BasePri()
@@ -64,8 +68,7 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 	if pri >= p.ceil.Wceil(x) {
 		return cc.Grant("cond2")
 	}
-	// The holder list aliases p.holdBuf; the decision outlives the call.
-	return cc.Block("ceiling", append([]rt.JobID(nil), holders...)...)
+	return cc.Block("ceiling", holders...)
 }
 
 // sysceilFor computes Sysceil_i (highest Wceil over items read-locked by

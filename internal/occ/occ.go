@@ -20,6 +20,8 @@
 package occ
 
 import (
+	"slices"
+
 	"pcpda/internal/cc"
 	"pcpda/internal/rt"
 	"pcpda/internal/txn"
@@ -28,6 +30,11 @@ import (
 // Protocol is the OCC broadcast-commit policy.
 type Protocol struct {
 	cc.Base
+
+	// Scratch for the victim list, reused across commits (one instance
+	// drives one single-threaded run); CommitVictims' result points into it
+	// until the next call (cc.CommitArbiter).
+	victims []rt.JobID
 }
 
 var _ cc.Protocol = (*Protocol)(nil)
@@ -53,20 +60,18 @@ func (p *Protocol) Request(cc.Env, *cc.Job, rt.Item, rt.Mode) cc.Decision {
 // CommitVictims implements broadcast commit: every active job that read an
 // item the committer wrote is invalidated.
 func (p *Protocol) CommitVictims(env cc.Env, j *cc.Job) []rt.JobID {
-	written := rt.NewItemSet()
-	if j.WS != nil {
-		for _, x := range j.WS.Items() {
-			written.Add(x)
-		}
+	p.victims = p.victims[:0]
+	if j.WS == nil {
+		return p.victims
 	}
-	var victims []rt.JobID
+	written := j.WS.Items()
 	for _, other := range env.ActiveJobs() {
 		if other == j || (other.Status != cc.Ready && other.Status != cc.Blocked) {
 			continue
 		}
-		if other.DataRead.Intersects(written) {
-			victims = append(victims, other.ID)
+		if slices.ContainsFunc(written, other.DataRead.Has) {
+			p.victims = append(p.victims, other.ID)
 		}
 	}
-	return victims
+	return p.victims
 }

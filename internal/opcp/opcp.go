@@ -20,11 +20,11 @@ import (
 // Protocol is the original-PCP policy with exclusive locks.
 type Protocol struct {
 	cc.Base
-	set  *txn.Set
 	ceil *txn.Ceilings
 
 	// Scratch for the holder list, reused across Request calls (one
-	// instance drives one single-threaded run); deny decisions copy out.
+	// instance drives one single-threaded run); a denial's Blockers point
+	// into it until the next Request (cc.Decision).
 	holdBuf []rt.JobID
 }
 
@@ -40,11 +40,8 @@ func (p *Protocol) Name() string { return "PCP" }
 // Deferred is false: update-in-place, strict 2PL.
 func (p *Protocol) Deferred() bool { return false }
 
-// Init captures the static set and ceilings.
-func (p *Protocol) Init(set *txn.Set, ceil *txn.Ceilings) {
-	p.set = set
-	p.ceil = ceil
-}
+// Init captures the ceilings.
+func (p *Protocol) Init(_ *txn.Set, ceil *txn.Ceilings) { p.ceil = ceil }
 
 // sysceilFor computes the highest Aceil over items locked (in any mode) by
 // jobs other than o (rt.NoJob: by anyone), plus the holders realizing it. The
@@ -65,8 +62,7 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 	if j.BasePri() > sys {
 		return cc.Grant("pcp-ok")
 	}
-	// The holder list aliases p.holdBuf; the decision outlives the call.
-	return cc.Block("ceiling", append([]rt.JobID(nil), holders...)...)
+	return cc.Block("ceiling", holders...)
 }
 
 // SystemCeiling reports the highest Aceil in force over all locked items.

@@ -63,14 +63,12 @@ type Options struct {
 type Protocol struct {
 	cc.Base
 	opts  Options
-	set   *txn.Set
 	ceil  *txn.Ceilings
 	audit map[string]int
 
 	// Scratch buffers reused across Request calls (a Protocol instance is
-	// driven under one kernel lock, never concurrently). Contents are only
-	// valid until the next Request; decisions that outlive the call (deny
-	// paths) copy what they keep.
+	// driven under one kernel lock, never concurrently). A denial's Blockers
+	// point into them, valid until the next Request (cc.Decision).
 	tstarBuf []rt.JobID
 	offBuf   []rt.JobID
 }
@@ -98,11 +96,8 @@ func (p *Protocol) Name() string {
 // Deferred is true: PCP-DA uses the update-in-workspace model.
 func (p *Protocol) Deferred() bool { return true }
 
-// Init captures the static transaction set and ceilings.
-func (p *Protocol) Init(set *txn.Set, ceil *txn.Ceilings) {
-	p.set = set
-	p.ceil = ceil
-}
+// Init captures the ceilings.
+func (p *Protocol) Init(_ *txn.Set, ceil *txn.Ceilings) { p.ceil = ceil }
 
 // Audit exports the Table-1 validation counters.
 func (p *Protocol) Audit() map[string]int {
@@ -130,13 +125,15 @@ func (p *Protocol) sysceilFor(env cc.Env, j *cc.Job) sysinfo {
 	return sysinfo{sysceil: c, tstar: tstar}
 }
 
-func appendUnique(ids []rt.JobID, id rt.JobID) []rt.JobID {
-	for _, have := range ids {
-		if have == id {
-			return ids
+// appendReaders appends the jobs other than o holding read locks on x to dst.
+func appendReaders(dst []rt.JobID, env cc.Env, x rt.Item, o rt.JobID) []rt.JobID {
+	env.Locks().EachReader(x, func(id rt.JobID) bool {
+		if id != o {
+			dst = append(dst, id)
 		}
-	}
-	return append(ids, id)
+		return true
+	})
+	return dst
 }
 
 // tstarWrites reports whether x is in the declared write set of any T*
@@ -180,7 +177,8 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 		if locks.NoRlockByOthers(x, j.ID) {
 			return cc.Grant("LC1")
 		}
-		return cc.Block("rw-conflict", locks.ReadersOther(x, j.ID)...)
+		p.offBuf = appendReaders(p.offBuf[:0], env, x, j.ID)
+		return cc.Block("rw-conflict", p.offBuf...)
 	}
 
 	// Read request.
@@ -204,12 +202,11 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 			return cc.Grant(rule)
 		}
 		// The paper proves this cannot happen for LC2/LC3; count it so the
-		// tests can verify, and stay safe by denying. Copy out of the scratch
-		// buffer: the decision outlives this Request.
+		// tests can verify, and stay safe by denying.
 		if rule == "LC2" || rule == "LC3" {
 			p.audit["table1-fired-on-"+rule]++
 		}
-		return cc.Block("wr-conflict", append([]rt.JobID(nil), offenders...)...)
+		return cc.Block("wr-conflict", offenders...)
 	}
 
 	// LC2: P_i > Sysceil_i (running priority, see above).
@@ -231,14 +228,8 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 	// Ceiling blocking: T* inherits. Readers of x itself are included —
 	// when they are lower-priority they coincide with T* (Lemma 5), and
 	// inheritance is a no-op for higher-priority holders.
-	blockers := append([]rt.JobID(nil), info.tstar...)
-	locks.EachReader(x, func(id rt.JobID) bool {
-		if id != j.ID {
-			blockers = appendUnique(blockers, id)
-		}
-		return true
-	})
-	return cc.Block("ceiling", blockers...)
+	p.tstarBuf = appendReaders(info.tstar, env, x, j.ID)
+	return cc.Block("ceiling", p.tstarBuf...)
 }
 
 // SystemCeiling reports the highest Wceil in force over all read-locked

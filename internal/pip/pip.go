@@ -19,6 +19,11 @@ import (
 // Protocol is the 2PL + priority inheritance policy.
 type Protocol struct {
 	cc.Base
+
+	// Scratch for the conflict list, reused across Request calls (one
+	// instance drives one single-threaded run); a denial's Blockers point
+	// into it until the next Request (cc.Decision).
+	conflicts []rt.JobID
 }
 
 var _ cc.Protocol = (*Protocol)(nil)
@@ -38,32 +43,28 @@ func (p *Protocol) Init(*txn.Set, *txn.Ceilings) {}
 // Request applies classical lock compatibility: a read conflicts with
 // foreign write locks, a write with any foreign lock.
 func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decision {
-	locks := env.Locks()
-	var conflicting []rt.JobID
-	if m == rt.Read {
-		conflicting = locks.WritersOther(x, j.ID)
-	} else {
-		conflicting = append(locks.WritersOther(x, j.ID), locks.ReadersOther(x, j.ID)...)
-	}
-	if len(conflicting) == 0 {
+	p.conflicts = Conflicts(env, j, x, m, p.conflicts[:0])
+	if len(p.conflicts) == 0 {
 		return cc.Grant("2pl-ok")
 	}
-	return cc.Block("2pl-conflict", dedup(conflicting)...)
+	return cc.Block("2pl-conflict", p.conflicts...)
 }
 
-func dedup(ids []rt.JobID) []rt.JobID {
-	var out []rt.JobID
-	for _, id := range ids {
-		seen := false
-		for _, have := range out {
-			if have == id {
-				seen = true
-				break
-			}
+// Conflicts appends to dst the jobs other than j whose locks on x are
+// incompatible with mode m under classical read/write locking: the write
+// holders, and for a write request the read holders too. A job holding x in
+// both modes is appended twice.
+func Conflicts(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode, dst []rt.JobID) []rt.JobID {
+	other := func(id rt.JobID) bool {
+		if id != j.ID {
+			dst = append(dst, id)
 		}
-		if !seen {
-			out = append(out, id)
-		}
+		return true
 	}
-	return out
+	locks := env.Locks()
+	locks.EachWriter(x, other)
+	if m == rt.Write {
+		locks.EachReader(x, other)
+	}
+	return dst
 }

@@ -3,6 +3,7 @@ package pip
 import (
 	"testing"
 
+	"pcpda/internal/cc"
 	"pcpda/internal/cctest"
 	"pcpda/internal/papercases"
 	"pcpda/internal/rt"
@@ -62,13 +63,20 @@ func TestOwnLocksNeverConflict(t *testing.T) {
 }
 
 func TestBlockersDeduplicated(t *testing.T) {
-	// A holder with both a read and a write lock must appear once.
-	env, p, x := fixture(t)
-	env.ReadLock(1, x)
-	env.WriteLock(1, x)
-	dec := p.Request(env, env.Job(0), x, rt.Read)
-	if dec.Granted || len(dec.Blockers) != 1 {
-		t.Fatalf("decision = %+v, want single blocker", dec)
+	// A holder with both a read and a write lock must appear once in the
+	// blocker set the engines keep, the one cc.Apply leaves in j.Blockers.
+	// A write request conflicts with both of its locks.
+	for _, m := range []rt.Mode{rt.Read, rt.Write} {
+		env, p, x := fixture(t)
+		env.ReadLock(1, x)
+		env.WriteLock(1, x)
+		j := env.Job(0)
+		dec := p.Request(env, j, x, m)
+		var tally cc.Tally
+		cc.Apply(env, j, x, m, dec, &tally)
+		if dec.Granted || len(j.Blockers) != 1 || j.Blockers[0] != 1 {
+			t.Fatalf("%v request: decision %+v leaves blockers %v, want [1]", m, dec, j.Blockers)
+		}
 	}
 }
 

@@ -53,14 +53,14 @@ func crossCheckStaleReaders(m *Manager) error {
 	for _, t := range m.active {
 		// Inverted: readers of t's written items, straight off the lock table.
 		inv := make(map[rt.JobID]bool)
-		t.WS.EachItem(func(x rt.Item) {
+		for _, x := range t.WS.Items() {
 			m.locks.EachReader(x, func(o rt.JobID) bool {
 				if o != t.ID {
 					inv[o] = true
 				}
 				return true
 			})
-		})
+		}
 		// Brute force: every live transaction whose DataRead meets t's write set.
 		brute := make(map[rt.JobID]bool)
 		for _, o := range m.active {

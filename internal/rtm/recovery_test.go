@@ -49,7 +49,14 @@ func TestCancelledBlockedWriteLeavesNoState(t *testing.T) {
 	// The cancelled transaction left nothing behind: no locks, no live
 	// entry, no template slot — exactly as if Abort() had been called.
 	m.mu.Lock()
-	held := m.locks.HeldBy(up.slot.job.ID)
+	var held []rt.Item
+	keep := func(x rt.Item, o rt.JobID) {
+		if o == up.slot.job.ID {
+			held = append(held, x)
+		}
+	}
+	m.locks.EachReadLock(keep)
+	m.locks.EachWriteLock(keep)
 	m.mu.Unlock()
 	if len(held) != 0 {
 		t.Fatalf("cancelled transaction still holds locks on %v", held)

@@ -839,14 +839,14 @@ func (m *Manager) vacate(s *slot) {
 func (m *Manager) staleReaders(t *Txn) []rt.JobID {
 	s := t.slot
 	buf := s.blockers[:0]
-	s.job.WS.EachItem(func(x rt.Item) {
+	for _, x := range s.job.WS.Items() {
 		m.locks.EachReader(x, func(o rt.JobID) bool {
 			if o != t.id {
 				buf = append(buf, o)
 			}
 			return true
 		})
-	})
+	}
 	s.blockers = buf
 	return buf
 }

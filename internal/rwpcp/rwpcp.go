@@ -27,11 +27,11 @@ import (
 // Protocol is the RW-PCP policy.
 type Protocol struct {
 	cc.Base
-	set  *txn.Set
 	ceil *txn.Ceilings
 
 	// Scratch for the holder list, reused across Request calls (one
-	// instance drives one single-threaded run); deny decisions copy out.
+	// instance drives one single-threaded run); a denial's Blockers point
+	// into it until the next Request (cc.Decision).
 	holdBuf []rt.JobID
 }
 
@@ -47,11 +47,8 @@ func (p *Protocol) Name() string { return "RW-PCP" }
 // Deferred is false: RW-PCP uses the update-in-place model.
 func (p *Protocol) Deferred() bool { return false }
 
-// Init captures the static transaction set and ceilings.
-func (p *Protocol) Init(set *txn.Set, ceil *txn.Ceilings) {
-	p.set = set
-	p.ceil = ceil
-}
+// Init captures the ceilings.
+func (p *Protocol) Init(_ *txn.Set, ceil *txn.Ceilings) { p.ceil = ceil }
 
 // sysceilFor computes Sysceil_o — the highest RWceil over items locked by
 // jobs other than o (rt.NoJob: by anyone) — and the jobs holding the lock(s)
@@ -82,8 +79,7 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 	if j.BasePri() > sys {
 		return cc.Grant("ceiling-ok")
 	}
-	// The holder list aliases p.holdBuf; the decision outlives the call.
-	return cc.Block("ceiling", append([]rt.JobID(nil), holders...)...)
+	return cc.Block("ceiling", holders...)
 }
 
 // SystemCeiling reports the highest RWceil in force over all locked items

@@ -631,13 +631,13 @@ func (k *Kernel) exec(j *cc.Job) bool {
 }
 
 // endStep moves j past its finished segment and lets the protocol release
-// locks early (only CCP does). It reports whether any lock was released.
+// read locks early (only CCP does). It reports whether any lock was released.
 func (k *Kernel) endStep(j *cc.Job) (released bool) {
 	j.StepIdx++
 	j.StepDone = 0
 	j.HasLock = false
 	for _, x := range k.proto.EarlyRelease(k, j) {
-		k.locks.ReleaseItem(j.ID, x)
+		k.locks.Release(j.ID, x, rt.Read)
 		released = true
 		if k.tl != nil {
 			k.annotate(j, "UL("+k.set.Catalog.Name(x)+")")

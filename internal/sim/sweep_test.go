@@ -80,13 +80,17 @@ func TestFastForwardOnSweepRegime(t *testing.T) {
 // one RunBatch of the nine protocols per set under firm deadlines. A job
 // keeps its cc.Job; its DataRead, workspace and blocker list are lent to it
 // only while it is live. Tier-1 runs every tenth set; -fullsweep runs all 360
-// cells. Both read 454 B; when every job kept its live state to the end of
-// the run they read 573 B.
+// cells. Both read 451-454 B; when every job kept its live state to the end of
+// the run they read 573 B. In objects they read 0.19 and 0.23 per job; while
+// the protocols copied every blocker set they answered with, 0.52 and 0.60.
 func TestKernelBytesOnSweepRegime(t *testing.T) {
 	if testenv.Race {
 		t.Skip("the race runtime allocates")
 	}
-	const budget = 480 // bytes per released job
+	const (
+		budget        = 480  // bytes per released job
+		objectsBudget = 0.35 // allocations per released job
+	)
 	stride := 10
 	if *fullSweep {
 		stride = 1
@@ -119,9 +123,12 @@ func TestKernelBytesOnSweepRegime(t *testing.T) {
 			}
 		}
 	})
-	perJob := r.AllocedBytesPerOp() / jobs
-	t.Logf("%d cells, %d jobs: %d B and %.3f allocations per released job", len(cells)*len(Protocols()), jobs, perJob, float64(r.AllocsPerOp())/float64(jobs))
+	perJob, objects := r.AllocedBytesPerOp()/jobs, float64(r.AllocsPerOp())/float64(jobs)
+	t.Logf("%d cells, %d jobs: %d B and %.3f allocations per released job", len(cells)*len(Protocols()), jobs, perJob, objects)
 	if perJob > budget {
 		t.Errorf("%d B per released job, budget %d", perJob, budget)
+	}
+	if objects > objectsBudget {
+		t.Errorf("%.3f allocations per released job, budget %.2f", objects, objectsBudget)
 	}
 }

@@ -14,7 +14,10 @@
 package tplhp
 
 import (
+	"slices"
+
 	"pcpda/internal/cc"
+	"pcpda/internal/pip"
 	"pcpda/internal/rt"
 	"pcpda/internal/txn"
 )
@@ -22,6 +25,11 @@ import (
 // Protocol is the 2PL-HP policy.
 type Protocol struct {
 	cc.Base
+
+	// Scratch reused across Request calls (one instance drives one
+	// single-threaded run); a decision's Blockers and AbortVictims point
+	// into it until the next Request (cc.Decision).
+	conflicts, victims, waits []rt.JobID
 }
 
 var _ cc.Protocol = (*Protocol)(nil)
@@ -41,49 +49,26 @@ func (p *Protocol) Init(*txn.Set, *txn.Ceilings) {}
 
 // Request resolves conflicts by priority: lower-priority conflicting
 // holders become abort victims; higher-priority ones make the requester
-// wait.
+// wait. The kernel aborts each victim it is handed, so a holder of x in both
+// modes is named once.
 func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decision {
-	locks := env.Locks()
-	var conflicting []rt.JobID
-	if m == rt.Read {
-		conflicting = locks.WritersOther(x, j.ID)
-	} else {
-		conflicting = append(locks.WritersOther(x, j.ID), locks.ReadersOther(x, j.ID)...)
-	}
-	if len(conflicting) == 0 {
+	p.conflicts = pip.Conflicts(env, j, x, m, p.conflicts[:0])
+	if len(p.conflicts) == 0 {
 		return cc.Grant("2pl-ok")
 	}
-	var victims, waits []rt.JobID
-	for _, id := range dedup(conflicting) {
+	p.victims, p.waits = p.victims[:0], p.waits[:0]
+	for _, id := range p.conflicts {
 		h := env.Job(id)
-		if h == nil {
-			continue
-		}
-		if h.BasePri() < j.BasePri() {
-			victims = appendUnique(victims, id)
-		} else {
-			waits = appendUnique(waits, id)
-		}
-	}
-	if len(waits) == 0 {
-		return cc.Decision{Granted: true, Rule: "hp-restart", AbortVictims: victims}
-	}
-	return cc.Decision{Granted: false, Rule: "hp-wait", Blockers: waits, AbortVictims: victims}
-}
-
-func dedup(ids []rt.JobID) []rt.JobID {
-	var out []rt.JobID
-	for _, id := range ids {
-		out = appendUnique(out, id)
-	}
-	return out
-}
-
-func appendUnique(ids []rt.JobID, id rt.JobID) []rt.JobID {
-	for _, have := range ids {
-		if have == id {
-			return ids
+		switch {
+		case h == nil:
+		case h.BasePri() >= j.BasePri():
+			p.waits = append(p.waits, id)
+		case !slices.Contains(p.victims, id):
+			p.victims = append(p.victims, id)
 		}
 	}
-	return append(ids, id)
+	if len(p.waits) == 0 {
+		return cc.Decision{Granted: true, Rule: "hp-restart", AbortVictims: p.victims}
+	}
+	return cc.Decision{Granted: false, Rule: "hp-wait", Blockers: p.waits, AbortVictims: p.victims}
 }

@@ -68,6 +68,36 @@ func TestMixedHoldersAbortLowWaitHigh(t *testing.T) {
 	}
 }
 
+// TestDualModeHolderIsOneVictim: a lower-priority job holding x in both
+// modes conflicts with a write twice, but the kernel aborts each victim it is
+// handed, so it must be named once: one restart, not two.
+func TestDualModeHolderIsOneVictim(t *testing.T) {
+	env, p, x := fixture(t)
+	env.ReadLock(2, x)
+	env.WriteLock(2, x)
+	dec := p.Request(env, env.Job(0), x, rt.Write)
+	if !dec.Granted || len(dec.AbortVictims) != 1 || dec.AbortVictims[0] != 2 {
+		t.Fatalf("decision = %+v, want a grant with the one victim [L]", dec)
+	}
+
+	s := txn.NewSet("dual")
+	y := s.Catalog.Intern("x")
+	s.Add(&txn.Template{Name: "H", Offset: 2, Steps: []txn.Step{txn.Write(y)}})
+	s.Add(&txn.Template{Name: "L", Offset: 0, Steps: []txn.Step{txn.Read(y), txn.Write(y), txn.Comp(3)}})
+	s.AssignByIndex()
+	k, err := sched.New(s, New(), sched.Config{Horizon: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := k.Run()
+	if res.Restarts != 1 || res.Committed != 2 {
+		t.Fatalf("restarts = %d, committed = %d; want 1 and 2", res.Restarts, res.Committed)
+	}
+	if rep := res.History.Check(); !rep.Serializable {
+		t.Fatalf("history: %v", rep.Violations)
+	}
+}
+
 func TestNoConflictGrant(t *testing.T) {
 	env, p, x := fixture(t)
 	env.ReadLock(1, x)
