@@ -175,8 +175,7 @@ func startSelfHost(spec *scenario.Spec) (*selfHost, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The seed ties manager-side randomness to the spec.
-	mgr, err := rtm.NewWithOptions(set, rtm.Options{Seed: spec.Seed})
+	mgr, err := rtm.New(set)
 	if err != nil {
 		return nil, err
 	}

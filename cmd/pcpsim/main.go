@@ -28,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"pcpda/internal/metrics"
@@ -129,26 +128,17 @@ func main() {
 	if res.Deadlocked {
 		fmt.Printf("\nDEADLOCK at t=%d involving jobs %v\n", res.DeadlockAt, res.DeadlockCycle)
 	}
-	if len(res.GrantCounts) > 0 {
-		fmt.Printf("\ngrants by rule: %v\n", res.GrantCounts)
-	}
-	if len(res.BlockCounts) > 0 {
-		fmt.Printf("blockings by rule: %v\n", res.BlockCounts)
+	if len(res.Decisions) > 0 {
+		fmt.Printf("\n%-14s %7s %7s\n", "rule", "grants", "denials")
+		for _, r := range res.Decisions {
+			fmt.Printf("%-14s %7d %7d\n", r.Rule, r.Grants, r.Blocks)
+		}
 	}
 
-	if len(res.ItemBlocked) > 0 {
+	if top := metrics.TopContended(res, 0); len(top) > 0 {
 		fmt.Println("\ncontended items (blocked ticks attributed to the awaited item):")
-		type pair struct {
-			name  string
-			ticks rt.Ticks
-		}
-		var items []pair
-		for it, n := range res.ItemBlocked {
-			items = append(items, pair{set.Catalog.Name(it), n})
-		}
-		sort.Slice(items, func(i, j int) bool { return items[i].ticks > items[j].ticks })
-		for _, p := range items {
-			fmt.Printf("  %-10s %d\n", p.name, p.ticks)
+		for _, c := range top {
+			fmt.Printf("  %-10s %d\n", c.Name, c.Blocked)
 		}
 	}
 

@@ -207,6 +207,32 @@ func TestResponseTimeSharperThanRM(t *testing.T) {
 	}
 }
 
+func TestDeadlineMonotonicWithResponseTime(t *testing.T) {
+	// ResponseTimeTest honours D < T: a set schedulable under deadline-
+	// monotonic priorities but not rate-monotonic ones (the short-deadline
+	// long-period transaction starves under RM).
+	s := txn.NewSet("dmrta")
+	x := s.Catalog.Intern("x")
+	s.Add(&txn.Template{Name: "urgent", Period: 100, Deadline: 4, Steps: []txn.Step{txn.Read(x), txn.Comp(2)}})
+	s.Add(&txn.Template{Name: "frequent", Period: 10, Steps: []txn.Step{txn.Read(x), txn.Comp(4)}})
+	s.AssignRateMonotonic() // frequent outranks urgent
+	rm, err := ResponseTimeTest(s, PCPDA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm.Schedulable {
+		t.Fatalf("urgent (D=4, preempted by frequent's 5) should fail under RM: %+v", rm.Verdicts)
+	}
+	s.ByName("urgent").Priority, s.ByName("frequent").Priority = 2, 1 // deadline-monotonic
+	dm, err := ResponseTimeTest(s, PCPDA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dm.Schedulable {
+		t.Fatalf("DM should save it: %+v", dm.Verdicts)
+	}
+}
+
 func TestResponseTimeIncludesBlocking(t *testing.T) {
 	s := section9Set(t)
 	rta, err := ResponseTimeTest(s, RWPCP)

@@ -144,12 +144,14 @@ func (j *Job) Missed() bool { return j.MissedAt >= 0 }
 type Decision struct {
 	// Granted: the lock may be taken now.
 	Granted bool
-	// Rule names the clause that fired; rules are aggregated into per-run
-	// counters. Grants: "LC1".."LC4" (PCP-DA), "cond1"/"cond2" (naive-DA),
+	// Rule names the clause that fired; each engine counts rules in a Tally.
+	// Grants: "LC1".."LC4" (PCP-DA), "cond1"/"cond2" (naive-DA),
 	// "ceiling-ok" (RW-PCP, CCP), "pcp-ok" (PCP), "2pl-ok" (PIP, 2PL-HP),
 	// "hp-restart" (2PL-HP, after aborting its victims), "occ-ok" (OCC).
 	// Denials: "rw-conflict" (a write behind foreign readers), "wr-conflict"
-	// (PCP-DA's Table 1 side condition), "ceiling", "2pl-conflict" (PIP),
+	// (PCP-DA's Table 1 side condition on the LC4 path), "table1-on-LC2" and
+	// "table1-on-LC3" (the same condition where LC2 or LC3 would grant, which
+	// the paper proves never happens), "ceiling", "2pl-conflict" (PIP),
 	// "hp-wait" (2PL-HP).
 	Rule string
 	// Blockers: on denial, the jobs responsible; they inherit the
@@ -223,7 +225,9 @@ func Inherit(env Env) {
 	}
 }
 
-// Protocol is a pluggable concurrency-control policy.
+// Protocol is a pluggable concurrency-control policy. What a protocol may
+// do beyond deciding requests is an optional interface: CeilingReporter,
+// CommitArbiter, EarlyReleaser.
 type Protocol interface {
 	// Name returns the short protocol name used in reports ("PCP-DA").
 	Name() string
@@ -236,11 +240,6 @@ type Protocol interface {
 	Init(set *txn.Set, ceil *txn.Ceilings)
 	// Request decides a lock request by j for x in mode m.
 	Request(env Env, j *Job, x rt.Item, m rt.Mode) Decision
-	// EarlyRelease is called after j completes a step; j's read locks on
-	// the returned items are released immediately (CCP's pre-commit
-	// unlocking), its write locks are kept to commit. Most protocols return
-	// nil (strict 2PL).
-	EarlyRelease(env Env, j *Job) []rt.Item
 }
 
 // CeilingReporter is implemented by ceiling-based protocols so the kernel
@@ -248,12 +247,6 @@ type Protocol interface {
 // currently in effect across all held locks.
 type CeilingReporter interface {
 	SystemCeiling(env Env) rt.Priority
-}
-
-// Auditor lets a protocol export internal counters (PCP-DA uses it to prove
-// the Table-1 side condition never fires on the LC2/LC3 paths).
-type Auditor interface {
-	Audit() map[string]int
 }
 
 // CommitArbiter is implemented by optimistic protocols that resolve
@@ -266,9 +259,10 @@ type CommitArbiter interface {
 	CommitVictims(env Env, j *Job) []rt.JobID
 }
 
-// Base provides the strict-2PL EarlyRelease; protocols embed it and override
-// it only to unlock early (CCP).
-type Base struct{}
-
-// EarlyRelease keeps strict two-phase locking: nothing unlocks early.
-func (Base) EarlyRelease(Env, *Job) []rt.Item { return nil }
+// EarlyReleaser is implemented by protocols that unlock before commit (CCP):
+// after j completes a step, j's read locks on the returned items are
+// released at once; its write locks are kept to commit. A protocol without
+// it keeps strict two-phase locking.
+type EarlyReleaser interface {
+	EarlyRelease(env Env, j *Job) []rt.Item
+}

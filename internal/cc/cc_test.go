@@ -120,10 +120,3 @@ func TestStatusStrings(t *testing.T) {
 		t.Error("unknown status must render ?")
 	}
 }
-
-func TestBaseIsNoOp(t *testing.T) {
-	var b Base
-	if items := b.EarlyRelease(nil, nil); items != nil {
-		t.Fatal("Base.EarlyRelease must keep strict 2PL")
-	}
-}

@@ -35,6 +35,7 @@ type Protocol struct {
 
 var _ cc.Protocol = (*Protocol)(nil)
 var _ cc.CeilingReporter = (*Protocol)(nil)
+var _ cc.EarlyReleaser = (*Protocol)(nil)
 
 // New returns a CCP instance.
 func New() *Protocol { return &Protocol{Protocol: rwpcp.New()} }

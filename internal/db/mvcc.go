@@ -29,6 +29,7 @@
 // state (Value 0, Version 0, InitRun) is the correct answer. Readers
 // already past the cut point keep walking the old nodes, which remain
 // immutable and correct.
+
 package db
 
 import (

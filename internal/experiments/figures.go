@@ -160,7 +160,8 @@ func figure4(w io.Writer) error {
 	for _, name := range []string{"T1", "T2", "T3", "T4"} {
 		check(w, rowOf(res, name) == rows[name], "%s schedule matches Figure 4", name)
 	}
-	check(w, res.GrantCounts["LC4"] == 1, "T3's read of z granted by LC4 (got %d LC4 grants)", res.GrantCounts["LC4"])
+	lc4 := res.Decisions.Of("LC4").Grants
+	check(w, lc4 == 1, "T3's read of z granted by LC4 (got %d LC4 grants)", lc4)
 	p2 := res.Set.ByName("T2").Priority
 	check(w, res.MaxSysceil == p2, "Max_Sysceil stays at P2 (got %v)", res.MaxSysceil)
 	check(w, res.Timeline.Ceiling(9).IsDummy(), "ceiling drops to dummy at t=9")

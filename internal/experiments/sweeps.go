@@ -71,7 +71,7 @@ func sweep(n int, protocols []string, opts sim.Options, cfg func(seed int64) wor
 			pt.committed = res.Committed
 			pt.misses = res.Misses
 			pt.restarts = res.Restarts
-			pt.grants34 = res.GrantCounts["LC3"] + res.GrantCounts["LC4"]
+			pt.grants34 = res.Decisions.Of("LC3").Grants + res.Decisions.Of("LC4").Grants
 			pt.maxCeil = float64(res.MaxSysceil)
 			pt.ceilCap = float64(len(set.Templates))
 		}

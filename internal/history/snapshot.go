@@ -6,6 +6,7 @@
 // state at that tick — the definition of a correct snapshot read under
 // commit-order-determined visibility (Faleiro & Abadi): serializable by
 // construction, serialized at its snapshot tick.
+
 package history
 
 import (

@@ -142,16 +142,15 @@ type Contention struct {
 // truncated to n entries (n <= 0 returns all). Ties break by item id so
 // the ranking is deterministic.
 func TopContended(res *sched.Result, n int) []Contention {
-	out := make([]Contention, 0, len(res.ItemBlocked))
-	for it, ticks := range res.ItemBlocked {
-		out = append(out, Contention{Item: it, Name: res.Set.Catalog.Name(it), Blocked: ticks})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Blocked != out[j].Blocked {
-			return out[i].Blocked > out[j].Blocked
+	var out []Contention
+	for x, ticks := range res.ItemBlocked {
+		if ticks > 0 {
+			it := rt.Item(x)
+			out = append(out, Contention{Item: it, Name: res.Set.Catalog.Name(it), Blocked: ticks})
 		}
-		return out[i].Item < out[j].Item
-	})
+	}
+	// Items are collected in id order, so a stable sort breaks ties by id.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Blocked > out[j].Blocked })
 	if n > 0 && len(out) > n {
 		out = out[:n]
 	}

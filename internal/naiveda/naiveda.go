@@ -20,7 +20,6 @@ import (
 
 // Protocol is the condition-(2) strawman.
 type Protocol struct {
-	cc.Base
 	ceil *txn.Ceilings
 
 	// Scratch for the holder list, reused across Request calls (one

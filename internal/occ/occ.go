@@ -29,8 +29,6 @@ import (
 
 // Protocol is the OCC broadcast-commit policy.
 type Protocol struct {
-	cc.Base
-
 	// Scratch for the victim list, reused across commits (one instance
 	// drives one single-threaded run); CommitVictims' result points into it
 	// until the next call (cc.CommitArbiter).

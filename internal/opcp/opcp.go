@@ -19,7 +19,6 @@ import (
 
 // Protocol is the original-PCP policy with exclusive locks.
 type Protocol struct {
-	cc.Base
 	ceil *txn.Ceilings
 
 	// Scratch for the holder list, reused across Request calls (one

@@ -18,8 +18,6 @@ import (
 
 // Protocol is the 2PL + priority inheritance policy.
 type Protocol struct {
-	cc.Base
-
 	// Scratch for the conflict list, reused across Request calls (one
 	// instance drives one single-threaded run); a denial's Blockers point
 	// into it until the next Request (cc.Decision).

@@ -21,7 +21,7 @@ import (
 func managerLog(t *testing.T, seed int64) []history.Op {
 	t.Helper()
 	set := chaosSet(t, 424242, 50, 500)
-	m, err := NewWithOptions(set, Options{Seed: seed})
+	m, err := New(set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 // admitted without the lock ever being released, and the per-admission
 // bookkeeping (clock, history, pooled resources, template slots) happens
 // back to back on a warm cache.
+
 package rtm
 
 import (
@@ -38,8 +39,7 @@ import (
 // On any failure — cancellation while waiting for a slot, or an injected
 // fault during admission — every instance the batch already admitted is
 // aborted again before the error returns, so a failed batch leaves no
-// trace (the all-or-nothing contract the server's admission queue relies
-// on for its own bookkeeping).
+// trace: a batch is admitted all or nothing.
 func (m *Manager) BeginBatch(ctx context.Context, names []string) ([]*Txn, error) {
 	if len(names) == 0 {
 		return nil, nil

@@ -19,8 +19,8 @@ import (
 // noted on each field.
 type ChaosConfig struct {
 	// Schedules is the number of independent seeded fault schedules to run
-	// (default 1). Schedule s uses seed Seed+s for its injector, its
-	// workers' operation shuffles and the manager's Exec jitter.
+	// (default 1). Schedule s uses seed Seed+s for its injector and its
+	// workers' operation shuffles.
 	Schedules int
 	// Seed is the base seed.
 	Seed int64
@@ -139,7 +139,7 @@ func runSchedule(set *txn.Set, cfg ChaosConfig, seed int64, rep *ChaosReport) er
 		PAbort:  cfg.PAbort,
 		PCancel: cfg.PCancel,
 	})
-	m, err := NewWithOptions(set, Options{Injector: inj, Seed: seed})
+	m, err := NewWithOptions(set, Options{Injector: inj})
 	if err != nil {
 		return err
 	}

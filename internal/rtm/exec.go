@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"time"
 )
 
@@ -13,7 +14,7 @@ import (
 const execMaxAttempts = 12
 
 // Exec backoff shape: exponential from execBackoffBase, capped at
-// execBackoffCap, with ±50% seeded jitter so synchronized victims desync.
+// execBackoffCap, with ±50% jitter so synchronized victims desync.
 const (
 	execBackoffBase = 100 * time.Microsecond
 	execBackoffCap  = 5 * time.Millisecond
@@ -78,10 +79,8 @@ func (m *Manager) backoff(ctx context.Context, attempt int) error {
 	if d > execBackoffCap {
 		d = execBackoffCap
 	}
-	m.mu.Lock()
 	// jitter in [0.5, 1.5): victims that lost the same cycle spread out.
-	d = time.Duration(float64(d) * (0.5 + m.rng.Float64()))
-	m.mu.Unlock()
+	d = time.Duration(float64(d) * (0.5 + rand.Float64()))
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {

@@ -1,6 +1,7 @@
 // Priority inheritance for the live manager: the kernel's rule, cc.Inherit,
 // re-run wherever the transition reports a change to the Blocked set, plus
 // the one wake rule it implies here.
+
 package rtm
 
 import "pcpda/internal/cc"

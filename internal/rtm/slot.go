@@ -5,6 +5,7 @@
 // the manager keeps per live transaction has a permanent home, indexed by
 // txn.ID and built once in NewWithOptions. An instance borrows its slot from
 // admit to finish; the only thing allocated per transaction is the handle.
+
 package rtm
 
 import (

@@ -26,7 +26,6 @@ import (
 
 // Protocol is the RW-PCP policy.
 type Protocol struct {
-	cc.Base
 	ceil *txn.Ceilings
 
 	// Scratch for the holder list, reused across Request calls (one

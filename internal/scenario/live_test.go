@@ -49,7 +49,7 @@ func startServer(t *testing.T, spec *Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := rtm.NewWithOptions(set, rtm.Options{Seed: spec.Seed})
+	mgr, err := rtm.New(set)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func (k *Kernel) accountSpan(exec *cc.Job, span rt.Ticks) {
 		if o.Status == cc.Blocked {
 			o.BlockedTicks += span
 			if o.BlockedOn >= 0 {
-				k.itemBlocked[o.BlockedOn] += span
+				k.res.ItemBlocked[o.BlockedOn] += span
 			}
 			if exec.BasePri() < o.BasePri() {
 				o.InvBlockTicks += span

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"pcpda/internal/cc"
@@ -65,16 +66,11 @@ func diffResults(t *testing.T, label string, fast, slow *Result) {
 				sj.Release, sj.FinishTick, sj.BlockedTicks, sj.InvBlockTicks, sj.MissedAt, sj.Restarts)
 		}
 	}
-	for rule, n := range slow.GrantCounts {
-		if fast.GrantCounts[rule] != n {
-			t.Fatalf("%s: grant counts diverge for %s: %d vs %d", label, rule, fast.GrantCounts[rule], n)
-		}
+	if !slices.Equal(fast.Decisions, slow.Decisions) {
+		t.Fatalf("%s: decision tallies diverge\nfast: %v\nslow: %v", label, fast.Decisions, slow.Decisions)
 	}
-	for item, n := range slow.ItemBlocked {
-		if fast.ItemBlocked[item] != n {
-			t.Fatalf("%s: per-item blocking diverges for item %d: %d vs %d",
-				label, item, fast.ItemBlocked[item], n)
-		}
+	if !slices.Equal(fast.ItemBlocked, slow.ItemBlocked) {
+		t.Fatalf("%s: per-item blocking diverges\nfast: %v\nslow: %v", label, fast.ItemBlocked, slow.ItemBlocked)
 	}
 }
 

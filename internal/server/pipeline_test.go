@@ -290,7 +290,7 @@ func TestClosedLoopPipelinedReadMix(t *testing.T) {
 		t.Skip("soak skipped in -short")
 	}
 	inj := fault.NewSeeded(fault.Config{Seed: 42, PDelay: 0.01, PWakeup: 0.01, PAbort: 0.002})
-	mgr, err := rtm.NewWithOptions(testSet(t), rtm.Options{Injector: inj, Seed: 42})
+	mgr, err := rtm.NewWithOptions(testSet(t), rtm.Options{Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,26 +222,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and calls Serve. Addr returns the bound
-// address once listening (useful with ":0").
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	return s.Serve(ln)
-}
-
-// Addr returns the listening address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 func (s *Server) startSession(conn net.Conn) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	sess := &session{

@@ -529,7 +529,7 @@ func TestSoak(t *testing.T) {
 	}
 	set := testSet(t)
 	inj := fault.NewSeeded(fault.Config{Seed: 42, PDelay: 0.01, PWakeup: 0.01, PAbort: 0.002})
-	mgr, err := rtm.NewWithOptions(set, rtm.Options{Injector: inj, Seed: 42})
+	mgr, err := rtm.NewWithOptions(set, rtm.Options{Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,20 +15,20 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
+	"pcpda/internal/cc"
 	"pcpda/internal/metrics"
 	"pcpda/internal/papercases"
-	"pcpda/internal/rt"
 	"pcpda/internal/sched"
 	"pcpda/internal/txn"
 	"pcpda/internal/workload"
 )
 
 // fingerprint renders every observable aspect of a run as a canonical
-// string (map keys sorted). Two runs are "the same schedule" iff their
+// string. Two runs are "the same schedule" iff their
 // fingerprints match byte for byte.
 func fingerprint(set *txn.Set, res *sched.Result) string {
 	var b strings.Builder
@@ -46,26 +46,24 @@ func fingerprint(set *txn.Set, res *sched.Result) string {
 		fmt.Fprintf(&b, "op t=%d run=%d txn=%d kind=%v item=%d ver=%d from=%d\n",
 			op.Time, op.Run, op.Txn, op.Kind, op.Item, op.Ver, op.From)
 	}
-	sortedCounts := func(name string, m map[string]int) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s %s=%d\n", name, k, m[k])
+	// The tally is printed rule by rule in name order, grants then fresh
+	// denials, each line only when its count is nonzero.
+	rules := slices.Clone(res.Decisions)
+	slices.SortFunc(rules, func(a, b cc.RuleCount) int { return strings.Compare(a.Rule, b.Rule) })
+	for _, r := range rules {
+		if r.Grants > 0 {
+			fmt.Fprintf(&b, "grant %s=%d\n", r.Rule, r.Grants)
 		}
 	}
-	sortedCounts("grant", res.GrantCounts)
-	sortedCounts("block", res.BlockCounts)
-	sortedCounts("audit", res.Audit)
-	items := make([]rt.Item, 0, len(res.ItemBlocked))
-	for it := range res.ItemBlocked {
-		items = append(items, it)
+	for _, r := range rules {
+		if r.Blocks > 0 {
+			fmt.Fprintf(&b, "block %s=%d\n", r.Rule, r.Blocks)
+		}
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	for _, it := range items {
-		fmt.Fprintf(&b, "itemblk %d=%d\n", it, res.ItemBlocked[it])
+	for it, ticks := range res.ItemBlocked {
+		if ticks > 0 {
+			fmt.Fprintf(&b, "itemblk %d=%d\n", it, ticks)
+		}
 	}
 	if res.Timeline != nil {
 		b.WriteString(res.Timeline.CSV(set))

@@ -24,8 +24,6 @@ import (
 
 // Protocol is the 2PL-HP policy.
 type Protocol struct {
-	cc.Base
-
 	// Scratch reused across Request calls (one instance drives one
 	// single-threaded run); a decision's Blockers and AbortVictims point
 	// into it until the next Request (cc.Decision).

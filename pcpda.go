@@ -111,8 +111,8 @@ type (
 	Manager = rtm.Manager
 	// LiveTxn is a running transaction handle owned by one goroutine.
 	LiveTxn = rtm.Txn
-	// ManagerOptions configures fault injection and retry jitter for a
-	// live manager. A caller's deadline is its context.
+	// ManagerOptions configures fault injection for a live manager. A
+	// caller's deadline is its context.
 	ManagerOptions = rtm.Options
 	// ManagerStats is the manager's lifetime counter snapshot, including
 	// the failure-path counters (Cancellations, Retries, InjectedFaults).
@@ -143,7 +143,7 @@ var (
 func NewManager(set *Set) (*Manager, error) { return rtm.New(set) }
 
 // NewManagerWithOptions returns a live manager configured by opts (fault
-// injection, Exec jitter seed).
+// injection).
 func NewManagerWithOptions(set *Set, opts ManagerOptions) (*Manager, error) {
 	return rtm.NewWithOptions(set, opts)
 }
