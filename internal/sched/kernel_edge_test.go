@@ -222,6 +222,53 @@ func TestRestartedVictimStopsDonating(t *testing.T) {
 	}
 }
 
+// relabelRetry decides by PIP but names H's first denial "ceiling" and every
+// later one, each a retry by a job already blocked, "table1-on-LC2": the shape
+// of a job that first waits behind the system ceiling and, once the ceiling
+// drops, is refused by Table 1 on the LC2 path.
+type relabelRetry struct {
+	*pip.Protocol
+	denials int
+}
+
+func (p *relabelRetry) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decision {
+	dec := p.Protocol.Request(env, j, x, m)
+	if !dec.Granted && j.Tmpl.Name == "H" {
+		dec.Rule = "table1-on-LC2"
+		if p.denials == 0 {
+			dec.Rule = "ceiling"
+		}
+		p.denials++
+	}
+	return dec
+}
+
+// TestRetryDenialOpensItsRule: a rule that only ever denies a job already
+// blocked adds no Blocks but still has its line in Result.Decisions, so a
+// check for a table1-on-* line sees a Table-1 refusal met on a retry.
+func TestRetryDenialOpensItsRule(t *testing.T) {
+	s := txn.NewSet("retry-rule")
+	x := s.Catalog.Intern("x")
+	s.Add(&txn.Template{Name: "H", Offset: 1, Steps: []txn.Step{txn.Read(x)}})
+	s.Add(&txn.Template{Name: "L", Steps: []txn.Step{txn.Write(x), txn.Comp(3)}})
+	s.AssignByIndex()
+	proto := &relabelRetry{Protocol: pip.New()}
+	res := run(t, s, proto, 10)
+	if proto.denials < 2 {
+		t.Fatalf("H was denied %d times, want a fresh denial and at least one retry", proto.denials)
+	}
+	if got := res.Decisions.Of("ceiling"); got.Blocks != 1 {
+		t.Errorf("ceiling line %+v, want one fresh denial", got)
+	}
+	i := slices.IndexFunc(res.Decisions, func(r cc.RuleCount) bool { return r.Rule == "table1-on-LC2" })
+	if i < 0 {
+		t.Fatalf("no table1-on-LC2 line in %v after %d retry denials", res.Decisions, proto.denials-1)
+	}
+	if got := res.Decisions[i]; got.Blocks != 0 || got.Grants != 0 {
+		t.Errorf("table1-on-LC2 line %+v, want no counts: every such denial was a retry", got)
+	}
+}
+
 func TestRunPriorityResetAfterCommit(t *testing.T) {
 	// After the blocker commits, its inheritance must not linger on any
 	// later job of the same template.
