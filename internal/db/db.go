@@ -76,11 +76,9 @@ type Store struct {
 	undo []journal
 	live int
 
-	// Multiversion read support (mvcc.go). chains holds one chainHead per
-	// item, indexed by item id; the slice grows copy-on-write under the
-	// caller's writer lock while lock-free readers keep whatever slice they
-	// loaded (head cells are shared by identity, so an old slice still sees
-	// new versions of the items it covers).
+	// Multiversion read support (mvcc.go): one version ring per item, by
+	// item id. The slice grows copy-on-write under the writer lock; a reader
+	// holding an old one still sees new versions, the rings being shared.
 	chains atomic.Pointer[[]*chainHead]
 }
 

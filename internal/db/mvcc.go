@@ -1,92 +1,97 @@
-// Multiversion read support: a short per-item version chain fed at commit
-// time, readable lock-free.
+// Multiversion read support: a fixed ring of the newest versions of each
+// item, fed at commit time, readable lock-free.
 //
 // Update transactions keep the flat cell store (Install / InstallInto)
-// exactly as before — the chain is an additional, append-only index over
-// committed versions, stamped with the manager's commit tick. A declared
-// read-only transaction picks a snapshot tick S and answers every read
-// with the newest version whose tick is <= S, walking the chain over
-// atomic pointers only. Per Faleiro & Abadi, commit-order-determined
-// version visibility makes such reads serializable with no validation:
-// the reader behaves exactly as if it ran at the instant of tick S.
+// exactly as before — the ring is an additional index over committed
+// versions, stamped with the manager's commit tick. A declared read-only
+// transaction picks a snapshot tick S and answers every read with the
+// newest version whose tick is <= S, reading the ring through atomics
+// only. Per Faleiro & Abadi, commit-order-determined version visibility
+// makes such reads serializable with no validation: the reader behaves
+// exactly as if it ran at the instant of tick S.
 //
 // Concurrency contract:
 //
 //   - All mutation (InstallVersioned, InstallIntoAt) happens
-//     under one external writer lock — the rtm manager mutex. The chain
+//     under one external writer lock — the rtm manager mutex. The ring
 //     code itself takes no locks.
 //   - ReadAt may be called from any goroutine with no lock held, provided
 //     the caller first loaded its snapshot tick from an atomic the writer
 //     published *after* installing (release/acquire ordering): every
 //     version with tick <= S is then guaranteed visible.
 //
-// Truncation never yields a wrong answer. Chains are bounded eagerly at
-// install time by storing a distinguished sentinel in place of the oldest
-// retained node's predecessor. A walk that reaches the sentinel before
-// finding a version old enough for its snapshot returns ErrSnapshotEvicted
-// (typed, retryable — the reader restarts on a fresh snapshot); a walk that
-// reaches nil ran off the natural start of the chain, where the initial
-// state (Value 0, Version 0, InitRun) is the correct answer. Readers
-// already past the cut point keep walking the old nodes, which remain
-// immutable and correct.
+// Eviction never yields a wrong answer. Exactly the newest ChainLimit
+// versions of an item can be answered: install k is overwritten in place by
+// install k+ChainLimit. Each slot is a seqlock, trusted only if it carries
+// the expected install number before and after its fields are read. An
+// older snapshot, or a slot overwritten under the reader, gets
+// ErrSnapshotEvicted (typed, retryable — the reader restarts on a fresh
+// snapshot); a snapshot older than every version of an item that has
+// dropped none reads the initial state (Value 0, Version 0, InitRun).
 
 package db
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"pcpda/internal/rt"
 )
 
-// ChainLimit bounds every item's reachable version chain: long enough that
+// ChainLimit is the number of versions every item retains: long enough that
 // a snapshot only one or two commit ticks old essentially never misses,
 // short enough that a hot item holds O(1) history.
 const ChainLimit = 8
 
 // ErrSnapshotEvicted reports that the version a snapshot read needed has
-// been truncated from the item's chain. The transaction's snapshot is no
+// been overwritten in the item's ring. The transaction's snapshot is no
 // longer answerable; retry on a fresh snapshot.
 var ErrSnapshotEvicted = errors.New("db: snapshot version evicted from chain")
 
-// versionNode is one committed version of one item. Immutable after
-// publication except for prev, which truncation may redirect to the
-// eviction sentinel.
-type versionNode struct {
-	val    Value   //pcpda:guardedby immutable
-	ver    Version //pcpda:guardedby immutable
-	writer RunID   //pcpda:guardedby immutable
-	tick   int64   //pcpda:guardedby immutable — manager commit tick that installed this version
-	prev   atomic.Pointer[versionNode]
-}
-
-// evictedNode is the truncation sentinel: a chain walk reaching it knows
-// older versions existed but were dropped, as opposed to reaching nil (the
-// natural chain start, where the initial state is the right answer).
-var evictedNode = &versionNode{ver: -1, writer: NoRun, tick: -1}
-
-// chainHead is the per-item anchor. Its identity is stable across slab
-// growth so readers holding an old chains slice still observe new heads.
+// chainHead is one item's version ring. n, the number of versions ever
+// installed, is the publication point: install k (1-based) lives in
+// ring[(k-1) % ChainLimit]. Its identity is stable across slab growth so
+// readers holding an old chains slice still observe new installs.
 type chainHead struct {
-	head atomic.Pointer[versionNode]
+	n    atomic.Int64
+	ring [ChainLimit]versionSlot //pcpda:guardedby immutable — never reassigned; every slot field is atomic
 }
 
-// InstallVersioned is Install plus a version-chain append: the new version
-// is stamped with tick and becomes the item's chain head. Caller holds the
-// writer lock; tick must be monotonically non-decreasing across calls and
-// strictly increasing between commits.
+// versionSlot is one retained version, overwritten in place while readers
+// may be reading it: every field is atomic, and the stamp tells a reader
+// whether what it read belongs together.
+type versionSlot struct {
+	stamp  atomic.Int64 // install number of the version held; 0 while being overwritten
+	tick   atomic.Int64 // manager commit tick that installed this version
+	val    atomic.Int64
+	writer atomic.Int64
+	ver    atomic.Int32
+}
+
+// InstallVersioned is Install plus a ring append: the new version is
+// stamped with tick and overwrites the item's oldest retained one in place.
+// Caller holds the writer lock; tick must be monotonically non-decreasing
+// across calls and strictly increasing between commits.
+//
+//pcpda:alloc-free
 func (s *Store) InstallVersioned(run RunID, x rt.Item, v Value, tick int64) Version {
 	ver := s.Install(run, x, v)
 	h := s.headFor(x)
-	n := &versionNode{val: v, ver: ver, writer: run, tick: tick}
-	n.prev.Store(h.head.Load())
-	h.head.Store(n)
-	truncateChain(n)
+	n := h.n.Load()
+	sl := &h.ring[n%ChainLimit]
+	sl.stamp.Store(0)
+	sl.tick.Store(tick)
+	sl.val.Store(int64(v))
+	sl.writer.Store(int64(run))
+	sl.ver.Store(int32(ver))
+	sl.stamp.Store(n + 1)
+	h.n.Store(n + 1)
 	return ver
 }
 
-// headFor returns x's chain anchor, growing the chains slab copy-on-write
-// if x is beyond it. Caller holds the writer lock.
+// headFor returns x's ring, growing the chains slab copy-on-write if x is
+// beyond it. Caller holds the writer lock.
 func (s *Store) headFor(x rt.Item) *chainHead {
 	chains := s.chains.Load()
 	if chains != nil && int(x) < len(*chains) {
@@ -105,29 +110,52 @@ func (s *Store) headFor(x rt.Item) *chainHead {
 	return next[x]
 }
 
-// truncateChain eagerly bounds the chain that starts at head: the node at
-// the limit depth gets the eviction sentinel as its predecessor, making
-// everything older unreachable for walks that start after this point.
-// Walks already past the cut keep their (immutable, correct) old nodes.
-func truncateChain(head *versionNode) {
-	n := head
-	for i := 1; i < ChainLimit; i++ {
-		next := n.prev.Load()
-		if next == nil || next == evictedNode {
-			return
+// CheckVersions audits the rings of a store written only through
+// InstallVersioned, as the live manager's is: every retained slot holds the
+// stamp of its install number; going back through the retained versions
+// ticks strictly decrease and versions fall by exactly one; the newest
+// version is the item's cell; and no tick is past horizon, the snapshot
+// tick the writer has published. It returns one line per fault, none on a
+// sound store. Caller holds the writer lock.
+func (s *Store) CheckVersions(horizon int64) []string {
+	chains := s.chains.Load()
+	if chains == nil {
+		return nil
+	}
+	var probs []string
+	bad := func(format string, args ...any) { probs = append(probs, fmt.Sprintf(format, args...)) }
+	for i, h := range *chains {
+		x, n := rt.Item(i), h.n.Load()
+		var newerTick int64
+		var newerVer Version
+		for k := n; k > 0 && k > n-ChainLimit; k-- {
+			sl := &h.ring[(k-1)%ChainLimit]
+			tick, ver := sl.tick.Load(), Version(sl.ver.Load())
+			if st := sl.stamp.Load(); st != k {
+				bad("item %d install %d: its slot is stamped %d", x, k, st)
+			}
+			if v, w, c := Value(sl.val.Load()), RunID(sl.writer.Load()), s.cell(x); k == n && (v != c.val || ver != c.version || w != c.writer) {
+				bad("item %d newest version %d@v%d by run %d disagrees with store cell %d@v%d by run %d", x, v, ver, w, c.val, c.version, c.writer)
+			}
+			if k == n && tick > horizon {
+				bad("item %d newest version (tick %d) not covered by published snapshot tick %d", x, tick, horizon)
+			}
+			if k < n && tick >= newerTick {
+				bad("item %d install %d: tick %d not below the next install's %d", x, k, tick, newerTick)
+			}
+			if k < n && ver != newerVer-1 {
+				bad("item %d install %d: version %d, the next install's is %d", x, k, ver, newerVer)
+			}
+			newerTick, newerVer = tick, ver
 		}
-		n = next
 	}
-	if p := n.prev.Load(); p != nil && p != evictedNode {
-		n.prev.Store(evictedNode)
-	}
+	return probs
 }
 
-// InstallIntoAt is InstallInto with version-chain appends: every installed
-// version is stamped with tick and published at its item's chain head. The
-// installed pairs are appended to dst, which the live manager's commit path
-// reuses from one transaction to the next. Caller holds the store's writer
-// lock.
+// InstallIntoAt is InstallInto with ring appends: every installed version
+// is stamped with tick and published in its item's ring. The installed
+// pairs are appended to dst, which the live manager's commit path reuses
+// from one transaction to the next. Caller holds the store's writer lock.
 func (w *Workspace) InstallIntoAt(dst []Installed, s *Store, run RunID, tick int64) []Installed {
 	for i, x := range w.order {
 		ver := s.InstallVersioned(run, x, w.vals[i], tick)

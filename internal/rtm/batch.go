@@ -74,7 +74,7 @@ func (m *Manager) BeginBatch(ctx context.Context, names []string) ([]*Txn, error
 		return nil, &cancelledError{cause: err}
 	}
 
-	out := make([]*Txn, len(names))
+	hs, out := make([]Txn, len(names)), make([]*Txn, len(names)) // handles made outside the mutex
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, pos := range order {
@@ -88,7 +88,8 @@ func (m *Manager) BeginBatch(ctx context.Context, names []string) ([]*Txn, error
 				return nil, err
 			}
 		}
-		t := m.admit(s)
+		t := &hs[pos]
+		m.admit(s, t)
 		out[pos] = t
 		if err := m.inject(fault.BeginTxn, t, true); err != nil {
 			// The injected failure already tore t down; undo the rest.

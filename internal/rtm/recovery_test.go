@@ -439,6 +439,23 @@ func TestCheckInvariantsDetectsUnrecordedReadLock(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsDetectsVersionByLiveRun: a version installed for a
+// transaction that is still live (versions go in only at commit) is
+// reported, and so is the snapshot horizon left behind the ring.
+func TestCheckInvariantsDetectsVersionByLiveRun(t *testing.T) {
+	s, _, y := demoSet(t)
+	m, _ := New(s)
+	tx := mustBegin(t, m, ctx(t), "updater")
+	m.mu.Lock()
+	m.clock++
+	m.store.InstallVersioned(tx.slot.job.Run, y, 1, int64(m.clock))
+	m.mu.Unlock()
+	err := m.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "of still-live job") || !strings.Contains(err.Error(), "not covered by published snapshot tick") {
+		t.Fatalf("auditor missed a version by a live run past the horizon: %v", err)
+	}
+}
+
 func TestCheckInvariantsDetectsOrphanedSlot(t *testing.T) {
 	s, _, _ := demoSet(t)
 	m, _ := New(s)

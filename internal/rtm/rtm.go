@@ -260,6 +260,7 @@ func (m *Manager) Begin(ctx context.Context, name string) (*Txn, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, &cancelledError{cause: err}
 	}
+	t := new(Txn) // the one allocation, made outside the critical section
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := &m.slots[tmpl.ID]
@@ -268,18 +269,19 @@ func (m *Manager) Begin(ctx context.Context, name string) (*Txn, error) {
 			return nil, err
 		}
 	}
-	t := m.admit(s)
+	m.admit(s, t)
 	if err := m.inject(fault.BeginTxn, t, true); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// admit starts a new instance in the free slot s — the admission body shared
-// by Begin and BeginBatch. Caller holds m.mu. The slot's job is reset field
-// by field: its template, read set and workspace never change, and finish
-// left the rest of the slot clean. The handle is the one allocation.
-func (m *Manager) admit(s *slot) *Txn {
+// admit starts a new instance in the free slot s under the fresh handle t —
+// the admission body shared by Begin and BeginBatch, which make t before
+// they take the mutex. Caller holds m.mu. The slot's job is reset field by
+// field: its template, read set and workspace never change, and finish left
+// the rest of the slot clean.
+func (m *Manager) admit(s *slot, t *Txn) {
 	m.clock++
 	j := &s.job
 	j.ID = m.nextJob
@@ -290,12 +292,11 @@ func (m *Manager) admit(s *slot) *Txn {
 	j.EverBlockedBy = j.EverBlockedBy[:0]
 	j.FinishTick = -1
 	m.nextJob++
-	t := &Txn{slot: s, id: j.ID}
+	t.slot, t.id = s, j.ID
 	s.cur = t
 	m.active = append(m.active, j)
 	m.hist.Begin(m.clock, j.Run, s.tmpl.ID)
 	m.stats.Begins++
-	return t
 }
 
 // acquire takes t's lock on item in the given mode, blocking while the
@@ -647,37 +648,23 @@ func (m *Manager) auditState() []string {
 		}
 	}
 
-	// The multiversion chain index must agree with the flat store and the
-	// lock table: every item's newest chain node is exactly the cell state,
-	// chain ticks never outrun the clock, the published snapshot horizon
-	// covers every chained commit, no chain exceeds its bound, and no
-	// chain head was written by a still-live run (versions are installed
-	// only at commit, after which the writer's locks are gone).
+	// The version rings must be sound, agree with the flat store and lie
+	// within the published snapshot horizon, which never outruns the clock
+	// (db.CheckVersions); and no newest version may be by a still-live run
+	// (versions are installed only at commit, after which the writer's
+	// locks are gone).
 	snap := m.snapTick.Load()
 	if snap > int64(m.clock) {
 		badf("published snapshot tick %d ahead of clock %d", snap, m.clock)
 	}
-	m.store.EachNewestVersion(func(x rt.Item, v db.Value, ver db.Version, writer db.RunID, tick int64) {
-		cv, cver, cw := m.store.Read(x)
-		if cv != v || cver != ver || cw != writer {
-			badf("item %d chain head %d@v%d by run %d disagrees with store cell %d@v%d by run %d",
-				x, v, ver, writer, cv, cver, cw)
-		}
-		if tick > int64(m.clock) {
-			badf("item %d chain head stamped tick %d ahead of clock %d", x, tick, m.clock)
-		}
-		if tick > snap {
-			badf("item %d chain head (tick %d) not covered by published snapshot tick %d", x, tick, snap)
-		}
-		for _, j := range m.active {
-			if j.Run == writer {
-				badf("item %d chain head written by run %d of still-live job %d", x, writer, j.ID)
+	probs = append(probs, m.store.CheckVersions(snap)...)
+	for _, j := range m.active {
+		for _, x := range j.Tmpl.WriteSet().Items() {
+			if _, _, w := m.store.Read(x); w == j.Run {
+				badf("item %d newest version written by run %d of still-live job %d", x, w, j.ID)
 			}
 		}
-		if n := m.store.ChainLen(x); n > db.ChainLimit {
-			badf("item %d chain length %d exceeds limit %d", x, n, db.ChainLimit)
-		}
-	})
+	}
 	return probs
 }
 

@@ -118,12 +118,14 @@ func TestStaleHandleLeavesSuccessorAlone(t *testing.T) {
 // resume in between: when it does, the id it was blocked on is gone and the
 // slot it was filed under belongs to someone else.
 func finishAndReadmit(m *Manager, blocker *Txn) *Txn {
+	next := new(Txn)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.clock++
 	m.stats.Aborts++
 	m.kill(blocker)
-	return m.admit(blocker.slot)
+	m.admit(blocker.slot, next)
+	return next
 }
 
 // assertNothingInherited checks that the successor got nothing of what was

@@ -61,11 +61,18 @@ func (lt *liveTx) Done() <-chan struct{} {
 	return lt.child.Done()
 }
 
+// Err runs under the manager mutex on every manager operation: it polls the
+// session context's Done channel (an atomic load), not its Err (a mutex).
 func (lt *liveTx) Err() error {
 	if lt.tripped.Load() {
 		return context.Canceled
 	}
-	return lt.Context.Err()
+	select {
+	case <-lt.Context.Done():
+		return lt.Context.Err()
+	default:
+		return nil
+	}
 }
 
 // cancel cancels the child, if a call ever parked under one: the watchdog's

@@ -98,6 +98,35 @@ func TestLiveTxContext(t *testing.T) {
 	}
 }
 
+// TestLiveTxErr: Err reports a live transaction, a session that ended and a
+// watchdog trip, and builds no context for any of them.
+func TestLiveTxErr(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		end     bool // the session context is cancelled
+		tripped bool
+		want    error
+	}{
+		{"live", false, false, nil},
+		{"session cancelled", true, false, context.Canceled},
+		{"watchdog tripped", false, true, context.Canceled},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		lt := &liveTx{Context: ctx, made: new(atomic.Int64)}
+		if c.end {
+			cancel()
+		}
+		lt.tripped.Store(c.tripped)
+		if err := lt.Err(); err != c.want {
+			t.Errorf("%s: Err = %v, want %v", c.name, err, c.want)
+		}
+		if n := lt.made.Load(); n != 0 {
+			t.Errorf("%s: Err built %d contexts", c.name, n)
+		}
+		cancel()
+	}
+}
+
 // TestOnlyParkedTxnBuildsContext: transactions that run straight through —
 // whole TXNs, a read-only snapshot, one driven a step at a time — build no
 // context of their own; the one that parks on a lock builds exactly one.
