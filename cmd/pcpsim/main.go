@@ -13,7 +13,8 @@
 // Workload files are JSON (see internal/workload): transactions with
 // periods, offsets and step lists over named items. The -paper flag loads
 // one of the built-in paper examples (example1, example3, example4,
-// example5) instead of a file.
+// example5) or the LC4 deadlock the explorer found (lc4deadlock) instead of
+// a file.
 //
 // The -chaos N flag skips the simulator and instead hammers the LIVE
 // transaction manager (internal/rtm) with N seeded fault schedules —
@@ -34,6 +35,7 @@ import (
 	"pcpda/internal/papercases"
 	"pcpda/internal/rt"
 	"pcpda/internal/rtm"
+	"pcpda/internal/sched"
 	"pcpda/internal/sim"
 	"pcpda/internal/trace"
 	"pcpda/internal/txn"
@@ -43,7 +45,7 @@ import (
 func main() {
 	var (
 		workloadPath = flag.String("workload", "", "workload JSON file")
-		paper        = flag.String("paper", "", "built-in paper example: example1, example3, example4, example5")
+		paper        = flag.String("paper", "", "built-in paper example: example1, example3, example4, example5, lc4deadlock")
 		protocol     = flag.String("protocol", "pcpda", "concurrency-control protocol")
 		horizon      = flag.Int64("horizon", 0, "simulation length in ticks (0 = derive from the set)")
 		firm         = flag.Bool("firm", false, "abort jobs at their deadlines (firm real-time)")
@@ -149,15 +151,15 @@ func main() {
 				s.Name, s.Jobs, s.Completed, s.Misses, s.TotalBlocked, s.MaxBlocked, s.TotalInv, s.AvgResponse())
 		}
 	}
-	if !sum.Serializable {
-		fmt.Fprintln(os.Stderr, "\nWARNING: history is not serializable")
+	if broken(set, *protocol, res, sim.Options{}) {
 		os.Exit(2)
 	}
 }
 
 // runCompare simulates set once per named protocol and prints the
 // side-by-side summary table. A deadlocked run is reported per protocol; a
-// non-serializable history exits non-zero, same as single-protocol mode.
+// run that breaks a promise of its protocol exits non-zero, same as
+// single-protocol mode.
 func runCompare(set *txn.Set, names []string, opts sim.Options) {
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
@@ -179,14 +181,41 @@ func runCompare(set *txn.Set, names []string, opts sim.Options) {
 			fmt.Printf("\n%s: DEADLOCK at t=%d involving jobs %v\n",
 				c.Result.Protocol, c.Result.DeadlockAt, c.Result.DeadlockCycle)
 		}
-		if !c.Summary.Serializable {
-			fmt.Fprintf(os.Stderr, "\nWARNING: %s history is not serializable\n", c.Result.Protocol)
+		if broken(set, c.Name, c.Result, opts) {
 			clean = false
 		}
 	}
 	if !clean {
 		os.Exit(2)
 	}
+}
+
+// broken holds a run to its protocol's promises (sim.Verify). On a broken
+// promise it prints each one, the set as workload JSON (which pastes into
+// -workload) and the run's timeline, and reports true. A run made without
+// a trace is made again under opts with one, to render it.
+func broken(set *txn.Set, protocol string, res *sched.Result, opts sim.Options) bool {
+	violations := sim.Verify(protocol, res)
+	if len(violations) == 0 {
+		return false
+	}
+	fmt.Fprintf(os.Stderr, "\n%s breaks its promises:\n", res.Protocol)
+	for _, v := range violations {
+		fmt.Fprintf(os.Stderr, "  %s\n", v)
+	}
+	if js, err := workload.Marshal(set); err == nil {
+		fmt.Fprintf(os.Stderr, "\n%s\n", js)
+	}
+	if res.Timeline == nil {
+		opts.Trace = true
+		traced, err := sim.Run(set, protocol, opts)
+		if err != nil {
+			fail(err)
+		}
+		res = traced
+	}
+	fmt.Fprintf(os.Stderr, "\n%s\n", res.Timeline.Render(set))
+	return true
 }
 
 // runChaos hammers the live manager with seeded fault schedules and prints
@@ -221,6 +250,8 @@ func loadSet(path, paper string) (*txn.Set, error) {
 			return papercases.Example4(), nil
 		case "example5":
 			return papercases.Example5(), nil
+		case "lc4deadlock":
+			return papercases.LC4Deadlock(), nil
 		}
 		return nil, fmt.Errorf("unknown paper example %q", paper)
 	case path != "":

@@ -1,6 +1,7 @@
 // Package papercases encodes the worked examples of the paper (Examples 1,
 // 3, 4 and 5) as transaction sets, together with the schedules the paper's
-// prose fixes for them. They serve as golden inputs for the figure
+// prose fixes for them, and the smallest set found to deadlock the paper's
+// rules as transcribed (LC4Deadlock). They serve as golden inputs for the figure
 // reproductions (Figures 1-5) in the tests, the benchmarks and
 // cmd/experiments.
 //
@@ -161,4 +162,36 @@ const Example5Horizon rt.Ticks = 8
 const (
 	Ex5PCPDARowTH = " ..##   "
 	Ex5PCPDARowTL = "###     "
+)
+
+// LC4Deadlock builds the smallest set the explorer (sim.TestExplore) found
+// to deadlock PCP-DA's locking conditions as transcribed from the paper:
+//
+//	H: Read(x), Write(x), Write(y)   arrives t=1
+//	L: Read(y), Read(x)              arrives t=0
+//
+// Wceil(x)=Wceil(y)=P_H. L read-locks y at t=0; at t=1 LC4 grants H's read
+// of x (P_H = Wceil(x), x free, x ∉ WriteSet(L)); H writes x at t=2, and at
+// t=3 its write of y meets L's read lock, so L inherits P_H. L's read of x
+// then faces Sysceil_L = Wceil(x) = P_H, raised by H's read lock: LC2 as
+// transcribed wants a running priority strictly above it, so L waits on H
+// while H waits on L. PCP-DA grants the read because every holder of that
+// lock waits on L (the inherited-LC2 clause, DESIGN.md §3), and both commit.
+func LC4Deadlock() *txn.Set {
+	s := txn.NewSet("lc4-deadlock")
+	x := s.Catalog.Intern("x")
+	y := s.Catalog.Intern("y")
+	s.Add(&txn.Template{Name: "H", Offset: 1, Steps: []txn.Step{txn.Read(x), txn.Write(x), txn.Write(y)}})
+	s.Add(&txn.Template{Name: "L", Offset: 0, Steps: []txn.Step{txn.Read(y), txn.Read(x)}})
+	s.AssignByIndex()
+	return s
+}
+
+// LC4DeadlockHorizon is long enough for both transactions to commit.
+const LC4DeadlockHorizon rt.Ticks = 6
+
+// The LC4 deadlock set under PCP-DA: H is blocked one tick, by L alone.
+const (
+	LC4PCPDARowH = " ##.# "
+	LC4PCPDARowL = "#--#  "
 )

@@ -8,7 +8,7 @@ import (
 )
 
 func TestAllExamplesValidate(t *testing.T) {
-	for _, build := range []func() *txn.Set{Example1, Example3, Example4, Example5} {
+	for _, build := range []func() *txn.Set{Example1, Example3, Example4, Example5, LC4Deadlock} {
 		set := build()
 		if err := set.Validate(); err != nil {
 			t.Errorf("%s: %v", set.Name, err)

@@ -19,10 +19,20 @@
 // locking conditions holds:
 //
 //	LC1 (write): no other transaction holds a read lock on x.
-//	LC2 (read):  P_i > Sysceil_i.
+//	LC2 (read):  P_i > Sysceil_i, or P_i = Sysceil_i where P_i is inherited
+//	             and every T* holder waits on T_i (see below).
 //	LC3 (read):  P_i > Wceil(x) and x ∉ WriteSet(T*).
 //	LC4 (read):  P_i = Wceil(x), no other transaction read-locks x,
 //	             and x ∉ WriteSet(T*).
+//
+// The equality clause of LC2 is a documented deviation: the paper's own
+// rules, as transcribed, deadlock where LC4 granted T_i's read of x and T_i
+// then waits on T*, whose inherited priority equals the ceiling that read
+// lock raised (papercases.LC4Deadlock). PAPER.md holds only the abstract,
+// so no clause the transcription may have dropped can be confirmed; the
+// rule was chosen over two others by the explorer (sim.TestExplore; see
+// DESIGN.md §3). With it, T* is the T* of Lemma 8: the only jobs holding
+// the ceiling it faces wait on it, and a denial would close a wait cycle.
 //
 // Priority comparisons follow the paper's Section 7 convention ("the
 // priority of a transaction ... always refers to ... its running
@@ -40,12 +50,17 @@
 // first (no-restart guarantee, Lemma 9). The paper proves the condition is
 // implied whenever LC2 or LC3 grants; this implementation still evaluates it
 // on every path, and a denial where LC2 or LC3 would have granted names its
-// path ("table1-on-LC2", "table1-on-LC3") — the property tests assert that
-// the decision tally never has a line for one, retries included, mechanically
+// path ("table1-on-LC2", "table1-on-LC3") — sim.Verify holds every run to a
+// decision tally with no line for one, retries included, mechanically
 // validating the paper's claim. On the LC4 path the denial is "wr-conflict".
+//
+// A ceiling denial names T*, and with LC3 on also the other readers of x;
+// under the LC2Only ablation it names T* alone.
 package pcpda
 
 import (
+	"slices"
+
 	"pcpda/internal/cc"
 	"pcpda/internal/rt"
 	"pcpda/internal/txn"
@@ -70,6 +85,7 @@ type Protocol struct {
 	// point into them, valid until the next Request (cc.Decision).
 	tstarBuf []rt.JobID
 	offBuf   []rt.JobID
+	walkBuf  []rt.JobID
 }
 
 var _ cc.Protocol = (*Protocol)(nil)
@@ -137,6 +153,34 @@ func tstarWrites(env cc.Env, tstar []rt.JobID, x rt.Item) bool {
 	return false
 }
 
+// waitOnMe reports whether every job in holders is Blocked and waits on j,
+// directly or through other Blocked jobs: each then donates to j the
+// priority that j's request compares. The walk's queue is p.walkBuf.
+func (p *Protocol) waitOnMe(env cc.Env, holders []rt.JobID, j rt.JobID) bool {
+	for _, h := range holders {
+		q := append(p.walkBuf[:0], h)
+		found := false
+		for k := 0; k < len(q) && !found; k++ {
+			b := env.Job(q[k])
+			if b == nil || b.Status != cc.Blocked {
+				continue
+			}
+			for _, id := range b.Blockers {
+				if id == j {
+					found = true
+				} else if !slices.Contains(q, id) {
+					q = append(q, id)
+				}
+			}
+		}
+		p.walkBuf = q
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
 // table1Offenders returns the write-lock holders T_L of x for which
 // DataRead(T_L) ∩ WriteSet(T_i) ≠ ∅ — the holders that would later block
 // T_i's own write and so must not be preempted by T_i's read (Case 1). The
@@ -197,8 +241,11 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 		return cc.Block(denial, offenders...)
 	}
 
-	// LC2: P_i > Sysceil_i (running priority, see above).
-	if runPri > info.sysceil {
+	// LC2: P_i > Sysceil_i (running priority, see above), or P_i =
+	// Sysceil_i when P_i is inherited and every T* holder waits on T_i
+	// (a documented deviation, see the package doc): T_i is then the T*
+	// of Lemma 8 and a denial would close a wait cycle.
+	if runPri > info.sysceil || runPri == info.sysceil && runPri > pri && p.waitOnMe(env, info.tstar, j.ID) {
 		return grantIfSafe("LC2", "table1-on-LC2")
 	}
 	if !p.opts.LC2Only {
@@ -213,9 +260,14 @@ func (p *Protocol) Request(env cc.Env, j *cc.Job, x rt.Item, m rt.Mode) cc.Decis
 		}
 	}
 
-	// Ceiling blocking: T* inherits. Readers of x itself are included —
-	// when they are lower-priority they coincide with T* (Lemma 5), and
-	// inheritance is a no-op for higher-priority holders.
+	// Ceiling blocking: T* inherits. With LC3 on, readers of x itself are
+	// included — when they are lower-priority they coincide with T*
+	// (Lemma 5), and inheritance is a no-op for higher-priority holders.
+	// Lemma 5 needs LC3, so under LC2Only only T* is named: another
+	// lower-priority reader of x would inherit P_i without blocking T_i.
+	if p.opts.LC2Only {
+		return cc.Block("ceiling", info.tstar...)
+	}
 	p.tstarBuf = appendReaders(info.tstar, env, x, j.ID)
 	return cc.Block("ceiling", p.tstarBuf...)
 }

@@ -328,3 +328,96 @@ func TestSysceilExcludesOwnReadLocks(t *testing.T) {
 		t.Fatalf("own lock raised own Sysceil: %+v", dec)
 	}
 }
+
+// TestCeilingDenialBlockers checks whom a ceiling denial names:
+//
+//	TH (P=3): Read(x), Write(s)
+//	TS (P=2): Read(s), Write(x)
+//	TR (P=1): Read(x)
+//
+// TS read-locks s, so Sysceil_H = Wceil(s) = P_H with T* = TS, and LC3 fails
+// because x ∈ WriteSet(TS); TR read-locks x. With LC3 on, the lower reader
+// TR is named beside T* (it coincides with a T* by Lemma 5); under LC2Only,
+// where Lemma 5 does not hold, only T* is, so TR does not inherit P_H.
+func TestCeilingDenialBlockers(t *testing.T) {
+	for _, c := range []struct {
+		opts Options
+		want []rt.JobID
+	}{
+		{Options{}, []rt.JobID{1, 2}},
+		{Options{LC2Only: true}, []rt.JobID{1}},
+	} {
+		s := txn.NewSet("blockers")
+		x := s.Catalog.Intern("x")
+		sv := s.Catalog.Intern("s")
+		s.Add(&txn.Template{Name: "TH", Steps: []txn.Step{txn.Read(x), txn.Write(sv)}})
+		s.Add(&txn.Template{Name: "TS", Steps: []txn.Step{txn.Read(sv), txn.Write(x)}})
+		s.Add(&txn.Template{Name: "TR", Steps: []txn.Step{txn.Read(x)}})
+		s.AssignByIndex()
+		p := NewWithOptions(c.opts)
+		p.Init(s, txn.ComputeCeilings(s))
+		env := cctest.NewEnv()
+		h := env.AddJob(0, s.ByName("TH"))
+		env.AddJob(1, s.ByName("TS"))
+		env.AddJob(2, s.ByName("TR"))
+		env.ReadLock(1, sv)
+		env.ReadLock(2, x)
+		dec := p.Request(env, h, x, rt.Read)
+		if dec.Granted || dec.Rule != "ceiling" || !slices.Equal(dec.Blockers, c.want) {
+			t.Errorf("%s: decision = %+v, want a ceiling denial naming %v", p.Name(), dec, c.want)
+		}
+	}
+}
+
+// TestInheritedLC2 arranges papercases.LC4Deadlock at t=3: L read-locks y;
+// H read-locked and write-locked x, and waits on L for y. L's read of x
+// faces Sysceil_L = Wceil(x) = P_H, raised by H's read lock. It is granted
+// only when L runs at an inherited P_H and H waits on L, directly or
+// through another job.
+//
+//	H (P=3): Read(x), Write(x), Write(y)
+//	M (P=2): Read(y)
+//	L (P=1): Read(y), Read(x)
+func TestInheritedLC2(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		hWaitOn rt.JobID // H's only blocker; -1 leaves H Ready
+		mWaitOn rt.JobID // M's only blocker; -1 leaves M Ready
+		rule    string
+	}{
+		{"H waits on L", 2, -1, "LC2"},
+		{"H waits on M, M on L", 1, 2, "LC2"},
+		{"H waits on M, M runs", 1, -1, "ceiling"},
+		{"H runs", -1, -1, "ceiling"},
+	} {
+		s := txn.NewSet("inherited")
+		x := s.Catalog.Intern("x")
+		y := s.Catalog.Intern("y")
+		s.Add(&txn.Template{Name: "H", Steps: []txn.Step{txn.Read(x), txn.Write(x), txn.Write(y)}})
+		s.Add(&txn.Template{Name: "M", Steps: []txn.Step{txn.Read(y)}})
+		s.Add(&txn.Template{Name: "L", Steps: []txn.Step{txn.Read(y), txn.Read(x)}})
+		s.AssignByIndex()
+		p := New()
+		p.Init(s, txn.ComputeCeilings(s))
+		env := cctest.NewEnv()
+		h := env.AddJob(0, s.ByName("H"))
+		m := env.AddJob(1, s.ByName("M"))
+		l := env.AddJob(2, s.ByName("L"))
+		env.ReadLock(2, y)
+		env.ReadLock(0, x)
+		env.WriteLock(0, x)
+		for _, w := range []struct {
+			j  *cc.Job
+			on rt.JobID
+		}{{h, c.hWaitOn}, {m, c.mWaitOn}} {
+			if w.on >= 0 {
+				w.j.Status, w.j.Blockers = cc.Blocked, []rt.JobID{w.on}
+			}
+		}
+		l.RunPri = h.BasePri()
+		dec := p.Request(env, l, x, rt.Read)
+		if dec.Rule != c.rule || dec.Granted != (c.rule == "LC2") {
+			t.Errorf("%s: decision = %+v, want %s", c.name, dec, c.rule)
+		}
+	}
+}

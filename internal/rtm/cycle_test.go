@@ -7,6 +7,7 @@ import (
 
 	"pcpda/internal/cc"
 	"pcpda/internal/db"
+	"pcpda/internal/papercases"
 	"pcpda/internal/rt"
 	"pcpda/internal/txn"
 )
@@ -248,6 +249,55 @@ func TestRaisedLockWaiterIsWoken(t *testing.T) {
 
 // waitBlocked polls until tx's job is observed Blocked (under the manager
 // lock), failing the test after a deadline.
+// TestLC4DeadlockOrder drives papercases.LC4Deadlock in the order that
+// deadlocks LC2 as the paper states it: L read-locks y; H reads x under LC4
+// and writes it; H's write of y waits on L's read lock, so L inherits P_H;
+// L's read of x then meets Sysceil_L = Wceil(x) = P_H, raised by H's read
+// lock. Every holder of that lock waits on L, so the read is granted, L
+// commits, H's write goes through, and the cycle breaker stays cold.
+func TestLC4DeadlockOrder(t *testing.T) {
+	s := papercases.LC4Deadlock()
+	x, _ := s.Catalog.Lookup("x")
+	y, _ := s.Catalog.Lookup("y")
+	m, err := New(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := ctx(t)
+	l, _ := m.Begin(c, "L")
+	if _, err := l.Read(c, y); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := m.Begin(c, "H")
+	if _, err := h.Read(c, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Write(c, x, 1); err != nil {
+		t.Fatal(err)
+	}
+	hWrite := make(chan error, 1)
+	go func() { hWrite <- h.Write(c, y, 2) }()
+	waitBlocked(t, m, h)
+	if v, err := l.Read(c, x); err != nil || v != 0 {
+		t.Fatalf("L's read of x under an inherited P_H: v=%v err=%v, want the committed 0", v, err)
+	}
+	if err := l.Commit(c); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-hWrite; err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Commit(c); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats(); st.CycleAborts != 0 || st.Commits != 2 {
+		t.Fatalf("%d cycle aborts, %d commits; want 0 and 2", st.CycleAborts, st.Commits)
+	}
+	if rep := m.History().Check(); !rep.Serializable || !rep.CommitOrderOK {
+		t.Fatalf("history: %v", rep.Violations)
+	}
+}
+
 func waitBlocked(t *testing.T, m *Manager, tx *Txn) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

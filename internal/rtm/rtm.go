@@ -456,7 +456,7 @@ type Stats struct {
 	Batches        int // BeginBatch calls that admitted at least one instance
 	Commits        int // successful commits
 	Aborts         int // explicit Abort() calls + injected forced aborts
-	CycleAborts    int // cycle-breaking victim aborts (zero under the paper's execution assumptions)
+	CycleAborts    int // cycle-breaking victim aborts: the kernel closes no cycle under PCP-DA at sim.TestExplore's bound; free-threaded schedules are not checked
 	Cancellations  int // transactions torn down by context cancellation/expiry
 	Retries        int // Exec retry attempts after a retryable failure
 	InjectedFaults int // injector actions applied (delays, wakeups, aborts, cancels)

@@ -217,6 +217,20 @@ func TestPCPDABlockingNeverExceedsRWPCPOnPaperCases(t *testing.T) {
 
 // --- kernel mechanics --------------------------------------------------------
 
+// --- The LC4 deadlock set under PCP-DA --------------------------------------
+
+// L inherits P_H when H's write of y meets L's read lock, and its read of x
+// is granted although H's read lock holds Sysceil_L at P_H: H waits on L.
+func TestLC4DeadlockPCPDA(t *testing.T) {
+	res := run(t, papercases.LC4Deadlock(), pcpda.New(), papercases.LC4DeadlockHorizon)
+	wantRow(t, res, "H", papercases.LC4PCPDARowH)
+	wantRow(t, res, "L", papercases.LC4PCPDARowL)
+	if res.Deadlocked || res.Committed != 2 {
+		t.Errorf("deadlocked=%v committed=%d, want both committed", res.Deadlocked, res.Committed)
+	}
+	checkSerializable(t, res, true)
+}
+
 func TestKernelRejectsBadInput(t *testing.T) {
 	set := papercases.Example1()
 	if _, err := New(set, pcpda.New(), Config{Horizon: 0}); err == nil {
@@ -326,13 +340,10 @@ func TestTimelineEventsIncludeLocksAndCommits(t *testing.T) {
 func TestFinalStateMatchesHistory(t *testing.T) {
 	// The store's final contents must equal a serial replay in commit
 	// order: for every item, the last committed installer's value.
-	for _, build := range []func() *txn.Set{papercases.Example1, papercases.Example3, papercases.Example4} {
+	for _, build := range []func() *txn.Set{papercases.Example1, papercases.Example3, papercases.Example4, papercases.LC4Deadlock} {
 		set := build()
 		res := run(t, set, pcpda.New(), 20)
-		lw := res.History.LastWriters()
-		runsByJob := make(map[string]bool)
-		_ = runsByJob
-		for it, wantRun := range lw {
+		for it, wantRun := range res.History.LastWriters() {
 			_, _, gotRun := res.Store.Read(it)
 			if gotRun != wantRun {
 				t.Errorf("%s: item %d final writer %d, want %d", set.Name, it, gotRun, wantRun)
@@ -368,7 +379,7 @@ func TestGrantCountersPlausible(t *testing.T) {
 func TestAuditCleanOnPaperCases(t *testing.T) {
 	// The paper's claim: the Table-1 side condition never fires on the LC2
 	// or LC3 grant paths, so the tally never counts a table1-on-* rule.
-	for _, build := range []func() *txn.Set{papercases.Example1, papercases.Example3, papercases.Example4, papercases.Example5} {
+	for _, build := range []func() *txn.Set{papercases.Example1, papercases.Example3, papercases.Example4, papercases.Example5, papercases.LC4Deadlock} {
 		res := run(t, build(), pcpda.New(), 20)
 		for _, r := range res.Decisions {
 			if strings.HasPrefix(r.Rule, "table1-on-") {

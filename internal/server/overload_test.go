@@ -805,7 +805,11 @@ func TestNemesisSoak(t *testing.T) {
 		Faults: nemesis.Faults{
 			Latency: time.Millisecond, Jitter: time.Millisecond,
 			PReset: 0.08, PDrop: 0.08, PPartition: 0.04,
-			FaultAfterMin: 1024, FaultAfterMax: 16384,
+			// A connection here relays ~2.7 KB on average, so a planned
+			// fault must fire within a few KB: with a 1–16 KB window
+			// only 0–5 of ~100 connections faulted, and on a loaded
+			// machine sometimes none. 256 B–4 KB fires 8–12.
+			FaultAfterMin: 256, FaultAfterMax: 4096,
 		},
 	})
 	if err != nil {

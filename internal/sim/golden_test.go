@@ -71,8 +71,8 @@ func fingerprint(set *txn.Set, res *sched.Result) string {
 	return b.String()
 }
 
-// goldenWorkloads returns the paper examples plus three seeded random
-// workloads in the sweep engine's parameter regime.
+// goldenWorkloads returns the paper examples, three seeded random
+// workloads in the sweep engine's parameter regime and the LC4 deadlock set.
 func goldenWorkloads(t *testing.T) []*txn.Set {
 	t.Helper()
 	sets := []*txn.Set{
@@ -92,7 +92,7 @@ func goldenWorkloads(t *testing.T) []*txn.Set {
 		}
 		sets = append(sets, set)
 	}
-	return sets
+	return append(sets, papercases.LC4Deadlock())
 }
 
 const goldenFile = "testdata/schedules.sha256"

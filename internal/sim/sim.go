@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 
+	"pcpda/internal/analysis"
 	"pcpda/internal/cc"
 	"pcpda/internal/ccp"
 	"pcpda/internal/metrics"
@@ -23,18 +24,22 @@ import (
 	"pcpda/internal/txn"
 )
 
-// factories maps CLI names to protocol constructors. A fresh protocol
+// factories maps CLI names to protocol constructors and to what each
+// protocol promises about every run (Verify checks it). A fresh protocol
 // instance is built per run (protocols carry run-local state).
-var factories = map[string]func() cc.Protocol{
-	"pcpda":     func() cc.Protocol { return pcpda.New() },
-	"pcpda-lc2": func() cc.Protocol { return pcpda.NewWithOptions(pcpda.Options{LC2Only: true}) },
-	"rwpcp":     func() cc.Protocol { return rwpcp.New() },
-	"ccp":       func() cc.Protocol { return ccp.New() },
-	"pcp":       func() cc.Protocol { return opcp.New() },
-	"pip":       func() cc.Protocol { return pip.New() },
-	"2plhp":     func() cc.Protocol { return tplhp.New() },
-	"occ":       func() cc.Protocol { return occ.New() },
-	"naiveda":   func() cc.Protocol { return naiveda.New() },
+var factories = map[string]struct {
+	make     func() cc.Protocol
+	promises promises
+}{
+	"pcpda":     {func() cc.Protocol { return pcpda.New() }, pcpdaPromises},
+	"pcpda-lc2": {func() cc.Protocol { return pcpda.NewWithOptions(pcpda.Options{LC2Only: true}) }, pcpdaPromises},
+	"rwpcp":     {func() cc.Protocol { return rwpcp.New() }, promises{serializable: true, deadlockFree: true, singleBlocking: true, bounded: true, kind: analysis.RWPCP}},
+	"ccp":       {func() cc.Protocol { return ccp.New() }, ceilingPromises},
+	"pcp":       {func() cc.Protocol { return opcp.New() }, ceilingPromises},
+	"pip":       {func() cc.Protocol { return pip.New() }, promises{serializable: true}},
+	"2plhp":     {func() cc.Protocol { return tplhp.New() }, promises{serializable: true, deadlockFree: true}},
+	"occ":       {func() cc.Protocol { return occ.New() }, promises{serializable: true, deadlockFree: true}},
+	"naiveda":   {func() cc.Protocol { return naiveda.New() }, promises{}},
 }
 
 // Protocols returns the available protocol names, sorted.
@@ -53,7 +58,7 @@ func NewProtocol(name string) (cc.Protocol, error) {
 	if !ok {
 		return nil, fmt.Errorf("sim: unknown protocol %q (have %v)", name, Protocols())
 	}
-	return f(), nil
+	return f.make(), nil
 }
 
 // Options configures a facade run.

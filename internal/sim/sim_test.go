@@ -4,15 +4,11 @@ import (
 	"strings"
 	"testing"
 
-	"pcpda/internal/analysis"
 	"pcpda/internal/cc"
-	"pcpda/internal/db"
-	"pcpda/internal/history"
 	"pcpda/internal/metrics"
 	"pcpda/internal/papercases"
 	"pcpda/internal/rt"
 	"pcpda/internal/sched"
-	"pcpda/internal/txn"
 	"pcpda/internal/workload"
 )
 
@@ -136,134 +132,43 @@ func propertyConfigs() []workload.Config {
 	return cfgs
 }
 
-// TestPropertySweep is the repository's central correctness sweep: 80
-// random workloads × the ceiling protocols, checking every paper-claimed
-// property observable at run time.
-func TestPropertySweep(t *testing.T) {
-	ceilingProtocols := []string{"pcpda", "pcpda-lc2", "rwpcp", "ccp", "pcp"}
-	agg := map[string]int64{}
-	aggMiss := map[string]int64{}
-	for _, cfg := range propertyConfigs() {
+// verifySweep runs each protocol over the sets cfgs generate, holds every
+// run by Verify to what its protocol promises, and returns each protocol's
+// total blocking and deadline misses.
+func verifySweep(t *testing.T, cfgs []workload.Config, protocols ...string) (agg, aggMiss map[string]int64) {
+	t.Helper()
+	agg, aggMiss = map[string]int64{}, map[string]int64{}
+	for _, cfg := range cfgs {
 		set, err := workload.Generate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ceil := txn.ComputeCeilings(set)
-
-		results := make(map[string]*sched.Result)
-		for _, name := range ceilingProtocols {
+		for _, name := range protocols {
 			res, err := Run(set, name, Options{StopOnDeadlock: true})
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", cfg.Seed, name, err)
 			}
-			results[name] = res
-
-			// P1: ceiling protocols never deadlock.
-			if res.Deadlocked {
-				t.Fatalf("seed %d: %s deadlocked (cycle %v)", cfg.Seed, name, res.DeadlockCycle)
+			for _, v := range Verify(name, res) {
+				t.Errorf("seed %d %s: %s", cfg.Seed, name, v)
 			}
-			// P2: every history is serializable with no dirty reads.
-			rep := res.History.Check()
-			if !rep.Serializable {
-				t.Fatalf("seed %d: %s produced non-serializable history: %v",
-					cfg.Seed, name, rep.Violations)
-			}
-			// P3: final store state is explained by the history. Deferred
-			// protocols install at commit, so the store must equal a serial
-			// replay of the committed runs; in-place protocols may leave an
-			// in-flight (uncommitted but not aborted) job's write behind,
-			// so the store must equal the last non-aborted write.
-			deferred := name == "pcpda" || name == "pcpda-lc2"
-			if deferred {
-				for it, want := range res.History.LastWriters() {
-					if _, _, got := res.Store.Read(it); got != want {
-						t.Fatalf("seed %d: %s final state of item %d written by %d, want %d",
-							cfg.Seed, name, it, got, want)
-					}
-				}
-			} else {
-				aborted := res.History.Aborted()
-				last := map[rt.Item]db.RunID{}
-				for _, op := range res.History.Ops {
-					if op.Kind == history.WriteOp && !aborted[op.Run] {
-						last[op.Item] = op.Run
-					}
-				}
-				for it, want := range last {
-					if _, _, got := res.Store.Read(it); got != want {
-						t.Fatalf("seed %d: %s final state of item %d written by %d, want %d",
-							cfg.Seed, name, it, got, want)
-					}
-				}
-			}
-		}
-
-		da := results["pcpda"]
-		// P4: PCP-DA serialization order equals commit order (Theorem 3 /
-		// Lemma 9) and no job is ever restarted.
-		rep := da.History.Check()
-		if !rep.CommitOrderOK {
-			t.Fatalf("seed %d: PCP-DA commit-order violation: %v", cfg.Seed, rep.Violations)
-		}
-		if da.Restarts != 0 || rep.AbortedRuns != 0 {
-			t.Fatalf("seed %d: PCP-DA restarted/aborted jobs", cfg.Seed)
-		}
-		// P5: the Table-1 side condition never fires on LC2/LC3 paths.
-		for _, r := range da.Decisions {
-			if strings.HasPrefix(r.Rule, "table1-on-") {
-				t.Fatalf("seed %d: %s fired, %d fresh denials (paper claim violated)", cfg.Seed, r.Rule, r.Blocks)
-			}
-		}
-
-		// P6 (single blocking) and P7 (B_i bound): valid when no template
-		// overruns its period (one live instance per transaction).
-		if da.Misses == 0 {
-			for _, j := range da.Jobs {
-				lower := 0
-				for _, bid := range j.EverBlockedBy {
-					b := findJob(da, bid)
-					if b != nil && b.BasePri() < j.BasePri() {
-						lower++
-					}
-				}
-				if lower > 1 {
-					t.Fatalf("seed %d: PCP-DA job %s blocked by %d lower-priority txns",
-						cfg.Seed, j.Tmpl.Name, lower)
-				}
-				// B_i bounds the EFFECTIVE blocking — ticks a lower-priority
-				// job executes while this one is blocked (the paper's
-				// "effective blocking time"). Wall-clock blocked time also
-				// contains higher-priority interference, which the RM
-				// analysis accounts separately.
-				bound := analysis.WorstCaseBlocking(set, ceil, analysis.PCPDA, j.Tmpl)
-				if j.InvBlockTicks > bound {
-					t.Fatalf("seed %d: PCP-DA job %s effectively blocked %d > analytic B_i %d",
-						cfg.Seed, j.Tmpl.Name, j.InvBlockTicks, bound)
-				}
-			}
-		}
-		rw := results["rwpcp"]
-		if rw.Misses == 0 {
-			for _, j := range rw.Jobs {
-				bound := analysis.WorstCaseBlocking(set, ceil, analysis.RWPCP, j.Tmpl)
-				if j.InvBlockTicks > bound {
-					t.Fatalf("seed %d: RW-PCP job %s effectively blocked %d > analytic B_i %d",
-						cfg.Seed, j.Tmpl.Name, j.InvBlockTicks, bound)
-				}
-			}
-		}
-
-		// P8 accumulation: per-seed totals can invert locally (granting a
-		// lock earlier reshuffles later races), so dominance is asserted on
-		// the aggregate over the whole sweep below — that is the claim the
-		// paper's examples make ("blocking that happens under PCP-DA must
-		// happen under RW-PCP"), observable as a population-level shape.
-		for name, res := range results {
 			agg[name] += int64(tb(res))
 			aggMiss[name] += int64(res.Misses)
 		}
 	}
+	return agg, aggMiss
+}
 
+// TestPropertySweep is the repository's central correctness sweep: 80
+// random workloads under the ceiling protocols, each run held by Verify to
+// what its protocol promises.
+func TestPropertySweep(t *testing.T) {
+	agg, aggMiss := verifySweep(t, propertyConfigs(), "pcpda", "pcpda-lc2", "rwpcp", "ccp", "pcp")
+
+	// P8: per-seed totals can invert locally (granting a lock earlier
+	// reshuffles later races), so dominance is asserted on the aggregate
+	// over the whole sweep — that is the claim the paper's examples make
+	// ("blocking that happens under PCP-DA must happen under RW-PCP"),
+	// observable as a population-level shape.
 	if agg["pcpda"] > agg["rwpcp"] {
 		t.Errorf("aggregate blocking: PCP-DA %d > RW-PCP %d", agg["pcpda"], agg["rwpcp"])
 	}
@@ -282,36 +187,11 @@ func TestPropertySweep(t *testing.T) {
 }
 
 // TestAbortProtocolsSweep runs the restart-based and inheritance-only
-// baselines over the same workloads: histories must stay serializable; PIP
-// runs stop (gracefully) on deadlock.
+// baselines over the first 40 sweep workloads, each run held by Verify to
+// what its protocol promises. PIP may deadlock (StopOnDeadlock ends the run)
+// but still owes a serializable history.
 func TestAbortProtocolsSweep(t *testing.T) {
-	for _, cfg := range propertyConfigs()[:40] {
-		set, err := workload.Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hp, err := Run(set, "2plhp", Options{StopOnDeadlock: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hp.Deadlocked {
-			t.Fatalf("seed %d: 2PL-HP deadlocked", cfg.Seed)
-		}
-		rep := hp.History.Check()
-		if !rep.Serializable {
-			t.Fatalf("seed %d: 2PL-HP history: %v", cfg.Seed, rep.Violations)
-		}
-		pipRes, err := Run(set, "pip", Options{StopOnDeadlock: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pipRes.Deadlocked {
-			rep := pipRes.History.Check()
-			if !rep.Serializable {
-				t.Fatalf("seed %d: PIP history: %v", cfg.Seed, rep.Violations)
-			}
-		}
-	}
+	verifySweep(t, propertyConfigs()[:40], "2plhp", "pip")
 }
 
 // TestTrackedVsUntracked ensures trace recording does not change outcomes.
@@ -359,9 +239,8 @@ func TestFirmDeadlinesOption(t *testing.T) {
 	if res.Misses != res.Aborts {
 		t.Fatalf("firm policy must abort every missed job: %d vs %d", res.Misses, res.Aborts)
 	}
-	rep := res.History.Check()
-	if !rep.Serializable {
-		t.Fatalf("firm aborts broke serializability: %v", rep.Violations)
+	for _, v := range Verify("pcpda", res) {
+		t.Errorf("firm aborts broke a promise: %s", v)
 	}
 }
 
@@ -371,11 +250,4 @@ func tb(res *sched.Result) rt.Ticks {
 		total += j.BlockedTicks
 	}
 	return total
-}
-
-func findJob(res *sched.Result, id rt.JobID) *cc.Job {
-	if int(id) < 0 || int(id) >= len(res.Jobs) {
-		return nil
-	}
-	return res.Jobs[id]
 }
