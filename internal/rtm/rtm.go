@@ -55,17 +55,13 @@
 // construction — reads only ever observe committed state, and a version is
 // never installed while a reader of its predecessor is still live.
 //
-// Under the paper's assumptions the combined wait graph (lock waits +
-// commit waits) is acyclic, and the simulator sweep machine-checks that.
-// Under free threading the obvious two-transaction cycles turn out to be
-// unreachable too: PCP-DA's own guards close both interleavings (the
-// Table-1 side condition in one order, the Wceil ceiling raised by the
-// stale reader in the other — see the cycle_test.go walkthrough). The
-// manager still carries a defensive cycle breaker: if a wait cycle is ever
-// detected it aborts the lowest-priority transaction in the cycle
-// (discarding its private workspace — deferred updates make this safe and
-// invisible), returning ErrAborted so the caller can retry. The hammer
-// tests count these aborts and observe zero.
+// In the kernel's order the manager makes the kernel's decisions and closes
+// no wait cycle (sim.TestExploreManagerKernelOrder). Free threading closes
+// some that one processor cannot: among every interleaving of two templates
+// of up to three steps (sim.TestExploreManagerFreeOrder), one in 300 has a
+// low-priority transaction ceiling-blocked at its own priority before a
+// higher one blocks on it. The manager aborts the cycle's lowest-priority
+// member, its deferred updates discarded unseen, with ErrAborted for a retry.
 package rtm
 
 import (
@@ -257,8 +253,10 @@ func (m *Manager) Begin(ctx context.Context, name string) (*Txn, error) {
 	if tmpl == nil {
 		return nil, fmt.Errorf("rtm: unknown transaction type %q", name)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, &cancelledError{cause: err}
+	select { // a poll of Done: Err would take the context's mutex
+	case <-ctx.Done():
+		return nil, &cancelledError{cause: ctx.Err()}
+	default:
 	}
 	t := new(Txn) // the one allocation, made outside the critical section
 	m.mu.Lock()
@@ -456,7 +454,7 @@ type Stats struct {
 	Batches        int // BeginBatch calls that admitted at least one instance
 	Commits        int // successful commits
 	Aborts         int // explicit Abort() calls + injected forced aborts
-	CycleAborts    int // cycle-breaking victim aborts: the kernel closes no cycle under PCP-DA at sim.TestExplore's bound; free-threaded schedules are not checked
+	CycleAborts    int // cycle-breaking victim aborts: none in the kernel's order, some under free threading (sim.TestExploreManagerFreeOrder)
 	Cancellations  int // transactions torn down by context cancellation/expiry
 	Retries        int // Exec retry attempts after a retryable failure
 	InjectedFaults int // injector actions applied (delays, wakeups, aborts, cancels)

@@ -120,125 +120,6 @@ func TestUnknownTemplate(t *testing.T) {
 	}
 }
 
-func TestDynamicAdjustmentReadThroughWriteLock(t *testing.T) {
-	// The paper's headline behaviour, live: the updater write-locks x; the
-	// reader still reads (the committed value) without blocking, and both
-	// commit — reader first in serialization order.
-	s, x, y := demoSet(t)
-	m, _ := New(s)
-	c := ctx(t)
-
-	up, _ := m.Begin(c, "updater")
-	if err := up.Write(c, x, 100); err != nil {
-		t.Fatal(err)
-	}
-
-	rd, _ := m.Begin(c, "reader")
-	v, err := rd.Read(c, x) // x is write-locked by up: LC2 + Table-1 grant
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0 {
-		t.Fatalf("reader must see the committed (old) x, got %v", v)
-	}
-	if _, err := rd.Read(c, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := rd.Commit(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := up.Write(c, y, 101); err != nil {
-		t.Fatal(err)
-	}
-	if err := up.Commit(c); err != nil {
-		t.Fatal(err)
-	}
-	rep := m.History().Check()
-	if !rep.Serializable || !rep.CommitOrderOK {
-		t.Fatalf("history: %+v", rep.Violations)
-	}
-	if n := m.Stats().CycleAborts; n != 0 {
-		t.Fatalf("cycle aborts = %d", n)
-	}
-}
-
-func TestCommitWaitsForStaleReader(t *testing.T) {
-	// The reader has read old x; the updater's commit must not return
-	// before the reader commits.
-	s, x, y := demoSet(t)
-	m, _ := New(s)
-	c := ctx(t)
-
-	up, _ := m.Begin(c, "updater")
-	if err := up.Write(c, x, 9); err != nil {
-		t.Fatal(err)
-	}
-	rd, _ := m.Begin(c, "reader")
-	if _, err := rd.Read(c, x); err != nil {
-		t.Fatal(err)
-	}
-
-	committed := make(chan error, 1)
-	gate := make(chan struct{})
-	go func() {
-		close(gate)
-		committed <- up.Commit(c)
-	}()
-	<-gate
-	// Give the committer a chance to (wrongly) slip through.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case err := <-committed:
-		t.Fatalf("updater committed while a stale reader was live: %v", err)
-	default:
-	}
-	if _, err := rd.Read(c, y); err != nil {
-		t.Fatal(err)
-	}
-	if err := rd.Commit(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-committed; err != nil {
-		t.Fatal(err)
-	}
-	rep := m.History().Check()
-	if !rep.Serializable || !rep.CommitOrderOK {
-		t.Fatalf("history: %+v", rep.Violations)
-	}
-}
-
-func TestWriteBlocksOnForeignReadLock(t *testing.T) {
-	// LC1 live: the updater's write of x waits while the reader holds the
-	// read lock, and proceeds after the reader commits.
-	s, x, _ := demoSet(t)
-	m, _ := New(s)
-	c := ctx(t)
-
-	rd, _ := m.Begin(c, "reader")
-	if _, err := rd.Read(c, x); err != nil {
-		t.Fatal(err)
-	}
-	up, _ := m.Begin(c, "updater")
-	wrote := make(chan error, 1)
-	go func() { wrote <- up.Write(c, x, 5) }()
-
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case err := <-wrote:
-		t.Fatalf("write proceeded over a foreign read lock: %v", err)
-	default:
-	}
-	if err := rd.Commit(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-wrote; err != nil {
-		t.Fatal(err)
-	}
-	if err := up.Commit(c); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBeginSerializesPerTemplate(t *testing.T) {
 	s, x, _ := demoSet(t)
 	m, _ := New(s)
@@ -252,7 +133,7 @@ func TestBeginSerializesPerTemplate(t *testing.T) {
 		}
 		second <- tx
 	}()
-	time.Sleep(20 * time.Millisecond)
+	waitParked(t, m, 1) // the second Begin waits for the slot
 	select {
 	case <-second:
 		t.Fatal("second instance began while the first was live")
@@ -280,7 +161,7 @@ func TestContextCancellationWhileBlocked(t *testing.T) {
 	cshort, cancel := context.WithCancel(c)
 	wrote := make(chan error, 1)
 	go func() { wrote <- up.Write(cshort, x, 1) }()
-	time.Sleep(20 * time.Millisecond)
+	waitBlocked(t, m, up)
 	cancel()
 	if err := <-wrote; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled write returned %v", err)

@@ -278,8 +278,9 @@ func (s *Server) removeSession(sess *session) {
 	s.ctr.SessionsClosed.Add(1)
 }
 
-// liveWork reports whether any transaction is live on a session or any
-// BEGIN is still in the admission pipeline.
+// liveWork reports whether any BEGIN is in the admission pipeline or any
+// session's transaction is live: not one the watchdog tripped (aborted, and
+// kept by a session behind a partition until a request that never comes).
 func (s *Server) liveWork() bool {
 	if s.pending.Load() > 0 {
 		return true
@@ -287,7 +288,7 @@ func (s *Server) liveWork() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for sess := range s.sessions {
-		if sess.cur.Load() != nil {
+		if lt := sess.cur.Load(); lt != nil && !lt.tripped.Load() {
 			return true
 		}
 	}

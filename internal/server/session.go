@@ -383,8 +383,10 @@ func (s *session) replyTo(req request, m wire.Message) error {
 	// A dead session must refuse new replies deterministically — once the
 	// writer has killed it there may be room under the bound again, and the
 	// reply would land in a buffer nobody flushes.
-	if err := s.ctx.Err(); err != nil {
-		return err
+	select {
+	case <-s.ctx.Done():
+		return s.ctx.Err()
+	default:
 	}
 	waited := false
 	s.outMu.Lock()

@@ -33,9 +33,9 @@ var factories = map[string]struct {
 }{
 	"pcpda":     {func() cc.Protocol { return pcpda.New() }, pcpdaPromises},
 	"pcpda-lc2": {func() cc.Protocol { return pcpda.NewWithOptions(pcpda.Options{LC2Only: true}) }, pcpdaPromises},
-	"rwpcp":     {func() cc.Protocol { return rwpcp.New() }, promises{serializable: true, deadlockFree: true, singleBlocking: true, bounded: true, kind: analysis.RWPCP}},
-	"ccp":       {func() cc.Protocol { return ccp.New() }, ceilingPromises},
-	"pcp":       {func() cc.Protocol { return opcp.New() }, ceilingPromises},
+	"rwpcp":     {func() cc.Protocol { return rwpcp.New() }, promises{serializable: true, deadlockFree: true, bounded: true, kind: analysis.RWPCP}},
+	"ccp":       {func() cc.Protocol { return ccp.New() }, promises{serializable: true, deadlockFree: true, bounded: true, kind: analysis.CCP}},
+	"pcp":       {func() cc.Protocol { return opcp.New() }, promises{serializable: true, deadlockFree: true, bounded: true, kind: analysis.OPCP}},
 	"pip":       {func() cc.Protocol { return pip.New() }, promises{serializable: true}},
 	"2plhp":     {func() cc.Protocol { return tplhp.New() }, promises{serializable: true, deadlockFree: true}},
 	"occ":       {func() cc.Protocol { return occ.New() }, promises{serializable: true, deadlockFree: true}},

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pcpda/internal/analysis"
@@ -25,19 +26,14 @@ type promises struct {
 	// no job restarts, and the Table-1 side condition never refuses on the
 	// LC2 or LC3 path (no table1-on-* line in the tally).
 	commitOrder bool
-	// singleBlocking: with no deadline missed, a job is blocked by at most
-	// one lower-priority job.
-	singleBlocking bool
-	// bounded: with no deadline missed, a job's effective blocking is at
-	// most analysis.WorstCaseBlocking under kind.
+	// bounded: with no deadline missed, a job is blocked by at most one
+	// lower-priority job (single blocking), of a template in its
+	// analysis.BTS under kind, and its blocking is within WorstCaseBlocking.
 	bounded bool
 	kind    analysis.Kind
 }
 
-var (
-	pcpdaPromises   = promises{serializable: true, deadlockFree: true, commitOrder: true, singleBlocking: true, bounded: true, kind: analysis.PCPDA}
-	ceilingPromises = promises{serializable: true, deadlockFree: true, singleBlocking: true}
-)
+var pcpdaPromises = promises{serializable: true, deadlockFree: true, commitOrder: true, bounded: true, kind: analysis.PCPDA}
 
 // Verify checks a finished run of the named protocol against everything
 // that protocol promises, and returns one line per broken promise; a clean
@@ -76,29 +72,31 @@ func Verify(protocol string, res *sched.Result) []string {
 			}
 		}
 	}
-	if res.Misses != 0 {
+	if res.Misses != 0 || !pr.bounded {
 		return out
 	}
-	var ceil *txn.Ceilings
+	ceil := txn.ComputeCeilings(res.Set)
 	for _, j := range res.Jobs {
-		if pr.singleBlocking {
-			var lower []rt.JobID
-			for _, b := range j.EverBlockedBy {
-				if res.Jobs[b].BasePri() < j.BasePri() {
-					lower = append(lower, b)
-				}
-			}
-			if len(lower) > 1 {
-				out = append(out, fmt.Sprintf("job %d (%s) blocked by %d lower-priority jobs %v", j.ID, j.Tmpl.Name, len(lower), lower))
+		var lower []rt.JobID
+		for _, b := range j.EverBlockedBy {
+			if res.Jobs[b].BasePri() < j.BasePri() {
+				lower = append(lower, b)
 			}
 		}
-		if pr.bounded && j.InvBlockTicks > 0 {
-			if ceil == nil {
-				ceil = txn.ComputeCeilings(res.Set)
+		if len(lower) > 1 {
+			out = append(out, fmt.Sprintf("job %d (%s) blocked by %d lower-priority jobs %v", j.ID, j.Tmpl.Name, len(lower), lower))
+		}
+		if len(lower) == 0 && j.InvBlockTicks == 0 {
+			continue
+		}
+		bts := analysis.BTS(res.Set, ceil, pr.kind, j.Tmpl)
+		for _, b := range lower {
+			if l := res.Jobs[b].Tmpl; !slices.Contains(bts, l) {
+				out = append(out, fmt.Sprintf("job %d (%s) blocked by %s, outside its BTS", j.ID, j.Tmpl.Name, l.Name))
 			}
-			if b := analysis.WorstCaseBlocking(res.Set, ceil, pr.kind, j.Tmpl); j.InvBlockTicks > b {
-				out = append(out, fmt.Sprintf("job %d (%s) effectively blocked %d ticks, above B_i = %d", j.ID, j.Tmpl.Name, j.InvBlockTicks, b))
-			}
+		}
+		if b := analysis.WorstCaseBlocking(res.Set, ceil, pr.kind, j.Tmpl); j.InvBlockTicks > b {
+			out = append(out, fmt.Sprintf("job %d (%s) effectively blocked %d ticks, above B_i = %d", j.ID, j.Tmpl.Name, j.InvBlockTicks, b))
 		}
 	}
 	return out

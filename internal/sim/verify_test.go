@@ -58,6 +58,11 @@ func TestVerifyCatches(t *testing.T) {
 			t1.EverBlockedBy = []rt.JobID{0, 1}
 			return r
 		}, "blocked by 2 lower-priority jobs"},
+		{"a blocker outside the BTS", "pcpda", func() *sched.Result {
+			r := ex4() // T1's BTS is empty: no lower template reads an item written at P1
+			jobOf(r, "T1").EverBlockedBy = []rt.JobID{1}
+			return r
+		}, "blocked by T3, outside its BTS"},
 		{"blocking above B_i", "pcpda", func() *sched.Result { r := ex4(); jobOf(r, "T1").InvBlockTicks = 99; return r }, "above B_i"},
 		{"a write the store lost", "pcpda", func() *sched.Result {
 			r := ex4()
