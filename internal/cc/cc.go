@@ -57,9 +57,10 @@ func (s Status) String() string {
 // lock and blocking state through Apply, Wait and Retire; protocols read
 // them (notably Tmpl's declared write set and DataRead) but must not mutate
 // them. DataRead, WS and the Blockers backing are working state the engine
-// provides only while the job is live: the kernel lends them from a box it
-// takes back when the job leaves, setting the three to nil, and the manager
-// keeps one set per template slot.
+// provides only while the job is live: the kernel keeps the whole Job in a
+// box it lends per live job and takes back when the job leaves (a finished
+// job is a pointer-free sched.JobRecord), and the manager keeps one set per
+// template slot.
 type Job struct {
 	ID          rt.JobID
 	Run         db.RunID // current attempt; changes on restart

@@ -48,7 +48,7 @@ func TestEarlyReleaseShortensBlocking(t *testing.T) {
 	blocked := func(res *sched.Result, name string) rt.Ticks {
 		var total rt.Ticks
 		for _, j := range res.Jobs {
-			if j.Tmpl.Name == name {
+			if res.Set.Templates[j.Tmpl].Name == name {
 				total += j.BlockedTicks
 			}
 		}
@@ -108,7 +108,7 @@ func TestEarlyReleaseKeepsWriteLocks(t *testing.T) {
 		res := k.Run()
 		// H must be blocked while L's write lock persists through the tail.
 		for _, j := range res.Jobs {
-			if j.Tmpl.Name == "H" && j.BlockedTicks == 0 {
+			if res.Set.Templates[j.Tmpl].Name == "H" && j.BlockedTicks == 0 {
 				t.Errorf("%s: write lock released early: H never blocked", c.name)
 			}
 		}

@@ -63,7 +63,7 @@ func printRun(w io.Writer, res *sched.Result) {
 func blockedOf(res *sched.Result, name string, idx int) (blocked, inv rt.Ticks, missedAt rt.Ticks) {
 	n := 0
 	for _, j := range res.Jobs {
-		if j.Tmpl.Name == name {
+		if res.Set.Templates[j.Tmpl].Name == name {
 			if n == idx {
 				return j.BlockedTicks, j.InvBlockTicks, j.MissedAt
 			}

@@ -44,7 +44,7 @@ func PerTxn(res *sched.Result) []TxnStats {
 		out[i].Name = tmpl.Name
 	}
 	for _, j := range res.Jobs {
-		s := &out[j.Tmpl.ID]
+		s := &out[j.Tmpl]
 		s.Jobs++
 		s.Restarts += j.Restarts
 		s.TotalBlocked += j.BlockedTicks

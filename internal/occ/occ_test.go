@@ -82,7 +82,7 @@ func TestKernelRunSerializableWithRestarts(t *testing.T) {
 	// Nothing ever blocks under OCC.
 	for _, j := range res.Jobs {
 		if j.BlockedTicks != 0 {
-			t.Fatalf("%s blocked %d ticks under OCC", j.Tmpl.Name, j.BlockedTicks)
+			t.Fatalf("%s blocked %d ticks under OCC", res.Set.Templates[j.Tmpl].Name, j.BlockedTicks)
 		}
 	}
 }

@@ -123,7 +123,7 @@ func TestChainedBlocking(t *testing.T) {
 	// lower-priority blockers — impossible under any ceiling protocol.
 	var h = res.Jobs[0]
 	for _, j := range res.Jobs {
-		if j.Tmpl.Name == "H" {
+		if res.Set.Templates[j.Tmpl].Name == "H" {
 			h = j
 		}
 	}

@@ -1,6 +1,7 @@
-// Batched admission (ROADMAP "Batched admission"): Begin takes the manager
-// lock once per transaction, so an arrival burst of k admissions pays the
-// herd cost k times. BeginBatch admits k instances under ONE manager-lock
+// Batched admission (ROADMAP 4(e) deletes this file with the benchmark probe
+// that is its only caller): Begin takes the manager lock once per
+// transaction, so an arrival burst of k admissions pays the herd cost k
+// times. BeginBatch admits k instances under ONE manager-lock
 // acquisition — when every requested slot is free (the common case for a
 // burst arriving after the previous wave finished), the whole batch is
 // admitted without the lock ever being released, and the per-admission

@@ -41,9 +41,11 @@ func waitParked(t *testing.T, m *Manager, n int) {
 // registered and no slot stays taken behind it. It is the dynamic form of
 // the contract the waitnode analyzer used to check on the source: DESIGN.md
 // §10 lists, for each exit, the deregistration whose removal fails which row
-// here (or which older test). The two cycle rows fabricate the wait cycle in
-// manager state, as cycle_test.go does: the locking conditions keep one from
-// forming through the public API.
+// here (or which older test). The two cycle rows fabricate TH's half of the
+// wait cycle in manager state, as cycle_test.go does: the locking conditions
+// keep one from forming through the public API. TL's half is a write of x
+// that TH's read lock refuses (LC1), so park's retry of TL, which TH's block
+// raises, is refused again and the cycle stands.
 func TestEveryParkExitLeavesNoWaiter(t *testing.T) {
 	rows := []struct {
 		name string
@@ -66,13 +68,17 @@ func TestEveryParkExitLeavesNoWaiter(t *testing.T) {
 			return m
 		}},
 		{"self-victim of a cycle", func(t *testing.T) *Manager {
-			s, _, _ := cycleSet()
+			s, x, _ := cycleSet()
 			m, _ := New(s)
 			c := ctx(t)
 			th, tl := mustBegin(t, m, c, "TH"), mustBegin(t, m, c, "TL")
+			if _, err := th.Read(c, x); err != nil {
+				t.Fatal(err)
+			}
 			m.mu.Lock()
 			th.slot.job.Status, th.slot.job.Blockers = cc.Blocked, []rt.JobID{tl.ID()}
-			tl.slot.job.Status, tl.slot.job.Blockers = cc.Blocked, []rt.JobID{th.ID()}
+			l := &tl.slot.job
+			l.Status, l.Blockers, l.BlockedOn, l.BlockedMode = cc.Blocked, []rt.JobID{th.ID()}, x, rt.Write
 			err := m.park(c, tl, waitLock, true) // the lower priority of the two: its own victim
 			th.slot.job.Status, th.slot.job.Blockers = cc.Ready, nil
 			m.mu.Unlock()
@@ -83,19 +89,15 @@ func TestEveryParkExitLeavesNoWaiter(t *testing.T) {
 			return m
 		}},
 		{"flagged victim", func(t *testing.T) *Manager {
-			s, x, y := cycleSet()
+			s, x, _ := cycleSet()
 			m, _ := New(s)
 			c := ctx(t)
-			tl := mustBegin(t, m, c, "TL")
-			if err := tl.Write(c, x, 1); err != nil {
-				t.Fatal(err)
-			}
-			th := mustBegin(t, m, c, "TH")
+			th, tl := mustBegin(t, m, c, "TH"), mustBegin(t, m, c, "TL")
 			if _, err := th.Read(c, x); err != nil {
 				t.Fatal(err)
 			}
-			read := make(chan error, 1)
-			go func() { _, err := tl.Read(c, y); read <- err }() // ceiling-blocked behind TH
+			wrote := make(chan error, 1)
+			go func() { wrote <- tl.Write(c, x, 1) }() // LC1-blocked behind TH's read lock
 			waitBlocked(t, m, tl)
 			m.mu.Lock()
 			th.slot.job.Status, th.slot.job.Blockers = cc.Blocked, []rt.JobID{tl.ID()}
@@ -104,8 +106,8 @@ func TestEveryParkExitLeavesNoWaiter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("survivor's park = %v", err)
 			}
-			if err := <-read; !errors.Is(err, ErrAborted) {
-				t.Fatalf("flagged victim's read = %v, want ErrAborted", err)
+			if err := <-wrote; !errors.Is(err, ErrAborted) {
+				t.Fatalf("flagged victim's write = %v, want ErrAborted", err)
 			}
 			th.Abort()
 			return m

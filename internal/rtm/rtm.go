@@ -56,12 +56,15 @@
 // never installed while a reader of its predecessor is still live.
 //
 // In the kernel's order the manager makes the kernel's decisions and closes
-// no wait cycle (sim.TestExploreManagerKernelOrder). Free threading closes
-// some that one processor cannot: among every interleaving of two templates
-// of up to three steps (sim.TestExploreManagerFreeOrder), one in 300 has a
-// low-priority transaction ceiling-blocked at its own priority before a
-// higher one blocks on it. The manager aborts the cycle's lowest-priority
-// member, its deferred updates discarded unseen, with ErrAborted for a retry.
+// no wait cycle (sim.TestExploreManagerKernelOrder). Free threading lets a
+// low-priority transaction be ceiling-blocked at its own priority before a
+// higher one blocks on it; the block raises it, and park re-asks the
+// protocol for every lock waiter a block raised before it searches for a
+// cycle, as the kernel retries a blocked job at its next dispatch. So no
+// interleaving of two templates of up to three steps closes a cycle
+// (sim.TestExploreManagerFreeOrder requires none). Should one close, the
+// manager aborts its lowest-priority member, its deferred updates discarded
+// unseen, with ErrAborted for a retry.
 package rtm
 
 import (
@@ -328,6 +331,10 @@ func (m *Manager) acquire(ctx context.Context, t *Txn, item rt.Item, mode rt.Mod
 		if err := m.park(ctx, t, waitLock, changed); err != nil {
 			return err
 		}
+		if j.Status != cc.Blocked { // granted by a retry in another call's park
+			m.clock++
+			return nil
+		}
 	}
 }
 
@@ -454,7 +461,7 @@ type Stats struct {
 	Batches        int // BeginBatch calls that admitted at least one instance
 	Commits        int // successful commits
 	Aborts         int // explicit Abort() calls + injected forced aborts
-	CycleAborts    int // cycle-breaking victim aborts: none in the kernel's order, some under free threading (sim.TestExploreManagerFreeOrder)
+	CycleAborts    int // cycle-breaking victim aborts: none in the kernel's order nor in any free order the explorer reaches (sim.TestExploreManagerFreeOrder)
 	Cancellations  int // transactions torn down by context cancellation/expiry
 	Retries        int // Exec retry attempts after a retryable failure
 	InjectedFaults int // injector actions applied (delays, wakeups, aborts, cancels)

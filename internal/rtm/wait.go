@@ -3,6 +3,7 @@ package rtm
 import (
 	"context"
 
+	"pcpda/internal/cc"
 	"pcpda/internal/rt"
 )
 
@@ -150,9 +151,10 @@ func (m *Manager) sleep(ctx context.Context, n *waitNode) error {
 // park blocks t until a targeted wakeup or ctx cancellation, handling
 // priority inheritance, cycle detection and victim teardown.
 // Caller holds m.mu with the job Blocked by cc.Wait (or cc.Apply), which
-// reported whether the Blocked set changed; only then do inheritance and the
-// cycle search run, as in the kernel. On nil return the job is still Blocked
-// and the caller re-evaluates its condition.
+// reported whether the Blocked set changed; only then do inheritance, the
+// retry of the lock waiters it raised and the cycle search run, as in the
+// kernel. On nil return the job is Blocked and the caller re-evaluates its
+// condition, or a lock waiter's retry granted its request (it is Ready).
 //
 // The ordering is load-bearing: the node registers, and inheritance runs when
 // it is due, before m.mu is released, so a blocker finishing (or a priority
@@ -166,6 +168,9 @@ func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind, changed bool)
 	m.register(n, s.job.Blockers)
 	if changed {
 		m.inherit()
+		if m.retryRaised() {
+			m.inherit()
+		}
 		if victim := m.resolveCycle(t); victim != nil {
 			victim.aborted = true
 			m.stats.CycleAborts++
@@ -195,6 +200,31 @@ func (m *Manager) park(ctx context.Context, t *Txn, kind waitKind, changed bool)
 		return m.cancel(t, ctxErr)
 	}
 	return nil
+}
+
+// retryRaised re-asks the protocol, in this same hold of m.mu, for each
+// parked lock waiter the inherit just before it raised (m.pris still holds
+// the priorities from before that recompute): the kernel's retry of a
+// blocked job at its next dispatch. A grant takes effect at once, and the
+// waiter, which inherit woke, finds itself Ready when its park returns; a
+// denial refreshes its Blockers. The cycle search that follows so reads only
+// waits that hold now, not the stale edge of a waiter the raise admits. It
+// reports whether the Blocked set changed, when the caller runs inherit
+// again.
+//
+//pcpda:alloc-free
+func (m *Manager) retryRaised() (changed bool) {
+	for i, j := range m.active {
+		n := &m.slots[j.Tmpl.ID].wn
+		if j.RunPri <= m.pris[i] || !n.parked() || n.kind != waitLock || j.Status != cc.Blocked || j.BlockedOn == rt.NoItem {
+			continue
+		}
+		x, mode := j.BlockedOn, j.BlockedMode
+		if cc.Apply(m, j, x, mode, m.proto.Request(m, j, x, mode), &m.stats.Decisions) {
+			changed = true
+		}
+	}
+	return changed
 }
 
 // parkBegin blocks a Begin call until slot s may be free. The transient node

@@ -124,7 +124,7 @@ func accumulateSim(row *PhaseReport, tierAcc map[int32]*TierSLO, lats *[]float64
 	row.Aborted += int64(res.FaultAborts)
 	msPerTick := 1000 / float64(tps)
 	for _, j := range res.Jobs {
-		tier := int32(cp.tier[j.Tmpl.ID])
+		tier := int32(cp.tier[j.Tmpl])
 		ts, ok := tierAcc[tier]
 		if !ok {
 			ts = &TierSLO{Tier: tier}

@@ -61,7 +61,7 @@ func diffResults(t *testing.T, label string, fast, slow *Result) {
 			fj.BlockedTicks != sj.BlockedTicks || fj.InvBlockTicks != sj.InvBlockTicks ||
 			fj.MissedAt != sj.MissedAt || fj.Restarts != sj.Restarts {
 			t.Fatalf("%s job %d (%s): fast{rel=%d fin=%d blk=%d inv=%d miss=%d rst=%d} slow{rel=%d fin=%d blk=%d inv=%d miss=%d rst=%d}",
-				label, i, fj.Tmpl.Name,
+				label, i, fast.Set.Templates[fj.Tmpl].Name,
 				fj.Release, fj.FinishTick, fj.BlockedTicks, fj.InvBlockTicks, fj.MissedAt, fj.Restarts,
 				sj.Release, sj.FinishTick, sj.BlockedTicks, sj.InvBlockTicks, sj.MissedAt, sj.Restarts)
 		}

@@ -21,25 +21,34 @@ func (e *InvariantError) Error() string {
 // every tick under Config.Paranoid (the randomized test sweeps enable it;
 // production runs leave it off — it is O(jobs × locks) per tick).
 //
-// The kernel's own invariant is I5: job ids are dense and Status agrees with
-// active-list membership. The rest — locks, blockers, inherited priorities —
-// is cc.CheckState, the audit the live manager runs too; the first of its
-// violations is reported.
+// The kernel's own invariant is I5: the live jobs are released ones, in
+// ascending id order, each Ready or Blocked, and a record says a job is live
+// exactly when it is on the active list. The rest — locks, blockers,
+// inherited priorities — is cc.CheckState, the audit the live manager runs
+// too; the first of its violations is reported.
 func (k *Kernel) checkInvariants() *InvariantError {
 	fail := func(format string, args ...any) *InvariantError {
 		return &InvariantError{Tick: k.now, Detail: fmt.Sprintf(format, args...)}
 	}
 
-	live := make(map[rt.JobID]bool, len(k.active))
+	prev := rt.JobID(-1)
 	for _, j := range k.active {
-		live[j.ID] = true
-	}
-	for i, j := range k.jobs {
-		if rt.JobID(i) != j.ID {
-			return fail("job id %d stored at index %d", j.ID, i)
+		if j.ID <= prev || int(j.ID) >= len(k.res.Jobs) {
+			return fail("active job %d follows job %d, %d jobs released", j.ID, prev, len(k.res.Jobs))
 		}
-		if wantLive := j.Status == cc.Ready || j.Status == cc.Blocked; live[j.ID] != wantLive {
-			return fail("job %d status %v but active=%v", j.ID, j.Status, live[j.ID])
+		if j.Status != cc.Ready && j.Status != cc.Blocked {
+			return fail("job %d status %v but active=true", j.ID, j.Status)
+		}
+		prev = j.ID
+	}
+	a := 0 // the records and the active list are both in id order
+	for i, r := range k.res.Jobs {
+		live := a < len(k.active) && k.active[a].ID == rt.JobID(i)
+		if live {
+			a++
+		}
+		if wantLive := r.Status == cc.Ready || r.Status == cc.Blocked; live != wantLive {
+			return fail("job %d status %v but active=%v", i, r.Status, live)
 		}
 	}
 

@@ -91,10 +91,10 @@ func TestInvariantDetectsCorruption(t *testing.T) {
 		t.Fatalf("I5 not detected: %v", err)
 	}
 
-	// I5: a job stored away from its id.
+	// I5: a live job that was never released.
 	k = mk()
-	k.jobs[0].ID = 7
-	if err := k.checkInvariants(); err == nil || !strings.Contains(err.Detail, "stored at index") {
+	k.active[0].ID = 7
+	if err := k.checkInvariants(); err == nil || !strings.Contains(err.Detail, "active job 7 follows") {
 		t.Fatalf("I5 density not detected: %v", err)
 	}
 

@@ -27,7 +27,7 @@ func TestPeriodicReleasesAndOverrun(t *testing.T) {
 	res := run(t, s, pcpda.New(), 20)
 	fastJobs := 0
 	for _, j := range res.Jobs {
-		if j.Tmpl.Name == "fast" {
+		if res.Set.Templates[j.Tmpl].Name == "fast" {
 			fastJobs++
 			if j.Status != cc.Done {
 				t.Errorf("fast job released at %d unfinished", j.Release)
@@ -54,7 +54,7 @@ func TestOverrunningTemplateSpawnsConcurrentJobs(t *testing.T) {
 	res := run(t, s, pcpda.New(), 40)
 	var misses int
 	for _, j := range res.Jobs {
-		if j.Tmpl.Name == "starved" && j.Missed() {
+		if res.Set.Templates[j.Tmpl].Name == "starved" && j.Missed() {
 			misses++
 		}
 	}
@@ -63,7 +63,7 @@ func TestOverrunningTemplateSpawnsConcurrentJobs(t *testing.T) {
 	}
 	// All starved jobs eventually complete (hard policy keeps them alive).
 	for _, j := range res.Jobs {
-		if j.Tmpl.Name == "starved" && j.Release+20 < 40 && j.Status != cc.Done {
+		if res.Set.Templates[j.Tmpl].Name == "starved" && j.Release+20 < 40 && j.Status != cc.Done {
 			t.Errorf("starved job released at %d never completed", j.Release)
 		}
 	}
@@ -118,12 +118,12 @@ func TestEnvInterface(t *testing.T) {
 	}
 	// cc.Env's contract: a job that has left resolves to nil, though the
 	// result still holds it.
-	for _, j := range res.Jobs {
+	for id, j := range res.Jobs {
 		if j.Status != cc.Done {
-			t.Fatalf("job %d is %v at the horizon", j.ID, j.Status)
+			t.Fatalf("job %d is %v at the horizon", id, j.Status)
 		}
-		if k.Job(j.ID) != nil {
-			t.Errorf("committed job %d still resolves", j.ID)
+		if k.Job(rt.JobID(id)) != nil {
+			t.Errorf("committed job %d still resolves", id)
 		}
 	}
 }
@@ -138,9 +138,9 @@ func TestPIPInheritanceBoundsInversion(t *testing.T) {
 	s.Add(&txn.Template{Name: "L", Offset: 0, Steps: []txn.Step{txn.Read(x), txn.Comp(3)}})
 	s.AssignByIndex()
 	res := run(t, s, pip.New(), 20)
-	var h *cc.Job
+	var h JobRecord
 	for _, j := range res.Jobs {
-		if j.Tmpl.Name == "H" {
+		if res.Set.Templates[j.Tmpl].Name == "H" {
 			h = j
 		}
 	}
@@ -163,9 +163,9 @@ func TestBlockedTicksVsInversionTicks(t *testing.T) {
 	s.Add(&txn.Template{Name: "L", Offset: 0, Steps: []txn.Step{txn.Read(x), txn.Comp(3)}})
 	s.AssignByIndex()
 	res := run(t, s, pcpda.New(), 20)
-	var h *cc.Job
+	var h JobRecord
 	for _, j := range res.Jobs {
-		if j.Tmpl.Name == "H" {
+		if res.Set.Templates[j.Tmpl].Name == "H" {
 			h = j
 		}
 	}
@@ -214,11 +214,11 @@ func TestRestartedVictimStopsDonating(t *testing.T) {
 		t.Fatal(res.Invariant)
 	}
 	l, v := res.Jobs[0], res.Jobs[1]
-	if res.Restarts != 1 || v.Restarts != 1 || !slices.Equal(v.EverBlockedBy, []rt.JobID{l.ID}) {
-		t.Fatalf("restarts %d, V restarts %d, V ever blocked by %v: the scenario did not happen", res.Restarts, v.Restarts, v.EverBlockedBy)
+	if res.Restarts != 1 || v.Restarts != 1 || !slices.Equal(res.EverBlockedBy(v), []rt.JobID{0}) {
+		t.Fatalf("restarts %d, V restarts %d, V ever blocked by %v: the scenario did not happen", res.Restarts, v.Restarts, res.EverBlockedBy(v))
 	}
-	if l.RunPri != l.BasePri() {
-		t.Fatalf("L runs at %d after its only donor restarted, want its base %d", l.RunPri, l.BasePri())
+	if base := res.Set.Templates[l.Tmpl].Priority; l.RunPri != base {
+		t.Fatalf("L runs at %d after its only donor restarted, want its base %d", l.RunPri, base)
 	}
 }
 
@@ -279,9 +279,9 @@ func TestRunPriorityResetAfterCommit(t *testing.T) {
 	s.AssignByIndex()
 	res := run(t, s, pcpda.New(), 20)
 	for _, j := range res.Jobs {
-		if j.Tmpl.Name == "L" && j.Release == 10 {
-			if j.RunPri != j.BasePri() {
-				t.Fatalf("second L instance runs at %d, want base %d", j.RunPri, j.BasePri())
+		if tmpl := res.Set.Templates[j.Tmpl]; tmpl.Name == "L" && j.Release == 10 {
+			if j.RunPri != tmpl.Priority {
+				t.Fatalf("second L instance runs at %d, want base %d", j.RunPri, tmpl.Priority)
 			}
 		}
 	}
@@ -330,13 +330,13 @@ func TestEveryLateJobAbortsAtItsDeadline(t *testing.T) {
 		}
 		res := k.Run()
 		late := map[rt.Ticks]int{}
-		for _, j := range res.Jobs {
+		for id, j := range res.Jobs {
 			if !j.Missed() {
 				continue
 			}
 			late[j.MissedAt]++
 			if j.MissedAt != j.AbsDeadline || j.Status != cc.Aborted {
-				t.Errorf("fast-forward %v: job %d (%s) %v, missed at %d, deadline %d", ff, j.ID, j.Tmpl.Name, j.Status, j.MissedAt, j.AbsDeadline)
+				t.Errorf("fast-forward %v: job %d (%s) %v, missed at %d, deadline %d", ff, id, res.Set.Templates[j.Tmpl].Name, j.Status, j.MissedAt, j.AbsDeadline)
 			}
 		}
 		if late[6] != 2 {

@@ -108,12 +108,20 @@ type Config struct {
 }
 
 // Result is everything a run produced.
+//
+// Jobs holds one JobRecord per released job, indexed by job id: what the
+// job was when it left (committed or firm-aborted), or at the end of the run
+// if it was still live. A record holds no pointer, so a finished result
+// costs the collector nothing to scan however many jobs it ran; the template
+// is res.Set.Templates[j.Tmpl], and the jobs that blocked it are
+// res.EverBlockedBy(j), a range of the result-wide Blockers.
 type Result struct {
 	Protocol string
 	Set      *txn.Set
 	Horizon  rt.Ticks
 
-	Jobs     []*cc.Job
+	Jobs     []JobRecord
+	Blockers []rt.JobID // every job's EverBlockedBy, one range per record
 	History  *history.History
 	Timeline *trace.Timeline // nil unless Config.RecordTrace
 	Store    *db.Store
@@ -149,6 +157,44 @@ type Result struct {
 	Invariant *InvariantError
 }
 
+// JobRecord is what a result keeps of one released job: the statistics and
+// the final execution state of its cc.Job, and nothing that points anywhere.
+type JobRecord struct {
+	Release       rt.Ticks
+	AbsDeadline   rt.Ticks // 0 = no deadline
+	FinishTick    rt.Ticks // commit boundary; -1 unless committed
+	MissedAt      rt.Ticks // first tick the deadline was observed missed; -1 otherwise
+	BlockedTicks  rt.Ticks // ticks spent Blocked
+	InvBlockTicks rt.Ticks // blocked ticks while a lower-base-priority job ran
+	RunPri        rt.Priority
+	StepIdx       int
+	Restarts      int
+	Tmpl          txn.ID // index into Result.Set.Templates
+	Status        cc.Status
+	// EverBlockedBy is the range of Result.Blockers holding every distinct
+	// job that ever blocked this one, in the order they first did.
+	EverBlockedBy Span
+}
+
+// Span is the range [Lo, Hi) of a result-wide slice.
+type Span struct{ Lo, Hi int32 }
+
+// Missed reports whether the job's deadline was missed.
+func (j JobRecord) Missed() bool { return j.MissedAt >= 0 }
+
+// ResponseTime returns FinishTick-Release, or -1 if the job did not commit.
+func (j JobRecord) ResponseTime() rt.Ticks {
+	if j.Status != cc.Done {
+		return -1
+	}
+	return j.FinishTick - j.Release
+}
+
+// EverBlockedBy returns the jobs that ever blocked j, a record of r.
+func (r *Result) EverBlockedBy(j JobRecord) []rt.JobID {
+	return r.Blockers[j.EverBlockedBy.Lo:j.EverBlockedBy.Hi:j.EverBlockedBy.Hi]
+}
+
 // Kernel drives one simulation run. Create with New, call Run once.
 type Kernel struct {
 	set   *txn.Set
@@ -164,18 +210,12 @@ type Kernel struct {
 
 	now     rt.Ticks
 	passes  int        // iterations of Run's loop: dispatches, each then fast-forwarded
-	jobs    []*cc.Job  // every job ever released, by id
-	active  []*cc.Job  // live jobs (Ready or Blocked), id order
+	active  []*cc.Job  // live jobs (Ready or Blocked), id order; active[i] is &boxes[i].job
 	boxes   []*box     // boxes[i] is active[i]'s; those past len(active) are spare
 	nextRel []rt.Ticks // per template: next release time (-1 done)
 	nextRun db.RunID
 	rng     *rand.Rand // sporadic arrivals only; built at the first draw
 	frng    *rand.Rand // injected-fault draws only; nil when faults are off
-
-	// Jobs are carved from a chunked slab (see spawn), never allocated one by
-	// one. A slot is only the cc.Job a result reads; what a job uses only
-	// while it is live is in its box.
-	slots []cc.Job
 
 	// Event-time lower bounds so the per-tick release and deadline scans
 	// skip entirely between events. Both are conservative: a stale bound
@@ -192,26 +232,24 @@ type Kernel struct {
 	res Result
 }
 
-// box is what a job uses only while it is live: the backing of its DataRead,
-// its workspace and its blocker list, and dispatch's stamp. spawn lends one,
-// a spare when there is one; leave takes it back when the job departs, so a
-// run makes no more boxes than it has jobs live at once and a departed job
-// keeps only its cc.Job.
+// box is a live job: its cc.Job, the backing of its DataRead and workspace,
+// and dispatch's stamp. The job's DataRead and WS point into the box from
+// the moment it is made, and its Blockers and EverBlockedBy keep the backing
+// they grew, so lending a box to the next job writes none of them. spawn
+// lends one, a spare when there is one; leave writes the job's JobRecord and
+// takes the box back, so a run makes no more boxes than it has jobs live at
+// once and a departed job keeps only its record.
 type box struct {
-	read     rt.ItemSet
-	ws       db.Workspace
-	blockers []rt.JobID
-	tried    rt.Ticks // == now when dispatch tried the job this tick
+	job   cc.Job
+	read  rt.ItemSet
+	ws    db.Workspace
+	tried rt.Ticks // == now when dispatch tried the job this tick
 }
 
 // Pre-sizing bounds: a horizon that implies more jobs or history operations
 // than these gets this much up front and ordinary append growth after, so a
-// run that stops early (deadlock) never paid for its horizon. The job slab
-// grows by chunks of at most slotChunk jobs.
-const (
-	maxPresizeJobs, maxPresizeOps = 1 << 16, 1 << 18
-	slotChunk                     = 512
-)
+// run that stops early (deadlock) never paid for its horizon.
+const maxPresizeJobs, maxPresizeOps = 1 << 16, 1 << 18
 
 // expectedLoad returns how many jobs a run of set to horizon releases when
 // every template arrives strictly periodically, and how many history
@@ -264,7 +302,6 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 		hist:    history.New(),
 		nextRel: make([]rt.Ticks, len(set.Templates)),
 		nextRun: db.InitRun + 1,
-		jobs:    make([]*cc.Job, 0, jobs),
 		active:  make([]*cc.Job, 0, len(set.Templates)),
 		boxes:   make([]*box, 0, len(set.Templates)),
 	}
@@ -283,6 +320,7 @@ func New(set *txn.Set, proto cc.Protocol, cfg Config) (*Kernel, error) {
 		Protocol:    proto.Name(),
 		Set:         set,
 		Horizon:     cfg.Horizon,
+		Jobs:        make([]JobRecord, 0, jobs),
 		ItemBlocked: make([]rt.Ticks, set.Catalog.Len()),
 		MaxSysceil:  rt.Dummy,
 	}
@@ -296,11 +334,10 @@ func (k *Kernel) Locks() *lock.Table { return k.locks }
 
 // Job resolves a job id; nil when the job is not live (Ready or Blocked).
 func (k *Kernel) Job(id rt.JobID) *cc.Job {
-	if id < 0 || int(id) >= len(k.jobs) {
-		return nil
-	}
-	if j := k.jobs[id]; j.Status == cc.Ready || j.Status == cc.Blocked {
-		return j
+	for _, j := range k.active {
+		if j.ID == id {
+			return j
+		}
 	}
 	return nil
 }
@@ -341,7 +378,9 @@ func (k *Kernel) Run() *Result {
 			}
 		}
 	}
-	k.res.Jobs = k.jobs
+	for _, j := range k.active {
+		k.res.Jobs[j.ID] = k.record(j)
+	}
 	k.res.History = k.hist
 	k.res.Timeline = k.tl
 	k.res.Store = k.store
@@ -382,35 +421,26 @@ func (k *Kernel) release() {
 	k.relMin = next
 }
 
-// spawn releases one job of tmpl. The job is carved from the kernel's slab,
-// a chunk sized to what the horizon still expects (cap(k.jobs) is that count;
-// at most slotChunk), and filled field by field: the chunk is zeroed already.
-// Its DataRead, workspace and blocker list are in the box it is lent.
+// spawn releases one job of tmpl into the box it is lent. Only the fields a
+// job starts from are written: the box's pointers stay as they are, and
+// cc.Retire left the blocking state of the box's last job cleared.
 func (k *Kernel) spawn(tmpl *txn.Template, rel rt.Ticks) {
-	if len(k.slots) == 0 {
-		k.slots = make([]cc.Job, min(max(cap(k.jobs)-len(k.jobs), 16), slotChunk))
-	}
-	j := &k.slots[0]
-	k.slots = k.slots[1:]
 	b := k.lend()
-	j.ID = rt.JobID(len(k.jobs))
+	j := &b.job
+	j.ID = rt.JobID(len(k.res.Jobs))
 	j.Run = k.nextRun
 	j.Tmpl = tmpl
 	j.Release = rel
-	j.Status = cc.Ready
-	j.RunPri = tmpl.Priority
-	j.DataRead = &b.read
-	if k.proto.Deferred() {
-		j.WS = &b.ws
-	}
-	j.Blockers = b.blockers
-	j.FinishTick = -1
-	j.MissedAt = -1
-	k.nextRun++
+	j.AbsDeadline = 0
 	if d := tmpl.RelativeDeadline(); d > 0 {
 		j.AbsDeadline = rel + d
 	}
-	k.jobs = append(k.jobs, j)
+	j.StepIdx, j.StepDone, j.HasLock = 0, 0, false
+	j.Status, j.RunPri = cc.Ready, tmpl.Priority
+	j.FinishTick, j.MissedAt = -1, -1
+	j.BlockedTicks, j.InvBlockTicks, j.Restarts = 0, 0, 0
+	k.nextRun++
+	k.res.Jobs = append(k.res.Jobs, k.record(j))
 	k.active = append(k.active, j)
 	if j.AbsDeadline > 0 && j.AbsDeadline < k.dlMin {
 		k.dlMin = j.AbsDeadline
@@ -434,11 +464,39 @@ func (k *Kernel) lend() *box {
 		writes = max(writes, t.WriteSet().Len())
 	}
 	b := &box{read: rt.ItemSetOver(make([]rt.Item, 0, reads)), tried: -1}
+	b.job.DataRead = &b.read
 	if k.proto.Deferred() {
 		b.ws = db.WorkspaceOver(make([]rt.Item, 0, writes), make([]db.Value, 0, writes))
+		b.job.WS = &b.ws
 	}
 	k.boxes = append(k.boxes, b)
 	return b
+}
+
+// record is j's JobRecord, its EverBlockedBy appended to the result's
+// Blockers. Most jobs never block, and for them the slice header is not
+// stored at all: even an empty append would store it, under the write
+// barrier while the collector marks.
+func (k *Kernel) record(j *cc.Job) JobRecord {
+	ever := Span{int32(len(k.res.Blockers)), int32(len(k.res.Blockers))}
+	if len(j.EverBlockedBy) > 0 {
+		k.res.Blockers = append(k.res.Blockers, j.EverBlockedBy...)
+		ever.Hi = int32(len(k.res.Blockers))
+	}
+	return JobRecord{
+		Release:       j.Release,
+		AbsDeadline:   j.AbsDeadline,
+		FinishTick:    j.FinishTick,
+		MissedAt:      j.MissedAt,
+		BlockedTicks:  j.BlockedTicks,
+		InvBlockTicks: j.InvBlockTicks,
+		RunPri:        j.RunPri,
+		StepIdx:       j.StepIdx,
+		Restarts:      j.Restarts,
+		Tmpl:          j.Tmpl.ID,
+		Status:        j.Status,
+		EverBlockedBy: ever,
+	}
 }
 
 // higherPriority is the kernel's total dispatch order.
@@ -709,15 +767,16 @@ func (k *Kernel) abort(j *cc.Job, restart bool) {
 	}
 }
 
-// leave takes j, just retired, off the live list and takes back its box: the
-// workspace emptied (cc.Retire emptied DataRead), the blocker backing kept at
-// the capacity it grew to, and j's three pointers into the box cleared.
+// leave writes the record of j, just retired, takes j off the live list and
+// takes back its box: the workspace and EverBlockedBy emptied (cc.Retire
+// emptied DataRead and Blockers), every backing kept at the capacity it grew
+// to.
 func (k *Kernel) leave(j *cc.Job) {
+	k.res.Jobs[j.ID] = k.record(j)
+	j.EverBlockedBy = j.EverBlockedBy[:0]
 	i, n := slices.Index(k.active, j), len(k.active)-1
 	b := k.boxes[i]
 	b.ws.Discard()
-	b.blockers = j.Blockers[:0]
-	j.DataRead, j.WS, j.Blockers = nil, nil, nil
 	k.active = append(k.active[:i], k.active[i+1:]...)
 	copy(k.boxes[i:n], k.boxes[i+1:n+1])
 	k.boxes[n] = b // the first spare

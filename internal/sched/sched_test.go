@@ -34,13 +34,13 @@ func wantRow(t *testing.T, res *Result, name, want string) {
 	}
 }
 
-func jobOf(t *testing.T, res *Result, name string, idx int) *cc.Job {
+func jobOf(t *testing.T, res *Result, name string, idx int) *JobRecord {
 	t.Helper()
 	n := 0
-	for _, j := range res.Jobs {
-		if j.Tmpl.Name == name {
+	for i, j := range res.Jobs {
+		if res.Set.Templates[j.Tmpl].Name == name {
 			if n == idx {
-				return j
+				return &res.Jobs[i]
 			}
 			n++
 		}
@@ -147,7 +147,7 @@ func TestFigure4Example4PCPDA(t *testing.T) {
 	// No transaction blocks at all in Figure 4.
 	for _, j := range res.Jobs {
 		if j.BlockedTicks != 0 {
-			t.Errorf("%s blocked %d ticks under PCP-DA", j.Tmpl.Name, j.BlockedTicks)
+			t.Errorf("%s blocked %d ticks under PCP-DA", res.Set.Templates[j.Tmpl].Name, j.BlockedTicks)
 		}
 	}
 	// Max_Sysceil stays at P2 (priority 3 of 4) and clears after t=9.

@@ -20,7 +20,7 @@ func sporadicSet() *txn.Set {
 func releasesOf(res *Result, name string) []rt.Ticks {
 	var out []rt.Ticks
 	for _, j := range res.Jobs {
-		if j.Tmpl.Name == name {
+		if res.Set.Templates[j.Tmpl].Name == name {
 			out = append(out, j.Release)
 		}
 	}

@@ -11,17 +11,21 @@ import (
 // TestGoldenBatchVsSequential is the satellite gate for RunBatch: a batch
 // over every protocol × several option profiles (including the fault layer)
 // must be byte-identical to the same runs issued sequentially through Run.
+// The race build batches a seeded tenth of the runs.
 func TestGoldenBatchVsSequential(t *testing.T) {
 	variants := []Options{
 		{StopOnDeadlock: true},
 		{StopOnDeadlock: true, FirmDeadlines: true, TrackCeiling: true, Seed: 7},
 		{StopOnDeadlock: true, FirmDeadlines: true, FaultAbortProb: 0.05, FaultSeed: 11},
 	}
+	take := sampled(10)
 	for _, set := range goldenWorkloads(t) {
 		var runs []BatchRun
 		for _, name := range Protocols() {
 			for _, opts := range variants {
-				runs = append(runs, BatchRun{Set: set, Protocol: name, Opts: opts})
+				if take() {
+					runs = append(runs, BatchRun{Set: set, Protocol: name, Opts: opts})
+				}
 			}
 		}
 		got, err := RunBatch(runs)

@@ -37,10 +37,10 @@ func fingerprint(set *txn.Set, res *sched.Result) string {
 		res.Committed, res.Misses, res.Aborts, res.Restarts, res.IdleTicks)
 	fmt.Fprintf(&b, "deadlocked=%v at=%d cycle=%v\n", res.Deadlocked, res.DeadlockAt, res.DeadlockCycle)
 	fmt.Fprintf(&b, "maxsysceil=%d\n", res.MaxSysceil)
-	for _, j := range res.Jobs {
+	for id, j := range res.Jobs {
 		fmt.Fprintf(&b, "job %d tmpl=%s rel=%d dl=%d status=%v runpri=%d step=%d fin=%d blk=%d inv=%d rst=%d miss=%d everblk=%v\n",
-			j.ID, j.Tmpl.Name, j.Release, j.AbsDeadline, j.Status, j.RunPri, j.StepIdx,
-			j.FinishTick, j.BlockedTicks, j.InvBlockTicks, j.Restarts, j.MissedAt, j.EverBlockedBy)
+			id, res.Set.Templates[j.Tmpl].Name, j.Release, j.AbsDeadline, j.Status, j.RunPri, j.StepIdx,
+			j.FinishTick, j.BlockedTicks, j.InvBlockTicks, j.Restarts, j.MissedAt, res.EverBlockedBy(j))
 	}
 	for _, op := range res.History.Ops {
 		fmt.Fprintf(&b, "op t=%d run=%d txn=%d kind=%v item=%d ver=%d from=%d\n",
@@ -120,21 +120,32 @@ var goldenVariants = []struct {
 // TestGoldenSchedules holds every protocol, golden workload and option
 // profile to the schedule stored in goldenFile, in sha256sum's line format
 // ("<hex>  <set>/<protocol>/<profile>"), one line per cell in run order.
+//
+// The race build checks a seeded tenth of the cells against their stored
+// lines: the simulator starts no goroutine for the detector to watch.
 func TestGoldenSchedules(t *testing.T) {
-	var got strings.Builder
+	take := sampled(10)
+	if *update {
+		take = func() bool { return true }
+	}
+	var got []string // one line per cell, "" for a cell the race build's sample skips
 	for _, set := range goldenWorkloads(t) {
 		for _, name := range Protocols() {
 			for _, v := range goldenVariants {
+				if !take() {
+					got = append(got, "")
+					continue
+				}
 				res, err := Run(set, name, v.opts)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", set.Name, name, v.name, err)
 				}
-				fmt.Fprintf(&got, "%x  %s/%s/%s\n", sha256.Sum256([]byte(fingerprint(set, res))), set.Name, name, v.name)
+				got = append(got, fmt.Sprintf("%x  %s/%s/%s", sha256.Sum256([]byte(fingerprint(set, res))), set.Name, name, v.name))
 			}
 		}
 	}
 	if *update {
-		if err := os.WriteFile(goldenFile, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(goldenFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -145,11 +156,11 @@ func TestGoldenSchedules(t *testing.T) {
 	}
 	defer f.Close()
 	want := bufio.NewScanner(f)
-	for n, line := range strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n") {
+	for n, line := range got {
 		if !want.Scan() {
 			t.Fatalf("%s ends after %d lines; this build runs more cells, the first %q", goldenFile, n, line)
 		}
-		if want.Text() != line {
+		if line != "" && want.Text() != line {
 			t.Errorf("%s line %d: schedule changed\n stored: %s\n    got: %s", goldenFile, n+1, want.Text(), line)
 		}
 	}

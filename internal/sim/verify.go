@@ -76,27 +76,29 @@ func Verify(protocol string, res *sched.Result) []string {
 		return out
 	}
 	ceil := txn.ComputeCeilings(res.Set)
-	for _, j := range res.Jobs {
+	tmpls := res.Set.Templates
+	for id, j := range res.Jobs {
+		tmpl := tmpls[j.Tmpl]
 		var lower []rt.JobID
-		for _, b := range j.EverBlockedBy {
-			if res.Jobs[b].BasePri() < j.BasePri() {
+		for _, b := range res.EverBlockedBy(j) {
+			if tmpls[res.Jobs[b].Tmpl].Priority < tmpl.Priority {
 				lower = append(lower, b)
 			}
 		}
 		if len(lower) > 1 {
-			out = append(out, fmt.Sprintf("job %d (%s) blocked by %d lower-priority jobs %v", j.ID, j.Tmpl.Name, len(lower), lower))
+			out = append(out, fmt.Sprintf("job %d (%s) blocked by %d lower-priority jobs %v", id, tmpl.Name, len(lower), lower))
 		}
 		if len(lower) == 0 && j.InvBlockTicks == 0 {
 			continue
 		}
-		bts := analysis.BTS(res.Set, ceil, pr.kind, j.Tmpl)
+		bts := analysis.BTS(res.Set, ceil, pr.kind, tmpl)
 		for _, b := range lower {
-			if l := res.Jobs[b].Tmpl; !slices.Contains(bts, l) {
-				out = append(out, fmt.Sprintf("job %d (%s) blocked by %s, outside its BTS", j.ID, j.Tmpl.Name, l.Name))
+			if l := tmpls[res.Jobs[b].Tmpl]; !slices.Contains(bts, l) {
+				out = append(out, fmt.Sprintf("job %d (%s) blocked by %s, outside its BTS", id, tmpl.Name, l.Name))
 			}
 		}
-		if b := analysis.WorstCaseBlocking(res.Set, ceil, pr.kind, j.Tmpl); j.InvBlockTicks > b {
-			out = append(out, fmt.Sprintf("job %d (%s) effectively blocked %d ticks, above B_i = %d", j.ID, j.Tmpl.Name, j.InvBlockTicks, b))
+		if b := analysis.WorstCaseBlocking(res.Set, ceil, pr.kind, tmpl); j.InvBlockTicks > b {
+			out = append(out, fmt.Sprintf("job %d (%s) effectively blocked %d ticks, above B_i = %d", id, tmpl.Name, j.InvBlockTicks, b))
 		}
 	}
 	return out

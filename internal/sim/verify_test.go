@@ -54,13 +54,12 @@ func TestVerifyCatches(t *testing.T) {
 		}, "table1-on-LC3 refused a read"},
 		{"two lower-priority blockers", "rwpcp", func() *sched.Result {
 			r := ex4() // job 0 is T4, the lowest priority; job 1 is T3
-			t1 := jobOf(r, "T1")
-			t1.EverBlockedBy = []rt.JobID{0, 1}
+			blockedBy(r, jobOf(r, "T1"), 0, 1)
 			return r
 		}, "blocked by 2 lower-priority jobs"},
 		{"a blocker outside the BTS", "pcpda", func() *sched.Result {
 			r := ex4() // T1's BTS is empty: no lower template reads an item written at P1
-			jobOf(r, "T1").EverBlockedBy = []rt.JobID{1}
+			blockedBy(r, jobOf(r, "T1"), 1)
 			return r
 		}, "blocked by T3, outside its BTS"},
 		{"blocking above B_i", "pcpda", func() *sched.Result { r := ex4(); jobOf(r, "T1").InvBlockTicks = 99; return r }, "above B_i"},
@@ -80,11 +79,18 @@ func TestVerifyCatches(t *testing.T) {
 	}
 }
 
-func jobOf(res *sched.Result, name string) *cc.Job {
-	for _, j := range res.Jobs {
-		if j.Tmpl.Name == name {
-			return j
+func jobOf(res *sched.Result, name string) *sched.JobRecord {
+	for i, j := range res.Jobs {
+		if res.Set.Templates[j.Tmpl].Name == name {
+			return &res.Jobs[i]
 		}
 	}
 	return nil
+}
+
+// blockedBy makes ids the EverBlockedBy of j, a record of res.
+func blockedBy(res *sched.Result, j *sched.JobRecord, ids ...rt.JobID) {
+	lo := len(res.Blockers)
+	res.Blockers = append(res.Blockers, ids...)
+	j.EverBlockedBy = sched.Span{Lo: int32(lo), Hi: int32(len(res.Blockers))}
 }
