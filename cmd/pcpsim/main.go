@@ -15,14 +15,6 @@
 // one of the built-in paper examples (example1, example3, example4,
 // example5) or the LC4 deadlock the explorer found (lc4deadlock) instead of
 // a file.
-//
-// The -chaos N flag skips the simulator and instead hammers the LIVE
-// transaction manager (internal/rtm) with N seeded fault schedules —
-// forced delays, spurious wakeups, forced aborts, injected cancellations
-// and real expiring deadlines — auditing lock table, live maps and history
-// serializability after every schedule (-firm is a simulator flag):
-//
-//	pcpsim -workload set.json -chaos 500 -seed 1
 package main
 
 import (
@@ -34,7 +26,6 @@ import (
 	"pcpda/internal/metrics"
 	"pcpda/internal/papercases"
 	"pcpda/internal/rt"
-	"pcpda/internal/rtm"
 	"pcpda/internal/sched"
 	"pcpda/internal/sim"
 	"pcpda/internal/trace"
@@ -55,8 +46,7 @@ func main() {
 		dotPath      = flag.String("dot", "", "write the serialization graph as Graphviz dot to this file")
 		svgPath      = flag.String("svg", "", "write the timeline as a paper-style SVG figure to this file")
 		jitter       = flag.Float64("jitter", 0, "sporadic arrival jitter J (inter-arrival in [Pd, Pd*(1+J)])")
-		seed         = flag.Int64("seed", 0, "sporadic-arrival RNG seed (also seeds -chaos)")
-		chaos        = flag.Int("chaos", 0, "run N seeded fault schedules against the live manager instead of simulating")
+		seed         = flag.Int64("seed", 0, "sporadic-arrival RNG seed")
 	)
 	flag.Parse()
 
@@ -72,10 +62,6 @@ func main() {
 		fail(err)
 	}
 
-	if *chaos > 0 {
-		runChaos(set, *chaos, *seed)
-		return
-	}
 	if strings.Contains(*protocol, ",") {
 		runCompare(set, strings.Split(*protocol, ","), sim.Options{
 			Horizon:        rt.Ticks(*horizon),
@@ -216,26 +202,6 @@ func broken(set *txn.Set, protocol string, res *sched.Result, opts sim.Options) 
 	}
 	fmt.Fprintf(os.Stderr, "\n%s\n", res.Timeline.Render(set))
 	return true
-}
-
-// runChaos hammers the live manager with seeded fault schedules and prints
-// the aggregated failure-path statistics. Any invariant violation or
-// non-serializable history exits non-zero with the offending seed.
-func runChaos(set *txn.Set, schedules int, seed int64) {
-	fmt.Printf("chaos: %d seeded fault schedules over %q\n", schedules, set.Name)
-	rep, err := rtm.RunChaos(set, rtm.ChaosConfig{
-		Schedules: schedules,
-		Seed:      seed,
-		PDelay:    0.08,
-		PWakeup:   0.05,
-		PAbort:    0.04,
-		PCancel:   0.04,
-	})
-	fmt.Println(rep)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Println("all schedules clean: no leaked locks/slots, histories serializable")
 }
 
 func loadSet(path, paper string) (*txn.Set, error) {

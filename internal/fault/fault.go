@@ -7,18 +7,20 @@
 // (Wakeup), or terminate the requesting transaction as if it had been
 // sacrificed (ForceAbort) or its caller's context had been cancelled
 // (ForceCancel). The manager applies the action through exactly the same
-// recovery code the real failure would take, so a chaos run exercises the
-// production error paths, not test-only shortcuts.
+// recovery code the real failure would take, so an injected fault exercises
+// the production error paths, not test-only shortcuts.
 //
 // The default is no injector at all: the manager guards every consultation
 // with a nil check, so the disabled path costs one predictable branch.
 //
-// Seeded is the standard implementation: a probability per action, driven
-// by a seeded PRNG. The decision *stream* is deterministic for a given
-// seed; which call in the stream lands on which goroutine still depends on
-// the Go scheduler, so a seed reproduces a statistical schedule shape, not
-// a bit-exact interleaving. That is the right contract for chaos testing:
-// invariants must hold under every interleaving anyway.
+// Two implementations. Func adapts a function: the live explorer
+// (sim.TestExploreManagerFreeOrder) answers one action at one chosen
+// consultation of a run with it, and Proceed at every other. Seeded draws
+// a probability per action from a seeded PRNG, for load (pcpdad's -fault-*
+// flags, rtm's herd): its decision stream is
+// deterministic for a given seed, but which call in the stream lands on
+// which goroutine depends on the Go scheduler, so a seed reproduces a
+// statistical schedule shape, not an interleaving.
 package fault
 
 import (
@@ -144,8 +146,6 @@ type Config struct {
 	PAbort float64
 	// PCancel is the probability of a forced cancellation.
 	PCancel float64
-	// Only restricts injection to the listed points; nil means every point.
-	Only map[Point]bool
 }
 
 // Seeded is a probabilistic injector with a deterministic decision stream.
@@ -165,9 +165,6 @@ func NewSeeded(cfg Config) *Seeded {
 func (s *Seeded) At(p Point, txn string) Action {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.Only != nil && !s.cfg.Only[p] {
-		return Proceed
-	}
 	u := s.rng.Float64()
 	switch {
 	case u < s.cfg.PDelay:

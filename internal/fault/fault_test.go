@@ -29,16 +29,6 @@ func TestSeededZeroConfigNeverInjects(t *testing.T) {
 	}
 }
 
-func TestSeededOnlyRestrictsPoints(t *testing.T) {
-	s := NewSeeded(Config{Seed: 3, PAbort: 1, Only: map[Point]bool{CommitInstall: true}})
-	if got := s.At(LockRequest, "t"); got != Proceed {
-		t.Fatalf("filtered point injected %v", got)
-	}
-	if got := s.At(CommitInstall, "t"); got != ForceAbort {
-		t.Fatalf("allowed point returned %v", got)
-	}
-}
-
 func TestSeededAllActionsReachable(t *testing.T) {
 	s := NewSeeded(Config{Seed: 99, PDelay: 0.25, PWakeup: 0.25, PAbort: 0.25, PCancel: 0.2})
 	var c [numActions]int

@@ -14,13 +14,28 @@ import (
 	"pcpda/internal/history"
 	"pcpda/internal/rt"
 	"pcpda/internal/txn"
+	"pcpda/internal/workload"
 )
 
-// managerLog runs three workers over the chaos set with no faults and
-// returns the manager's (clean, short of the ring) log.
+// logSet is the small contended workload the audit's logs come from.
+func logSet(t testing.TB) *txn.Set {
+	t.Helper()
+	set, err := workload.Generate(workload.Config{
+		N: 4, Items: 5, Utilization: 0.5,
+		PeriodMin: 50, PeriodMax: 500,
+		OpsMin: 2, OpsMax: 4, WriteProb: 0.5, Seed: 424242,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// managerLog runs three workers over logSet with no faults and returns the
+// manager's (clean, short of the ring) log.
 func managerLog(t *testing.T, seed int64) []history.Op {
 	t.Helper()
-	set := chaosSet(t, 424242, 50, 500)
+	set := logSet(t)
 	m, err := New(set)
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +48,7 @@ func managerLog(t *testing.T, seed int64) []history.Op {
 			defer wg.Done()
 			for i := 0; i < 12; i++ {
 				tmpl := set.Templates[rng.Intn(len(set.Templates))]
-				if err := chaosOnce(c, m, rng, tmpl, -1); err != nil {
+				if err := runOnce(c, m, rng, tmpl); err != nil {
 					t.Error(err)
 					return
 				}
@@ -156,8 +171,9 @@ var mutations = []mutation{
 // TestAuditAgreesWithCheck is the differential half of the continuous
 // audit's contract on real manager logs: every unmutated log is clean in
 // both checkers, and every seeded mutation — each a known violation, the
-// positive controls — is flagged by both. (Every RunChaos schedule repeats
-// the clean half: runSchedule replays its log through a fresh audit.)
+// positive controls — is flagged by both. (Every run of the live explorer,
+// sim.TestExploreManager*, repeats the clean half: it replays its log
+// through a fresh audit.)
 func TestAuditAgreesWithCheck(t *testing.T) {
 	logs := 40
 	if testing.Short() {

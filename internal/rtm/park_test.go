@@ -8,6 +8,7 @@ import (
 
 	"pcpda/internal/cc"
 	"pcpda/internal/rt"
+	"pcpda/internal/txn"
 )
 
 // blockedWrite is the park most tests here start from: the reader holds the
@@ -110,6 +111,49 @@ func TestEveryParkExitLeavesNoWaiter(t *testing.T) {
 				t.Fatalf("flagged victim's write = %v, want ErrAborted", err)
 			}
 			th.Abort()
+			return m
+		}},
+		{"unraised flagged victim", func(t *testing.T) *Manager {
+			// T0 already waits on TL, so TL runs at P_T0 and TH's block
+			// raises nobody: inherit wakes no one, and the breaker's own
+			// wake of its victim is the one TL gets.
+			s := txn.NewSet("cycle under a higher waiter")
+			x, y, z := s.Catalog.Intern("x"), s.Catalog.Intern("y"), s.Catalog.Intern("z")
+			s.Add(&txn.Template{Name: "T0", Steps: []txn.Step{txn.Read(z)}})
+			s.Add(&txn.Template{Name: "TH", Steps: []txn.Step{txn.Read(x), txn.Write(y)}})
+			s.Add(&txn.Template{Name: "TL", Steps: []txn.Step{txn.Write(x), txn.Read(y)}})
+			s.AssignByIndex()
+			m, _ := New(s)
+			c := ctx(t)
+			t0, th, tl := mustBegin(t, m, c, "T0"), mustBegin(t, m, c, "TH"), mustBegin(t, m, c, "TL")
+			if _, err := th.Read(c, x); err != nil {
+				t.Fatal(err)
+			}
+			h0 := &t0.slot.job
+			m.mu.Lock()
+			h0.Status, h0.Blockers = cc.Blocked, []rt.JobID{tl.ID()}
+			m.inherit()
+			m.mu.Unlock()
+			wrote := make(chan error, 1)
+			go func() { wrote <- tl.Write(c, x, 1) }() // LC1-blocked behind TH's read lock
+			waitBlocked(t, m, tl)
+			m.mu.Lock()
+			if tl.slot.job.RunPri != h0.BasePri() {
+				m.mu.Unlock()
+				t.Fatal("TL does not run at T0's priority")
+			}
+			th.slot.job.Status, th.slot.job.Blockers = cc.Blocked, []rt.JobID{tl.ID()}
+			err := m.park(c, th, waitLock, true) // flags TL, which is woken by the breaker alone
+			h0.Status, h0.Blockers = cc.Ready, nil
+			m.mu.Unlock()
+			if err != nil {
+				t.Fatalf("survivor's park = %v", err)
+			}
+			if err := <-wrote; !errors.Is(err, ErrAborted) {
+				t.Fatalf("flagged victim's write = %v, want ErrAborted", err)
+			}
+			th.Abort()
+			t0.Abort()
 			return m
 		}},
 		{"foreign Abort while parked", func(t *testing.T) *Manager {

@@ -37,8 +37,8 @@
 //   - ErrClosed: handle already finished (programming error).
 //
 // Exec wraps Begin/op/Commit in a bounded retry loop with jittered backoff
-// for the retryable sentinels. Options.Injector plugs seeded fault
-// injection (package fault) into every blocking/grant/commit boundary, and
+// for the retryable sentinels. Options.Injector plugs fault injection
+// (package fault) into every blocking/grant/commit boundary, and
 // Manager.CheckInvariants audits the lock table, slot table, inherited
 // priorities and history after any schedule, faulty or not.
 //
@@ -569,7 +569,8 @@ func (m *Manager) ReadCommitted(item rt.Item) db.Value {
 //
 // It is safe to call at any time; after a quiescent point (no live
 // transactions) it additionally proves that no failure path leaked state.
-// The chaos harness calls it after every fault schedule.
+// The live explorer (sim.TestExploreManager*) calls it at every settled
+// point of every run and after each, cancelled and faulted runs included.
 func (m *Manager) CheckInvariants() error {
 	m.mu.Lock()
 	probs := m.auditState()
@@ -742,8 +743,9 @@ func (m *Manager) inject(p fault.Point, t *Txn, mayUnlock bool) error {
 	case fault.Wakeup:
 		m.stats.InjectedFaults++
 		// A spurious broadcast: wake every parked waiter so each re-evaluates
-		// its condition (the chaos harness relies on this exercising the
-		// re-check paths exactly as the legacy condition broadcast did).
+		// its condition. The live explorer's wakeup letters fire it inside
+		// its runs and demand that each renders the run without it: a
+		// re-evaluation may change nothing the targeted wakes did not.
 		m.wakeAll()
 		return nil
 	case fault.ForceAbort:
